@@ -9,7 +9,7 @@ from .cubics import (CATALOG, CubicForm, albert_contraction_cubic,
                      octonion_cubic21, trivial_cubic)
 from .jordan import (ComplexHermMat3, HermMat3, freudenthal_det, fullspace_basis,
                      involution, jordan_mul, trace_form, tracefree_basis)
-from .poly import Poly, exact_zero, random_zero
+from .poly import Poly, random_zero
 from .scalars import QSqrt3
 
 __version__ = "0.1.0"

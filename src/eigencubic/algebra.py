@@ -343,13 +343,6 @@ class MetrisedAlgebra:
         return worst
 
 
-def _dot(x, y):
-    total = 0
-    for a, b in zip(x, y):
-        total = total + a * b
-    return total
-
-
 def _inv(v):
     if isinstance(v, QSqrt3):
         return v.inverse()

@@ -1,9 +1,10 @@
 """Command-line frontend.
 
 Exit codes: 0 all requested checks passed, 1 a mathematical check failed,
-2 usage or input error.  Rationals are serialized as "p/q" strings and
-floats with round-trip precision; runs with identical arguments (and
-seed) produce byte-identical output.
+2 usage or input error, 3 internal error (any other exception, reported
+as one stderr line ``internal error: <Type>: <message>``).  Rationals are
+serialized as "p/q" strings and floats with round-trip precision; runs
+with identical arguments (and seed) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .tables import admissible_triples, cross_validate
 
 MATH_FAIL = 1
 USAGE_FAIL = 2
+INTERNAL_FAIL = 3
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,20 @@ def _check_seed(ctx, param, value):
     return value
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports an unexpected exception in one stderr line, exit code 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.Abort, click.exceptions.Exit):
+            raise
+        except Exception as exc:
+            click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+            ctx.exit(INTERNAL_FAIL)
+
+
+@click.group(cls=_Main)
 def main():
     """Workbench for cubic minimal cones: construct the catalog forms,
     verify their differential identities, and compute Peirce data."""

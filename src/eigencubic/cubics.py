@@ -113,22 +113,6 @@ class CubicForm:
             total = total + m * point[i] * point[j] * point[k]
         return total
 
-    def gradient_at(self, point: Sequence) -> list:
-        if len(point) != self.n:
-            raise ValueError("point length mismatch")
-        g = [0] * self.n
-        for a, b, c, w in self.coo():
-            g[a] = g[a] + 3 * w * point[b] * point[c]
-        return g
-
-    def hessian_at(self, point: Sequence) -> list:
-        if len(point) != self.n:
-            raise ValueError("point length mismatch")
-        H = [[0] * self.n for _ in range(self.n)]
-        for a, b, c, w in self.coo():
-            H[a][b] = H[a][b] + 6 * w * point[c]
-        return H
-
     def to_poly(self) -> Poly:
         terms: Dict[tuple, object] = {}
         for (i, j, k), m in self.terms.items():
@@ -356,8 +340,8 @@ def complexified_cubic(d: int) -> CubicForm:
             pairs.append((P, P))
             pairs.append((P, -P))
         nvars = len(pairs)
-        A = _symbolic_pair(pairs, nvars, 0)
-        B = _symbolic_pair(pairs, nvars, 1)
+        A = _symbolic_element([a for a, _ in pairs], nvars)
+        B = _symbolic_element([b for _, b in pairs], nvars)
     else:
         basis = fullspace_basis(d)
         N = len(basis)
@@ -366,24 +350,6 @@ def complexified_cubic(d: int) -> CubicForm:
         B = _symbolic_element(basis.mats, nvars, N)
     p = freudenthal_det(A) - det_polar(B, A)
     return CubicForm.from_poly(p)
-
-
-def _symbolic_pair(pairs, nvars: int, which: int) -> HermMat3:
-    d = pairs[0][0].d
-    diag = [Poly.zero(nvars) for _ in range(3)]
-    off = [[Poly.zero(nvars) for _ in range(d)] for _ in range(3)]
-    for i, pair in enumerate(pairs):
-        b = pair[which]
-        xi = Poly.var(nvars, i)
-        for t in range(3):
-            if b.diag[t]:
-                diag[t] = diag[t] + xi * b.diag[t]
-        for pos in range(3):
-            for m, c in enumerate(b.off[pos].coeffs):
-                if c:
-                    off[pos][m] = off[pos][m] + xi * c
-    return HermMat3(d, tuple(diag),
-                    tuple(CDElement(d, tuple(row)) for row in off))
 
 
 @lru_cache(maxsize=None)

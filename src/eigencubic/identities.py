@@ -1,20 +1,36 @@
 """Verifiers for the differential identities attached to eigencubics.
 
-Each check decides a proportionality between two polynomials built from
-the form: exactly (full expansion) when the variable count allows it, or
-by evaluating both sides at random integer points with exact arithmetic
-and a quantified Schwartz-Zippel error bound.  The constant itself is
-exact in both modes; only the identity's global validity is randomized.
+Each identity says lhs = t * rhs for one constant t, with both sides
+built from the value, gradient and Hessian of the form at a point p and
+from |p|^2.  Each is written once, as a ``sides(v, g, H, r2)`` function,
+and every mode runs that same function through one kernel, ``_jet``;
+the mode only chooses the kind of point and the decider:
+
+* exact: p is the vector of ``Poly`` variables, so both sides come out
+  as polynomials and t is decided by full expansion;
+* random: p is a random integer point and both sides are exact
+  integers; t is solved at one point and confirmed at ``trials`` more,
+  with the Schwartz-Zippel bound (deg/bound)**trials;
+* float: p is a Gaussian float64 point (forms with float coefficients).
+
+Both exact modes evaluate the multiple D*u, with D the least positive
+integer making every coefficient integral (both channels of a sqrt(3)
+coefficient), so the kernel works on Python ints and integer-coefficient
+polynomials.  Each lhs has degree
+two more in u than its rhs, so t(u) = t(D*u) / D**2 exactly.  The
+constant is exact in both exact modes; only the identity's global
+validity is randomized in the random mode.
 
 Policy: exact expansion for n <= 15, randomized above, both overridable.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -46,10 +62,6 @@ class CheckReport:
                 const = format_rational(const)
         return {"check": self.check, "pass": self.passed, "constant": const,
                 "mode": self.mode, "error_bound": self.error_bound}
-
-
-def _squared_norm_poly(n: int) -> Poly:
-    return Poly(n, {((i, 2),): Fraction(1) for i in range(n)})
 
 
 def _pick_mode(u: CubicForm, mode: str) -> str:
@@ -129,18 +141,137 @@ def _float_scale(u: CubicForm) -> float:
     return max((abs(float(c)) for c in u.terms.values()), default=1.0)
 
 
-def _proportional_float(lhs, rhs, n: int, seed: int, rel: float,
+def _proportional_float(sides, n: int, seed: int, rel: float,
                         scale: float, trials: int = 24):
     rng = np.random.default_rng(seed)
     pts = [rng.standard_normal(n) for _ in range(trials)]
-    ls = np.array([lhs(p) for p in pts])
-    rs = np.array([rhs(p) for p in pts])
+    ls, rs = np.array([sides(p) for p in pts], dtype=float).T
     denom = float(np.dot(rs, rs))
     if denom < 1e-30:
         return 0.0 if np.max(np.abs(ls)) < rel * scale else None
     t = float(np.dot(ls, rs)) / denom
     resid = np.max(np.abs(ls - t * rs) / (1.0 + np.abs(t * rs)))
     return t if resid < rel * max(1.0, scale) else None
+
+
+# ---------------------------------------------------------------------------
+# the (u, Du, D^2u) kernel
+# ---------------------------------------------------------------------------
+
+def _channels(c) -> tuple:
+    return (c.a, c.b) if isinstance(c, QSqrt3) else (Fraction(c),)
+
+
+@dataclass(frozen=True)
+class _JetData:
+    """Index and coefficient arrays of D*u for the kernel.
+
+    ``m`` are the monomial coefficients at ``ijk`` and ``w3`` the weights
+    3w of the full tensor entries at ``abc`` (``CubicForm.coo``).  D is
+    the least positive integer making every m and 3w integral in both
+    sqrt(3) channels; for a float form D = 1 and the arrays are float64.
+    """
+    scale: int
+    ijk: np.ndarray
+    m: np.ndarray
+    abc: np.ndarray
+    w3: np.ndarray
+
+    @classmethod
+    def of(cls, u: CubicForm) -> "_JetData":
+        keys = list(u.terms)
+        m = [u.terms[k] for k in keys]
+        coo = u.coo()
+        w3 = [3 * w for *_, w in coo]
+        if u.is_exact_form:
+            D = math.lcm(*(x.denominator for c in m + w3 for x in _channels(c)))
+            m, w3 = _integral(D, m), _integral(D, w3)
+        else:
+            D = 1
+            m, w3 = np.array(m, dtype=float), np.array(w3, dtype=float)
+        return cls(D, np.array(keys, dtype=np.intp).reshape(-1, 3), m,
+                   np.array([e[:3] for e in coo], dtype=np.intp).reshape(-1, 3),
+                   w3)
+
+
+def _integral(D: int, values) -> np.ndarray:
+    """D * values as Python ints, or as QSqrt3 where a value has a sqrt(3)
+    channel (a coefficient of the form never has a zero one)."""
+    return np.array([D * c if isinstance(c, QSqrt3) else int(D * c)
+                     for c in values], dtype=object)
+
+
+def _jet(data: _JetData, p: np.ndarray):
+    """(u(p), Du(p), D^2u(p)) of D*u; the entries keep the kind of p.
+
+    p is an object array of ``Poly`` variables, an object array of Python
+    ints or a float64 array.
+    """
+    n = len(p)
+    i, j, k = data.ijk.T
+    a, b, c = data.abc.T
+    g = np.zeros(n, dtype=p.dtype)
+    H = np.zeros((n, n), dtype=p.dtype)
+    np.add.at(g, a, data.w3 * p[b] * p[c])
+    np.add.at(H, (a, b), 2 * data.w3 * p[c])
+    v = (data.m * p[i] * p[j] * p[k]).sum()
+    return v, g, H
+
+
+# ---------------------------------------------------------------------------
+# the four proportionality identities, each written once
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Identity:
+    """lhs = t * rhs with (lhs, rhs) = sides(u(p), Du(p), D^2u(p), |p|^2).
+
+    ``degree`` is the degree of lhs - t rhs in p (the Schwartz-Zippel
+    degree); ``power`` is the degree of lhs in u, which sets the float
+    tolerance's scale.
+    """
+    name: str
+    degree: int
+    power: int
+    sides: Callable
+
+
+RADIAL = _Identity("radial", 5, 3, lambda v, g, H, r2: (
+    (g @ g) * np.trace(H) - g @ (H @ g), r2 * v))
+EICONAL = _Identity("eiconal", 4, 2, lambda v, g, H, r2: (g @ g, r2 * r2))
+TRACE2 = _Identity("trace2", 2, 2, lambda v, g, H, r2: ((H * H).sum(), r2))
+TRACE3 = _Identity("trace3", 3, 3, lambda v, g, H, r2: (((H @ H) * H).sum(), v))
+
+
+def _poly_vars(n: int) -> np.ndarray:
+    return np.array([Poly.var(n, i) for i in range(n)], dtype=object)
+
+
+def _as_poly(x, n: int) -> Poly:
+    return x if isinstance(x, Poly) else Poly.const(n, x)
+
+
+def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
+           bound: int, seed: int) -> CheckReport:
+    m = _pick_mode(u, mode)
+    data = _JetData.of(u)
+
+    def sides(p):
+        return ident.sides(*_jet(data, p), p @ p)
+
+    if m == "float":
+        t = _proportional_float(sides, u.n, seed, FLOAT_REL_TOL,
+                                _float_scale(u) ** ident.power)
+        return CheckReport(ident.name, t is not None, t, m, 0.0)
+    if m == "exact":
+        lhs, rhs = sides(_poly_vars(u.n))
+        t, err = _proportional_exact(_as_poly(lhs, u.n), _as_poly(rhs, u.n)), 0.0
+    else:
+        t, err = _proportional_random(lambda p: sides(np.array(p, dtype=object)), u.n,
+                                      ident.degree, trials, bound, seed)
+    if t is not None:
+        t = t / (data.scale * data.scale)
+    return CheckReport(ident.name, t is not None, t, m, err)
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +287,6 @@ def check_harmonic(u: CubicForm) -> bool:
     return all(abs(float(c)) <= FLOAT_REL_TOL * scale for c in lap.terms.values())
 
 
-def _radial_sides_at(u: CubicForm, p) -> Tuple[object, object]:
-    """(|Du|^2 Lap u - Du . H Du, |p|^2 u) at a point, exactly."""
-    g = u.gradient_at(p)
-    H = u.hessian_at(p)
-    g2 = sum(v * v for v in g)
-    trH = sum(H[i][i] for i in range(u.n))
-    gHg = 0
-    for i in range(u.n):
-        row = H[i]
-        gi = g[i]
-        if gi:
-            gHg = gHg + gi * sum(row[j] * g[j] for j in range(u.n))
-    lhs = g2 * trH - gHg
-    rhs = sum(v * v for v in p) * u.evaluate(p)
-    return lhs, rhs
-
-
 def check_radial(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS,
                  bound: int = DEFAULT_BOUND, seed: int = 0) -> CheckReport:
     """theta with |Du|^2 Lap u - (1/2) Du . D|Du|^2 = theta |x|^2 u.
@@ -181,33 +295,7 @@ def check_radial(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS,
     """
     if u.is_zero():
         raise ValueError("the zero form is not accepted by the radial check")
-    m = _pick_mode(u, mode)
-    if m == "exact":
-        grads = u.gradient()
-        G = Poly.zero(u.n)
-        for g in grads:
-            G = G + g * g
-        lap = u.laplacian()
-        half = Fraction(1, 2)
-        P = G * lap - half * sum((grads[j] * G.diff(j) for j in range(u.n)),
-                                 Poly.zero(u.n))
-        Q = _squared_norm_poly(u.n) * u.to_poly()
-        theta = _proportional_exact(P, Q)
-        return CheckReport("radial", theta is not None, theta, "exact", 0.0)
-    if m == "random":
-        theta, err = _proportional_random(
-            lambda p: _radial_sides_at(u, p), u.n, 5, trials, bound, seed)
-        return CheckReport("radial", theta is not None, theta, "random", err)
-    T = u.dense_tensor()
-
-    def sides(p):
-        g = 3 * np.einsum("abc,b,c->a", T, p, p)
-        H = 6 * np.einsum("abc,c->ab", T, p)
-        return (g @ g) * np.trace(H) - g @ H @ g, (p @ p) * float(u.evaluate(p))
-
-    theta = _proportional_float(lambda p: sides(p)[0], lambda p: sides(p)[1],
-                                u.n, seed, FLOAT_REL_TOL, _float_scale(u) ** 3)
-    return CheckReport("radial", theta is not None, theta, "float", 0.0)
+    return _check(RADIAL, u, mode, trials, bound, seed)
 
 
 def check_eiconal(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS,
@@ -215,46 +303,10 @@ def check_eiconal(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS
     """kappa with |Du|^2 = kappa |x|^4; kappa = 9 is the normalized case."""
     if u.is_zero():
         return CheckReport("eiconal", False, None, "exact", 0.0)
-    m = _pick_mode(u, mode)
-    if m == "exact":
-        grads = u.gradient()
-        G = Poly.zero(u.n)
-        for g in grads:
-            G = G + g * g
-        r2 = _squared_norm_poly(u.n)
-        kappa = _proportional_exact(G, r2 * r2)
-        if kappa is not None and not kappa > 0:
-            kappa = None
-        return CheckReport("eiconal", kappa is not None, kappa, "exact", 0.0)
-    if m == "random":
-        def sides(p):
-            g = u.gradient_at(p)
-            s = sum(v * v for v in p)
-            return sum(v * v for v in g), s * s
-
-        kappa, err = _proportional_random(sides, u.n, 4, trials, bound, seed)
-        if kappa is not None and not kappa > 0:
-            kappa = None
-        return CheckReport("eiconal", kappa is not None, kappa, "random", err)
-    T = u.dense_tensor()
-
-    def lhs(p):
-        g = 3 * np.einsum("abc,b,c->a", T, p, p)
-        return float(g @ g)
-
-    kappa = _proportional_float(lhs, lambda p: float(p @ p) ** 2, u.n, seed,
-                                FLOAT_REL_TOL, _float_scale(u) ** 2)
-    if kappa is not None and kappa <= 0:
-        kappa = None
-    return CheckReport("eiconal", kappa is not None, kappa, "float", 0.0)
-
-
-def _hessian_polys(u: CubicForm) -> List[List[Poly]]:
-    n = u.n
-    H = [[Poly.zero(n) for _ in range(n)] for _ in range(n)]
-    for a, b, c, w in u.coo():
-        H[a][b] = H[a][b] + Poly.var(n, c, 6 * w)
-    return H
+    rep = _check(EICONAL, u, mode, trials, bound, seed)
+    if rep.passed and not rep.constant > 0:
+        rep = replace(rep, passed=False, constant=None)
+    return rep
 
 
 def trace_identity_quadratic(u: CubicForm, mode: str = "auto",
@@ -262,32 +314,7 @@ def trace_identity_quadratic(u: CubicForm, mode: str = "auto",
                              bound: int = DEFAULT_BOUND,
                              seed: int = 0) -> CheckReport:
     """c with trace(D^2 u)^2 = c |x|^2 (the exceptional-or-mutant marker)."""
-    m = _pick_mode(u, mode)
-    if m == "exact":
-        H = _hessian_polys(u)
-        P = Poly.zero(u.n)
-        for i in range(u.n):
-            for j in range(u.n):
-                P = P + H[i][j] * H[j][i]
-        c = _proportional_exact(P, _squared_norm_poly(u.n))
-        return CheckReport("trace2", c is not None, c, "exact", 0.0)
-    if m == "random":
-        def sides(p):
-            H = u.hessian_at(p)
-            lv = sum(H[i][j] * H[j][i] for i in range(u.n) for j in range(u.n))
-            return lv, sum(v * v for v in p)
-
-        c, err = _proportional_random(sides, u.n, 2, trials, bound, seed)
-        return CheckReport("trace2", c is not None, c, "random", err)
-    T = u.dense_tensor()
-
-    def lhs(p):
-        H = 6 * np.einsum("abc,c->ab", T, p)
-        return float(np.sum(H * H))
-
-    c = _proportional_float(lhs, lambda p: float(p @ p), u.n, seed,
-                            FLOAT_REL_TOL, _float_scale(u) ** 2)
-    return CheckReport("trace2", c is not None, c, "float", 0.0)
+    return _check(TRACE2, u, mode, trials, bound, seed)
 
 
 def trace_identity_cubic(u: CubicForm, mode: str = "auto",
@@ -295,47 +322,7 @@ def trace_identity_cubic(u: CubicForm, mode: str = "auto",
                          bound: int = DEFAULT_BOUND,
                          seed: int = 0) -> CheckReport:
     """a with trace(D^2 u)^3 = a u; every eigencubic admits one."""
-    m = _pick_mode(u, mode)
-    if m == "exact":
-        H = _hessian_polys(u)
-        P = Poly.zero(u.n)
-        for i in range(u.n):
-            for j in range(u.n):
-                hij = H[i][j]
-                if hij.is_zero():
-                    continue
-                for k in range(u.n):
-                    hjk = H[j][k]
-                    if hjk.is_zero():
-                        continue
-                    P = P + hij * hjk * H[k][i]
-        a = _proportional_exact(P, u.to_poly())
-        return CheckReport("trace3", a is not None, a, "exact", 0.0)
-    if m == "random":
-        def sides(p):
-            H = u.hessian_at(p)
-            n = u.n
-            tot = 0
-            for i in range(n):
-                Hi = H[i]
-                for j in range(n):
-                    hij = Hi[j]
-                    if hij:
-                        Hj = H[j]
-                        tot = tot + hij * sum(Hj[k] * H[k][i] for k in range(n))
-            return tot, u.evaluate(p)
-
-        a, err = _proportional_random(sides, u.n, 3, trials, bound, seed)
-        return CheckReport("trace3", a is not None, a, "random", err)
-    T = u.dense_tensor()
-
-    def lhs(p):
-        H = 6 * np.einsum("abc,c->ab", T, p)
-        return float(np.trace(H @ H @ H))
-
-    a = _proportional_float(lhs, lambda p: float(u.evaluate(p)), u.n, seed,
-                            FLOAT_REL_TOL, _float_scale(u) ** 3)
-    return CheckReport("trace3", a is not None, a, "float", 0.0)
+    return _check(TRACE3, u, mode, trials, bound, seed)
 
 
 # ---------------------------------------------------------------------------

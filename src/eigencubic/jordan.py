@@ -116,13 +116,6 @@ def _chk(a: HermMat3, b: HermMat3):
         raise ValueError(f"base dimension mismatch: {a.d} vs {b.d}")
 
 
-def lincomb(coeffs, mats) -> HermMat3:
-    out = HermMat3.zero(mats[0].d)
-    for c, m in zip(coeffs, mats):
-        out = out + m.scale(c)
-    return out
-
-
 def jordan_mul(A: HermMat3, B: HermMat3) -> HermMat3:
     """A o B = (AB + BA)/2; Hermitian for every d, including octonions."""
     _chk(A, B)

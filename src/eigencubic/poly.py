@@ -5,9 +5,9 @@ index; coefficients are exact scalars (int, Fraction, QSqrt3) or floats
 in float mode.  Zero coefficients are never stored, so ``not p.terms``
 is the exact zero test.
 
-``exact_zero`` / ``random_zero`` are the two identity-testing backends:
-full expansion versus Schwartz-Zippel evaluation at random integer
-points with a reported error-probability bound.
+``p.is_zero()`` / ``random_zero`` are the two zero tests: full expansion
+versus Schwartz-Zippel evaluation at random integer points with a
+reported error-probability bound.
 """
 
 from __future__ import annotations
@@ -153,9 +153,6 @@ class Poly:
             total = total + v
         return total
 
-    def map_coeffs(self, f) -> "Poly":
-        return Poly(self.nvars, {m: f(c) for m, c in self.terms.items()})
-
     def __repr__(self):
         if not self.terms:
             return "Poly(0)"
@@ -175,11 +172,6 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     for v, e in m2:
         d[v] = d.get(v, 0) + e
     return tuple(sorted(d.items()))
-
-
-def exact_zero(p: Poly) -> bool:
-    """Decide p == 0 by coefficient comparison (terms are kept expanded)."""
-    return p.is_zero()
 
 
 def find_witness(p: Poly, trials: int = 64, bound: int = 100, seed: int = 0):

@@ -84,11 +84,8 @@ def admissible_triples() -> List[TripleRecord]:
 
 def status(triple) -> str:
     """Status of a triple; NOT_ADMISSIBLE if it is outside the table."""
-    t = tuple(int(v) for v in triple)
-    for rec in admissible_triples():
-        if rec.triple == t:
-            return rec.status
-    return NOT_ADMISSIBLE
+    rec = record_for(triple)
+    return NOT_ADMISSIBLE if rec is None else rec.status
 
 
 def record_for(triple) -> Optional[TripleRecord]:

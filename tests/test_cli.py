@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from eigencubic.cli import main
+
+TRANSCRIPT = Path(__file__).parent / "data" / "readme_transcript.txt"
 
 
 @pytest.fixture()
@@ -146,6 +150,62 @@ def test_spectrum_deterministic(runner, tmp_path):
     assert a == b
 
 
+def test_cone_sample_deterministic(runner, tmp_path):
+    path = _emit(runner, tmp_path, "cartan-d1")
+    a = run(runner, "cone-sample", path, "--count", "20", "--seed", "3").output
+    b = run(runner, "cone-sample", path, "--count", "20", "--seed", "3").output
+    assert a == b
+
+
+def test_internal_error_exit_code(runner, tmp_path, monkeypatch):
+    # an exception that is neither a usage error nor a failed check exits 3
+    # with one stderr line instead of a traceback
+    path = _emit(runner, tmp_path, "clifford-q0")
+
+    def broken(u):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr("eigencubic.cli.check_harmonic", broken)
+    res = runner.invoke(main, ["verify", path, "--check", "harmonic"])
+    assert res.exit_code == 3
+    assert res.stdout == ""
+    assert res.stderr == "internal error: LinAlgError: SVD did not converge\n"
+
+
+def _readme_commands():
+    """The README commands whose output is exact, with the file each writes."""
+    cmds = []
+    for name in ("cartan-d1", "cartan-d4"):
+        cmds += [(["catalog", "emit", name, "out.json"], "out.json"),
+                 (["verify", "out.json", "--check", "radial", "--exact"], None),
+                 (["verify", "out.json", "--check", "all", "--random", "20",
+                   "--seed", "1"], None),
+                 (["classify", "out.json"], None)]
+    return cmds + [(["triples", "--status", "open"], None),
+                   (["rho", "16"], None),
+                   (["clifford", "--q", "4", "--emit", "sys.json"], "sys.json")]
+
+
+def readme_transcript(runner) -> str:
+    """Stdout, exit code and written file of each README command, in order."""
+    out = []
+    with runner.isolated_filesystem():
+        for args, written in _readme_commands():
+            res = runner.invoke(main, args)
+            out.append(f"$ eigencubic {' '.join(args)}\n{res.stdout}"
+                       f"[exit {res.exit_code}]\n")
+            if written:
+                out.append(f"[file {written}]\n{Path(written).read_text()}")
+    return "".join(out)
+
+
+def test_readme_transcript(runner):
+    # byte-identical README output is a contract; the transcript changes
+    # only with an intended output change (PYTHONPATH=src python
+    # tests/test_cli.py rewrites it)
+    assert readme_transcript(runner) == TRANSCRIPT.read_text()
+
+
 def test_classify(runner, tmp_path):
     path = _emit(runner, tmp_path, "clifford-q1")
     res = run(runner, "classify", path)
@@ -209,3 +269,8 @@ def test_emit_round_trip_byte_identical(runner, tmp_path):
     from eigencubic.cubics import CubicForm
     form = CubicForm.from_json(p1.read_text())
     assert json.loads(form.to_json()) == json.loads(p1.read_text())
+
+
+if __name__ == "__main__":
+    TRANSCRIPT.parent.mkdir(exist_ok=True)
+    TRANSCRIPT.write_text(readme_transcript(CliRunner()))

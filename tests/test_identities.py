@@ -4,17 +4,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eigencubic.algebra import MetrisedAlgebra
-from eigencubic.cubics import (CubicForm, cartan_cubic, catalog_build,
+from eigencubic.cubics import (CATALOG, CubicForm, cartan_cubic, catalog_build,
                                trivial_cubic)
-from eigencubic.identities import (check_eiconal, check_harmonic, check_radial,
-                                   classify, mean_curvature, sample_cone,
+from eigencubic.identities import (_JetData, _jet, check_eiconal,
+                                   check_harmonic, check_radial, classify,
+                                   mean_curvature, sample_cone,
                                    trace_identity_cubic,
                                    trace_identity_quadratic)
 from eigencubic.poly import Poly, random_zero
 
 DIM3 = catalog_build("clifford-q0")
+
+IDENTITY_CHECKS = (check_radial, check_eiconal, trace_identity_quadratic,
+                   trace_identity_cubic)
 
 
 def test_harmonic():
@@ -157,15 +162,140 @@ def test_classify_record_fields():
 
 
 def test_radial_scale_covariance():
+    # under u -> t u every constant scales by t^2: each lhs has degree two
+    # more in u than its rhs, which is also what lets the exact modes
+    # evaluate an integer multiple D u and divide by D^2
     rng = random.Random(2)
     for name in ("clifford-q0", "cartan-d1"):
         u = catalog_build(name)
-        theta = check_radial(u).constant
-        for _ in range(5):
-            t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            if rng.random() < 0.5:
-                t = -t
-            assert check_radial(u.scaled(t)).constant == t * t * theta
+        for check in IDENTITY_CHECKS:
+            base = check(u)
+            for _ in range(5):
+                t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                if rng.random() < 0.5:
+                    t = -t
+                r = check(u.scaled(t))
+                assert r.passed == base.passed, (name, check.__name__)
+                if base.passed:
+                    assert r.constant == t * t * base.constant, (name, t)
+
+
+@pytest.mark.parametrize("name", ["clifford-q1", "cartan-d1", "cartan-d4",
+                                  "involution-d2"])
+def test_jet_matches_poly_derivatives(name):
+    # the shared kernel against Poly.eval of the expanded derivatives:
+    # exactly (of D u) at integer points and to float rounding at floats
+    u = catalog_build(name)
+    grads, hess, poly = u.gradient(), u.hessian(), u.to_poly()
+    data = _JetData.of(u)
+    D = data.scale
+    rng = random.Random(6)
+    for _ in range(3):
+        p = [rng.randrange(-50, 50) for _ in range(u.n)]
+        v, g, H = _jet(data, np.array(p, dtype=object))
+        assert v == D * poly.eval(p)
+        assert list(g) == [D * gi.eval(p) for gi in grads]
+        assert H.tolist() == [[D * h.eval(p) for h in row] for row in hess]
+    uf = u.to_float()
+    fdata = _JetData.of(uf)
+    assert fdata.scale == 1
+    x = list(np.random.default_rng(6).standard_normal(u.n))
+    v, g, H = _jet(fdata, np.array(x))
+    close = dict(rel=1e-12, abs=1e-12)
+    assert v == pytest.approx(uf.to_poly().eval(x), **close)
+    assert g == pytest.approx([gi.eval(x) for gi in uf.gradient()], **close)
+    assert H.ravel() == pytest.approx([h.eval(x) for row in uf.hessian()
+                                       for h in row], **close)
+
+
+SMALL_FORMS = [name for name, e in CATALOG.items() if e.dim <= 15]
+
+
+@pytest.mark.parametrize("check", IDENTITY_CHECKS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name", SMALL_FORMS)
+def test_modes_agree(name, check):
+    # exact expansion, Schwartz-Zippel points and float points all run
+    # the same identity; they must give the same verdict and constant
+    u = catalog_build(name)
+    ex = check(u, "exact")
+    rn = check(u, "random", seed=1)
+    assert (rn.passed, rn.constant) == (ex.passed, ex.constant)
+    assert rn.mode == "random" and ex.mode == "exact"
+    fl = check(u.to_float(), seed=1)
+    assert fl.mode == "float" and fl.passed == ex.passed
+    if ex.passed:
+        e = float(ex.constant)
+        assert abs(fl.constant - e) <= 1e-9 * max(1.0, abs(e))
+
+
+def _rational_inverse(M):
+    """Gauss-Jordan inverse of a square matrix of Fractions."""
+    n = len(M)
+    A = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if A[r][col] != 0)
+        A[col], A[piv] = A[piv], A[col]
+        inv = 1 / A[col][col]
+        A[col] = [v * inv for v in A[col]]
+        for r in range(n):
+            if r != col and A[r][col] != 0:
+                f = A[r][col]
+                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
+    return [row[n:] for row in A]
+
+
+def cayley_rotation(S):
+    """The rational orthogonal matrix Q = (I - S)(I + S)^-1 of a skew S."""
+    n = len(S)
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    minus = [[eye[i][j] - S[i][j] for j in range(n)] for i in range(n)]
+    inv = _rational_inverse([[eye[i][j] + S[i][j] for j in range(n)]
+                             for i in range(n)])
+    return [[sum(minus[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def rotate_exact(u, Q):
+    """u o Q as an exact form, through u(Q x) with x the Poly variables."""
+    n = u.n
+    qx = [sum((Poly.var(n, j, Q[i][j]) for j in range(n) if Q[i][j]),
+              Poly.zero(n)) for i in range(n)]
+    return CubicForm.from_poly(u.to_poly().eval(qx))
+
+
+def _skew(n, entries):
+    S = [[Fraction(0)] * n for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for (i, j), v in zip(pairs, entries):
+        S[i][j], S[j][i] = v, -v
+    return S
+
+
+_small_fraction = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
+
+
+@pytest.mark.parametrize("name", ["clifford-q0", "clifford-q1", "clifford-q2",
+                                  "cartan-d1", "cartan-d2"])
+def test_exact_orthogonal_invariance(name):
+    u = catalog_build(name)
+    n = u.n
+    want = [check(u, "exact").constant for check in IDENTITY_CHECKS]
+    harmonic = check_harmonic(u)
+
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_small_fraction, min_size=n * (n - 1) // 2,
+                    max_size=n * (n - 1) // 2).filter(any))
+    def invariant(entries):
+        Q = cayley_rotation(_skew(n, entries))
+        uq = rotate_exact(u, Q)
+        assert uq.is_exact_form
+        for mode in ("exact", "random"):
+            got = [check(uq, mode, seed=4).constant for check in IDENTITY_CHECKS]
+            assert got == want, (name, mode, entries)
+        assert check_harmonic(uq) == harmonic
+
+    invariant()
 
 
 def test_orthogonal_invariance_of_labels():

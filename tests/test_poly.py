@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from eigencubic.poly import Poly, exact_zero, find_witness, random_zero
+from eigencubic.poly import Poly, find_witness, random_zero
 
 
 def x(n, i):
@@ -13,12 +13,12 @@ def x(n, i):
 def test_binomial_identity_is_zero():
     a, b = x(2, 0), x(2, 1)
     p = (a + b) ** 2 - a * a - 2 * a * b - b * b
-    assert exact_zero(p)
+    assert p.is_zero()
 
 
 def test_nonzero_has_witness():
     p = x(2, 0) - x(2, 1)
-    assert not exact_zero(p)
+    assert not p.is_zero()
     ok, _, witness = random_zero(p, trials=20, bound=100, seed=0)
     assert not ok and witness is not None
     assert p.eval(witness) != 0
@@ -60,7 +60,7 @@ def test_random_zero_agrees_with_exact_zero():
         if rng.random() < 0.3:
             p = p - p  # force an exactly-zero instance
         verdict, _, _ = random_zero(p, trials=20, bound=10 ** 6, seed=trial)
-        assert verdict == exact_zero(p)
+        assert verdict == p.is_zero()
         agree += 1
     assert agree == 100
 
