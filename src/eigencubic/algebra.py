@@ -2,15 +2,18 @@
 
 V(u) carries the product fixed by <x o y, z> = u(x; y; z) against the
 standard Euclidean inner product, so (x o y)_k = 6 sum T_ijk x_i y_j and
-x o x = 2 grad u(x).  Exact operations run over the coefficient field;
-the idempotent / Peirce pipeline runs in float64 off a dense tensor.
+x o x = 2 grad u(x) and L_x = D^2u(x).  Both come from the form's one
+(u, Du, D^2u) kernel, ``CubicForm.jet``: exact operations run it on
+exact scalars over the coefficient field, the idempotent / Peirce
+pipeline on float64.  The batch checks of weak associativity and the
+Hsiang identity keep their own integer-channel products (``_IntBatch``).
 
 Idempotents are located by projected gradient ascent of |u| on the unit
 sphere (stationary points have grad u = lambda x), rescaled by 1/(2 lambda),
 then polished by Newton steps on c o c - c = 0.  The Newton system
 2 L_c - I is singular exactly when 1/2 sits in the Peirce spectrum, the
-generic case here, so steps go through the pseudo-inverse with a gradient
-fallback when they stall.
+generic case here, so steps go through the symmetric pseudo-inverse with
+a gradient fallback when they stall.
 """
 
 from __future__ import annotations
@@ -56,8 +59,6 @@ class MetrisedAlgebra:
     def __init__(self, form: CubicForm):
         self.form = form
         self.n = form.n
-        self._T6 = None       # 6 * dense tensor, float
-        self._trace_vec = None
         self._batch = None
 
     def _int_batch(self) -> "_IntBatch":
@@ -65,80 +66,55 @@ class MetrisedAlgebra:
             self._batch = _IntBatch(self.form)
         return self._batch
 
-    # -- float tensor ---------------------------------------------------
-    def _tensor(self) -> np.ndarray:
-        if self._T6 is None:
-            self._T6 = 6.0 * self.form.dense_tensor()
-        return self._T6
-
-    def multiply_f(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("ijk,i,j->k", self._tensor(), x, y)
-
-    def mult_operator_f(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("ijk,i->jk", self._tensor(), x)
-
-    def value_f(self, x: np.ndarray) -> float:
-        return float(np.einsum("ijk,i,j,k->", self._tensor(), x, x, x)) / 6.0
-
     # -- exact operations -------------------------------------------------
+    def _operator(self, x: Sequence):
+        """(D L_x, D) with L_x = D^2u(x) and D the kernel's integer scale;
+        exact on exact input."""
+        if len(x) != self.n:
+            raise ValueError("vector length mismatch")
+        jet = self.form.jet(exact=True)
+        return jet.hessian(np.array(x, dtype=object)), Fraction(jet.scale)
+
     def multiply(self, x: Sequence, y: Sequence) -> list:
         """x o y, exact on exact inputs; equals D^2u(x) y."""
-        if len(x) != self.n or len(y) != self.n:
+        if len(y) != self.n:
             raise ValueError("vector length mismatch")
-        out = [0] * self.n
-        for a, b, c, w in self.form.coo():
-            xa = x[a]
-            if xa:
-                yb = y[b]
-                if yb:
-                    out[c] = out[c] + 6 * w * xa * yb
-        return out
+        L, D = self._operator(x)
+        return list(L @ np.array(y, dtype=object) / D)
 
     def mult_operator(self, x: Sequence) -> list:
         """Matrix of y -> x o y; symmetric on exact input."""
-        if len(x) != self.n:
-            raise ValueError("vector length mismatch")
-        L = [[0] * self.n for _ in range(self.n)]
-        for a, b, c, w in self.form.coo():
-            xa = x[a]
-            if xa:
-                L[c][b] = L[c][b] + 6 * w * xa
-        return L
+        L, D = self._operator(x)
+        return (L / D).tolist()
 
     def trace_of_mult(self, x: Sequence):
-        """trace L_x; vanishes identically iff the form is harmonic."""
-        return sum(tv * xv for tv, xv in zip(self._trace_vector(), x))
+        """trace L_x = Lap u(x); vanishes identically iff the form is harmonic."""
+        return self.form.laplacian().eval(x)
 
     def generic_trace_form(self, x: Sequence, y: Sequence):
         """tau(x, y) = trace(L_x L_y)."""
-        Lx = self.mult_operator(x)
-        Ly = self.mult_operator(y)
-        total = 0
-        for i in range(self.n):
-            Lxi = Lx[i]
-            for j in range(self.n):
-                v = Lxi[j]
-                if v:
-                    total = total + v * Ly[j][i]
-        return total
+        Lx, D = self._operator(x)
+        Ly, _ = self._operator(y)
+        return (Lx * Ly.T).sum() / (D * D)
 
     def multiplication_rank(self) -> int:
-        """dim span{e_i o e_j}; 1 exactly for the trivial family."""
+        """dim span{e_i o e_j}; 1 exactly for the trivial family.
+
+        The columns j >= i of L_{e_i} are the products e_i o e_j.
+        """
+        n = self.n
         if not self.form.is_exact_form:
-            rows = []
-            for i in range(self.n):
-                for j in range(i, self.n):
-                    rows.append(self._tensor()[i, j, :])
-            return int(np.linalg.matrix_rank(np.array(rows), tol=1e-9))
+            jet = self.form.jet(exact=False)
+            rows = [jet.hessian(e)[i:] for i, e in enumerate(np.eye(n))]
+            return int(np.linalg.matrix_rank(np.concatenate(rows), tol=1e-9))
         pivots: List[list] = []
         pivot_cols: List[int] = []
-        for i in range(self.n):
-            ei = [Fraction(0)] * self.n
-            ei[i] = Fraction(1)
-            for j in range(i, self.n):
-                ej = [Fraction(0)] * self.n
-                ej[j] = Fraction(1)
-                row = self.multiply(ei, ej)
+        for i in range(n):
+            ei = [0] * n
+            ei[i] = 1
+            L, _ = self._operator(ei)           # D L_{e_i}: the same span
+            for j in range(i, n):
+                row = list(L[:, j])
                 for prow, pcol in zip(pivots, pivot_cols):
                     v = row[pcol]
                     if v:
@@ -149,8 +125,8 @@ class MetrisedAlgebra:
                     row = [rv * inv for rv in row]
                     pivots.append(row)
                     pivot_cols.append(col)
-                    if len(pivots) == self.n:
-                        return self.n
+                    if len(pivots) == n:
+                        return n
         return len(pivots)
 
     # -- idempotents and Peirce data ------------------------------------------
@@ -168,13 +144,14 @@ class MetrisedAlgebra:
             raise ValueError("restarts must be at least 1")
         if seed < 0:
             raise ValueError("seed must be nonnegative")
+        jet = self.form.jet(exact=False)
         found: List[np.ndarray] = []
         for r in range(restarts):
             rng = np.random.default_rng((seed, r))
             c = self._search_one(rng, newton_steps)
             if c is None:
                 continue
-            res = np.linalg.norm(self.multiply_f(c, c) - c)
+            res = np.linalg.norm(2.0 * jet.gradient(c) - c)
             if res > residual_tol or np.linalg.norm(c) < 1e-8:
                 continue
             if any(np.linalg.norm(c - d) < dedup for d in found):
@@ -185,43 +162,43 @@ class MetrisedAlgebra:
 
     def _search_one(self, rng, newton_steps: int) -> Optional[np.ndarray]:
         n = self.n
+        jet = self.form.jet(exact=False)
         x = rng.standard_normal(n)
         x /= np.linalg.norm(x)
         step = 0.4
         for _ in range(200):
-            sq = self.multiply_f(x, x)
-            g = 0.5 * sq                      # grad u = x o x / 2
+            g = jet.gradient(x)
             lam = float(g @ x)
             tangent = g - lam * x
             tnorm = np.linalg.norm(tangent)
             if tnorm < 1e-12:
                 break
-            sgn = 1.0 if self.value_f(x) >= 0 else -1.0
-            cur = abs(self.value_f(x))
+            ux = jet.value(x)
+            sgn = 1.0 if ux >= 0 else -1.0
+            cur = abs(ux)
             for _ in range(30):
                 xn = x + step * sgn * tangent
                 xn /= np.linalg.norm(xn)
-                if abs(self.value_f(xn)) > cur:
+                if abs(jet.value(xn)) > cur:
                     x = xn
                     step *= 1.2
                     break
                 step *= 0.5
             else:
                 break
-        lam = 3.0 * self.value_f(x)           # grad u(x) = lam x at a critical point
+        lam = 3.0 * jet.value(x)              # grad u(x) = lam x at a critical point
         if abs(lam) < 1e-8:
             return None
         c = x / (2.0 * lam)
         I = np.eye(n)
-        Fv = self.multiply_f(c, c) - c
+        Fv = 2.0 * jet.gradient(c) - c        # c o c - c
         fn = np.linalg.norm(Fv)
         for _ in range(newton_steps):
             if fn < 1e-14:
                 break
-            J = 2.0 * self.mult_operator_f(c) - I
-            delta = np.linalg.lstsq(J, -Fv, rcond=None)[0]
-            cn = c + delta
-            Fn_v = self.multiply_f(cn, cn) - cn
+            J = 2.0 * jet.hessian(c) - I
+            cn = c + _newton_step(J, Fv)
+            Fn_v = 2.0 * jet.gradient(cn) - cn
             fn_new = np.linalg.norm(Fn_v)
             if fn_new < fn:
                 c, Fv, fn = cn, Fn_v, fn_new
@@ -235,7 +212,7 @@ class MetrisedAlgebra:
             improved = False
             for _ in range(20):
                 cn = c - t * grad
-                Fn_v = self.multiply_f(cn, cn) - cn
+                Fn_v = 2.0 * jet.gradient(cn) - cn
                 fn_new = np.linalg.norm(Fn_v)
                 if fn_new < fn:
                     c, Fv, fn = cn, Fn_v, fn_new
@@ -256,10 +233,11 @@ class MetrisedAlgebra:
         c = np.asarray(c, dtype=float)
         if c.shape != (self.n,):
             raise ValueError("idempotent has wrong length")
-        residual = float(np.linalg.norm(self.multiply_f(c, c) - c))
+        jet = self.form.jet(exact=False)
+        residual = float(np.linalg.norm(2.0 * jet.gradient(c) - c))
         if residual > residual_tol:
             raise ValueError(f"not an idempotent: |c o c - c| = {residual:.3g}")
-        L = self.mult_operator_f(c)
+        L = jet.hessian(c)
         eigenvalues = np.linalg.eigvalsh(0.5 * (L + L.T))
         counts = []
         used = np.zeros(len(eigenvalues), dtype=bool)
@@ -293,13 +271,13 @@ class MetrisedAlgebra:
         d23 = ib.dot(Z2, Z3)                # scale denom^3 d^5
         d2x = ib.dot(Z2, Xp)                # scale denom d^3
         dxx = np.sum(X * X, axis=1)         # scale d^2
-        tv = self._trace_vector()
+        lap = self.form.laplacian()
         D = Fraction(ib.denom)
         two_thirds = Fraction(2, 3)
         worst = Fraction(0)
         for i in range(trials):
             dd = Fraction(int(dens[i]))
-            trv = sum(t * int(x) for t, x in zip(tv, X[i])) / dd
+            trv = lap.eval([int(x) for x in X[i]]) / dd
             v22 = _pair(d22[0][i], d22[1][i]) / (D * D * dd ** 4)
             v23 = _pair(d23[0][i], d23[1][i]) / (D ** 3 * dd ** 5)
             v2x = _pair(d2x[0][i], d2x[1][i]) / (D * dd ** 3)
@@ -311,15 +289,6 @@ class MetrisedAlgebra:
             if mag > worst:
                 worst = mag
         return worst
-
-    def _trace_vector(self) -> list:
-        if self._trace_vec is None:
-            t = [0] * self.n
-            for a, b, c, w in self.form.coo():
-                if b == c:
-                    t[a] = t[a] + 6 * w
-            self._trace_vec = t
-        return self._trace_vec
 
     def weak_associativity_max_residual(self, trials: int = 1000, seed: int = 0,
                                         bound: int = 9):
@@ -341,6 +310,18 @@ class MetrisedAlgebra:
             if mag > worst:
                 worst = mag
         return worst
+
+
+def _newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Least-norm solution of J delta = -F for symmetric J.
+
+    J = 2 L_c - I is singular whenever 1/2 is a Peirce eigenvalue, so the
+    solve is a pseudo-inverse through eigh, dropping eigenvalues at or
+    below lstsq's cutoff eps * n * max|lambda|.
+    """
+    lam, V = np.linalg.eigh(J)
+    keep = np.abs(lam) > np.finfo(float).eps * len(lam) * np.max(np.abs(lam))
+    return V[:, keep] @ ((V[:, keep].T @ -F) / lam[keep])
 
 
 def _inv(v):

@@ -13,6 +13,8 @@ order of the underlying construction and is documented per constructor.
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -52,7 +54,7 @@ def _distinct_perms(key: Key) -> List[Key]:
 
 
 class CubicForm:
-    __slots__ = ("n", "terms", "_coo", "_dense")
+    __slots__ = ("n", "terms", "_coo", "_jets")
 
     def __init__(self, n: int, terms: Dict[Key, object]):
         self.n = n
@@ -66,7 +68,7 @@ class CubicForm:
                 clean[(i, j, k)] = c
         self.terms = clean
         self._coo = None
-        self._dense = None
+        self._jets = {}
 
     # -- basic structure ---------------------------------------------------
     @property
@@ -95,14 +97,24 @@ class CubicForm:
             self._coo = out
         return self._coo
 
+    def jet(self, exact: bool) -> "Jet":
+        """The arrays of the (u, Du, D^2u) kernel, built once per kind.
+
+        ``exact`` asks for D*u cleared to Python ints; a form with float
+        coefficients always gets float64 arrays (D = 1).
+        """
+        exact = exact and self.is_exact_form
+        if exact not in self._jets:
+            self._jets[exact] = Jet.of(self, exact)
+        return self._jets[exact]
+
     def dense_tensor(self) -> np.ndarray:
-        """Full symmetric tensor as float64, shape (n, n, n)."""
-        if self._dense is None:
-            T = np.zeros((self.n, self.n, self.n))
-            for a, b, c, w in self.coo():
-                T[a, b, c] = float(w)
-            self._dense = T
-        return self._dense
+        """Full symmetric tensor as float64, shape (n, n, n); the reference
+        the tests compare the kernel against."""
+        T = np.zeros((self.n, self.n, self.n))
+        for a, b, c, w in self.coo():
+            T[a, b, c] = float(w)
+        return T
 
     # -- evaluation and calculus -------------------------------------------
     def evaluate(self, point: Sequence):
@@ -220,6 +232,72 @@ class CubicForm:
 
     def __repr__(self):
         return f"CubicForm(n={self.n}, {len(self.terms)} monomials)"
+
+
+# ---------------------------------------------------------------------------
+# the (u, Du, D^2u) kernel
+# ---------------------------------------------------------------------------
+
+def _channels(c) -> tuple:
+    return (c.a, c.b) if isinstance(c, QSqrt3) else (Fraction(c),)
+
+
+def _integral(D: int, values) -> np.ndarray:
+    """D * values as Python ints, or as QSqrt3 where a value has a sqrt(3)
+    channel (a coefficient of the form never has a zero one)."""
+    return np.array([D * c if isinstance(c, QSqrt3) else int(D * c)
+                     for c in values], dtype=object)
+
+
+@dataclass(frozen=True)
+class Jet:
+    """Value, gradient and Hessian of D*u at a point, from sparse arrays.
+
+    ``m`` are the monomial coefficients at ``ijk`` and ``w3`` the weights
+    3w of the full tensor entries at ``abc`` (``CubicForm.coo``).  Exact
+    arrays use the least positive integer D making every m and 3w
+    integral in both sqrt(3) channels; float arrays have D = 1.  Every
+    piece keeps the kind of p: an object array of ``Poly`` variables or
+    of exact scalars, or a float64 array.  In the metrised algebra
+    x o x = 2 Du(x) and L_x = D^2u(x).
+    """
+    scale: int
+    ijk: np.ndarray
+    m: np.ndarray
+    abc: np.ndarray
+    w3: np.ndarray
+
+    @classmethod
+    def of(cls, u: CubicForm, exact: bool) -> "Jet":
+        keys = list(u.terms)
+        m = [u.terms[k] for k in keys]
+        coo = u.coo()
+        w3 = [3 * w for *_, w in coo]
+        if exact:
+            D = math.lcm(*(x.denominator for c in m + w3 for x in _channels(c)))
+            m, w3 = _integral(D, m), _integral(D, w3)
+        else:
+            D = 1
+            m, w3 = np.array(m, dtype=float), np.array(w3, dtype=float)
+        return cls(D, np.array(keys, dtype=np.intp).reshape(-1, 3).T, m,
+                   np.array([e[:3] for e in coo], dtype=np.intp).reshape(-1, 3).T,
+                   w3)
+
+    def value(self, p: np.ndarray):
+        i, j, k = self.ijk
+        return (self.m * p[i] * p[j] * p[k]).sum()
+
+    def gradient(self, p: np.ndarray) -> np.ndarray:
+        a, b, c = self.abc
+        g = np.zeros(len(p), dtype=p.dtype)
+        np.add.at(g, a, self.w3 * p[b] * p[c])
+        return g
+
+    def hessian(self, p: np.ndarray) -> np.ndarray:
+        a, b, c = self.abc
+        H = np.zeros((len(p), len(p)), dtype=p.dtype)
+        np.add.at(H, (a, b), 2 * self.w3 * p[c])
+        return H
 
 
 # ---------------------------------------------------------------------------

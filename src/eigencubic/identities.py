@@ -3,8 +3,9 @@
 Each identity says lhs = t * rhs for one constant t, with both sides
 built from the value, gradient and Hessian of the form at a point p and
 from |p|^2.  Each is written once, as a ``sides(v, g, H, r2)`` function,
-and every mode runs that same function through one kernel, ``_jet``;
-the mode only chooses the kind of point and the decider:
+and every mode runs that same function through the form's one kernel,
+``CubicForm.jet``; the mode only chooses the kind of point and the
+decider:
 
 * exact: p is the vector of ``Poly`` variables, so both sides come out
   as polynomials and t is decided by full expansion;
@@ -26,7 +27,6 @@ Policy: exact expansion for n <= 15, randomized above, both overridable.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -155,70 +155,6 @@ def _proportional_float(sides, n: int, seed: int, rel: float,
 
 
 # ---------------------------------------------------------------------------
-# the (u, Du, D^2u) kernel
-# ---------------------------------------------------------------------------
-
-def _channels(c) -> tuple:
-    return (c.a, c.b) if isinstance(c, QSqrt3) else (Fraction(c),)
-
-
-@dataclass(frozen=True)
-class _JetData:
-    """Index and coefficient arrays of D*u for the kernel.
-
-    ``m`` are the monomial coefficients at ``ijk`` and ``w3`` the weights
-    3w of the full tensor entries at ``abc`` (``CubicForm.coo``).  D is
-    the least positive integer making every m and 3w integral in both
-    sqrt(3) channels; for a float form D = 1 and the arrays are float64.
-    """
-    scale: int
-    ijk: np.ndarray
-    m: np.ndarray
-    abc: np.ndarray
-    w3: np.ndarray
-
-    @classmethod
-    def of(cls, u: CubicForm) -> "_JetData":
-        keys = list(u.terms)
-        m = [u.terms[k] for k in keys]
-        coo = u.coo()
-        w3 = [3 * w for *_, w in coo]
-        if u.is_exact_form:
-            D = math.lcm(*(x.denominator for c in m + w3 for x in _channels(c)))
-            m, w3 = _integral(D, m), _integral(D, w3)
-        else:
-            D = 1
-            m, w3 = np.array(m, dtype=float), np.array(w3, dtype=float)
-        return cls(D, np.array(keys, dtype=np.intp).reshape(-1, 3), m,
-                   np.array([e[:3] for e in coo], dtype=np.intp).reshape(-1, 3),
-                   w3)
-
-
-def _integral(D: int, values) -> np.ndarray:
-    """D * values as Python ints, or as QSqrt3 where a value has a sqrt(3)
-    channel (a coefficient of the form never has a zero one)."""
-    return np.array([D * c if isinstance(c, QSqrt3) else int(D * c)
-                     for c in values], dtype=object)
-
-
-def _jet(data: _JetData, p: np.ndarray):
-    """(u(p), Du(p), D^2u(p)) of D*u; the entries keep the kind of p.
-
-    p is an object array of ``Poly`` variables, an object array of Python
-    ints or a float64 array.
-    """
-    n = len(p)
-    i, j, k = data.ijk.T
-    a, b, c = data.abc.T
-    g = np.zeros(n, dtype=p.dtype)
-    H = np.zeros((n, n), dtype=p.dtype)
-    np.add.at(g, a, data.w3 * p[b] * p[c])
-    np.add.at(H, (a, b), 2 * data.w3 * p[c])
-    v = (data.m * p[i] * p[j] * p[k]).sum()
-    return v, g, H
-
-
-# ---------------------------------------------------------------------------
 # the four proportionality identities, each written once
 # ---------------------------------------------------------------------------
 
@@ -254,10 +190,10 @@ def _as_poly(x, n: int) -> Poly:
 def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
            bound: int, seed: int) -> CheckReport:
     m = _pick_mode(u, mode)
-    data = _JetData.of(u)
+    jet = u.jet(exact=m != "float")
 
     def sides(p):
-        return ident.sides(*_jet(data, p), p @ p)
+        return ident.sides(jet.value(p), jet.gradient(p), jet.hessian(p), p @ p)
 
     if m == "float":
         t = _proportional_float(sides, u.n, seed, FLOAT_REL_TOL,
@@ -270,7 +206,7 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
         t, err = _proportional_random(lambda p: sides(np.array(p, dtype=object)), u.n,
                                       ident.degree, trials, bound, seed)
     if t is not None:
-        t = t / (data.scale * data.scale)
+        t = t / (jet.scale * jet.scale)
     return CheckReport(ident.name, t is not None, t, m, err)
 
 
@@ -399,24 +335,24 @@ GRAD_THRESHOLD = 0.1
 def mean_curvature(u: CubicForm, x, grad_threshold: float = GRAD_THRESHOLD) -> float:
     """H = (|Du|^2 Lap u - Du . (D^2u) Du) / |Du|^3 evaluated at x.
 
-    The regularization threshold applies to the gradient at x/|x|, so a
+    The numerator is the left side of the radial identity.  The
+    regularization threshold applies to the gradient at x/|x|, so a
     point near the singular set is rejected (ValueError) regardless of
-    its distance from the origin.
+    its distance from the origin; H is homogeneous of degree -1.
     """
-    T = u.dense_tensor()
+    jet = u.jet(exact=False)
     x = np.asarray(x, dtype=float)
     nx = np.linalg.norm(x)
     if nx == 0:
         raise ValueError("mean curvature is undefined at the origin")
     p = x / nx
-    gp = 3 * np.einsum("abc,b,c->a", T, p, p)
-    if np.linalg.norm(gp) < grad_threshold:
-        raise ValueError(f"gradient norm {np.linalg.norm(gp):.3g} below "
-                         f"threshold {grad_threshold} on the unit sphere")
-    g = gp * nx ** 2
+    g = jet.gradient(p)
     gn = np.linalg.norm(g)
-    H = 6 * np.einsum("abc,c->ab", T, x)
-    return float(((g @ g) * np.trace(H) - g @ H @ g) / gn ** 3)
+    if gn < grad_threshold:
+        raise ValueError(f"gradient norm {gn:.3g} below "
+                         f"threshold {grad_threshold} on the unit sphere")
+    lhs, _ = RADIAL.sides(jet.value(p), g, jet.hessian(p), 1.0)
+    return float(lhs / gn ** 3 / nx)
 
 
 @dataclass
@@ -446,16 +382,14 @@ def sample_cone(u: CubicForm, count: int, seed: int,
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    T = u.dense_tensor()
+    uval = u.jet(exact=False).value
     n = u.n
     report = ConeSampleReport(requested=count)
-
-    def uval(p):
-        return float(np.einsum("abc,a,b,c->", T, p, p, p))
 
     for idx in range(count):
         rng = np.random.default_rng((seed, idx))
         got = False
+        rejected_before = report.rejected
         for _ in range(max_tries):
             a = rng.standard_normal(n)
             a /= np.linalg.norm(a)
@@ -486,7 +420,7 @@ def sample_cone(u: CubicForm, count: int, seed: int,
             report.curvatures.append(h)
             got = True
             break
-        if not got and report.rejected == 0:
-            # no sign change found at all (e.g. a form of one sign)
+        if not got and report.rejected == rejected_before:
+            # no ray of this point changed sign (e.g. the zero form)
             report.rejected += 1
     return report

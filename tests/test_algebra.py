@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eigencubic.algebra import MetrisedAlgebra
+from eigencubic.algebra import MetrisedAlgebra, _newton_step
 from eigencubic.cubics import CubicForm, cartan_cubic, catalog_build, trivial_cubic
 from eigencubic.identities import check_radial
 
@@ -129,6 +129,28 @@ def test_find_idempotents_every_catalog_algebra():
         alg = MetrisedAlgebra(entry.build())
         idems = alg.find_idempotents(restarts=8, seed=5)
         assert idems, name
+
+
+@pytest.mark.parametrize("name,seed,triple", [("complexified-d8", 1, (1, 26, 26)),
+                                              ("complexified-d4", 24, (1, 14, 14))])
+def test_find_idempotents_singular_newton_system(name, seed, triple):
+    # well-scaled singular Newton systems on which an SVD-based least
+    # squares solve does not converge
+    idems = MetrisedAlgebra(catalog_build(name)).find_idempotents(restarts=16,
+                                                                   seed=seed)
+    assert {p.triple for p in idems} == {triple}
+
+
+def test_newton_step_is_pseudo_inverse():
+    # at a cartan-d1 idempotent 1/2 is a Peirce eigenvalue, so J = 2 L_c - I
+    # is singular; the step is the least-norm solution pinv(J) (-F)
+    u = cartan_cubic(1)
+    c = MetrisedAlgebra(u).find_idempotents(restarts=4, seed=1)[0].c
+    J = 2.0 * u.jet(exact=False).hessian(c) - np.eye(u.n)
+    assert np.linalg.matrix_rank(J) < u.n
+    F = np.random.default_rng(2).standard_normal(u.n)
+    want = np.linalg.pinv(J) @ -F
+    assert np.max(np.abs(_newton_step(J, F) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_find_idempotents_requires_restart():

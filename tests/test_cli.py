@@ -118,6 +118,16 @@ def test_spectrum(runner, tmp_path):
         assert rec["one_multiplicity"] == 1
 
 
+def test_spectrum_singular_newton_system(runner, tmp_path):
+    # restart 8 meets a singular Newton system that an SVD-based least
+    # squares solve does not converge on
+    path = _emit(runner, tmp_path, "complexified-d8")
+    res = run(runner, "spectrum", path, "--restarts", "16", "--seed", "1")
+    assert res.exit_code == 0
+    assert {tuple(json.loads(l)["triple"]) for l in res.output.splitlines()} \
+        == {(1, 26, 26)}
+
+
 def test_negative_seed_rejected(runner, tmp_path):
     path = _emit(runner, tmp_path, "clifford-q0")
     res = runner.invoke(main, ["spectrum", path, "--restarts", "4",

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from eigencubic.algebra import MetrisedAlgebra
 from eigencubic.cubics import (CATALOG, CubicForm, cartan_cubic, catalog_build,
                                trivial_cubic)
-from eigencubic.identities import (_JetData, _jet, check_eiconal,
+from eigencubic.identities import (check_eiconal,
                                    check_harmonic, check_radial, classify,
                                    mean_curvature, sample_cone,
                                    trace_identity_cubic,
@@ -187,25 +187,68 @@ def test_jet_matches_poly_derivatives(name):
     # exactly (of D u) at integer points and to float rounding at floats
     u = catalog_build(name)
     grads, hess, poly = u.gradient(), u.hessian(), u.to_poly()
-    data = _JetData.of(u)
-    D = data.scale
+    jet = u.jet(exact=True)
+    D = jet.scale
     rng = random.Random(6)
     for _ in range(3):
-        p = [rng.randrange(-50, 50) for _ in range(u.n)]
-        v, g, H = _jet(data, np.array(p, dtype=object))
+        p = np.array([rng.randrange(-50, 50) for _ in range(u.n)], dtype=object)
+        v, g, H = jet.value(p), jet.gradient(p), jet.hessian(p)
+        p = list(p)
         assert v == D * poly.eval(p)
         assert list(g) == [D * gi.eval(p) for gi in grads]
         assert H.tolist() == [[D * h.eval(p) for h in row] for row in hess]
     uf = u.to_float()
-    fdata = _JetData.of(uf)
-    assert fdata.scale == 1
-    x = list(np.random.default_rng(6).standard_normal(u.n))
-    v, g, H = _jet(fdata, np.array(x))
+    fjet = uf.jet(exact=True)
+    assert fjet.scale == 1 and fjet.w3.dtype == float
+    x = np.random.default_rng(6).standard_normal(u.n)
+    v, g, H = fjet.value(x), fjet.gradient(x), fjet.hessian(x)
+    x = list(x)
     close = dict(rel=1e-12, abs=1e-12)
     assert v == pytest.approx(uf.to_poly().eval(x), **close)
     assert g == pytest.approx([gi.eval(x) for gi in uf.gradient()], **close)
     assert H.ravel() == pytest.approx([h.eval(x) for row in uf.hessian()
                                        for h in row], **close)
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_kernel_matches_dense_tensor(name):
+    # every float contraction of the package against np.einsum on the
+    # dense tensor T: u = T x x x, x o x = 6 T x x, L_x = 6 T x; each
+    # tolerance is 1e-12 of the same contraction of |T| and |x|, the size
+    # of the terms whose rounding the two sums order differently
+    uf = catalog_build(name).to_float()
+    T, aT = uf.dense_tensor(), np.abs(uf.dense_tensor())
+    jet = uf.jet(exact=False)
+    alg = MetrisedAlgebra(uf)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x = rng.standard_normal(uf.n)
+        ax = np.abs(x)
+        u = np.einsum("abc,a,b,c->", T, x, x, x)
+        sq = 6 * np.einsum("abc,a,b->c", T, x, x)
+        L = 6 * np.einsum("abc,a->bc", T, x)
+        sq_size = 6 * np.einsum("abc,a,b->c", aT, ax, ax)
+        L_size = 6 * np.einsum("abc,a->bc", aT, ax)
+        assert abs(jet.value(x) - u) <= 1e-12 * (ax @ sq_size)
+        assert np.all(np.abs(2 * jet.gradient(x) - sq) <= 1e-12 * sq_size)
+        assert np.all(np.abs(jet.hessian(x) - L) <= 1e-12 * L_size)
+        p = alg.peirce(x, residual_tol=np.inf)
+        assert abs(p.residual - np.linalg.norm(sq - x)) \
+            <= 1e-12 * (np.linalg.norm(sq_size) + np.linalg.norm(x))
+        assert np.max(np.abs(p.eigenvalues - np.linalg.eigvalsh(L))) \
+            <= 1e-12 * np.linalg.norm(L_size)
+        r = np.linalg.norm(x)
+        y, ay = x / r, ax / r
+        g = 3 * np.einsum("abc,b,c->a", T, y, y)
+        H = 6 * np.einsum("abc,c->ab", T, y)
+        ga = 3 * np.einsum("abc,b,c->a", aT, ay, ay)
+        Ha = 6 * np.einsum("abc,c->ab", aT, ay)
+        gn = np.linalg.norm(g)
+        if gn < 1e-3:
+            continue
+        h = ((g @ g) * np.trace(H) - g @ H @ g) / gn ** 3 / r
+        size = ((ga @ ga) * np.trace(Ha) + ga @ Ha @ ga) / gn ** 3 / r
+        assert abs(mean_curvature(uf, x, grad_threshold=0.0) - h) <= 1e-12 * size
 
 
 SMALL_FORMS = [name for name, e in CATALOG.items() if e.dim <= 15]
@@ -298,6 +341,30 @@ def test_exact_orthogonal_invariance(name):
     invariant()
 
 
+@pytest.mark.parametrize("name", ["clifford-q1", "clifford-q2", "cartan-d1",
+                                  "cartan-d2"])
+def test_float_orthogonal_invariance(name):
+    # the float search away from the catalog's coordinates: u o Q has the
+    # same Peirce triples, and its sampled cone points are minimal
+    u = catalog_build(name)
+    n = u.n
+    want = {p.triple for p in MetrisedAlgebra(u).find_idempotents(restarts=16,
+                                                                   seed=1)}
+
+    @settings(max_examples=1, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_small_fraction, min_size=n * (n - 1) // 2,
+                    max_size=n * (n - 1) // 2).filter(any))
+    def invariant(entries):
+        uq = rotate_exact(u, cayley_rotation(_skew(n, entries))).to_float()
+        idems = MetrisedAlgebra(uq).find_idempotents(restarts=16, seed=1)
+        assert {p.triple for p in idems} == want, entries
+        rep = sample_cone(uq, 20, 1)
+        assert len(rep.points) == 20
+        assert rep.max_abs_curvature < 1e-9
+
+    invariant()
+
+
 def test_orthogonal_invariance_of_labels():
     rng = np.random.default_rng(3)
     for name in ("clifford-q0", "cartan-d1", "clifford-q1"):
@@ -351,4 +418,10 @@ def test_sample_cone_rejects_singular_points():
     # the trivial cone {x1 = 0} is entirely singular
     rep = sample_cone(trivial_cubic(3, 1), 5, seed=0, max_tries=40)
     assert rep.rejected > 0
+    assert len(rep.points) == 0
+
+
+def test_sample_cone_counts_every_point_without_sign_change():
+    rep = sample_cone(CubicForm(4, {}), 5, 0)
+    assert rep.rejected == 5
     assert len(rep.points) == 0
