@@ -5,8 +5,12 @@ standard Euclidean inner product, so (x o y)_k = 6 sum T_ijk x_i y_j and
 x o x = 2 grad u(x) and L_x = D^2u(x).  Both come from the form's one
 (u, Du, D^2u) kernel, ``CubicForm.jet``: exact operations run it on
 exact scalars over the coefficient field, the idempotent / Peirce
-pipeline on float64.  The batch checks of weak associativity and the
-Hsiang identity keep their own integer-channel products (``_IntBatch``).
+pipeline on float64.  The two exact checks run on the same kernel at
+random rational points: weak associativity compares the trilinear
+contractions <x o y, z> and <y o z, x>, and the Hsiang identity
+<x^2,x^2> tr L_x - <x^2,x^3> = (2/3) theta |x|^2 <x^2,x> is 4 times the
+radial identity of ``identities.RADIAL``, since x^2 = 2 Du,
+x^3 = 2 D^2u Du and <x^2, x> = 6u.
 
 Idempotents are located by projected gradient ascent of |u| on the unit
 sphere (stationary points have grad u = lambda x), rescaled by 1/(2 lambda),
@@ -18,7 +22,6 @@ a gradient fallback when they stall.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,7 +29,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .cubics import CubicForm
+from .cubics import CubicForm, Jet
+from .identities import RADIAL
 from .scalars import QSqrt3
 
 IDEMPOTENT_RESIDUAL = 1e-10
@@ -59,12 +63,6 @@ class MetrisedAlgebra:
     def __init__(self, form: CubicForm):
         self.form = form
         self.n = form.n
-        self._batch = None
-
-    def _int_batch(self) -> "_IntBatch":
-        if self._batch is None:
-            self._batch = _IntBatch(self.form)
-        return self._batch
 
     # -- exact operations -------------------------------------------------
     def _operator(self, x: Sequence):
@@ -256,59 +254,49 @@ class MetrisedAlgebra:
                           unbinned=unbinned, residual=residual)
 
     # -- the defining identity -----------------------------------------------
+    def _exact_jet(self) -> Jet:
+        """The exact kernel; a float coefficient enters as the binary
+        fraction it is, so the checks below stay exact on float forms."""
+        u = self.form
+        if not u.is_exact_form:
+            u = CubicForm(u.n, {k: Fraction(c) for k, c in u.terms.items()})
+        return u.jet(exact=True)
+
     def check_hsiang_identity(self, theta, trials: int = 100, seed: int = 0,
                               bound: int = 9):
         """Max residual of <x^2,x^2> tr L_x - <x^2,x^3> = (2/3) theta <x,x><x^2,x>
         over random rational points; exact arithmetic, so 0 means identity.
+
+        With x^2 = 2 Du, x^3 = 2 D^2u Du and <x^2, x> = 6u both sides are
+        4 times the sides of the radial identity, which the kernel
+        evaluates for D*u at the integer point d*x.
         """
         rng = random.Random(seed)
-        ib = self._int_batch()
+        jet = self._exact_jet()
+        D = jet.scale
         X, dens = _rational_batch(self.n, trials, rng, bound)
-        Xp = (X, None)
-        Z2 = ib.multiply(Xp, Xp)            # true x^2 times denom * d^2
-        Z3 = ib.multiply(Z2, Xp)            # true x^3 times denom^2 * d^3
-        d22 = ib.dot(Z2, Z2)                # scale denom^2 d^4
-        d23 = ib.dot(Z2, Z3)                # scale denom^3 d^5
-        d2x = ib.dot(Z2, Xp)                # scale denom d^3
-        dxx = np.sum(X * X, axis=1)         # scale d^2
-        lap = self.form.laplacian()
-        D = Fraction(ib.denom)
-        two_thirds = Fraction(2, 3)
         worst = Fraction(0)
-        for i in range(trials):
-            dd = Fraction(int(dens[i]))
-            trv = lap.eval([int(x) for x in X[i]]) / dd
-            v22 = _pair(d22[0][i], d22[1][i]) / (D * D * dd ** 4)
-            v23 = _pair(d23[0][i], d23[1][i]) / (D ** 3 * dd ** 5)
-            v2x = _pair(d2x[0][i], d2x[1][i]) / (D * dd ** 3)
-            vxx = Fraction(int(dxx[i])) / (dd * dd)
-            lhs = v22 * trv - v23
-            rhs = two_thirds * theta * vxx * v2x
-            diff = lhs - rhs
-            mag = abs(diff) if isinstance(diff, QSqrt3) else abs(Fraction(diff))
-            if mag > worst:
-                worst = mag
+        for p, d in zip(X, dens):
+            lhs, rhs = RADIAL.sides(jet.value(p), jet.gradient(p), jet.hessian(p),
+                                    p @ p)
+            # lhs carries D^3 d^5 and rhs D d^5
+            diff = 4 * (lhs - theta * D * D * rhs) / Fraction(D ** 3 * d ** 5)
+            worst = max(worst, abs(diff))
         return worst
 
     def weak_associativity_max_residual(self, trials: int = 1000, seed: int = 0,
                                         bound: int = 9):
-        """Max |<x o y, z> - <x, y o z>| over random rational triples, exact."""
+        """Max |<x o y, z> - <y o z, x>| over random rational triples, exact."""
         rng = random.Random(seed)
-        ib = self._int_batch()
+        jet = self._exact_jet()
         X, dx = _rational_batch(self.n, trials, rng, bound)
         Y, dy = _rational_batch(self.n, trials, rng, bound)
         Z, dz = _rational_batch(self.n, trials, rng, bound)
-        lhs = ib.dot(ib.multiply((X, None), (Y, None)), (Z, None))
-        rhs = ib.dot((X, None), ib.multiply((Y, None), (Z, None)))
         worst = Fraction(0)
-        D = Fraction(ib.denom)
-        for i in range(trials):
-            diff = _pair(lhs[0][i] - rhs[0][i], lhs[1][i] - rhs[1][i])
-            scale = D * Fraction(int(dx[i] * dy[i] * dz[i]))
-            diff = diff / scale
-            mag = abs(diff) if isinstance(diff, QSqrt3) else abs(Fraction(diff))
-            if mag > worst:
-                worst = mag
+        for x, y, z, d in zip(X, Y, Z, dx * dy * dz):
+            diff = (jet.trilinear(x, y, z) - jet.trilinear(y, z, x)) / \
+                Fraction(jet.scale * d)
+            worst = max(worst, abs(diff))
         return worst
 
 
@@ -328,108 +316,6 @@ def _inv(v):
     if isinstance(v, QSqrt3):
         return v.inverse()
     return 1 / Fraction(v)
-
-
-def _pair(a, b):
-    """Exact scalar from integer sqrt3-channels."""
-    a = Fraction(int(a))
-    b = Fraction(int(b))
-    return a if b == 0 else QSqrt3(a, b)
-
-
-class _IntBatch:
-    """Vectorized exact products over integer batches.
-
-    The tensor weights 6w are cleared to integers (a + b sqrt3)/denom and
-    algebra values are carried as integer channel pairs; results are exact
-    up to the known power of ``denom``, which cancels in the identities
-    checked here.  Arrays are object dtype (python ints), so there is no
-    overflow to guard against.
-    """
-
-    def __init__(self, form: CubicForm):
-        coo = form.coo()
-        denom = 1
-        for _, _, _, w in coo:
-            q = 6 * w
-            if isinstance(q, QSqrt3):
-                denom = math.lcm(denom, q.a.denominator, q.b.denominator)
-            else:
-                denom = math.lcm(denom, Fraction(q).denominator)
-        self.denom = int(denom)
-        self.a_idx = np.array([e[0] for e in coo], dtype=np.intp)
-        self.b_idx = np.array([e[1] for e in coo], dtype=np.intp)
-        self.c_idx = np.array([e[2] for e in coo], dtype=np.intp)
-        wa, wb = [], []
-        for _, _, _, w in coo:
-            q = 6 * w
-            if isinstance(q, QSqrt3):
-                wa.append(int(q.a * denom))
-                wb.append(int(q.b * denom))
-            else:
-                wa.append(int(Fraction(q) * denom))
-                wb.append(0)
-        self.wa = np.array(wa, dtype=object)
-        self.wb = np.array(wb, dtype=object)
-        self.has_sqrt3 = any(wb)
-        self.n = form.n
-
-    def multiply(self, X, Y):
-        """(Xa,Xb) o (Ya,Yb) channelwise; scaled by one power of denom."""
-        Xa, Xb = X
-        Ya, Yb = Y
-        m = Xa.shape[0]
-        Za = np.zeros((m, self.n), dtype=object)
-        Zb = np.zeros((m, self.n), dtype=object) if (self.has_sqrt3 or Xb is not None
-                                                     or Yb is not None) else None
-        for e in range(len(self.wa)):
-            a, b, c = self.a_idx[e], self.b_idx[e], self.c_idx[e]
-            wa, wb = self.wa[e], self.wb[e]
-            xa = Xa[:, a]
-            ya = Ya[:, b]
-            xb = Xb[:, a] if Xb is not None else None
-            yb = Yb[:, b] if Yb is not None else None
-            aa = xa * ya
-            ab = xa * yb if yb is not None else None
-            ba = xb * ya if xb is not None else None
-            bb = xb * yb if (xb is not None and yb is not None) else None
-            ra = wa * aa
-            if bb is not None:
-                ra = ra + 3 * wa * bb
-            if wb:
-                if ab is not None:
-                    ra = ra + 3 * wb * ab
-                if ba is not None:
-                    ra = ra + 3 * wb * ba
-            Za[:, c] += ra
-            if Zb is not None:
-                rb = 0
-                if wb:
-                    rb = wb * aa
-                    if bb is not None:
-                        rb = rb + 3 * wb * bb
-                if ab is not None:
-                    rb = rb + wa * ab
-                if ba is not None:
-                    rb = rb + wa * ba
-                if not np.isscalar(rb) or rb != 0:
-                    Zb[:, c] += rb
-        return Za, Zb
-
-    @staticmethod
-    def dot(X, Y):
-        """Batch inner product of channel pairs -> (a, b) channel arrays."""
-        Xa, Xb = X
-        Ya, Yb = Y
-        da = np.sum(Xa * Ya, axis=1)
-        if Xb is not None and Yb is not None:
-            da = da + 3 * np.sum(Xb * Yb, axis=1)
-        db = np.zeros_like(da)
-        if Yb is not None:
-            db = db + np.sum(Xa * Yb, axis=1)
-        if Xb is not None:
-            db = db + np.sum(Xb * Ya, axis=1)
-        return da, db
 
 
 def _rational_batch(n: int, count: int, rng, bound: int = 9):

@@ -4,7 +4,9 @@ Exit codes: 0 all requested checks passed, 1 a mathematical check failed,
 2 usage or input error, 3 internal error (any other exception, reported
 as one stderr line ``internal error: <Type>: <message>``).  Rationals are
 serialized as "p/q" strings and floats with round-trip precision; runs
-with identical arguments (and seed) produce byte-identical output.
+with identical arguments (and seed) produce byte-identical output, on any
+build for the exact commands and within one numpy/BLAS build for output
+computed in floats (see the README).
 """
 
 from __future__ import annotations

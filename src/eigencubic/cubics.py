@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .composition import CDElement, re_triple
 from .jordan import (HermMat3, freudenthal_det, det_polar, fullspace_basis,
                      involution, jordan_mul, trace_form, tracefree_basis)
 from .poly import Poly
-from .scalars import QSqrt3, format_rational, is_exact, parse_rational
+from .scalars import SQRT3, QSqrt3, format_rational, is_exact, parse_rational
 
 Key = Tuple[int, int, int]
 
@@ -165,7 +165,11 @@ class CubicForm:
         return Poly(self.n, {((v, 1),): c for v, c in coeffs.items() if c})
 
     def polarize(self, x: Sequence, y: Sequence, z: Sequence):
-        """Complete linearization u(x; y; z); u(x;x;x) = 6 u(x)."""
+        """Complete linearization u(x; y; z); u(x;x;x) = 6 u(x).
+
+        A direct loop over ``coo()``, kept as the tests' reference for the
+        kernel's ``Jet.trilinear``.
+        """
         for pt in (x, y, z):
             if len(pt) != self.n:
                 raise ValueError("point length mismatch")
@@ -242,62 +246,77 @@ def _channels(c) -> tuple:
     return (c.a, c.b) if isinstance(c, QSqrt3) else (Fraction(c),)
 
 
-def _integral(D: int, values) -> np.ndarray:
-    """D * values as Python ints, or as QSqrt3 where a value has a sqrt(3)
-    channel (a coefficient of the form never has a zero one)."""
-    return np.array([D * c if isinstance(c, QSqrt3) else int(D * c)
-                     for c in values], dtype=object)
-
-
 @dataclass(frozen=True)
 class Jet:
-    """Value, gradient and Hessian of D*u at a point, from sparse arrays.
+    """Value, gradient, Hessian and polarization of D*u, from sparse arrays.
 
     ``m`` are the monomial coefficients at ``ijk`` and ``w3`` the weights
     3w of the full tensor entries at ``abc`` (``CubicForm.coo``).  Exact
-    arrays use the least positive integer D making every m and 3w
-    integral in both sqrt(3) channels; float arrays have D = 1.  Every
-    piece keeps the kind of p: an object array of ``Poly`` variables or
-    of exact scalars, or a float64 array.  In the metrised algebra
-    x o x = 2 Du(x) and L_x = D^2u(x).
+    arrays hold Python ints, with D the least positive integer making
+    every m and 3w integral in both sqrt(3) channels; float arrays have
+    D = 1.  The exact jet of a Q(sqrt3) form splits D*u = r + sqrt(3) s
+    into two integer jets: these arrays hold r and ``sqrt3`` holds s, so
+    every tensor entry is an int product and each output entry becomes
+    one QSqrt3.  Every piece keeps the kind of p: an object array of
+    ``Poly`` variables or of exact scalars, or a float64 array.  In the
+    metrised algebra x o x = 2 Du(x) and L_x = D^2u(x).
     """
     scale: int
     ijk: np.ndarray
     m: np.ndarray
     abc: np.ndarray
     w3: np.ndarray
+    sqrt3: Optional["Jet"] = None
 
     @classmethod
     def of(cls, u: CubicForm, exact: bool) -> "Jet":
+        if not exact:
+            return cls._arrays(u, 1, float)
+        w3 = [3 * w for *_, w in u.coo()]
+        D = math.lcm(*(x.denominator for c in [*u.terms.values(), *w3]
+                       for x in _channels(c)))
+        if not any(isinstance(c, QSqrt3) for c in u.terms.values()):
+            return cls._arrays(u, D, int)
+        r = CubicForm(u.n, {k: _channels(c)[0] for k, c in u.terms.items()})
+        s = CubicForm(u.n, {k: c.b for k, c in u.terms.items()
+                            if isinstance(c, QSqrt3)})
+        return replace(cls._arrays(r, D, int), sqrt3=cls._arrays(s, D, int))
+
+    @classmethod
+    def _arrays(cls, u: CubicForm, D: int, kind) -> "Jet":
+        """The arrays of D*u for a form with rational (or float) coefficients."""
         keys = list(u.terms)
-        m = [u.terms[k] for k in keys]
         coo = u.coo()
-        w3 = [3 * w for *_, w in coo]
-        if exact:
-            D = math.lcm(*(x.denominator for c in m + w3 for x in _channels(c)))
-            m, w3 = _integral(D, m), _integral(D, w3)
-        else:
-            D = 1
-            m, w3 = np.array(m, dtype=float), np.array(w3, dtype=float)
-        return cls(D, np.array(keys, dtype=np.intp).reshape(-1, 3).T, m,
+        m = [D * u.terms[k] for k in keys]
+        w3 = [3 * D * w for *_, w in coo]
+        dtype = object if kind is int else float
+        return cls(D, np.array(keys, dtype=np.intp).reshape(-1, 3).T,
+                   np.array([kind(x) for x in m], dtype=dtype),
                    np.array([e[:3] for e in coo], dtype=np.intp).reshape(-1, 3).T,
-                   w3)
+                   np.array([kind(x) for x in w3], dtype=dtype))
 
     def value(self, p: np.ndarray):
         i, j, k = self.ijk
-        return (self.m * p[i] * p[j] * p[k]).sum()
+        v = (self.m * p[i] * p[j] * p[k]).sum()
+        return v if self.sqrt3 is None else v + self.sqrt3.value(p) * SQRT3
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
         a, b, c = self.abc
         g = np.zeros(len(p), dtype=p.dtype)
         np.add.at(g, a, self.w3 * p[b] * p[c])
-        return g
+        return g if self.sqrt3 is None else g + self.sqrt3.gradient(p) * SQRT3
 
     def hessian(self, p: np.ndarray) -> np.ndarray:
         a, b, c = self.abc
         H = np.zeros((len(p), len(p)), dtype=p.dtype)
         np.add.at(H, (a, b), 2 * self.w3 * p[c])
-        return H
+        return H if self.sqrt3 is None else H + self.sqrt3.hessian(p) * SQRT3
+
+    def trilinear(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
+        """D u(x; y; z) = D <x o y, z>, the complete polarization of D*u."""
+        a, b, c = self.abc
+        t = 2 * (self.w3 * x[a] * y[b] * z[c]).sum()
+        return t if self.sqrt3 is None else t + self.sqrt3.trilinear(x, y, z) * SQRT3
 
 
 # ---------------------------------------------------------------------------

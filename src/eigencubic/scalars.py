@@ -5,6 +5,10 @@ constructions (the larger Hermitian-matrix cubics) need a square root of 3
 in their coordinates; ``QSqrt3`` carries a + b*sqrt(3) with exact rational
 components so those paths stay exact as well.  Mixed arithmetic with int
 and Fraction works through the reflected operators.
+
+A component given as an ``int`` stays an ``int`` through addition and
+multiplication, which keeps the integer-cleared kernels on Python int
+arithmetic; it becomes a ``Fraction`` only on division.
 """
 
 from __future__ import annotations
@@ -14,16 +18,23 @@ from fractions import Fraction
 SQRT3_FLOAT = 3.0 ** 0.5
 
 _RAT = (int, Fraction)
+_set = object.__setattr__
+
+
+def _div(x, y):
+    """Exact quotient of two rationals; int / int gives a Fraction."""
+    return Fraction(x, y) if isinstance(x, int) and isinstance(y, int) else x / y
 
 
 class QSqrt3:
-    """a + b*sqrt(3) with exact rational a, b."""
+    """a + b*sqrt(3) with exact rational a, b (int or Fraction)."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        # an int or Fraction channel is kept as given
+        _set(self, "a", a if type(a) is int or type(a) is Fraction else Fraction(a))
+        _set(self, "b", b if type(b) is int or type(b) is Fraction else Fraction(b))
 
     def __setattr__(self, *_):
         raise AttributeError("QSqrt3 is immutable")
@@ -67,7 +78,7 @@ class QSqrt3:
         d = self.a * self.a - 3 * self.b * self.b
         if d == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt3)")
-        return QSqrt3(self.a / d, -self.b / d)
+        return QSqrt3(_div(self.a, d), _div(-self.b, d))
 
     def __truediv__(self, other):
         if isinstance(other, QSqrt3):
@@ -75,7 +86,7 @@ class QSqrt3:
         if isinstance(other, _RAT):
             if other == 0:
                 raise ZeroDivisionError
-            return QSqrt3(self.a / other, self.b / other)
+            return QSqrt3(_div(self.a, other), _div(self.b, other))
         return NotImplemented
 
     def __rtruediv__(self, other):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from eigencubic.algebra import MetrisedAlgebra, _newton_step
-from eigencubic.cubics import CubicForm, cartan_cubic, catalog_build, trivial_cubic
+from eigencubic.cubics import (CATALOG, CubicForm, cartan_cubic, catalog_build,
+                               trivial_cubic)
 from eigencubic.identities import check_radial
+from eigencubic.scalars import QSqrt3
 
 DIM3 = catalog_build("clifford-q0")
 ALG3 = MetrisedAlgebra(DIM3)
@@ -206,7 +208,47 @@ def test_hsiang_identity_scaling():
 
 
 def test_hsiang_identity_detects_wrong_theta():
-    assert ALG3.check_hsiang_identity(Fraction(-7), trials=20, seed=3) > 0
+    # the residual is exact; the value is the one the separate
+    # integer-channel implementation gave before the kernel took over
+    assert ALG3.check_hsiang_identity(Fraction(-7), trials=20, seed=3) == 416520
+
+
+def test_exact_checks_pinned_values():
+    # values from the separate integer-channel implementation the kernel
+    # replaced: a sqrt(3) form at a wrong theta, a rational one, and float
+    # forms, whose coefficients enter as the binary fractions they are
+    d4 = MetrisedAlgebra(catalog_build("cartan-d4"))
+    assert d4.check_hsiang_identity(Fraction(-1), trials=20, seed=3) == \
+        QSqrt3(3751272, -436464)
+    d2 = MetrisedAlgebra(catalog_build("cartan-d2"))
+    r = d2.check_hsiang_identity(Fraction(1), trials=20, seed=3)
+    assert r == Fraction(11412544, 9) and type(r) is Fraction
+    uf = catalog_build("clifford-q1").to_float()
+    R = np.eye(4)[[1, 0, 2, 3]]
+    R[0] *= -1                              # a quarter turn in the (x1, x2) plane
+    for u, wrong in ((uf, 555408), (uf.compose_linear(R), 132936)):
+        alg = MetrisedAlgebra(u)
+        values = (alg.check_hsiang_identity(Fraction(-8), trials=20, seed=3),
+                  alg.check_hsiang_identity(Fraction(-7), trials=20, seed=3),
+                  alg.weak_associativity_max_residual(trials=50, seed=3))
+        assert values == (0, wrong, 0)
+        assert all(type(v) is Fraction for v in values)
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_trilinear_matches_polarize(name):
+    # the kernel's trilinear contraction of D*u, on integer arrays (plus a
+    # sqrt(3) jet), against the direct coo loop of CubicForm.polarize
+    u = catalog_build(name)
+    jet = u.jet(exact=True)
+    has_sqrt3 = any(isinstance(c, QSqrt3) for c in u.terms.values())
+    assert (jet.sqrt3 is not None) == has_sqrt3
+    for part in (jet, jet.sqrt3) if has_sqrt3 else (jet,):
+        assert all(type(w) is int for w in (*part.m, *part.w3))
+    rng = random.Random(12)
+    for _ in range(2):
+        x, y, z = (np.array(frac_point(rng, u.n), dtype=object) for _ in range(3))
+        assert jet.trilinear(x, y, z) == jet.scale * u.polarize(x, y, z)
 
 
 def test_weak_associativity():
@@ -266,7 +308,6 @@ def test_find_idempotents_deterministic():
 
 
 def test_exact_ops_accept_sqrt3_vectors():
-    from eigencubic.scalars import QSqrt3
     u = catalog_build("cartan-d4")
     alg = MetrisedAlgebra(u)
     rng = random.Random(10)

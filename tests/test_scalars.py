@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from eigencubic.identities import CheckReport
 from eigencubic.scalars import (QSqrt3, SQRT3, format_rational, is_exact,
                                 parse_rational)
 
@@ -87,9 +88,37 @@ def test_equality_and_hash_against_rationals():
     assert QSqrt3(Fraction(1, 2), 0) == Fraction(1, 2)
     assert hash(QSqrt3(Fraction(1, 2), 0)) == hash(Fraction(1, 2))
     assert QSqrt3(1, 0) == 1 and hash(QSqrt3(1, 0)) == hash(1)
+    assert QSqrt3(2, 0) == 2 == Fraction(2)
+    assert hash(QSqrt3(2, 0)) == hash(2) == hash(Fraction(2))
     assert QSqrt3(1, 1) != 1
     d = {QSqrt3(3, 0): "a"}
     assert d[Fraction(3)] == "a"
+    # int and Fraction channels of one value are the same value
+    x, y = QSqrt3(1, -2), QSqrt3(Fraction(1), Fraction(-2))
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+
+
+def test_int_channels_stay_int_until_division():
+    x = QSqrt3(3, -2)
+    for y in (x, x * x, x + 1, x - SQRT3, 2 * x, -x, x ** 3, abs(x)):
+        assert type(y.a) is int and type(y.b) is int
+    D = 18
+    for y in (x.inverse(), x / 2, 1 / SQRT3, x / (D * D), x / Fraction(2, 3),
+              x / SQRT3, Fraction(1, 2) * x):
+        assert type(y.a) is Fraction and type(y.b) is Fraction
+    assert x / 2 == QSqrt3(Fraction(3, 2), -1)
+    assert 1 / SQRT3 == QSqrt3(0, Fraction(1, 3))
+    assert x * x.inverse() == 1
+
+
+def test_sqrt3_constant_json_is_unchanged():
+    # a constant's JSON does not depend on whether its channels are ints
+    for t in (QSqrt3(3, -2), QSqrt3(Fraction(3), Fraction(-2))):
+        assert CheckReport("radial", True, t).to_json_dict()["constant"] == \
+            {"rational": "3", "sqrt3": "-2"}
+    t = QSqrt3(3, -2) / (6 * 6)
+    assert CheckReport("radial", True, t).to_json_dict()["constant"] == \
+        {"rational": "1/12", "sqrt3": "-1/18"}
 
 
 def test_zero_division():
