@@ -4,12 +4,12 @@ from .composition import CDElement, cd_conj, cd_im, cd_mul, cd_norm, cd_re
 from .clifford import CliffordSystem, build_clifford_system, hurwitz_radon, \
     verify_clifford_system
 from .cubics import (CATALOG, CubicForm, albert_contraction_cubic,
-                     cartan_cubic, catalog_build, catalog_names,
-                     clifford_cubic, complexified_cubic, involution_cubic,
-                     octonion_cubic21, trivial_cubic)
-from .jordan import (ComplexHermMat3, HermMat3, freudenthal_det, fullspace_basis,
-                     involution, jordan_mul, trace_form, tracefree_basis)
-from .poly import Poly, random_zero
+                     cartan_cubic, catalog_build, clifford_cubic,
+                     complexified_cubic, involution_cubic, octonion_cubic21,
+                     trivial_cubic)
+from .jordan import (HermMat3, freudenthal_det, fullspace_basis, involution,
+                     jordan_mul, trace_form, tracefree_basis)
+from .poly import Poly
 from .scalars import QSqrt3
 
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
 """Command-line frontend.
 
 Exit codes: 0 all requested checks passed, 1 a mathematical check failed,
-2 usage or input error, 3 internal error (any other exception, reported
-as one stderr line ``internal error: <Type>: <message>``).  Rationals are
+2 usage or input error (counts out of range, a form file with dim < 1 or
+a non-finite coefficient, the zero form where a radial constant is
+asked for), 3 internal error (any other exception, reported as one
+stderr line ``internal error: <Type>: <message>``).  Rationals are
 serialized as "p/q" strings and floats with round-trip precision; runs
 with identical arguments (and seed) produce byte-identical output, on any
 build for the exact commands and within one numpy/BLAS build for output
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import click
@@ -22,8 +23,8 @@ from .algebra import MetrisedAlgebra
 from .clifford import build_clifford_system, hurwitz_radon, \
     verify_clifford_system
 from .cubics import CATALOG, CubicForm, catalog_build
-from .identities import (check_eiconal, check_harmonic, check_radial,
-                         classify as classify_form, sample_cone,
+from .identities import (CheckReport, check_eiconal, check_harmonic,
+                         check_radial, classify as classify_form, sample_cone,
                          trace_identity_cubic, trace_identity_quadratic)
 from .tables import admissible_triples, cross_validate
 
@@ -32,29 +33,18 @@ USAGE_FAIL = 2
 INTERNAL_FAIL = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved check configuration shared by verify/classify.
+def _check_kwargs(mode: Optional[str], trials: Optional[int], seed: int) -> dict:
+    """Keyword arguments of the checks for verify/classify: ``--exact``
+    forces expansion, ``--random N`` the randomized test, else auto.
 
-    Seeds default to 0 and every randomized path draws only from streams
-    derived from them, so identical configs give byte-identical output.
+    Every randomized path draws only from streams derived from the seed,
+    so identical arguments give byte-identical output.
     """
-    mode: str = "auto"
-    trials: Optional[int] = None
-    seed: int = 0
-
-    @classmethod
-    def resolve(cls, mode: Optional[str], trials: Optional[int],
-                seed: int) -> "RunConfig":
-        if mode is None:
-            mode = "random" if trials is not None else "auto"
-        return cls(mode=mode, trials=trials, seed=seed)
-
-    def kwargs(self) -> dict:
-        kw = {"mode": self.mode, "seed": self.seed}
-        if self.trials is not None:
-            kw["trials"] = self.trials
-        return kw
+    kw = {"mode": mode or ("random" if trials is not None else "auto"),
+          "seed": seed}
+    if trials is not None:
+        kw["trials"] = trials
+    return kw
 
 
 def _emit(obj) -> None:
@@ -69,6 +59,11 @@ def _load_form(path: str) -> CubicForm:
         raise click.UsageError(f"no such file: {path}")
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise click.UsageError(f"invalid cubic-form file {path}: {exc}")
+
+
+def _reject_zero_form(u: CubicForm) -> None:
+    if u.is_zero():
+        raise click.UsageError("the zero form has no radial constant")
 
 
 def _check_seed(ctx, param, value):
@@ -145,7 +140,7 @@ CHECKS = ("radial", "eiconal", "harmonic", "trace2", "trace3")
 @click.option("--check", "checks", default="all",
               help="radial|eiconal|harmonic|trace2|trace3|all")
 @click.option("--exact", "mode", flag_value="exact", help="force full expansion")
-@click.option("--random", "trials", type=int, default=None,
+@click.option("--random", "trials", type=click.IntRange(min=1), default=None,
               help="force randomized testing with this many trials")
 @click.option("--seed", type=int, default=0, show_default=True,
               callback=_check_seed)
@@ -156,22 +151,20 @@ def verify(path, checks, mode, trials, seed):
     for c in wanted:
         if c not in CHECKS:
             raise click.UsageError(f"unknown check: {c}")
-    kw = RunConfig.resolve(mode, trials, seed).kwargs()
+    if "radial" in wanted:
+        _reject_zero_form(u)
+    kw = _check_kwargs(mode, trials, seed)
     ok = True
     for c in wanted:
         if c == "harmonic":
-            passed = check_harmonic(u)
-            rep = {"check": "harmonic", "pass": passed, "constant": None,
-                   "mode": "exact", "error_bound": 0.0}
+            r = CheckReport("harmonic", check_harmonic(u))
         else:
             fn = {"radial": check_radial, "eiconal": check_eiconal,
                   "trace2": trace_identity_quadratic,
                   "trace3": trace_identity_cubic}[c]
             r = fn(u, **kw)
-            rep = r.to_json_dict()
-            passed = r.passed
-        _emit(rep)
-        ok = ok and passed
+        _emit(r.to_json_dict())
+        ok = ok and r.passed
     if not ok:
         sys.exit(MATH_FAIL)
 
@@ -180,7 +173,8 @@ def verify(path, checks, mode, trials, seed):
 
 @main.command()
 @click.argument("path")
-@click.option("--restarts", type=int, default=64, show_default=True)
+@click.option("--restarts", type=click.IntRange(min=1), default=64,
+              show_default=True)
 @click.option("--seed", type=int, required=True, callback=_check_seed)
 @click.option("--tol", type=float, default=1e-6, show_default=True,
               help="eigenvalue binning tolerance")
@@ -199,14 +193,14 @@ def spectrum(path, restarts, seed, tol):
 @main.command("classify")
 @click.argument("path")
 @click.option("--exact", "mode", flag_value="exact")
-@click.option("--random", "trials", type=int, default=None)
+@click.option("--random", "trials", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=0, show_default=True,
               callback=_check_seed)
 def classify_cmd(path, mode, trials, seed):
     """Print the classification record of the form in PATH."""
     u = _load_form(path)
-    kw = RunConfig.resolve(mode, trials, seed).kwargs()
-    _emit(classify_form(u, **kw).to_json_dict())
+    _reject_zero_form(u)
+    _emit(classify_form(u, **_check_kwargs(mode, trials, seed)).to_json_dict())
 
 
 # -- tables --------------------------------------------------------------------
@@ -219,7 +213,8 @@ def classify_cmd(path, mode, trials, seed):
               help="run every realizable witness through the full pipeline")
 @click.option("--seed", type=int, default=0, show_default=True,
               callback=_check_seed)
-@click.option("--restarts", type=int, default=8, show_default=True)
+@click.option("--restarts", type=click.IntRange(min=1), default=8,
+              show_default=True)
 def triples(which, as_json, validate, seed, restarts):
     """The admissible Peirce triples, optionally cross-validated."""
     if validate:
@@ -276,7 +271,8 @@ def clifford_cmd(q, emit_path):
 
 @main.command("cone-sample")
 @click.argument("path")
-@click.option("--count", type=int, default=200, show_default=True)
+@click.option("--count", type=click.IntRange(min=0), default=200,
+              show_default=True)
 @click.option("--seed", type=int, required=True, callback=_check_seed)
 @click.option("--grad-threshold", type=float, default=0.1, show_default=True)
 @click.option("--max-curvature", type=float, default=None,

@@ -9,8 +9,6 @@ symbolic linear forms.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 DIMS = (1, 2, 4, 8)
 
 
@@ -156,10 +154,3 @@ def re_mul(a: CDElement, b: CDElement):
 def re_triple(a: CDElement, b: CDElement, c: CDElement):
     """re((ab)c); well defined without brackets by trace associativity."""
     return re_mul(cd_mul(a, b), c)
-
-
-def random_element(d: int, rng, bound: int = 9) -> CDElement:
-    """Uniform small-rational element, for tests."""
-    return CDElement(d, tuple(
-        Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
-        for _ in range(d)))

@@ -12,7 +12,6 @@ order of the underlying construction and is documented per constructor.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -178,20 +177,6 @@ class CubicForm:
             total = total + w * x[a] * y[b] * z[c]
         return 6 * total
 
-    # -- transforms ----------------------------------------------------------
-    def compose_linear(self, R: np.ndarray) -> "CubicForm":
-        """Float form u(Rx); used for rotation-invariance checks."""
-        T = np.einsum("abc,ai,bj,ck->ijk", self.dense_tensor(), R, R, R)
-        terms: Dict[Key, float] = {}
-        n = self.n
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    v = T[i, j, k] * _perm_count((i, j, k))
-                    if abs(v) > 1e-14:
-                        terms[(i, j, k)] = float(v)
-        return CubicForm(n, terms)
-
     def to_float(self) -> "CubicForm":
         return CubicForm(self.n, {k: float(c) for k, c in self.terms.items()})
 
@@ -214,11 +199,15 @@ class CubicForm:
     @classmethod
     def from_json_dict(cls, d: dict) -> "CubicForm":
         n = int(d["dim"])
+        if n < 1:
+            raise ValueError(f"dimension must be at least 1, got {n}")
         terms: Dict[Key, object] = {}
         for rec in d["terms"]:
             i, j, k = (int(v) - 1 for v in rec["ijk"])
             raw = rec["c"]
             if isinstance(raw, float):
+                if not math.isfinite(raw):
+                    raise ValueError(f"coefficient {raw} is not finite")
                 c = raw
             else:
                 c = parse_rational(raw)
@@ -226,13 +215,6 @@ class CubicForm:
                 c = QSqrt3(c, parse_rational(rec["c3"]))
             terms[(i, j, k)] = c
         return cls(n, terms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "CubicForm":
-        return cls.from_json_dict(json.loads(s))
 
     def __repr__(self):
         return f"CubicForm(n={self.n}, {len(self.terms)} monomials)"
@@ -530,10 +512,6 @@ for _d, _dim, _tr in ((1, 12, (1, 5, 5)), (2, 18, (1, 8, 8)),
               "complexified")
 _register("octonion21", octonion_cubic21, 21, (4, 5, 11), "octonion")
 _register("albert21", albert_contraction_cubic, 21, (4, 5, 11), "albert")
-
-
-def catalog_names() -> List[str]:
-    return list(CATALOG)
 
 
 def catalog_build(name: str) -> CubicForm:

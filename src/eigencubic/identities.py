@@ -36,12 +36,21 @@ import numpy as np
 
 from .cubics import CubicForm
 from .poly import Poly
-from .scalars import QSqrt3, format_rational, is_exact
+from .scalars import QSqrt3, exact_div, format_rational, is_exact
 
 EXACT_VAR_LIMIT = 15
 DEFAULT_TRIALS = 20
 DEFAULT_BOUND = 10 ** 6
 FLOAT_REL_TOL = 1e-9
+FLOAT_TRIALS = 24
+
+
+def _json_constant(c):
+    """An exact constant as "p/q" strings (both parts of a QSqrt3); a
+    float or None as it is."""
+    if isinstance(c, QSqrt3):
+        return {"rational": format_rational(c.a), "sqrt3": format_rational(c.b)}
+    return format_rational(c) if is_exact(c) else c
 
 
 @dataclass
@@ -53,14 +62,8 @@ class CheckReport:
     error_bound: float = 0.0
 
     def to_json_dict(self) -> dict:
-        const = self.constant
-        if const is not None and is_exact(const):
-            if isinstance(const, QSqrt3):
-                const = {"rational": format_rational(const.a),
-                         "sqrt3": format_rational(const.b)}
-            else:
-                const = format_rational(const)
-        return {"check": self.check, "pass": self.passed, "constant": const,
+        return {"check": self.check, "pass": self.passed,
+                "constant": _json_constant(self.constant),
                 "mode": self.mode, "error_bound": self.error_bound}
 
 
@@ -72,16 +75,6 @@ def _pick_mode(u: CubicForm, mode: str) -> str:
     if mode == "auto":
         return "exact" if u.n <= EXACT_VAR_LIMIT else "random"
     return mode
-
-
-def _exact_div(a, b):
-    """Field division staying exact for int, Fraction and QSqrt3 inputs."""
-    if isinstance(a, QSqrt3) or isinstance(b, QSqrt3):
-        a = a if isinstance(a, QSqrt3) else QSqrt3(a)
-        b = b if isinstance(b, QSqrt3) else QSqrt3(b)
-        q = a / b
-        return q.a if q.b == 0 else q
-    return Fraction(a) / Fraction(b)
 
 
 def _proportional_exact(P: Poly, Q: Poly):
@@ -97,61 +90,62 @@ def _proportional_exact(P: Poly, Q: Poly):
     if P.is_zero():
         return Fraction(0)
     mono = next(iter(Q.terms))
-    t = _exact_div(P.terms.get(mono, 0), Q.terms[mono])
+    t = exact_div(P.terms.get(mono, 0), Q.terms[mono])
     return t if (P - Q * t).is_zero() else None
 
 
-def _rand_point(n: int, rng, bound: int) -> list:
-    return [rng.randrange(bound) for _ in range(n)]
+def _rand_point(n: int, rng) -> list:
+    return [rng.randrange(DEFAULT_BOUND) for _ in range(n)]
 
 
-def _proportional_random(sides, n: int, deg: int, trials: int,
-                         bound: int, seed: int):
+def _proportional_random(sides, n: int, deg: int, trials: int, seed: int):
     """Solve t from one exact point evaluation, verify at `trials` more.
 
     ``sides`` maps an integer point to the exact pair (lhs, rhs) of the
-    identity lhs = t * rhs.  Returns (t, error_bound) or (None, 0.0);
-    the reported bound is (deg/bound)**trials.
+    identity lhs = t * rhs; points are drawn below DEFAULT_BOUND.
+    Returns (t, error_bound) or (None, 0.0); the reported bound is
+    (deg/DEFAULT_BOUND)**trials, so at least one trial is required.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     rng = random.Random(seed)
     t = None
     for _ in range(200):
-        p = _rand_point(n, rng, bound)
+        p = _rand_point(n, rng)
         lv, rv = sides(p)
         if rv:
-            t = _exact_div(lv, rv)
+            t = exact_div(lv, rv)
             break
     if t is None:
         # rhs vanished everywhere sampled; demand lhs does too
         rng2 = random.Random(seed + 1)
         for _ in range(trials):
-            lv, _ = sides(_rand_point(n, rng2, bound))
+            lv, _ = sides(_rand_point(n, rng2))
             if lv:
                 return None, 0.0
-        return Fraction(0), (deg / bound) ** trials
+        return Fraction(0), (deg / DEFAULT_BOUND) ** trials
     for _ in range(trials):
-        p = _rand_point(n, rng, bound)
+        p = _rand_point(n, rng)
         lv, rv = sides(p)
         if lv != t * rv:
             return None, 0.0
-    return t, (deg / bound) ** trials
+    return t, (deg / DEFAULT_BOUND) ** trials
 
 
 def _float_scale(u: CubicForm) -> float:
     return max((abs(float(c)) for c in u.terms.values()), default=1.0)
 
 
-def _proportional_float(sides, n: int, seed: int, rel: float,
-                        scale: float, trials: int = 24):
+def _proportional_float(sides, n: int, seed: int, scale: float):
     rng = np.random.default_rng(seed)
-    pts = [rng.standard_normal(n) for _ in range(trials)]
+    pts = [rng.standard_normal(n) for _ in range(FLOAT_TRIALS)]
     ls, rs = np.array([sides(p) for p in pts], dtype=float).T
     denom = float(np.dot(rs, rs))
     if denom < 1e-30:
-        return 0.0 if np.max(np.abs(ls)) < rel * scale else None
+        return 0.0 if np.max(np.abs(ls)) < FLOAT_REL_TOL * scale else None
     t = float(np.dot(ls, rs)) / denom
     resid = np.max(np.abs(ls - t * rs) / (1.0 + np.abs(t * rs)))
-    return t if resid < rel * max(1.0, scale) else None
+    return t if resid < FLOAT_REL_TOL * max(1.0, scale) else None
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +182,7 @@ def _as_poly(x, n: int) -> Poly:
 
 
 def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
-           bound: int, seed: int) -> CheckReport:
+           seed: int) -> CheckReport:
     m = _pick_mode(u, mode)
     jet = u.jet(exact=m != "float")
 
@@ -196,15 +190,14 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
         return ident.sides(jet.value(p), jet.gradient(p), jet.hessian(p), p @ p)
 
     if m == "float":
-        t = _proportional_float(sides, u.n, seed, FLOAT_REL_TOL,
-                                _float_scale(u) ** ident.power)
+        t = _proportional_float(sides, u.n, seed, _float_scale(u) ** ident.power)
         return CheckReport(ident.name, t is not None, t, m, 0.0)
     if m == "exact":
         lhs, rhs = sides(_poly_vars(u.n))
         t, err = _proportional_exact(_as_poly(lhs, u.n), _as_poly(rhs, u.n)), 0.0
     else:
         t, err = _proportional_random(lambda p: sides(np.array(p, dtype=object)), u.n,
-                                      ident.degree, trials, bound, seed)
+                                      ident.degree, trials, seed)
     if t is not None:
         t = t / (jet.scale * jet.scale)
     return CheckReport(ident.name, t is not None, t, m, err)
@@ -224,22 +217,22 @@ def check_harmonic(u: CubicForm) -> bool:
 
 
 def check_radial(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS,
-                 bound: int = DEFAULT_BOUND, seed: int = 0) -> CheckReport:
+                 seed: int = 0) -> CheckReport:
     """theta with |Du|^2 Lap u - (1/2) Du . D|Du|^2 = theta |x|^2 u.
 
     Note (1/2) Du . D|Du|^2 = Du . (D^2u) Du.
     """
     if u.is_zero():
         raise ValueError("the zero form is not accepted by the radial check")
-    return _check(RADIAL, u, mode, trials, bound, seed)
+    return _check(RADIAL, u, mode, trials, seed)
 
 
 def check_eiconal(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS,
-                  bound: int = DEFAULT_BOUND, seed: int = 0) -> CheckReport:
+                  seed: int = 0) -> CheckReport:
     """kappa with |Du|^2 = kappa |x|^4; kappa = 9 is the normalized case."""
     if u.is_zero():
         return CheckReport("eiconal", False, None, "exact", 0.0)
-    rep = _check(EICONAL, u, mode, trials, bound, seed)
+    rep = _check(EICONAL, u, mode, trials, seed)
     if rep.passed and not rep.constant > 0:
         rep = replace(rep, passed=False, constant=None)
     return rep
@@ -247,18 +240,16 @@ def check_eiconal(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS
 
 def trace_identity_quadratic(u: CubicForm, mode: str = "auto",
                              trials: int = DEFAULT_TRIALS,
-                             bound: int = DEFAULT_BOUND,
                              seed: int = 0) -> CheckReport:
     """c with trace(D^2 u)^2 = c |x|^2 (the exceptional-or-mutant marker)."""
-    return _check(TRACE2, u, mode, trials, bound, seed)
+    return _check(TRACE2, u, mode, trials, seed)
 
 
 def trace_identity_cubic(u: CubicForm, mode: str = "auto",
                          trials: int = DEFAULT_TRIALS,
-                         bound: int = DEFAULT_BOUND,
                          seed: int = 0) -> CheckReport:
     """a with trace(D^2 u)^3 = a u; every eigencubic admits one."""
-    return _check(TRACE3, u, mode, trials, bound, seed)
+    return _check(TRACE3, u, mode, trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -276,25 +267,15 @@ class ClassificationRecord:
     mode: str = "exact"
 
     def to_json_dict(self) -> dict:
-        def fmt(c):
-            if c is None:
-                return None
-            if isinstance(c, QSqrt3):
-                return {"rational": format_rational(c.a),
-                        "sqrt3": format_rational(c.b)}
-            if is_exact(c):
-                return format_rational(c)
-            return c
-
         return {"is_trivial": self.is_trivial, "is_harmonic": self.is_harmonic,
-                "radial_theta": fmt(self.radial_theta),
-                "quad_trace": fmt(self.quad_trace),
-                "cubic_trace": fmt(self.cubic_trace),
+                "radial_theta": _json_constant(self.radial_theta),
+                "quad_trace": _json_constant(self.quad_trace),
+                "cubic_trace": _json_constant(self.cubic_trace),
                 "label": self.label, "mode": self.mode}
 
 
 def classify(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS,
-             bound: int = DEFAULT_BOUND, seed: int = 0) -> ClassificationRecord:
+             seed: int = 0) -> ClassificationRecord:
     """Populate the full record; the label follows the radial/rank/trace rule.
 
     The quadratic trace predicate is reported as computed: a form may pass
@@ -303,9 +284,9 @@ def classify(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS,
     """
     from .algebra import MetrisedAlgebra
 
-    rad = check_radial(u, mode, trials, bound, seed)
-    quad = trace_identity_quadratic(u, mode, trials, bound, seed + 1)
-    cubt = trace_identity_cubic(u, mode, trials, bound, seed + 2)
+    rad = check_radial(u, mode, trials, seed)
+    quad = trace_identity_quadratic(u, mode, trials, seed + 1)
+    cubt = trace_identity_cubic(u, mode, trials, seed + 2)
     harm = check_harmonic(u)
     rank = MetrisedAlgebra(u).multiplication_rank()
     trivial = rank <= 1
@@ -330,6 +311,7 @@ def classify(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS,
 # ---------------------------------------------------------------------------
 
 GRAD_THRESHOLD = 0.1
+MAX_TRIES = 200                 # rays drawn per requested cone point
 
 
 def mean_curvature(u: CubicForm, x, grad_threshold: float = GRAD_THRESHOLD) -> float:
@@ -373,8 +355,7 @@ class ConeSampleReport:
 
 
 def sample_cone(u: CubicForm, count: int, seed: int,
-                grad_threshold: float = GRAD_THRESHOLD,
-                max_tries: int = 200) -> ConeSampleReport:
+                grad_threshold: float = GRAD_THRESHOLD) -> ConeSampleReport:
     """Find zero-level points by bisection along random sphere segments.
 
     Each ray draws unit points of opposite sign of u and bisects; points
@@ -390,7 +371,7 @@ def sample_cone(u: CubicForm, count: int, seed: int,
         rng = np.random.default_rng((seed, idx))
         got = False
         rejected_before = report.rejected
-        for _ in range(max_tries):
+        for _ in range(MAX_TRIES):
             a = rng.standard_normal(n)
             a /= np.linalg.norm(a)
             b = rng.standard_normal(n)

@@ -180,30 +180,6 @@ def involution(A: HermMat3) -> HermMat3:
     return HermMat3(d, A.diag, tuple(s(o) for o in A.off))
 
 
-class ComplexHermMat3:
-    """Element of H3(K_d) x C, stored as a real and imaginary HermMat3."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: HermMat3, im: HermMat3):
-        _chk(re, im)
-        self.re = re
-        self.im = im
-
-    @property
-    def d(self):
-        return self.re.d
-
-    def square(self) -> "ComplexHermMat3":
-        re = jordan_mul(self.re, self.re) - jordan_mul(self.im, self.im)
-        im = jordan_mul(self.re, self.im).scale(2)
-        return ComplexHermMat3(re, im)
-
-    def pair_re(self, other: "ComplexHermMat3"):
-        """Real part of the complex-bilinear trace form."""
-        return trace_form(self.re, other.re) - trace_form(self.im, other.im)
-
-
 class OrthogonalBasis:
     """Trace-form-orthogonal basis with one common squared length."""
 

@@ -5,14 +5,13 @@ index; coefficients are exact scalars (int, Fraction, QSqrt3) or floats
 in float mode.  Zero coefficients are never stored, so ``not p.terms``
 is the exact zero test.
 
-``p.is_zero()`` / ``random_zero`` are the two zero tests: full expansion
-versus Schwartz-Zippel evaluation at random integer points with a
-reported error-probability bound.
+There is no randomized zero test here: the Schwartz-Zippel checks
+(``identities._proportional_random``) evaluate the form's kernel at
+integer points without building a polynomial.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Dict, Sequence, Tuple
 
 Mono = Tuple[Tuple[int, int], ...]
@@ -39,10 +38,10 @@ class Poly:
         return cls(nvars, {(): c})
 
     @classmethod
-    def var(cls, nvars: int, i: int, c=1) -> "Poly":
+    def var(cls, nvars: int, i: int) -> "Poly":
         if not 0 <= i < nvars:
             raise IndexError(f"variable {i} out of range for {nvars} variables")
-        return cls(nvars, {((i, 1),): c})
+        return cls(nvars, {((i, 1),): 1})
 
     # -- queries ----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -173,33 +172,3 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
         d[v] = d.get(v, 0) + e
     return tuple(sorted(d.items()))
 
-
-def find_witness(p: Poly, trials: int = 64, bound: int = 100, seed: int = 0):
-    """Search a point where p is nonzero; None if all trials vanish."""
-    rng = random.Random(seed)
-    for _ in range(trials):
-        pt = [rng.randrange(bound) for _ in range(p.nvars)]
-        if p.eval(pt):
-            return pt
-    return None
-
-
-def random_zero(p: Poly, trials: int = 20, bound: int = 10 ** 6,
-                seed: int = 0) -> tuple[bool, float, list | None]:
-    """Schwartz-Zippel zero test at random integer points in [0, bound).
-
-    Returns (verdict, error_bound, witness).  A True verdict is wrong with
-    probability at most (deg/bound)**trials; a False verdict is certain and
-    comes with the witness point.
-    """
-    deg = p.degree()
-    if deg < 0:
-        return True, 0.0, None
-    if bound <= deg:
-        raise ValueError("bound must exceed the polynomial degree")
-    rng = random.Random(seed)
-    for _ in range(trials):
-        pt = [rng.randrange(bound) for _ in range(p.nvars)]
-        if p.eval(pt):
-            return False, 0.0, pt
-    return True, (deg / bound) ** trials, None

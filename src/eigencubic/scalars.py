@@ -178,8 +178,13 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, QSqrt3))
 
 
-def to_float(x) -> float:
-    return float(x)
+def exact_div(a, b):
+    """a / b staying exact for int, Fraction and QSqrt3 inputs; a quotient
+    with no sqrt(3) part comes back rational."""
+    if isinstance(a, QSqrt3) or isinstance(b, QSqrt3):
+        q = _coerce(a) / _coerce(b)
+        return q.a if q.b == 0 else q
+    return Fraction(a) / Fraction(b)
 
 
 def format_rational(x) -> str:

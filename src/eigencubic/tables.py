@@ -96,8 +96,7 @@ def record_for(triple) -> Optional[TripleRecord]:
     return None
 
 
-def cross_validate(seed: int = 0, restarts: int = 8,
-                   trials: int = 20) -> List[Dict]:
+def cross_validate(seed: int = 0, restarts: int = 8) -> List[Dict]:
     """Run every realizable witness through construct -> radial -> Peirce.
 
     Returns one report dict per table row; eliminated and open rows are
@@ -117,7 +116,7 @@ def cross_validate(seed: int = 0, restarts: int = 8,
             continue
         try:
             u = catalog_build(rec.witness)
-            rad = check_radial(u, trials=trials, seed=seed)
+            rad = check_radial(u, seed=seed)
             rep["radial_pass"] = rad.passed
             rep["radial_mode"] = rad.mode
             rep["radial_error_bound"] = rad.error_bound

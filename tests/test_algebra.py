@@ -10,6 +10,7 @@ from eigencubic.cubics import (CATALOG, CubicForm, cartan_cubic, catalog_build,
                                trivial_cubic)
 from eigencubic.identities import check_radial
 from eigencubic.scalars import QSqrt3
+from rotations import rotate_exact
 
 DIM3 = catalog_build("clifford-q0")
 ALG3 = MetrisedAlgebra(DIM3)
@@ -224,9 +225,9 @@ def test_exact_checks_pinned_values():
     r = d2.check_hsiang_identity(Fraction(1), trials=20, seed=3)
     assert r == Fraction(11412544, 9) and type(r) is Fraction
     uf = catalog_build("clifford-q1").to_float()
-    R = np.eye(4)[[1, 0, 2, 3]]
-    R[0] *= -1                              # a quarter turn in the (x1, x2) plane
-    for u, wrong in ((uf, 555408), (uf.compose_linear(R), 132936)):
+    # a quarter turn in the (x1, x2) plane
+    R = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for u, wrong in ((uf, 555408), (rotate_exact(uf, R), 132936)):
         alg = MetrisedAlgebra(u)
         values = (alg.check_hsiang_identity(Fraction(-8), trials=20, seed=3),
                   alg.check_hsiang_identity(Fraction(-7), trials=20, seed=3),

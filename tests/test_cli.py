@@ -167,6 +167,54 @@ def test_cone_sample_deterministic(runner, tmp_path):
     assert a == b
 
 
+_DEGENERATE_FILES = {
+    "cube": '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": "1"}]}',
+    "negative-dim": '{"dim": -2, "terms": []}',
+    "nan": '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": NaN}]}',
+    "infinity": '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": Infinity}]}',
+    "overflow": '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": 1e400}]}',
+    "zero": '{"dim": 3, "terms": []}',
+}
+
+
+_DEGENERATE_RUNS = [
+    ("cube", ["verify", "--check", "eiconal", "--random", "0"]),
+    ("cube", ["verify", "--check", "eiconal", "--random", "-3"]),
+    ("cube", ["classify", "--random", "0"]),
+    ("cube", ["spectrum", "--seed", "1", "--restarts", "0"]),
+    (None, ["triples", "--validate", "--restarts", "0"]),
+    ("cube", ["cone-sample", "--seed", "1", "--count", "-2"]),
+    ("negative-dim", ["verify"]),
+    ("negative-dim", ["classify"]),
+    ("negative-dim", ["spectrum", "--seed", "1"]),
+    ("nan", ["classify"]),
+    ("nan", ["spectrum", "--seed", "1"]),
+    ("infinity", ["classify"]),
+    ("infinity", ["spectrum", "--seed", "1"]),
+    ("overflow", ["classify"]),
+    ("overflow", ["spectrum", "--seed", "1"]),
+    ("zero", ["verify"]),
+    ("zero", ["classify"]),
+]
+
+
+@pytest.mark.parametrize("form, args", _DEGENERATE_RUNS,
+                         ids=[f"{form}:{' '.join(args)}" for form, args in _DEGENERATE_RUNS])
+def test_degenerate_input_is_a_usage_error(runner, tmp_path, form, args):
+    # out-of-range counts and parseable but degenerate forms are usage
+    # errors: exit 2 with click's one "Error:" line, nothing on stdout
+    if form is not None:
+        path = tmp_path / f"{form}.json"
+        path.write_text(_DEGENERATE_FILES[form])
+        args = [args[0], str(path), *args[1:]]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert [l for l in res.stderr.splitlines() if l.startswith("Error:")] == \
+        [res.stderr.splitlines()[-1]]
+    assert "internal error" not in res.stderr and "Traceback" not in res.stderr
+
+
 def test_internal_error_exit_code(runner, tmp_path, monkeypatch):
     # an exception that is neither a usage error nor a failed check exits 3
     # with one stderr line instead of a traceback
@@ -277,8 +325,8 @@ def test_emit_round_trip_byte_identical(runner, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     # loading and re-serializing is the identity
     from eigencubic.cubics import CubicForm
-    form = CubicForm.from_json(p1.read_text())
-    assert json.loads(form.to_json()) == json.loads(p1.read_text())
+    data = json.loads(p1.read_text())
+    assert CubicForm.from_json_dict(data).to_json_dict() == data
 
 
 if __name__ == "__main__":

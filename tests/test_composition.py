@@ -1,10 +1,16 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from eigencubic.composition import (CDElement, cd_conj, cd_im, cd_inner,
-                                    cd_mul, cd_norm, cd_re, random_element,
-                                    re_triple)
+                                    cd_mul, cd_norm, cd_re, re_triple)
+
+
+def random_element(d, rng):
+    """Element of K_d with small rational coordinates."""
+    return CDElement(d, tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                              for _ in range(d)))
 
 
 def test_quaternion_table():

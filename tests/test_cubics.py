@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -19,6 +20,11 @@ def frac_point(rng, n, bound=9):
 
 
 DIM3 = catalog_build("clifford-q0")   # x (y^2 - z^2)
+
+
+def through_json(u):
+    """u written to JSON text and read back."""
+    return CubicForm.from_json_dict(json.loads(json.dumps(u.to_json_dict())))
 
 
 def test_eval_examples():
@@ -206,7 +212,7 @@ def test_harmonicity_law():
 def test_json_round_trip_bit_exact():
     for name in ("clifford-q1", "cartan-d1", "cartan-d4", "complexified-d1"):
         u = catalog_build(name)
-        back = CubicForm.from_json(u.to_json())
+        back = through_json(u)
         assert back.n == u.n
         assert back.terms == u.terms
         for k in u.terms:
@@ -230,9 +236,19 @@ def test_json_format_shape():
 
 def test_json_float_form():
     u = catalog_build("clifford-q0").to_float()
-    back = CubicForm.from_json(u.to_json())
+    back = through_json(u)
     assert back.terms == u.terms
     assert not back.is_exact_form
+
+
+@pytest.mark.parametrize("text", ['{"dim": 0, "terms": []}',
+                                  '{"dim": -2, "terms": []}',
+                                  '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": NaN}]}',
+                                  '{"dim": 3, "terms": [{"ijk": [1, 2, 3], "c": -Infinity}]}',
+                                  '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": 1e400}]}'])
+def test_from_json_dict_rejects_degenerate_forms(text):
+    with pytest.raises(ValueError):
+        CubicForm.from_json_dict(json.loads(text))
 
 
 def test_from_poly_rejects_inhomogeneous():

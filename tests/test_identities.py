@@ -14,7 +14,8 @@ from eigencubic.identities import (check_eiconal,
                                    mean_curvature, sample_cone,
                                    trace_identity_cubic,
                                    trace_identity_quadratic)
-from eigencubic.poly import Poly, random_zero
+from eigencubic.poly import Poly
+from rotations import cayley_rotation, rotate_exact, skew
 
 DIM3 = catalog_build("clifford-q0")
 
@@ -37,6 +38,13 @@ def test_radial_examples():
         check_radial(CubicForm(3, {}))
 
 
+def test_random_mode_needs_a_trial():
+    # with no trial the Schwartz-Zippel bound would be 1: nothing checked
+    for trials in (0, -3):
+        with pytest.raises(ValueError):
+            check_radial(DIM3, "random", trials=trials)
+
+
 def test_radial_random_agrees_with_exact():
     for name in ("clifford-q1", "cartan-d1", "involution-d2"):
         u = catalog_build(name)
@@ -47,8 +55,8 @@ def test_radial_random_agrees_with_exact():
 
 
 def test_radial_residual_random_zero():
-    # build the degree-5 residual of the dim-3 example symbolically and
-    # hand it to the randomized zero test
+    # build the degree-5 residual of the dim-3 example symbolically; its
+    # full expansion is exactly zero
     u = DIM3
     grads = u.gradient()
     G = sum((g * g for g in grads), Poly.zero(3))
@@ -57,9 +65,7 @@ def test_radial_residual_random_zero():
         (grads[j] * G.diff(j) for j in range(3)), Poly.zero(3))
     r2 = Poly(3, {((i, 2),): Fraction(1) for i in range(3)})
     residual = P - (-8) * r2 * u.to_poly()
-    verdict, bound, _ = random_zero(residual, trials=20, bound=10 ** 6, seed=1)
-    assert verdict
-    assert bound <= (5 / 10 ** 6) ** 20
+    assert residual.is_zero()
 
 
 def test_eiconal():
@@ -271,50 +277,6 @@ def test_modes_agree(name, check):
         assert abs(fl.constant - e) <= 1e-9 * max(1.0, abs(e))
 
 
-def _rational_inverse(M):
-    """Gauss-Jordan inverse of a square matrix of Fractions."""
-    n = len(M)
-    A = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [v * inv for v in A[col]]
-        for r in range(n):
-            if r != col and A[r][col] != 0:
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-    return [row[n:] for row in A]
-
-
-def cayley_rotation(S):
-    """The rational orthogonal matrix Q = (I - S)(I + S)^-1 of a skew S."""
-    n = len(S)
-    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    minus = [[eye[i][j] - S[i][j] for j in range(n)] for i in range(n)]
-    inv = _rational_inverse([[eye[i][j] + S[i][j] for j in range(n)]
-                             for i in range(n)])
-    return [[sum(minus[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
-def rotate_exact(u, Q):
-    """u o Q as an exact form, through u(Q x) with x the Poly variables."""
-    n = u.n
-    qx = [sum((Poly.var(n, j, Q[i][j]) for j in range(n) if Q[i][j]),
-              Poly.zero(n)) for i in range(n)]
-    return CubicForm.from_poly(u.to_poly().eval(qx))
-
-
-def _skew(n, entries):
-    S = [[Fraction(0)] * n for _ in range(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for (i, j), v in zip(pairs, entries):
-        S[i][j], S[j][i] = v, -v
-    return S
-
-
 _small_fraction = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
 
 
@@ -330,7 +292,7 @@ def test_exact_orthogonal_invariance(name):
     @given(st.lists(_small_fraction, min_size=n * (n - 1) // 2,
                     max_size=n * (n - 1) // 2).filter(any))
     def invariant(entries):
-        Q = cayley_rotation(_skew(n, entries))
+        Q = cayley_rotation(skew(n, entries))
         uq = rotate_exact(u, Q)
         assert uq.is_exact_form
         for mode in ("exact", "random"):
@@ -355,7 +317,7 @@ def test_float_orthogonal_invariance(name):
     @given(st.lists(_small_fraction, min_size=n * (n - 1) // 2,
                     max_size=n * (n - 1) // 2).filter(any))
     def invariant(entries):
-        uq = rotate_exact(u, cayley_rotation(_skew(n, entries))).to_float()
+        uq = rotate_exact(u, cayley_rotation(skew(n, entries))).to_float()
         idems = MetrisedAlgebra(uq).find_idempotents(restarts=16, seed=1)
         assert {p.triple for p in idems} == want, entries
         rep = sample_cone(uq, 20, 1)
@@ -372,7 +334,7 @@ def test_orthogonal_invariance_of_labels():
         # rotation from an orthonormalized random rational frame
         M = rng.integers(-5, 6, size=(u.n, u.n)).astype(float)
         R, _ = np.linalg.qr(M + 0.1 * np.eye(u.n))
-        ur = u.compose_linear(R)
+        ur = rotate_exact(u, R.tolist())
         assert classify(ur).label == classify(u).label, name
 
 
@@ -416,7 +378,7 @@ def test_sample_cone_cartan():
 
 def test_sample_cone_rejects_singular_points():
     # the trivial cone {x1 = 0} is entirely singular
-    rep = sample_cone(trivial_cubic(3, 1), 5, seed=0, max_tries=40)
+    rep = sample_cone(trivial_cubic(3, 1), 5, seed=0)
     assert rep.rejected > 0
     assert len(rep.points) == 0
 
