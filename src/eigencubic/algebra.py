@@ -134,7 +134,9 @@ class MetrisedAlgebra:
         """Seeded multistart search; returns deduplicated PeirceData records.
 
         Each restart draws from an independent stream keyed by
-        (seed, restart index), so results do not depend on scheduling.
+        (seed, restart index), so results do not depend on scheduling.  A
+        restart whose linear algebra fails is skipped like one that does
+        not converge.
         """
         if restarts < 1:
             raise ValueError("restarts must be at least 1")
@@ -144,7 +146,10 @@ class MetrisedAlgebra:
         found: List[np.ndarray] = []
         for r in range(restarts):
             rng = np.random.default_rng((seed, r))
-            c = self._search_one(rng)
+            try:
+                c = self._search_one(rng)
+            except np.linalg.LinAlgError:
+                continue                # a failed eigh ends this restart only
             if c is None:
                 continue
             res = np.linalg.norm(2.0 * jet.gradient(c) - c)

@@ -242,6 +242,11 @@ class Jet:
     one QSqrt3.  Every piece keeps the kind of p: an object array of
     ``Poly`` variables or of exact scalars, or a float64 array.  In the
     metrised algebra x o x = 2 Du(x) and L_x = D^2u(x).
+
+    ``value`` also takes points along leading axes, p of shape (..., n),
+    and gives one value per point.  ``take`` keeps each point's products
+    contiguous, so every value is summed as the single point's is and
+    equals it bit for bit.
     """
     scale: int
     ijk: np.ndarray
@@ -279,7 +284,8 @@ class Jet:
 
     def value(self, p: np.ndarray):
         i, j, k = self.ijk
-        v = (self.m * p[i] * p[j] * p[k]).sum()
+        v = (self.m * p.take(i, axis=-1) * p.take(j, axis=-1)
+             * p.take(k, axis=-1)).sum(axis=-1)
         return v if self.sqrt3 is None else v + self.sqrt3.value(p) * SQRT3
 
     def gradient(self, p: np.ndarray) -> np.ndarray:

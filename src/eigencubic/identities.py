@@ -27,6 +27,7 @@ Policy: exact expansion for n <= 15, randomized above, both overridable.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -312,6 +313,9 @@ def classify(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS,
 
 GRAD_THRESHOLD = 0.1
 MAX_TRIES = 200                 # rays drawn per requested cone point
+BISECT_STEPS = 80
+POINT_BATCH = 256               # cone points searched together
+VALUE_BLOCK = 1 << 14           # entries of one (points, terms) product of u
 
 
 def mean_curvature(u: CubicForm, x, grad_threshold: float = GRAD_THRESHOLD) -> float:
@@ -320,7 +324,8 @@ def mean_curvature(u: CubicForm, x, grad_threshold: float = GRAD_THRESHOLD) -> f
     The numerator is the left side of the radial identity.  The
     regularization threshold applies to the gradient at x/|x|, so a
     point near the singular set is rejected (ValueError) regardless of
-    its distance from the origin; H is homogeneous of degree -1.
+    its distance from the origin; H is homogeneous of degree -1.  A
+    gradient or curvature that overflows float64 is rejected too.
     """
     jet = u.jet(exact=False)
     x = np.asarray(x, dtype=float)
@@ -330,11 +335,16 @@ def mean_curvature(u: CubicForm, x, grad_threshold: float = GRAD_THRESHOLD) -> f
     p = x / nx
     g = jet.gradient(p)
     gn = np.linalg.norm(g)
+    if not np.isfinite(gn):
+        raise ValueError("gradient norm is not finite in float64")
     if gn < grad_threshold:
         raise ValueError(f"gradient norm {gn:.3g} below "
                          f"threshold {grad_threshold} on the unit sphere")
     lhs, _ = RADIAL.sides(jet.value(p), g, jet.hessian(p), 1.0)
-    return float(lhs / gn ** 3 / nx)
+    h = float(lhs / gn ** 3 / nx)
+    if not math.isfinite(h):
+        raise ValueError("mean curvature is not finite in float64")
+    return h
 
 
 @dataclass
@@ -354,54 +364,102 @@ class ConeSampleReport:
                 "max_abs_curvature": self.max_abs_curvature}
 
 
-def sample_cone(u: CubicForm, count: int, seed: int,
-                grad_threshold: float = GRAD_THRESHOLD) -> ConeSampleReport:
-    """Find zero-level points by bisection along random sphere segments.
+def _unit(x: np.ndarray) -> np.ndarray:
+    """x / |x| along the last axis.  The norm is the BLAS dot that
+    ``np.linalg.norm`` takes for one vector, so each row comes out as
+    the single vector does."""
+    return x / np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, :])
 
-    Each ray draws unit points of opposite sign of u and bisects; points
-    whose gradient falls under the threshold count as rejected.
-    """
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    uval = u.jet(exact=False).value
+
+def _values(jet, X: np.ndarray) -> np.ndarray:
+    """u at the rows of X, in blocks that bound the (rows, terms) product."""
+    rows = max(1, VALUE_BLOCK // max(1, jet.m.size))
+    return np.concatenate([jet.value(X[s:s + rows])
+                           for s in range(0, len(X), rows)])
+
+
+def _bisect(jet, a: np.ndarray, b: np.ndarray, ua: np.ndarray) -> np.ndarray:
+    """Bisect the sphere arcs a[r] -> b[r], u(a[r]) = ua[r] and u(b[r])
+    of the other sign, for BISECT_STEPS steps; the unit midpoints.
+
+    A midpoint of u's sign moves lo, any other nonzero value (NaN too)
+    moves hi, and a zero leaves both, so that ray stays where it is."""
+    lo, hi, sa = a, b, np.sign(ua)
+    for _ in range(BISECT_STEPS):
+        mid = _unit(lo + hi)
+        um = _values(jet, mid)
+        to_lo = np.sign(um) == sa
+        to_hi = ~to_lo & (um != 0.0)
+        lo = np.where(to_lo[:, None], mid, lo)
+        hi = np.where(to_hi[:, None], mid, hi)
+    return _unit(lo + hi)
+
+
+def _sample_batch(u: CubicForm, idxs: range, seed: int, grad_threshold: float,
+                  report: ConeSampleReport) -> None:
+    """Search the cone points ``idxs`` together and add their points, in
+    index order, and their rejections to ``report``."""
+    jet = u.jet(exact=False)
     n = u.n
-    report = ConeSampleReport(requested=count)
-
-    for idx in range(count):
-        rng = np.random.default_rng((seed, idx))
-        got = False
-        rejected_before = report.rejected
-        for _ in range(MAX_TRIES):
-            a = rng.standard_normal(n)
-            a /= np.linalg.norm(a)
-            b = rng.standard_normal(n)
-            b /= np.linalg.norm(b)
-            ua, ub = uval(a), uval(b)
-            if ua == 0.0 or ub == 0.0 or np.sign(ua) == np.sign(ub):
+    rngs = {idx: np.random.default_rng((seed, idx)) for idx in idxs}
+    hits, crossed, drawn = {}, set(), 0
+    while rngs and drawn < MAX_TRIES:
+        k = min(drawn + 1, MAX_TRIES - drawn)
+        pending = list(rngs)
+        ends = _unit(np.stack([rngs[idx].standard_normal((k, 2, n))
+                               for idx in pending]))
+        drawn += k
+        v = _values(jet, ends.reshape(-1, n)).reshape(len(pending), k, 2)
+        ua, ub = v[..., 0], v[..., 1]
+        ray = ~((ua == 0.0) | (ub == 0.0) | (np.sign(ua) == np.sign(ub)))
+        owner = np.nonzero(ray)[0]
+        if not owner.size:
+            continue
+        rays = ends[ray]
+        for pos, p in zip(owner, _bisect(jet, rays[:, 0], rays[:, 1], ua[ray])):
+            idx = pending[pos]
+            if idx in hits:
                 continue
-            lo, hi = a, b
-            for _ in range(80):
-                mid = lo + hi
-                mid /= np.linalg.norm(mid)
-                um = uval(mid)
-                if um == 0.0:
-                    break
-                if np.sign(um) == np.sign(ua):
-                    lo = mid
-                else:
-                    hi = mid
-            p = lo + hi
-            p /= np.linalg.norm(p)
+            crossed.add(idx)
             try:
                 h = mean_curvature(u, p, grad_threshold)
             except ValueError:
                 report.rejected += 1
                 continue
-            report.points.append(p)
-            report.curvatures.append(h)
-            got = True
-            break
-        if not got and report.rejected == rejected_before:
-            # no ray of this point changed sign (e.g. the zero form)
-            report.rejected += 1
+            hits[idx] = (p.copy(), h)
+            del rngs[idx]
+    # a point none of whose rays changed sign (e.g. the zero form) counts once
+    report.rejected += sum(idx not in crossed for idx in rngs)
+    for idx in sorted(hits):
+        p, h = hits[idx]
+        report.points.append(p)
+        report.curvatures.append(h)
+
+
+def sample_cone(u: CubicForm, count: int, seed: int,
+                grad_threshold: float = GRAD_THRESHOLD) -> ConeSampleReport:
+    """Find zero-level points by bisection along random sphere segments.
+
+    Point ``idx`` draws up to MAX_TRIES rays from its own stream
+    ``default_rng((seed, idx))``: two Gaussian points a, b normalised to
+    the sphere.  A ray where u changes sign is bisected for BISECT_STEPS
+    steps, and the first whose end point passes ``mean_curvature`` gives
+    the point.  Each ray rejected before it (gradient under the
+    threshold, or not finite) counts once in ``rejected``, and so does a
+    point none of whose rays changed sign.
+
+    Up to POINT_BATCH points are searched together, so memory does not
+    grow with ``count``, in rounds.  A round draws the next 1, 2, 4, ...
+    rays of every pending point, the same a, b, a, b, ... stream as
+    drawing them one by one, and bisects all its sign-changing rays as
+    one array; each point's rays are then judged in draw order.  So the
+    report, with points in index order, is the one a ray-by-ray search
+    gives, bit for bit.
+    """
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    report = ConeSampleReport(requested=count)
+    for first in range(0, count, POINT_BATCH):
+        _sample_batch(u, range(first, min(first + POINT_BATCH, count)), seed,
+                      grad_threshold, report)
     return report

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from eigencubic import algebra
 from eigencubic.algebra import MetrisedAlgebra, _newton_step
 from eigencubic.cubics import (CATALOG, CubicForm, cartan_cubic, catalog_build,
                                trivial_cubic)
@@ -142,6 +143,26 @@ def test_find_idempotents_singular_newton_system(name, seed, triple):
     idems = MetrisedAlgebra(catalog_build(name)).find_idempotents(restarts=16,
                                                                    seed=seed)
     assert {p.triple for p in idems} == {triple}
+
+
+def test_find_idempotents_skips_a_failed_restart(monkeypatch):
+    # a restart whose eigh fails is dropped; every other restart gives
+    # the same record as without the failure
+    alg = MetrisedAlgebra(catalog_build("cartan-d1"))
+    plain = alg.find_idempotents(seed=1)
+    calls = []
+
+    def flaky(J, F):
+        calls.append(None)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return _newton_step(J, F)
+
+    monkeypatch.setattr(algebra, "_newton_step", flaky)
+    failed = alg.find_idempotents(seed=1)
+    kept = [p for p in plain if any(np.array_equal(p.c, q.c) for q in failed)]
+    assert len(failed) == len(kept) == len(plain) - 1
+    assert [p.triple for p in failed] == [p.triple for p in kept]
 
 
 def test_newton_step_is_pseudo_inverse():

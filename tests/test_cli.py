@@ -303,6 +303,23 @@ def test_cone_sample(runner, tmp_path):
     assert summary["max_abs_curvature"] < 1e-6
 
 
+def test_cone_sample_never_prints_nan(runner, tmp_path):
+    # a 1e300 coefficient overflows |Du| in float64: those rays are
+    # rejected, so stdout stays strict JSON with no NaN curvature
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 3, "terms": [{"ijk": [1,1,1], "c": 1e300}, '
+                    '{"ijk": [1,2,2], "c": 1.0}]}')
+    res = run(runner, "cone-sample", str(path), "--count", "3", "--seed", "1")
+    assert res.exit_code == 0
+
+    def no_constant(name):
+        raise ValueError(f"{name} in cone-sample output")
+
+    recs = [json.loads(l, parse_constant=no_constant) for l in res.stdout.splitlines()]
+    assert recs[-1]["requested"] == 3 and recs[-1]["rejected"] > 0
+    assert all(r["curvature"] == r["curvature"] for r in recs[:-1])
+
+
 def test_sqrt3_form_round_trip_and_verify(runner, tmp_path):
     # cartan-d4 carries sqrt3 components (the "c3" field); the file must
     # round-trip bit-exactly and still pass its checks

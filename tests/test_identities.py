@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from eigencubic.algebra import MetrisedAlgebra
 from eigencubic.cubics import (CATALOG, CubicForm, cartan_cubic, catalog_build,
                                trivial_cubic)
-from eigencubic.identities import (check_eiconal,
+from eigencubic.identities import (MAX_TRIES, ConeSampleReport, check_eiconal,
                                    check_harmonic, check_radial, classify,
                                    mean_curvature, sample_cone,
                                    trace_identity_cubic,
@@ -217,6 +217,16 @@ def test_jet_matches_poly_derivatives(name):
 
 
 @pytest.mark.parametrize("name", list(CATALOG))
+def test_jet_value_takes_a_batch_of_points(name):
+    # u at the rows of a (k, n) array equals u at each row, bit for bit
+    u = catalog_build(name)
+    jet = u.jet(exact=False)
+    P = np.random.default_rng(7).standard_normal((9, u.n))
+    assert jet.value(P).tolist() == [jet.value(p) for p in P]
+    assert jet.value(np.empty((0, u.n))).shape == (0,)
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
 def test_kernel_matches_dense_tensor(name):
     # every float contraction of the package against np.einsum on the
     # dense tensor T: u = T x x x, x o x = 6 T x x, L_x = 6 T x; each
@@ -365,6 +375,70 @@ def test_mean_curvature_values():
     with pytest.raises(ValueError):
         # gradient vanishes on the x-axis
         mean_curvature(DIM3, [1, 0, 0])
+
+
+def reference_sample_cone(u, count, seed, grad_threshold=0.1):
+    """The ray-by-ray sampler: each point draws a, b, bisects one ray
+    at a time and stops at the first accepted ray."""
+    uval = u.jet(exact=False).value
+    n = u.n
+    report = ConeSampleReport(requested=count)
+    for idx in range(count):
+        rng = np.random.default_rng((seed, idx))
+        got = False
+        rejected_before = report.rejected
+        for _ in range(MAX_TRIES):
+            a = rng.standard_normal(n)
+            a /= np.linalg.norm(a)
+            b = rng.standard_normal(n)
+            b /= np.linalg.norm(b)
+            ua, ub = uval(a), uval(b)
+            if ua == 0.0 or ub == 0.0 or np.sign(ua) == np.sign(ub):
+                continue
+            lo, hi = a, b
+            for _ in range(80):
+                mid = lo + hi
+                mid /= np.linalg.norm(mid)
+                um = uval(mid)
+                if um == 0.0:
+                    break
+                if np.sign(um) == np.sign(ua):
+                    lo = mid
+                else:
+                    hi = mid
+            p = lo + hi
+            p /= np.linalg.norm(p)
+            try:
+                h = mean_curvature(u, p, grad_threshold)
+            except ValueError:
+                report.rejected += 1
+                continue
+            report.points.append(p)
+            report.curvatures.append(h)
+            got = True
+            break
+        if not got and report.rejected == rejected_before:
+            report.rejected += 1
+    return report
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_sample_cone_matches_ray_by_ray_reference(name):
+    # the batched rounds report what the ray-by-ray loop reports, bit for bit
+    u = catalog_build(name)
+    for seed in (1, 2, 3):
+        got = sample_cone(u, 2, seed)
+        want = reference_sample_cone(u, 2, seed)
+        assert len(got.points) == len(want.points), (name, seed)
+        assert all(np.array_equal(p, q) for p, q in zip(got.points, want.points))
+        assert got.curvatures == want.curvatures
+        assert got.rejected == want.rejected
+
+
+def test_sample_cone_trivial_rejections_pinned():
+    # every ray of the singular trivial cone is bisected and rejected
+    rep = sample_cone(catalog_build("trivial"), 50, 1)
+    assert rep.rejected == 5072 and not rep.points
 
 
 def test_sample_cone_cartan():
