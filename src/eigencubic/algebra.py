@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,17 +142,16 @@ class MetrisedAlgebra:
             raise ValueError("restarts must be at least 1")
         if seed < 0:
             raise ValueError("seed must be nonnegative")
-        jet = self.form.jet(exact=False)
         found: List[np.ndarray] = []
         for r in range(restarts):
             rng = np.random.default_rng((seed, r))
             try:
-                c = self._search_one(rng)
+                hit = self._search_one(rng)
             except np.linalg.LinAlgError:
                 continue                # a failed eigh ends this restart only
-            if c is None:
+            if hit is None:
                 continue
-            res = np.linalg.norm(2.0 * jet.gradient(c) - c)
+            c, res = hit
             if res > IDEMPOTENT_RESIDUAL or np.linalg.norm(c) < 1e-8:
                 continue
             if any(np.linalg.norm(c - d) < DEDUP_DISTANCE for d in found):
@@ -161,11 +160,14 @@ class MetrisedAlgebra:
         found.sort(key=lambda c: tuple(np.round(c, 8)))
         return [self.peirce(c, bin_tol=bin_tol) for c in found]
 
-    def _search_one(self, rng) -> Optional[np.ndarray]:
+    def _search_one(self, rng) -> Optional[Tuple[np.ndarray, float]]:
+        """One restart: ascent of |u| on the sphere, then Newton on
+        c o c = c; returns c with |c o c - c|, or None if u(x) ~ 0."""
         n = self.n
         jet = self.form.jet(exact=False)
         x = rng.standard_normal(n)
         x /= np.linalg.norm(x)
+        ux = jet.value(x)
         step = 0.4
         for _ in range(200):
             g = jet.gradient(x)
@@ -174,20 +176,20 @@ class MetrisedAlgebra:
             tnorm = np.linalg.norm(tangent)
             if tnorm < 1e-12:
                 break
-            ux = jet.value(x)
             sgn = 1.0 if ux >= 0 else -1.0
             cur = abs(ux)
             for _ in range(30):
                 xn = x + step * sgn * tangent
                 xn /= np.linalg.norm(xn)
-                if abs(jet.value(xn)) > cur:
-                    x = xn
+                un = jet.value(xn)
+                if abs(un) > cur:
+                    x, ux = xn, un
                     step *= 1.2
                     break
                 step *= 0.5
             else:
                 break
-        lam = 3.0 * jet.value(x)              # grad u(x) = lam x at a critical point
+        lam = 3.0 * ux                        # grad u(x) = lam x at a critical point
         if abs(lam) < 1e-8:
             return None
         c = x / (2.0 * lam)
@@ -222,7 +224,7 @@ class MetrisedAlgebra:
                 t *= 0.5
             if not improved:
                 break
-        return c
+        return c, fn
 
     def peirce(self, c, bin_tol: float = BIN_TOLERANCE,
                residual_tol: float = 1e-8) -> PeirceData:

@@ -2,13 +2,13 @@
 
 Exit codes: 0 all requested checks passed, 1 a mathematical check failed,
 2 usage or input error (counts out of range, a form file with dim < 1 or
-a non-finite coefficient, the zero form where a radial constant is
-asked for), 3 internal error (any other exception, reported as one
-stderr line ``internal error: <Type>: <message>``).  Rationals are
-serialized as "p/q" strings and floats with round-trip precision; runs
-with identical arguments (and seed) produce byte-identical output, on any
-build for the exact commands and within one numpy/BLAS build for output
-computed in floats (see the README).
+a coefficient that is not finite or exceeds 1e50 in magnitude, the zero
+form where a radial constant is asked for), 3 internal error (any other
+exception, reported as one stderr line ``internal error: <Type>:
+<message>``).  Rationals are serialized as "p/q" strings and floats with
+round-trip precision; runs with identical arguments (and seed) produce
+byte-identical output, on any build for the exact commands and within
+one numpy/BLAS build for output computed in floats (see the README).
 """
 
 from __future__ import annotations

@@ -47,12 +47,6 @@ class CliffordSystem:
         return {"q": self.q, "two_l": self.two_l,
                 "mats": [[list(row) for row in m] for m in self.mats]}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CliffordSystem":
-        mats = tuple(tuple(tuple(int(v) for v in row) for row in m)
-                     for m in d["mats"])
-        return cls(int(d["q"]), int(d["two_l"]), mats)
-
 
 def _mat_mul(A, B):
     n = len(A)

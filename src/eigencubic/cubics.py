@@ -29,6 +29,13 @@ from .scalars import SQRT3, QSqrt3, format_rational, is_exact, parse_rational
 
 Key = Tuple[int, int, int]
 
+# The largest coefficient magnitude a form file may carry.  The float
+# checks multiply up to three factors of u's size in float64, and the
+# search and cone sampler convert every coefficient to float64; scaled by
+# 1e50 the catalog forms still pass every float check, by 1e80 the radial
+# check already fails.
+MAX_COEFFICIENT = 1e50
+
 
 def _simplify(c):
     if isinstance(c, QSqrt3) and c.b == 0:
@@ -125,27 +132,13 @@ class CubicForm:
         return total
 
     def to_poly(self) -> Poly:
-        terms: Dict[tuple, object] = {}
-        for (i, j, k), m in self.terms.items():
-            cnt: Dict[int, int] = {}
-            for v in (i, j, k):
-                cnt[v] = cnt.get(v, 0) + 1
-            mono = tuple(sorted(cnt.items()))
-            terms[mono] = terms.get(mono, 0) + m
-        return Poly(self.n, terms)
+        return Poly(self.n, self.terms)
 
     @classmethod
     def from_poly(cls, p: Poly) -> "CubicForm":
-        terms: Dict[Key, object] = {}
-        for mono, c in p.terms.items():
-            deg = sum(e for _, e in mono)
-            if deg != 3:
-                raise ValueError("polynomial is not homogeneous of degree 3")
-            idx: List[int] = []
-            for v, e in mono:
-                idx.extend([v] * e)
-            terms[tuple(sorted(idx))] = c
-        return cls(p.nvars, terms)
+        if any(len(mono) != 3 for mono in p.terms):
+            raise ValueError("polynomial is not homogeneous of degree 3")
+        return cls(p.nvars, p.terms)
 
     def gradient(self) -> List[Poly]:
         p = self.to_poly()
@@ -161,7 +154,7 @@ class CubicForm:
         for a, b, c, w in self.coo():
             if a == b:
                 coeffs[c] = coeffs.get(c, 0) + 6 * w
-        return Poly(self.n, {((v, 1),): c for v, c in coeffs.items() if c})
+        return Poly(self.n, {(v,): c for v, c in coeffs.items()})
 
     def polarize(self, x: Sequence, y: Sequence, z: Sequence):
         """Complete linearization u(x; y; z); u(x;x;x) = 6 u(x).
@@ -205,15 +198,12 @@ class CubicForm:
         for rec in d["terms"]:
             i, j, k = (int(v) - 1 for v in rec["ijk"])
             raw = rec["c"]
-            if isinstance(raw, float):
-                if not math.isfinite(raw):
-                    raise ValueError(f"coefficient {raw} is not finite")
-                c = raw
-            else:
-                c = parse_rational(raw)
-            if "c3" in rec:
-                c = QSqrt3(c, parse_rational(rec["c3"]))
-            terms[(i, j, k)] = c
+            c = raw if isinstance(raw, float) else parse_rational(raw)
+            channels = [c, parse_rational(rec["c3"])] if "c3" in rec else [c]
+            if not all(abs(x) <= MAX_COEFFICIENT for x in channels):
+                raise ValueError(f"coefficient at ijk {rec['ijk']} is not finite "
+                                 f"or exceeds {MAX_COEFFICIENT:g} in magnitude")
+            terms[(i, j, k)] = QSqrt3(*channels) if len(channels) == 2 else c
         return cls(n, terms)
 
     def __repr__(self):

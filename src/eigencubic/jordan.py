@@ -53,11 +53,6 @@ class HermMat3:
         return cls(d, (0, 0, 0), (z, z, z))
 
     @classmethod
-    def unit(cls, d: int) -> "HermMat3":
-        z = CDElement.zero(d)
-        return cls(d, (1, 1, 1), (z, z, z))
-
-    @classmethod
     def diagonal(cls, d: int, a, b, c) -> "HermMat3":
         z = CDElement.zero(d)
         return cls(d, (a, b, c), (z, z, z))

@@ -1,9 +1,11 @@
 """Sparse multivariate polynomials with exact coefficients.
 
-Monomials are tuples of (variable, exponent) pairs sorted by variable
-index; coefficients are exact scalars (int, Fraction, QSqrt3) or floats
-in float mode.  Zero coefficients are never stored, so ``not p.terms``
-is the exact zero test.
+A monomial is the sorted tuple of its variable indices, one entry per
+unit of degree: x0^2 x3 is ``(0, 0, 3)`` and the constant monomial is
+``()``.  A cubic's monomials are thus the index triples that
+``CubicForm.terms`` keys its coefficients by.  Coefficients are exact
+scalars (int, Fraction, QSqrt3) or floats in float mode.  Zero
+coefficients are never stored, so ``not p.terms`` is the exact zero test.
 
 There is no randomized zero test here: the Schwartz-Zippel checks
 (``identities._proportional_random``) evaluate the form's kernel at
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
-Mono = Tuple[Tuple[int, int], ...]
+Mono = Tuple[int, ...]
 
 
 class Poly:
@@ -22,11 +24,7 @@ class Poly:
 
     def __init__(self, nvars: int, terms: Dict[Mono, object] | None = None):
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    self.terms[m] = c
+        self.terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -41,16 +39,14 @@ class Poly:
     def var(cls, nvars: int, i: int) -> "Poly":
         if not 0 <= i < nvars:
             raise IndexError(f"variable {i} out of range for {nvars} variables")
-        return cls(nvars, {((i, 1),): 1})
+        return cls(nvars, {(i,): 1})
 
     # -- queries ----------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
     def degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e for _, e in m) for m in self.terms)
+        return max(map(len, self.terms), default=-1)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -67,11 +63,7 @@ class Poly:
                 raise ValueError("variable count mismatch")
             out = dict(self.terms)
             for m, c in other.terms.items():
-                s = out.get(m, 0) + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                out[m] = out.get(m, 0) + c
             return Poly(self.nvars, out)
         if other == 0:
             return self
@@ -83,8 +75,6 @@ class Poly:
         return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, Poly):
-            return self + (-other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -97,12 +87,8 @@ class Poly:
             out: Dict[Mono, object] = {}
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
-                    m = _mono_mul(m1, m2)
-                    s = out.get(m, 0) + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
+                    m = tuple(sorted(m1 + m2))
+                    out[m] = out.get(m, 0) + c1 * c2
             return Poly(self.nvars, out)
         if not other:
             return Poly(self.nvars)
@@ -123,20 +109,13 @@ class Poly:
         return out
 
     def diff(self, i: int) -> "Poly":
+        # dropping one i is injective on the monomials containing i
         out: Dict[Mono, object] = {}
         for m, c in self.terms.items():
-            for idx, (v, e) in enumerate(m):
-                if v == i:
-                    if e == 1:
-                        nm = m[:idx] + m[idx + 1:]
-                    else:
-                        nm = m[:idx] + ((v, e - 1),) + m[idx + 1:]
-                    s = out.get(nm, 0) + e * c
-                    if s:
-                        out[nm] = s
-                    else:
-                        out.pop(nm, None)
-                    break
+            e = m.count(i)
+            if e:
+                k = m.index(i)
+                out[m[:k] + m[k + 1:]] = e * c
         return Poly(self.nvars, out)
 
     def eval(self, point: Sequence) -> object:
@@ -145,30 +124,14 @@ class Poly:
         total = 0
         for m, c in self.terms.items():
             v = c
-            for idx, e in m:
-                p = point[idx]
-                for _ in range(e):
-                    v = v * p
+            for i in m:
+                v = v * point[i]
             total = total + v
         return total
 
     def __repr__(self):
         if not self.terms:
             return "Poly(0)"
-        bits = []
-        for m in sorted(self.terms):
-            mono = "*".join(f"x{v}^{e}" if e > 1 else f"x{v}" for v, e in m) or "1"
-            bits.append(f"({self.terms[m]})*{mono}")
+        bits = [f"({self.terms[m]})*" + ("*".join(f"x{i}" for i in m) or "1")
+                for m in sorted(self.terms)]
         return "Poly[" + " + ".join(bits) + "]"
-
-
-def _mono_mul(m1: Mono, m2: Mono) -> Mono:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items()))
-

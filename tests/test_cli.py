@@ -174,6 +174,9 @@ _DEGENERATE_FILES = {
     "infinity": '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": Infinity}]}',
     "overflow": '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": 1e400}]}',
     "zero": '{"dim": 3, "terms": []}',
+    "huge-float": '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": 1e120}, '
+                  '{"ijk": [1, 2, 2], "c": 1.0}]}',
+    "huge-rational": '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": "1%s"}]}' % ("0" * 400),
 }
 
 
@@ -195,6 +198,9 @@ _DEGENERATE_RUNS = [
     ("overflow", ["spectrum", "--seed", "1"]),
     ("zero", ["verify"]),
     ("zero", ["classify"]),
+    *((huge, args) for huge in ("huge-float", "huge-rational")
+      for args in (["classify"], ["verify"], ["spectrum", "--seed", "1"],
+                   ["cone-sample", "--seed", "1", "--count", "3"])),
 ]
 
 
@@ -213,6 +219,36 @@ def test_degenerate_input_is_a_usage_error(runner, tmp_path, form, args):
     assert [l for l in res.stderr.splitlines() if l.startswith("Error:")] == \
         [res.stderr.splitlines()[-1]]
     assert "internal error" not in res.stderr and "Traceback" not in res.stderr
+
+
+def test_triples_validate_exit_code(runner, monkeypatch):
+    # the verdict of `triples --validate` is read off the canned reports:
+    # any fail row exits 1 after every row is printed
+    rows = [{"triple": [2, 0, 2], "result": "pass"},
+            {"triple": [9, 0, 16], "result": "untestable"}]
+    monkeypatch.setattr("eigencubic.cli.cross_validate", lambda **kw: rows)
+    res = run(runner, "triples", "--validate")
+    assert res.exit_code == 0
+    assert [json.loads(l) for l in res.output.splitlines()] == rows
+    rows = rows[:1] + [{"triple": [3, 0, 4], "result": "fail"}] + rows[1:]
+    res = run(runner, "triples", "--validate")
+    assert res.exit_code == 1
+    assert [json.loads(l) for l in res.output.splitlines()] == rows
+
+
+def test_spectrum_of_zero_form_warns(runner, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text('{"dim": 2, "terms": []}')
+    res = run(runner, "spectrum", str(path), "--seed", "1", "--restarts", "4")
+    assert res.exit_code == 1
+    assert json.loads(res.output) == {"warning": "no nonzero idempotent found"}
+
+
+def test_cone_sample_max_curvature_exit_code(runner, tmp_path):
+    path = _emit(runner, tmp_path, "cartan-d1")
+    args = ["cone-sample", path, "--seed", "1", "--count", "3"]
+    assert run(runner, *args).exit_code == 0
+    assert run(runner, *args, "--max-curvature", "-1").exit_code == 1
 
 
 def test_internal_error_exit_code(runner, tmp_path, monkeypatch):
@@ -303,9 +339,12 @@ def test_cone_sample(runner, tmp_path):
     assert summary["max_abs_curvature"] < 1e-6
 
 
-def test_cone_sample_never_prints_nan(runner, tmp_path):
+def test_cone_sample_never_prints_nan(runner, tmp_path, monkeypatch):
     # a 1e300 coefficient overflows |Du| in float64: those rays are
-    # rejected, so stdout stays strict JSON with no NaN curvature
+    # rejected, so stdout stays strict JSON with no NaN curvature.  The
+    # loader rejects such a file (exit 2), so its bound is lifted here to
+    # let the sampler meet the overflow.
+    monkeypatch.setattr("eigencubic.cubics.MAX_COEFFICIENT", float("inf"))
     path = tmp_path / "huge.json"
     path.write_text('{"dim": 3, "terms": [{"ijk": [1,1,1], "c": 1e300}, '
                     '{"ijk": [1,2,2], "c": 1.0}]}')

@@ -245,16 +245,37 @@ def test_json_float_form():
                                   '{"dim": -2, "terms": []}',
                                   '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": NaN}]}',
                                   '{"dim": 3, "terms": [{"ijk": [1, 2, 3], "c": -Infinity}]}',
-                                  '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": 1e400}]}'])
+                                  '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": 1e400}]}',
+                                  '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": -1e51}]}',
+                                  '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": "-1e51"}]}',
+                                  '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": "1", '
+                                  '"c3": "1e51"}]}',
+                                  '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": Infinity, '
+                                  '"c3": "1"}]}'])
 def test_from_json_dict_rejects_degenerate_forms(text):
     with pytest.raises(ValueError):
         CubicForm.from_json_dict(json.loads(text))
+
+
+def test_from_json_dict_takes_coefficients_up_to_the_bound():
+    d = {"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": -1e50},
+                             {"ijk": [1, 2, 2], "c": "1e50", "c3": "-1e50"}]}
+    u = CubicForm.from_json_dict(d)
+    assert u.terms == {(0, 0, 0): -1e50,
+                       (0, 1, 1): QSqrt3(Fraction(10) ** 50, -Fraction(10) ** 50)}
 
 
 def test_from_poly_rejects_inhomogeneous():
     p = Poly.var(2, 0) ** 3 + Poly.var(2, 1)
     with pytest.raises(ValueError):
         CubicForm.from_poly(p)
+
+
+def test_poly_shares_the_cubic_monomial_keys():
+    for name in CATALOG:
+        u = catalog_build(name)
+        assert u.to_poly().terms == u.terms
+        assert CubicForm.from_poly(u.to_poly()) == u
 
 
 def test_round_trip_through_poly():

@@ -63,7 +63,7 @@ def test_radial_residual_random_zero():
     half = Fraction(1, 2)
     P = G * u.laplacian() - half * sum(
         (grads[j] * G.diff(j) for j in range(3)), Poly.zero(3))
-    r2 = Poly(3, {((i, 2),): Fraction(1) for i in range(3)})
+    r2 = Poly(3, {(i, i): Fraction(1) for i in range(3)})
     residual = P - (-8) * r2 * u.to_poly()
     assert residual.is_zero()
 

@@ -31,7 +31,7 @@ def test_orthogonal_idempotents_multiply_to_zero():
 def test_unit_element():
     rng = random.Random(0)
     for d in DIMS:
-        I = HermMat3.unit(d)
+        I = HermMat3.diagonal(d, 1, 1, 1)
         for _ in range(5):
             A = random_herm(d, rng)
             assert jordan_mul(I, A) == A
@@ -51,7 +51,7 @@ def test_jordan_identity_octonions():
 
 def test_trace_form_values():
     for d in DIMS:
-        I = HermMat3.unit(d)
+        I = HermMat3.diagonal(d, 1, 1, 1)
         assert trace_form(I, I) == 3
         E11 = HermMat3.diagonal(d, 1, 0, 0)
         assert trace_form(E11, E11) == 1
@@ -193,6 +193,6 @@ def test_cayley_hamilton_crosscheck():
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        jordan_mul(HermMat3.unit(2), HermMat3.unit(4))
+        jordan_mul(HermMat3.diagonal(2, 1, 1, 1), HermMat3.diagonal(4, 1, 1, 1))
     with pytest.raises(ValueError):
-        trace_form(HermMat3.unit(2), HermMat3.unit(8))
+        trace_form(HermMat3.diagonal(2, 1, 1, 1), HermMat3.diagonal(8, 1, 1, 1))

@@ -41,3 +41,12 @@ def test_scalar_ring_ops():
 def test_eval_length_checked():
     with pytest.raises(ValueError):
         x(3, 0).eval([1, 2])
+
+
+def test_monomial_is_its_sorted_variable_indices():
+    # x0^2 x3 is keyed (0, 0, 3), as CubicForm.terms keys a cubic monomial
+    p = Poly.var(4, 0) ** 2 * Poly.var(4, 3)
+    assert p.terms == {(0, 0, 3): 1}
+    assert p.diff(0).terms == {(0, 3): 2}
+    assert p.diff(1).is_zero()
+    assert Poly.const(4, 5).terms == {(): 5}
