@@ -292,11 +292,10 @@ class MetrisedAlgebra:
         """Max |<x o y, z> - <y o z, x>| over random rational triples, exact.
 
         The residual is 0 by construction for every CubicForm: both sides
-        are the complete polarization summed over ``coo()``, which holds
-        every permutation of a monomial at one weight, so the difference
-        cancels term by term.  The check therefore tests the index
-        handling of ``Jet.trilinear`` and ``coo()``, not an axiom the
-        form could fail.
+        are the complete polarization, which sums all six orderings of
+        each monomial at its coefficient, so the difference cancels term
+        by term.  The check therefore tests the index handling of
+        ``Jet.trilinear``, not an axiom the form could fail.
         """
         rng = random.Random(seed)
         jet = self._exact_jet()

@@ -29,7 +29,6 @@ from .identities import (CheckReport, check_eiconal, check_harmonic,
 from .tables import admissible_triples, cross_validate
 
 MATH_FAIL = 1
-USAGE_FAIL = 2
 INTERNAL_FAIL = 3
 
 

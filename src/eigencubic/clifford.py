@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-I2 = ((1, 0), (0, 1))
 P2 = ((1, 0), (0, -1))
 Q2 = ((0, 1), (1, 0))
 R2 = ((0, 1), (-1, 0))

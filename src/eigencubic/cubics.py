@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,22 +46,8 @@ def _simplify(c):
     return c
 
 
-def _perm_count(key: Key) -> int:
-    i, j, k = key
-    if i == j == k:
-        return 1
-    if i == j or j == k or i == k:
-        return 3
-    return 6
-
-
-def _distinct_perms(key: Key) -> List[Key]:
-    i, j, k = key
-    return sorted({(i, j, k), (i, k, j), (j, i, k), (j, k, i), (k, i, j), (k, j, i)})
-
-
 class CubicForm:
-    __slots__ = ("n", "terms", "_coo", "_jets")
+    __slots__ = ("n", "terms", "_jets")
 
     def __init__(self, n: int, terms: Dict[Key, object]):
         self.n = n
@@ -73,7 +60,6 @@ class CubicForm:
             if c:
                 clean[(i, j, k)] = c
         self.terms = clean
-        self._coo = None
         self._jets = {}
 
     # -- basic structure ---------------------------------------------------
@@ -93,15 +79,15 @@ class CubicForm:
         return CubicForm(self.n, {k: t * c for k, c in self.terms.items()})
 
     def coo(self):
-        """All distinct permutations (a, b, c, weight) of the full tensor."""
-        if self._coo is None:
-            out = []
-            for key, m in self.terms.items():
-                w = m / _perm_count(key)
-                for p in _distinct_perms(key):
-                    out.append((p[0], p[1], p[2], w))
-            self._coo = out
-        return self._coo
+        """All distinct permutations (a, b, c, w) of the full tensor, w = m /
+        their count; built per call for ``laplacian``, ``dense_tensor`` and
+        ``polarize``; the kernel ``Jet`` does not read it."""
+        out = []
+        for key, m in self.terms.items():
+            perms = sorted(set(permutations(key)))
+            w = m / len(perms)
+            out.extend((a, b, c, w) for a, b, c in perms)
+        return out
 
     def jet(self, exact: bool) -> "Jet":
         """The arrays of the (u, Du, D^2u) kernel, built once per kind.
@@ -222,78 +208,73 @@ def _channels(c) -> tuple:
 class Jet:
     """Value, gradient, Hessian and polarization of D*u, from sparse arrays.
 
-    ``m`` are the monomial coefficients at ``ijk`` and ``w3`` the weights
-    3w of the full tensor entries at ``abc`` (``CubicForm.coo``).  Exact
-    arrays hold Python ints, with D the least positive integer making
-    every m and 3w integral in both sqrt(3) channels; float arrays have
-    D = 1.  The exact jet of a Q(sqrt3) form splits D*u = r + sqrt(3) s
-    into two integer jets: these arrays hold r and ``sqrt3`` holds s, so
-    every tensor entry is an int product and each output entry becomes
-    one QSqrt3.  Every piece keeps the kind of p: an object array of
-    ``Poly`` variables or of exact scalars, or a float64 array.  In the
-    metrised algebra x o x = 2 Du(x) and L_x = D^2u(x).
+    ``ijk`` holds each monomial m x_i x_j x_k in three blocks of columns,
+    its rotations (i; j, k), (j; k, i) and (k; i, j), and ``m`` holds m
+    at each.  A rotation (a; b, c) adds m x_b x_c to D_a u, m x_c and
+    m x_b to D^2_ab u and D^2_ac u, and m x_a (y_b z_c + y_c z_b) to
+    u(x; y; z).  Exact arrays hold Python ints, with D the least positive
+    integer making every m integral in both sqrt(3) channels; float
+    arrays have D = 1.  The exact jet of a Q(sqrt3) form splits
+    D*u = r + sqrt(3) s into two integer jets: these arrays hold r and
+    ``sqrt3`` holds s, so every tensor entry is an int product and each
+    output entry becomes one QSqrt3.  Every piece keeps the kind of p: an
+    object array of ``Poly`` variables or of exact scalars, or a float64
+    array.  In the metrised algebra x o x = 2 Du(x) and L_x = D^2u(x).
 
-    ``value`` also takes points along leading axes, p of shape (..., n),
-    and gives one value per point.  ``take`` keeps each point's products
-    contiguous, so every value is summed as the single point's is and
-    equals it bit for bit.
+    ``value`` reads the first block only, and also takes points along
+    leading axes, p of shape (..., n), giving one value per point.
+    ``take`` keeps each point's products contiguous, so every value is
+    summed as the single point's is and equals it bit for bit.
     """
     scale: int
     ijk: np.ndarray
     m: np.ndarray
-    abc: np.ndarray
-    w3: np.ndarray
     sqrt3: Optional["Jet"] = None
 
     @classmethod
     def of(cls, u: CubicForm, exact: bool) -> "Jet":
         if not exact:
-            return cls._arrays(u, 1, float)
-        w3 = [3 * w for *_, w in u.coo()]
-        D = math.lcm(*(x.denominator for c in [*u.terms.values(), *w3]
-                       for x in _channels(c)))
-        if not any(isinstance(c, QSqrt3) for c in u.terms.values()):
-            return cls._arrays(u, D, int)
-        r = CubicForm(u.n, {k: _channels(c)[0] for k, c in u.terms.items()})
-        s = CubicForm(u.n, {k: c.b for k, c in u.terms.items()
-                            if isinstance(c, QSqrt3)})
-        return replace(cls._arrays(r, D, int), sqrt3=cls._arrays(s, D, int))
+            return cls._arrays(u.terms.items(), 1, float)
+        chans = {k: _channels(c) for k, c in u.terms.items()}
+        D = math.lcm(*(x.denominator for ch in chans.values() for x in ch))
+        jet = cls._arrays([(k, ch[0]) for k, ch in chans.items()], D, int)
+        s = [(k, ch[1]) for k, ch in chans.items() if len(ch) == 2]
+        return replace(jet, sqrt3=cls._arrays(s, D, int)) if s else jet
 
     @classmethod
-    def _arrays(cls, u: CubicForm, D: int, kind) -> "Jet":
-        """The arrays of D*u for a form with rational (or float) coefficients."""
-        keys = list(u.terms)
-        coo = u.coo()
-        m = [D * u.terms[k] for k in keys]
-        w3 = [3 * D * w for *_, w in coo]
-        dtype = object if kind is int else float
-        return cls(D, np.array(keys, dtype=np.intp).reshape(-1, 3).T,
-                   np.array([kind(x) for x in m], dtype=dtype),
-                   np.array([e[:3] for e in coo], dtype=np.intp).reshape(-1, 3).T,
-                   np.array([kind(x) for x in w3], dtype=dtype))
+    def _arrays(cls, terms, D: int, kind) -> "Jet":
+        """The arrays of D * sum c x_i x_j x_k over the nonzero (key, c)."""
+        terms = [(k, c) for k, c in terms if c]
+        ijk = np.array([k for k, _ in terms], dtype=np.intp).reshape(-1, 3).T
+        m = np.array([kind(D * c) for _, c in terms],
+                     dtype=object if kind is int else float)
+        return cls(D, np.concatenate([ijk, ijk[[1, 2, 0]], ijk[[2, 0, 1]]], axis=1),
+                   np.tile(m, 3))
 
     def value(self, p: np.ndarray):
-        i, j, k = self.ijk
-        v = (self.m * p.take(i, axis=-1) * p.take(j, axis=-1)
+        first = self.m.size // 3
+        i, j, k = self.ijk[:, :first]
+        v = (self.m[:first] * p.take(i, axis=-1) * p.take(j, axis=-1)
              * p.take(k, axis=-1)).sum(axis=-1)
         return v if self.sqrt3 is None else v + self.sqrt3.value(p) * SQRT3
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
-        a, b, c = self.abc
+        a, b, c = self.ijk
         g = np.zeros(len(p), dtype=p.dtype)
-        np.add.at(g, a, self.w3 * p[b] * p[c])
+        np.add.at(g, a, self.m * p[b] * p[c])
         return g if self.sqrt3 is None else g + self.sqrt3.gradient(p) * SQRT3
 
     def hessian(self, p: np.ndarray) -> np.ndarray:
-        a, b, c = self.abc
+        a, b, c = self.ijk
         H = np.zeros((len(p), len(p)), dtype=p.dtype)
-        np.add.at(H, (a, b), 2 * self.w3 * p[c])
+        np.add.at(H, (a, b), self.m * p[c])
+        np.add.at(H, (a, c), self.m * p[b])
         return H if self.sqrt3 is None else H + self.sqrt3.hessian(p) * SQRT3
 
     def trilinear(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
         """D u(x; y; z) = D <x o y, z>, the complete polarization of D*u."""
-        a, b, c = self.abc
-        t = 2 * (self.w3 * x[a] * y[b] * z[c]).sum()
+        a, b, c = self.ijk
+        t = (self.m * x[a] * (y[b] * z[c] + y[c] * z[b])).sum()
         return t if self.sqrt3 is None else t + self.sqrt3.trilinear(x, y, z) * SQRT3
 
 

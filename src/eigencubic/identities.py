@@ -138,13 +138,17 @@ def _float_scale(u: CubicForm) -> float:
 
 
 def _proportional_float(sides, n: int, seed: int, scale: float):
+    """t with lhs = t * rhs at Gaussian points, or None; raises ValueError
+    where float64 overflows, rather than failing the identity."""
     rng = np.random.default_rng(seed)
     pts = [rng.standard_normal(n) for _ in range(FLOAT_TRIALS)]
     ls, rs = np.array([sides(p) for p in pts], dtype=float).T
     denom = float(np.dot(rs, rs))
+    t = float(np.dot(ls, rs)) / denom if denom >= 1e-30 else 0.0
+    if not np.isfinite([*ls, *rs, denom, t]).all():
+        raise ValueError("identity sides are not finite in float64")
     if denom < 1e-30:
         return 0.0 if np.max(np.abs(ls)) < FLOAT_REL_TOL * scale else None
-    t = float(np.dot(ls, rs)) / denom
     resid = np.max(np.abs(ls - t * rs) / (1.0 + np.abs(t * rs)))
     return t if resid < FLOAT_REL_TOL * max(1.0, scale) else None
 
@@ -372,8 +376,8 @@ def _unit(x: np.ndarray) -> np.ndarray:
 
 
 def _values(jet, X: np.ndarray) -> np.ndarray:
-    """u at the rows of X, in blocks that bound the (rows, terms) product."""
-    rows = max(1, VALUE_BLOCK // max(1, jet.m.size))
+    """u at the rows of X, in blocks that bound the (rows, monomials) product."""
+    rows = max(1, VALUE_BLOCK // max(1, jet.m.size // 3))
     return np.concatenate([jet.value(X[s:s + rows])
                            for s in range(0, len(X), rows)])
 

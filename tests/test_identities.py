@@ -186,8 +186,23 @@ def test_radial_scale_covariance():
                     assert r.constant == t * t * base.constant, (name, t)
 
 
-@pytest.mark.parametrize("name", ["clifford-q1", "cartan-d1", "cartan-d4",
-                                  "involution-d2"])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("name, overflowing", [
+    ("clifford-q1", [check_radial]),
+    ("cartan-d4", [check_radial, trace_identity_cubic])])
+def test_float_overflow_raises(name, overflowing):
+    # scaled by 1e80 these sides (three factors of u) overflow float64:
+    # the check raises instead of reporting "not an eigencubic"; by 1e50,
+    # the bound form files are held to, every check still passes
+    uf = catalog_build(name).to_float()
+    for check in overflowing:
+        with pytest.raises(ValueError, match="not finite"):
+            check(uf.scaled(1e80))
+    for check in IDENTITY_CHECKS:
+        assert check(uf.scaled(1e50)).passed, check.__name__
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
 def test_jet_matches_poly_derivatives(name):
     # the shared kernel against Poly.eval of the expanded derivatives:
     # exactly (of D u) at integer points and to float rounding at floats
@@ -205,7 +220,7 @@ def test_jet_matches_poly_derivatives(name):
         assert H.tolist() == [[D * h.eval(p) for h in row] for row in hess]
     uf = u.to_float()
     fjet = uf.jet(exact=True)
-    assert fjet.scale == 1 and fjet.w3.dtype == float
+    assert fjet.scale == 1 and fjet.m.dtype == float
     x = np.random.default_rng(6).standard_normal(u.n)
     v, g, H = fjet.value(x), fjet.gradient(x), fjet.hessian(x)
     x = list(x)
@@ -214,6 +229,16 @@ def test_jet_matches_poly_derivatives(name):
     assert g == pytest.approx([gi.eval(x) for gi in uf.gradient()], **close)
     assert H.ravel() == pytest.approx([h.eval(x) for row in uf.hessian()
                                        for h in row], **close)
+
+
+def test_jet_scale_is_the_coefficients_common_denominator():
+    # D clears the monomial coefficients, in both sqrt(3) channels, and
+    # nothing more: the kernel keeps no weight of its own
+    for u, D in [(CubicForm(3, {(0, 1, 2): 1}), 1), (catalog_build("octonion21"), 1),
+                 (catalog_build("involution-d2"), 2), (catalog_build("cartan-d4"), 18)]:
+        jet = u.jet(exact=True)
+        assert jet.scale == D, u
+        assert jet.sqrt3 is None or jet.sqrt3.scale == D
 
 
 @pytest.mark.parametrize("name", list(CATALOG))
