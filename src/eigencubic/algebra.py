@@ -14,7 +14,9 @@ x^3 = 2 D^2u Du and <x^2, x> = 6u.
 
 Idempotents are located by projected gradient ascent of |u| on the unit
 sphere (stationary points have grad u = lambda x), rescaled by 1/(2 lambda),
-then polished by Newton steps on c o c - c = 0.  The Newton system
+then polished by Newton steps on c o c - c = 0.  The search runs on the
+float jet of s*u (s = ``Jet.scale``), so its cutoffs do not depend on u's
+scale, and an idempotent c' of s*u is c = s c'.  The Newton system
 2 L_c - I is singular exactly when 1/2 sits in the Peirce spectrum, the
 generic case here, so steps go through the symmetric pseudo-inverse with
 a gradient fallback when they stall.
@@ -157,7 +159,8 @@ class MetrisedAlgebra:
             if any(np.linalg.norm(c - d) < DEDUP_DISTANCE for d in found):
                 continue
             found.append(c)
-        found.sort(key=lambda c: tuple(np.round(c, 8)))
+        scale = self.form.jet(exact=False).scale
+        found = sorted((c * scale for c in found), key=lambda c: tuple(np.round(c, 8)))
         return [self.peirce(c, bin_tol=bin_tol) for c in found]
 
     def _search_one(self, rng) -> Optional[Tuple[np.ndarray, float]]:
@@ -232,15 +235,17 @@ class MetrisedAlgebra:
 
         Leftover eigenvalues are reported in ``unbinned`` rather than
         forced into a bin, so a non-conforming algebra stays visible.
+        ``residual_tol`` is in the float jet's units, as the search's are.
         """
         c = np.asarray(c, dtype=float)
         if c.shape != (self.n,):
             raise ValueError("idempotent has wrong length")
         jet = self.form.jet(exact=False)
-        residual = float(np.linalg.norm(2.0 * jet.gradient(c) - c))
-        if residual > residual_tol:
+        cn = c / jet.scale
+        residual = jet.scale * float(np.linalg.norm(2.0 * jet.gradient(cn) - cn))
+        if residual > residual_tol * jet.scale:
             raise ValueError(f"not an idempotent: |c o c - c| = {residual:.3g}")
-        L = jet.hessian(c)
+        L = jet.hessian(cn)
         eigenvalues = np.linalg.eigvalsh(0.5 * (L + L.T))
         counts = []
         used = np.zeros(len(eigenvalues), dtype=bool)

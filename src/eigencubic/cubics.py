@@ -30,11 +30,11 @@ from .scalars import SQRT3, QSqrt3, format_rational, is_exact, parse_rational
 
 Key = Tuple[int, int, int]
 
-# The largest coefficient magnitude a form file may carry.  The float
-# checks multiply up to three factors of u's size in float64, and the
-# search and cone sampler convert every coefficient to float64; scaled by
-# 1e50 the catalog forms still pass every float check, by 1e80 the radial
-# check already fails.
+# The largest coefficient magnitude a form file may carry, and the inverse
+# of the least its largest coefficient may have.  The float kernel
+# normalises u by a power of two, so no float check overflows however
+# large or small u is; the bounds keep the coefficients, the constants
+# (s^2) and the idempotents (1/s) of a form finite in float64.
 MAX_COEFFICIENT = 1e50
 
 
@@ -93,7 +93,7 @@ class CubicForm:
         """The arrays of the (u, Du, D^2u) kernel, built once per kind.
 
         ``exact`` asks for D*u cleared to Python ints; a form with float
-        coefficients always gets float64 arrays (D = 1).
+        coefficients always gets float64 arrays (D a power of two).
         """
         exact = exact and self.is_exact_form
         if exact not in self._jets:
@@ -183,6 +183,8 @@ class CubicForm:
         terms: Dict[Key, object] = {}
         for rec in d["terms"]:
             i, j, k = (int(v) - 1 for v in rec["ijk"])
+            if (i, j, k) in terms:
+                raise ValueError(f"monomial ijk {rec['ijk']} is listed twice")
             raw = rec["c"]
             c = raw if isinstance(raw, float) else parse_rational(raw)
             channels = [c, parse_rational(rec["c3"])] if "c3" in rec else [c]
@@ -190,6 +192,10 @@ class CubicForm:
                 raise ValueError(f"coefficient at ijk {rec['ijk']} is not finite "
                                  f"or exceeds {MAX_COEFFICIENT:g} in magnitude")
             terms[(i, j, k)] = QSqrt3(*channels) if len(channels) == 2 else c
+        top = max((abs(float(c)) for c in terms.values()), default=0.0)
+        if any(terms.values()) and top < 1 / MAX_COEFFICIENT:
+            raise ValueError(f"the largest coefficient is below "
+                             f"{1 / MAX_COEFFICIENT:g} in magnitude")
         return cls(n, terms)
 
     def __repr__(self):
@@ -212,21 +218,23 @@ class Jet:
     its rotations (i; j, k), (j; k, i) and (k; i, j), and ``m`` holds m
     at each.  A rotation (a; b, c) adds m x_b x_c to D_a u, m x_c and
     m x_b to D^2_ab u and D^2_ac u, and m x_a (y_b z_c + y_c z_b) to
-    u(x; y; z).  Exact arrays hold Python ints, with D the least positive
-    integer making every m integral in both sqrt(3) channels; float
-    arrays have D = 1.  The exact jet of a Q(sqrt3) form splits
-    D*u = r + sqrt(3) s into two integer jets: these arrays hold r and
-    ``sqrt3`` holds s, so every tensor entry is an int product and each
-    output entry becomes one QSqrt3.  Every piece keeps the kind of p: an
-    object array of ``Poly`` variables or of exact scalars, or a float64
-    array.  In the metrised algebra x o x = 2 Du(x) and L_x = D^2u(x).
+    u(x; y; z).  Both kinds hold D*u, D = ``scale``.  Exact arrays hold
+    Python ints, D the least positive integer making every m integral in
+    both sqrt(3) channels; float arrays have D = 2**-floor(log2 max|m|),
+    which rescales every float result exactly.  The exact jet of a
+    Q(sqrt3) form splits D*u = r + sqrt(3) s into two integer jets: these
+    arrays hold r and ``sqrt3`` holds s, so every tensor entry is an int
+    product and each output entry becomes one QSqrt3.  Every piece keeps
+    the kind of p: an object array of ``Poly`` variables or of exact
+    scalars, or a float64 array.  In the metrised algebra x o x = 2 Du(x)
+    and L_x = D^2u(x).
 
     ``value`` reads the first block only, and also takes points along
     leading axes, p of shape (..., n), giving one value per point.
     ``take`` keeps each point's products contiguous, so every value is
     summed as the single point's is and equals it bit for bit.
     """
-    scale: int
+    scale: float
     ijk: np.ndarray
     m: np.ndarray
     sqrt3: Optional["Jet"] = None
@@ -234,7 +242,10 @@ class Jet:
     @classmethod
     def of(cls, u: CubicForm, exact: bool) -> "Jet":
         if not exact:
-            return cls._arrays(u.terms.items(), 1, float)
+            terms = [(k, float(c)) for k, c in u.terms.items()]
+            top = max((abs(c) for _, c in terms), default=1.0)
+            # a subnormal top gets 2**1023, the largest finite power of two
+            return cls._arrays(terms, 2.0 ** min(1 - math.frexp(top)[1], 1023), float)
         chans = {k: _channels(c) for k, c in u.terms.items()}
         D = math.lcm(*(x.denominator for ch in chans.values() for x in ch))
         jet = cls._arrays([(k, ch[0]) for k, ch in chans.items()], D, int)
@@ -242,7 +253,7 @@ class Jet:
         return replace(jet, sqrt3=cls._arrays(s, D, int)) if s else jet
 
     @classmethod
-    def _arrays(cls, terms, D: int, kind) -> "Jet":
+    def _arrays(cls, terms, D: float, kind) -> "Jet":
         """The arrays of D * sum c x_i x_j x_k over the nonzero (key, c)."""
         terms = [(k, c) for k, c in terms if c]
         ijk = np.array([k for k, _ in terms], dtype=np.intp).reshape(-1, 3).T

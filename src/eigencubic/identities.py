@@ -14,13 +14,14 @@ decider:
   with the Schwartz-Zippel bound (deg/bound)**trials;
 * float: p is a Gaussian float64 point (forms with float coefficients).
 
-Both exact modes evaluate the multiple D*u, with D the least positive
-integer making every coefficient integral (both channels of a sqrt(3)
-coefficient), so the kernel works on Python ints and integer-coefficient
-polynomials.  Each lhs has degree
-two more in u than its rhs, so t(u) = t(D*u) / D**2 exactly.  The
-constant is exact in both exact modes; only the identity's global
-validity is randomized in the random mode.
+Every mode evaluates the multiple D*u the jet holds: in both exact modes
+D is the least positive integer making every coefficient integral (both
+channels of a sqrt(3) coefficient), so the kernel works on Python ints and
+integer-coefficient polynomials; in float mode D is the power of two that
+brings the largest coefficient into [1, 2), so the float tolerances do not
+depend on u's scale.  Each lhs has degree two more in u than its rhs, so
+t(u) = t(D*u) / D**2 exactly.  The constant is exact in both exact
+modes; only the identity's global validity is randomized in the random mode.
 
 Policy: exact expansion for n <= 15, randomized above, both overridable.
 """
@@ -133,11 +134,7 @@ def _proportional_random(sides, n: int, deg: int, trials: int, seed: int):
     return t, (deg / DEFAULT_BOUND) ** trials
 
 
-def _float_scale(u: CubicForm) -> float:
-    return max((abs(float(c)) for c in u.terms.values()), default=1.0)
-
-
-def _proportional_float(sides, n: int, seed: int, scale: float):
+def _proportional_float(sides, n: int, seed: int):
     """t with lhs = t * rhs at Gaussian points, or None; raises ValueError
     where float64 overflows, rather than failing the identity."""
     rng = np.random.default_rng(seed)
@@ -147,10 +144,8 @@ def _proportional_float(sides, n: int, seed: int, scale: float):
     t = float(np.dot(ls, rs)) / denom if denom >= 1e-30 else 0.0
     if not np.isfinite([*ls, *rs, denom, t]).all():
         raise ValueError("identity sides are not finite in float64")
-    if denom < 1e-30:
-        return 0.0 if np.max(np.abs(ls)) < FLOAT_REL_TOL * scale else None
     resid = np.max(np.abs(ls - t * rs) / (1.0 + np.abs(t * rs)))
-    return t if resid < FLOAT_REL_TOL * max(1.0, scale) else None
+    return t if resid < FLOAT_REL_TOL else None
 
 
 # ---------------------------------------------------------------------------
@@ -162,20 +157,18 @@ class _Identity:
     """lhs = t * rhs with (lhs, rhs) = sides(u(p), Du(p), D^2u(p), |p|^2).
 
     ``degree`` is the degree of lhs - t rhs in p (the Schwartz-Zippel
-    degree); ``power`` is the degree of lhs in u, which sets the float
-    tolerance's scale.
+    degree).
     """
     name: str
     degree: int
-    power: int
     sides: Callable
 
 
-RADIAL = _Identity("radial", 5, 3, lambda v, g, H, r2: (
+RADIAL = _Identity("radial", 5, lambda v, g, H, r2: (
     (g @ g) * np.trace(H) - g @ (H @ g), r2 * v))
-EICONAL = _Identity("eiconal", 4, 2, lambda v, g, H, r2: (g @ g, r2 * r2))
-TRACE2 = _Identity("trace2", 2, 2, lambda v, g, H, r2: ((H * H).sum(), r2))
-TRACE3 = _Identity("trace3", 3, 3, lambda v, g, H, r2: (((H @ H) * H).sum(), v))
+EICONAL = _Identity("eiconal", 4, lambda v, g, H, r2: (g @ g, r2 * r2))
+TRACE2 = _Identity("trace2", 2, lambda v, g, H, r2: ((H * H).sum(), r2))
+TRACE3 = _Identity("trace3", 3, lambda v, g, H, r2: (((H @ H) * H).sum(), v))
 
 
 def _poly_vars(n: int) -> np.ndarray:
@@ -195,9 +188,8 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
         return ident.sides(jet.value(p), jet.gradient(p), jet.hessian(p), p @ p)
 
     if m == "float":
-        t = _proportional_float(sides, u.n, seed, _float_scale(u) ** ident.power)
-        return CheckReport(ident.name, t is not None, t, m, 0.0)
-    if m == "exact":
+        t, err = _proportional_float(sides, u.n, seed), 0.0
+    elif m == "exact":
         lhs, rhs = sides(_poly_vars(u.n))
         t, err = _proportional_exact(_as_poly(lhs, u.n), _as_poly(rhs, u.n)), 0.0
     else:
@@ -217,8 +209,8 @@ def check_harmonic(u: CubicForm) -> bool:
     lap = u.laplacian()
     if u.is_exact_form:
         return lap.is_zero()
-    scale = _float_scale(u)
-    return all(abs(float(c)) <= FLOAT_REL_TOL * scale for c in lap.terms.values())
+    tol = FLOAT_REL_TOL / u.jet(exact=False).scale
+    return all(abs(float(c)) <= tol for c in lap.terms.values())
 
 
 def check_radial(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS,
@@ -328,8 +320,8 @@ def mean_curvature(u: CubicForm, x, grad_threshold: float = GRAD_THRESHOLD) -> f
     The numerator is the left side of the radial identity.  The
     regularization threshold applies to the gradient at x/|x|, so a
     point near the singular set is rejected (ValueError) regardless of
-    its distance from the origin; H is homogeneous of degree -1.  A
-    gradient or curvature that overflows float64 is rejected too.
+    its distance from the origin.  H has degree -1 in x and 0 in u, so
+    the float jet's D*u gives it; a non-finite value is rejected too.
     """
     jet = u.jet(exact=False)
     x = np.asarray(x, dtype=float)
@@ -339,10 +331,8 @@ def mean_curvature(u: CubicForm, x, grad_threshold: float = GRAD_THRESHOLD) -> f
     p = x / nx
     g = jet.gradient(p)
     gn = np.linalg.norm(g)
-    if not np.isfinite(gn):
-        raise ValueError("gradient norm is not finite in float64")
-    if gn < grad_threshold:
-        raise ValueError(f"gradient norm {gn:.3g} below "
+    if gn < grad_threshold * jet.scale:
+        raise ValueError(f"gradient norm {gn / jet.scale:.3g} below "
                          f"threshold {grad_threshold} on the unit sphere")
     lhs, _ = RADIAL.sides(jet.value(p), g, jet.hessian(p), 1.0)
     h = float(lhs / gn ** 3 / nx)

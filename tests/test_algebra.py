@@ -167,10 +167,14 @@ def test_find_idempotents_skips_a_failed_restart(monkeypatch):
 
 def test_newton_step_is_pseudo_inverse():
     # at a cartan-d1 idempotent 1/2 is a Peirce eigenvalue, so J = 2 L_c - I
-    # is singular; the step is the least-norm solution pinv(J) (-F)
+    # is singular; the step is the least-norm solution pinv(J) (-F).  The
+    # best-converged idempotent is taken, so J's null eigenvalues sit
+    # below both pseudo-inverse cutoffs
     u = cartan_cubic(1)
-    c = MetrisedAlgebra(u).find_idempotents(restarts=4, seed=1)[0].c
-    J = 2.0 * u.jet(exact=False).hessian(c) - np.eye(u.n)
+    c = min(MetrisedAlgebra(u).find_idempotents(restarts=4, seed=1),
+            key=lambda p: p.residual).c
+    jet = u.jet(exact=False)
+    J = 2.0 * jet.hessian(c / jet.scale) - np.eye(u.n)
     assert np.linalg.matrix_rank(J) < u.n
     F = np.random.default_rng(2).standard_normal(u.n)
     want = np.linalg.pinv(J) @ -F
@@ -301,6 +305,16 @@ def test_peirce_scale_invariance():
     for p in idems:
         assert min(np.linalg.norm(p.c * float(t) - b) for b in base_set) < 1e-10
         assert np.allclose(np.sort(p.eigenvalues), [-0.5, -0.5, 1.0], atol=1e-10)
+
+
+@pytest.mark.parametrize("s", [1e-9, 1e6, 1e8])
+def test_find_idempotents_scale_invariance(s):
+    # the search cutoffs are in the float jet's normalised units, so a
+    # scaled float form gives every idempotent the unscaled one does
+    idems = MetrisedAlgebra(cartan_cubic(1).to_float().scaled(s)) \
+        .find_idempotents(restarts=64, seed=1)
+    assert len(idems) == 64
+    assert {p.triple for p in idems} == {(2, 0, 2)}
 
 
 def test_dim3_triple_satisfies_table_relations():

@@ -177,6 +177,12 @@ _DEGENERATE_FILES = {
     "huge-float": '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": 1e120}, '
                   '{"ijk": [1, 2, 2], "c": 1.0}]}',
     "huge-rational": '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": "1%s"}]}' % ("0" * 400),
+    # its idempotents, of size 1e300, would overflow |c|^2
+    "tiny": '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": 1e-300}, '
+            '{"ijk": [1, 2, 2], "c": "-3/10%s"}]}' % ("0" * 299),
+    # 2 x1 x2 x3, harmonic, if the repeated x1^3 entries were summed
+    "repeated-monomial": '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": "1"}, '
+                         '{"ijk": [1, 1, 1], "c": "-1"}, {"ijk": [1, 2, 3], "c": "2"}]}',
 }
 
 
@@ -198,6 +204,10 @@ _DEGENERATE_RUNS = [
     ("overflow", ["spectrum", "--seed", "1"]),
     ("zero", ["verify"]),
     ("zero", ["classify"]),
+    ("repeated-monomial", ["verify", "--check", "harmonic"]),
+    ("tiny", ["spectrum", "--seed", "1"]),
+    (None, ["clifford", "--q", "11"]),
+    (None, ["clifford", "--q", "-1"]),
     *((huge, args) for huge in ("huge-float", "huge-rational")
       for args in (["classify"], ["verify"], ["spectrum", "--seed", "1"],
                    ["cone-sample", "--seed", "1", "--count", "3"])),
@@ -340,10 +350,10 @@ def test_cone_sample(runner, tmp_path):
 
 
 def test_cone_sample_never_prints_nan(runner, tmp_path, monkeypatch):
-    # a 1e300 coefficient overflows |Du| in float64: those rays are
-    # rejected, so stdout stays strict JSON with no NaN curvature.  The
-    # loader rejects such a file (exit 2), so its bound is lifted here to
-    # let the sampler meet the overflow.
+    # a 1e300 coefficient would overflow |Du| in float64 on u itself; the
+    # normalised float jet finds every point, and stdout stays strict
+    # JSON with no NaN curvature.  The loader rejects such a file (exit
+    # 2), so its bound is lifted here to let the sampler meet the form.
     monkeypatch.setattr("eigencubic.cubics.MAX_COEFFICIENT", float("inf"))
     path = tmp_path / "huge.json"
     path.write_text('{"dim": 3, "terms": [{"ijk": [1,1,1], "c": 1e300}, '
@@ -355,7 +365,7 @@ def test_cone_sample_never_prints_nan(runner, tmp_path, monkeypatch):
         raise ValueError(f"{name} in cone-sample output")
 
     recs = [json.loads(l, parse_constant=no_constant) for l in res.stdout.splitlines()]
-    assert recs[-1]["requested"] == 3 and recs[-1]["rejected"] > 0
+    assert recs[-1]["requested"] == 3 and recs[-1]["found"] == 3
     assert all(r["curvature"] == r["curvature"] for r in recs[:-1])
 
 

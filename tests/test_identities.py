@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from eigencubic.algebra import MetrisedAlgebra
 from eigencubic.cubics import (CATALOG, CubicForm, cartan_cubic, catalog_build,
                                trivial_cubic)
-from eigencubic.identities import (MAX_TRIES, ConeSampleReport, check_eiconal,
+from eigencubic.identities import (MAX_TRIES, ConeSampleReport,
+                                   _proportional_float, check_eiconal,
                                    check_harmonic, check_radial, classify,
                                    mean_curvature, sample_cone,
                                    trace_identity_cubic,
@@ -186,26 +187,54 @@ def test_radial_scale_covariance():
                     assert r.constant == t * t * base.constant, (name, t)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("name, overflowing", [
-    ("clifford-q1", [check_radial]),
-    ("cartan-d4", [check_radial, trace_identity_cubic])])
-def test_float_overflow_raises(name, overflowing):
-    # scaled by 1e80 these sides (three factors of u) overflow float64:
-    # the check raises instead of reporting "not an eigencubic"; by 1e50,
-    # the bound form files are held to, every check still passes
+@pytest.mark.parametrize("name", ["clifford-q1", "cartan-d4"])
+def test_float_overflow_raises(name):
+    # the float jet is normalised, so scaled by 1e80, where the sides of
+    # u itself (three factors of u) would overflow float64, every check
+    # gives its verdict at scale 1; sides that do overflow raise instead
+    # of reporting "not an eigencubic"
     uf = catalog_build(name).to_float()
-    for check in overflowing:
-        with pytest.raises(ValueError, match="not finite"):
-            check(uf.scaled(1e80))
     for check in IDENTITY_CHECKS:
-        assert check(uf.scaled(1e50)).passed, check.__name__
+        assert check(uf.scaled(1e80)).passed == check(uf).passed, check.__name__
+    with pytest.raises(ValueError, match="not finite"):
+        _proportional_float(lambda p: (np.inf, p @ p), uf.n, seed=0)
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_float_checks_are_scale_invariant(name):
+    # u -> s u leaves every verdict and multiplies every constant by s^2:
+    # bit for bit at a power of two, which the normalised float jet
+    # absorbs exactly, and to rounding otherwise.  A constant that is 0
+    # to rounding (trace3 of clifford-q1) is compared at 1e-12 s^2.
+    uf = catalog_build(name).to_float()
+    for check in IDENTITY_CHECKS:
+        base = check(uf)
+        for s in (2.0 ** -100, 1e-20, 1e8, 1e80):
+            r = check(uf.scaled(s))
+            assert r.passed == base.passed, (check.__name__, s)
+            if not base.passed:
+                continue
+            want = s * s * base.constant
+            if s == 2.0 ** -100:
+                assert r.constant == want, check.__name__
+            else:
+                assert r.constant == pytest.approx(want, rel=1e-12, abs=1e-12 * s * s)
+
+
+def test_scaled_float_forms_keep_their_labels():
+    # with tolerances in the normalised units, a large coefficient no
+    # longer widens them (x^3 at 1e5 is not eiconal), and a small one no
+    # longer falls under the float rank cutoff
+    assert not check_eiconal(CubicForm(3, {(0, 0, 0): 1e5})).passed
+    d4 = classify(catalog_build("cartan-d4").to_float().scaled(1e-20))
+    assert d4.label == "exceptional-or-mutant" and not d4.is_trivial
 
 
 @pytest.mark.parametrize("name", list(CATALOG))
 def test_jet_matches_poly_derivatives(name):
     # the shared kernel against Poly.eval of the expanded derivatives:
-    # exactly (of D u) at integer points and to float rounding at floats
+    # exactly (of D u) at integer points and to float rounding at floats,
+    # where D is the power of two bringing max|m| into [1, 2)
     u = catalog_build(name)
     grads, hess, poly = u.gradient(), u.hessian(), u.to_poly()
     jet = u.jet(exact=True)
@@ -220,9 +249,10 @@ def test_jet_matches_poly_derivatives(name):
         assert H.tolist() == [[D * h.eval(p) for h in row] for row in hess]
     uf = u.to_float()
     fjet = uf.jet(exact=True)
-    assert fjet.scale == 1 and fjet.m.dtype == float
+    assert fjet.m.dtype == float and math.frexp(fjet.scale)[0] == 0.5
+    assert 1 <= np.max(np.abs(fjet.m)) < 2
     x = np.random.default_rng(6).standard_normal(u.n)
-    v, g, H = fjet.value(x), fjet.gradient(x), fjet.hessian(x)
+    v, g, H = (f(x) / fjet.scale for f in (fjet.value, fjet.gradient, fjet.hessian))
     x = list(x)
     close = dict(rel=1e-12, abs=1e-12)
     assert v == pytest.approx(uf.to_poly().eval(x), **close)
@@ -270,9 +300,9 @@ def test_kernel_matches_dense_tensor(name):
         L = 6 * np.einsum("abc,a->bc", T, x)
         sq_size = 6 * np.einsum("abc,a,b->c", aT, ax, ax)
         L_size = 6 * np.einsum("abc,a->bc", aT, ax)
-        assert abs(jet.value(x) - u) <= 1e-12 * (ax @ sq_size)
-        assert np.all(np.abs(2 * jet.gradient(x) - sq) <= 1e-12 * sq_size)
-        assert np.all(np.abs(jet.hessian(x) - L) <= 1e-12 * L_size)
+        assert abs(jet.value(x) / jet.scale - u) <= 1e-12 * (ax @ sq_size)
+        assert np.all(np.abs(2 * jet.gradient(x) / jet.scale - sq) <= 1e-12 * sq_size)
+        assert np.all(np.abs(jet.hessian(x) / jet.scale - L) <= 1e-12 * L_size)
         p = alg.peirce(x, residual_tol=np.inf)
         assert abs(p.residual - np.linalg.norm(sq - x)) \
             <= 1e-12 * (np.linalg.norm(sq_size) + np.linalg.norm(x))
