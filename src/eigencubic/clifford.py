@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from .composition import CDElement, cd_mul
+
 P2 = ((1, 0), (0, -1))
 Q2 = ((0, 1), (1, 0))
 R2 = ((0, 1), (-1, 0))
@@ -98,23 +100,15 @@ def _complex_structures(count: int) -> List[tuple]:
         return []
     if count == 1:
         return [R2]
-    if count <= 3:
-        # quaternion left multiplications L_i, L_j, L_k on R^4
-        li = ((0, -1, 0, 0), (1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0))
-        lj = ((0, 0, -1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, -1, 0, 0))
-        lk = ((0, 0, 0, -1), (0, 0, -1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
-        return [li, lj, lk][:count]
     if count <= 7:
-        from .composition import CDElement, cd_mul
+        # left multiplications by e_1..e_count on H = K_4 or O = K_8
+        dim = 4 if count <= 3 else 8
         out = []
         for m in range(1, count + 1):
-            em = CDElement.basis(8, m)
-            cols = []
-            for j in range(8):
-                ej = CDElement.basis(8, j)
-                cols.append(cd_mul(em, ej).coeffs)
-            out.append(tuple(tuple(cols[j][i] for j in range(8))
-                             for i in range(8)))
+            em = CDElement.basis(dim, m)
+            cols = [cd_mul(em, CDElement.basis(dim, j)).coeffs for j in range(dim)]
+            out.append(tuple(tuple(cols[j][i] for j in range(dim))
+                             for i in range(dim)))
         return out
     inner = _complex_structures(count - 1)
     n = len(inner[0])

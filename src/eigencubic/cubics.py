@@ -36,6 +36,16 @@ Key = Tuple[int, int, int]
 # large or small u is; the bounds keep the coefficients, the constants
 # (s^2) and the idempotents (1/s) of a form finite in float64.
 MAX_COEFFICIENT = 1e50
+# The largest dimension a form file may have: above the catalog's 54 and
+# the 75 of clifford_cubic at the CLI's largest q, small enough that the
+# n x n Hessians of every command fit in memory and time.
+MAX_DIM = 128
+
+
+def _json_int(v, what: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{what} must be a JSON integer, got {v!r}")
+    return v
 
 
 def _simplify(c):
@@ -177,15 +187,17 @@ class CubicForm:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CubicForm":
-        n = int(d["dim"])
-        if n < 1:
-            raise ValueError(f"dimension must be at least 1, got {n}")
+        n = _json_int(d["dim"], "dim")
+        if not 1 <= n <= MAX_DIM:
+            raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {n}")
         terms: Dict[Key, object] = {}
         for rec in d["terms"]:
-            i, j, k = (int(v) - 1 for v in rec["ijk"])
+            i, j, k = (_json_int(v, "an ijk entry") - 1 for v in rec["ijk"])
             if (i, j, k) in terms:
                 raise ValueError(f"monomial ijk {rec['ijk']} is listed twice")
             raw = rec["c"]
+            if isinstance(raw, bool) or isinstance(rec.get("c3"), bool):
+                raise ValueError(f"coefficient at ijk {rec['ijk']} is a boolean")
             c = raw if isinstance(raw, float) else parse_rational(raw)
             channels = [c, parse_rational(rec["c3"])] if "c3" in rec else [c]
             if not all(abs(x) <= MAX_COEFFICIENT for x in channels):

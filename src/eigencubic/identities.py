@@ -7,12 +7,16 @@ and every mode runs that same function through the form's one kernel,
 ``CubicForm.jet``; the mode only chooses the kind of point and the
 decider:
 
-* exact: p is the vector of ``Poly`` variables, so both sides come out
-  as polynomials and t is decided by full expansion;
-* random: p is a random integer point and both sides are exact
-  integers; t is solved at one point and confirmed at ``trials`` more,
-  with the Schwartz-Zippel bound (deg/bound)**trials;
-* float: p is a Gaussian float64 point (forms with float coefficients).
+* exact: p is the vector of ``Poly`` variables; t is decided on the
+  coefficients of the expanded sides;
+* random: p is a random integer point; t is decided on the exact sides
+  at ``trials + 1`` points, with the Schwartz-Zippel bound (deg/bound)**trials;
+* float: p is a Gaussian float64 point (forms with float coefficients)
+  and t is a least-squares fit, accepted to a tolerance.
+
+Both exact modes decide by one ratio test: t is solved at the first
+coefficient or point with rhs != 0, and every other must agree.  The
+eiconal identity also demands t > 0.
 
 Every mode evaluates the multiple D*u the jet holds: in both exact modes
 D is the least positive integer making every coefficient integral (both
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional
 
@@ -79,59 +83,21 @@ def _pick_mode(u: CubicForm, mode: str) -> str:
     return mode
 
 
-def _proportional_exact(P: Poly, Q: Poly):
-    """Constant t with P = t Q identically, else None; Q == 0 handled.
-
-    Solving on a single monomial of Q and verifying globally cannot miss
-    or mis-pick t: the constant enters linearly, so P = t Q has at most
-    one solution once Q != 0, and any candidate is confirmed or refuted
-    by the exact subtraction.
-    """
-    if Q.is_zero():
-        return (Fraction(0) if P.is_zero() else None)
-    if P.is_zero():
-        return Fraction(0)
-    mono = next(iter(Q.terms))
-    t = exact_div(P.terms.get(mono, 0), Q.terms[mono])
-    return t if (P - Q * t).is_zero() else None
-
-
-def _rand_point(n: int, rng) -> list:
-    return [rng.randrange(DEFAULT_BOUND) for _ in range(n)]
-
-
-def _proportional_random(sides, n: int, deg: int, trials: int, seed: int):
-    """Solve t from one exact point evaluation, verify at `trials` more.
-
-    ``sides`` maps an integer point to the exact pair (lhs, rhs) of the
-    identity lhs = t * rhs; points are drawn below DEFAULT_BOUND.
-    Returns (t, error_bound) or (None, 0.0); the reported bound is
-    (deg/DEFAULT_BOUND)**trials, so at least one trial is required.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    rng = random.Random(seed)
+def _ratio(pairs):
+    """The t with l = t * r for every exact pair (l, r), else None.  t is
+    solved at the first pair with r != 0, which no other t fits, or is 0 if
+    there is none; the pairs are read up to the first that refutes it."""
     t = None
-    for _ in range(200):
-        p = _rand_point(n, rng)
-        lv, rv = sides(p)
-        if rv:
+    for lv, rv in pairs:
+        if t is None and rv:
             t = exact_div(lv, rv)
-            break
-    if t is None:
-        # rhs vanished everywhere sampled; demand lhs does too
-        rng2 = random.Random(seed + 1)
-        for _ in range(trials):
-            lv, _ = sides(_rand_point(n, rng2))
-            if lv:
-                return None, 0.0
-        return Fraction(0), (deg / DEFAULT_BOUND) ** trials
-    for _ in range(trials):
-        p = _rand_point(n, rng)
-        lv, rv = sides(p)
-        if lv != t * rv:
-            return None, 0.0
-    return t, (deg / DEFAULT_BOUND) ** trials
+        elif lv != (t * rv if rv else 0):
+            return None
+    return Fraction(0) if t is None else t
+
+
+def _rand_point(n: int, rng) -> np.ndarray:
+    return np.array([rng.randrange(DEFAULT_BOUND) for _ in range(n)], dtype=object)
 
 
 def _proportional_float(sides, n: int, seed: int):
@@ -157,16 +123,18 @@ class _Identity:
     """lhs = t * rhs with (lhs, rhs) = sides(u(p), Du(p), D^2u(p), |p|^2).
 
     ``degree`` is the degree of lhs - t rhs in p (the Schwartz-Zippel
-    degree).
+    degree); ``positive`` says the identity holds only with t > 0.
     """
     name: str
     degree: int
     sides: Callable
+    positive: bool = False
 
 
 RADIAL = _Identity("radial", 5, lambda v, g, H, r2: (
     (g @ g) * np.trace(H) - g @ (H @ g), r2 * v))
-EICONAL = _Identity("eiconal", 4, lambda v, g, H, r2: (g @ g, r2 * r2))
+EICONAL = _Identity("eiconal", 4, lambda v, g, H, r2: (g @ g, r2 * r2),
+                    positive=True)
 TRACE2 = _Identity("trace2", 2, lambda v, g, H, r2: ((H * H).sum(), r2))
 TRACE3 = _Identity("trace3", 3, lambda v, g, H, r2: (((H @ H) * H).sum(), v))
 
@@ -188,16 +156,22 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
         return ident.sides(jet.value(p), jet.gradient(p), jet.hessian(p), p @ p)
 
     if m == "float":
-        t, err = _proportional_float(sides, u.n, seed), 0.0
+        t = _proportional_float(sides, u.n, seed)
     elif m == "exact":
-        lhs, rhs = sides(_poly_vars(u.n))
-        t, err = _proportional_exact(_as_poly(lhs, u.n), _as_poly(rhs, u.n)), 0.0
+        lhs, rhs = (_as_poly(x, u.n).terms for x in sides(_poly_vars(u.n)))
+        t = _ratio((lhs.get(k, 0), rhs.get(k, 0)) for k in {**rhs, **lhs})
     else:
-        t, err = _proportional_random(lambda p: sides(np.array(p, dtype=object)), u.n,
-                                      ident.degree, trials, seed)
-    if t is not None:
-        t = t / (jet.scale * jet.scale)
-    return CheckReport(ident.name, t is not None, t, m, err)
+        if trials < 1:
+            raise ValueError(f"trials must be at least 1, got {trials}")
+        rng = random.Random(seed)
+        t = _ratio(sides(_rand_point(u.n, rng)) for _ in range(trials + 1))
+    if t is None or (ident.positive and not t > 0):
+        return CheckReport(ident.name, False, None, m, 0.0)
+    t = t / jet.scale / jet.scale
+    if m == "float" and not math.isfinite(t):
+        raise ValueError("the identity constant is not finite in float64")
+    err = (ident.degree / DEFAULT_BOUND) ** trials if m == "random" else 0.0
+    return CheckReport(ident.name, True, t, m, err)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +200,9 @@ def check_radial(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS,
 
 def check_eiconal(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS,
                   seed: int = 0) -> CheckReport:
-    """kappa with |Du|^2 = kappa |x|^4; kappa = 9 is the normalized case."""
-    if u.is_zero():
-        return CheckReport("eiconal", False, None, "exact", 0.0)
-    rep = _check(EICONAL, u, mode, trials, seed)
-    if rep.passed and not rep.constant > 0:
-        rep = replace(rep, passed=False, constant=None)
-    return rep
+    """kappa > 0 with |Du|^2 = kappa |x|^4; kappa = 9 is the normalized case.
+    The zero form, with kappa = 0, fails it in every mode."""
+    return _check(EICONAL, u, mode, trials, seed)
 
 
 def trace_identity_quadratic(u: CubicForm, mode: str = "auto",

@@ -8,7 +8,7 @@ scalars (int, Fraction, QSqrt3) or floats in float mode.  Zero
 coefficients are never stored, so ``not p.terms`` is the exact zero test.
 
 There is no randomized zero test here: the Schwartz-Zippel checks
-(``identities._proportional_random``) evaluate the form's kernel at
+(``identities._check`` in random mode) evaluate the form's kernel at
 integer points without building a polynomial.
 """
 

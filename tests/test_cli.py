@@ -167,6 +167,12 @@ def test_cone_sample_deterministic(runner, tmp_path):
     assert a == b
 
 
+def _form_file(dim=3, **first_term):
+    """x1 x2^2 - x1 x3^2 with ``dim`` and fields of its first term replaced."""
+    terms = [{"ijk": [1, 2, 2], "c": "1", **first_term}, {"ijk": [1, 3, 3], "c": "-1"}]
+    return json.dumps({"dim": dim, "terms": terms})
+
+
 _DEGENERATE_FILES = {
     "cube": '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": "1"}]}',
     "negative-dim": '{"dim": -2, "terms": []}',
@@ -183,6 +189,14 @@ _DEGENERATE_FILES = {
     # 2 x1 x2 x3, harmonic, if the repeated x1^3 entries were summed
     "repeated-monomial": '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": "1"}, '
                          '{"ijk": [1, 1, 1], "c": "-1"}, {"ijk": [1, 2, 3], "c": "2"}]}',
+    # each is x1 x2^2 - x1 x3^2 in 3 variables if 3.7, 1.9 and true are
+    # truncated to integers, and its c3 of false read as 0
+    "float-dim": _form_file(3.7),
+    "float-ijk": _form_file(ijk=[1.9, 2, 2]),
+    "bool-ijk": _form_file(ijk=[True, 2, 2]),
+    "bool-c": _form_file(c=True),
+    "bool-c3": _form_file(c3=False),
+    "dim-129": _form_file(129),
 }
 
 
@@ -206,6 +220,8 @@ _DEGENERATE_RUNS = [
     ("zero", ["classify"]),
     ("repeated-monomial", ["verify", "--check", "harmonic"]),
     ("tiny", ["spectrum", "--seed", "1"]),
+    *((form, ["classify"]) for form in ("float-dim", "float-ijk", "bool-ijk",
+                                        "bool-c", "bool-c3", "dim-129")),
     (None, ["clifford", "--q", "11"]),
     (None, ["clifford", "--q", "-1"]),
     *((huge, args) for huge in ("huge-float", "huge-rational")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -95,3 +96,25 @@ def test_json_round_trip():
     back = CliffordSystem(d["q"], d["two_l"],
                           tuple(tuple(map(tuple, m)) for m in d["mats"]))
     assert back == s
+
+
+# sha256 of the sorted JSON of build_clifford_system(q), q = 0..9, so a
+# change in how any system is built shows even where it still verifies
+_SYSTEM_SHA256 = [
+    "f1d0b483023eab54db05bac5761836ffde9ce179ee991f65847954cba08ab82b",
+    "bff582e81860340077f0bf0ed672230c26260ce947507b8e79d4b3b69d3cfd03",
+    "c1cad949a1877e5ca765c63049bd5278d37553ec59c62d9f79492738528f9bb9",
+    "750830277e66a6ccc09b0086f23be38bb05abe5a7dca6d28f4fd7e47709f5ec2",
+    "fc6579f1b5cd6017c7070778f764cb4f7e67f66d59013f44ad79ce2bd035e803",
+    "85119cfea2b6fb19749bd0c2c0c1880253e62ec684cd1be3644bee2edbafcb58",
+    "d98c7eb662a46cc87f24a9c11cf89976eff76f6f59f60105ced47c2c780bbefe",
+    "bdd6d3c18008d1eb630c681d643006beb569ffbae86544194421902cd5689b17",
+    "2948935a1ece12612601d704fcc85bd7ebbf051614ea9045eabe33d6e91341ff",
+    "e6d0281e0e473bd983fce3e3544737033d38ea10b996e47b08b574d8440ac8fc",
+]
+
+
+@pytest.mark.parametrize("q", range(10))
+def test_built_systems_pinned(q):
+    blob = json.dumps(build_clifford_system(q).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == _SYSTEM_SHA256[q]

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from eigencubic.algebra import MetrisedAlgebra
 from eigencubic.cubics import (CATALOG, CubicForm, cartan_cubic, catalog_build,
                                trivial_cubic)
-from eigencubic.identities import (MAX_TRIES, ConeSampleReport,
+from eigencubic.identities import (DEFAULT_TRIALS, MAX_TRIES, ConeSampleReport,
                                    _proportional_float, check_eiconal,
                                    check_harmonic, check_radial, classify,
                                    mean_curvature, sample_cone,
@@ -110,6 +110,21 @@ def test_eiconal_implies_square_identity():
             assert sum(v * v for v in x2) == 4 * kappa * xx * xx
 
 
+@pytest.mark.parametrize("n", [3, 20])
+def test_zero_form_random_mode(n):
+    # trace3 reads 0 = t * 0 at every point, so t = 0 with the usual
+    # bound; the eiconal identity demands kappa > 0, so the zero form
+    # fails it, in the mode that ran
+    z = CubicForm(n, {})
+    for trials in (1, DEFAULT_TRIALS):
+        r = trace_identity_cubic(z, "random", trials=trials)
+        assert r.passed and r.constant == 0
+        assert r.error_bound == (3 / 10 ** 6) ** trials
+    assert check_eiconal(z, "random").to_json_dict() == {
+        "check": "eiconal", "pass": False, "constant": None, "mode": "random",
+        "error_bound": 0.0}
+
+
 def test_trace_identity_quadratic():
     assert trace_identity_quadratic(DIM3, "exact").constant == 8
     q1 = catalog_build("clifford-q1")
@@ -198,6 +213,18 @@ def test_float_overflow_raises(name):
         assert check(uf.scaled(1e80)).passed == check(uf).passed, check.__name__
     with pytest.raises(ValueError, match="not finite"):
         _proportional_float(lambda p: (np.inf, p @ p), uf.n, seed=0)
+
+
+def test_float_constants_outside_float64():
+    # every constant scales as s^2: at 1e200 it overflows float64, and
+    # the check raises; at 1e-200 it rounds to 0.0, but kappa > 0 is
+    # tested in the jet's normalised units, so the eiconal check passes
+    uf = catalog_build("cartan-d4").to_float()
+    for check in IDENTITY_CHECKS:
+        with pytest.raises(ValueError, match="not finite"):
+            check(uf.scaled(1e200))
+    r = check_eiconal(uf.scaled(1e-200))
+    assert r.passed and r.constant == 0.0
 
 
 @pytest.mark.parametrize("name", list(CATALOG))
@@ -323,18 +350,32 @@ def test_kernel_matches_dense_tensor(name):
 
 
 SMALL_FORMS = [name for name, e in CATALOG.items() if e.dim <= 15]
+# catalog forms with their first coefficient changed by +1/7
+MUTATED = {f"{name}+1/7": name for name in ("clifford-q0", "cartan-d1",
+                                           "clifford-q1", "involution-d2")}
+
+
+def _mutated(name: str) -> CubicForm:
+    u = catalog_build(MUTATED[name])
+    k = min(u.terms)
+    return CubicForm(u.n, {**u.terms, k: u.terms[k] + Fraction(1, 7)})
 
 
 @pytest.mark.parametrize("check", IDENTITY_CHECKS, ids=lambda f: f.__name__)
-@pytest.mark.parametrize("name", SMALL_FORMS)
+@pytest.mark.parametrize("name", SMALL_FORMS + list(MUTATED))
 def test_modes_agree(name, check):
     # exact expansion, Schwartz-Zippel points and float points all run
-    # the same identity; they must give the same verdict and constant
-    u = catalog_build(name)
+    # the same identity; they must give the same verdict and constant.
+    # One changed coefficient breaks every identity, and a failed verdict
+    # claims no error bound.
+    u = _mutated(name) if name in MUTATED else catalog_build(name)
     ex = check(u, "exact")
     rn = check(u, "random", seed=1)
     assert (rn.passed, rn.constant) == (ex.passed, ex.constant)
     assert rn.mode == "random" and ex.mode == "exact"
+    assert not (name in MUTATED and ex.passed)
+    if not ex.passed:
+        assert ex.error_bound == rn.error_bound == 0.0
     fl = check(u.to_float(), seed=1)
     assert fl.mode == "float" and fl.passed == ex.passed
     if ex.passed:
