@@ -10,7 +10,11 @@ random rational points: weak associativity compares the trilinear
 contractions <x o y, z> and <y o z, x>, and the Hsiang identity
 <x^2,x^2> tr L_x - <x^2,x^3> = (2/3) theta |x|^2 <x^2,x> is 4 times the
 radial identity of ``identities.RADIAL``, since x^2 = 2 Du,
-x^3 = 2 D^2u Du and <x^2, x> = 6u.
+x^3 = 2 D^2u Du and <x^2, x> = 6u.  On a Q(sqrt3) form the kernel
+gives each piece as a ``QSqrt3Array``, two integer arrays, and each
+exact operation joins it to QSqrt3 entries only where its result leaves
+the kernel: the operator L_x, the Hsiang residual at a point and the
+weak-associativity difference.
 
 Idempotents are located by projected gradient ascent of |u| on the unit
 sphere (stationary points have grad u = lambda x), rescaled by 1/(2 lambda),
@@ -33,7 +37,7 @@ import numpy as np
 
 from .cubics import CubicForm, Jet
 from .identities import RADIAL
-from .scalars import exact_div
+from .scalars import exact_div, joined
 
 NEWTON_STEPS = 80
 IDEMPOTENT_RESIDUAL = 1e-10
@@ -74,7 +78,7 @@ class MetrisedAlgebra:
         if len(x) != self.n:
             raise ValueError("vector length mismatch")
         jet = self.form.jet(exact=True)
-        return jet.hessian(np.array(x, dtype=object)), Fraction(jet.scale)
+        return joined(jet.hessian(np.array(x, dtype=object))), Fraction(jet.scale)
 
     def multiply(self, x: Sequence, y: Sequence) -> list:
         """x o y, exact on exact inputs; equals D^2u(x) y."""
@@ -289,7 +293,7 @@ class MetrisedAlgebra:
             lhs, rhs = RADIAL.sides(jet.value(p), jet.gradient(p), jet.hessian(p),
                                     p @ p)
             # lhs carries D^3 d^5 and rhs D d^5
-            diff = 4 * (lhs - theta * D * D * rhs) / Fraction(D ** 3 * d ** 5)
+            diff = 4 * joined(lhs - theta * D * D * rhs) / Fraction(D ** 3 * d ** 5)
             worst = max(worst, abs(diff))
         return worst
 
@@ -309,7 +313,7 @@ class MetrisedAlgebra:
         Z, dz = _rational_batch(self.n, trials, rng)
         worst = Fraction(0)
         for x, y, z, d in zip(X, Y, Z, dx * dy * dz):
-            diff = (jet.trilinear(x, y, z) - jet.trilinear(y, z, x)) / \
+            diff = joined(jet.trilinear(x, y, z) - jet.trilinear(y, z, x)) / \
                 Fraction(jet.scale * d)
             worst = max(worst, abs(diff))
         return worst

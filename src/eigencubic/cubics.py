@@ -13,7 +13,7 @@ order of the underlying construction and is documented per constructor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -26,7 +26,8 @@ from .composition import CDElement, re_triple
 from .jordan import (HermMat3, freudenthal_det, det_polar, fullspace_basis,
                      involution, jordan_mul, trace_form, tracefree_basis)
 from .poly import Poly
-from .scalars import SQRT3, QSqrt3, format_rational, is_exact, parse_rational
+from .scalars import (QSqrt3, QSqrt3Array, format_rational, is_exact, joined,
+                      parse_rational)
 
 Key = Tuple[int, int, int]
 
@@ -90,8 +91,8 @@ class CubicForm:
 
     def coo(self):
         """All distinct permutations (a, b, c, w) of the full tensor, w = m /
-        their count; built per call for ``laplacian``, ``dense_tensor`` and
-        ``polarize``; the kernel ``Jet`` does not read it."""
+        their count; built per call for ``dense_tensor`` and ``polarize``,
+        the tests' references; the kernel ``Jet`` does not read it."""
         out = []
         for key, m in self.terms.items():
             perms = sorted(set(permutations(key)))
@@ -145,12 +146,13 @@ class CubicForm:
         return [[grads[i].diff(j) for j in range(self.n)] for i in range(self.n)]
 
     def laplacian(self) -> Poly:
-        """Linear polynomial sum of the repeated second partials."""
-        coeffs: Dict[int, object] = {}
-        for a, b, c, w in self.coo():
-            if a == b:
-                coeffs[c] = coeffs.get(c, 0) + 6 * w
-        return Poly(self.n, {(v,): c for v, c in coeffs.items()})
+        """Linear polynomial sum of the repeated second partials, read off
+        the kernel: exact on an exact form, float64 on any other (a float
+        coefficient makes the whole form a float one)."""
+        jet = self.jet(exact=True)
+        D = Fraction(jet.scale)
+        lap = joined(jet.laplacian(self.n))
+        return Poly(self.n, {(v,): c / D for v, c in enumerate(lap)})
 
     def polarize(self, x: Sequence, y: Sequence, z: Sequence):
         """Complete linearization u(x; y; z); u(x;x;x) = 6 u(x).
@@ -224,7 +226,8 @@ def _channels(c) -> tuple:
 
 @dataclass(frozen=True)
 class Jet:
-    """Value, gradient, Hessian and polarization of D*u, from sparse arrays.
+    """Value, gradient, Hessian, polarization and Laplacian of D*u, from
+    sparse arrays.
 
     ``ijk`` holds each monomial m x_i x_j x_k in three blocks of columns,
     its rotations (i; j, k), (j; k, i) and (k; i, j), and ``m`` holds m
@@ -235,8 +238,10 @@ class Jet:
     both sqrt(3) channels; float arrays have D = 2**-floor(log2 max|m|),
     which rescales every float result exactly.  The exact jet of a
     Q(sqrt3) form splits D*u = r + sqrt(3) s into two integer jets: these
-    arrays hold r and ``sqrt3`` holds s, so every tensor entry is an int
-    product and each output entry becomes one QSqrt3.  Every piece keeps
+    arrays hold r and ``sqrt3`` holds s.  Each piece is then computed once
+    on each, and returned as one ``QSqrt3Array`` (r's piece, s's piece),
+    whose arithmetic keeps the two channels apart; a caller joins it to
+    QSqrt3 entries where a result leaves the kernel.  Every piece keeps
     the kind of p: an object array of ``Poly`` variables or of exact
     scalars, or a float64 array.  In the metrised algebra x o x = 2 Du(x)
     and L_x = D^2u(x).
@@ -262,7 +267,7 @@ class Jet:
         D = math.lcm(*(x.denominator for ch in chans.values() for x in ch))
         jet = cls._arrays([(k, ch[0]) for k, ch in chans.items()], D, int)
         s = [(k, ch[1]) for k, ch in chans.items() if len(ch) == 2]
-        return replace(jet, sqrt3=cls._arrays(s, D, int)) if s else jet
+        return _Sqrt3Jet(D, jet.ijk, jet.m, cls._arrays(s, D, int)) if s else jet
 
     @classmethod
     def _arrays(cls, terms, D: float, kind) -> "Jet":
@@ -277,28 +282,56 @@ class Jet:
     def value(self, p: np.ndarray):
         first = self.m.size // 3
         i, j, k = self.ijk[:, :first]
-        v = (self.m[:first] * p.take(i, axis=-1) * p.take(j, axis=-1)
-             * p.take(k, axis=-1)).sum(axis=-1)
-        return v if self.sqrt3 is None else v + self.sqrt3.value(p) * SQRT3
+        return (self.m[:first] * p.take(i, axis=-1) * p.take(j, axis=-1)
+                * p.take(k, axis=-1)).sum(axis=-1)
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
         a, b, c = self.ijk
         g = np.zeros(len(p), dtype=p.dtype)
         np.add.at(g, a, self.m * p[b] * p[c])
-        return g if self.sqrt3 is None else g + self.sqrt3.gradient(p) * SQRT3
+        return g
 
     def hessian(self, p: np.ndarray) -> np.ndarray:
         a, b, c = self.ijk
         H = np.zeros((len(p), len(p)), dtype=p.dtype)
         np.add.at(H, (a, b), self.m * p[c])
         np.add.at(H, (a, c), self.m * p[b])
-        return H if self.sqrt3 is None else H + self.sqrt3.hessian(p) * SQRT3
+        return H
 
     def trilinear(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
         """D u(x; y; z) = D <x o y, z>, the complete polarization of D*u."""
         a, b, c = self.ijk
-        t = (self.m * x[a] * (y[b] * z[c] + y[c] * z[b])).sum()
-        return t if self.sqrt3 is None else t + self.sqrt3.trilinear(x, y, z) * SQRT3
+        return (self.m * x[a] * (y[b] * z[c] + y[c] * z[b])).sum()
+
+    def laplacian(self, n: int) -> np.ndarray:
+        """The n coefficients of the linear form D Lap u: a rotation
+        (a; b, c) adds m to the coefficient of x_c when a = b, and to that
+        of x_b when a = c, as it adds m x_c, m x_b to D^2_aa u."""
+        a, b, c = self.ijk
+        lap = np.zeros(n, dtype=self.m.dtype)
+        np.add.at(lap, c[a == b], self.m[a == b])
+        np.add.at(lap, b[a == c], self.m[a == c])
+        return lap
+
+
+class _Sqrt3Jet(Jet):
+    """The exact jet of a Q(sqrt3) form: each piece is the pair of the
+    piece on these arrays (r) and on the ``sqrt3`` jet's (s)."""
+
+    def value(self, p):
+        return QSqrt3Array(super().value(p), self.sqrt3.value(p))
+
+    def gradient(self, p):
+        return QSqrt3Array(super().gradient(p), self.sqrt3.gradient(p))
+
+    def hessian(self, p):
+        return QSqrt3Array(super().hessian(p), self.sqrt3.hessian(p))
+
+    def trilinear(self, x, y, z):
+        return QSqrt3Array(super().trilinear(x, y, z), self.sqrt3.trilinear(x, y, z))
+
+    def laplacian(self, n):
+        return QSqrt3Array(super().laplacian(n), self.sqrt3.laplacian(n))
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,9 @@ brings the largest coefficient into [1, 2), so the float tolerances do not
 depend on u's scale.  Each lhs has degree two more in u than its rhs, so
 t(u) = t(D*u) / D**2 exactly.  The constant is exact in both exact
 modes; only the identity's global validity is randomized in the random mode.
+On a Q(sqrt3) form the kernel's pieces are ``QSqrt3Array`` pairs, so each
+``sides`` runs on the two integer channels, and only the two sides it
+returns are joined to QSqrt3.
 
 Policy: exact expansion for n <= 15, randomized above, both overridable.
 """
@@ -42,7 +45,7 @@ import numpy as np
 
 from .cubics import CubicForm
 from .poly import Poly
-from .scalars import QSqrt3, exact_div, format_rational, is_exact
+from .scalars import QSqrt3, exact_div, format_rational, is_exact, joined
 
 EXACT_VAR_LIMIT = 15
 DEFAULT_TRIALS = 20
@@ -132,7 +135,7 @@ class _Identity:
 
 
 RADIAL = _Identity("radial", 5, lambda v, g, H, r2: (
-    (g @ g) * np.trace(H) - g @ (H @ g), r2 * v))
+    (g @ g) * H.trace() - g @ (H @ g), r2 * v))
 EICONAL = _Identity("eiconal", 4, lambda v, g, H, r2: (g @ g, r2 * r2),
                     positive=True)
 TRACE2 = _Identity("trace2", 2, lambda v, g, H, r2: ((H * H).sum(), r2))
@@ -153,7 +156,8 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
     jet = u.jet(exact=m != "float")
 
     def sides(p):
-        return ident.sides(jet.value(p), jet.gradient(p), jet.hessian(p), p @ p)
+        return [joined(x) for x in
+                ident.sides(jet.value(p), jet.gradient(p), jet.hessian(p), p @ p)]
 
     if m == "float":
         t = _proportional_float(sides, u.n, seed)
@@ -375,7 +379,9 @@ def _sample_batch(u: CubicForm, idxs: range, seed: int, grad_threshold: float,
         drawn += k
         v = _values(jet, ends.reshape(-1, n)).reshape(len(pending), k, 2)
         ua, ub = v[..., 0], v[..., 1]
-        ray = ~((ua == 0.0) | (ub == 0.0) | (np.sign(ua) == np.sign(ub)))
+        # antipodal ends, as every two ends are in dimension 1, span no arc
+        arc = (ends[..., 0, :] + ends[..., 1, :]).any(axis=-1)
+        ray = arc & ~((ua == 0.0) | (ub == 0.0) | (np.sign(ua) == np.sign(ub)))
         owner = np.nonzero(ray)[0]
         if not owner.size:
             continue
@@ -406,11 +412,11 @@ def sample_cone(u: CubicForm, count: int, seed: int,
 
     Point ``idx`` draws up to MAX_TRIES rays from its own stream
     ``default_rng((seed, idx))``: two Gaussian points a, b normalised to
-    the sphere.  A ray where u changes sign is bisected for BISECT_STEPS
-    steps, and the first whose end point passes ``mean_curvature`` gives
-    the point.  Each ray rejected before it (gradient under the
-    threshold, or not finite) counts once in ``rejected``, and so does a
-    point none of whose rays changed sign.
+    the sphere.  A ray where u changes sign, its ends not antipodal, is
+    bisected for BISECT_STEPS steps, and the first whose end point passes
+    ``mean_curvature`` gives the point.  Each ray rejected before it
+    (gradient under the threshold, or not finite) counts once in
+    ``rejected``, and so does a point none of whose rays changed sign.
 
     Up to POINT_BATCH points are searched together, so memory does not
     grow with ``count``, in rounds.  A round draws the next 1, 2, 4, ...

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
+from .scalars import QSqrt3Array
+
 Mono = Tuple[int, ...]
 
 
@@ -65,6 +67,8 @@ class Poly:
             for m, c in other.terms.items():
                 out[m] = out.get(m, 0) + c
             return Poly(self.nvars, out)
+        if isinstance(other, QSqrt3Array):
+            return NotImplemented       # the pair's own operator takes it
         if other == 0:
             return self
         return self + Poly.const(self.nvars, other)
@@ -90,6 +94,8 @@ class Poly:
                     m = tuple(sorted(m1 + m2))
                     out[m] = out.get(m, 0) + c1 * c2
             return Poly(self.nvars, out)
+        if isinstance(other, QSqrt3Array):
+            return NotImplemented
         if not other:
             return Poly(self.nvars)
         return Poly(self.nvars, {m: c * other for m, c in self.terms.items()})

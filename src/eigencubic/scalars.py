@@ -9,11 +9,18 @@ and Fraction works through the reflected operators.
 A component given as an ``int`` stays an ``int`` through addition and
 multiplication, which keeps the integer-cleared kernels on Python int
 arithmetic; it becomes a ``Fraction`` only on division.
+
+``QSqrt3Array`` is the same field on whole arrays: r + sqrt(3)*s held as
+two arrays, so the kernel of a Q(sqrt3) form does each array operation
+once per channel on Python ints and makes no QSqrt3 per entry.  Its
+``join`` gives the entries as QSqrt3 where a result leaves the kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+import numpy as np
 
 SQRT3_FLOAT = 3.0 ** 0.5
 
@@ -172,6 +179,90 @@ def _coerce(x):
 
 
 SQRT3 = QSqrt3(0, 1)
+
+
+class QSqrt3Array:
+    """r + sqrt(3)*s for two same-shape arrays r, s, or two scalars, of
+    exact entries: Python ints, Fractions or ``Poly`` objects.
+
+    +, -, * and @ take another pair, a plain array or a scalar (a QSqrt3
+    one too) on either side, and run as numpy operations on the channels:
+    (r + sqrt3 s)(r' + sqrt3 s') = r r' + 3 s s' + sqrt3 (r s' + s r').
+    numpy hands every binary operator with a pair operand to the pair.
+    ``join`` gives each entry as one scalar, and ``==`` compares joined.
+    """
+
+    __slots__ = ("r", "s")
+    __array_ufunc__ = None
+
+    def __init__(self, r, s):
+        self.r = r
+        self.s = s
+
+    def __add__(self, other):
+        other = _as_pair(other)
+        if isinstance(other, QSqrt3Array):
+            return QSqrt3Array(self.r + other.r, self.s + other.s)
+        return QSqrt3Array(self.r + other, self.s)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QSqrt3Array(-self.r, -self.s)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return other + -self
+
+    def __mul__(self, other):
+        other = _as_pair(other)
+        if isinstance(other, QSqrt3Array):
+            return QSqrt3Array(self.r * other.r + 3 * (self.s * other.s),
+                               self.r * other.s + self.s * other.r)
+        return QSqrt3Array(self.r * other, self.s * other)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        if isinstance(other, QSqrt3Array):
+            return QSqrt3Array(self.r @ other.r + 3 * (self.s @ other.s),
+                               self.r @ other.s + self.s @ other.r)
+        return QSqrt3Array(self.r @ other, self.s @ other)
+
+    def __rmatmul__(self, other):
+        return QSqrt3Array(other @ self.r, other @ self.s)
+
+    def sum(self):
+        return QSqrt3Array(np.sum(self.r), np.sum(self.s))
+
+    def trace(self):
+        return QSqrt3Array(np.trace(self.r), np.trace(self.s))
+
+    def join(self):
+        """The entries r + s*SQRT3, each r itself where s is 0: an object
+        array, or one scalar for scalar channels."""
+        return _join(self.r, self.s)
+
+    def __eq__(self, other):
+        return self.join() == joined(other)
+
+    def __repr__(self):
+        return f"QSqrt3Array({self.r!r}, {self.s!r})"
+
+
+def _as_pair(x):
+    """A QSqrt3 scalar as a pair of its components; anything else as it is."""
+    return QSqrt3Array(x.a, x.b) if isinstance(x, QSqrt3) else x
+
+
+_join = np.frompyfunc(lambda r, s: r + s * SQRT3 if s else r, 2, 1)
+
+
+def joined(x):
+    """x with a ``QSqrt3Array`` joined; anything else as it is."""
+    return x.join() if isinstance(x, QSqrt3Array) else x
 
 
 def is_exact(x) -> bool:

@@ -261,6 +261,17 @@ def test_exact_checks_pinned_values():
         assert all(type(v) is Fraction for v in values)
 
 
+@pytest.mark.parametrize("name, want", [
+    ("cartan-d4", QSqrt3(2707752, 641472)),
+    ("cartan-d8", QSqrt3(10208664, Fraction(1655720, 3)))])
+def test_sqrt3_hsiang_residual_pinned(name, want):
+    # a wrong theta on the Q(sqrt3) forms, 100 points: the values the
+    # kernel gave when it joined every output entry to one QSqrt3
+    got = MetrisedAlgebra(catalog_build(name)).check_hsiang_identity(
+        Fraction(-1), trials=100, seed=1)
+    assert got == want and type(got) is QSqrt3
+
+
 @pytest.mark.parametrize("name", list(CATALOG))
 def test_trilinear_matches_polarize(name):
     # the kernel's trilinear contraction of D*u, on integer arrays (plus a

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from eigencubic.cli import main
 
@@ -245,6 +246,72 @@ def test_degenerate_input_is_a_usage_error(runner, tmp_path, form, args):
     assert [l for l in res.stderr.splitlines() if l.startswith("Error:")] == \
         [res.stderr.splitlines()[-1]]
     assert "internal error" not in res.stderr and "Traceback" not in res.stderr
+
+
+def _strict_json_lines(text: str) -> list:
+    """Each line of ``text`` as JSON, refusing NaN and Infinity."""
+    def no_constant(name):
+        raise ValueError(f"{name} in the output")
+    return [json.loads(line, parse_constant=no_constant) for line in text.splitlines()]
+
+
+# u = x1^3 + (3/2) sqrt3 x1^3 - 7/8 x1 x2^2 - 2/3 x2^3; the float x1 x2^2 and
+# the sqrt(3) x1^3 coefficients both feed the x1 entry of Lap u
+_MIXED = {"dim": 2, "terms": [{"ijk": [1, 2, 2], "c": -0.875},
+                              {"ijk": [2, 2, 2], "c": "-2/3"},
+                              {"ijk": [1, 1, 1], "c": "1", "c3": "3/2"}]}
+
+
+@pytest.mark.parametrize("args", [["verify"], ["verify", "--random", "3"],
+                                  ["classify"]], ids=" ".join)
+def test_mixed_float_and_sqrt3_coefficients(runner, tmp_path, args):
+    # a float coefficient makes the whole form a float one, sqrt(3) parts
+    # included, so Lap u is summed in float64 like every float check
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(_MIXED))
+    res = runner.invoke(main, [args[0], str(path), *args[1:]])
+    assert res.exit_code in (0, 1), res.output
+    assert _strict_json_lines(res.stdout)
+
+
+_FUZZ_RUNS = (["verify"], ["verify", "--random", "3"], ["classify"],
+              ["classify", "--random", "2"],
+              ["spectrum", "--seed", "1", "--restarts", "4"],
+              ["cone-sample", "--seed", "1", "--count", "3"])
+_rational_text = st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9))
+_float = st.one_of(st.floats(-10, 10, allow_nan=False),
+                   st.sampled_from([1e40, -1e40, 1e-40, -1e-40]))
+_coefficient = st.one_of(
+    st.fixed_dictionaries({"c": _rational_text}),
+    st.fixed_dictionaries({"c": _rational_text, "c3": _rational_text}),
+    st.fixed_dictionaries({"c": _float}),
+    st.fixed_dictionaries({"c": _float, "c3": _rational_text}))
+
+
+@st.composite
+def _form_files(draw) -> dict:
+    """A well-formed form file: dim 1-6, 0-6 distinct monomials."""
+    dim = draw(st.integers(1, 6))
+    ijk = st.lists(st.integers(1, dim), min_size=3, max_size=3).map(sorted)
+    keys = draw(st.lists(ijk, max_size=6, unique_by=tuple))
+    return {"dim": dim, "terms": [{"ijk": k, **draw(_coefficient)} for k in keys]}
+
+
+def test_generated_form_files_keep_the_exit_contract(runner, tmp_path):
+    # no well-formed file ends in an internal error (exit 3), and stdout
+    # is strict JSON whatever the exit code
+    path = tmp_path / "form.json"
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_form_files())
+    def contract(form):
+        path.write_text(json.dumps(form))
+        for args in _FUZZ_RUNS:
+            res = runner.invoke(main, [args[0], str(path), *args[1:]])
+            assert res.exit_code in (0, 1, 2), (form, args, res.output)
+            _strict_json_lines(res.stdout)
+
+    contract()
 
 
 def test_triples_validate_exit_code(runner, monkeypatch):

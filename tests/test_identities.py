@@ -16,6 +16,7 @@ from eigencubic.identities import (DEFAULT_TRIALS, MAX_TRIES, ConeSampleReport,
                                    trace_identity_cubic,
                                    trace_identity_quadratic)
 from eigencubic.poly import Poly
+from eigencubic.scalars import joined
 from rotations import cayley_rotation, rotate_exact, skew
 
 DIM3 = catalog_build("clifford-q0")
@@ -269,11 +270,12 @@ def test_jet_matches_poly_derivatives(name):
     rng = random.Random(6)
     for _ in range(3):
         p = np.array([rng.randrange(-50, 50) for _ in range(u.n)], dtype=object)
-        v, g, H = jet.value(p), jet.gradient(p), jet.hessian(p)
+        v, g, H = (joined(f(p)) for f in (jet.value, jet.gradient, jet.hessian))
         p = list(p)
         assert v == D * poly.eval(p)
         assert list(g) == [D * gi.eval(p) for gi in grads]
         assert H.tolist() == [[D * h.eval(p) for h in row] for row in hess]
+    assert u.laplacian() == sum((hess[i][i] for i in range(u.n)), Poly.zero(u.n))
     uf = u.to_float()
     fjet = uf.jet(exact=True)
     assert fjet.m.dtype == float and math.frexp(fjet.scale)[0] == 0.5
@@ -381,6 +383,26 @@ def test_modes_agree(name, check):
     if ex.passed:
         e = float(ex.constant)
         assert abs(fl.constant - e) <= 1e-9 * max(1.0, abs(e))
+
+
+# the Schwartz-Zippel degree of each check's identity
+SZ_DEGREE = {check_radial: 5, check_eiconal: 4, trace_identity_quadratic: 2,
+             trace_identity_cubic: 3}
+
+
+@pytest.mark.parametrize("name", ["cartan-d4", "cartan-d8"])
+def test_sqrt3_forms_random_mode_matches_exact(name):
+    # the Q(sqrt3) forms, whose kernel pieces are two-channel pairs: the
+    # random mode's verdict and constant are the full expansion's, at
+    # every seed, with the reported bound
+    u = catalog_build(name)
+    for check in IDENTITY_CHECKS:
+        ex = check(u, "exact")
+        assert ex.passed
+        for seed in (1, 2):
+            rn = check(u, "random", seed=seed)
+            assert (rn.passed, rn.constant) == (ex.passed, ex.constant)
+            assert rn.error_bound == (SZ_DEGREE[check] / 10 ** 6) ** DEFAULT_TRIALS
 
 
 _small_fraction = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))

@@ -2,11 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eigencubic.identities import CheckReport
-from eigencubic.scalars import (QSqrt3, SQRT3, format_rational, is_exact,
-                                parse_rational)
+from eigencubic.poly import Poly
+from eigencubic.scalars import (QSqrt3, QSqrt3Array, SQRT3, format_rational,
+                                is_exact, joined, parse_rational)
 
 
 def rand_q3(rng, bound=9):
@@ -149,3 +151,85 @@ def test_rational_string_round_trip():
         assert parse_rational(format_rational(v)) == v
     assert format_rational(Fraction(-8)) == "-8"
     assert format_rational(Fraction(6, 8)) == "3/4"
+
+
+# -- QSqrt3Array: Q(sqrt3) on whole arrays, against QSqrt3 entry by entry ----
+
+def _ints(rng, *shape, zero=False):
+    return np.array([0 if zero else rng.randint(-9, 9)
+                     for _ in range(math.prod(shape))], dtype=object).reshape(shape)
+
+
+def _entries(pair):
+    """The pair's entries, each one QSqrt3."""
+    return np.frompyfunc(QSqrt3, 2, 1)(pair.r, pair.s)
+
+
+def _same(got, want):
+    # equal entry by entry, got's a joined array of the same shape
+    got = joined(got)
+    assert np.shape(got) == np.shape(want)
+    assert np.all(np.asarray(got == want, dtype=bool))
+
+
+@pytest.mark.parametrize("zero_s", [False, True], ids=["s", "zero-s"])
+def test_pair_operations_match_qsqrt3_entrywise(zero_s):
+    rng = random.Random(13)
+    A = QSqrt3Array(_ints(rng, 4, 4), _ints(rng, 4, 4, zero=zero_s))
+    B = QSqrt3Array(_ints(rng, 4, 4), _ints(rng, 4, 4))
+    v = QSqrt3Array(_ints(rng, 4), _ints(rng, 4, zero=zero_s))
+    a, b, w = _entries(A), _entries(B), _entries(v)
+    for got, want in [(A + B, a + b), (A - B, a - b), (A * B, a * b),
+                      (A @ B, a @ b), (A @ v, a @ w), (v @ A, w @ a),
+                      (-A, -a), (A * v, a * w)]:
+        _same(got, want)
+    _same(v @ v, w @ w)
+    _same(A.trace(), np.trace(a))
+    _same(A.sum(), a.sum())
+    _same((A * B).sum(), (a * b).sum())
+
+
+def test_pair_with_plain_arrays_and_scalars_in_both_orders():
+    rng = random.Random(14)
+    A = QSqrt3Array(_ints(rng, 3, 3), _ints(rng, 3, 3))
+    M, x = _ints(rng, 3, 3), _ints(rng, 3)
+    a = _entries(A)
+    for got, want in [(A + M, a + M), (M + A, M + a), (A - M, a - M),
+                      (M - A, M - a), (A * M, a * M), (M * A, M * a),
+                      (A @ M, a @ M), (M @ A, M @ a), (A @ x, a @ x),
+                      (x @ A, x @ a)]:
+        assert isinstance(got, QSqrt3Array)
+        _same(got, want)
+    for t in (3, Fraction(-2, 5), QSqrt3(1, -2), QSqrt3(Fraction(1, 3), 0)):
+        for got, want in [(A + t, a + t), (t + A, t + a), (A - t, a - t),
+                          (t - A, t - a), (A * t, a * t), (t * A, t * a)]:
+            assert isinstance(got, QSqrt3Array)
+            _same(got, want)
+
+
+def test_pair_join_is_rational_where_s_is_zero():
+    assert type(QSqrt3Array(3, 0).join()) is int
+    half = QSqrt3Array(Fraction(1, 2), 0).join()
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert QSqrt3Array(3, -2).join() == QSqrt3(3, -2)
+    got = QSqrt3Array(np.array([1, 2], dtype=object),
+                      np.array([0, 5], dtype=object)).join()
+    assert [type(e) for e in got] == [int, QSqrt3]
+    assert got.tolist() == [1, QSqrt3(2, 5)]
+    assert joined(7) == 7 and joined(got) is got
+    assert QSqrt3Array(3, -2) == QSqrt3(3, -2) and QSqrt3Array(3, 0) == 3
+
+
+def test_pair_of_poly_arrays():
+    # the exact mode's pairs: Poly entries, each channel a Poly operation;
+    # a Poly on either side leaves the arithmetic to the pair
+    n = 3
+    x = np.array([Poly.var(n, i) for i in range(n)], dtype=object)
+    P = QSqrt3Array(x, x[::-1] * 2)
+    p = x + x[::-1] * 2 * SQRT3
+    r2 = x @ x
+    for got, want in [(P @ P, p @ p), (P * P, p * p), (r2 * P, p * r2),
+                      (P * r2, p * r2), (P - r2, p - r2), (r2 - P, -p + r2),
+                      ((P * P).sum(), (p * p).sum())]:
+        _same(got, want)
+    assert isinstance(r2 * (P @ P), QSqrt3Array)
