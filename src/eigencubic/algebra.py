@@ -13,8 +13,16 @@ radial identity of ``identities.RADIAL``, since x^2 = 2 Du,
 x^3 = 2 D^2u Du and <x^2, x> = 6u.  On a Q(sqrt3) form the kernel
 gives each piece as a ``QSqrt3Array``, two integer arrays, and each
 exact operation joins it to QSqrt3 entries only where its result leaves
-the kernel: the operator L_x, the Hsiang residual at a point and the
-weak-associativity difference.
+the kernel: the operator L_x, the Hsiang residual at a point and a
+nonzero weak-associativity difference.
+
+Weak associativity runs whole batches of triples through the kernel.
+The points' numerators lie in [-9, 9], which bounds every sum before any
+arithmetic (``WEAK_DIFF_FACTOR``), so the batches run on int64 copies of
+the jet's arrays, and on its Python ints only for a jet beyond that
+bound.  Both checks draw their points in one vectorised pass that
+reproduces the stream of one ``random.randint`` per coordinate, so their
+residuals do not depend on how the points are drawn.
 
 Idempotents are located by projected gradient ascent of |u| on the unit
 sphere (stationary points have grad u = lambda x), rescaled by 1/(2 lambda),
@@ -29,7 +37,7 @@ a gradient fallback when they stall.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -37,13 +45,20 @@ import numpy as np
 
 from .cubics import CubicForm, Jet
 from .identities import RADIAL
-from .scalars import exact_div, joined
+from .scalars import QSqrt3Array, exact_div, joined
 
 NEWTON_STEPS = 80
 IDEMPOTENT_RESIDUAL = 1e-10
 DEDUP_DISTANCE = 1e-6
 BIN_TOLERANCE = 1e-6
 PEIRCE_EIGENVALUES = (-1.0, -0.5, 0.5)
+# A weak-associativity triple has numerators in [-9, 9], so one product
+# m x_a (y_b z_c + y_c z_b) of ``Jet.trilinear`` is at most 9 * 2 * 81 |m|
+# in magnitude, and the difference of two contractions at most this
+# factor times sum |m| over the jet's arrays.
+WEAK_DIFF_FACTOR = 2 * 9 * 2 * 81
+# The most products one batch of triples holds in each temporary array.
+TRILINEAR_CHUNK = 1 << 14
 
 
 @dataclass
@@ -282,14 +297,14 @@ class MetrisedAlgebra:
 
         With x^2 = 2 Du, x^3 = 2 D^2u Du and <x^2, x> = 6u both sides are
         4 times the sides of the radial identity, which the kernel
-        evaluates for D*u at the integer point d*x.
+        evaluates for D*u at the integer point d*x, on Python ints.
         """
         rng = random.Random(seed)
         jet = self._exact_jet()
         D = jet.scale
         X, dens = _rational_batch(self.n, trials, rng)
         worst = Fraction(0)
-        for p, d in zip(X, dens):
+        for p, d in zip(X.astype(object), dens.tolist()):
             lhs, rhs = RADIAL.sides(jet.value(p), jet.gradient(p), jet.hessian(p),
                                     p @ p)
             # lhs carries D^3 d^5 and rhs D d^5
@@ -305,18 +320,48 @@ class MetrisedAlgebra:
         each monomial at its coefficient, so the difference cancels term
         by term.  The check therefore tests the index handling of
         ``Jet.trilinear``, not an axiom the form could fail.
+
+        The triples run through ``Jet.trilinear`` in batches of at most
+        ``TRILINEAR_CHUNK`` products, on int64 arrays when ``_int64_jet``
+        proves that no sum can overflow, else on Python ints.  Only the
+        nonzero differences become exact scalars, in trial order, so the
+        result is the one a loop over single triples gives, in value and
+        in type.
         """
         rng = random.Random(seed)
-        jet = self._exact_jet()
+        jet = _int64_jet(self._exact_jet())
         X, dx = _rational_batch(self.n, trials, rng)
         Y, dy = _rational_batch(self.n, trials, rng)
         Z, dz = _rational_batch(self.n, trials, rng)
+        if jet.m.dtype == object:
+            X, Y, Z = X.astype(object), Y.astype(object), Z.astype(object)
+        dens = (dx * dy * dz).tolist()
+        step = max(1, TRILINEAR_CHUNK // max(1, jet.m.size))
         worst = Fraction(0)
-        for x, y, z, d in zip(X, Y, Z, dx * dy * dz):
-            diff = joined(jet.trilinear(x, y, z) - jet.trilinear(y, z, x)) / \
-                Fraction(jet.scale * d)
-            worst = max(worst, abs(diff))
+        for start in range(0, trials, step):
+            x, y, z = (P[start:start + step] for P in (X, Y, Z))
+            diff = jet.trilinear(x, y, z) - jet.trilinear(y, z, x)
+            if not isinstance(diff, QSqrt3Array):
+                diff = QSqrt3Array(diff, np.zeros_like(diff))
+            r, s = diff.r, diff.s
+            for i in np.flatnonzero((r != 0) | (s != 0)):
+                v = joined(QSqrt3Array(int(r[i]), int(s[i])))
+                worst = max(worst, abs(v / Fraction(jet.scale * dens[start + i])))
         return worst
+
+
+def _int64_jet(jet: Jet) -> Jet:
+    """``jet`` on int64 copies of its arrays when the weak-associativity
+    difference is below 2**63 in magnitude on every channel, which bounds
+    every partial sum as well; else ``jet`` itself, on Python ints."""
+    parts = [jet] if jet.sqrt3 is None else [jet, jet.sqrt3]
+    if any(WEAK_DIFF_FACTOR * sum(abs(v) for v in p.m.tolist()) >= 2 ** 63
+           for p in parts):
+        return jet
+    sqrt3 = None
+    if jet.sqrt3 is not None:
+        sqrt3 = replace(jet.sqrt3, m=jet.sqrt3.m.astype(np.int64))
+    return replace(jet, m=jet.m.astype(np.int64), sqrt3=sqrt3)
 
 
 def _newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -331,10 +376,33 @@ def _newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
     return V[:, keep] @ ((V[:, keep].T @ -F) / lam[keep])
 
 
-def _rational_batch(n: int, count: int, rng):
+def _rational_batch(n: int, count: int, rng: random.Random):
     """Random rational points, numerators in [-9, 9] and denominators in
-    [1, 3], returned as (integer array, denominators)."""
-    nums = np.array([[rng.randint(-9, 9) for _ in range(n)]
-                     for _ in range(count)], dtype=object)
-    dens = np.array([rng.randint(1, 3) for _ in range(count)], dtype=object)
-    return nums, dens
+    [1, 3], returned as int64 arrays (numerators of shape (count, n),
+    denominators).  The values, and the state ``rng`` is left in, are
+    those of a ``rng.randint(-9, 9)`` per coordinate, point by point,
+    followed by a ``rng.randint(1, 3)`` per point."""
+    nums = _randbelow(19, count * n, rng).reshape(count, n) - 9
+    return nums, _randbelow(3, count, rng) + 1
+
+
+def _randbelow(width: int, count: int, rng: random.Random) -> np.ndarray:
+    """``count`` successive ``rng.randrange(width)`` draws, 1 <= width < 2**32,
+    as one int64 array.
+
+    ``randrange`` takes the top k = width.bit_length() bits of one 32-bit
+    Mersenne Twister word and draws a new word while that value is not
+    below ``width``.  ``getrandbits(32 w)`` gives the next w words, the
+    first in the lowest bits.  Each round asks for one word per value
+    still missing, so no word past the last accepted one is drawn, and
+    ``rng`` ends where the draws one by one leave it.
+    """
+    shift = 32 - width.bit_length()
+    out = [np.zeros(0, dtype=np.int64)]
+    need = count
+    while need:
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"),
+                              dtype="<u4") >> shift
+        out.append(words[words < width].astype(np.int64))
+        need -= len(out[-1])
+    return np.concatenate(out)

@@ -160,7 +160,8 @@ def verify(path, checks, mode, trials, seed):
     ok = True
     for c in wanted:
         if c == "harmonic":
-            r = CheckReport("harmonic", check_harmonic(u))
+            r = CheckReport("harmonic", check_harmonic(u),
+                            mode="exact" if u.is_exact_form else "float")
         else:
             fn = {"radial": check_radial, "eiconal": check_eiconal,
                   "trace2": trace_identity_quadratic,

@@ -246,10 +246,12 @@ class Jet:
     scalars, or a float64 array.  In the metrised algebra x o x = 2 Du(x)
     and L_x = D^2u(x).
 
-    ``value`` reads the first block only, and also takes points along
-    leading axes, p of shape (..., n), giving one value per point.
-    ``take`` keeps each point's products contiguous, so every value is
-    summed as the single point's is and equals it bit for bit.
+    ``value`` reads the first block only.  It and ``trilinear`` also take
+    points along leading axes, p of shape (..., n), giving one result per
+    point.  ``take`` keeps each point's products contiguous, so every
+    result is summed as the single point's is and equals it bit for bit.
+    The arrays may be int64 copies where the caller has bounded every sum
+    (``algebra`` does so for weak associativity).
     """
     scale: float
     ijk: np.ndarray
@@ -299,9 +301,12 @@ class Jet:
         return H
 
     def trilinear(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
-        """D u(x; y; z) = D <x o y, z>, the complete polarization of D*u."""
+        """D u(x; y; z) = D <x o y, z>, the complete polarization of D*u;
+        like ``value``, one result per triple of points along leading axes."""
         a, b, c = self.ijk
-        return (self.m * x[a] * (y[b] * z[c] + y[c] * z[b])).sum()
+        return (self.m * x.take(a, axis=-1)
+                * (y.take(b, axis=-1) * z.take(c, axis=-1)
+                   + y.take(c, axis=-1) * z.take(b, axis=-1))).sum(axis=-1)
 
     def laplacian(self, n: int) -> np.ndarray:
         """The n coefficients of the linear form D Lap u: a rotation

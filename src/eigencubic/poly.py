@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple
 
+import numpy as np
+
 from .scalars import QSqrt3Array
 
 Mono = Tuple[int, ...]
@@ -67,8 +69,8 @@ class Poly:
             for m, c in other.terms.items():
                 out[m] = out.get(m, 0) + c
             return Poly(self.nvars, out)
-        if isinstance(other, QSqrt3Array):
-            return NotImplemented       # the pair's own operator takes it
+        if isinstance(other, (QSqrt3Array, np.ndarray)):
+            return NotImplemented       # the pair's or array's own operator takes it
         if other == 0:
             return self
         return self + Poly.const(self.nvars, other)
@@ -94,7 +96,7 @@ class Poly:
                     m = tuple(sorted(m1 + m2))
                     out[m] = out.get(m, 0) + c1 * c2
             return Poly(self.nvars, out)
-        if isinstance(other, QSqrt3Array):
+        if isinstance(other, (QSqrt3Array, np.ndarray)):
             return NotImplemented
         if not other:
             return Poly(self.nvars)

@@ -7,10 +7,10 @@ import pytest
 
 from eigencubic import algebra
 from eigencubic.algebra import MetrisedAlgebra, _newton_step
-from eigencubic.cubics import (CATALOG, CubicForm, cartan_cubic, catalog_build,
-                               trivial_cubic)
+from eigencubic.cubics import (CATALOG, CubicForm, Jet, _Sqrt3Jet, cartan_cubic,
+                               catalog_build, trivial_cubic)
 from eigencubic.identities import check_radial
-from eigencubic.scalars import QSqrt3
+from eigencubic.scalars import QSqrt3, joined
 from rotations import rotate_exact
 
 DIM3 = catalog_build("clifford-q0")
@@ -367,3 +367,126 @@ def test_exact_ops_accept_sqrt3_vectors():
         lhs = sum(a * b for a, b in zip(xy, z))
         rhs = sum(a * b for a, b in zip(x, alg.multiply(y, z)))
         assert lhs == rhs
+
+
+# -- the batched weak-associativity check ------------------------------------
+
+def _rational_batch_loop(n, count, rng):
+    """The reference draw: one randint per coordinate, point by point, then
+    one per denominator, as Python ints."""
+    nums = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(count)]
+    return nums, [rng.randint(1, 3) for _ in range(count)]
+
+
+def _weak_loop(jet, n, trials, seed):
+    """The reference residual: one triple at a time on Python ints."""
+    rng = random.Random(seed)
+    (X, dx), (Y, dy), (Z, dz) = (_rational_batch_loop(n, trials, rng)
+                                 for _ in range(3))
+    worst = Fraction(0)
+    for x, y, z, a, b, c in zip(X, Y, Z, dx, dy, dz):
+        x, y, z = (np.array(p, dtype=object) for p in (x, y, z))
+        diff = joined(jet.trilinear(x, y, z) - jet.trilinear(y, z, x))
+        worst = max(worst, abs(diff / Fraction(jet.scale * a * b * c)))
+    return worst
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rational_batch_keeps_the_randint_stream(seed):
+    for n in (1, 3, 27, 54):
+        for count in (0, 1, 1000):
+            fast, slow = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                nums, dens = algebra._rational_batch(n, count, fast)
+                want_nums, want_dens = _rational_batch_loop(n, count, slow)
+                assert nums.dtype == dens.dtype == np.int64
+                assert nums.shape == (count, n) and dens.shape == (count,)
+                assert nums.tolist() == want_nums and dens.tolist() == want_dens
+                assert fast.getstate() == slow.getstate()
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_batched_trilinear_matches_single_triples(name):
+    # the int64 copy and the Python-int jet, on a batch of triples, against
+    # one Python-int triple at a time, on each sqrt(3) channel
+    jet = catalog_build(name).jet(exact=True)
+    fast = algebra._int64_jet(jet)
+    assert fast.m.dtype == np.int64
+    rng = random.Random(13)
+    X, Y, Z = (algebra._rational_batch(jet.ijk.max() + 1, 30, rng)[0]
+               for _ in range(3))
+    objects = [P.astype(object) for P in (X, Y, Z)]
+    single = [jet.trilinear(x, y, z) for x, y, z in zip(*objects)]
+    for got in (fast.trilinear(X, Y, Z), jet.trilinear(*objects)):
+        if jet.sqrt3 is None:
+            assert got.tolist() == single
+        else:
+            assert fast.sqrt3.m.dtype == np.int64
+            assert got.r.tolist() == [v.r for v in single]
+            assert got.s.tolist() == [v.s for v in single]
+
+
+def _unrotated_jet(sqrt3: bool) -> Jet:
+    # 5 x0 x1 x2 - 7 x0^2 x1 with one rotation of each monomial only, so
+    # <x o y, z> and <y o z, x> differ; as a sqrt(3) jet, 5 x0 x1 x2 with
+    # all three rotations plus sqrt(3) times the unrotated one, so that
+    # only the sqrt(3) channel of the difference is nonzero
+    ijk = np.array([[0, 0], [1, 0], [2, 1]], dtype=np.intp)
+    if not sqrt3:
+        return Jet(6, ijk, np.array([5, -7], dtype=object))
+    rotations = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.intp)
+    return _Sqrt3Jet(6, rotations, np.array([5, 5, 5], dtype=object),
+                     Jet(6, ijk, np.array([5, -7], dtype=object)))
+
+
+@pytest.mark.parametrize("chunk", [algebra.TRILINEAR_CHUNK, 7])
+@pytest.mark.parametrize("sqrt3", [False, True])
+def test_weak_associativity_paths_agree(monkeypatch, sqrt3, chunk):
+    # a nonzero residual, equal in value and type on the int64 path, on the
+    # Python-int path and in the one-triple-at-a-time reference
+    jet = _unrotated_jet(sqrt3)
+    monkeypatch.setattr(algebra, "TRILINEAR_CHUNK", chunk)
+    monkeypatch.setattr(MetrisedAlgebra, "_exact_jet", lambda self: jet)
+    alg = MetrisedAlgebra(CubicForm(3, {}))
+    fast = alg.weak_associativity_max_residual(trials=200, seed=5)
+    want = _weak_loop(jet, 3, 200, 5)
+    monkeypatch.setattr(algebra, "_int64_jet", lambda j: j)
+    slow = alg.weak_associativity_max_residual(trials=200, seed=5)
+    assert fast == slow == want != 0
+    assert type(fast) is type(slow) is type(want) is (QSqrt3 if sqrt3 else Fraction)
+
+
+@pytest.mark.parametrize("u", [
+    CubicForm(3, {(0, 0, 0): Fraction(10 ** 40), (0, 1, 2): Fraction(1, 3)}),
+    CubicForm(3, {(0, 0, 0): 1e40, (0, 1, 2): 0.1, (1, 1, 1): 3.0})],
+    ids=["rational", "float"])
+def test_weak_associativity_huge_coefficient_runs_on_python_ints(u):
+    alg = MetrisedAlgebra(u)
+    jet = alg._exact_jet()
+    assert algebra._int64_jet(jet) is jet
+    got = alg.weak_associativity_max_residual(trials=100, seed=6)
+    assert got == 0 and type(got) is Fraction
+
+
+def test_int64_jet_bound():
+    # WEAK_DIFF_FACTOR * sum|m| < 2**63 takes int64; the least sum above it
+    # does not, on either sqrt(3) channel
+    top = -(-2 ** 63 // algebra.WEAK_DIFF_FACTOR)
+    ijk = np.array([[0], [1], [2]], dtype=np.intp)
+
+    def jet(m, s=None):
+        r = Jet(1, ijk, np.array([m], dtype=object))
+        if s is None:
+            return r
+        return _Sqrt3Jet(1, ijk, r.m, Jet(1, ijk, np.array([s], dtype=object)))
+
+    below = algebra._int64_jet(jet(1 - top))
+    assert below.m.dtype == np.int64
+    for above in (jet(top), jet(-top), jet(1, top), jet(top, 1)):
+        assert algebra._int64_jet(above) is above
+    # the triple that reaches the bound: the two contractions are
+    # +-1458 m, and their difference is exact in int64
+    x, y, z = (np.array(p, dtype=np.int64)
+               for p in ((9, 9, 9), (-9, 9, 9), (9, 9, 9)))
+    diff = below.trilinear(x, y, z) - below.trilinear(y, z, x)
+    assert int(diff) == algebra.WEAK_DIFF_FACTOR * (1 - top)

@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from eigencubic.cli import main
+from eigencubic.cli import CHECKS, main
 
 TRANSCRIPT = Path(__file__).parent / "data" / "readme_transcript.txt"
 
@@ -272,6 +272,15 @@ def test_mixed_float_and_sqrt3_coefficients(runner, tmp_path, args):
     res = runner.invoke(main, [args[0], str(path), *args[1:]])
     assert res.exit_code in (0, 1), res.output
     assert _strict_json_lines(res.stdout)
+
+
+def test_verify_reports_a_float_form_in_float_mode(runner, tmp_path):
+    # every check of a float form, harmonic included, runs in float64
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(_MIXED))
+    reports = _strict_json_lines(runner.invoke(main, ["verify", str(path)]).stdout)
+    assert [r["check"] for r in reports] == list(CHECKS)
+    assert [r["mode"] for r in reports] == ["float"] * 5
 
 
 _FUZZ_RUNS = (["verify"], ["verify", "--random", "3"], ["classify"],

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eigencubic.poly import Poly
@@ -50,3 +51,14 @@ def test_monomial_is_its_sorted_variable_indices():
     assert p.diff(0).terms == {(0, 3): 2}
     assert p.diff(1).is_zero()
     assert Poly.const(4, 5).terms == {(): 5}
+
+
+@pytest.mark.parametrize("op", [lambda p, a: p + a, lambda p, a: p * a])
+def test_array_operand_is_entrywise_in_both_orders(op):
+    # a numpy array on either side gives the array of entrywise results
+    p = x(2, 0) + 1
+    arr = np.array([0, 2, Fraction(1, 3)], dtype=object)
+    want = [op(p, v) for v in arr]
+    for got in (op(p, arr), op(arr, p)):
+        assert isinstance(got, np.ndarray) and got.shape == arr.shape
+        assert list(got) == want
