@@ -1,10 +1,12 @@
 """Command-line frontend.
 
 Exit codes: 0 all requested checks passed, 1 a mathematical check failed,
-2 usage or input error (counts out of range, a form file with dim < 1, a
-monomial listed twice, a coefficient that is not finite or exceeds 1e50
-in magnitude or a largest one below 1e-50, the zero form where a radial
-constant is asked for), 3 internal error (any other exception, reported
+2 usage or input error (counts out of range, a ``--tol`` that is not
+finite and positive, a NaN or negative ``--grad-threshold``, a NaN
+``--max-curvature``, a form file with dim < 1, a monomial listed twice,
+a coefficient that is not finite or exceeds 1e50 in magnitude or a
+largest one below 1e-50, the zero form where a radial constant is asked
+for), 3 internal error (any other exception, reported
 as one stderr line ``internal error: <Type>: <message>``).  Rationals are
 serialized as "p/q" strings and floats with round-trip precision; runs
 with identical arguments (and seed) produce byte-identical output, on any
@@ -15,6 +17,7 @@ computed in floats (see the README).
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import Optional
 
@@ -72,6 +75,24 @@ def _reject_zero_form(u: CubicForm) -> None:
 def _check_seed(ctx, param, value):
     if value is not None and value < 0:
         raise click.UsageError("seed must be nonnegative")
+    return value
+
+
+def _check_tol(ctx, param, value):
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter("must be finite and positive")
+    return value
+
+
+def _check_grad_threshold(ctx, param, value):
+    if not value >= 0:
+        raise click.BadParameter("must be a nonnegative number")
+    return value
+
+
+def _check_not_nan(ctx, param, value):
+    if value is not None and math.isnan(value):
+        raise click.BadParameter("must be a number, not nan")
     return value
 
 
@@ -181,7 +202,7 @@ def verify(path, checks, mode, trials, seed):
               show_default=True)
 @click.option("--seed", type=int, required=True, callback=_check_seed)
 @click.option("--tol", type=float, default=1e-6, show_default=True,
-              help="eigenvalue binning tolerance")
+              callback=_check_tol, help="eigenvalue binning tolerance")
 def spectrum(path, restarts, seed, tol):
     """Idempotents of the form's algebra with Peirce spectra, JSON lines."""
     u = _load_form(path)
@@ -277,9 +298,10 @@ def clifford_cmd(q, emit_path):
 @click.option("--count", type=click.IntRange(min=0), default=200,
               show_default=True)
 @click.option("--seed", type=int, required=True, callback=_check_seed)
-@click.option("--grad-threshold", type=float, default=0.1, show_default=True)
+@click.option("--grad-threshold", type=float, default=0.1, show_default=True,
+              callback=_check_grad_threshold)
 @click.option("--max-curvature", type=float, default=None,
-              help="exit 1 if any |H| exceeds this")
+              callback=_check_not_nan, help="exit 1 if any |H| exceeds this")
 def cone_sample(path, count, seed, grad_threshold, max_curvature):
     """Sample zero-level points of the form and report mean curvature."""
     u = _load_form(path)

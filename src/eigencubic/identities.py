@@ -30,6 +30,14 @@ On a Q(sqrt3) form the kernel's pieces are ``QSqrt3Array`` pairs, so each
 ``sides`` runs on the two integer channels, and only the two sides it
 returns are joined to QSqrt3.
 
+The trace3 side computes H @ H with ``scalars.matmul``.  In the random
+mode H holds Python ints of at most 27 bits at catalog points below 10^6,
+so n * max|H|^2 < 2**63 proves every partial sum exact in int64 and the
+product runs on int64 copies of each integer channel; a Hessian beyond
+that bound (u scaled up, say) stays on Python ints.  The final * H and
+sum run on Python ints, where the products reach about 2**90.  Exact
+mode's ``Poly`` and float mode's float64 matrices take plain @.
+
 Policy: exact expansion for n <= 15, randomized above, both overridable.
 """
 
@@ -45,7 +53,8 @@ import numpy as np
 
 from .cubics import CubicForm
 from .poly import Poly
-from .scalars import QSqrt3, exact_div, format_rational, is_exact, joined
+from .scalars import (QSqrt3, exact_div, format_rational, is_exact, joined,
+                      matmul)
 
 EXACT_VAR_LIMIT = 15
 DEFAULT_TRIALS = 20
@@ -139,7 +148,7 @@ RADIAL = _Identity("radial", 5, lambda v, g, H, r2: (
 EICONAL = _Identity("eiconal", 4, lambda v, g, H, r2: (g @ g, r2 * r2),
                     positive=True)
 TRACE2 = _Identity("trace2", 2, lambda v, g, H, r2: ((H * H).sum(), r2))
-TRACE3 = _Identity("trace3", 3, lambda v, g, H, r2: (((H @ H) * H).sum(), v))
+TRACE3 = _Identity("trace3", 3, lambda v, g, H, r2: ((matmul(H, H) * H).sum(), v))
 
 
 def _poly_vars(n: int) -> np.ndarray:

@@ -14,6 +14,14 @@ arithmetic; it becomes a ``Fraction`` only on division.
 two arrays, so the kernel of a Q(sqrt3) form does each array operation
 once per channel on Python ints and makes no QSqrt3 per entry.  Its
 ``join`` gives the entries as QSqrt3 where a result leaves the kernel.
+
+``matmul`` is ``a @ b`` for exact arrays.  Two matrices of Python ints
+whose contraction length k and largest entries prove every partial sum
+exact in int64, k * max|a| * max|b| < 2**63, are multiplied as int64
+copies and the result comes back as Python ints; anything else (``Poly``,
+Fraction or float entries, ints beyond the bound, or a vector operand) is
+``a @ b`` as it is.  ``QSqrt3Array``'s ``@`` runs each channel product
+through it.
 """
 
 from __future__ import annotations
@@ -189,6 +197,9 @@ class QSqrt3Array:
     one too) on either side, and run as numpy operations on the channels:
     (r + sqrt3 s)(r' + sqrt3 s') = r r' + 3 s s' + sqrt3 (r s' + s r').
     numpy hands every binary operator with a pair operand to the pair.
+    Each channel product of @ is ``matmul``, so on integer channels within
+    its bound it runs in int64; the sums of products above stay on
+    Python ints.
     ``join`` gives each entry as one scalar, and ``==`` compares joined.
     """
 
@@ -227,12 +238,13 @@ class QSqrt3Array:
 
     def __matmul__(self, other):
         if isinstance(other, QSqrt3Array):
-            return QSqrt3Array(self.r @ other.r + 3 * (self.s @ other.s),
-                               self.r @ other.s + self.s @ other.r)
-        return QSqrt3Array(self.r @ other, self.s @ other)
+            return QSqrt3Array(
+                matmul(self.r, other.r) + 3 * matmul(self.s, other.s),
+                matmul(self.r, other.s) + matmul(self.s, other.r))
+        return QSqrt3Array(matmul(self.r, other), matmul(self.s, other))
 
     def __rmatmul__(self, other):
-        return QSqrt3Array(other @ self.r, other @ self.s)
+        return QSqrt3Array(matmul(other, self.r), matmul(other, self.s))
 
     def sum(self):
         return QSqrt3Array(np.sum(self.r), np.sum(self.s))
@@ -250,6 +262,35 @@ class QSqrt3Array:
 
     def __repr__(self):
         return f"QSqrt3Array({self.r!r}, {self.s!r})"
+
+
+def _int64_operands(a, b):
+    """int64 copies of a and b when both are nonempty object matrices of
+    Python ints and k * max|a| * max|b| < 2**63, k = a.shape[-1] the
+    contraction length: each product is then at most max|a| * max|b| in
+    magnitude, so every partial sum of a @ b is below 2**63; else None.
+    A product with a vector is left to Python ints: its k*n products cost
+    about what reading the entries for the bound does."""
+    if not all(isinstance(x, np.ndarray) and x.dtype == object
+               and x.ndim >= 2 and x.size for x in (a, b)):
+        return None
+    fa, fb = a.ravel().tolist(), b.ravel().tolist()
+    if {*map(type, fa), *map(type, fb)} != {int}:
+        return None
+    if a.shape[-1] * max(map(abs, fa)) * max(map(abs, fb)) >= 2 ** 63:
+        return None
+    return a.astype(np.int64), b.astype(np.int64)
+
+
+def matmul(a, b):
+    """a @ b, exactly.  Python-int matrices within the int64 bound of
+    ``_int64_operands`` are multiplied as int64 copies, and the result
+    comes back as Python ints; any other operands go through a @ b
+    unchanged."""
+    ops = _int64_operands(a, b)
+    if ops is None:
+        return a @ b
+    return (ops[0] @ ops[1]).astype(object)
 
 
 def _as_pair(x):

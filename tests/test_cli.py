@@ -225,6 +225,12 @@ _DEGENERATE_RUNS = [
                                         "bool-c", "bool-c3", "dim-129")),
     (None, ["clifford", "--q", "11"]),
     (None, ["clifford", "--q", "-1"]),
+    # a tolerance nothing bins within, and gates that NaN would switch off
+    *(("cube", ["spectrum", "--seed", "1", "--tol", tol])
+      for tol in ("-1", "0", "nan", "inf")),
+    *(("cube", ["cone-sample", "--seed", "1", "--count", "3", opt, value])
+      for opt, value in (("--grad-threshold", "nan"), ("--grad-threshold", "-1"),
+                         ("--max-curvature", "nan"))),
     *((huge, args) for huge in ("huge-float", "huge-rational")
       for args in (["classify"], ["verify"], ["spectrum", "--seed", "1"],
                    ["cone-sample", "--seed", "1", "--count", "3"])),
@@ -351,6 +357,31 @@ def test_cone_sample_max_curvature_exit_code(runner, tmp_path):
     args = ["cone-sample", path, "--seed", "1", "--count", "3"]
     assert run(runner, *args).exit_code == 0
     assert run(runner, *args, "--max-curvature", "-1").exit_code == 1
+
+
+def test_spectrum_tol_default_is_unchanged(runner, tmp_path):
+    path = _emit(runner, tmp_path, "cartan-d1")
+    args = ["spectrum", path, "--restarts", "8", "--seed", "1"]
+    res = run(runner, *args)
+    assert res.exit_code == 0
+    assert {tuple(json.loads(l)["triple"]) for l in res.output.splitlines()} \
+        == {(2, 0, 2)}
+    assert run(runner, *args, "--tol", "1e-6").output == res.output
+
+
+def test_cone_sample_gate_defaults_and_inf(runner, tmp_path):
+    # inf is an explicit request: every ray is under an infinite gradient
+    # threshold, and no curvature exceeds an infinite bound
+    path = _emit(runner, tmp_path, "cartan-d1")
+    args = ["cone-sample", path, "--seed", "1", "--count", "3"]
+    res = run(runner, *args)
+    assert res.exit_code == 0
+    assert json.loads(res.output.splitlines()[-1])["found"] == 3
+    assert run(runner, *args, "--grad-threshold", "0.1",
+               "--max-curvature", "inf").output == res.output
+    res = run(runner, *args, "--grad-threshold", "inf")
+    assert res.exit_code == 0
+    assert json.loads(res.output.splitlines()[-1])["found"] == 0
 
 
 def test_internal_error_exit_code(runner, tmp_path, monkeypatch):

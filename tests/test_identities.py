@@ -142,6 +142,18 @@ def test_trace_identity_cubic():
         assert r.passed, name
 
 
+@pytest.mark.parametrize("name, a", [("cartan-d8", -48), ("involution-d8", Fraction(3, 2))])
+def test_trace3_of_a_form_beyond_int64(name, a):
+    # scaled by 1e12, the Hessian's largest entry at points below 1e6 has
+    # 59 bits or more, so n * max|H|^2 >= 2**63 and H @ H runs on Python
+    # ints; cartan-d8's Hessian is a Q(sqrt3) pair
+    s = 10 ** 12
+    u = catalog_build(name)
+    assert trace_identity_cubic(u, "random", seed=1).constant == a
+    r = trace_identity_cubic(u.scaled(s), "random", seed=1)
+    assert r.passed and r.constant == s * s * a
+
+
 def test_trace_cube_vanishes_for_complexified_family():
     # tr(D^2 u)^3 is identically zero for the real parts of holomorphic
     # determinants; the exact path proves it at d = 1, the randomized

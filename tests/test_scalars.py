@@ -7,8 +7,9 @@ import pytest
 
 from eigencubic.identities import CheckReport
 from eigencubic.poly import Poly
-from eigencubic.scalars import (QSqrt3, QSqrt3Array, SQRT3, format_rational,
-                                is_exact, joined, parse_rational)
+from eigencubic.scalars import (QSqrt3, QSqrt3Array, SQRT3, _int64_operands,
+                                format_rational, is_exact, joined, matmul,
+                                parse_rational)
 
 
 def rand_q3(rng, bound=9):
@@ -233,3 +234,49 @@ def test_pair_of_poly_arrays():
                       ((P * P).sum(), (p * p).sum())]:
         _same(got, want)
     assert isinstance(r2 * (P @ P), QSqrt3Array)
+
+
+# -- matmul: int64 where k * max|a| * max|b| < 2**63 proves it exact ------------
+
+def _extreme(rows, cols, top, rng):
+    """A rows x cols object matrix of Python ints in [-top, top] whose
+    first row is all -top."""
+    m = _ints(rng, rows, cols)
+    m[0] = -top
+    m[1:] *= top // 9
+    return m
+
+
+# 2**63 - 1 = 7 * 21870289 * 60247241209 and 2**63 = 8 * 2**30 * 2**30;
+# a's first row times b's first column reaches k * max|a| * max|b| exactly,
+# and a's first dimension differs from k
+@pytest.mark.parametrize("k, top_a, top_b, int64", [
+    (7, 21870289, 60247241209, True), (8, 2 ** 30, 2 ** 30, False)],
+    ids=["2**63-1", "2**63"])
+def test_matmul_int64_bound_is_exact_at_the_edge(k, top_a, top_b, int64):
+    rng = random.Random(15)
+    a = _extreme(3, k, top_a, rng)
+    b = _extreme(2, k, top_b, rng).T.copy()
+    assert k * top_a * top_b == 2 ** 63 - int64
+    assert (_int64_operands(a, b) is not None) is int64
+    got, want = matmul(a, b), a @ b
+    assert want[0, 0] == k * top_a * top_b
+    assert got.dtype == object and got.shape == want.shape
+    assert got.tolist() == want.tolist()
+    assert {type(x) for x in got.ravel()} == {int}
+
+
+def test_matmul_takes_the_plain_path_off_python_int_matrices():
+    rng = random.Random(16)
+    a, b = _ints(rng, 3, 4), _ints(rng, 4, 2)
+    assert _int64_operands(a, b) is not None
+    x = np.array([Poly.var(4, i) for i in range(4)], dtype=object)
+    half = a.copy()
+    half[1, 2] = Fraction(1, 2)
+    for lhs, rhs in [(half, b), (b.T.copy(), half.T.copy()),
+                     (np.outer(x, x), b), (a, np.outer(x, x)),
+                     (a.astype(float), b.astype(float)), (a, b[:, 0].copy())]:
+        assert _int64_operands(lhs, rhs) is None
+        got, want = matmul(lhs, rhs), lhs @ rhs
+        assert np.all(np.asarray(got == want, dtype=bool))
+        assert [type(e) for e in np.ravel(got)] == [type(e) for e in np.ravel(want)]
