@@ -3,18 +3,19 @@
 V(u) carries the product fixed by <x o y, z> = u(x; y; z) against the
 standard Euclidean inner product, so (x o y)_k = 6 sum T_ijk x_i y_j and
 x o x = 2 grad u(x) and L_x = D^2u(x).  Both come from the form's one
-(u, Du, D^2u) kernel, ``CubicForm.jet``: exact operations run it on
-exact scalars over the coefficient field, the idempotent / Peirce
-pipeline on float64.  The two exact checks run on the same kernel at
-random rational points: weak associativity compares the trilinear
-contractions <x o y, z> and <y o z, x>, and the Hsiang identity
+(u, Du, D^2u) kernel, ``CubicForm.jet``, the only route to them: the
+exact operations below read its exact jet (a float coefficient enters as
+the binary fraction it is), the idempotent / Peirce pipeline its float64
+jet.  The two exact checks run at random rational points: weak
+associativity compares the trilinear contractions <x o y, z> and
+<y o z, x>, and the Hsiang identity
 <x^2,x^2> tr L_x - <x^2,x^3> = (2/3) theta |x|^2 <x^2,x> is 4 times the
 radial identity of ``identities.RADIAL``, since x^2 = 2 Du,
 x^3 = 2 D^2u Du and <x^2, x> = 6u.  On a Q(sqrt3) form the kernel
 gives each piece as a ``QSqrt3Array``, two integer arrays, and each
 exact operation joins it to QSqrt3 entries only where its result leaves
-the kernel: the operator L_x, the Hsiang residual at a point and a
-nonzero weak-associativity difference.
+the kernel: the operators L_{e_i} of ``multiplication_rank``, the Hsiang
+residual at a point and a nonzero weak-associativity difference.
 
 Weak associativity runs whole batches of triples through the kernel.
 The points' numerators lie in [-9, 9], which bounds every sum before any
@@ -39,7 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -86,37 +87,6 @@ class MetrisedAlgebra:
         self.form = form
         self.n = form.n
 
-    # -- exact operations -------------------------------------------------
-    def _operator(self, x: Sequence):
-        """(D L_x, D) with L_x = D^2u(x) and D the kernel's integer scale;
-        exact on exact input."""
-        if len(x) != self.n:
-            raise ValueError("vector length mismatch")
-        jet = self.form.jet(exact=True)
-        return joined(jet.hessian(np.array(x, dtype=object))), Fraction(jet.scale)
-
-    def multiply(self, x: Sequence, y: Sequence) -> list:
-        """x o y, exact on exact inputs; equals D^2u(x) y."""
-        if len(y) != self.n:
-            raise ValueError("vector length mismatch")
-        L, D = self._operator(x)
-        return list(L @ np.array(y, dtype=object) / D)
-
-    def mult_operator(self, x: Sequence) -> list:
-        """Matrix of y -> x o y; symmetric on exact input."""
-        L, D = self._operator(x)
-        return (L / D).tolist()
-
-    def trace_of_mult(self, x: Sequence):
-        """trace L_x = Lap u(x); vanishes identically iff the form is harmonic."""
-        return self.form.laplacian().eval(x)
-
-    def generic_trace_form(self, x: Sequence, y: Sequence):
-        """tau(x, y) = trace(L_x L_y)."""
-        Lx, D = self._operator(x)
-        Ly, _ = self._operator(y)
-        return (Lx * Ly.T).sum() / (D * D)
-
     def multiplication_rank(self) -> int:
         """dim span{e_i o e_j}; 1 exactly for the trivial family.
 
@@ -127,12 +97,11 @@ class MetrisedAlgebra:
             jet = self.form.jet(exact=False)
             rows = [jet.hessian(e)[i:] for i, e in enumerate(np.eye(n))]
             return int(np.linalg.matrix_rank(np.concatenate(rows), tol=1e-9))
+        jet = self.form.jet(exact=True)
         pivots: List[list] = []
         pivot_cols: List[int] = []
-        for i in range(n):
-            ei = [0] * n
-            ei[i] = 1
-            L, _ = self._operator(ei)           # D L_{e_i}: the same span
+        for i, ei in enumerate(np.eye(n, dtype=int).astype(object)):
+            L = joined(jet.hessian(ei))         # D L_{e_i}: the same span
             for j in range(i, n):
                 row = list(L[:, j])
                 for prow, pcol in zip(pivots, pivot_cols):
@@ -283,14 +252,6 @@ class MetrisedAlgebra:
                           unbinned=unbinned, residual=residual)
 
     # -- the defining identity -----------------------------------------------
-    def _exact_jet(self) -> Jet:
-        """The exact kernel; a float coefficient enters as the binary
-        fraction it is, so the checks below stay exact on float forms."""
-        u = self.form
-        if not u.is_exact_form:
-            u = CubicForm(u.n, {k: Fraction(c) for k, c in u.terms.items()})
-        return u.jet(exact=True)
-
     def check_hsiang_identity(self, theta, trials: int = 100, seed: int = 0):
         """Max residual of <x^2,x^2> tr L_x - <x^2,x^3> = (2/3) theta <x,x><x^2,x>
         over random rational points; exact arithmetic, so 0 means identity.
@@ -300,7 +261,7 @@ class MetrisedAlgebra:
         evaluates for D*u at the integer point d*x, on Python ints.
         """
         rng = random.Random(seed)
-        jet = self._exact_jet()
+        jet = self.form.jet(exact=True)
         D = jet.scale
         X, dens = _rational_batch(self.n, trials, rng)
         worst = Fraction(0)
@@ -329,7 +290,7 @@ class MetrisedAlgebra:
         in type.
         """
         rng = random.Random(seed)
-        jet = _int64_jet(self._exact_jet())
+        jet = _int64_jet(self.form.jet(exact=True))
         X, dx = _rational_batch(self.n, trials, rng)
         Y, dy = _rational_batch(self.n, trials, rng)
         Z, dz = _rational_batch(self.n, trials, rng)

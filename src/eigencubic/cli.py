@@ -72,12 +72,6 @@ def _reject_zero_form(u: CubicForm) -> None:
         raise click.UsageError("the zero form has no radial constant")
 
 
-def _check_seed(ctx, param, value):
-    if value is not None and value < 0:
-        raise click.UsageError("seed must be nonnegative")
-    return value
-
-
 def _check_tol(ctx, param, value):
     if not (math.isfinite(value) and value > 0):
         raise click.BadParameter("must be finite and positive")
@@ -166,8 +160,7 @@ CHECKS = ("radial", "eiconal", "harmonic", "trace2", "trace3")
 @click.option("--exact", "mode", flag_value="exact", help="force full expansion")
 @click.option("--random", "trials", type=click.IntRange(min=1), default=None,
               help="force randomized testing with this many trials")
-@click.option("--seed", type=int, default=0, show_default=True,
-              callback=_check_seed)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def verify(path, checks, mode, trials, seed):
     """Verify differential identities of the form in PATH."""
     u = _load_form(path)
@@ -200,7 +193,7 @@ def verify(path, checks, mode, trials, seed):
 @click.argument("path")
 @click.option("--restarts", type=click.IntRange(min=1), default=64,
               show_default=True)
-@click.option("--seed", type=int, required=True, callback=_check_seed)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--tol", type=float, default=1e-6, show_default=True,
               callback=_check_tol, help="eigenvalue binning tolerance")
 def spectrum(path, restarts, seed, tol):
@@ -219,8 +212,7 @@ def spectrum(path, restarts, seed, tol):
 @click.argument("path")
 @click.option("--exact", "mode", flag_value="exact")
 @click.option("--random", "trials", type=click.IntRange(min=1), default=None)
-@click.option("--seed", type=int, default=0, show_default=True,
-              callback=_check_seed)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 def classify_cmd(path, mode, trials, seed):
     """Print the classification record of the form in PATH."""
     u = _load_form(path)
@@ -236,8 +228,7 @@ def classify_cmd(path, mode, trials, seed):
 @click.option("--json", "as_json", is_flag=True)
 @click.option("--validate", is_flag=True,
               help="run every realizable witness through the full pipeline")
-@click.option("--seed", type=int, default=0, show_default=True,
-              callback=_check_seed)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--restarts", type=click.IntRange(min=1), default=8,
               show_default=True)
 def triples(which, as_json, validate, seed, restarts):
@@ -297,7 +288,7 @@ def clifford_cmd(q, emit_path):
 @click.argument("path")
 @click.option("--count", type=click.IntRange(min=0), default=200,
               show_default=True)
-@click.option("--seed", type=int, required=True, callback=_check_seed)
+@click.option("--seed", type=click.IntRange(min=0), required=True)
 @click.option("--grad-threshold", type=float, default=0.1, show_default=True,
               callback=_check_grad_threshold)
 @click.option("--max-curvature", type=float, default=None,

@@ -103,10 +103,10 @@ class CubicForm:
     def jet(self, exact: bool) -> "Jet":
         """The arrays of the (u, Du, D^2u) kernel, built once per kind.
 
-        ``exact`` asks for D*u cleared to Python ints; a form with float
-        coefficients always gets float64 arrays (D a power of two).
+        ``exact`` asks for D*u cleared to Python ints, on a float form
+        too: a float coefficient enters as the binary fraction it is.
+        Otherwise the arrays are float64 (D a power of two).
         """
-        exact = exact and self.is_exact_form
         if exact not in self._jets:
             self._jets[exact] = Jet.of(self, exact)
         return self._jets[exact]
@@ -120,14 +120,6 @@ class CubicForm:
         return T
 
     # -- evaluation and calculus -------------------------------------------
-    def evaluate(self, point: Sequence):
-        if len(point) != self.n:
-            raise ValueError(f"point has length {len(point)}, expected {self.n}")
-        total = 0
-        for (i, j, k), m in self.terms.items():
-            total = total + m * point[i] * point[j] * point[k]
-        return total
-
     def to_poly(self) -> Poly:
         return Poly(self.n, self.terms)
 
@@ -147,9 +139,10 @@ class CubicForm:
 
     def laplacian(self) -> Poly:
         """Linear polynomial sum of the repeated second partials, read off
-        the kernel: exact on an exact form, float64 on any other (a float
-        coefficient makes the whole form a float one)."""
-        jet = self.jet(exact=True)
+        the kernel: off the exact jet on an exact form, off the float64
+        jet on any other (a float coefficient makes the whole form a float
+        one), so a float form's Laplacian has float coefficients."""
+        jet = self.jet(exact=self.is_exact_form)
         D = Fraction(jet.scale)
         lap = joined(jet.laplacian(self.n))
         return Poly(self.n, {(v,): c / D for v, c in enumerate(lap)})

@@ -10,7 +10,8 @@ decider:
 * exact: p is the vector of ``Poly`` variables; t is decided on the
   coefficients of the expanded sides;
 * random: p is a random integer point; t is decided on the exact sides
-  at ``trials + 1`` points, with the Schwartz-Zippel bound (deg/bound)**trials;
+  at ``trials + 1`` points, with the Schwartz-Zippel bound (deg/bound)**trials,
+  or the least positive float where that underflows;
 * float: p is a Gaussian float64 point (forms with float coefficients)
   and t is a least-squares fit, accepted to a tolerance.
 
@@ -183,7 +184,10 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
     t = t / jet.scale / jet.scale
     if m == "float" and not math.isfinite(t):
         raise ValueError("the identity constant is not finite in float64")
-    err = (ident.degree / DEFAULT_BOUND) ** trials if m == "random" else 0.0
+    # the power underflows to 0.0 from 57 trials on; the least positive
+    # float still bounds it from above, and claims no certainty
+    err = max((ident.degree / DEFAULT_BOUND) ** trials, math.ulp(0.0)) \
+        if m == "random" else 0.0
     return CheckReport(ident.name, True, t, m, err)
 
 

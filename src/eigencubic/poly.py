@@ -49,9 +49,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max(map(len, self.terms), default=-1)
-
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.nvars == other.nvars and self.terms == other.terms
@@ -103,18 +100,6 @@ class Poly:
         return Poly(self.nvars, {m: c * other for m, c in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = Poly.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def diff(self, i: int) -> "Poly":
         # dropping one i is injective on the monomials containing i

@@ -109,18 +109,6 @@ class QSqrt3:
             return self.inverse() * other
         return NotImplemented
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = QSqrt3(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- comparisons / hashing ----------------------------------------
     def __eq__(self, other):
         if isinstance(other, QSqrt3):

@@ -27,43 +27,51 @@ def frac_point(rng, n, bound=9):
 
 
 def test_multiply_examples():
-    assert ALG3.multiply(E2, E2) == [2, 0, 0]
-    assert ALG3.multiply(E1, E2) == [0, 2, 0]
-    assert ALG3.multiply(E3, E3) == [-2, 0, 0]
+    # x o y = L_x y with L_x = D^2u(x); the jet holds D L_x
+    jet = DIM3.jet(exact=True)
+    D = jet.scale
+    e1, e2, e3 = (np.array(e, dtype=object) for e in (E1, E2, E3))
+    assert (joined(jet.hessian(e2)) @ e2).tolist() == [2 * D, 0, 0]
+    assert (joined(jet.hessian(e1)) @ e2).tolist() == [0, 2 * D, 0]
+    assert (joined(jet.hessian(e3)) @ e3).tolist() == [-2 * D, 0, 0]
 
 
 def test_square_is_twice_gradient():
     rng = random.Random(0)
     for name in ("clifford-q0", "cartan-d1", "involution-d2", "cartan-d4"):
         u = catalog_build(name)
-        alg = MetrisedAlgebra(u)
+        jet = u.jet(exact=True)
         grads = u.gradient()
         for _ in range(5):
             x = frac_point(rng, u.n)
-            assert alg.multiply(x, x) == [2 * g.eval(x) for g in grads]
+            p = np.array(x, dtype=object)
+            assert (joined(jet.hessian(p)) @ p).tolist() == \
+                [2 * jet.scale * g.eval(x) for g in grads]
 
 
 def test_multiply_matches_polarization():
     rng = random.Random(1)
     for name in ("clifford-q1", "cartan-d2"):
         u = catalog_build(name)
-        alg = MetrisedAlgebra(u)
+        jet = u.jet(exact=True)
         for _ in range(5):
-            x, y, z = (frac_point(rng, u.n) for _ in range(3))
-            xy = alg.multiply(x, y)
-            assert sum(a * b for a, b in zip(xy, z)) == u.polarize(x, y, z)
+            x, y, z = (np.array(frac_point(rng, u.n), dtype=object) for _ in range(3))
+            xy = joined(jet.hessian(x)) @ y
+            assert xy @ z == jet.scale * u.polarize(x, y, z)
 
 
 def test_mult_operator():
-    L = ALG3.mult_operator(E1)
-    assert L == [[0, 0, 0], [0, 2, 0], [0, 0, -2]]
+    jet = DIM3.jet(exact=True)
+    D = jet.scale
+    L = joined(jet.hessian(np.array(E1, dtype=object)))
+    assert L.tolist() == [[0, 0, 0], [0, 2 * D, 0], [0, 0, -2 * D]]
     rng = random.Random(2)
     for _ in range(5):
-        x = frac_point(rng, 3)
-        y = frac_point(rng, 3)
-        Lx = ALG3.mult_operator(x)
-        Ly = ALG3.mult_operator(y)
-        Lxy = ALG3.mult_operator([a + b for a, b in zip(x, y)])
+        x = np.array(frac_point(rng, 3), dtype=object)
+        y = np.array(frac_point(rng, 3), dtype=object)
+        Lx = joined(jet.hessian(x))
+        Ly = joined(jet.hessian(y))
+        Lxy = joined(jet.hessian(x + y))
         for i in range(3):
             for j in range(3):
                 assert Lx[i][j] == Lx[j][i]
@@ -71,22 +79,18 @@ def test_mult_operator():
 
 
 def test_trace_of_mult_vanishes_iff_harmonic():
+    # tr L_x = Lap u(x), on the kernel and on the Laplacian read off it
     rng = random.Random(3)
-    for _ in range(5):
-        assert ALG3.trace_of_mult(frac_point(rng, 3)) == 0
-    triv = MetrisedAlgebra(trivial_cubic(3, 1))
-    assert triv.trace_of_mult(E1) == 6  # Lap(x^3) = 6x
-
-
-def test_generic_trace_form():
-    assert ALG3.generic_trace_form(E1, E1) == 8
-    rng = random.Random(4)
+    jet = DIM3.jet(exact=True)
     for _ in range(5):
         x = frac_point(rng, 3)
-        y = frac_point(rng, 3)
-        assert ALG3.generic_trace_form(x, y) == ALG3.generic_trace_form(y, x)
-        tau = ALG3.generic_trace_form(x, x)
-        assert tau >= 0
+        assert joined(jet.hessian(np.array(x, dtype=object))).trace() == 0
+        assert DIM3.laplacian().eval(x) == 0
+    triv = trivial_cubic(3, 1)
+    tjet = triv.jet(exact=True)
+    # Lap(x^3) = 6x
+    assert joined(tjet.hessian(np.array(E1, dtype=object))).trace() == 6 * tjet.scale
+    assert triv.laplacian().eval(E1) == 6
 
 
 def test_multiplication_rank():
@@ -184,6 +188,8 @@ def test_newton_step_is_pseudo_inverse():
 def test_find_idempotents_requires_restart():
     with pytest.raises(ValueError):
         ALG3.find_idempotents(restarts=0, seed=0)
+    with pytest.raises(ValueError):
+        ALG3.find_idempotents(restarts=2, seed=-1)
 
 
 def test_peirce_rejects_non_idempotent():
@@ -205,11 +211,13 @@ def test_peirce_triples_against_table():
 def test_hsiang_identity_dim3():
     assert ALG3.check_hsiang_identity(Fraction(-8), trials=50, seed=0) == 0
     # at x = (1,1,0): x^2 = (2,4,0), x^3 = (8,12,0), both sides magnitude 64
-    x = [Fraction(1), Fraction(1), Fraction(0)]
-    x2 = ALG3.multiply(x, x)
-    x3 = ALG3.multiply(x2, x)
-    assert x2 == [2, 4, 0] and x3 == [8, 12, 0]
-    lhs = sum(a * a for a in x2) * ALG3.trace_of_mult(x) - \
+    jet = DIM3.jet(exact=True)
+    D = jet.scale
+    x = np.array([Fraction(1), Fraction(1), Fraction(0)], dtype=object)
+    x2 = joined(jet.hessian(x)) @ x / D
+    x3 = joined(jet.hessian(x2)) @ x / D
+    assert x2.tolist() == [2, 4, 0] and x3.tolist() == [8, 12, 0]
+    lhs = sum(a * a for a in x2) * joined(jet.hessian(x)).trace() / D - \
         sum(a * b for a, b in zip(x2, x3))
     rhs = Fraction(2, 3) * (-8) * sum(a * a for a in x) * \
         sum(a * b for a, b in zip(x2, x))
@@ -335,15 +343,6 @@ def test_dim3_triple_satisfies_table_relations():
     assert n3 == 2 * n1 + n2 - 2
 
 
-def test_vector_length_validation():
-    with pytest.raises(ValueError):
-        ALG3.multiply([1, 2], [1, 2, 3])
-    with pytest.raises(ValueError):
-        ALG3.mult_operator([1, 2])
-    with pytest.raises(ValueError):
-        ALG3.find_idempotents(restarts=2, seed=-1)
-
-
 def test_find_idempotents_deterministic():
     alg = MetrisedAlgebra(cartan_cubic(1))
     a = alg.find_idempotents(restarts=12, seed=9)
@@ -356,16 +355,17 @@ def test_find_idempotents_deterministic():
 
 def test_exact_ops_accept_sqrt3_vectors():
     u = catalog_build("cartan-d4")
-    alg = MetrisedAlgebra(u)
+    jet = u.jet(exact=True)
     rng = random.Random(10)
     for _ in range(3):
         x = [QSqrt3(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)))
              for _ in range(u.n)]
         y = [Fraction(rng.randint(-3, 3)) for _ in range(u.n)]
         z = [Fraction(rng.randint(-3, 3)) for _ in range(u.n)]
-        xy = alg.multiply(x, y)
+        x, y, z = (np.array(p, dtype=object) for p in (x, y, z))
+        xy = joined(jet.hessian(x)) @ y
         lhs = sum(a * b for a, b in zip(xy, z))
-        rhs = sum(a * b for a, b in zip(x, alg.multiply(y, z)))
+        rhs = sum(a * b for a, b in zip(x, joined(jet.hessian(y)) @ z))
         assert lhs == rhs
 
 
@@ -446,7 +446,7 @@ def test_weak_associativity_paths_agree(monkeypatch, sqrt3, chunk):
     # Python-int path and in the one-triple-at-a-time reference
     jet = _unrotated_jet(sqrt3)
     monkeypatch.setattr(algebra, "TRILINEAR_CHUNK", chunk)
-    monkeypatch.setattr(MetrisedAlgebra, "_exact_jet", lambda self: jet)
+    monkeypatch.setattr(CubicForm, "jet", lambda self, exact: jet)
     alg = MetrisedAlgebra(CubicForm(3, {}))
     fast = alg.weak_associativity_max_residual(trials=200, seed=5)
     want = _weak_loop(jet, 3, 200, 5)
@@ -462,7 +462,7 @@ def test_weak_associativity_paths_agree(monkeypatch, sqrt3, chunk):
     ids=["rational", "float"])
 def test_weak_associativity_huge_coefficient_runs_on_python_ints(u):
     alg = MetrisedAlgebra(u)
-    jet = alg._exact_jet()
+    jet = u.jet(exact=True)
     assert algebra._int64_jet(jet) is jet
     got = alg.weak_associativity_max_residual(trials=100, seed=6)
     assert got == 0 and type(got) is Fraction

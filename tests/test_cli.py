@@ -130,10 +130,14 @@ def test_spectrum_singular_newton_system(runner, tmp_path):
 
 
 def test_negative_seed_rejected(runner, tmp_path):
+    # every command that takes --seed rejects a negative one as a usage error
     path = _emit(runner, tmp_path, "clifford-q0")
-    res = runner.invoke(main, ["spectrum", path, "--restarts", "4",
-                               "--seed", "-1"])
-    assert res.exit_code == 2
+    for args in (["verify", path], ["classify", path], ["triples"],
+                 ["spectrum", path, "--restarts", "4"],
+                 ["cone-sample", path, "--count", "1"]):
+        res = runner.invoke(main, args + ["--seed", "-1"])
+        assert res.exit_code == 2, args[0]
+        assert "--seed" in res.output, args[0]
 
 
 def test_verify_forced_random_mode(runner, tmp_path):
@@ -144,6 +148,20 @@ def test_verify_forced_random_mode(runner, tmp_path):
     assert rec["pass"] and rec["mode"] == "random"
     assert rec["constant"] == "-54"
     assert 0 < rec["error_bound"] <= (5 / 10 ** 6) ** 10
+
+
+@pytest.mark.parametrize("trials", ["70", "200"])
+def test_verify_random_bound_does_not_underflow(runner, tmp_path, trials):
+    # (deg/10**6)**trials underflows to 0.0 here; a randomized verdict
+    # still reports a positive bound, the least positive float
+    path = _emit(runner, tmp_path, "cartan-d1")
+    res = run(runner, "verify", path, "--random", trials, "--seed", "2")
+    assert res.exit_code == 0
+    recs = [json.loads(line) for line in res.output.splitlines()]
+    random_recs = [r for r in recs if r["mode"] == "random"]
+    assert len(random_recs) == 4
+    for rec in random_recs:
+        assert rec["pass"] and rec["error_bound"] == 5e-324
 
 
 def test_classify_sqrt3_constants(runner, tmp_path):

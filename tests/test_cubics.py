@@ -2,13 +2,15 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from eigencubic.clifford import CliffordSystem, build_clifford_system
-from eigencubic.cubics import (CATALOG, CubicForm, albert_contraction_cubic,
+from eigencubic.cubics import (CATALOG, CubicForm, Jet, albert_contraction_cubic,
                                cartan_cubic, catalog_build, clifford_cubic,
                                complexified_cubic, involution_cubic,
                                octonion_cubic21, trivial_cubic)
+from eigencubic.identities import check_harmonic
 from eigencubic.jordan import jordan_mul, trace_form, tracefree_basis
 from eigencubic.poly import Poly
 from eigencubic.scalars import QSqrt3
@@ -28,18 +30,25 @@ def through_json(u):
 
 
 def test_eval_examples():
-    assert DIM3.evaluate([1, 2, 1]) == 3
-    assert DIM3.evaluate([0, 0, 0]) == 0
+    # the kernel's value of D*u against D times the Poly reference
+    jet, poly = DIM3.jet(exact=True), DIM3.to_poly()
+    D = jet.scale
+    assert poly.eval([1, 2, 1]) == 3
+    assert poly.eval([0, 0, 0]) == 0
+    assert jet.value(np.array([1, 2, 1], dtype=object)) == 3 * D
+    assert jet.value(np.array([0, 0, 0], dtype=object)) == 0
     rng = random.Random(0)
     for _ in range(10):
         x = frac_point(rng, 3)
-        assert DIM3.evaluate([2 * v for v in x]) == 8 * DIM3.evaluate(x)
+        x2 = [2 * v for v in x]
+        assert poly.eval(x2) == 8 * poly.eval(x)
+        assert jet.value(np.array(x2, dtype=object)) == 8 * D * poly.eval(x)
 
 
 def test_gradient_of_pure_cube():
     u = trivial_cubic(3, 1)
     g = u.gradient()
-    assert g[0] == 3 * Poly.var(3, 0) ** 2
+    assert g[0] == 3 * Poly.var(3, 0) * Poly.var(3, 0)
     assert g[1].is_zero() and g[2].is_zero()
 
 
@@ -69,7 +78,7 @@ def test_polarize_examples():
     rng = random.Random(1)
     for _ in range(10):
         x = frac_point(rng, 3)
-        assert DIM3.polarize(x, x, x) == 6 * DIM3.evaluate(x)
+        assert DIM3.polarize(x, x, x) == 6 * DIM3.to_poly().eval(x)
 
 
 def test_polarize_symmetric():
@@ -83,9 +92,9 @@ def test_polarize_symmetric():
 
 def test_trivial_cubic():
     u = trivial_cubic(1, 1)
-    assert u.n == 1 and u.evaluate([1]) == 1
+    assert u.n == 1 and u.to_poly().eval([1]) == 1
     u2 = trivial_cubic(4, Fraction(2, 3))
-    assert u2.evaluate([1, 9, 9, 9]) == Fraction(2, 3)
+    assert u2.to_poly().eval([1, 9, 9, 9]) == Fraction(2, 3)
     with pytest.raises(ValueError):
         trivial_cubic(0)
 
@@ -141,7 +150,7 @@ def test_cartan_jordan_crosscheck():
             for c, m in zip(coeffs[1:], basis.mats[1:]):
                 z = z + m.scale(c)
             lhs = trace_form(z, jordan_mul(z, z)) * Fraction(1, 6)
-            assert lhs == u.evaluate(coeffs)
+            assert lhs == u.to_poly().eval(coeffs)
 
 
 def test_involution_dimensions():
@@ -171,7 +180,7 @@ def test_octonion21_values():
     pt[0] = 1          # w1 = e1
     pt[7 + 1] = 1      # w2 = e2
     pt[14 + 2] = 1     # w3 = e3
-    assert u.evaluate(pt) == -1
+    assert u.to_poly().eval(pt) == -1
     # (e1, e1, anything) -> re((e1 e1) w3) = re(-w3) = 0
     rng = random.Random(4)
     for _ in range(5):
@@ -180,7 +189,7 @@ def test_octonion21_values():
         pt[7] = 1
         w3 = frac_point(rng, 7)
         pt[14:] = w3
-        assert u.evaluate(pt) == 0
+        assert u.to_poly().eval(pt) == 0
     assert all(c.denominator == 1 for c in u.terms.values())
 
 
@@ -193,10 +202,10 @@ def test_albert_proportional_to_octonion():
     ratios = set()
     for _ in range(10):
         pt = frac_point(rng, 21)
-        vo = oc.evaluate(pt)
+        vo = oc.to_poly().eval(pt)
         if vo == 0:
             continue
-        ratios.add(al.evaluate(pt) / vo)
+        ratios.add(al.to_poly().eval(pt) / vo)
     assert ratios == {Fraction(1)}
 
 
@@ -266,7 +275,8 @@ def test_from_json_dict_takes_coefficients_up_to_the_bound():
 
 
 def test_from_poly_rejects_inhomogeneous():
-    p = Poly.var(2, 0) ** 3 + Poly.var(2, 1)
+    x = Poly.var(2, 0)
+    p = x * x * x + Poly.var(2, 1)
     with pytest.raises(ValueError):
         CubicForm.from_poly(p)
 
@@ -278,6 +288,35 @@ def test_poly_shares_the_cubic_monomial_keys():
         assert CubicForm.from_poly(u.to_poly()) == u
 
 
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_float_form_keeps_its_float_laplacian(name):
+    # the Laplacian of a float form is read off the float jet, so its
+    # coefficients stay float, and the harmonic verdict is the exact form's
+    u = catalog_build(name)
+    uf = u.to_float()
+    lap = uf.laplacian()
+    assert all(type(c) is float for c in lap.terms.values())
+    if name == "trivial":
+        assert lap.terms == {(0,): 6.0}
+    assert check_harmonic(uf) == check_harmonic(u) == (CATALOG[name].family != "trivial")
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_exact_jet_of_a_float_form_is_its_binary_fractions(name):
+    # jet(exact=True) on a float form is the exact jet of the binary
+    # fractions its coefficients are, in scale, arrays and entry type
+    uf = catalog_build(name).to_float()
+    got = uf.jet(exact=True)
+    want = CubicForm(uf.n, {k: Fraction(c) for k, c in uf.terms.items()}).jet(exact=True)
+    assert type(got) is type(want) is Jet and got.sqrt3 is None is want.sqrt3
+    assert got.scale == want.scale and type(got.scale) is type(want.scale) is int
+    assert np.array_equal(got.ijk, want.ijk)
+    assert got.m.dtype == want.m.dtype == object
+    assert got.m.tolist() == want.m.tolist()
+    assert all(type(v) is int for v in got.m)
+    assert uf.jet(exact=True) is got and uf.jet(exact=False).m.dtype == float
+
+
 def test_round_trip_through_poly():
     for name in ("cartan-d2", "involution-d2"):
         u = catalog_build(name)
@@ -286,4 +325,4 @@ def test_round_trip_through_poly():
 
 def test_scaled():
     u = DIM3.scaled(Fraction(3, 2))
-    assert u.evaluate([1, 2, 1]) == Fraction(9, 2)
+    assert u.to_poly().eval([1, 2, 1]) == Fraction(9, 2)

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 import sympy
 
-from eigencubic.algebra import MetrisedAlgebra
 from eigencubic.composition import CDElement, cd_mul
 from eigencubic.cubics import catalog_build, complexified_cubic, involution_cubic
 from eigencubic.identities import check_eiconal, check_radial
+from eigencubic.scalars import joined
 
 
 def _to_sympy(u):
@@ -60,13 +60,14 @@ def test_mult_operator_is_hessian():
     rng = random.Random(0)
     for name in ("clifford-q2", "cartan-d2", "involution-d2"):
         u = catalog_build(name)
-        alg = MetrisedAlgebra(u)
+        jet = u.jet(exact=True)
         hess = u.hessian()
         for _ in range(4):
             x = [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
                  for _ in range(u.n)]
-            assert alg.mult_operator(x) == [[h.eval(x) for h in row]
-                                            for row in hess]
+            L = joined(jet.hessian(np.array(x, dtype=object)))
+            assert L.tolist() == [[jet.scale * h.eval(x) for h in row]
+                                  for row in hess]
 
 
 def test_octonion_table_structure():
@@ -105,7 +106,7 @@ def test_involution_d2_is_matrix_determinant():
         M = np.array([[d1, zp, ym],
                       [zm, d2, xp],
                       [yp, xm, d3]], dtype=float)
-        assert 2 * float(u.evaluate(x)) == pytest.approx(np.linalg.det(M),
+        assert 2 * float(u.to_poly().eval(x)) == pytest.approx(np.linalg.det(M),
                                                          abs=1e-6)
 
 
@@ -128,5 +129,5 @@ def test_complexified_d2_is_re_det_complex():
         x = [rng.randint(-9, 9) for _ in range(18)]
         M = herm(x[:9]) + 1j * herm(x[9:])
         want = np.linalg.det(M).real
-        assert float(u.evaluate([Fraction(v) for v in x])) == \
+        assert float(u.to_poly().eval([Fraction(v) for v in x])) == \
             pytest.approx(want, abs=1e-5)

@@ -46,16 +46,6 @@ def test_mixed_arithmetic_with_rationals():
     assert (2 / QSqrt3(0, 1)) * SQRT3 == 2
 
 
-def test_pow():
-    x = QSqrt3(1, 1)
-    assert x ** 0 == 1
-    assert x ** 1 == x
-    assert x ** 2 == x * x
-    assert x ** 5 == x * x * x * x * x
-    with pytest.raises(ValueError):
-        x ** -1
-
-
 def test_exact_sign_matches_float():
     rng = random.Random(1)
     for _ in range(200):
@@ -103,7 +93,7 @@ def test_equality_and_hash_against_rationals():
 
 def test_int_channels_stay_int_until_division():
     x = QSqrt3(3, -2)
-    for y in (x, x * x, x + 1, x - SQRT3, 2 * x, -x, x ** 3, abs(x)):
+    for y in (x, x * x, x + 1, x - SQRT3, 2 * x, -x, x * x * x, abs(x)):
         assert type(y.a) is int and type(y.b) is int
     D = 18
     for y in (x.inverse(), x / 2, 1 / SQRT3, x / (D * D), x / Fraction(2, 3),
