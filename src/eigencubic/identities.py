@@ -36,8 +36,9 @@ mode H holds Python ints of at most 27 bits at catalog points below 10^6,
 so n * max|H|^2 < 2**63 proves every partial sum exact in int64 and the
 product runs on int64 copies of each integer channel; a Hessian beyond
 that bound (u scaled up, say) stays on Python ints.  The final * H and
-sum run on Python ints, where the products reach about 2**90.  Exact
-mode's ``Poly`` and float mode's float64 matrices take plain @.
+sum run on Python ints, where the products reach about 2**90.  In exact
+mode H holds ``Poly`` entries and int zeros, and ``matmul`` sums each
+entry of H @ H in one dict; float mode's float64 matrices take plain @.
 
 Policy: exact expansion for n <= 15, randomized above, both overridable.
 """

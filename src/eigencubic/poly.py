@@ -7,6 +7,11 @@ unit of degree: x0^2 x3 is ``(0, 0, 3)`` and the constant monomial is
 scalars (int, Fraction, QSqrt3) or floats in float mode.  Zero
 coefficients are never stored, so ``not p.terms`` is the exact zero test.
 
+A sum keeps the left operand's monomials first, then the right's new
+ones: the order ``CubicForm.terms``, the JSON text and the float sums
+inherit.  ``Poly._matrix_product`` is the exact matrix product that
+``scalars.matmul`` runs on matrices of Polys, with no Poly per product.
+
 There is no randomized zero test here: the Schwartz-Zippel checks
 (``identities._check`` in random mode) evaluate the form's kernel at
 integer points without building a polynomial.
@@ -23,12 +28,46 @@ from .scalars import QSqrt3Array
 Mono = Tuple[int, ...]
 
 
+def _times(s, t) -> Dict[Mono, object]:
+    """The terms of the product of two polynomials given as (monomial,
+    coefficient) pairs, zeros not yet dropped."""
+    out: Dict[Mono, object] = {}
+    for m1, c1 in s:
+        for m2, c2 in t:
+            m = tuple(sorted(m1 + m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _merge(out: Dict[Mono, object], terms: Dict[Mono, object]) -> None:
+    """Add ``terms`` into ``out`` in place: a new monomial goes after
+    out's, and one whose coefficient cancels is deleted."""
+    for m, c in terms.items():
+        if not c:
+            continue
+        if m in out:
+            c = out[m] + c
+            if not c:
+                del out[m]
+                continue
+        out[m] = c
+
+
 class Poly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Dict[Mono, object] | None = None):
         self.nvars = nvars
         self.terms = {m: c for m, c in terms.items() if c} if terms else {}
+
+    @classmethod
+    def _of(cls, nvars: int, terms: Dict[Mono, object]) -> "Poly":
+        """A Poly holding ``terms`` itself, which the caller has kept free
+        of zero coefficients."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -62,10 +101,13 @@ class Poly:
         if isinstance(other, Poly):
             if other.nvars != self.nvars:
                 raise ValueError("variable count mismatch")
+            if not other.terms:
+                return self
+            if not self.terms:
+                return other
             out = dict(self.terms)
-            for m, c in other.terms.items():
-                out[m] = out.get(m, 0) + c
-            return Poly(self.nvars, out)
+            _merge(out, other.terms)
+            return Poly._of(self.nvars, out)
         if isinstance(other, (QSqrt3Array, np.ndarray)):
             return NotImplemented       # the pair's or array's own operator takes it
         if other == 0:
@@ -75,7 +117,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Poly._of(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -87,12 +129,9 @@ class Poly:
         if isinstance(other, Poly):
             if other.nvars != self.nvars:
                 raise ValueError("variable count mismatch")
-            out: Dict[Mono, object] = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = tuple(sorted(m1 + m2))
-                    out[m] = out.get(m, 0) + c1 * c2
-            return Poly(self.nvars, out)
+            if not self.terms or not other.terms:
+                return Poly(self.nvars)
+            return Poly(self.nvars, _times(self.terms.items(), other.terms.items()))
         if isinstance(other, (QSqrt3Array, np.ndarray)):
             return NotImplemented
         if not other:
@@ -100,6 +139,48 @@ class Poly:
         return Poly(self.nvars, {m: c * other for m, c in self.terms.items()})
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def _matrix_product(a: np.ndarray, b: np.ndarray, fa: list, fb: list):
+        """a @ b for two object matrices of Poly and Python-int entries, fa
+        and fb their entries in row order; ``scalars.matmul`` calls it.
+
+        Each output entry is one dict, into which the products of the
+        nonzero entries of a's row and b's column are summed in turn: each
+        product is multiplied term by term as ``__mul__`` does and merged
+        as ``__add__`` does.  So no Poly is made but one per output entry,
+        what cancels is dropped, and the terms are a @ b's, in its order
+        (a nonzero int constant term may stand elsewhere).  An entry is a
+        Poly where a's row or b's column holds one, as in a @ b, and an int
+        elsewhere.  None where the shapes do not chain or the Polys'
+        variable counts differ, so that a @ b raises there, or not, as it
+        does.
+        """
+        (rows, k), (k2, cols) = a.shape, b.shape
+        nvars = {x.nvars for x in fa + fb if type(x) is Poly}
+        if k != k2 or len(nvars) != 1:
+            return None
+        nvars, = nvars
+
+        def items(x):
+            return list(x.terms.items()) if type(x) is Poly else [((), x)]
+
+        def sparse_rows(flat, width):
+            return [[(j, items(x)) for j, x in enumerate(flat[r:r + width]) if x]
+                    for r in range(0, len(flat), width)]
+
+        a_rows, b_rows = sparse_rows(fa, k), sparse_rows(fb, cols)
+        a_poly = [any(type(x) is Poly for x in fa[r:r + k]) for r in range(0, len(fa), k)]
+        b_poly = [any(type(x) is Poly for x in fb[j::cols]) for j in range(cols)]
+        out = np.empty((rows, cols), dtype=object)
+        for i, row in enumerate(a_rows):
+            acc = [{} for _ in range(cols)]
+            for kk, x in row:
+                for j, y in b_rows[kk]:
+                    _merge(acc[j], _times(x, y))
+            for j, t in enumerate(acc):
+                out[i, j] = Poly._of(nvars, t) if a_poly[i] or b_poly[j] else t.get((), 0)
+        return out
 
     def diff(self, i: int) -> "Poly":
         # dropping one i is injective on the monomials containing i

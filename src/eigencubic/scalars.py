@@ -15,13 +15,16 @@ two arrays, so the kernel of a Q(sqrt3) form does each array operation
 once per channel on Python ints and makes no QSqrt3 per entry.  Its
 ``join`` gives the entries as QSqrt3 where a result leaves the kernel.
 
-``matmul`` is ``a @ b`` for exact arrays.  Two matrices of Python ints
-whose contraction length k and largest entries prove every partial sum
-exact in int64, k * max|a| * max|b| < 2**63, are multiplied as int64
-copies and the result comes back as Python ints; anything else (``Poly``,
-Fraction or float entries, ints beyond the bound, or a vector operand) is
-``a @ b`` as it is.  ``QSqrt3Array``'s ``@`` runs each channel product
-through it.
+``matmul`` is ``a @ b`` for exact arrays, with two faster routes picked
+by one scan of the entries' types.  Two matrices of Python ints whose
+contraction length k and largest entries prove every partial sum exact in
+int64, k * max|a| * max|b| < 2**63, are multiplied as int64 copies and the
+result comes back as Python ints.  Two matrices of ``Poly`` and Python-int
+entries go through ``Poly._matrix_product``, which sums each output entry
+in one dict and makes no Poly per product; ``matmul`` finds it on the entry
+type, so this module never imports ``poly``.  Anything else (Fraction or
+float entries, ints beyond the bound, or a vector operand) is ``a @ b``
+as it is.  ``QSqrt3Array``'s ``@`` runs each channel product through it.
 """
 
 from __future__ import annotations
@@ -252,19 +255,30 @@ class QSqrt3Array:
         return f"QSqrt3Array({self.r!r}, {self.s!r})"
 
 
-def _int64_operands(a, b):
-    """int64 copies of a and b when both are nonempty object matrices of
-    Python ints and k * max|a| * max|b| < 2**63, k = a.shape[-1] the
-    contraction length: each product is then at most max|a| * max|b| in
-    magnitude, so every partial sum of a @ b is below 2**63; else None.
-    A product with a vector is left to Python ints: its k*n products cost
-    about what reading the entries for the bound does."""
+def _entries(a, b):
+    """The entries of a and b as two flat lists, and the set of their
+    types, when both are nonempty object arrays of ndim >= 2; else None.
+    This is the one scan of the operands that ``matmul`` makes."""
     if not all(isinstance(x, np.ndarray) and x.dtype == object
                and x.ndim >= 2 and x.size for x in (a, b)):
         return None
     fa, fb = a.ravel().tolist(), b.ravel().tolist()
-    if {*map(type, fa), *map(type, fb)} != {int}:
+    return fa, fb, {*map(type, fa), *map(type, fb)}
+
+
+def _int64_operands(a, b, entries=None):
+    """int64 copies of a and b when both are nonempty object matrices of
+    Python ints and k * max|a| * max|b| < 2**63, k = a.shape[-1] the
+    contraction length: each product is then at most max|a| * max|b| in
+    magnitude, so every partial sum of a @ b is below 2**63; else None.
+    ``entries`` is ``_entries(a, b)`` where the caller has it.
+    A product with a vector is left to Python ints: its k*n products cost
+    about what reading the entries for the bound does."""
+    if entries is None:
+        entries = _entries(a, b)
+    if entries is None or entries[2] != {int}:
         return None
+    fa, fb, _ = entries
     if a.shape[-1] * max(map(abs, fa)) * max(map(abs, fb)) >= 2 ** 63:
         return None
     return a.astype(np.int64), b.astype(np.int64)
@@ -273,12 +287,25 @@ def _int64_operands(a, b):
 def matmul(a, b):
     """a @ b, exactly.  Python-int matrices within the int64 bound of
     ``_int64_operands`` are multiplied as int64 copies, and the result
-    comes back as Python ints; any other operands go through a @ b
-    unchanged."""
-    ops = _int64_operands(a, b)
-    if ops is None:
+    comes back as Python ints.  Two matrices (ndim 2) of ``Poly`` and
+    Python-int entries, at least one a Poly, go through
+    ``Poly._matrix_product``, which sums each entry's products in one
+    dict and makes no Poly per product.  Any other operands go through
+    a @ b unchanged."""
+    entries = _entries(a, b)
+    if entries is None:
         return a @ b
-    return (ops[0] @ ops[1]).astype(object)
+    ops = _int64_operands(a, b, entries)
+    if ops is not None:
+        return (ops[0] @ ops[1]).astype(object)
+    kinds = entries[2] - {int}
+    if len(kinds) == 1 and a.ndim == b.ndim == 2:
+        # Poly brings its own product, so this module never imports poly
+        product = getattr(kinds.pop(), "_matrix_product", None)
+        out = product(a, b, *entries[:2]) if product else None
+        if out is not None:
+            return out
+    return a @ b
 
 
 def _as_pair(x):

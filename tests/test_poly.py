@@ -61,3 +61,31 @@ def test_array_operand_is_entrywise_in_both_orders(op):
     for got in (op(p, arr), op(arr, p)):
         assert isinstance(got, np.ndarray) and got.shape == arr.shape
         assert list(got) == want
+
+
+def test_sum_stores_no_cancelled_coefficient():
+    p = 2 * x(3, 0) * x(3, 1) - x(3, 2) + Fraction(1, 3)
+    assert (p + (-p)).terms == {} and (-p + p).terms == {}
+    # x2 cancels, the constants partly: nothing zero is stored
+    q = p + (x(3, 2) - Fraction(1, 3) + 5)
+    assert q.terms == {(0, 1): 2, (): 5}
+    assert all(q.terms.values())
+
+
+def test_empty_operand_still_checks_the_variable_count():
+    p = x(3, 0) + 1
+    for m in (2, 4):
+        for f in (lambda: p + Poly.zero(m), lambda: Poly.zero(m) + p,
+                  lambda: p * Poly.zero(m), lambda: Poly.zero(m) * p):
+            with pytest.raises(ValueError, match="variable count mismatch"):
+                f()
+    assert p + Poly.zero(3) == p and Poly.zero(3) + p == p
+    assert (p * Poly.zero(3)).terms == {} and (Poly.zero(3) * p).terms == {}
+
+
+def test_sum_keeps_the_left_operands_monomials_first():
+    # the order CubicForm.terms, the JSON text and the float sums inherit
+    p = x(3, 2) * x(3, 2) + x(3, 0) + 1
+    q = x(3, 1) - 1 + x(3, 0) + x(3, 2) * x(3, 0)
+    assert list((p + q).terms) == [(2, 2), (0,), (1,), (0, 2)]
+    assert list((q + p).terms) == [(1,), (0,), (0, 2), (2, 2)]
