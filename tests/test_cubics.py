@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -326,3 +327,53 @@ def test_round_trip_through_poly():
 def test_scaled():
     u = DIM3.scaled(Fraction(3, 2))
     assert u.to_poly().eval([1, 2, 1]) == Fraction(9, 2)
+
+
+# sha256 of each catalog form's terms, repr(list(terms.items())) in
+# insertion order, and of its sorted JSON.  The float jet sums the
+# monomials in insertion order, so the search results depend on it too.
+_CATALOG_SHA256 = {
+    "trivial": ("2b0fd1157b187d93f9253f850d890000c331997b67701016ff7bcfcc43a07a6a",
+        "fdbc43757c2f578739c6d3b4d9aac31cf287baa8ef919980ed3ba7028bf3f5de"),
+    "clifford-q0": ("86bf9c6dd52106f40da9237c4c5a1eb4abd1e508e93458fbdbd2f10b7cd24c20",
+        "80c17e96d545bfb9199e374e3fd659699a6a590a14f943e844d49a357c18fa79"),
+    "clifford-q1": ("5e9499fcf62707af35bbb8e49122d2f5892fa49bcec95ca00a4339bbcf158638",
+        "70015a762badb6f38888bc8dfbdec113ca373fec393ffdf257b6e36f16821a85"),
+    "clifford-q2": ("df76ecbca9838a4db8c19a1b2a203f4675a355c27003511da9e7fcbb8ac1aa05",
+        "004c2ae34600728919ab9a50a098ca3fa1b53ae02d9d50f3ace0969c4986505e"),
+    "cartan-d1": ("7687a81f23e99a74d38139897713e19926a231c75ba99008ea1d9e46af779ce3",
+        "e5ddfb62db13bf945519d36b82fb123a38901b91db1822e397bf42a70beb433d"),
+    "cartan-d2": ("476b917db3ffb80386c0b0c19e16816eec0ff1c0ba09a6acafd2b8744797d268",
+        "7fec75b5a092eb02eb81e5a1d90cef7f2e731d76866db0ddd70d52df00466eae"),
+    "cartan-d4": ("87b15dbacf01f358e9900cb8e9249e5c85856da76e479f3b06fa48454b6eca35",
+        "0a50f373c98d6ddbf3b13154fc548bb561ebc1d9825f0984e2a90c410deb517c"),
+    "cartan-d8": ("8506710ab6227c8c2461bcc394eaa88ce6baa2d270a183240add838f1025ddb5",
+        "8573be0432aa747a8237dca0c1a9ff33d2badc53cc2a72e68cae79bfc0c9341b"),
+    "involution-d2": ("d8310b1eec539a6f14fe9e4b3a714808e4bb41ab3e94eed8dc8fe55eb3bbb280",
+        "97e5c33962f379bc3778920c62d997e9747af8fc0780a9c3721ef76fe230359f"),
+    "involution-d4": ("dcc1f454714e6370acbaffa93a6c175a1f219163b3aa52c6d8a36f595c032ced",
+        "279a5138b495323bbe589a9da59bbce660100c98b1be8859fb40bfea5c78763b"),
+    "involution-d8": ("42ed013cb3c0a5bf621f1c3ee145c784baedef7b5f725cf48c0c2d26fb97f0b2",
+        "86053ffcdea79b93823b37681dae3ce76e33b009b0478c9d9262beb75b4bdd74"),
+    "complexified-d1": ("cb35186398523aa22a9154e5384a815150de09f1384dad7ad597997f4a77eb66",
+        "8b54bab58e4ee9a564f9d7dce738518cdc918c1f3bd03a3a5b0794c69a34e40d"),
+    "complexified-d2": ("358d118618e7c8ca5dbefc2f7fdff0a36a321aa7a688d31a72be511c42395a68",
+        "75f54a7415c9a74dc4dc9edf3c2f4a78dc5dac07cdd2bde42b2a438653aa6d98"),
+    "complexified-d4": ("e1ddb3b03fdc1a0fe4fb24f90d9c014874632506871635b89a3de55049e98c21",
+        "1060198818d9212d431863e852035a03c76d96a7a2bb1463fa39a60c70959af0"),
+    "complexified-d8": ("3bcaa6976bb1e07e2f21b014b51b3524eb585cf1d4f34520624be782b2ece374",
+        "e6571cc1dd4442857c1b14c5197a8c3928fc589ce563b811f945e4d267c72c88"),
+    "octonion21": ("c5978ecb027d58ba150f51f2e758ac229f91c1fd9bdda2142d5fa6829982644c",
+        "e89cada185fb6dd2f88f57e17e3a3c8c7c50e68c76865e73af7d15b6c7652313"),
+    "albert21": ("8bd201e3ff63b13180c35233148166bf1d4da069f44d20e424524213e172421c",
+        "e89cada185fb6dd2f88f57e17e3a3c8c7c50e68c76865e73af7d15b6c7652313"),
+}
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_catalog_terms_order_pinned(name):
+    u = catalog_build(name)
+    items = repr(list(u.terms.items()))
+    blob = json.dumps(u.to_json_dict(), sort_keys=True)
+    assert (hashlib.sha256(items.encode()).hexdigest(),
+            hashlib.sha256(blob.encode()).hexdigest()) == _CATALOG_SHA256[name]
