@@ -45,7 +45,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cubics import CubicForm, Jet
-from .identities import RADIAL
+from .identities import RADIAL, _randbelow
 from .scalars import QSqrt3Array, exact_div, joined
 
 NEWTON_STEPS = 80
@@ -346,24 +346,3 @@ def _rational_batch(n: int, count: int, rng: random.Random):
     nums = _randbelow(19, count * n, rng).reshape(count, n) - 9
     return nums, _randbelow(3, count, rng) + 1
 
-
-def _randbelow(width: int, count: int, rng: random.Random) -> np.ndarray:
-    """``count`` successive ``rng.randrange(width)`` draws, 1 <= width < 2**32,
-    as one int64 array.
-
-    ``randrange`` takes the top k = width.bit_length() bits of one 32-bit
-    Mersenne Twister word and draws a new word while that value is not
-    below ``width``.  ``getrandbits(32 w)`` gives the next w words, the
-    first in the lowest bits.  Each round asks for one word per value
-    still missing, so no word past the last accepted one is drawn, and
-    ``rng`` ends where the draws one by one leave it.
-    """
-    shift = 32 - width.bit_length()
-    out = [np.zeros(0, dtype=np.int64)]
-    need = count
-    while need:
-        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"),
-                              dtype="<u4") >> shift
-        out.append(words[words < width].astype(np.int64))
-        need -= len(out[-1])
-    return np.concatenate(out)

@@ -13,13 +13,16 @@ correctness authority.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import List, Optional, Tuple
+
+import numpy as np
 
 from .composition import CDElement, cd_mul
 
-P2 = ((1, 0), (0, -1))
-Q2 = ((0, 1), (1, 0))
-R2 = ((0, 1), (-1, 0))
+P2 = np.array([[1, 0], [0, -1]])
+Q2 = np.array([[0, 1], [1, 0]])
+R2 = np.array([[0, 1], [-1, 0]])
 
 
 def hurwitz_radon(m: int) -> int:
@@ -49,48 +52,32 @@ class CliffordSystem:
                 "mats": [[list(row) for row in m] for m in self.mats]}
 
 
-def _mat_mul(A, B):
-    n = len(A)
-    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(n))
-                       for j in range(n)) for i in range(n))
-
-
-def _kron(A, B):
-    na, nb = len(A), len(B)
-    return tuple(tuple(A[i // nb][j // nb] * B[i % nb][j % nb]
-                       for j in range(na * nb)) for i in range(na * nb))
-
-
-def _eye(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def verify_clifford_system(S: CliffordSystem) -> Tuple[bool, Optional[str]]:
     """Exact check of symmetry, A_i^2 = I, and pairwise anticommutation.
 
     Returns (True, None), or (False, description of the first violation).
     """
     n = S.two_l
-    mats = S.mats
-    for idx, A in enumerate(mats):
-        if len(A) != n or any(len(row) != n for row in A):
+    mats = []
+    for idx, rows in enumerate(S.mats):
+        if len(rows) != n or any(len(row) != n for row in rows):
             return False, f"A{idx} is not {n}x{n}"
-        for i in range(n):
-            for j in range(i + 1, n):
-                if A[i][j] != A[j][i]:
-                    return False, f"A{idx} is not symmetric at ({i},{j})"
-        if _mat_mul(A, A) != _eye(n):
+        # object entries keep every product exact, whatever the integers
+        A = np.array(rows, dtype=object).reshape(n, n)
+        asym = np.argwhere(np.triu(A != A.T, 1))
+        if len(asym):
+            i, j = asym[0].tolist()
+            return False, f"A{idx} is not symmetric at ({i},{j})"
+        if not (A @ A == np.eye(n, dtype=int)).all():
             return False, f"A{idx}^2 != I"
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            AB = _mat_mul(mats[i], mats[j])
-            BA = _mat_mul(mats[j], mats[i])
-            if any(AB[r][c] + BA[r][c] != 0 for r in range(n) for c in range(n)):
-                return False, f"A{i} and A{j} do not anticommute"
+        mats.append(A)
+    for i, j in combinations(range(len(mats)), 2):
+        if (mats[i] @ mats[j] + mats[j] @ mats[i]).any():
+            return False, f"A{i} and A{j} do not anticommute"
     return True, None
 
 
-def _complex_structures(count: int) -> List[tuple]:
+def _complex_structures(count: int) -> List[np.ndarray]:
     """count pairwise-anticommuting antisymmetric complex structures.
 
     Base layers come from C, H and O left multiplications; each doubling
@@ -103,18 +90,13 @@ def _complex_structures(count: int) -> List[tuple]:
     if count <= 7:
         # left multiplications by e_1..e_count on H = K_4 or O = K_8
         dim = 4 if count <= 3 else 8
-        out = []
-        for m in range(1, count + 1):
-            em = CDElement.basis(dim, m)
-            cols = [cd_mul(em, CDElement.basis(dim, j)).coeffs for j in range(dim)]
-            out.append(tuple(tuple(cols[j][i] for j in range(dim))
-                             for i in range(dim)))
-        return out
+        units = [CDElement.basis(dim, j) for j in range(dim)]
+        # column j of L_{e_m} is e_m e_j
+        return [np.array([cd_mul(units[m], e).coeffs for e in units]).T
+                for m in range(1, count + 1)]
     inner = _complex_structures(count - 1)
-    n = len(inner[0])
-    out = [_kron(R2, _eye(n))]
-    out.extend(_kron(Q2, J) for J in inner)
-    return out
+    eye = np.eye(len(inner[0]), dtype=int)
+    return [np.kron(R2, eye)] + [np.kron(Q2, J) for J in inner]
 
 
 def build_clifford_system(q: int) -> CliffordSystem:
@@ -125,17 +107,14 @@ def build_clifford_system(q: int) -> CliffordSystem:
     """
     if not isinstance(q, int) or q < 0:
         raise ValueError("q must be a nonnegative integer")
-    if q == 0:
-        mats = (P2,)
-        system = CliffordSystem(0, 2, mats)
-    elif q == 1:
-        system = CliffordSystem(1, 2, (P2, Q2))
+    if q <= 1:
+        mats = [P2, Q2][:q + 1]
     else:
         js = _complex_structures(q - 1)
-        n = len(js[0])
-        mats = [_kron(P2, _eye(n)), _kron(Q2, _eye(n))]
-        mats.extend(_kron(R2, J) for J in js)
-        system = CliffordSystem(q, 2 * n, tuple(mats))
+        eye = np.eye(len(js[0]), dtype=int)
+        mats = [np.kron(P2, eye), np.kron(Q2, eye)] + [np.kron(R2, J) for J in js]
+    system = CliffordSystem(q, len(mats[0]),
+                            tuple(tuple(map(tuple, A.tolist())) for A in mats))
     ok, reason = verify_clifford_system(system)
     if not ok:
         raise AssertionError(f"construction produced an invalid system: {reason}")

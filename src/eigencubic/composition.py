@@ -127,10 +127,7 @@ def cd_im(a: CDElement) -> CDElement:
 
 def cd_norm(a: CDElement):
     """n(a) = sum of squared coordinates; n(ab) = n(a) n(b)."""
-    total = 0
-    for c in a.coeffs:
-        total = total + c * c
-    return total
+    return cd_inner(a, a)
 
 
 def cd_inner(a: CDElement, b: CDElement):

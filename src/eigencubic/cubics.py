@@ -433,22 +433,12 @@ def complexified_cubic(d: int) -> CubicForm:
     diagonal real/imaginary units come first, then mixed off pairs.
     """
     if d == 1:
-        one = CDElement.one(1)
-        zero = CDElement.zero(1)
-        half = Fraction(1, 2)
-        pairs: List[Tuple[HermMat3, HermMat3]] = []
-        for i in range(3):
-            dg = [0, 0, 0]
-            dg[i] = 1
-            pairs.append((HermMat3.diagonal(1, *dg), HermMat3.zero(1)))
-        for i in range(3):
-            dg = [0, 0, 0]
-            dg[i] = 1
-            pairs.append((HermMat3.zero(1), HermMat3.diagonal(1, *dg)))
+        units = [HermMat3.diagonal(1, *(int(i == t) for t in range(3))) for i in range(3)]
+        zero = HermMat3.zero(1)
+        pairs = [(e, zero) for e in units] + [(zero, e) for e in units]
         for pos in range(3):
-            P = HermMat3.off_entry(1, pos, one * half)
-            pairs.append((P, P))
-            pairs.append((P, -P))
+            P = HermMat3.off_entry(1, pos, CDElement.one(1) * Fraction(1, 2))
+            pairs += [(P, P), (P, -P)]
         nvars = len(pairs)
         A = _symbolic_element([a for a, _ in pairs], nvars)
         B = _symbolic_element([b for _, b in pairs], nvars)
@@ -462,38 +452,33 @@ def complexified_cubic(d: int) -> CubicForm:
     return CubicForm.from_poly(p)
 
 
+def _imaginary_element() -> HermMat3:
+    """The zero-diagonal element of H3(K_8) whose off-entries are purely
+    imaginary octonions: x_{7 pos + m - 1} e_m at position pos, m = 1..7."""
+    basis = [HermMat3.off_entry(8, pos, CDElement.basis(8, m))
+             for pos in range(3) for m in range(1, 8)]
+    return _symbolic_element(basis, len(basis))
+
+
 @lru_cache(maxsize=None)
 def albert_contraction_cubic() -> CubicForm:
     """(1/6)<z, z o z> restricted to zero diagonal and purely imaginary
     octonion off-entries: the 21-dimensional complement of H3(K_1) in
     H3(K_8).  Variables run e1..e7 for the x, y, z positions in turn.
     """
-    nvars = 21
-    off = []
-    for pos in range(3):
-        coords = [Poly.zero(nvars)]
-        coords.extend(Poly.var(nvars, 7 * pos + m) for m in range(7))
-        off.append(CDElement(8, tuple(coords)))
-    z = HermMat3(8, (Poly.zero(nvars),) * 3, tuple(off))
-    p = trace_form(z, jordan_mul(z, z)) * Fraction(1, 6)
-    return CubicForm.from_poly(p)
+    z = _imaginary_element()
+    return CubicForm.from_poly(trace_form(z, jordan_mul(z, z)) * Fraction(1, 6))
 
 
 @lru_cache(maxsize=None)
 def octonion_cubic21() -> CubicForm:
     """u = re(w1 w2 w3) for three independent imaginary octonions.
 
-    Variables are the e1..e7 coordinates of w1, then w2, then w3.
-    Integer coefficients; built from the composition algebra alone.
+    Variables are the e1..e7 coordinates of w1, then w2, then w3: the
+    off-entries of ``albert_contraction_cubic``'s element.  Integer
+    coefficients; the product is the composition algebra's alone.
     """
-    nvars = 21
-    ws = []
-    for blk in range(3):
-        coords = [Poly.zero(nvars)]
-        coords.extend(Poly.var(nvars, 7 * blk + m) for m in range(7))
-        ws.append(CDElement(8, tuple(coords)))
-    p = re_triple(ws[0], ws[1], ws[2])
-    return CubicForm.from_poly(p)
+    return CubicForm.from_poly(re_triple(*_imaginary_element().off))
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +499,6 @@ class CatalogEntry:
         return self.builder()
 
 
-def _clifford_builder(q):
-    def build():
-        return clifford_cubic(build_clifford_system(q))
-    return build
-
-
 CATALOG: Dict[str, CatalogEntry] = {}
 
 
@@ -528,9 +507,9 @@ def _register(name, builder, dim, triple, family):
 
 
 _register("trivial", lambda: trivial_cubic(3, 1), 3, None, "trivial")
-_register("clifford-q0", _clifford_builder(0), 3, None, "clifford")
-_register("clifford-q1", _clifford_builder(1), 4, None, "clifford")
-_register("clifford-q2", _clifford_builder(2), 7, None, "clifford")
+for _q, _dim in ((0, 3), (1, 4), (2, 7)):
+    _register(f"clifford-q{_q}", (lambda q=_q: clifford_cubic(build_clifford_system(q))),
+              _dim, None, "clifford")
 for _d, _dim, _tr in ((1, 5, (2, 0, 2)), (2, 8, (3, 0, 4)),
                       (4, 14, (5, 0, 8)), (8, 26, (9, 0, 16))):
     _register(f"cartan-d{_d}", (lambda d=_d: cartan_cubic(d)), _dim, _tr, "cartan")

@@ -110,8 +110,26 @@ def _ratio(pairs):
     return Fraction(0) if t is None else t
 
 
-def _rand_point(n: int, rng) -> np.ndarray:
-    return np.array([rng.randrange(DEFAULT_BOUND) for _ in range(n)], dtype=object)
+def _randbelow(width: int, count: int, rng: random.Random) -> np.ndarray:
+    """``count`` successive ``rng.randrange(width)`` draws, 1 <= width < 2**32,
+    as one int64 array.
+
+    ``randrange`` takes the top k = width.bit_length() bits of one 32-bit
+    Mersenne Twister word and draws a new word while that value is not
+    below ``width``.  ``getrandbits(32 w)`` gives the next w words, the
+    first in the lowest bits.  Each round asks for one word per value
+    still missing, so no word past the last accepted one is drawn, and
+    ``rng`` ends where the draws one by one leave it.
+    """
+    shift = 32 - width.bit_length()
+    out = [np.zeros(0, dtype=np.int64)]
+    need = count
+    while need:
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"),
+                              dtype="<u4") >> shift
+        out.append(words[words < width].astype(np.int64))
+        need -= len(out[-1])
+    return np.concatenate(out)
 
 
 def _proportional_float(sides, n: int, seed: int):
@@ -178,8 +196,10 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
     else:
         if trials < 1:
             raise ValueError(f"trials must be at least 1, got {trials}")
+        # one point per draw, so memory stays O(n) however large ``trials``
         rng = random.Random(seed)
-        t = _ratio(sides(_rand_point(u.n, rng)) for _ in range(trials + 1))
+        t = _ratio(sides(_randbelow(DEFAULT_BOUND, u.n, rng).astype(object))
+                   for _ in range(trials + 1))
     if t is None or (ident.positive and not t > 0):
         return CheckReport(ident.name, False, None, m, 0.0)
     t = t / jet.scale / jet.scale

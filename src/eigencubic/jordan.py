@@ -70,10 +70,7 @@ class HermMat3:
                         tuple(a + b for a, b in zip(self.off, other.off)))
 
     def __sub__(self, other):
-        _chk(self, other)
-        return HermMat3(self.d,
-                        tuple(a - b for a, b in zip(self.diag, other.diag)),
-                        tuple(a - b for a, b in zip(self.off, other.off)))
+        return self + (-other)
 
     def __neg__(self):
         return HermMat3(self.d, tuple(-a for a in self.diag),

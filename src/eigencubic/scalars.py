@@ -39,11 +39,6 @@ _RAT = (int, Fraction)
 _set = object.__setattr__
 
 
-def _div(x, y):
-    """Exact quotient of two rationals; int / int gives a Fraction."""
-    return Fraction(x, y) if isinstance(x, int) and isinstance(y, int) else x / y
-
-
 class QSqrt3:
     """a + b*sqrt(3) with exact rational a, b (int or Fraction)."""
 
@@ -94,17 +89,13 @@ class QSqrt3:
 
     def inverse(self):
         d = self.a * self.a - 3 * self.b * self.b
-        if d == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt3)")
-        return QSqrt3(_div(self.a, d), _div(-self.b, d))
+        return QSqrt3(exact_div(self.a, d), exact_div(-self.b, d))
 
     def __truediv__(self, other):
         if isinstance(other, QSqrt3):
             return self * other.inverse()
         if isinstance(other, _RAT):
-            if other == 0:
-                raise ZeroDivisionError
-            return QSqrt3(_div(self.a, other), _div(self.b, other))
+            return QSqrt3(exact_div(self.a, other), exact_div(self.b, other))
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -340,4 +331,7 @@ def format_rational(x) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:       # "1/0" names no rational, as "abc" does not
+        raise ValueError(f"zero denominator in {s!r}") from None

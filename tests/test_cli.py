@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +219,10 @@ _DEGENERATE_FILES = {
     "bool-c": _form_file(c=True),
     "bool-c3": _form_file(c3=False),
     "dim-129": _form_file(129),
+    # a zero denominator names no rational, in either part of a c/c3 pair
+    "one-over-zero": _form_file(c="1/0"),
+    "zero-over-zero": _form_file(c="0/0"),
+    "c3-over-zero": _form_file(c3="2/0"),
 }
 
 
@@ -252,6 +259,9 @@ _DEGENERATE_RUNS = [
     *((huge, args) for huge in ("huge-float", "huge-rational")
       for args in (["classify"], ["verify"], ["spectrum", "--seed", "1"],
                    ["cone-sample", "--seed", "1", "--count", "3"])),
+    *((form, args) for form in ("one-over-zero", "zero-over-zero", "c3-over-zero")
+      for args in (["verify"], ["classify"], ["spectrum", "--seed", "1"],
+                   ["cone-sample", "--seed", "1", "--count", "3"])),
 ]
 
 
@@ -270,6 +280,40 @@ def test_degenerate_input_is_a_usage_error(runner, tmp_path, form, args):
     assert [l for l in res.stderr.splitlines() if l.startswith("Error:")] == \
         [res.stderr.splitlines()[-1]]
     assert "internal error" not in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [["verify"], ["classify"], ["spectrum", "--seed", "1"],
+                                  ["cone-sample", "--seed", "1", "--count", "3"]],
+                         ids=" ".join)
+def test_a_directory_as_the_form_path_is_a_usage_error(runner, tmp_path, args):
+    res = runner.invoke(main, [args[0], str(tmp_path), *args[1:]])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert res.stderr.splitlines()[-1].startswith(f"Error: cannot read {tmp_path}: ")
+    assert "internal error" not in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [["catalog", "list"],
+                                  ["verify", "cube", "--check", "harmonic"]],
+                         ids=" ".join)
+def test_a_closed_stdout_pipe_exits_141(tmp_path, args):
+    # a reader that stopped early is no internal error, also where the
+    # command then fails a check (the cube is not harmonic): exit
+    # 128 + SIGPIPE with nothing on stderr.  The read end is closed before
+    # the command starts, so its first write meets the closed pipe.
+    cube = tmp_path / "cube.json"
+    cube.write_text(_DEGENERATE_FILES["cube"])
+    args = [str(cube) if a == "cube" else a for a in args]
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        res = subprocess.run([sys.executable, "-m", "eigencubic.cli", *args],
+                             stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (res.returncode, res.stderr) == (141, b"")
 
 
 def _strict_json_lines(text: str) -> list:
@@ -311,7 +355,8 @@ _FUZZ_RUNS = (["verify"], ["verify", "--random", "3"], ["classify"],
               ["classify", "--random", "2"],
               ["spectrum", "--seed", "1", "--restarts", "4"],
               ["cone-sample", "--seed", "1", "--count", "3"])
-_rational_text = st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9))
+# a zero denominator included: the file is then a usage error
+_rational_text = st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9))
 _float = st.one_of(st.floats(-10, 10, allow_nan=False),
                    st.sampled_from([1e40, -1e40, 1e-40, -1e-40]))
 _coefficient = st.one_of(

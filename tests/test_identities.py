@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from eigencubic.algebra import MetrisedAlgebra
 from eigencubic.cubics import (CATALOG, CubicForm, cartan_cubic, catalog_build,
                                trivial_cubic)
-from eigencubic.identities import (DEFAULT_TRIALS, MAX_TRIES, ConeSampleReport,
-                                   _proportional_float, check_eiconal,
+from eigencubic.identities import (DEFAULT_BOUND, DEFAULT_TRIALS, MAX_TRIES,
+                                   ConeSampleReport, _proportional_float,
+                                   _randbelow, check_eiconal,
                                    check_harmonic, check_radial, classify,
                                    mean_curvature, sample_cone,
                                    trace_identity_cubic,
@@ -45,6 +46,22 @@ def test_random_mode_needs_a_trial():
     for trials in (0, -3):
         with pytest.raises(ValueError):
             check_radial(DIM3, "random", trials=trials)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_points_keep_the_randrange_stream(seed):
+    # the random mode's points, drawn in one call or one call per point as
+    # the checks do, are the draws one randrange(10**6) per coordinate
+    # gives, and leave the stream where those leave it
+    for n in (1, 18, 54):
+        whole, per_point, slow = (random.Random(seed) for _ in range(3))
+        got = _randbelow(DEFAULT_BOUND, (DEFAULT_TRIALS + 1) * n, whole)
+        assert got.dtype == np.int64
+        assert got.tolist() == [slow.randrange(10 ** 6)
+                                for _ in range((DEFAULT_TRIALS + 1) * n)]
+        assert np.concatenate([_randbelow(DEFAULT_BOUND, n, per_point)
+                               for _ in range(DEFAULT_TRIALS + 1)]).tolist() == got.tolist()
+        assert whole.getstate() == per_point.getstate() == slow.getstate()
 
 
 def test_radial_random_agrees_with_exact():
