@@ -27,7 +27,11 @@ residuals do not depend on how the points are drawn.
 
 Idempotents are located by projected gradient ascent of |u| on the unit
 sphere (stationary points have grad u = lambda x), rescaled by 1/(2 lambda),
-then polished by Newton steps on c o c - c = 0.  The search runs on the
+then polished by Newton steps on c o c - c = 0.  The ascent runs on blocks
+of restarts, each step one stack of the restarts still climbing, with
+``ASCENT_BLOCK`` bounding its temporaries; every restart keeps its own
+step and stop rule and ends where it would alone, bit for bit.  The Newton
+polish runs one restart at a time, in restart order.  The search runs on the
 float jet of s*u (s = ``Jet.scale``), so its cutoffs do not depend on u's
 scale, and an idempotent c' of s*u is c = s c'.  The Newton system
 2 L_c - I is singular exactly when 1/2 sits in the Peirce spectrum, the
@@ -45,7 +49,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cubics import CubicForm, Jet
-from .identities import RADIAL, _randbelow
+from .identities import RADIAL, _dots, _randbelow, _unit
 from .scalars import QSqrt3Array, exact_div, joined
 
 NEWTON_STEPS = 80
@@ -60,6 +64,8 @@ PEIRCE_EIGENVALUES = (-1.0, -0.5, 0.5)
 WEAK_DIFF_FACTOR = 2 * 9 * 2 * 81
 # The most products one batch of triples holds in each temporary array.
 TRILINEAR_CHUNK = 1 << 14
+# The most entries of one (restarts, 3 monomials) temporary of the ascent.
+ASCENT_BLOCK = 1 << 14
 
 
 @dataclass
@@ -124,98 +130,39 @@ class MetrisedAlgebra:
         """Seeded multistart search; returns deduplicated PeirceData records.
 
         Each restart draws from an independent stream keyed by
-        (seed, restart index), so results do not depend on scheduling.  A
-        restart whose linear algebra fails is skipped like one that does
-        not converge.
+        (seed, restart index), so results do not depend on scheduling.
+        The ascent runs on blocks of restarts (``_ascend``), the Newton
+        polish on one restart at a time, in restart order.  A restart
+        whose linear algebra fails is skipped like one that does not
+        converge.
         """
         if restarts < 1:
             raise ValueError("restarts must be at least 1")
         if seed < 0:
             raise ValueError("seed must be nonnegative")
-        found: List[np.ndarray] = []
-        for r in range(restarts):
-            rng = np.random.default_rng((seed, r))
-            try:
-                hit = self._search_one(rng)
-            except np.linalg.LinAlgError:
-                continue                # a failed eigh ends this restart only
-            if hit is None:
-                continue
-            c, res = hit
-            if res > IDEMPOTENT_RESIDUAL or np.linalg.norm(c) < 1e-8:
-                continue
-            if any(np.linalg.norm(c - d) < DEDUP_DISTANCE for d in found):
-                continue
-            found.append(c)
-        scale = self.form.jet(exact=False).scale
-        found = sorted((c * scale for c in found), key=lambda c: tuple(np.round(c, 8)))
-        return [self.peirce(c, bin_tol=bin_tol) for c in found]
-
-    def _search_one(self, rng) -> Optional[Tuple[np.ndarray, float]]:
-        """One restart: ascent of |u| on the sphere, then Newton on
-        c o c = c; returns c with |c o c - c|, or None if u(x) ~ 0."""
-        n = self.n
         jet = self.form.jet(exact=False)
-        x = rng.standard_normal(n)
-        x /= np.linalg.norm(x)
-        ux = jet.value(x)
-        step = 0.4
-        for _ in range(200):
-            g = jet.gradient(x)
-            lam = float(g @ x)
-            tangent = g - lam * x
-            tnorm = np.linalg.norm(tangent)
-            if tnorm < 1e-12:
-                break
-            sgn = 1.0 if ux >= 0 else -1.0
-            cur = abs(ux)
-            for _ in range(30):
-                xn = x + step * sgn * tangent
-                xn /= np.linalg.norm(xn)
-                un = jet.value(xn)
-                if abs(un) > cur:
-                    x, ux = xn, un
-                    step *= 1.2
-                    break
-                step *= 0.5
-            else:
-                break
-        lam = 3.0 * ux                        # grad u(x) = lam x at a critical point
-        if abs(lam) < 1e-8:
-            return None
-        c = x / (2.0 * lam)
-        I = np.eye(n)
-        Fv = 2.0 * jet.gradient(c) - c        # c o c - c
-        fn = np.linalg.norm(Fv)
-        for _ in range(NEWTON_STEPS):
-            if fn < 1e-14:
-                break
-            J = 2.0 * jet.hessian(c) - I
-            cn = c + _newton_step(J, Fv)
-            Fn_v = 2.0 * jet.gradient(cn) - cn
-            fn_new = np.linalg.norm(Fn_v)
-            if fn_new < fn:
-                c, Fv, fn = cn, Fn_v, fn_new
-                continue
-            # pseudo-inverse step stalled: one projected-gradient step on |F|^2
-            grad = J @ Fv
-            gn = np.linalg.norm(grad)
-            if gn < 1e-16:
-                break
-            t = min(0.5, fn / gn)
-            improved = False
-            for _ in range(20):
-                cn = c - t * grad
-                Fn_v = 2.0 * jet.gradient(cn) - cn
-                fn_new = np.linalg.norm(Fn_v)
-                if fn_new < fn:
-                    c, Fv, fn = cn, Fn_v, fn_new
-                    improved = True
-                    break
-                t *= 0.5
-            if not improved:
-                break
-        return c, fn
+        rows = max(1, ASCENT_BLOCK // max(1, jet.m.size))
+        found: List[np.ndarray] = []
+        for first in range(0, restarts, rows):
+            block = range(first, min(first + rows, restarts))
+            X = _unit(np.stack([np.random.default_rng((seed, r)).standard_normal(self.n)
+                                for r in block]))
+            for x, ux in zip(*_ascend(jet, X)):
+                try:
+                    hit = _polish(jet, x, ux)
+                except np.linalg.LinAlgError:
+                    continue            # a failed eigh ends this restart only
+                if hit is None:
+                    continue
+                c, res = hit
+                if res > IDEMPOTENT_RESIDUAL or np.linalg.norm(c) < 1e-8:
+                    continue
+                if any(np.linalg.norm(c - d) < DEDUP_DISTANCE for d in found):
+                    continue
+                found.append(c)
+        found = sorted((c * jet.scale for c in found),
+                       key=lambda c: tuple(np.round(c, 8)))
+        return [self.peirce(c, bin_tol=bin_tol) for c in found]
 
     def peirce(self, c, bin_tol: float = BIN_TOLERANCE,
                residual_tol: float = 1e-8) -> PeirceData:
@@ -323,6 +270,87 @@ def _int64_jet(jet: Jet) -> Jet:
     if jet.sqrt3 is not None:
         sqrt3 = replace(jet.sqrt3, m=jet.sqrt3.m.astype(np.int64))
     return replace(jet, m=jet.m.astype(np.int64), sqrt3=sqrt3)
+
+
+def _ascend(jet: Jet, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Projected ascent of |u| from each unit row of X; the end points and
+    u there.
+
+    Each row keeps its own step, starting at 0.4, and runs until its
+    tangent gradient is below 1e-12, 30 halvings of its step find no
+    larger |u| or 200 steps are done.  Each pass works on the rows still
+    running as one stack, and every product, norm and dot comes out as
+    it does for the row alone (``Jet``, ``identities._dots``), so each
+    row ends where a loop over that row alone ends, bit for bit.
+    """
+    X = X.copy()
+    U = jet.value(X)
+    step = np.full(len(X), 0.4)
+    live = np.arange(len(X))
+    for _ in range(200):
+        x = X[live]
+        g = jet.gradient(x)
+        tangent = g - _dots(g, x)[:, None] * x
+        moving = ~(np.sqrt(_dots(tangent, tangent)) < 1e-12)
+        live, tangent = live[moving], tangent[moving]
+        sgn = np.where(U[live] >= 0, 1.0, -1.0)
+        cur = np.abs(U[live])
+        todo = np.arange(len(live))     # rows of ``live`` still searching
+        for _ in range(30):
+            if not todo.size:
+                break
+            rows = live[todo]
+            xn = _unit(X[rows] + (step[rows] * sgn[todo])[:, None] * tangent[todo])
+            un = jet.value(xn)
+            up = np.abs(un) > cur[todo]
+            X[rows[up]], U[rows[up]] = xn[up], un[up]
+            step[rows] *= np.where(up, 1.2, 0.5)
+            todo = todo[~up]
+        live = np.delete(live, todo)    # no larger |u| along the tangent
+        if not live.size:
+            break
+    return X, U
+
+
+def _polish(jet: Jet, x: np.ndarray, ux: float) -> Optional[Tuple[np.ndarray, float]]:
+    """Newton on c o c = c from the ascent's end point x, u(x) = ux;
+    returns c with |c o c - c|, or None if u(x) ~ 0."""
+    lam = 3.0 * ux                        # grad u(x) = lam x at a critical point
+    if abs(lam) < 1e-8:
+        return None
+    c = x / (2.0 * lam)
+    I = np.eye(len(x))
+    Fv = 2.0 * jet.gradient(c) - c        # c o c - c
+    fn = np.linalg.norm(Fv)
+    for _ in range(NEWTON_STEPS):
+        if fn < 1e-14:
+            break
+        J = 2.0 * jet.hessian(c) - I
+        cn = c + _newton_step(J, Fv)
+        Fn_v = 2.0 * jet.gradient(cn) - cn
+        fn_new = np.linalg.norm(Fn_v)
+        if fn_new < fn:
+            c, Fv, fn = cn, Fn_v, fn_new
+            continue
+        # pseudo-inverse step stalled: one projected-gradient step on |F|^2
+        grad = J @ Fv
+        gn = np.linalg.norm(grad)
+        if gn < 1e-16:
+            break
+        t = min(0.5, fn / gn)
+        improved = False
+        for _ in range(20):
+            cn = c - t * grad
+            Fn_v = 2.0 * jet.gradient(cn) - cn
+            fn_new = np.linalg.norm(Fn_v)
+            if fn_new < fn:
+                c, Fv, fn = cn, Fn_v, fn_new
+                improved = True
+                break
+            t *= 0.5
+        if not improved:
+            break
+    return c, fn
 
 
 def _newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:

@@ -239,10 +239,12 @@ class Jet:
     scalars, or a float64 array.  In the metrised algebra x o x = 2 Du(x)
     and L_x = D^2u(x).
 
-    ``value`` reads the first block only.  It and ``trilinear`` also take
-    points along leading axes, p of shape (..., n), giving one result per
-    point.  ``take`` keeps each point's products contiguous, so every
-    result is summed as the single point's is and equals it bit for bit.
+    ``value`` reads the first block only.  It, ``gradient`` and
+    ``trilinear`` also take points along leading axes, p of shape (..., n),
+    giving one result per point.  ``take`` keeps each point's products
+    contiguous, and ``np.add.at`` adds into each entry of a gradient in
+    column order, so every result is summed as the single point's is and
+    equals it bit for bit.
     The arrays may be int64 copies where the caller has bounded every sum
     (``algebra`` does so for weak associativity).
     """
@@ -282,8 +284,8 @@ class Jet:
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
         a, b, c = self.ijk
-        g = np.zeros(len(p), dtype=p.dtype)
-        np.add.at(g, a, self.m * p[b] * p[c])
+        g = np.zeros(p.shape, dtype=p.dtype)
+        np.add.at(g, (..., a), self.m * p.take(b, axis=-1) * p.take(c, axis=-1))
         return g
 
     def hessian(self, p: np.ndarray) -> np.ndarray:

@@ -319,7 +319,7 @@ GRAD_THRESHOLD = 0.1
 MAX_TRIES = 200                 # rays drawn per requested cone point
 BISECT_STEPS = 80
 POINT_BATCH = 256               # cone points searched together
-VALUE_BLOCK = 1 << 14           # entries of one (points, terms) product of u
+VALUE_BLOCK = 1 << 14           # entries of one (points, terms) product of u or Du
 
 
 def mean_curvature(u: CubicForm, x, grad_threshold: float = GRAD_THRESHOLD) -> float:
@@ -366,18 +366,36 @@ class ConeSampleReport:
                 "max_abs_curvature": self.max_abs_curvature}
 
 
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x, y> along the last axis.  Each is the BLAS dot that ``x @ y`` and
+    ``np.linalg.norm`` take for one pair of vectors, so each row's comes
+    out as the single vectors' does."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def _unit(x: np.ndarray) -> np.ndarray:
-    """x / |x| along the last axis.  The norm is the BLAS dot that
-    ``np.linalg.norm`` takes for one vector, so each row comes out as
-    the single vector does."""
-    return x / np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, :])
+    """x / |x| along the last axis, each row as the single vector's."""
+    return x / np.sqrt(_dots(x, x))[..., None]
+
+
+def _blocked(f, X: np.ndarray, width: int) -> np.ndarray:
+    """f at the rows of X, in blocks that bound each (rows, width) product."""
+    rows = max(1, VALUE_BLOCK // max(1, width))
+    return np.concatenate([f(X[s:s + rows]) for s in range(0, len(X), rows)])
 
 
 def _values(jet, X: np.ndarray) -> np.ndarray:
-    """u at the rows of X, in blocks that bound the (rows, monomials) product."""
-    rows = max(1, VALUE_BLOCK // max(1, jet.m.size // 3))
-    return np.concatenate([jet.value(X[s:s + rows])
-                           for s in range(0, len(X), rows)])
+    """u at the rows of X, in blocks of the (rows, monomials) product."""
+    return _blocked(jet.value, X, jet.m.size // 3)
+
+
+def _gradient_norms(jet, X: np.ndarray) -> np.ndarray:
+    """|Du| at the rows of X, each as ``np.linalg.norm`` gives it for one
+    row, in blocks of the (rows, 3 monomials) product."""
+    def norms(Y):
+        G = jet.gradient(Y)
+        return np.sqrt(_dots(G, G))
+    return _blocked(norms, X, jet.m.size)
 
 
 def _bisect(jet, a: np.ndarray, b: np.ndarray, ua: np.ndarray) -> np.ndarray:
@@ -420,11 +438,17 @@ def _sample_batch(u: CubicForm, idxs: range, seed: int, grad_threshold: float,
         if not owner.size:
             continue
         rays = ends[ray]
-        for pos, p in zip(owner, _bisect(jet, rays[:, 0], rays[:, 1], ua[ray])):
+        P = _bisect(jet, rays[:, 0], rays[:, 1], ua[ray])
+        # mean_curvature's gradient test, on the whole stack at once
+        flat = _gradient_norms(jet, _unit(P)) < grad_threshold * jet.scale
+        for pos, p, low in zip(owner, P, flat):
             idx = pending[pos]
             if idx in hits:
                 continue
             crossed.add(idx)
+            if low:
+                report.rejected += 1
+                continue
             try:
                 h = mean_curvature(u, p, grad_threshold)
             except ValueError:
@@ -455,10 +479,12 @@ def sample_cone(u: CubicForm, count: int, seed: int,
     Up to POINT_BATCH points are searched together, so memory does not
     grow with ``count``, in rounds.  A round draws the next 1, 2, 4, ...
     rays of every pending point, the same a, b, a, b, ... stream as
-    drawing them one by one, and bisects all its sign-changing rays as
-    one array; each point's rays are then judged in draw order.  So the
-    report, with points in index order, is the one a ray-by-ray search
-    gives, bit for bit.
+    drawing them one by one, bisects all its sign-changing rays as one
+    array and takes their gradient norms, as ``mean_curvature`` does, as
+    one stack.  Each point's rays are then judged in draw order: a ray
+    under the threshold is rejected there, and only the others call
+    ``mean_curvature``.  So the report, with points in index order, is
+    the one a ray-by-ray search gives, bit for bit.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")

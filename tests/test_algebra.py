@@ -169,6 +169,120 @@ def test_find_idempotents_skips_a_failed_restart(monkeypatch):
     assert [p.triple for p in failed] == [p.triple for p in kept]
 
 
+def reference_find_idempotents(alg, restarts, seed):
+    """The restart-by-restart search: each restart's ascent of |u| and
+    its Newton polish on one vector at a time, in restart order."""
+    found = []
+    for r in range(restarts):
+        rng = np.random.default_rng((seed, r))
+        try:
+            hit = _reference_search_one(alg, rng)
+        except np.linalg.LinAlgError:
+            continue
+        if hit is None:
+            continue
+        c, res = hit
+        if res > algebra.IDEMPOTENT_RESIDUAL or np.linalg.norm(c) < 1e-8:
+            continue
+        if any(np.linalg.norm(c - d) < algebra.DEDUP_DISTANCE for d in found):
+            continue
+        found.append(c)
+    scale = alg.form.jet(exact=False).scale
+    found = sorted((c * scale for c in found), key=lambda c: tuple(np.round(c, 8)))
+    return [alg.peirce(c) for c in found]
+
+
+def _reference_search_one(alg, rng):
+    n = alg.n
+    jet = alg.form.jet(exact=False)
+    x = rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    ux = jet.value(x)
+    step = 0.4
+    for _ in range(200):
+        g = jet.gradient(x)
+        lam = float(g @ x)
+        tangent = g - lam * x
+        tnorm = np.linalg.norm(tangent)
+        if tnorm < 1e-12:
+            break
+        sgn = 1.0 if ux >= 0 else -1.0
+        cur = abs(ux)
+        for _ in range(30):
+            xn = x + step * sgn * tangent
+            xn /= np.linalg.norm(xn)
+            un = jet.value(xn)
+            if abs(un) > cur:
+                x, ux = xn, un
+                step *= 1.2
+                break
+            step *= 0.5
+        else:
+            break
+    lam = 3.0 * ux
+    if abs(lam) < 1e-8:
+        return None
+    c = x / (2.0 * lam)
+    I = np.eye(n)
+    Fv = 2.0 * jet.gradient(c) - c
+    fn = np.linalg.norm(Fv)
+    for _ in range(algebra.NEWTON_STEPS):
+        if fn < 1e-14:
+            break
+        J = 2.0 * jet.hessian(c) - I
+        cn = c + _newton_step(J, Fv)
+        Fn_v = 2.0 * jet.gradient(cn) - cn
+        fn_new = np.linalg.norm(Fn_v)
+        if fn_new < fn:
+            c, Fv, fn = cn, Fn_v, fn_new
+            continue
+        grad = J @ Fv
+        gn = np.linalg.norm(grad)
+        if gn < 1e-16:
+            break
+        t = min(0.5, fn / gn)
+        improved = False
+        for _ in range(20):
+            cn = c - t * grad
+            Fn_v = 2.0 * jet.gradient(cn) - cn
+            fn_new = np.linalg.norm(Fn_v)
+            if fn_new < fn:
+                c, Fv, fn = cn, Fn_v, fn_new
+                improved = True
+                break
+            t *= 0.5
+        if not improved:
+            break
+    return c, fn
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert np.array_equal(p.c, q.c)
+        assert np.array_equal(p.eigenvalues, q.eigenvalues)
+        assert p.to_json_dict() == q.to_json_dict()
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_find_idempotents_matches_restart_by_restart_reference(name):
+    # the ascent on blocks of restarts gives the records, in their order,
+    # that one restart at a time gives, bit for bit
+    alg = MetrisedAlgebra(catalog_build(name))
+    for seed in (1, 2, 3):
+        _assert_same_records(alg.find_idempotents(restarts=16, seed=seed),
+                             reference_find_idempotents(alg, 16, seed))
+
+
+@pytest.mark.parametrize("name", ["cartan-d2", "complexified-d1", "complexified-d8"])
+def test_find_idempotents_blocks_of_restarts(monkeypatch, name):
+    # blocks of 3 restarts, the last one short, give the one-restart records
+    alg = MetrisedAlgebra(catalog_build(name))
+    monkeypatch.setattr(algebra, "ASCENT_BLOCK", 3 * alg.form.jet(exact=False).m.size)
+    _assert_same_records(alg.find_idempotents(restarts=10, seed=4),
+                         reference_find_idempotents(alg, 10, seed=4))
+
+
 def test_newton_step_is_pseudo_inverse():
     # at a cartan-d1 idempotent 1/2 is a Peirce eigenvalue, so J = 2 L_c - I
     # is singular; the step is the least-norm solution pinv(J) (-F).  The

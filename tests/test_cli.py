@@ -250,6 +250,9 @@ _DEGENERATE_RUNS = [
                                         "bool-c", "bool-c3", "dim-129")),
     (None, ["clifford", "--q", "11"]),
     (None, ["clifford", "--q", "-1"]),
+    # an output path in a directory that does not exist
+    (None, ["catalog", "emit", "cartan-d1", "{missing}/x.json"]),
+    (None, ["clifford", "--q", "2", "--emit", "{missing}/sys.json"]),
     # a tolerance nothing bins within, and gates that NaN would switch off
     *(("cube", ["spectrum", "--seed", "1", "--tol", tol])
       for tol in ("-1", "0", "nan", "inf")),
@@ -268,8 +271,10 @@ _DEGENERATE_RUNS = [
 @pytest.mark.parametrize("form, args", _DEGENERATE_RUNS,
                          ids=[f"{form}:{' '.join(args)}" for form, args in _DEGENERATE_RUNS])
 def test_degenerate_input_is_a_usage_error(runner, tmp_path, form, args):
-    # out-of-range counts and parseable but degenerate forms are usage
-    # errors: exit 2 with click's one "Error:" line, nothing on stdout
+    # out-of-range counts, parseable but degenerate forms and output paths
+    # that cannot be written are usage errors: exit 2 with click's one
+    # "Error:" line, nothing on stdout
+    args = [a.replace("{missing}", str(tmp_path / "missing-dir")) for a in args]
     if form is not None:
         path = tmp_path / f"{form}.json"
         path.write_text(_DEGENERATE_FILES[form])
@@ -522,6 +527,23 @@ def test_clifford_cmd(runner, tmp_path):
     assert rec["verified"] and rec["two_l"] == 4
     data = json.loads(out.read_text())
     assert len(data["mats"]) == 3
+
+
+def test_clifford_cmd_verifies_once(runner, monkeypatch):
+    # build_clifford_system verifies its system, and the command trusts it
+    from eigencubic import cli, clifford
+    calls = []
+
+    def counted(S):
+        calls.append(S.q)
+        return verify(S)
+
+    verify = clifford.verify_clifford_system
+    for module in (clifford, cli):
+        monkeypatch.setattr(module, "verify_clifford_system", counted, raising=False)
+    res = run(runner, "clifford", "--q", "3")
+    assert res.exit_code == 0 and json.loads(res.output)["verified"]
+    assert calls == [3]
 
 
 def test_cone_sample(runner, tmp_path):

@@ -341,6 +341,32 @@ def test_jet_value_takes_a_batch_of_points(name):
 
 
 @pytest.mark.parametrize("name", list(CATALOG))
+def test_jet_gradient_takes_a_batch_of_points(name):
+    # Du at the rows of a (k, n) array equals Du at each row, bit for bit,
+    # on the float jet and on the exact jet at Python-int points (each
+    # sqrt(3) channel of a Q(sqrt3) form)
+    u = catalog_build(name)
+    jet = u.jet(exact=False)
+    P = np.random.default_rng(7).standard_normal((9, u.n))
+    assert jet.gradient(P).tolist() == [jet.gradient(p).tolist() for p in P]
+    assert jet.gradient(np.empty((0, u.n))).shape == (0, u.n)
+    exact = u.jet(exact=True)
+    Q = (_randbelow(DEFAULT_BOUND, 5 * u.n, random.Random(7)).reshape(5, u.n)
+         - DEFAULT_BOUND // 2).astype(object)
+
+    def channels(g):
+        return [g] if exact.sqrt3 is None else [g.r, g.s]
+
+    got = channels(exact.gradient(Q))
+    single = [channels(exact.gradient(q)) for q in Q]
+    for ch, rows in enumerate(got):
+        assert rows.tolist() == [s[ch].tolist() for s in single]
+        assert all(type(v) is int for v in rows.ravel())
+    for rows in channels(exact.gradient(np.empty((0, u.n), dtype=object))):
+        assert rows.shape == (0, u.n)
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
 def test_kernel_matches_dense_tensor(name):
     # every float contraction of the package against np.einsum on the
     # dense tensor T: u = T x x x, x o x = 6 T x x, L_x = 6 T x; each
@@ -586,17 +612,38 @@ def reference_sample_cone(u, count, seed, grad_threshold=0.1):
     return report
 
 
-@pytest.mark.parametrize("name", list(CATALOG))
-def test_sample_cone_matches_ray_by_ray_reference(name):
-    # the batched rounds report what the ray-by-ray loop reports, bit for bit
+# the default threshold keeps the bare form name as its test id
+_CONE_CASES = [(name, t) for t in (0.1, 0.0, 1e3) for name in CATALOG]
+
+
+@pytest.mark.parametrize("name, grad_threshold", _CONE_CASES,
+                         ids=[name if t == 0.1 else f"{name}-threshold-{t:g}"
+                              for name, t in _CONE_CASES])
+def test_sample_cone_matches_ray_by_ray_reference(name, grad_threshold):
+    # the batched rounds, with their stacked gradient test, report what the
+    # ray-by-ray loop through mean_curvature reports, bit for bit: at 0 no
+    # ray is rejected for its gradient, at 1e3 every ray is
     u = catalog_build(name)
     for seed in (1, 2, 3):
-        got = sample_cone(u, 2, seed)
-        want = reference_sample_cone(u, 2, seed)
-        assert len(got.points) == len(want.points), (name, seed)
-        assert all(np.array_equal(p, q) for p, q in zip(got.points, want.points))
-        assert got.curvatures == want.curvatures
-        assert got.rejected == want.rejected
+        _assert_same_report(sample_cone(u, 2, seed, grad_threshold),
+                            reference_sample_cone(u, 2, seed, grad_threshold))
+
+
+def test_sample_cone_gradient_test_reads_u_not_its_jet():
+    # |Du| = 3000 on the unit sphere, above the threshold 10, while the
+    # jet of 2^-11 u has a gradient norm near 1.5: no ray is rejected
+    u = catalog_build("cartan-d1").scaled(1000)
+    for seed in (1, 2, 3):
+        got = sample_cone(u, 5, seed, grad_threshold=10.0)
+        _assert_same_report(got, reference_sample_cone(u, 5, seed, 10.0))
+        assert len(got.points) == 5 and got.rejected == 0
+
+
+def _assert_same_report(got, want):
+    assert len(got.points) == len(want.points)
+    assert all(np.array_equal(p, q) for p, q in zip(got.points, want.points))
+    assert got.curvatures == want.curvatures
+    assert got.rejected == want.rejected
 
 
 def test_sample_cone_trivial_rejections_pinned():
