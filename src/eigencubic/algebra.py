@@ -17,13 +17,17 @@ exact operation joins it to QSqrt3 entries only where its result leaves
 the kernel: the operators L_{e_i} of ``multiplication_rank``, the Hsiang
 residual at a point and a nonzero weak-associativity difference.
 
-Weak associativity runs whole batches of triples through the kernel.
+Both checks run whole batches of points through the kernel, on int64
+copies of the jet's arrays where ``identities._int64_jet`` proves that no
+sum can overflow, and on its Python ints for a jet beyond that bound.
 The points' numerators lie in [-9, 9], which bounds every sum before any
-arithmetic (``WEAK_DIFF_FACTOR``), so the batches run on int64 copies of
-the jet's arrays, and on its Python ints only for a jet beyond that
-bound.  Both checks draw their points in one vectorised pass that
-reproduces the stream of one ``random.randint`` per coordinate, so their
-residuals do not depend on how the points are drawn.
+arithmetic.  Weak associativity takes batches of triples
+(``WEAK_DIFF_FACTOR``).  The Hsiang check takes its points in the blocks
+of ``identities._exact_sides``, shared with the random identity checks:
+gradient and Hessian stacks in int64, the radial sides on Python ints.
+Both checks draw their points in one vectorised pass that reproduces the
+stream of one ``random.randint`` per coordinate, so their residuals do
+not depend on how the points are drawn.
 
 Idempotents are located by projected gradient ascent of |u| on the unit
 sphere (stationary points have grad u = lambda x), rescaled by 1/(2 lambda),
@@ -42,15 +46,16 @@ a gradient fallback when they stall.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .cubics import CubicForm, Jet
-from .identities import RADIAL, _dots, _randbelow, _unit
-from .scalars import QSqrt3Array, exact_div, joined
+from .identities import (RADIAL, _dots, _exact_sides, _int64_jet, _randbelow,
+                         _unit)
+from .scalars import QSqrt3, QSqrt3Array, exact_div, joined
 
 NEWTON_STEPS = 80
 IDEMPOTENT_RESIDUAL = 1e-10
@@ -66,6 +71,10 @@ WEAK_DIFF_FACTOR = 2 * 9 * 2 * 81
 TRILINEAR_CHUNK = 1 << 14
 # The most entries of one (restarts, 3 monomials) temporary of the ascent.
 ASCENT_BLOCK = 1 << 14
+# The most steps one restart's ascent takes.  Every catalog restart stops
+# on its tangent norm or its line search within 30 steps; the cap only
+# ends an ascent that creeps on without converging.
+ASCENT_STEPS = 200
 
 
 @dataclass
@@ -204,20 +213,21 @@ class MetrisedAlgebra:
         over random rational points; exact arithmetic, so 0 means identity.
 
         With x^2 = 2 Du, x^3 = 2 D^2u Du and <x^2, x> = 6u both sides are
-        4 times the sides of the radial identity, which the kernel
-        evaluates for D*u at the integer point d*x, on Python ints.
+        4 times the sides of the radial identity, which
+        ``identities._exact_sides`` evaluates for D*u at the integer points
+        d*x, in blocks, as the random mode of the identity checks does.
         """
         rng = random.Random(seed)
         jet = self.form.jet(exact=True)
         D = jet.scale
         X, dens = _rational_batch(self.n, trials, rng)
         worst = Fraction(0)
-        for p, d in zip(X.astype(object), dens.tolist()):
-            lhs, rhs = RADIAL.sides(jet.value(p), jet.gradient(p), jet.hessian(p),
-                                    p @ p)
+        for (lhs, rhs), d in zip(_exact_sides(RADIAL.sides, jet, X), dens.tolist()):
+            diff = lhs - theta * D * D * rhs
+            if isinstance(diff, QSqrt3) and not diff.b:
+                diff = diff.a           # as joining the channel pair gives it
             # lhs carries D^3 d^5 and rhs D d^5
-            diff = 4 * joined(lhs - theta * D * D * rhs) / Fraction(D ** 3 * d ** 5)
-            worst = max(worst, abs(diff))
+            worst = max(worst, abs(4 * diff / Fraction(D ** 3 * d ** 5)))
         return worst
 
     def weak_associativity_max_residual(self, trials: int = 1000, seed: int = 0):
@@ -237,7 +247,7 @@ class MetrisedAlgebra:
         in type.
         """
         rng = random.Random(seed)
-        jet = _int64_jet(self.form.jet(exact=True))
+        jet = _int64_jet(self.form.jet(exact=True), WEAK_DIFF_FACTOR)
         X, dx = _rational_batch(self.n, trials, rng)
         Y, dy = _rational_batch(self.n, trials, rng)
         Z, dz = _rational_batch(self.n, trials, rng)
@@ -258,27 +268,13 @@ class MetrisedAlgebra:
         return worst
 
 
-def _int64_jet(jet: Jet) -> Jet:
-    """``jet`` on int64 copies of its arrays when the weak-associativity
-    difference is below 2**63 in magnitude on every channel, which bounds
-    every partial sum as well; else ``jet`` itself, on Python ints."""
-    parts = [jet] if jet.sqrt3 is None else [jet, jet.sqrt3]
-    if any(WEAK_DIFF_FACTOR * sum(abs(v) for v in p.m.tolist()) >= 2 ** 63
-           for p in parts):
-        return jet
-    sqrt3 = None
-    if jet.sqrt3 is not None:
-        sqrt3 = replace(jet.sqrt3, m=jet.sqrt3.m.astype(np.int64))
-    return replace(jet, m=jet.m.astype(np.int64), sqrt3=sqrt3)
-
-
 def _ascend(jet: Jet, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Projected ascent of |u| from each unit row of X; the end points and
     u there.
 
     Each row keeps its own step, starting at 0.4, and runs until its
     tangent gradient is below 1e-12, 30 halvings of its step find no
-    larger |u| or 200 steps are done.  Each pass works on the rows still
+    larger |u| or ``ASCENT_STEPS`` steps are done.  Each pass works on the rows still
     running as one stack, and every product, norm and dot comes out as
     it does for the row alone (``Jet``, ``identities._dots``), so each
     row ends where a loop over that row alone ends, bit for bit.
@@ -287,7 +283,7 @@ def _ascend(jet: Jet, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     U = jet.value(X)
     step = np.full(len(X), 0.4)
     live = np.arange(len(X))
-    for _ in range(200):
+    for _ in range(ASCENT_STEPS):
         x = X[live]
         g = jet.gradient(x)
         tangent = g - _dots(g, x)[:, None] * x

@@ -239,14 +239,15 @@ class Jet:
     scalars, or a float64 array.  In the metrised algebra x o x = 2 Du(x)
     and L_x = D^2u(x).
 
-    ``value`` reads the first block only.  It, ``gradient`` and
-    ``trilinear`` also take points along leading axes, p of shape (..., n),
-    giving one result per point.  ``take`` keeps each point's products
-    contiguous, and ``np.add.at`` adds into each entry of a gradient in
-    column order, so every result is summed as the single point's is and
-    equals it bit for bit.
+    ``value`` reads the first block only.  It, ``gradient``, ``hessian``
+    and ``trilinear`` also take points along leading axes, p of shape
+    (..., n), giving one result per point.  ``take`` keeps each point's
+    products contiguous, and ``np.add.at`` adds into each entry of a
+    gradient or Hessian in column order, so every result is summed as the
+    single point's is and equals it bit for bit.
     The arrays may be int64 copies where the caller has bounded every sum
-    (``algebra`` does so for weak associativity).
+    (``identities._int64_jet``): the exact point checks do so for the
+    gradient and Hessian stacks, ``algebra`` for weak associativity.
     """
     scale: float
     ijk: np.ndarray
@@ -290,9 +291,9 @@ class Jet:
 
     def hessian(self, p: np.ndarray) -> np.ndarray:
         a, b, c = self.ijk
-        H = np.zeros((len(p), len(p)), dtype=p.dtype)
-        np.add.at(H, (a, b), self.m * p[c])
-        np.add.at(H, (a, c), self.m * p[b])
+        H = np.zeros(p.shape + p.shape[-1:], dtype=p.dtype)
+        np.add.at(H, (..., a, b), self.m * p.take(c, axis=-1))
+        np.add.at(H, (..., a, c), self.m * p.take(b, axis=-1))
         return H
 
     def trilinear(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):

@@ -192,14 +192,12 @@ def reference_find_idempotents(alg, restarts, seed):
     return [alg.peirce(c) for c in found]
 
 
-def _reference_search_one(alg, rng):
-    n = alg.n
-    jet = alg.form.jet(exact=False)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
+def _reference_ascent(jet, x, steps=200):
+    """Projected ascent of |u| from the unit point x, one point, capped at
+    ``steps`` steps; the end point and u there."""
     ux = jet.value(x)
     step = 0.4
-    for _ in range(200):
+    for _ in range(steps):
         g = jet.gradient(x)
         lam = float(g @ x)
         tangent = g - lam * x
@@ -219,6 +217,15 @@ def _reference_search_one(alg, rng):
             step *= 0.5
         else:
             break
+    return x, ux
+
+
+def _reference_search_one(alg, rng):
+    n = alg.n
+    jet = alg.form.jet(exact=False)
+    x = rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    x, ux = _reference_ascent(jet, x)
     lam = 3.0 * ux
     if abs(lam) < 1e-8:
         return None
@@ -281,6 +288,25 @@ def test_find_idempotents_blocks_of_restarts(monkeypatch, name):
     monkeypatch.setattr(algebra, "ASCENT_BLOCK", 3 * alg.form.jet(exact=False).m.size)
     _assert_same_records(alg.find_idempotents(restarts=10, seed=4),
                          reference_find_idempotents(alg, 10, seed=4))
+
+
+@pytest.mark.parametrize("name", ["cartan-d2", "complexified-d1", "octonion21"])
+def test_ascent_stops_at_its_step_cap(monkeypatch, name):
+    # with ASCENT_STEPS patched low, every row ends where the one-row
+    # reference capped at the same count ends, bit for bit; rows that
+    # reach the cap end elsewhere one step earlier or later, so a cap one
+    # step off fails
+    jet = catalog_build(name).jet(exact=False)
+    X = np.random.default_rng(11).standard_normal((12, jet.ijk.max() + 1))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    for cap in (1, 2, 5):
+        monkeypatch.setattr(algebra, "ASCENT_STEPS", cap)
+        ends, values = algebra._ascend(jet, X)
+        for steps in (cap - 1, cap, cap + 1):
+            want = [_reference_ascent(jet, x, steps) for x in X]
+            same = [np.array_equal(e, w) and v == uw
+                    for e, v, (w, uw) in zip(ends, values, want)]
+            assert all(same) if steps == cap else not all(same), (cap, steps)
 
 
 def test_newton_step_is_pseudo_inverse():
@@ -524,7 +550,7 @@ def test_batched_trilinear_matches_single_triples(name):
     # the int64 copy and the Python-int jet, on a batch of triples, against
     # one Python-int triple at a time, on each sqrt(3) channel
     jet = catalog_build(name).jet(exact=True)
-    fast = algebra._int64_jet(jet)
+    fast = algebra._int64_jet(jet, algebra.WEAK_DIFF_FACTOR)
     assert fast.m.dtype == np.int64
     rng = random.Random(13)
     X, Y, Z = (algebra._rational_batch(jet.ijk.max() + 1, 30, rng)[0]
@@ -564,7 +590,7 @@ def test_weak_associativity_paths_agree(monkeypatch, sqrt3, chunk):
     alg = MetrisedAlgebra(CubicForm(3, {}))
     fast = alg.weak_associativity_max_residual(trials=200, seed=5)
     want = _weak_loop(jet, 3, 200, 5)
-    monkeypatch.setattr(algebra, "_int64_jet", lambda j: j)
+    monkeypatch.setattr(algebra, "_int64_jet", lambda j, factor: j)
     slow = alg.weak_associativity_max_residual(trials=200, seed=5)
     assert fast == slow == want != 0
     assert type(fast) is type(slow) is type(want) is (QSqrt3 if sqrt3 else Fraction)
@@ -577,7 +603,7 @@ def test_weak_associativity_paths_agree(monkeypatch, sqrt3, chunk):
 def test_weak_associativity_huge_coefficient_runs_on_python_ints(u):
     alg = MetrisedAlgebra(u)
     jet = u.jet(exact=True)
-    assert algebra._int64_jet(jet) is jet
+    assert algebra._int64_jet(jet, algebra.WEAK_DIFF_FACTOR) is jet
     got = alg.weak_associativity_max_residual(trials=100, seed=6)
     assert got == 0 and type(got) is Fraction
 
@@ -594,10 +620,10 @@ def test_int64_jet_bound():
             return r
         return _Sqrt3Jet(1, ijk, r.m, Jet(1, ijk, np.array([s], dtype=object)))
 
-    below = algebra._int64_jet(jet(1 - top))
+    below = algebra._int64_jet(jet(1 - top), algebra.WEAK_DIFF_FACTOR)
     assert below.m.dtype == np.int64
     for above in (jet(top), jet(-top), jet(1, top), jet(top, 1)):
-        assert algebra._int64_jet(above) is above
+        assert algebra._int64_jet(above, algebra.WEAK_DIFF_FACTOR) is above
     # the triple that reaches the bound: the two contractions are
     # +-1458 m, and their difference is exact in int64
     x, y, z = (np.array(p, dtype=np.int64)

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eigencubic import algebra, identities
 from eigencubic.algebra import MetrisedAlgebra
-from eigencubic.cubics import (CATALOG, CubicForm, cartan_cubic, catalog_build,
-                               trivial_cubic)
-from eigencubic.identities import (DEFAULT_BOUND, DEFAULT_TRIALS, MAX_TRIES,
+from eigencubic.cubics import (CATALOG, CubicForm, Jet, _Sqrt3Jet, cartan_cubic,
+                               catalog_build, trivial_cubic)
+from eigencubic.identities import (DEFAULT_BOUND, DEFAULT_TRIALS, EICONAL,
+                                   MAX_TRIES, RADIAL, TRACE2, TRACE3,
                                    ConeSampleReport, _proportional_float,
                                    _randbelow, check_eiconal,
                                    check_harmonic, check_radial, classify,
@@ -17,7 +19,7 @@ from eigencubic.identities import (DEFAULT_BOUND, DEFAULT_TRIALS, MAX_TRIES,
                                    trace_identity_cubic,
                                    trace_identity_quadratic)
 from eigencubic.poly import Poly
-from eigencubic.scalars import joined
+from eigencubic.scalars import QSqrt3Array, joined
 from rotations import cayley_rotation, rotate_exact, skew
 
 DIM3 = catalog_build("clifford-q0")
@@ -364,6 +366,167 @@ def test_jet_gradient_takes_a_batch_of_points(name):
         assert all(type(v) is int for v in rows.ravel())
     for rows in channels(exact.gradient(np.empty((0, u.n), dtype=object))):
         assert rows.shape == (0, u.n)
+
+
+def _channels(x):
+    """The sqrt(3) channels of a kernel piece: [x], or [r, s] of a pair."""
+    return [x.r, x.s] if isinstance(x, QSqrt3Array) else [x]
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_jet_hessian_takes_a_batch_of_points(name):
+    # D^2u at the rows of a (k, n) array equals D^2u at each row: bit for
+    # bit on the float jet, and as Python ints on the exact jet at
+    # Python-int points and on its int64 copy, each sqrt(3) channel
+    u = catalog_build(name)
+    n = u.n
+    fjet = u.jet(exact=False)
+    X = np.random.default_rng(8).standard_normal((7, n))
+    assert fjet.hessian(X).tolist() == [fjet.hessian(x).tolist() for x in X]
+    exact = u.jet(exact=True)
+    fast = identities._int64_jet(exact, (DEFAULT_BOUND - 1) ** 2)
+    assert fast.m.dtype == np.int64
+    assert fast.sqrt3 is None or fast.sqrt3.m.dtype == np.int64
+    P = _randbelow(DEFAULT_BOUND, 5 * n, random.Random(8)).reshape(5, n) \
+        - DEFAULT_BOUND // 2
+    single = [_channels(exact.hessian(p)) for p in P.astype(object)]
+    for stack in (exact.hessian(P.astype(object)), fast.hessian(P)):
+        for ch, rows in enumerate(_channels(stack)):
+            assert rows.shape == (5, n, n)
+            assert rows.tolist() == [s[ch].tolist() for s in single]
+    for ch, rows in enumerate(_channels(exact.hessian(P.astype(object)))):
+        assert all(type(v) is int for v in rows.ravel())
+        assert all(type(v) is int for s in single for v in s[ch].ravel())
+    assert fjet.hessian(np.empty((0, n))).shape == (0, n, n)
+    for jet, dtype in ((exact, object), (fast, np.int64)):
+        for rows in _channels(jet.hessian(np.empty((0, n), dtype=dtype))):
+            assert rows.shape == (0, n, n)
+
+
+# the forms whose checks run at Schwartz-Zippel points by default
+LARGE_FORMS = [name for name, e in CATALOG.items() if e.dim > 15]
+
+
+def _reference_sides(ident, jet, P):
+    """The per-point loop the block evaluator replaced: each row of P as
+    one Python-int point through the kernel, alone."""
+    return [tuple(joined(x) for x in ident.sides(jet.value(p), jet.gradient(p),
+                                                  jet.hessian(p), p @ p))
+            for p in P.astype(object)]
+
+
+def _reference_hsiang(u, theta, trials, seed):
+    """``check_hsiang_identity`` as the per-point loop computed it."""
+    jet = u.jet(exact=True)
+    D = jet.scale
+    X, dens = algebra._rational_batch(u.n, trials, random.Random(seed))
+    worst = Fraction(0)
+    for p, d in zip(X.astype(object), dens.tolist()):
+        lhs, rhs = RADIAL.sides(jet.value(p), jet.gradient(p), jet.hessian(p), p @ p)
+        diff = 4 * joined(lhs - theta * D * D * rhs) / Fraction(D ** 3 * d ** 5)
+        worst = max(worst, abs(diff))
+    return worst
+
+
+@pytest.mark.parametrize("name", LARGE_FORMS)
+def test_exact_sides_match_the_per_point_loop(monkeypatch, name):
+    # blocks of one point, and of four points with a short last block, give
+    # the pairs of the per-point loop, in order, value and type (repr), at
+    # the random mode's points and at the Hsiang check's, and so the same
+    # random-mode constants and Hsiang residuals
+    u = catalog_build(name)
+    jet = u.jet(exact=True)
+    width = max(u.n * u.n, jet.m.size)
+    theta = check_radial(u, "random", seed=1).constant
+    for seed in (1, 2, 3):
+        P = _randbelow(DEFAULT_BOUND, (DEFAULT_TRIALS + 1) * u.n,
+                       random.Random(seed)).reshape(-1, u.n)
+        Q = algebra._rational_batch(u.n, 10, random.Random(seed))[0]
+        want = {ident.name: (_reference_sides(ident, jet, P),
+                             _reference_sides(ident, jet, Q))
+                for ident in (RADIAL, EICONAL, TRACE2, TRACE3)}
+        constants = {ident.name: identities._ratio(iter(want[ident.name][0]))
+                     for ident in (RADIAL, EICONAL, TRACE2, TRACE3)}
+        hsiang = [_reference_hsiang(u, t, 10, seed) for t in (theta, theta + Fraction(1, 3))]
+        for block in (width, 4 * width):
+            monkeypatch.setattr(identities, "EXACT_BLOCK", block)
+            for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
+                for points, pairs in zip((P, Q), want[ident.name]):
+                    got = list(identities._exact_sides(ident.sides, jet, points))
+                    assert repr(got) == repr(pairs), (ident.name, block)
+            for check in IDENTITY_CHECKS:
+                rep = check(u, "random", seed=seed)
+                t = constants[rep.check]
+                if t is not None and (rep.check != "eiconal" or t > 0):
+                    t = t / jet.scale / jet.scale
+                    assert rep.passed and repr(rep.constant) == repr(t)
+                else:
+                    assert not rep.passed
+            alg = MetrisedAlgebra(u)
+            got = [alg.check_hsiang_identity(t, trials=10, seed=seed)
+                   for t in (theta, theta + Fraction(1, 3))]
+            assert repr(got) == repr(hsiang) and hsiang[0] == 0 != hsiang[1]
+
+
+def test_int64_jet_bound_at_random_points():
+    # sum|m| (10^6 - 1)^2 < 2**63 takes int64; the least sum above it does
+    # not, on either sqrt(3) channel; at the largest point the gradient
+    # entry reaches the bound and is exact in int64
+    R = DEFAULT_BOUND - 1
+    top = -(-2 ** 63 // (R * R))
+    ijk = np.array([[0], [1], [2]], dtype=np.intp)
+
+    def jet(m, s=None):
+        r = Jet(1, ijk, np.array([m], dtype=object))
+        if s is None:
+            return r
+        return _Sqrt3Jet(1, ijk, r.m, Jet(1, ijk, np.array([s], dtype=object)))
+
+    below = identities._int64_jet(jet(top - 1), R * R)
+    assert below.m.dtype == np.int64
+    for above in (jet(top), jet(-top), jet(1, top), jet(top, 1)):
+        assert identities._int64_jet(above, R * R) is above
+    P = np.full((1, 3), R, dtype=np.int64)
+    assert below.gradient(P).tolist() == [[(top - 1) * R * R, 0, 0]]
+
+
+@pytest.mark.parametrize("name", ["clifford-q1", "complexified-d2", "cartan-d4"])
+def test_random_checks_past_the_int64_bound(monkeypatch, name):
+    # u scaled so that sum|m| (10^6 - 1)^2 >= 2**63 runs its gradient and
+    # Hessian stacks on Python ints, and still gives lam^2 times each
+    # constant, and a zero Hsiang residual at lam^2 theta
+    u = catalog_build(name)
+    lam = 10 ** 9
+    big = u.scaled(lam)
+    jet = big.jet(exact=True)
+    assert sum(abs(v) for v in jet.m.tolist()) * (DEFAULT_BOUND - 1) ** 2 >= 2 ** 63
+    small = [check(u, "random", seed=1) for check in IDENTITY_CHECKS]
+    theta = small[0].constant
+    paths = []
+    real = identities._int64_jet
+
+    def spy(j, factor):
+        out = real(j, factor)
+        paths.append(out.m.dtype)
+        return out
+
+    monkeypatch.setattr(identities, "_int64_jet", spy)
+    for check, want in zip(IDENTITY_CHECKS, small):
+        got = check(big, "random", seed=1)
+        assert got.passed == want.passed
+        if want.passed:
+            assert got.constant == lam * lam * want.constant
+            assert type(got.constant) is type(want.constant)
+    assert paths and all(dtype == object for dtype in paths)
+    # the Hsiang points' numerators are at most 9, so only a much larger
+    # scale leaves int64 there
+    for scale, dtype in ((lam, np.int64), (lam ** 2, object)):
+        paths.clear()
+        alg = MetrisedAlgebra(u.scaled(scale))
+        assert alg.check_hsiang_identity(scale * scale * theta, trials=20, seed=1) == 0
+        assert alg.check_hsiang_identity(scale * scale * (theta + 1), trials=20,
+                                         seed=1) != 0
+        assert paths == [dtype, dtype]
 
 
 @pytest.mark.parametrize("name", list(CATALOG))
