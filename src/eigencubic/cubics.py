@@ -25,7 +25,7 @@ from .clifford import CliffordSystem, build_clifford_system, verify_clifford_sys
 from .composition import CDElement, re_triple
 from .jordan import (HermMat3, freudenthal_det, det_polar, fullspace_basis,
                      involution, jordan_mul, trace_form, tracefree_basis)
-from .poly import Poly
+from .poly import Poly, PolyArray
 from .scalars import (QSqrt3, QSqrt3Array, format_rational, is_exact, joined,
                       parse_rational)
 
@@ -235,9 +235,10 @@ class Jet:
     on each, and returned as one ``QSqrt3Array`` (r's piece, s's piece),
     whose arithmetic keeps the two channels apart; a caller joins it to
     QSqrt3 entries where a result leaves the kernel.  Every piece keeps
-    the kind of p: an object array of ``Poly`` variables or of exact
-    scalars, or a float64 array.  In the metrised algebra x o x = 2 Du(x)
-    and L_x = D^2u(x).
+    the kind of p: an object array of exact scalars, or a float64 array;
+    ``symbolic`` gives the pieces of an exact jet as polynomials, as
+    ``PolyArray``s.  In the metrised algebra x o x = 2 Du(x) and
+    L_x = D^2u(x).
 
     ``value`` reads the first block only.  It, ``gradient``, ``hessian``
     and ``trilinear`` also take points along leading axes, p of shape
@@ -314,6 +315,25 @@ class Jet:
         np.add.at(lap, b[a == c], self.m[a == c])
         return lap
 
+    def symbolic(self, n: int):
+        """(v, g, H, r2): D*u, its gradient and Hessian, and |x|^2, as
+        ``PolyArray``s in the n variables, read off the exact arrays:
+        ``value``'s block gives the terms of v, and each rotation
+        (a; b, c) the term m x_b x_c of g_a and the terms m x_c, m x_b of
+        H_ab, H_ac."""
+        a, b, c = self.ijk
+        first = self.m.size // 3
+        i, j, k = np.sort(self.ijk[:, :first], axis=0)
+        v = PolyArray.collect(n, (), 3, np.zeros(first, dtype=np.int64),
+                              (i * n + j) * n + k, self.m[:first])
+        g = PolyArray.collect(n, (n,), 2, a, np.minimum(b, c) * n + np.maximum(b, c),
+                              self.m)
+        H = PolyArray.collect(n, (n, n), 1, np.concatenate([a * n + b, a * n + c]),
+                              np.concatenate([c, b]), np.tile(self.m, 2))
+        r2 = PolyArray(n, (), 2, np.zeros(n, dtype=np.int64),
+                       np.arange(n, dtype=np.int64) * (n + 1), np.ones(n, dtype=np.int64))
+        return v, g, H, r2
+
 
 class _Sqrt3Jet(Jet):
     """The exact jet of a Q(sqrt3) form: each piece is the pair of the
@@ -333,6 +353,10 @@ class _Sqrt3Jet(Jet):
 
     def laplacian(self, n):
         return QSqrt3Array(super().laplacian(n), self.sqrt3.laplacian(n))
+
+    def symbolic(self, n):
+        r, s = super().symbolic(n), self.sqrt3.symbolic(n)
+        return (*map(QSqrt3Array, r[:3], s[:3]), r[3])
 
 
 # ---------------------------------------------------------------------------

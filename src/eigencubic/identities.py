@@ -7,8 +7,9 @@ and every mode runs that same function through the form's one kernel,
 ``CubicForm.jet``; the mode only chooses the kind of point and the
 decider:
 
-* exact: p is the vector of ``Poly`` variables; t is decided on the
-  coefficients of the expanded sides;
+* exact: p is the vector of variables, and the jet's ``symbolic`` gives
+  the pieces as ``poly.PolyArray``s, so the sides come out expanded;
+  t is decided on their coefficients;
 * random: p is a random integer point; t is decided on the exact sides
   at ``trials + 1`` points, with the Schwartz-Zippel bound (deg/bound)**trials,
   or the least positive float where that underflows;
@@ -16,8 +17,9 @@ decider:
   and t is a least-squares fit, accepted to a tolerance.
 
 Both exact modes decide by one ratio test: t is solved at the first
-coefficient or point with rhs != 0, and every other must agree.  The
-eiconal identity also demands t > 0.
+coefficient or point with rhs != 0, and every other must agree; the
+exact mode tests all coefficients at once, cross-multiplied
+(``_expanded_ratio``).  The eiconal identity also demands t > 0.
 
 Every mode evaluates the multiple D*u the jet holds: in both exact modes
 D is the least positive integer making every coefficient integral (both
@@ -47,9 +49,9 @@ mode H holds Python ints of at most 27 bits at catalog points below 10^6,
 so n * max|H|^2 < 2**63 proves every partial sum exact in int64 and the
 product runs on int64 copies of each integer channel; a Hessian beyond
 that bound stays on Python ints.  The final * H and sum run on Python
-ints, where the products reach about 2**90.  In exact mode H holds
-``Poly`` entries and int zeros, and ``matmul`` sums each entry of H @ H
-in one dict; float mode's float64 matrices take plain @.
+ints, where the products reach about 2**90.  In exact mode H is a
+``PolyArray`` (a pair of them on a Q(sqrt3) form), whose own @ takes
+H @ H; float mode's float64 matrices take plain @.
 
 Policy: exact expansion for n <= 15, randomized above, both overridable.
 """
@@ -65,7 +67,6 @@ from typing import Callable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .cubics import CubicForm, Jet
-from .poly import Poly
 from .scalars import (QSqrt3, QSqrt3Array, exact_div, format_rational,
                       is_exact, joined, matmul)
 
@@ -239,12 +240,31 @@ TRACE2 = _Identity("trace2", 2, lambda v, g, H, r2: ((H * H).sum(), r2))
 TRACE3 = _Identity("trace3", 3, lambda v, g, H, r2: ((matmul(H, H) * H).sum(), v))
 
 
-def _poly_vars(n: int) -> np.ndarray:
-    return np.array([Poly.var(n, i) for i in range(n)], dtype=object)
+def _coefficient(side, code: int) -> QSqrt3Array:
+    """The coefficient of one monomial code in an expanded side, as the
+    pair of its integer channels."""
+    def at(p):
+        i = np.searchsorted(p.code, code)
+        return int(p.coef[i]) if i < p.code.size and p.code[i] == code else 0
+    if isinstance(side, QSqrt3Array):
+        return QSqrt3Array(at(side.r), at(side.s))
+    return QSqrt3Array(at(side), 0)
 
 
-def _as_poly(x, n: int) -> Poly:
-    return x if isinstance(x, Poly) else Poly.const(n, x)
+def _expanded_ratio(lhs, rhs):
+    """``_ratio`` over the coefficients of two expanded sides, each a
+    ``PolyArray`` of shape () or the ``QSqrt3Array`` pair of two: t is
+    solved at rhs's first monomial, and lhs * rhs0 - rhs * lhs0, expanded
+    on the same kernel, must be zero."""
+    channels = [(x.r, x.s) if isinstance(x, QSqrt3Array) else (x,) for x in (lhs, rhs)]
+    codes = [p.code[0] for p in channels[1] if p.code.size]
+    if not codes:
+        return None if any(p.code.size for p in channels[0]) else Fraction(0)
+    l0, r0 = (_coefficient(x, min(codes)) for x in (lhs, rhs))
+    cross = lhs * r0 - rhs * l0
+    if cross.r.code.size or cross.s.code.size:
+        return None
+    return exact_div(l0.join(), r0.join())
 
 
 def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
@@ -268,8 +288,7 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
     if m == "float":
         t = _proportional_float(sides, u.n, seed)
     elif m == "exact":
-        lhs, rhs = (_as_poly(x, u.n).terms for x in sides(_poly_vars(u.n)))
-        t = _ratio((lhs.get(k, 0), rhs.get(k, 0)) for k in {**rhs, **lhs})
+        t = _expanded_ratio(*ident.sides(*jet.symbolic(u.n)))
     else:
         if trials < 1:
             raise ValueError(f"trials must be at least 1, got {trials}")

@@ -1,16 +1,25 @@
-"""Sparse multivariate polynomials with exact coefficients.
+"""Exact multivariate polynomials: ``Poly`` one at a time, for building the
+catalog, and ``PolyArray`` a whole array at once, for expanding the
+identities.
 
-A monomial is the sorted tuple of its variable indices, one entry per
-unit of degree: x0^2 x3 is ``(0, 0, 3)`` and the constant monomial is
-``()``.  A cubic's monomials are thus the index triples that
+A ``Poly`` monomial is the sorted tuple of its variable indices, one
+entry per unit of degree: x0^2 x3 is ``(0, 0, 3)`` and the constant
+monomial is ``()``.  A cubic's monomials are thus the index triples that
 ``CubicForm.terms`` keys its coefficients by.  Coefficients are exact
 scalars (int, Fraction, QSqrt3) or floats in float mode.  Zero
 coefficients are never stored, so ``not p.terms`` is the exact zero test.
-
 A sum keeps the left operand's monomials first, then the right's new
 ones: the order ``CubicForm.terms``, the JSON text and the float sums
-inherit.  ``Poly._matrix_product`` is the exact matrix product that
-``scalars.matmul`` runs on matrices of Polys, with no Poly per product.
+inherit.
+
+A ``PolyArray`` holds an array of homogeneous integer polynomials as
+flat numpy arrays of terms, a monomial as the integer whose base-n
+digits are its sorted variable indices.  The exact mode of
+``identities._check`` runs each identity's sides on the
+``Jet.symbolic`` arrays, so an expansion is a few numpy operations per
+product and makes no Python object per term.  Its coefficients are int64
+while an L1 bound proves every sum exact, and Python ints beyond.  A
+Q(sqrt3) form's pieces are ``QSqrt3Array`` pairs of PolyArrays.
 
 There is no randomized zero test here: the Schwartz-Zippel checks
 (``identities._check`` in random mode) evaluate the form's kernel at
@@ -19,6 +28,7 @@ integer points without building a polynomial.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -140,48 +150,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    @staticmethod
-    def _matrix_product(a: np.ndarray, b: np.ndarray, fa: list, fb: list):
-        """a @ b for two object matrices of Poly and Python-int entries, fa
-        and fb their entries in row order; ``scalars.matmul`` calls it.
-
-        Each output entry is one dict, into which the products of the
-        nonzero entries of a's row and b's column are summed in turn: each
-        product is multiplied term by term as ``__mul__`` does and merged
-        as ``__add__`` does.  So no Poly is made but one per output entry,
-        what cancels is dropped, and the terms are a @ b's, in its order
-        (a nonzero int constant term may stand elsewhere).  An entry is a
-        Poly where a's row or b's column holds one, as in a @ b, and an int
-        elsewhere.  None where the shapes do not chain or the Polys'
-        variable counts differ, so that a @ b raises there, or not, as it
-        does.
-        """
-        (rows, k), (k2, cols) = a.shape, b.shape
-        nvars = {x.nvars for x in fa + fb if type(x) is Poly}
-        if k != k2 or len(nvars) != 1:
-            return None
-        nvars, = nvars
-
-        def items(x):
-            return list(x.terms.items()) if type(x) is Poly else [((), x)]
-
-        def sparse_rows(flat, width):
-            return [[(j, items(x)) for j, x in enumerate(flat[r:r + width]) if x]
-                    for r in range(0, len(flat), width)]
-
-        a_rows, b_rows = sparse_rows(fa, k), sparse_rows(fb, cols)
-        a_poly = [any(type(x) is Poly for x in fa[r:r + k]) for r in range(0, len(fa), k)]
-        b_poly = [any(type(x) is Poly for x in fb[j::cols]) for j in range(cols)]
-        out = np.empty((rows, cols), dtype=object)
-        for i, row in enumerate(a_rows):
-            acc = [{} for _ in range(cols)]
-            for kk, x in row:
-                for j, y in b_rows[kk]:
-                    _merge(acc[j], _times(x, y))
-            for j, t in enumerate(acc):
-                out[i, j] = Poly._of(nvars, t) if a_poly[i] or b_poly[j] else t.get((), 0)
-        return out
-
     def diff(self, i: int) -> "Poly":
         # dropping one i is injective on the monomials containing i
         out: Dict[Mono, object] = {}
@@ -209,3 +177,231 @@ class Poly:
         bits = [f"({self.terms[m]})*" + ("*".join(f"x{i}" for i in m) or "1")
                 for m in sorted(self.terms)]
         return "Poly[" + " + ".join(bits) + "]"
+
+
+# The most term pairs one block of a ``PolyArray`` product lists.  A pair
+# costs about 150 bytes of temporaries (its digits before and after the
+# sort, its term indices, key, coefficient and sort order), so a block is
+# about 0.6 MB.  On a 2-vCPU host, the exact checks of the 15 catalog
+# forms with n <= 27, run in one process, peaked at 32.2 MB RSS with
+# blocks of 2**10 or 2**12 pairs, 33.7 MB with 2**14 and 37.5 MB with
+# 2**16, all in 0.13-0.17 s.  Larger blocks only pay on complexified-d8
+# (0.41 s at 2**12, 0.32 s at 2**16), which the benchmark's exact
+# workload does not run.
+PAIR_BLOCK = 1 << 12
+_INT64_LIMIT = 2 ** 63
+
+
+def _l1(coef: np.ndarray) -> int:
+    """sum |c| over the coefficients, as a Python int."""
+    if coef.dtype == object:
+        return sum(map(abs, coef.tolist()))
+    return int(np.abs(coef).sum())
+
+
+def _coefficients(coef: np.ndarray, int64: bool) -> np.ndarray:
+    """coef as int64 when ``int64``, else as Python ints."""
+    return coef.astype(np.int64 if int64 else object, copy=False)
+
+
+def _collect(key: np.ndarray, coef: np.ndarray):
+    """The distinct keys in increasing order and the sum of the
+    coefficients at each, the keys whose sum is zero dropped."""
+    if not key.size:
+        return key, coef
+    order = np.argsort(key, kind="stable")
+    key, coef = key[order], coef[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    key, coef = key[first], np.add.reduceat(coef, first)
+    keep = coef != 0
+    return key[keep], coef[keep]
+
+
+def _union(parts: list):
+    """``_collect`` over the concatenated (key, coef) parts."""
+    return _collect(np.concatenate([key for key, _ in parts]),
+                    np.concatenate([coef for _, coef in parts]))
+
+
+def _codes(nvars: int, shape: tuple, deg: int) -> int:
+    """The number of monomial codes, nvars**deg, once every (entry, code)
+    key of the array, entry * nvars**deg + code, is known to fit in int64."""
+    codes = nvars ** deg
+    if math.prod(shape) * codes >= _INT64_LIMIT:
+        raise ValueError("the monomial keys of this array exceed int64")
+    return codes
+
+
+class PolyArray:
+    """An array of homogeneous polynomials of one degree, with integer
+    coefficients, held as three flat arrays of terms.
+
+    A term is (entry, code, coefficient): the entry is the flat index into
+    ``shape``, and the code is the monomial's sorted variable indices read
+    as base-``nvars`` digits, the smallest index the most significant, so
+    x0 x3^2 in 4 variables is 0*16 + 3*4 + 3.  The terms are sorted by (entry, code),
+    with no key twice and no zero coefficient.  The coefficients are int64
+    while their L1 norm is below 2**63, and Python ints in an object array
+    beyond it.  Each operation runs in int64 only where the L1 bound of
+    its result proves every sum exact: L1(a + b) <= L1(a) + L1(b),
+    L1(k a) = |k| L1(a), and L1(a * b), L1(a @ b) <= L1(a) L1(b), since
+    each pair of terms is multiplied at most once.
+
+    ``+``, ``-``, ``*`` by an integer, ``*`` (numpy broadcasting), ``@``,
+    ``sum`` and ``trace`` follow numpy's ndarray of polynomials.  A
+    product lists the pairs of terms it multiplies ``PAIR_BLOCK`` at a
+    time, merges each pair's digits with one sort and sums equal
+    (entry, code) keys within a block and then across blocks.  Any
+    other operand gives NotImplemented, so a ``QSqrt3Array`` pair of
+    PolyArrays does its own arithmetic, channel by channel.
+    """
+
+    __slots__ = ("nvars", "shape", "deg", "idx", "code", "coef", "l1")
+    __array_ufunc__ = None
+
+    def __init__(self, nvars: int, shape: tuple, deg: int, idx: np.ndarray,
+                 code: np.ndarray, coef: np.ndarray):
+        """The array of the given terms, already in (entry, code) order with
+        no key twice and no zero; coef holds int64s or Python ints."""
+        self.nvars, self.shape, self.deg = nvars, tuple(shape), deg
+        self.idx, self.code = idx, code
+        self.l1 = _l1(coef)
+        self.coef = _coefficients(coef, self.l1 < _INT64_LIMIT)
+
+    @classmethod
+    def collect(cls, nvars: int, shape: tuple, deg: int, idx, code,
+                coef: np.ndarray) -> "PolyArray":
+        """The array of terms that may repeat a key, cancel and come in
+        any order: equal keys summed, zeros dropped."""
+        codes = _codes(nvars, shape, deg)
+        key, coef = _collect(np.asarray(idx, dtype=np.int64) * codes
+                             + np.asarray(code, dtype=np.int64), coef)
+        return cls(nvars, shape, deg, key // codes, key % codes, coef)
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def _digits(self) -> np.ndarray:
+        """Each term's monomial as its sorted variable indices, one row per
+        term."""
+        powers = self.nvars ** np.arange(self.deg - 1, -1, -1, dtype=np.int64)
+        return self.code[:, None] // powers % self.nvars
+
+    def _like(self, other) -> bool:
+        if not isinstance(other, PolyArray):
+            return False
+        if other.nvars != self.nvars:
+            raise ValueError("variable count mismatch")
+        return True
+
+    # -- linear operations ------------------------------------------------
+    def __add__(self, other):
+        if not self._like(other):
+            return NotImplemented
+        if (other.shape, other.deg) != (self.shape, self.deg):
+            raise ValueError("a sum needs two arrays of one shape and degree")
+        int64 = self.l1 + other.l1 < _INT64_LIMIT
+        return PolyArray.collect(self.nvars, self.shape, self.deg,
+                                 np.concatenate([self.idx, other.idx]),
+                                 np.concatenate([self.code, other.code]),
+                                 np.concatenate([_coefficients(self.coef, int64),
+                                                 _coefficients(other.coef, int64)]))
+
+    def __neg__(self):
+        return PolyArray(self.nvars, self.shape, self.deg, self.idx, self.code,
+                         -self.coef)
+
+    def __sub__(self, other):
+        return self + -other if self._like(other) else NotImplemented
+
+    def _reduced(self, keep: np.ndarray) -> "PolyArray":
+        """The sum of the entries where ``keep`` holds, one polynomial."""
+        return PolyArray.collect(self.nvars, (), self.deg,
+                                 np.zeros(int(keep.sum()), dtype=np.int64),
+                                 self.code[keep], self.coef[keep])
+
+    def sum(self) -> "PolyArray":
+        return self._reduced(np.ones(self.idx.size, dtype=bool))
+
+    def trace(self) -> "PolyArray":
+        if self.ndim != 2:
+            raise ValueError("trace needs a matrix")
+        return self._reduced(self.idx // self.shape[1] == self.idx % self.shape[1])
+
+    # -- products ---------------------------------------------------------
+    def __mul__(self, other):
+        if isinstance(other, (int, np.integer)):
+            k = int(other)
+            keep = slice(None) if k else slice(0)
+            coef = _coefficients(self.coef, max(1, abs(k)) * self.l1 < _INT64_LIMIT)
+            return PolyArray(self.nvars, self.shape, self.deg, self.idx[keep],
+                             self.code[keep], coef[keep] * k)
+        if not self._like(other):
+            return NotImplemented
+        shape = np.broadcast_shapes(self.shape, other.shape)
+
+        def entries(x):
+            return np.broadcast_to(np.arange(x.size).reshape(x.shape), shape).ravel()
+
+        return self._product(other, entries(self), entries(other),
+                             np.arange(math.prod(shape)), shape)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        if not self._like(other):
+            return NotImplemented
+        if not {self.ndim, other.ndim} <= {1, 2} or self.shape[-1] != other.shape[0]:
+            raise ValueError(f"matmul: shapes {self.shape} and {other.shape} "
+                             f"do not chain")
+        # numpy's rule: a vector is a row on the left and a column on the right
+        rows, k = self.shape if self.ndim == 2 else (1,) + self.shape
+        cols = other.shape[1] if other.ndim == 2 else 1
+        i, j, kk = np.indices((rows, cols, k)).reshape(3, -1)
+        return self._product(other, i * k + kk, kk * cols + j, i * cols + j,
+                             self.shape[:-1] + other.shape[1:])
+
+    def _product(self, other: "PolyArray", ea: np.ndarray, eb: np.ndarray,
+                 out: np.ndarray, shape: tuple) -> "PolyArray":
+        """The array of ``shape`` whose entry e is the sum, over the q with
+        out[q] = e, of self's entry ea[q] times other's entry eb[q].
+
+        The pairs of terms are listed ``PAIR_BLOCK`` at a time, and each
+        block's products are summed by key.  The blocks' sums are merged
+        into the running sums once they outnumber them, so memory stays
+        about one block plus three times the keys met so far, even where
+        one output entry takes every pair, as a scalar side does."""
+        nvars, deg = self.nvars, self.deg + other.deg
+        codes = _codes(nvars, shape, deg)
+        a_at = np.searchsorted(self.idx, np.arange(self.size + 1))
+        b_at = np.searchsorted(other.idx, np.arange(other.size + 1))
+        na, nb = np.diff(a_at)[ea], np.diff(b_at)[eb]
+        ends = np.cumsum(na * nb)
+        total = int(ends[-1]) if ends.size else 0
+        # an empty operand leaves the other's coefficients as they are
+        int64 = max(self.l1, other.l1, self.l1 * other.l1) < _INT64_LIMIT
+        ca, cb = _coefficients(self.coef, int64), _coefficients(other.coef, int64)
+        da, db = self._digits(), other._digits()
+        powers = nvars ** np.arange(deg - 1, -1, -1, dtype=np.int64)
+        merged, pending = [(np.zeros(0, dtype=np.int64), ca[:0])], []
+        for lo in range(0, total, PAIR_BLOCK):
+            pair = np.arange(lo, min(lo + PAIR_BLOCK, total))
+            q = np.searchsorted(ends, pair, side="right")
+            k = pair - ends[q] + na[q] * nb[q]
+            ta = a_at[ea[q]] + k // nb[q]
+            tb = b_at[eb[q]] + k % nb[q]
+            digits = np.sort(np.concatenate([da[ta], db[tb]], axis=1), axis=1)
+            pending.append(_collect(out[q] * codes + digits @ powers, ca[ta] * cb[tb]))
+            if sum(k.size for k, _ in pending) > max(merged[0][0].size, PAIR_BLOCK):
+                merged, pending = [_union(merged + pending)], []
+        key, coef = _union(merged + pending)
+        return PolyArray(nvars, shape, deg, key // codes, key % codes, coef)
+
+    def __repr__(self):
+        return (f"PolyArray(shape={self.shape}, degree {self.deg}, "
+                f"{self.idx.size} terms in {self.nvars} variables)")

@@ -15,16 +15,13 @@ two arrays, so the kernel of a Q(sqrt3) form does each array operation
 once per channel on Python ints and makes no QSqrt3 per entry.  Its
 ``join`` gives the entries as QSqrt3 where a result leaves the kernel.
 
-``matmul`` is ``a @ b`` for exact arrays, with two faster routes picked
-by one scan of the entries' types.  Two matrices of Python ints whose
-contraction length k and largest entries prove every partial sum exact in
-int64, k * max|a| * max|b| < 2**63, are multiplied as int64 copies and the
-result comes back as Python ints.  Two matrices of ``Poly`` and Python-int
-entries go through ``Poly._matrix_product``, which sums each output entry
-in one dict and makes no Poly per product; ``matmul`` finds it on the entry
-type, so this module never imports ``poly``.  Anything else (Fraction or
-float entries, ints beyond the bound, or a vector operand) is ``a @ b``
-as it is.  ``QSqrt3Array``'s ``@`` runs each channel product through it.
+``matmul`` is ``a @ b`` for exact arrays, with one faster route.  Two
+matrices of Python ints whose contraction length k and largest entries
+prove every partial sum exact in int64, k * max|a| * max|b| < 2**63, are
+multiplied as int64 copies and the result comes back as Python ints.  Anything else (Fraction, float or
+``Poly`` entries, ints beyond the bound, a vector operand, or an operand
+that is no ndarray, such as a ``poly.PolyArray``) is ``a @ b`` as it is.
+``QSqrt3Array``'s ``@`` runs each channel product through it.
 """
 
 from __future__ import annotations
@@ -173,7 +170,8 @@ SQRT3 = QSqrt3(0, 1)
 
 class QSqrt3Array:
     """r + sqrt(3)*s for two same-shape arrays r, s, or two scalars, of
-    exact entries: Python ints, Fractions or ``Poly`` objects.
+    exact entries: Python ints, Fractions or ``Poly`` objects; or for two
+    ``poly.PolyArray``s, the exact mode's pieces.
 
     +, -, * and @ take another pair, a plain array or a scalar (a QSqrt3
     one too) on either side, and run as numpy operations on the channels:
@@ -181,7 +179,7 @@ class QSqrt3Array:
     numpy hands every binary operator with a pair operand to the pair.
     Each channel product of @ is ``matmul``, so on integer channels within
     its bound it runs in int64; the sums of products above stay on
-    Python ints.
+    Python ints.  ``sum`` and ``trace`` call each channel's own.
     ``join`` gives each entry as one scalar, and ``==`` compares joined.
     """
 
@@ -229,10 +227,10 @@ class QSqrt3Array:
         return QSqrt3Array(matmul(other, self.r), matmul(other, self.s))
 
     def sum(self):
-        return QSqrt3Array(np.sum(self.r), np.sum(self.s))
+        return QSqrt3Array(self.r.sum(), self.s.sum())
 
     def trace(self):
-        return QSqrt3Array(np.trace(self.r), np.trace(self.s))
+        return QSqrt3Array(self.r.trace(), self.s.trace())
 
     def join(self):
         """The entries r + s*SQRT3, each r itself where s is 0: an object
@@ -246,30 +244,19 @@ class QSqrt3Array:
         return f"QSqrt3Array({self.r!r}, {self.s!r})"
 
 
-def _entries(a, b):
-    """The entries of a and b as two flat lists, and the set of their
-    types, when both are nonempty object arrays of ndim >= 2; else None.
-    This is the one scan of the operands that ``matmul`` makes."""
+def _int64_operands(a, b):
+    """int64 copies of a and b when both are nonempty object matrices (ndim
+    >= 2) of Python ints and k * max|a| * max|b| < 2**63, k = a.shape[-1]
+    the contraction length: each product is then at most max|a| * max|b|
+    in magnitude, so every partial sum of a @ b is below 2**63; else None.
+    A product with a vector is left to Python ints: its k*n products cost
+    about what reading the entries for the bound does."""
     if not all(isinstance(x, np.ndarray) and x.dtype == object
                and x.ndim >= 2 and x.size for x in (a, b)):
         return None
     fa, fb = a.ravel().tolist(), b.ravel().tolist()
-    return fa, fb, {*map(type, fa), *map(type, fb)}
-
-
-def _int64_operands(a, b, entries=None):
-    """int64 copies of a and b when both are nonempty object matrices of
-    Python ints and k * max|a| * max|b| < 2**63, k = a.shape[-1] the
-    contraction length: each product is then at most max|a| * max|b| in
-    magnitude, so every partial sum of a @ b is below 2**63; else None.
-    ``entries`` is ``_entries(a, b)`` where the caller has it.
-    A product with a vector is left to Python ints: its k*n products cost
-    about what reading the entries for the bound does."""
-    if entries is None:
-        entries = _entries(a, b)
-    if entries is None or entries[2] != {int}:
+    if {*map(type, fa), *map(type, fb)} != {int}:
         return None
-    fa, fb, _ = entries
     if a.shape[-1] * max(map(abs, fa)) * max(map(abs, fb)) >= 2 ** 63:
         return None
     return a.astype(np.int64), b.astype(np.int64)
@@ -278,25 +265,10 @@ def _int64_operands(a, b, entries=None):
 def matmul(a, b):
     """a @ b, exactly.  Python-int matrices within the int64 bound of
     ``_int64_operands`` are multiplied as int64 copies, and the result
-    comes back as Python ints.  Two matrices (ndim 2) of ``Poly`` and
-    Python-int entries, at least one a Poly, go through
-    ``Poly._matrix_product``, which sums each entry's products in one
-    dict and makes no Poly per product.  Any other operands go through
-    a @ b unchanged."""
-    entries = _entries(a, b)
-    if entries is None:
-        return a @ b
-    ops = _int64_operands(a, b, entries)
-    if ops is not None:
-        return (ops[0] @ ops[1]).astype(object)
-    kinds = entries[2] - {int}
-    if len(kinds) == 1 and a.ndim == b.ndim == 2:
-        # Poly brings its own product, so this module never imports poly
-        product = getattr(kinds.pop(), "_matrix_product", None)
-        out = product(a, b, *entries[:2]) if product else None
-        if out is not None:
-            return out
-    return a @ b
+    comes back as Python ints.  Any other operands go through a @ b
+    unchanged."""
+    ops = _int64_operands(a, b)
+    return a @ b if ops is None else (ops[0] @ ops[1]).astype(object)
 
 
 def _as_pair(x):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,8 @@ from eigencubic.identities import (DEFAULT_BOUND, DEFAULT_TRIALS, EICONAL,
                                    trace_identity_cubic,
                                    trace_identity_quadratic)
 from eigencubic.poly import Poly
-from eigencubic.scalars import QSqrt3Array, joined
+from eigencubic.scalars import QSqrt3, QSqrt3Array, exact_div, joined
+from polyref import joined_terms
 from rotations import cayley_rotation, rotate_exact, skew
 
 DIM3 = catalog_build("clifford-q0")
@@ -529,6 +531,35 @@ def test_random_checks_past_the_int64_bound(monkeypatch, name):
         assert paths == [dtype, dtype]
 
 
+@pytest.mark.parametrize("name", ["clifford-q1", "complexified-d2", "cartan-d4"])
+def test_exact_checks_past_the_int64_bound(name):
+    # u scaled by 10^9, 10^18 and the Q(sqrt3) scale 10^9 (1 + sqrt3):
+    # the lhs of every identity, of degree 3 in u, has L1 norm past 2**63
+    # on each sqrt(3) channel it has, so it is expanded on Python ints,
+    # where u's is int64; each constant is lam^2 times u's, of the type
+    # that value has
+    u = catalog_build(name)
+    small = [check(u, "exact") for check in IDENTITY_CHECKS]
+
+    def lhs_channels(form):
+        symbolic = form.jet(exact=True).symbolic(form.n)
+        for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
+            lhs = ident.sides(*symbolic)[0]
+            yield from ((lhs.r, lhs.s) if isinstance(lhs, QSqrt3Array) else (lhs,))
+
+    assert all(p.coef.dtype == np.int64 for p in lhs_channels(u))
+    for lam in (10 ** 9, 10 ** 18, QSqrt3(10 ** 9, 10 ** 9)):
+        big = u.scaled(lam)
+        seen = [p.coef.dtype for p in lhs_channels(big) if p.idx.size]
+        assert seen and all(dtype == object for dtype in seen)
+        for check, want in zip(IDENTITY_CHECKS, small):
+            got = check(big, "exact")
+            assert got.passed == want.passed
+            if want.passed:
+                t = exact_div(lam * lam * want.constant, 1)
+                assert got.constant == t and type(got.constant) is type(t)
+
+
 @pytest.mark.parametrize("name", list(CATALOG))
 def test_kernel_matches_dense_tensor(name):
     # every float contraction of the package against np.einsum on the
@@ -574,10 +605,11 @@ SMALL_FORMS = [name for name, e in CATALOG.items() if e.dim <= 15]
 # the forms the benchmark certifies in both modes
 MID_FORMS = [name for name, e in CATALOG.items() if 15 < e.dim <= 27]
 # catalog forms with their first coefficient changed by +1/7; cartan-d8's
-# exact trace3 multiplies four pairs of Poly matrices
+# exact trace3 multiplies four pairs of PolyArray matrices, and
+# complexified-d8 is the largest catalog form
 MUTATED = {f"{name}+1/7": name for name in ("clifford-q0", "cartan-d1",
                                            "clifford-q1", "involution-d2",
-                                           "cartan-d8")}
+                                           "cartan-d8", "complexified-d8")}
 
 
 def _mutated(name: str) -> CubicForm:
@@ -587,7 +619,7 @@ def _mutated(name: str) -> CubicForm:
 
 
 @pytest.mark.parametrize("check", IDENTITY_CHECKS, ids=lambda f: f.__name__)
-@pytest.mark.parametrize("name", SMALL_FORMS + MID_FORMS + list(MUTATED))
+@pytest.mark.parametrize("name", list(CATALOG) + list(MUTATED))
 def test_modes_agree(name, check):
     # exact expansion, Schwartz-Zippel points and float points all run
     # the same identity; they must give the same verdict and constant.
@@ -606,6 +638,55 @@ def test_modes_agree(name, check):
     if ex.passed:
         e = float(ex.constant)
         assert abs(fl.constant - e) <= 1e-9 * max(1.0, abs(e))
+
+
+def _dense_form(n: int, seed: int) -> CubicForm:
+    """A form with every monomial in n variables and a random rational
+    coefficient on each."""
+    rng = random.Random(seed)
+    return CubicForm(n, {key: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                         for key in itertools.combinations_with_replacement(range(n), 3)})
+
+
+def _reference_symbolic(u: CubicForm):
+    """(v, g, H, r2) of D*u, D = the exact jet's scale, as object arrays of
+    Poly from ``CubicForm.gradient``/``hessian``, each coefficient made an
+    int (a QSqrt3 of ints) so that the Poly arithmetic runs on ints."""
+    D, n = u.jet(exact=True).scale, u.n
+
+    def integral(p):
+        def exact(c):
+            c = c * D
+            if isinstance(c, QSqrt3):
+                assert c.a.denominator == c.b.denominator == 1
+                return QSqrt3(int(c.a), int(c.b))
+            assert c.denominator == 1
+            return int(c)
+        return Poly(n, {m: exact(c) for m, c in p.terms.items()})
+
+    H = np.empty((n, n), dtype=object)
+    H[:] = [[integral(h) for h in row] for row in u.hessian()]
+    return (integral(u.to_poly()),
+            np.array([integral(g) for g in u.gradient()], dtype=object), H,
+            Poly(n, {(i, i): 1 for i in range(n)}))
+
+
+@pytest.mark.parametrize("name", SMALL_FORMS + MID_FORMS + list(MUTATED) + ["dense-8"])
+def test_expanded_sides_match_poly_arithmetic(name):
+    # the exact mode's PolyArray expansion of each identity's two sides
+    # against plain Poly arithmetic on the same sides, term by term: the
+    # monomials and their coefficients, both sqrt(3) channels joined
+    if name == "dense-8":
+        u = _dense_form(8, 8)
+    else:
+        u = _mutated(name) if name in MUTATED else catalog_build(name)
+    symbolic = u.jet(exact=True).symbolic(u.n)
+    reference = _reference_symbolic(u)
+    for got, want in zip(symbolic, reference):
+        assert joined_terms(got) == [p.terms for p in np.ravel(np.array(want))]
+    for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
+        for got, want in zip(ident.sides(*symbolic), ident.sides(*reference)):
+            assert joined_terms(got) == [want.terms], ident.name
 
 
 # the Schwartz-Zippel degree of each check's identity
@@ -644,7 +725,7 @@ _small_fraction = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
 
 
 @pytest.mark.parametrize("name", ["clifford-q0", "clifford-q1", "clifford-q2",
-                                  "cartan-d1", "cartan-d2"])
+                                  "cartan-d1", "cartan-d2", "cartan-d4"])
 def test_exact_orthogonal_invariance(name):
     u = catalog_build(name)
     n = u.n

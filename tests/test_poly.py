@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eigencubic.poly import Poly
+from eigencubic import poly
+from eigencubic.poly import Poly, PolyArray
+from polyref import to_polys
 
 
 def x(n, i):
@@ -89,3 +92,136 @@ def test_sum_keeps_the_left_operands_monomials_first():
     q = x(3, 1) - 1 + x(3, 0) + x(3, 2) * x(3, 0)
     assert list((p + q).terms) == [(2, 2), (0,), (1,), (0, 2)]
     assert list((q + p).terms) == [(1,), (0,), (0, 2), (2, 2)]
+
+
+# -- PolyArray against object arrays of Poly ----------------------------------
+
+NV = 3
+
+
+def _array(nvars, shape, deg, terms):
+    """A PolyArray from (entry, monomial, coefficient) triples."""
+    idx = [e for e, _, _ in terms]
+    code = [sum(v * nvars ** (deg - 1 - i) for i, v in enumerate(m)) for _, m, _ in terms]
+    coef = np.array([c for _, _, c in terms], dtype=object)
+    return PolyArray.collect(nvars, shape, deg, idx, code, coef)
+
+
+@st.composite
+def _poly_arrays(draw, shape, deg, top=5):
+    """A PolyArray of ``shape`` and degree ``deg`` in NV variables, terms
+    repeated and cancelling; mostly sparse."""
+    size = int(np.prod(shape))
+    mono = st.lists(st.integers(0, NV - 1), min_size=deg, max_size=deg).map(
+        lambda v: tuple(sorted(v)))
+    terms = draw(st.lists(st.tuples(st.integers(0, size - 1), mono,
+                                    st.integers(-top, top)), max_size=3 * size))
+    return _array(NV, shape, deg, terms)
+
+
+SHAPES = [(), (1,), (3,), (2, 3), (3, 3), (3, 1), (1, 3)]
+
+
+def _broadcasts(a, b):
+    try:
+        np.broadcast_shapes(a, b)
+        return True
+    except ValueError:
+        return False
+
+
+@st.composite
+def _operands(draw):
+    """Two PolyArrays of degrees 0 to 2 and "@" when their shapes chain
+    (the first (rows, k) or (k,)), else "*" and shapes that broadcast."""
+    sa = draw(st.sampled_from(SHAPES))
+    if sa and draw(st.booleans()):
+        sb, kind = draw(st.sampled_from([sa[-1:], (sa[-1], 1), (sa[-1], 2)])), "@"
+    else:
+        sb, kind = draw(st.sampled_from([s for s in SHAPES if _broadcasts(sa, s)])), "*"
+    return (draw(_poly_arrays(sa, draw(st.integers(0, 2)))),
+            draw(_poly_arrays(sb, draw(st.integers(0, 2)))), kind)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_operands())
+def test_poly_array_operations_match_object_arrays_of_poly(ops):
+    # every operation against numpy's own on object arrays of Poly, entry
+    # by entry and term by term, with the layout checked on each result
+    a, b, kind = ops
+    pa, pb = to_polys(a), to_polys(b)
+    got, want = (a @ b, pa @ pb) if kind == "@" else (a * b, pa * pb)
+    assert got.shape == np.shape(want)
+    assert [p.terms for p in to_polys(got).ravel()] == \
+        [p.terms for p in np.ravel(np.array(want, dtype=object))]
+    for got, want in [(a + a, pa + pa), (a - a * 2, pa - pa * 2), (-a, -pa),
+                      (3 * a, pa * 3), (a * 0, pa * 0), (a.sum(), np.sum(pa))]:
+        assert [p.terms for p in to_polys(got).ravel()] == \
+            [p.terms for p in np.ravel(np.array(want, dtype=object))]
+    if a.ndim == 2 and a.shape[0] == a.shape[1]:
+        assert to_polys(a.trace())[()].terms == np.trace(pa).terms
+
+
+def test_poly_array_cancellation_and_mismatches():
+    x = _array(2, (2,), 1, [(0, (0,), 1), (1, (1,), 1)])
+    y = _array(2, (2,), 1, [(0, (1,), 1), (1, (0,), -1)])
+    # x0 x1 - x1 x0 cancels to an empty entry, not a stored zero
+    dot = x @ y
+    assert dot.shape == () and dot.idx.size == 0 and dot.deg == 2
+    assert to_polys(dot)[()].terms == {}
+    # the same monomial from pairs in different blocks of one entry sums
+    assert to_polys(x @ x)[()].terms == {(0, 0): 1, (1, 1): 1}
+    z = _array(3, (2,), 1, [(0, (0,), 1)])
+    for f in (lambda: x + z, lambda: x * z, lambda: x @ z):
+        with pytest.raises(ValueError, match="variable count mismatch"):
+            f()
+    with pytest.raises(ValueError, match="one shape and degree"):
+        x + x * x
+    with pytest.raises(ValueError, match="do not chain"):
+        _array(2, (2, 3), 1, []) @ x
+    assert x.__mul__("a") is x.__add__(1) is x.__matmul__(2) is NotImplemented
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_poly_array_products_are_summed_across_blocks(monkeypatch, block):
+    # tiny blocks cut every output entry's pairs into many blocks, merged
+    # into the running sums as they come: the terms are those of one block,
+    # for a matrix product and for a scalar one
+    rng = np.random.default_rng(3)
+    terms = [(int(rng.integers(9)), tuple(sorted(rng.integers(0, 4, 2).tolist())),
+              int(rng.integers(-3, 4))) for _ in range(40)]
+    a = _array(4, (3, 3), 2, terms)
+    pa = to_polys(a)
+    want = ([p.terms for p in (pa @ pa).ravel()], (np.sum(pa * pa) * np.sum(pa)).terms)
+    monkeypatch.setattr(poly, "PAIR_BLOCK", block)
+    got = ([p.terms for p in to_polys(a @ a).ravel()],
+           to_polys((a * a).sum() * a.sum())[()].terms)
+    assert got == want
+
+
+# 2**63 - 1 = 7 * 21870289 * 60247241209; 2**63 = 2**31 * 2**32
+@pytest.mark.parametrize("la, lb, int64", [(7 * 21870289, 60247241209, True),
+                                           (2 ** 31, 2 ** 32, False)],
+                         ids=["2**63-1", "2**63"])
+def test_poly_array_int64_bound_is_exact_at_the_edge(la, lb, int64):
+    # a = a0 x0 + a1 x1 and b = b0 x0 + b1 x1, all positive, so every
+    # pair lands on x0^2, x0 x1 or x1^2 and the product's L1 norm is
+    # exactly L1(a) L1(b): below 2**63 the product runs and stays in
+    # int64, at 2**63 it runs on Python ints; either way it is exact
+    a = _array(2, (), 1, [(0, (0,), la - la // 3), (0, (1,), la // 3)])
+    b = _array(2, (), 1, [(0, (0,), lb // 5), (0, (1,), lb - lb // 5)])
+    assert a.coef.dtype == b.coef.dtype == np.int64
+    for got in (a * b, (a * b).sum()):
+        assert got.l1 == la * lb == 2 ** 63 - int64
+        assert got.coef.dtype == (np.int64 if int64 else object)
+        assert to_polys(got)[()].terms == (to_polys(a)[()] * to_polys(b)[()]).terms
+    # twice the product is past the bound in both cases: Python ints
+    ab = a * b
+    doubled = {m: 2 * c for m, c in to_polys(ab)[()].terms.items()}
+    for got in (ab + ab, ab * 2, 2 * ab, ab - -ab):
+        assert got.l1 == 2 * ab.l1 and got.coef.dtype == object
+        assert to_polys(got)[()].terms == doubled
+    assert (ab - ab).idx.size == 0
+    # a product with an empty array or with 0 is empty, whatever the norm
+    big, empty = ab * 2, _array(2, (), 1, [])
+    assert (big * empty).idx.size == (empty * big).idx.size == (big * 0).idx.size == 0

@@ -2,18 +2,16 @@ import math
 import random
 from fractions import Fraction
 
-from unittest import mock
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from eigencubic.cubics import catalog_build
-from eigencubic.identities import CheckReport, _poly_vars
-from eigencubic.poly import Poly
+from eigencubic.identities import CheckReport
+from eigencubic.poly import Poly, PolyArray
 from eigencubic.scalars import (QSqrt3, QSqrt3Array, SQRT3, _int64_operands,
                                 format_rational, is_exact, joined, matmul,
                                 parse_rational)
+from polyref import joined_terms, to_polys
 
 
 def rand_q3(rng, bound=9):
@@ -216,8 +214,8 @@ def test_pair_join_is_rational_where_s_is_zero():
 
 
 def test_pair_of_poly_arrays():
-    # the exact mode's pairs: Poly entries, each channel a Poly operation;
-    # a Poly on either side leaves the arithmetic to the pair
+    # pairs of Poly arrays, each channel a Poly operation; a Poly on
+    # either side leaves the arithmetic to the pair
     n = 3
     x = np.array([Poly.var(n, i) for i in range(n)], dtype=object)
     P = QSqrt3Array(x, x[::-1] * 2)
@@ -276,87 +274,17 @@ def test_matmul_takes_the_plain_path_off_python_int_matrices():
         assert [type(e) for e in np.ravel(got)] == [type(e) for e in np.ravel(want)]
 
 
-# -- matmul: Poly matrices as one dict per entry, against a @ b --------------
+# -- a pair of PolyArrays, the exact mode's Hessian ----------------------------
 
-NV = 2
-_coef = st.one_of(st.integers(-2, 2),
-                  st.fractions(-2, 2, max_denominator=3))
-_mono = st.lists(st.integers(0, NV - 1), max_size=2).map(lambda v: tuple(sorted(v)))
-# mostly int zeros, so the matrices are sparse; Poly(NV, {}) may be drawn
-_entry = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-3, 3),
-                   st.dictionaries(_mono, _coef, max_size=3).map(lambda t: Poly(NV, t)))
-
-
-def _objects(entries, shape):
-    m = np.empty(len(entries), dtype=object)
-    m[:] = entries
-    return m.reshape(shape)
-
-
-@st.composite
-def _chained(draw):
-    """a (rows x k) and b (k x cols) with k != rows."""
-    rows, k, cols = draw(st.tuples(*[st.integers(1, 4)] * 3).filter(lambda s: s[0] != s[1]))
-    return tuple(_objects(draw(st.lists(_entry, min_size=r * c, max_size=r * c)), (r, c))
-                 for r, c in ((rows, k), (k, cols)))
-
-
-def _same_entries(got, want, order):
-    # same shape, the same kind of entry everywhere, equal terms with no
-    # stored zero; with ``order``, a @ b's term order and coefficient types
-    assert got.dtype == object and got.shape == want.shape
-    for g, w in zip(got.ravel(), want.ravel()):
-        assert type(g) is type(w)
-        if type(w) is not Poly:
-            assert g == w
-            continue
-        assert g.nvars == w.nvars and g.terms == w.terms and all(g.terms.values())
-        if order:
-            assert [(m, type(c)) for m, c in g.terms.items()] == \
-                [(m, type(c)) for m, c in w.terms.items()]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_chained())
-def test_matmul_of_poly_matrices_is_a_at_b(ab):
-    a, b = ab
-    want = a @ b
-    with mock.patch.object(Poly, "_matrix_product", wraps=Poly._matrix_product) as fused:
-        got = matmul(a, b)
-    flat = a.ravel().tolist() + b.ravel().tolist()
-    assert fused.called == any(type(e) is Poly for e in flat)
-    # the order holds where no nonzero int constant stands, as in a Hessian
-    _same_entries(got, want, order=all(type(e) is Poly or e == 0 for e in flat))
-
-
-def test_matmul_of_poly_matrices_edge_cases():
-    x = [Poly.var(2, i) for i in range(2)]
-    # a row times a column that cancels is an empty Poly, not a stored 0
-    a, b = _objects([x[0], x[1]], (1, 2)), _objects([x[1], -x[0]], (2, 1))
-    got = matmul(a, b)
-    assert type(got[0, 0]) is Poly and got[0, 0].terms == {}
-    _same_entries(got, a @ b, order=True)
-    # x0 x1 cancels inside the first product and comes back in the second,
-    # so in a @ b it follows x1^2
-    a, b = _objects([x[0] - x[1], x[0]], (1, 2)), _objects([x[0] + x[1], x[1]], (2, 1))
-    assert list(matmul(a, b)[0, 0].terms) == [(0, 0), (1, 1), (0, 1)]
-    _same_entries(matmul(a, b), a @ b, order=True)
-    # mixed variable counts: a @ b raises where two meet, and matmul too
-    y = Poly.var(3, 0)
-    a, b = _objects([x[0], 1], (1, 2)), _objects([y, 0], (2, 1))
-    for f in (lambda: a @ b, lambda: matmul(a, b)):
-        with pytest.raises(ValueError, match="variable count mismatch"):
-            f()
-    # where they never meet, a @ b does not raise, and neither does matmul
-    a, b = _objects([x[0], y], (2, 1)), _objects([1], (1, 1))
-    _same_entries(matmul(a, b), a @ b, order=True)
-
-
-def test_matmul_of_a_poly_pair_is_the_plain_joined_product():
-    # cartan-d8's exact Hessian: a QSqrt3Array of two Poly matrices, whose
-    # four channel products run through the fused product
+def test_matmul_of_a_poly_array_pair_is_the_joined_product():
+    # cartan-d8's exact Hessian: a QSqrt3Array of two PolyArrays, whose
+    # four channel products run through PolyArray's @; joined, H @ H is the
+    # product of the joined Hessian as a matrix of Polys with QSqrt3
+    # coefficients, entry by entry and term by term
     u = catalog_build("cartan-d8")
-    H = u.jet(exact=True).hessian(_poly_vars(u.n))
-    assert isinstance(H, QSqrt3Array)
-    want = QSqrt3Array(H.r @ H.r + 3 * (H.s @ H.s), H.r @ H.s + H.s @ H.r).join()
-    _same_entries((H @ H).join(), want, order=True)
+    H = u.jet(exact=True).symbolic(u.n)[2]
+    assert isinstance(H, QSqrt3Array) and isinstance(H.r, PolyArray)
+    P = to_polys(H.r) + to_polys(H.s) * SQRT3
+    got = matmul(H, H)
+    assert isinstance(got, QSqrt3Array) and got.r.shape == (u.n, u.n)
+    assert joined_terms(got) == [p.terms for p in (P @ P).ravel()]
