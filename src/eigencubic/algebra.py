@@ -31,13 +31,15 @@ not depend on how the points are drawn.
 
 Idempotents are located by projected gradient ascent of |u| on the unit
 sphere (stationary points have grad u = lambda x), rescaled by 1/(2 lambda),
-then polished by Newton steps on c o c - c = 0.  The ascent runs on blocks
-of restarts, each step one stack of the restarts still climbing, with
-``ASCENT_BLOCK`` bounding its temporaries; every restart keeps its own
-step and stop rule and ends where it would alone, bit for bit.  The Newton
-polish runs one restart at a time, in restart order.  The search runs on the
-float jet of s*u (s = ``Jet.scale``), so its cutoffs do not depend on u's
-scale, and an idempotent c' of s*u is c = s c'.  The Newton system
+then polished by Newton steps on c o c - c = 0.  Both run on blocks of
+restarts, each step one stack of the restarts still running, with
+``ASCENT_BLOCK`` bounding its temporaries: the ascent's line search tries
+growing stacks of halved steps, and the polish takes one stacked Hessian,
+``eigh`` and residual per step.  Every restart keeps its own steps and
+stop rules and ends where it would alone, bit for bit, and the Peirce
+records of all the idempotents come from one stack too.  The search runs
+on the float jet of s*u (s = ``Jet.scale``), so its cutoffs do not depend
+on u's scale, and an idempotent c' of s*u is c = s c'.  The Newton system
 2 L_c - I is singular exactly when 1/2 sits in the Peirce spectrum, the
 generic case here, so steps go through the symmetric pseudo-inverse with
 a gradient fallback when they stall.
@@ -54,7 +56,7 @@ import numpy as np
 
 from .cubics import CubicForm, Jet
 from .identities import (RADIAL, _dots, _exact_sides, _int64_jet, _randbelow,
-                         _unit)
+                         _unit, _values)
 from .scalars import QSqrt3, QSqrt3Array, exact_div, joined
 
 NEWTON_STEPS = 80
@@ -69,12 +71,19 @@ PEIRCE_EIGENVALUES = (-1.0, -0.5, 0.5)
 WEAK_DIFF_FACTOR = 2 * 9 * 2 * 81
 # The most products one batch of triples holds in each temporary array.
 TRILINEAR_CHUNK = 1 << 14
-# The most entries of one (restarts, 3 monomials) temporary of the ascent.
+# The most entries of one (restarts, 3 monomials) temporary of the
+# search, or of one (restarts, n, n) stack of its Newton polish.
 ASCENT_BLOCK = 1 << 14
 # The most steps one restart's ascent takes.  Every catalog restart stops
 # on its tangent norm or its line search within 30 steps; the cap only
 # ends an ascent that creeps on without converging.
 ASCENT_STEPS = 200
+# The most halvings of the step one ascent step's line search tries, and
+# of one gradient-fallback step of the Newton polish.
+ASCENT_HALVINGS = 30
+POLISH_HALVINGS = 20
+# The largest |c o c - c| ``peirce`` accepts, in the float jet's units.
+PEIRCE_RESIDUAL = 1e-8
 
 
 @dataclass
@@ -140,27 +149,27 @@ class MetrisedAlgebra:
 
         Each restart draws from an independent stream keyed by
         (seed, restart index), so results do not depend on scheduling.
-        The ascent runs on blocks of restarts (``_ascend``), the Newton
-        polish on one restart at a time, in restart order.  A restart
-        whose linear algebra fails is skipped like one that does not
-        converge.
+        The ascent (``_ascend``) and the Newton polish (``_polish``) run
+        on blocks of restarts, and the records of all the idempotents
+        come from stacks too (``_peirce_records``); each restart and each
+        record is the one a loop over it alone gives, bit for bit.  A
+        restart whose linear algebra fails is skipped like one that does
+        not converge.
         """
         if restarts < 1:
             raise ValueError("restarts must be at least 1")
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         jet = self.form.jet(exact=False)
-        rows = max(1, ASCENT_BLOCK // max(1, jet.m.size))
+        # each block's (rows, 3 monomials) products and (rows, n, n)
+        # Hessian stacks hold at most ASCENT_BLOCK entries
+        rows = max(1, ASCENT_BLOCK // max(jet.m.size, self.n ** 2))
         found: List[np.ndarray] = []
         for first in range(0, restarts, rows):
             block = range(first, min(first + rows, restarts))
             X = _unit(np.stack([np.random.default_rng((seed, r)).standard_normal(self.n)
                                 for r in block]))
-            for x, ux in zip(*_ascend(jet, X)):
-                try:
-                    hit = _polish(jet, x, ux)
-                except np.linalg.LinAlgError:
-                    continue            # a failed eigh ends this restart only
+            for hit in _polish(jet, *_ascend(jet, X)):
                 if hit is None:
                     continue
                 c, res = hit
@@ -171,41 +180,25 @@ class MetrisedAlgebra:
                 found.append(c)
         found = sorted((c * jet.scale for c in found),
                        key=lambda c: tuple(np.round(c, 8)))
-        return [self.peirce(c, bin_tol=bin_tol) for c in found]
+        return [p for s in range(0, len(found), rows)
+                for p in _peirce_records(jet, np.stack(found[s:s + rows]), bin_tol,
+                                         PEIRCE_RESIDUAL)]
 
     def peirce(self, c, bin_tol: float = BIN_TOLERANCE,
-               residual_tol: float = 1e-8) -> PeirceData:
+               residual_tol: float = PEIRCE_RESIDUAL) -> PeirceData:
         """Eigendecomposition of L_c binned at 1, -1, -1/2, 1/2.
 
         Leftover eigenvalues are reported in ``unbinned`` rather than
         forced into a bin, so a non-conforming algebra stays visible.
         ``residual_tol`` is in the float jet's units, as the search's are.
+        The record is ``_peirce_records`` on the one row c, as
+        ``find_idempotents`` builds its records.
         """
         c = np.asarray(c, dtype=float)
         if c.shape != (self.n,):
             raise ValueError("idempotent has wrong length")
-        jet = self.form.jet(exact=False)
-        cn = c / jet.scale
-        residual = jet.scale * float(np.linalg.norm(2.0 * jet.gradient(cn) - cn))
-        if residual > residual_tol * jet.scale:
-            raise ValueError(f"not an idempotent: |c o c - c| = {residual:.3g}")
-        L = jet.hessian(cn)
-        eigenvalues = np.linalg.eigvalsh(0.5 * (L + L.T))
-        counts = []
-        used = np.zeros(len(eigenvalues), dtype=bool)
-        one_mult = 0
-        for target in (1.0,) + PEIRCE_EIGENVALUES:
-            sel = (~used) & (np.abs(eigenvalues - target) < bin_tol)
-            used |= sel
-            if target == 1.0:
-                one_mult = int(np.sum(sel))
-            else:
-                counts.append(int(np.sum(sel)))
-        unbinned = [float(v) for v in eigenvalues[~used]]
-        return PeirceData(c=c, length_sq=float(c @ c),
-                          eigenvalues=np.sort(eigenvalues),
-                          triple=tuple(counts), one_multiplicity=one_mult,
-                          unbinned=unbinned, residual=residual)
+        return _peirce_records(self.form.jet(exact=False), c[None], bin_tol,
+                               residual_tol)[0]
 
     # -- the defining identity -----------------------------------------------
     def check_hsiang_identity(self, theta, trials: int = 100, seed: int = 0):
@@ -273,11 +266,12 @@ def _ascend(jet: Jet, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     u there.
 
     Each row keeps its own step, starting at 0.4, and runs until its
-    tangent gradient is below 1e-12, 30 halvings of its step find no
-    larger |u| or ``ASCENT_STEPS`` steps are done.  Each pass works on the rows still
-    running as one stack, and every product, norm and dot comes out as
-    it does for the row alone (``Jet``, ``identities._dots``), so each
-    row ends where a loop over that row alone ends, bit for bit.
+    tangent gradient is below 1e-12, ``ASCENT_HALVINGS`` halvings of its
+    step find no larger |u| or ``ASCENT_STEPS`` steps are done.  Each
+    pass works on the rows still running as one stack, and every product,
+    norm and dot comes out as it does for the row alone (``Jet``,
+    ``identities._dots``), so each row ends where a loop over that row
+    alone ends, bit for bit.
     """
     X = X.copy()
     U = jet.value(X)
@@ -289,76 +283,182 @@ def _ascend(jet: Jet, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         tangent = g - _dots(g, x)[:, None] * x
         moving = ~(np.sqrt(_dots(tangent, tangent)) < 1e-12)
         live, tangent = live[moving], tangent[moving]
-        sgn = np.where(U[live] >= 0, 1.0, -1.0)
-        cur = np.abs(U[live])
-        todo = np.arange(len(live))     # rows of ``live`` still searching
-        for _ in range(30):
-            if not todo.size:
-                break
-            rows = live[todo]
-            xn = _unit(X[rows] + (step[rows] * sgn[todo])[:, None] * tangent[todo])
-            un = jet.value(xn)
-            up = np.abs(un) > cur[todo]
-            X[rows[up]], U[rows[up]] = xn[up], un[up]
-            step[rows] *= np.where(up, 1.2, 0.5)
-            todo = todo[~up]
-        live = np.delete(live, todo)    # no larger |u| along the tangent
+        live = live[_line_search(jet, X, U, step, live, tangent)]
         if not live.size:
             break
     return X, U
 
 
-def _polish(jet: Jet, x: np.ndarray, ux: float) -> Optional[Tuple[np.ndarray, float]]:
-    """Newton on c o c = c from the ascent's end point x, u(x) = ux;
-    returns c with |c o c - c|, or None if u(x) ~ 0."""
-    lam = 3.0 * ux                        # grad u(x) = lam x at a critical point
-    if abs(lam) < 1e-8:
-        return None
-    c = x / (2.0 * lam)
-    I = np.eye(len(x))
-    Fv = 2.0 * jet.gradient(c) - c        # c o c - c
-    fn = np.linalg.norm(Fv)
+def _line_search(jet: Jet, X: np.ndarray, U: np.ndarray, step: np.ndarray,
+                 live: np.ndarray, tangent: np.ndarray) -> np.ndarray:
+    """One ascent step of the rows ``live`` of X along their tangents:
+    which of them found a larger |u|.
+
+    Row r tries the steps t, t/2, t/4, ... (t = step[r], signed as u) in
+    turn, up to ``ASCENT_HALVINGS`` of them, and moves to the first where
+    |u| rises: X[r] and U[r] take that point, and step[r] 1.2 times that
+    step.  The candidates run in growing stacks, 1, 2, 4, ... per row
+    still searching, each candidate step halved from the one before as
+    the loop over them halves it, so every row ends where that loop
+    ends, bit for bit.
+    """
+    n = X.shape[1]
+    sgn = np.where(U[live] >= 0, 1.0, -1.0)
+    cur, t, x = np.abs(U[live]), step[live], X[live]
+    climbed = np.zeros(len(live), dtype=bool)
+    todo = np.arange(len(live))     # rows of ``live`` still searching
+    tried, width = 0, 1
+    while todo.size and tried < ASCENT_HALVINGS:
+        w = min(width, ASCENT_HALVINGS - tried)
+        cand = np.multiply.accumulate(
+            np.concatenate([t[todo, None], np.full((todo.size, w - 1), 0.5)], axis=1),
+            axis=1)
+        xn = _unit((x[todo, None, :] + (cand * sgn[todo, None])[..., None]
+                    * tangent[todo, None, :]).reshape(-1, n))
+        un = _values(jet, xn).reshape(-1, w)
+        up = np.abs(un) > cur[todo, None]
+        hit = up.any(axis=1)
+        k = np.flatnonzero(hit)
+        j = up[k].argmax(axis=1)
+        rows = live[todo[k]]
+        X[rows], U[rows], step[rows] = xn[k * w + j], un[k, j], cand[k, j] * 1.2
+        climbed[todo[k]] = True
+        t[todo] = cand[:, -1] * 0.5
+        todo = todo[~hit]
+        tried, width = tried + w, 2 * width
+    return climbed
+
+
+def _polish(jet: Jet, X: np.ndarray, U: np.ndarray) -> List[Optional[Tuple[np.ndarray, float]]]:
+    """Newton on c o c = c from each ascent end point, row of X with
+    u = U there; per row, c with |c o c - c|, or None if u(x) ~ 0 or its
+    linear algebra failed.
+
+    Each pass takes the rows still running as one stack: their Hessians,
+    one stacked ``eigh`` (matrix by matrix if that raises, so that only a
+    failing row is dropped), and their new residuals, with ``_dots``
+    norms.  The pseudo-inverse step (``_newton_step``) and the gradient
+    fallback (``_fallback``) run per row, so each row ends where a loop
+    over that row alone ends, bit for bit.
+    """
+    out: List[Optional[Tuple[np.ndarray, float]]] = [None] * len(X)
+    lam = 3.0 * U                         # grad u(x) = lam x at a critical point
+    start = np.flatnonzero(~(np.abs(lam) < 1e-8))
+    C = X[start] / (2.0 * lam[start])[:, None]
+    F = 2.0 * jet.gradient(C) - C         # c o c - c
+    fn = np.sqrt(_dots(F, F))
+    I = np.eye(X.shape[1])
+    live = np.arange(len(start))
+    failed = np.zeros(len(start), dtype=bool)
     for _ in range(NEWTON_STEPS):
-        if fn < 1e-14:
+        live = live[~(fn[live] < 1e-14)]
+        if not live.size:
             break
-        J = 2.0 * jet.hessian(c) - I
-        cn = c + _newton_step(J, Fv)
+        J = 2.0 * jet.hessian(C[live]) - I
+        eigs = _eighs(J)
+        ok = np.array([e is not None for e in eigs])
+        failed[live[~ok]] = True
+        live, J = live[ok], J[ok]
+        if not live.size:
+            break
+        CN = C[live] + np.stack([_newton_step(*e, F[r])
+                                 for e, r in zip(filter(None, eigs), live)])
+        FN = 2.0 * jet.gradient(CN) - CN
+        fnn = np.sqrt(_dots(FN, FN))
+        better = fnn < fn[live]
+        C[live[better]], F[live[better]], fn[live[better]] = CN[better], FN[better], fnn[better]
+        going = better.copy()
+        for i in np.flatnonzero(~better):
+            going[i] = _fallback(jet, J[i], C, F, fn, live[i])
+        live = live[going]
+    for i in np.flatnonzero(~failed):
+        out[start[i]] = (C[i], fn[i])
+    return out
+
+
+def _fallback(jet: Jet, J: np.ndarray, C: np.ndarray, F: np.ndarray,
+              fn: np.ndarray, r: int) -> bool:
+    """The polish's step for row r of C when the pseudo-inverse step did
+    not lower |F|: one projected-gradient step on |F|^2, its length halved
+    up to ``POLISH_HALVINGS`` times until |F| falls.  Updates row r of C,
+    F and fn; returns whether it moved.  It runs per row: growing stacks
+    of these halvings, across the stalled rows, made the search
+    benchmark about 4 % slower."""
+    grad = J @ F[r]
+    gn = np.linalg.norm(grad)
+    if gn < 1e-16:
+        return False
+    t = min(0.5, fn[r] / gn)
+    for _ in range(POLISH_HALVINGS):
+        cn = C[r] - t * grad
         Fn_v = 2.0 * jet.gradient(cn) - cn
         fn_new = np.linalg.norm(Fn_v)
-        if fn_new < fn:
-            c, Fv, fn = cn, Fn_v, fn_new
-            continue
-        # pseudo-inverse step stalled: one projected-gradient step on |F|^2
-        grad = J @ Fv
-        gn = np.linalg.norm(grad)
-        if gn < 1e-16:
-            break
-        t = min(0.5, fn / gn)
-        improved = False
-        for _ in range(20):
-            cn = c - t * grad
-            Fn_v = 2.0 * jet.gradient(cn) - cn
-            fn_new = np.linalg.norm(Fn_v)
-            if fn_new < fn:
-                c, Fv, fn = cn, Fn_v, fn_new
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return c, fn
+        if fn_new < fn[r]:
+            C[r], F[r], fn[r] = cn, Fn_v, fn_new
+            return True
+        t *= 0.5
+    return False
 
 
-def _newton_step(J: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Least-norm solution of J delta = -F for symmetric J.
+def _eighs(J: np.ndarray) -> list:
+    """``np.linalg.eigh`` of each matrix of the stack J, or None where it
+    fails: one stacked call, and one call per matrix only if that one
+    raises."""
+    try:
+        return list(zip(*np.linalg.eigh(J)))
+    except np.linalg.LinAlgError:
+        out = []
+        for M in J:
+            try:
+                out.append(np.linalg.eigh(M))
+            except np.linalg.LinAlgError:
+                out.append(None)
+        return out
+
+
+def _newton_step(lam: np.ndarray, V: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Least-norm solution of J delta = -F for the symmetric J = V diag(lam) V^T.
 
     J = 2 L_c - I is singular whenever 1/2 is a Peirce eigenvalue, so the
-    solve is a pseudo-inverse through eigh, dropping eigenvalues at or
-    below lstsq's cutoff eps * n * max|lambda|.
+    solve is a pseudo-inverse through J's ``eigh``, dropping eigenvalues at
+    or below lstsq's cutoff eps * n * max|lambda|.
     """
-    lam, V = np.linalg.eigh(J)
     keep = np.abs(lam) > np.finfo(float).eps * len(lam) * np.max(np.abs(lam))
     return V[:, keep] @ ((V[:, keep].T @ -F) / lam[keep])
+
+
+def _peirce_records(jet: Jet, C: np.ndarray, bin_tol: float,
+                    residual_tol: float) -> List[PeirceData]:
+    """The PeirceData of each row of C, from one stacked gradient, Hessian
+    and ``eigvalsh``; raises ValueError at the first row whose residual is
+    above ``residual_tol`` (in the jet's units) or not finite."""
+    CN = C / jet.scale
+    with np.errstate(invalid="ignore", over="ignore"):
+        F = 2.0 * jet.gradient(CN) - CN
+        residuals = jet.scale * np.sqrt(_dots(F, F))
+    for residual in residuals:
+        if not residual <= residual_tol * jet.scale:
+            raise ValueError(f"not an idempotent: |c o c - c| = {residual:.3g}")
+    L = jet.hessian(CN)
+    records = []
+    for c, eigenvalues, residual in zip(C, np.linalg.eigvalsh(0.5 * (L + L.swapaxes(-1, -2))),
+                                        residuals):
+        counts = []
+        used = np.zeros(len(eigenvalues), dtype=bool)
+        one_mult = 0
+        for target in (1.0,) + PEIRCE_EIGENVALUES:
+            sel = (~used) & (np.abs(eigenvalues - target) < bin_tol)
+            used |= sel
+            if target == 1.0:
+                one_mult = int(np.sum(sel))
+            else:
+                counts.append(int(np.sum(sel)))
+        records.append(PeirceData(c=c, length_sq=float(c @ c),
+                                  eigenvalues=np.sort(eigenvalues),
+                                  triple=tuple(counts), one_multiplicity=one_mult,
+                                  unbinned=[float(v) for v in eigenvalues[~used]],
+                                  residual=float(residual)))
+    return records
 
 
 def _rational_batch(n: int, count: int, rng: random.Random):

@@ -243,9 +243,11 @@ class Jet:
     ``value`` reads the first block only.  It, ``gradient``, ``hessian``
     and ``trilinear`` also take points along leading axes, p of shape
     (..., n), giving one result per point.  ``take`` keeps each point's
-    products contiguous, and ``np.add.at`` adds into each entry of a
-    gradient or Hessian in column order, so every result is summed as the
-    single point's is and equals it bit for bit.
+    products contiguous, and ``gradient`` and ``hessian`` scatter them
+    through one 1-D ``np.add.at`` on flat indices (point * n + a, and
+    point * n^2 + a * n + b), which adds into each entry in column order,
+    so every result is summed as the single point's is and equals it bit
+    for bit, on every dtype.
     The arrays may be int64 copies where the caller has bounded every sum
     (``identities._int64_jet``): the exact point checks do so for the
     gradient and Hessian stacks, ``algebra`` for weak associativity.
@@ -286,16 +288,16 @@ class Jet:
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
         a, b, c = self.ijk
-        g = np.zeros(p.shape, dtype=p.dtype)
-        np.add.at(g, (..., a), self.m * p.take(b, axis=-1) * p.take(c, axis=-1))
-        return g
+        return _scatter(p, p.shape[-1], a,
+                        self.m * p.take(b, axis=-1) * p.take(c, axis=-1)).reshape(p.shape)
 
     def hessian(self, p: np.ndarray) -> np.ndarray:
         a, b, c = self.ijk
-        H = np.zeros(p.shape + p.shape[-1:], dtype=p.dtype)
-        np.add.at(H, (..., a, b), self.m * p.take(c, axis=-1))
-        np.add.at(H, (..., a, c), self.m * p.take(b, axis=-1))
-        return H
+        n = p.shape[-1]
+        H = _scatter(p, n * n, np.concatenate([a * n + b, a * n + c]),
+                     np.concatenate([self.m * p.take(c, axis=-1),
+                                     self.m * p.take(b, axis=-1)], axis=-1))
+        return H.reshape(p.shape + (n,))
 
     def trilinear(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
         """D u(x; y; z) = D <x o y, z>, the complete polarization of D*u;
@@ -333,6 +335,18 @@ class Jet:
         r2 = PolyArray(n, (), 2, np.zeros(n, dtype=np.int64),
                        np.arange(n, dtype=np.int64) * (n + 1), np.ones(n, dtype=np.int64))
         return v, g, H, r2
+
+
+def _scatter(p: np.ndarray, width: int, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The sums of each point's ``vals`` (..., k) into its own ``width``
+    entries at ``cols``, flat, in one 1-D ``np.add.at`` on the indices
+    point * width + col: numpy's fast path, which adds in column order."""
+    rows = p.size // p.shape[-1]
+    out = np.zeros(rows * width, dtype=p.dtype)
+    if rows != 1:
+        cols = (np.arange(0, rows * width, width)[:, None] + cols).ravel()
+    np.add.at(out, cols, vals.ravel())
+    return out
 
 
 class _Sqrt3Jet(Jet):

@@ -14,7 +14,10 @@ decider:
   at ``trials + 1`` points, with the Schwartz-Zippel bound (deg/bound)**trials,
   or the least positive float where that underflows;
 * float: p is a Gaussian float64 point (forms with float coefficients)
-  and t is a least-squares fit, accepted to a tolerance.
+  and t is a least-squares fit, accepted to a tolerance.  The value,
+  gradient and Hessian of all the points are one stack each
+  (``_proportional_float``), and ``sides`` runs on each row, so every
+  pair is the one its point gives alone.
 
 Both exact modes decide by one ratio test: t is solved at the first
 coefficient or point with rhs != 0, and every other must agree; the
@@ -76,8 +79,10 @@ DEFAULT_BOUND = 10 ** 6
 FLOAT_REL_TOL = 1e-9
 FLOAT_TRIALS = 24
 # The most entries of one block's (points, n, n) Hessian stack, or of its
-# (points, 3 monomials) products, in ``_exact_sides``.  At n = 54 that is 5
-# points, enough to spread numpy's per-call cost.  A block of 2**16
+# (points, 3 monomials) products, for the random mode's ``_exact_sides``
+# and the float mode's ``_proportional_float`` alike: one bound on both
+# point stacks.  At n = 54 that is 5 points, enough to spread numpy's
+# per-call cost.  A block of 2**16
 # entries was about 8 % faster on the certify-random benchmark but raised
 # its peak RSS by 1.2 MB (3.5 %); this one raises it by under 0.5 %.
 EXACT_BLOCK = 1 << 14
@@ -164,7 +169,8 @@ def _int64_jet(jet: Jet, factor: int) -> Jet:
 
 
 def _block_rows(jet: Jet, n: int) -> int:
-    """Points per block of ``_exact_sides``, at least 1."""
+    """Points per block of the random and float modes' point stacks
+    (``_exact_sides``, ``_proportional_float``), at least 1."""
     return max(1, EXACT_BLOCK // max(n * n, jet.m.size))
 
 
@@ -201,12 +207,25 @@ def _exact_sides(sides: Callable, jet: Jet, P: np.ndarray) -> Iterator[Tuple]:
             yield tuple(joined(x) for x in sides(v, g, H, p @ p))
 
 
-def _proportional_float(sides, n: int, seed: int):
-    """t with lhs = t * rhs at Gaussian points, or None; raises ValueError
-    where float64 overflows, rather than failing the identity."""
-    rng = np.random.default_rng(seed)
-    pts = [rng.standard_normal(n) for _ in range(FLOAT_TRIALS)]
-    ls, rs = np.array([sides(p) for p in pts], dtype=float).T
+def _proportional_float(sides: Callable, jet: Jet, n: int, seed: int):
+    """t with lhs = t * rhs for ``sides`` at FLOAT_TRIALS Gaussian points
+    in R^n on the float ``jet``, or None; raises ValueError where float64
+    overflows, rather than failing the identity.
+
+    The value, gradient and Hessian of a block of points (``_block_rows``)
+    are one stack each, and |p|^2 one ``_dots``; each row's pieces are
+    the single point's bit for bit, so each pair of sides is the one
+    that point gives alone.
+    """
+    P = np.random.default_rng(seed).standard_normal((FLOAT_TRIALS, n))
+    rows = _block_rows(jet, n)
+    pairs = []
+    for start in range(0, FLOAT_TRIALS, rows):
+        B = P[start:start + rows]
+        pairs.extend(tuple(joined(x) for x in sides(v, g, H, r2))
+                     for v, g, H, r2 in zip(jet.value(B), jet.gradient(B),
+                                            jet.hessian(B), _dots(B, B)))
+    ls, rs = np.array(pairs, dtype=float).T
     denom = float(np.dot(rs, rs))
     t = float(np.dot(ls, rs)) / denom if denom >= 1e-30 else 0.0
     if not np.isfinite([*ls, *rs, denom, t]).all():
@@ -272,10 +291,6 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
     m = _pick_mode(u, mode)
     jet = u.jet(exact=m != "float")
 
-    def sides(p):
-        return [joined(x) for x in
-                ident.sides(jet.value(p), jet.gradient(p), jet.hessian(p), p @ p)]
-
     def random_sides(rng):
         # one draw per block of points, so memory stays O(block) however
         # large ``trials``, and no block past a refuting one is drawn
@@ -286,7 +301,7 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
                                     _randbelow(DEFAULT_BOUND, k * u.n, rng).reshape(k, u.n))
 
     if m == "float":
-        t = _proportional_float(sides, u.n, seed)
+        t = _proportional_float(ident.sides, jet, u.n, seed)
     elif m == "exact":
         t = _expanded_ratio(*ident.sides(*jet.symbolic(u.n)))
     else:

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from eigencubic.cubics import (CATALOG, CubicForm, Jet, _Sqrt3Jet, cartan_cubic,
                                catalog_build, trivial_cubic)
 from eigencubic.identities import check_radial
 from eigencubic.scalars import QSqrt3, joined
-from rotations import rotate_exact
+from rotations import rotate_by_substitution
 
 DIM3 = catalog_build("clifford-q0")
 ALG3 = MetrisedAlgebra(DIM3)
@@ -150,23 +151,36 @@ def test_find_idempotents_singular_newton_system(name, seed, triple):
 
 
 def test_find_idempotents_skips_a_failed_restart(monkeypatch):
-    # a restart whose eigh fails is dropped; every other restart gives
-    # the same record as without the failure
+    # every stacked eigh fails, so the polish solves each pass matrix by
+    # matrix, and the first Newton matrix of one chosen restart fails
+    # alone: exactly that restart's record is missing, and every other
+    # record is the one the search without the failure gives, bit for bit
     alg = MetrisedAlgebra(catalog_build("cartan-d1"))
+    jet = alg.form.jet(exact=False)
     plain = alg.find_idempotents(seed=1)
-    calls = []
+    chosen = np.random.default_rng((1, 5))
+    x = chosen.standard_normal(alg.n)
+    x, ux = _reference_ascent(jet, x / np.linalg.norm(x))
+    J0 = 2.0 * jet.hessian(x / (6.0 * ux)) - np.eye(alg.n)
+    lost = [p for p in plain if np.array_equal(
+        p.c, _reference_search_one(alg, np.random.default_rng((1, 5)))[0] * jet.scale)]
+    assert len(lost) == 1
+    eigh, calls = np.linalg.eigh, {"stacked": 0, "single": 0, "failed": 0}
 
-    def flaky(J, F):
-        calls.append(None)
-        if len(calls) == 1:
+    def flaky(J):
+        if J.ndim > 2:
+            calls["stacked"] += 1
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return _newton_step(J, F)
+        calls["single"] += 1
+        if np.array_equal(J, J0):
+            calls["failed"] += 1
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(J)
 
-    monkeypatch.setattr(algebra, "_newton_step", flaky)
+    monkeypatch.setattr(algebra.np.linalg, "eigh", flaky)
     failed = alg.find_idempotents(seed=1)
-    kept = [p for p in plain if any(np.array_equal(p.c, q.c) for q in failed)]
-    assert len(failed) == len(kept) == len(plain) - 1
-    assert [p.triple for p in failed] == [p.triple for p in kept]
+    assert calls["stacked"] > 0 and calls["single"] > 0 and calls["failed"] == 1
+    _assert_same_records(failed, [p for p in plain if p is not lost[0]])
 
 
 def reference_find_idempotents(alg, restarts, seed):
@@ -189,12 +203,38 @@ def reference_find_idempotents(alg, restarts, seed):
         found.append(c)
     scale = alg.form.jet(exact=False).scale
     found = sorted((c * scale for c in found), key=lambda c: tuple(np.round(c, 8)))
-    return [alg.peirce(c) for c in found]
+    return [_reference_peirce(alg, c) for c in found]
 
 
-def _reference_ascent(jet, x, steps=200):
+def _reference_peirce(alg, c, bin_tol=algebra.BIN_TOLERANCE):
+    """One idempotent's record, from its own gradient, Hessian and
+    ``eigvalsh``."""
+    jet = alg.form.jet(exact=False)
+    cn = c / jet.scale
+    residual = jet.scale * float(np.linalg.norm(2.0 * jet.gradient(cn) - cn))
+    assert residual <= algebra.PEIRCE_RESIDUAL * jet.scale
+    L = jet.hessian(cn)
+    eigenvalues = np.linalg.eigvalsh(0.5 * (L + L.T))
+    counts, one_mult = [], 0
+    used = np.zeros(len(eigenvalues), dtype=bool)
+    for target in (1.0,) + algebra.PEIRCE_EIGENVALUES:
+        sel = (~used) & (np.abs(eigenvalues - target) < bin_tol)
+        used |= sel
+        if target == 1.0:
+            one_mult = int(np.sum(sel))
+        else:
+            counts.append(int(np.sum(sel)))
+    return algebra.PeirceData(c=c, length_sq=float(c @ c),
+                              eigenvalues=np.sort(eigenvalues), triple=tuple(counts),
+                              one_multiplicity=one_mult,
+                              unbinned=[float(v) for v in eigenvalues[~used]],
+                              residual=residual)
+
+
+def _reference_ascent(jet, x, steps=200, halvings=30):
     """Projected ascent of |u| from the unit point x, one point, capped at
-    ``steps`` steps; the end point and u there."""
+    ``steps`` steps of at most ``halvings`` halvings each; the end point
+    and u there."""
     ux = jet.value(x)
     step = 0.4
     for _ in range(steps):
@@ -206,7 +246,7 @@ def _reference_ascent(jet, x, steps=200):
             break
         sgn = 1.0 if ux >= 0 else -1.0
         cur = abs(ux)
-        for _ in range(30):
+        for _ in range(halvings):
             xn = x + step * sgn * tangent
             xn /= np.linalg.norm(xn)
             un = jet.value(xn)
@@ -225,7 +265,14 @@ def _reference_search_one(alg, rng):
     jet = alg.form.jet(exact=False)
     x = rng.standard_normal(n)
     x /= np.linalg.norm(x)
-    x, ux = _reference_ascent(jet, x)
+    return _reference_polish(jet, *_reference_ascent(jet, x))
+
+
+def _reference_polish(jet, x, ux, halvings=20):
+    """Newton on c o c = c from one ascent end point, with gradient
+    fallback steps of at most ``halvings`` halvings; (c, |c o c - c|), or
+    None if u(x) ~ 0."""
+    n = len(x)
     lam = 3.0 * ux
     if abs(lam) < 1e-8:
         return None
@@ -237,7 +284,7 @@ def _reference_search_one(alg, rng):
         if fn < 1e-14:
             break
         J = 2.0 * jet.hessian(c) - I
-        cn = c + _newton_step(J, Fv)
+        cn = c + _newton_step(*np.linalg.eigh(J), Fv)
         Fn_v = 2.0 * jet.gradient(cn) - cn
         fn_new = np.linalg.norm(Fn_v)
         if fn_new < fn:
@@ -249,7 +296,7 @@ def _reference_search_one(alg, rng):
             break
         t = min(0.5, fn / gn)
         improved = False
-        for _ in range(20):
+        for _ in range(halvings):
             cn = c - t * grad
             Fn_v = 2.0 * jet.gradient(cn) - cn
             fn_new = np.linalg.norm(Fn_v)
@@ -309,6 +356,51 @@ def test_ascent_stops_at_its_step_cap(monkeypatch, name):
             assert all(same) if steps == cap else not all(same), (cap, steps)
 
 
+def _ascent_start(name, rows, seed):
+    jet = catalog_build(name).jet(exact=False)
+    X = np.random.default_rng(seed).standard_normal((rows, jet.ijk.max() + 1))
+    return jet, X / np.linalg.norm(X, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("name", ["cartan-d2", "complexified-d1", "involution-d4"])
+def test_ascent_stops_at_its_halving_cap(monkeypatch, name):
+    # with ASCENT_HALVINGS patched low, every row ends where the one-row
+    # reference with the same cap ends, bit for bit, also where the growing
+    # stacks of candidates overshoot the cap (4, 7); a cap one off fails
+    jet, X = _ascent_start(name, 32, 11)
+    for cap in (1, 2, 4, 7):
+        monkeypatch.setattr(algebra, "ASCENT_HALVINGS", cap)
+        ends, values = algebra._ascend(jet, X)
+        for halvings in (cap - 1, cap, cap + 1):
+            want = [_reference_ascent(jet, x, halvings=halvings) for x in X]
+            same = [np.array_equal(e, w) and v == uw
+                    for e, v, (w, uw) in zip(ends, values, want)]
+            assert all(same) if halvings == cap else not all(same), (cap, halvings)
+
+
+@pytest.mark.parametrize("name,caps", [("clifford-q1", (1, 2, 3)),
+                                       ("complexified-d1", (1, 2)),
+                                       ("octonion21", (1, 2))])
+def test_polish_stops_at_its_halving_cap(monkeypatch, name, caps):
+    # with POLISH_HALVINGS patched low, every row of the stacked polish ends
+    # where the one-row reference with the same fallback cap ends, bit for
+    # bit; a cap one off fails.  The polish starts from the sphere points
+    # themselves, whose fallback steps need more halvings than the
+    # ascent's end points do
+    jet, X = _ascent_start(name, 32, 5)
+    U = jet.value(X)
+    for cap in caps:
+        monkeypatch.setattr(algebra, "POLISH_HALVINGS", cap)
+        got = algebra._polish(jet, X, U)
+        for halvings in (cap - 1, cap, cap + 1):
+            want = [_reference_polish(jet, x, u, halvings) for x, u in zip(X, U)]
+            same = [(g is None and w is None) or (g is not None and w is not None
+                                                  and np.array_equal(g[0], w[0])
+                                                  and g[1] == w[1])
+                    for g, w in zip(got, want)]
+            assert all(same) if halvings == cap else not all(same), (cap, halvings)
+
+
 def test_newton_step_is_pseudo_inverse():
     # at a cartan-d1 idempotent 1/2 is a Peirce eigenvalue, so J = 2 L_c - I
     # is singular; the step is the least-norm solution pinv(J) (-F).  The
@@ -322,7 +414,7 @@ def test_newton_step_is_pseudo_inverse():
     assert np.linalg.matrix_rank(J) < u.n
     F = np.random.default_rng(2).standard_normal(u.n)
     want = np.linalg.pinv(J) @ -F
-    assert np.max(np.abs(_newton_step(J, F) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(_newton_step(*np.linalg.eigh(J), F) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_find_idempotents_requires_restart():
@@ -335,6 +427,28 @@ def test_find_idempotents_requires_restart():
 def test_peirce_rejects_non_idempotent():
     with pytest.raises(ValueError):
         ALG3.peirce(np.array([1.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_peirce_rejects_a_non_finite_point(bad):
+    # a NaN or infinite residual is not <= the tolerance: the point is
+    # rejected as not an idempotent, with no LinAlgError and no warning,
+    # whatever the tolerance
+    c = np.array([0.5, bad, 0.0])
+    for tol in (1e-8, np.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not an idempotent"):
+                ALG3.peirce(c, residual_tol=tol)
+
+
+def test_peirce_is_the_search_records_routine():
+    # peirce(c) gives the record the search gives for c, bit for bit
+    alg = MetrisedAlgebra(catalog_build("complexified-d2"))
+    for p in alg.find_idempotents(restarts=16, seed=1):
+        q = alg.peirce(p.c)
+        assert np.array_equal(p.eigenvalues, q.eigenvalues)
+        assert p.to_json_dict() == q.to_json_dict()
 
 
 def test_peirce_triples_against_table():
@@ -400,7 +514,8 @@ def test_exact_checks_pinned_values():
     uf = catalog_build("clifford-q1").to_float()
     # a quarter turn in the (x1, x2) plane
     R = [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    for u, wrong in ((uf, 555408), (rotate_exact(uf, R), 132936)):
+    for u, wrong in ((uf, 555408), (rotate_by_substitution(uf, R), 132936)):
+        assert not u.is_exact_form
         alg = MetrisedAlgebra(u)
         values = (alg.check_hsiang_identity(Fraction(-8), trials=20, seed=3),
                   alg.check_hsiang_identity(Fraction(-7), trials=20, seed=3),

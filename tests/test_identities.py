@@ -22,7 +22,7 @@ from eigencubic.identities import (DEFAULT_BOUND, DEFAULT_TRIALS, EICONAL,
 from eigencubic.poly import Poly
 from eigencubic.scalars import QSqrt3, QSqrt3Array, exact_div, joined
 from polyref import joined_terms
-from rotations import cayley_rotation, rotate_exact, skew
+from rotations import cayley_rotation, rotate_by_substitution, rotate_exact, skew
 
 DIM3 = catalog_build("clifford-q0")
 
@@ -247,7 +247,8 @@ def test_float_overflow_raises(name):
     for check in IDENTITY_CHECKS:
         assert check(uf.scaled(1e80)).passed == check(uf).passed, check.__name__
     with pytest.raises(ValueError, match="not finite"):
-        _proportional_float(lambda p: (np.inf, p @ p), uf.n, seed=0)
+        _proportional_float(lambda v, g, H, r2: (np.inf, r2), uf.jet(exact=False),
+                            uf.n, seed=0)
 
 
 def test_float_constants_outside_float64():
@@ -721,6 +722,53 @@ def test_random_bound_does_not_underflow_to_certainty(check, trials):
     assert r.to_json_dict()["error_bound"] == 5e-324
 
 
+def _reference_float_report(ident, uf, seed):
+    """Float mode as the per-point loop computed it: each Gaussian point
+    through the kernel alone, then the least-squares fit; (passed, t)."""
+    jet = uf.jet(exact=False)
+    rng = np.random.default_rng(seed)
+    pts = [rng.standard_normal(uf.n) for _ in range(identities.FLOAT_TRIALS)]
+    ls, rs = np.array([[joined(x) for x in ident.sides(jet.value(p), jet.gradient(p),
+                                                        jet.hessian(p), p @ p)]
+                       for p in pts], dtype=float).T
+    denom = float(np.dot(rs, rs))
+    t = float(np.dot(ls, rs)) / denom if denom >= 1e-30 else 0.0
+    resid = np.max(np.abs(ls - t * rs) / (1.0 + np.abs(t * rs)))
+    if not resid < identities.FLOAT_REL_TOL or (ident.positive and not t > 0):
+        return False, None
+    return True, t / jet.scale / jet.scale
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_float_checks_match_the_per_point_loop(monkeypatch, name):
+    # the float checks' stacks, in one block or in blocks of one and of
+    # four points, give the per-point loop's reports, constants bit for bit
+    uf = catalog_build(name).to_float()
+    jet = uf.jet(exact=False)
+    width = max(uf.n * uf.n, jet.m.size)
+    for seed in (1, 2, 3):
+        want = [_reference_float_report(ident, uf, seed)
+                for ident in (RADIAL, EICONAL, TRACE2, TRACE3)]
+        for block in (identities.EXACT_BLOCK, width, 4 * width):
+            monkeypatch.setattr(identities, "EXACT_BLOCK", block)
+            reports = [check(uf, seed=seed) for check in IDENTITY_CHECKS]
+            assert all(r.mode == "float" for r in reports)
+            got = [(r.passed, r.constant) for r in reports]
+            assert repr(got) == repr(want), (seed, block)
+
+
+@pytest.mark.parametrize("name,entries", [
+    ("cartan-d1", [Fraction(1, 2), Fraction(-2, 3), 1, 0, Fraction(2), 0,
+                   Fraction(-1, 3), 1, 0, Fraction(1, 2)]),
+    ("cartan-d4", [Fraction(1, 3)] + [0] * 89 + [Fraction(-2)])])
+def test_rotation_matches_poly_substitution(name, entries):
+    # the integer-cleared contraction gives u o Q term for term as the
+    # Poly substitution does, on both sqrt(3) channels (cartan-d4)
+    u = catalog_build(name)
+    Q = cayley_rotation(skew(u.n, [Fraction(e) for e in entries]))
+    assert rotate_exact(u, Q).terms == rotate_by_substitution(u, Q).terms
+
+
 _small_fraction = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
 
 
@@ -778,7 +826,7 @@ def test_orthogonal_invariance_of_labels():
         # rotation from an orthonormalized random rational frame
         M = rng.integers(-5, 6, size=(u.n, u.n)).astype(float)
         R, _ = np.linalg.qr(M + 0.1 * np.eye(u.n))
-        ur = rotate_exact(u, R.tolist())
+        ur = rotate_by_substitution(u, R.tolist())
         assert classify(ur).label == classify(u).label, name
 
 
