@@ -22,9 +22,9 @@ copies of the jet's arrays where ``identities._int64_jet`` proves that no
 sum can overflow, and on its Python ints for a jet beyond that bound.
 The points' numerators lie in [-9, 9], which bounds every sum before any
 arithmetic.  Weak associativity takes batches of triples
-(``WEAK_DIFF_FACTOR``).  The Hsiang check takes its points in the blocks
-of ``identities._exact_sides``, shared with the random identity checks:
-gradient and Hessian stacks in int64, the radial sides on Python ints.
+(``WEAK_DIFF_FACTOR``).  The Hsiang check evaluates its points through
+``identities._sides_at``, as the random identity checks do: gradient
+and Hessian stacks in int64, the radial sides on Python ints.
 Both checks draw their points in one vectorised pass that reproduces the
 stream of one ``random.randint`` per coordinate, so their residuals do
 not depend on how the points are drawn.
@@ -33,7 +33,7 @@ Idempotents are located by projected gradient ascent of |u| on the unit
 sphere (stationary points have grad u = lambda x), rescaled by 1/(2 lambda),
 then polished by Newton steps on c o c - c = 0.  Both run on blocks of
 restarts, each step one stack of the restarts still running, with
-``ASCENT_BLOCK`` bounding its temporaries: the ascent's line search tries
+``cubics.BLOCK`` bounding its temporaries: the ascent's line search tries
 growing stacks of halved steps, and the polish takes one stacked Hessian,
 ``eigh`` and residual per step.  Every restart keeps its own steps and
 stop rules and ends where it would alone, bit for bit, and the Peirce
@@ -54,8 +54,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .cubics import CubicForm, Jet
-from .identities import (RADIAL, _dots, _exact_sides, _int64_jet, _randbelow,
+from .cubics import CubicForm, Jet, block_rows
+from .identities import (RADIAL, _dots, _int64_jet, _randbelow, _sides_at,
                          _unit, _values)
 from .scalars import QSqrt3, QSqrt3Array, exact_div, joined
 
@@ -69,11 +69,6 @@ PEIRCE_EIGENVALUES = (-1.0, -0.5, 0.5)
 # in magnitude, and the difference of two contractions at most this
 # factor times sum |m| over the jet's arrays.
 WEAK_DIFF_FACTOR = 2 * 9 * 2 * 81
-# The most products one batch of triples holds in each temporary array.
-TRILINEAR_CHUNK = 1 << 14
-# The most entries of one (restarts, 3 monomials) temporary of the
-# search, or of one (restarts, n, n) stack of its Newton polish.
-ASCENT_BLOCK = 1 << 14
 # The most steps one restart's ascent takes.  Every catalog restart stops
 # on its tangent norm or its line search within 30 steps; the cap only
 # ends an ascent that creeps on without converging.
@@ -161,9 +156,8 @@ class MetrisedAlgebra:
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         jet = self.form.jet(exact=False)
-        # each block's (rows, 3 monomials) products and (rows, n, n)
-        # Hessian stacks hold at most ASCENT_BLOCK entries
-        rows = max(1, ASCENT_BLOCK // max(jet.m.size, self.n ** 2))
+        # blocks of (rows, 3 monomials) products and (rows, n, n) Hessians
+        rows = block_rows(max(jet.m.size, self.n ** 2))
         found: List[np.ndarray] = []
         for first in range(0, restarts, rows):
             block = range(first, min(first + rows, restarts))
@@ -175,7 +169,9 @@ class MetrisedAlgebra:
                 c, res = hit
                 if res > IDEMPOTENT_RESIDUAL or np.linalg.norm(c) < 1e-8:
                     continue
-                if any(np.linalg.norm(c - d) < DEDUP_DISTANCE for d in found):
+                # |c - d| to every kept d, each as np.linalg.norm gives it
+                d = c - np.reshape(found, (-1, self.n))
+                if (np.sqrt(_dots(d, d)) < DEDUP_DISTANCE).any():
                     continue
                 found.append(c)
         found = sorted((c * jet.scale for c in found),
@@ -207,7 +203,7 @@ class MetrisedAlgebra:
 
         With x^2 = 2 Du, x^3 = 2 D^2u Du and <x^2, x> = 6u both sides are
         4 times the sides of the radial identity, which
-        ``identities._exact_sides`` evaluates for D*u at the integer points
+        ``identities._sides_at`` evaluates for D*u at the integer points
         d*x, in blocks, as the random mode of the identity checks does.
         """
         rng = random.Random(seed)
@@ -215,7 +211,7 @@ class MetrisedAlgebra:
         D = jet.scale
         X, dens = _rational_batch(self.n, trials, rng)
         worst = Fraction(0)
-        for (lhs, rhs), d in zip(_exact_sides(RADIAL.sides, jet, X), dens.tolist()):
+        for (lhs, rhs), d in zip(_sides_at(RADIAL.sides, jet, X), dens.tolist()):
             diff = lhs - theta * D * D * rhs
             if isinstance(diff, QSqrt3) and not diff.b:
                 diff = diff.a           # as joining the channel pair gives it
@@ -233,7 +229,7 @@ class MetrisedAlgebra:
         ``Jet.trilinear``, not an axiom the form could fail.
 
         The triples run through ``Jet.trilinear`` in batches of at most
-        ``TRILINEAR_CHUNK`` products, on int64 arrays when ``_int64_jet``
+        ``cubics.BLOCK`` products, on int64 arrays when ``_int64_jet``
         proves that no sum can overflow, else on Python ints.  Only the
         nonzero differences become exact scalars, in trial order, so the
         result is the one a loop over single triples gives, in value and
@@ -247,7 +243,7 @@ class MetrisedAlgebra:
         if jet.m.dtype == object:
             X, Y, Z = X.astype(object), Y.astype(object), Z.astype(object)
         dens = (dx * dy * dz).tolist()
-        step = max(1, TRILINEAR_CHUNK // max(1, jet.m.size))
+        step = block_rows(jet.m.size)
         worst = Fraction(0)
         for start in range(0, trials, step):
             x, y, z = (P[start:start + step] for P in (X, Y, Z))

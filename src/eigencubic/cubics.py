@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +41,19 @@ MAX_COEFFICIENT = 1e50
 # the 75 of clifford_cubic at the CLI's largest q, small enough that the
 # n x n Hessians of every command fit in memory and time.
 MAX_DIM = 128
+# The most entries one block of a point stack holds: its (points, n, n)
+# Hessians or its (points, monomial rotations) products, in every stacked
+# evaluation of the package.  At n = 54 that is 5 points, enough to spread
+# numpy's per-call cost.  A block of 2**16 entries was about 8 % faster on
+# the certify-random benchmark but raised its peak RSS by 1.2 MB (3.5 %);
+# this one raises it by under 0.5 %.
+BLOCK = 1 << 14
+
+
+def block_rows(width: int) -> int:
+    """Rows per block of a stack whose rows hold ``width`` entries each:
+    ``BLOCK // width``, at least 1."""
+    return max(1, BLOCK // max(1, width))
 
 
 def _json_int(v, what: str) -> int:
@@ -91,8 +104,9 @@ class CubicForm:
 
     def coo(self):
         """All distinct permutations (a, b, c, w) of the full tensor, w = m /
-        their count; built per call for ``dense_tensor`` and ``polarize``,
-        the tests' references; the kernel ``Jet`` does not read it."""
+        their count, built per call.  The kernel ``Jet`` does not read it;
+        the benchmark's traced set-up (``perfbench/workload.py``) calls it,
+        and the tests' dense-tensor and polarization references do."""
         out = []
         for key, m in self.terms.items():
             perms = sorted(set(permutations(key)))
@@ -111,14 +125,6 @@ class CubicForm:
             self._jets[exact] = Jet.of(self, exact)
         return self._jets[exact]
 
-    def dense_tensor(self) -> np.ndarray:
-        """Full symmetric tensor as float64, shape (n, n, n); the reference
-        the tests compare the kernel against."""
-        T = np.zeros((self.n, self.n, self.n))
-        for a, b, c, w in self.coo():
-            T[a, b, c] = float(w)
-        return T
-
     # -- evaluation and calculus -------------------------------------------
     def to_poly(self) -> Poly:
         return Poly(self.n, self.terms)
@@ -129,14 +135,6 @@ class CubicForm:
             raise ValueError("polynomial is not homogeneous of degree 3")
         return cls(p.nvars, p.terms)
 
-    def gradient(self) -> List[Poly]:
-        p = self.to_poly()
-        return [p.diff(i) for i in range(self.n)]
-
-    def hessian(self) -> List[List[Poly]]:
-        grads = self.gradient()
-        return [[grads[i].diff(j) for j in range(self.n)] for i in range(self.n)]
-
     def laplacian(self) -> Poly:
         """Linear polynomial sum of the repeated second partials, read off
         the kernel: off the exact jet on an exact form, off the float64
@@ -146,20 +144,6 @@ class CubicForm:
         D = Fraction(jet.scale)
         lap = joined(jet.laplacian(self.n))
         return Poly(self.n, {(v,): c / D for v, c in enumerate(lap)})
-
-    def polarize(self, x: Sequence, y: Sequence, z: Sequence):
-        """Complete linearization u(x; y; z); u(x;x;x) = 6 u(x).
-
-        A direct loop over ``coo()``, kept as the tests' reference for the
-        kernel's ``Jet.trilinear``.
-        """
-        for pt in (x, y, z):
-            if len(pt) != self.n:
-                raise ValueError("point length mismatch")
-        total = 0
-        for a, b, c, w in self.coo():
-            total = total + w * x[a] * y[b] * z[c]
-        return 6 * total
 
     def to_float(self) -> "CubicForm":
         return CubicForm(self.n, {k: float(c) for k, c in self.terms.items()})
@@ -250,7 +234,8 @@ class Jet:
     for bit, on every dtype.
     The arrays may be int64 copies where the caller has bounded every sum
     (``identities._int64_jet``): the exact point checks do so for the
-    gradient and Hessian stacks, ``algebra`` for weak associativity.
+    gradient and Hessian stacks (``identities._sides_at``), ``algebra``
+    for weak associativity.
     """
     scale: float
     ijk: np.ndarray

@@ -14,10 +14,7 @@ decider:
   at ``trials + 1`` points, with the Schwartz-Zippel bound (deg/bound)**trials,
   or the least positive float where that underflows;
 * float: p is a Gaussian float64 point (forms with float coefficients)
-  and t is a least-squares fit, accepted to a tolerance.  The value,
-  gradient and Hessian of all the points are one stack each
-  (``_proportional_float``), and ``sides`` runs on each row, so every
-  pair is the one its point gives alone.
+  and t is a least-squares fit, accepted to a tolerance.
 
 Both exact modes decide by one ratio test: t is solved at the first
 coefficient or point with rhs != 0, and every other must agree; the
@@ -36,16 +33,21 @@ On a Q(sqrt3) form the kernel's pieces are ``QSqrt3Array`` pairs, so each
 ``sides`` runs on the two integer channels, and only the two sides it
 returns are joined to QSqrt3.
 
-The random mode draws its points in blocks, one ``_randbelow`` call per
-block (the stream of one ``randrange`` per coordinate), so memory stays
-O(block) for any ``trials`` and no block after the first that refutes t
-is drawn.  ``_exact_sides`` evaluates each block: the gradient and
-Hessian stacks on int64 copies of the jet's arrays where
+Both point modes evaluate the sides through one function, ``_sides_at``,
+which takes a stack of points in blocks of ``cubics.block_rows``: the
+value, gradient and Hessian of a block are one stack each, and ``sides``
+runs on each row, so every pair is the one its point gives alone.  It
+branches only on the jet's kind.  On an exact jet the gradient and
+Hessian stacks run on int64 copies of the jet's arrays where
 sum|m| R^2 < 2**63 proves them exact (every catalog form at coordinates
 R < 10^6), and the value, |p|^2 and the sides on Python ints, one point
 at a time, so each constant is the one a single Python-int point gives.
-The Hsiang check of ``algebra`` runs its points through the same
-function.
+The random mode draws its points in the same blocks, one ``_randbelow``
+call per block (the stream of one ``randrange`` per coordinate), so
+memory stays O(block) for any ``trials`` and no block after the first
+that refutes t is drawn.  The Hsiang check of ``algebra`` and the cone
+sampler's mean curvatures (``_curvatures``) run their points through the
+same function.
 
 The trace3 side computes H @ H with ``scalars.matmul``.  In the random
 mode H holds Python ints of at most 27 bits at catalog points below 10^6,
@@ -69,7 +71,7 @@ from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .cubics import CubicForm, Jet
+from .cubics import CubicForm, Jet, block_rows
 from .scalars import (QSqrt3, QSqrt3Array, exact_div, format_rational,
                       is_exact, joined, matmul)
 
@@ -78,14 +80,6 @@ DEFAULT_TRIALS = 20
 DEFAULT_BOUND = 10 ** 6
 FLOAT_REL_TOL = 1e-9
 FLOAT_TRIALS = 24
-# The most entries of one block's (points, n, n) Hessian stack, or of its
-# (points, 3 monomials) products, for the random mode's ``_exact_sides``
-# and the float mode's ``_proportional_float`` alike: one bound on both
-# point stacks.  At n = 54 that is 5 points, enough to spread numpy's
-# per-call cost.  A block of 2**16
-# entries was about 8 % faster on the certify-random benchmark but raised
-# its peak RSS by 1.2 MB (3.5 %); this one raises it by under 0.5 %.
-EXACT_BLOCK = 1 << 14
 
 
 def _json_constant(c):
@@ -168,12 +162,6 @@ def _int64_jet(jet: Jet, factor: int) -> Jet:
     return replace(jet, m=jet.m.astype(np.int64), sqrt3=sqrt3)
 
 
-def _block_rows(jet: Jet, n: int) -> int:
-    """Points per block of the random and float modes' point stacks
-    (``_exact_sides``, ``_proportional_float``), at least 1."""
-    return max(1, EXACT_BLOCK // max(n * n, jet.m.size))
-
-
 def _per_point(x):
     """A block's stack split along its first axis, each point's piece on
     Python ints: an object array (a scalar for the value), or the
@@ -183,49 +171,53 @@ def _per_point(x):
     return (y.astype(object) if isinstance(y, np.ndarray) else y for y in x)
 
 
-def _exact_sides(sides: Callable, jet: Jet, P: np.ndarray) -> Iterator[Tuple]:
-    """The joined (lhs, rhs) of ``sides`` at each row of P, a (k, n) int64
-    array of integer points, in row order, on the exact ``jet``.
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x, y> along the last axis.  Each is the BLAS dot that ``x @ y`` and
+    ``np.linalg.norm`` take for one pair of vectors, so each row's comes
+    out as the single vectors' does."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
-    The rows run in blocks of ``_block_rows``.  With R = max|P|, every
-    gradient entry, Hessian entry and partial sum is at most sum|m| R^2
-    on each sqrt(3) channel, so below 2**63 the gradient and Hessian
-    stacks run on int64 copies of the jet's arrays (``_int64_jet``), and
-    beyond it on Python ints.  The value (up to sum|m| R^3), |p|^2 and
-    every product of ``sides`` stay on Python ints, point by point, so
-    each pair is the one a single Python-int point gives, in value and in
-    type.  Lazy: a caller that stops early evaluates no further block.
+
+def _sides_at(sides: Callable, jet: Jet, P: np.ndarray) -> Iterator[Tuple]:
+    """The joined (lhs, rhs) of ``sides`` at each row of the point stack P,
+    in row order, in blocks of ``block_rows`` of an n x n Hessian or one
+    product per monomial rotation; lazy, so a caller that stops early
+    evaluates no further block.
+
+    On a float ``jet`` (P float64) the value, gradient and Hessian of a
+    block are one stack each and |p|^2 one ``_dots``, each row the single
+    point's bit for bit.  On an exact jet (P int64) with R = max|P|,
+    every gradient entry, Hessian entry and partial sum is at most
+    sum|m| R^2 on each sqrt(3) channel, so below 2**63 the gradient and
+    Hessian stacks run on int64 copies of the jet's arrays
+    (``_int64_jet``), and beyond it on Python ints.  The value (up to
+    sum|m| R^3), |p|^2 and every product of ``sides`` stay on Python
+    ints, point by point, so each pair is the one a single Python-int
+    point gives, in value and in type.
     """
-    fast = _int64_jet(jet, max(1, int(np.abs(P).max(initial=0))) ** 2)
-    rows = _block_rows(jet, P.shape[-1])
+    exact = jet.m.dtype == object
+    if exact:
+        fast = _int64_jet(jet, max(1, int(np.abs(P).max(initial=0))) ** 2)
+    rows = block_rows(max(P.shape[-1] ** 2, jet.m.size))
     for start in range(0, len(P), rows):
-        exact = P[start:start + rows].astype(object)
-        block = exact if fast.m.dtype == object else P[start:start + rows]
-        for v, g, H, p in zip(_per_point(jet.value(exact)),
-                              _per_point(fast.gradient(block)),
-                              _per_point(fast.hessian(block)), exact):
-            yield tuple(joined(x) for x in sides(v, g, H, p @ p))
+        B = P[start:start + rows]
+        if exact:
+            X = B.astype(object)
+            block = X if fast.m.dtype == object else B
+            pieces = (_per_point(jet.value(X)), _per_point(fast.gradient(block)),
+                      _per_point(fast.hessian(block)), (p @ p for p in X))
+        else:
+            pieces = jet.value(B), jet.gradient(B), jet.hessian(B), _dots(B, B)
+        for v, g, H, r2 in zip(*pieces):
+            yield tuple(joined(x) for x in sides(v, g, H, r2))
 
 
 def _proportional_float(sides: Callable, jet: Jet, n: int, seed: int):
     """t with lhs = t * rhs for ``sides`` at FLOAT_TRIALS Gaussian points
     in R^n on the float ``jet``, or None; raises ValueError where float64
-    overflows, rather than failing the identity.
-
-    The value, gradient and Hessian of a block of points (``_block_rows``)
-    are one stack each, and |p|^2 one ``_dots``; each row's pieces are
-    the single point's bit for bit, so each pair of sides is the one
-    that point gives alone.
-    """
+    overflows, rather than failing the identity."""
     P = np.random.default_rng(seed).standard_normal((FLOAT_TRIALS, n))
-    rows = _block_rows(jet, n)
-    pairs = []
-    for start in range(0, FLOAT_TRIALS, rows):
-        B = P[start:start + rows]
-        pairs.extend(tuple(joined(x) for x in sides(v, g, H, r2))
-                     for v, g, H, r2 in zip(jet.value(B), jet.gradient(B),
-                                            jet.hessian(B), _dots(B, B)))
-    ls, rs = np.array(pairs, dtype=float).T
+    ls, rs = np.array(list(_sides_at(sides, jet, P)), dtype=float).T
     denom = float(np.dot(rs, rs))
     t = float(np.dot(ls, rs)) / denom if denom >= 1e-30 else 0.0
     if not np.isfinite([*ls, *rs, denom, t]).all():
@@ -294,11 +286,11 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
     def random_sides(rng):
         # one draw per block of points, so memory stays O(block) however
         # large ``trials``, and no block past a refuting one is drawn
-        rows = _block_rows(jet, u.n)
+        rows = block_rows(max(u.n ** 2, jet.m.size))
         for start in range(0, trials + 1, rows):
             k = min(rows, trials + 1 - start)
-            yield from _exact_sides(ident.sides, jet,
-                                    _randbelow(DEFAULT_BOUND, k * u.n, rng).reshape(k, u.n))
+            yield from _sides_at(ident.sides, jet,
+                                 _randbelow(DEFAULT_BOUND, k * u.n, rng).reshape(k, u.n))
 
     if m == "float":
         t = _proportional_float(ident.sides, jet, u.n, seed)
@@ -427,7 +419,29 @@ GRAD_THRESHOLD = 0.1
 MAX_TRIES = 200                 # rays drawn per requested cone point
 BISECT_STEPS = 80
 POINT_BATCH = 256               # cone points searched together
-VALUE_BLOCK = 1 << 14           # entries of one (points, terms) product of u or Du
+
+
+def _curvatures(jet: Jet, X: np.ndarray, grad_threshold: float) -> List[Optional[float]]:
+    """``mean_curvature`` at each nonzero row x of X on the float ``jet``
+    of u: H, or None where it rejects x.
+
+    The rows go to the sphere, p = x / |x|, and their gradient norms gn
+    are tested as one stack; ``_sides_at`` gives the numerator, the
+    radial identity's lhs, of each row that passes.  H = lhs / gn**3 / |x|
+    is then taken on the row's own scalars, as for a single point: an
+    array ``gn ** 3`` can differ from the scalar's in the last bit.
+    """
+    nx = np.sqrt(_dots(X, X))
+    P = X / nx[:, None]
+    G = _blocked(jet.gradient, P, jet.m.size)
+    gn = np.sqrt(_dots(G, G))
+    keep = np.flatnonzero(~(gn < grad_threshold * jet.scale))
+    out = [None] * len(X)
+    for i, (lhs, _) in zip(keep, _sides_at(RADIAL.sides, jet, P[keep])):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            h = float(lhs / gn[i] ** 3 / nx[i])
+        out[i] = h if math.isfinite(h) else None
+    return out
 
 
 def mean_curvature(u: CubicForm, x, grad_threshold: float = GRAD_THRESHOLD) -> float:
@@ -438,22 +452,17 @@ def mean_curvature(u: CubicForm, x, grad_threshold: float = GRAD_THRESHOLD) -> f
     point near the singular set is rejected (ValueError) regardless of
     its distance from the origin.  H has degree -1 in x and 0 in u, so
     the float jet's D*u gives it; a non-finite value is rejected too.
+    H is ``_curvatures`` on the one row x, as the cone sampler takes it.
     """
-    jet = u.jet(exact=False)
     x = np.asarray(x, dtype=float)
-    nx = np.linalg.norm(x)
-    if nx == 0:
+    if x.shape != (u.n,):
+        raise ValueError(f"point has shape {x.shape}, not ({u.n},)")
+    if np.linalg.norm(x) == 0:
         raise ValueError("mean curvature is undefined at the origin")
-    p = x / nx
-    g = jet.gradient(p)
-    gn = np.linalg.norm(g)
-    if gn < grad_threshold * jet.scale:
-        raise ValueError(f"gradient norm {gn / jet.scale:.3g} below "
-                         f"threshold {grad_threshold} on the unit sphere")
-    lhs, _ = RADIAL.sides(jet.value(p), g, jet.hessian(p), 1.0)
-    h = float(lhs / gn ** 3 / nx)
-    if not math.isfinite(h):
-        raise ValueError("mean curvature is not finite in float64")
+    h = _curvatures(u.jet(exact=False), x[None], grad_threshold)[0]
+    if h is None:
+        raise ValueError(f"no mean curvature at x: the gradient norm on the unit "
+                         f"sphere is below {grad_threshold}, or H is not finite")
     return h
 
 
@@ -474,13 +483,6 @@ class ConeSampleReport:
                 "max_abs_curvature": self.max_abs_curvature}
 
 
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """<x, y> along the last axis.  Each is the BLAS dot that ``x @ y`` and
-    ``np.linalg.norm`` take for one pair of vectors, so each row's comes
-    out as the single vectors' does."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
 def _unit(x: np.ndarray) -> np.ndarray:
     """x / |x| along the last axis, each row as the single vector's."""
     return x / np.sqrt(_dots(x, x))[..., None]
@@ -488,22 +490,13 @@ def _unit(x: np.ndarray) -> np.ndarray:
 
 def _blocked(f, X: np.ndarray, width: int) -> np.ndarray:
     """f at the rows of X, in blocks that bound each (rows, width) product."""
-    rows = max(1, VALUE_BLOCK // max(1, width))
+    rows = block_rows(width)
     return np.concatenate([f(X[s:s + rows]) for s in range(0, len(X), rows)])
 
 
 def _values(jet, X: np.ndarray) -> np.ndarray:
     """u at the rows of X, in blocks of the (rows, monomials) product."""
     return _blocked(jet.value, X, jet.m.size // 3)
-
-
-def _gradient_norms(jet, X: np.ndarray) -> np.ndarray:
-    """|Du| at the rows of X, each as ``np.linalg.norm`` gives it for one
-    row, in blocks of the (rows, 3 monomials) product."""
-    def norms(Y):
-        G = jet.gradient(Y)
-        return np.sqrt(_dots(G, G))
-    return _blocked(norms, X, jet.m.size)
 
 
 def _bisect(jet, a: np.ndarray, b: np.ndarray, ua: np.ndarray) -> np.ndarray:
@@ -547,19 +540,12 @@ def _sample_batch(u: CubicForm, idxs: range, seed: int, grad_threshold: float,
             continue
         rays = ends[ray]
         P = _bisect(jet, rays[:, 0], rays[:, 1], ua[ray])
-        # mean_curvature's gradient test, on the whole stack at once
-        flat = _gradient_norms(jet, _unit(P)) < grad_threshold * jet.scale
-        for pos, p, low in zip(owner, P, flat):
+        for pos, p, h in zip(owner, P, _curvatures(jet, P, grad_threshold)):
             idx = pending[pos]
             if idx in hits:
                 continue
             crossed.add(idx)
-            if low:
-                report.rejected += 1
-                continue
-            try:
-                h = mean_curvature(u, p, grad_threshold)
-            except ValueError:
+            if h is None:
                 report.rejected += 1
                 continue
             hits[idx] = (p.copy(), h)
@@ -588,11 +574,11 @@ def sample_cone(u: CubicForm, count: int, seed: int,
     grow with ``count``, in rounds.  A round draws the next 1, 2, 4, ...
     rays of every pending point, the same a, b, a, b, ... stream as
     drawing them one by one, bisects all its sign-changing rays as one
-    array and takes their gradient norms, as ``mean_curvature`` does, as
-    one stack.  Each point's rays are then judged in draw order: a ray
-    under the threshold is rejected there, and only the others call
-    ``mean_curvature``.  So the report, with points in index order, is
-    the one a ray-by-ray search gives, bit for bit.
+    array and takes the mean curvatures of all their end points from one
+    stack (``_curvatures``, which ``mean_curvature`` runs on one row).
+    Each point's rays are then judged in draw order.  So the report, with
+    points in index order, is the one a ray-by-ray search gives, bit for
+    bit.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")

@@ -23,6 +23,7 @@ from eigencubic.identities import (check_eiconal, check_harmonic, check_radial,
 from eigencubic.scalars import joined
 from eigencubic.tables import (ELIMINATED, OPEN, REALIZABLE, admissible_triples,
                                cross_validate)
+from formref import dense_tensor, gradient
 
 SZ_BOUND_20 = (5 / 10 ** 6) ** 20
 
@@ -87,7 +88,7 @@ def test_criterion_03_cartan_cubics():
         assert r.passed and r.constant > 0
         kappas[d] = r.constant
         scale = 3.0 / math.sqrt(float(r.constant))
-        T = u.to_float().scaled(scale).dense_tensor()
+        T = dense_tensor(u.to_float().scaled(scale))
         for _ in range(100):
             p = rng.standard_normal(u.n)
             p /= np.linalg.norm(p)
@@ -187,7 +188,7 @@ def test_criterion_08_algebra_axioms():
         u = catalog_build(name)
         alg = MetrisedAlgebra(u)
         assert alg.weak_associativity_max_residual(trials=1000, seed=12) == 0, name
-        grads = u.gradient()
+        grads = gradient(u)
         jet = u.jet(exact=True)
         for _ in range(5):
             x = [Fraction(rng.randint(-9, 9), rng.randint(1, 3))

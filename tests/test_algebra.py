@@ -6,12 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eigencubic import algebra
+from eigencubic import algebra, cubics
 from eigencubic.algebra import MetrisedAlgebra, _newton_step
 from eigencubic.cubics import (CATALOG, CubicForm, Jet, _Sqrt3Jet, cartan_cubic,
                                catalog_build, trivial_cubic)
 from eigencubic.identities import check_radial
 from eigencubic.scalars import QSqrt3, joined
+from formref import gradient, polarize
 from rotations import rotate_by_substitution
 
 DIM3 = catalog_build("clifford-q0")
@@ -42,7 +43,7 @@ def test_square_is_twice_gradient():
     for name in ("clifford-q0", "cartan-d1", "involution-d2", "cartan-d4"):
         u = catalog_build(name)
         jet = u.jet(exact=True)
-        grads = u.gradient()
+        grads = gradient(u)
         for _ in range(5):
             x = frac_point(rng, u.n)
             p = np.array(x, dtype=object)
@@ -58,7 +59,7 @@ def test_multiply_matches_polarization():
         for _ in range(5):
             x, y, z = (np.array(frac_point(rng, u.n), dtype=object) for _ in range(3))
             xy = joined(jet.hessian(x)) @ y
-            assert xy @ z == jet.scale * u.polarize(x, y, z)
+            assert xy @ z == jet.scale * polarize(u, x, y, z)
 
 
 def test_mult_operator():
@@ -328,11 +329,43 @@ def test_find_idempotents_matches_restart_by_restart_reference(name):
                              reference_find_idempotents(alg, 16, seed))
 
 
+@pytest.mark.parametrize("distance", [algebra.DEDUP_DISTANCE, 0.3, 1.0])
+@pytest.mark.parametrize("name", ["clifford-q0", "cartan-d1", "complexified-d1"])
+def test_find_idempotents_dedup_matches_pairwise_norms(monkeypatch, name, distance):
+    # the search keeps, in restart order, exactly the polished points that
+    # a loop of np.linalg.norm(c - d) against every kept d keeps, at the
+    # default distance (nothing on a continuum of idempotents is a
+    # duplicate) and at distances that drop most of them
+    alg = MetrisedAlgebra(catalog_build(name))
+    hits = []
+    polish = algebra._polish
+
+    def recording(jet, X, U):
+        out = polish(jet, X, U)
+        hits.extend(h for h in out if h is not None)
+        return out
+
+    monkeypatch.setattr(algebra, "_polish", recording)
+    monkeypatch.setattr(algebra, "DEDUP_DISTANCE", distance)
+    got = alg.find_idempotents(restarts=200, seed=2)
+    good = [c for c, res in hits
+            if not (res > algebra.IDEMPOTENT_RESIDUAL or np.linalg.norm(c) < 1e-8)]
+    kept = []
+    for c in good:
+        if not any(np.linalg.norm(c - d) < distance for d in kept):
+            kept.append(c)
+    scale = alg.form.jet(exact=False).scale
+    want = sorted((c * scale for c in kept), key=lambda c: tuple(np.round(c, 8)))
+    assert len(got) == len(want)
+    assert all(np.array_equal(p.c, c) for p, c in zip(got, want))
+    assert len(kept) < len(good) if distance >= 0.3 else len(kept) >= 1
+
+
 @pytest.mark.parametrize("name", ["cartan-d2", "complexified-d1", "complexified-d8"])
 def test_find_idempotents_blocks_of_restarts(monkeypatch, name):
     # blocks of 3 restarts, the last one short, give the one-restart records
     alg = MetrisedAlgebra(catalog_build(name))
-    monkeypatch.setattr(algebra, "ASCENT_BLOCK", 3 * alg.form.jet(exact=False).m.size)
+    monkeypatch.setattr(cubics, "BLOCK", 3 * alg.form.jet(exact=False).m.size)
     _assert_same_records(alg.find_idempotents(restarts=10, seed=4),
                          reference_find_idempotents(alg, 10, seed=4))
 
@@ -538,7 +571,7 @@ def test_sqrt3_hsiang_residual_pinned(name, want):
 @pytest.mark.parametrize("name", list(CATALOG))
 def test_trilinear_matches_polarize(name):
     # the kernel's trilinear contraction of D*u, on integer arrays (plus a
-    # sqrt(3) jet), against the direct coo loop of CubicForm.polarize
+    # sqrt(3) jet), against the direct coo loop of formref.polarize
     u = catalog_build(name)
     jet = u.jet(exact=True)
     has_sqrt3 = any(isinstance(c, QSqrt3) for c in u.terms.values())
@@ -548,7 +581,7 @@ def test_trilinear_matches_polarize(name):
     rng = random.Random(12)
     for _ in range(2):
         x, y, z = (np.array(frac_point(rng, u.n), dtype=object) for _ in range(3))
-        assert jet.trilinear(x, y, z) == jet.scale * u.polarize(x, y, z)
+        assert jet.trilinear(x, y, z) == jet.scale * polarize(u, x, y, z)
 
 
 def test_weak_associativity():
@@ -694,13 +727,13 @@ def _unrotated_jet(sqrt3: bool) -> Jet:
                      Jet(6, ijk, np.array([5, -7], dtype=object)))
 
 
-@pytest.mark.parametrize("chunk", [algebra.TRILINEAR_CHUNK, 7])
+@pytest.mark.parametrize("chunk", [cubics.BLOCK, 7])
 @pytest.mark.parametrize("sqrt3", [False, True])
 def test_weak_associativity_paths_agree(monkeypatch, sqrt3, chunk):
     # a nonzero residual, equal in value and type on the int64 path, on the
     # Python-int path and in the one-triple-at-a-time reference
     jet = _unrotated_jet(sqrt3)
-    monkeypatch.setattr(algebra, "TRILINEAR_CHUNK", chunk)
+    monkeypatch.setattr(cubics, "BLOCK", chunk)
     monkeypatch.setattr(CubicForm, "jet", lambda self, exact: jet)
     alg = MetrisedAlgebra(CubicForm(3, {}))
     fast = alg.weak_associativity_max_residual(trials=200, seed=5)

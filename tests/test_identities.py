@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eigencubic import algebra, identities
+from eigencubic import algebra, cubics, identities
 from eigencubic.algebra import MetrisedAlgebra
 from eigencubic.cubics import (CATALOG, CubicForm, Jet, _Sqrt3Jet, cartan_cubic,
                                catalog_build, trivial_cubic)
@@ -21,6 +21,7 @@ from eigencubic.identities import (DEFAULT_BOUND, DEFAULT_TRIALS, EICONAL,
                                    trace_identity_quadratic)
 from eigencubic.poly import Poly
 from eigencubic.scalars import QSqrt3, QSqrt3Array, exact_div, joined
+from formref import dense_tensor, gradient, hessian
 from polyref import joined_terms
 from rotations import cayley_rotation, rotate_by_substitution, rotate_exact, skew
 
@@ -81,7 +82,7 @@ def test_radial_residual_random_zero():
     # build the degree-5 residual of the dim-3 example symbolically; its
     # full expansion is exactly zero
     u = DIM3
-    grads = u.gradient()
+    grads = gradient(u)
     G = sum((g * g for g in grads), Poly.zero(3))
     half = Fraction(1, 2)
     P = G * u.laplacian() - half * sum(
@@ -109,7 +110,7 @@ def test_eiconal_normalized_float():
         u = cartan_cubic(d)
         kappa = check_eiconal(u).constant
         uf = u.to_float().scaled(3.0 / math.sqrt(float(kappa)))
-        T = uf.dense_tensor()
+        T = dense_tensor(uf)
         for _ in range(20):
             p = rng.standard_normal(u.n)
             p /= np.linalg.norm(p)
@@ -299,7 +300,7 @@ def test_jet_matches_poly_derivatives(name):
     # exactly (of D u) at integer points and to float rounding at floats,
     # where D is the power of two bringing max|m| into [1, 2)
     u = catalog_build(name)
-    grads, hess, poly = u.gradient(), u.hessian(), u.to_poly()
+    grads, hess, poly = gradient(u), hessian(u), u.to_poly()
     jet = u.jet(exact=True)
     D = jet.scale
     rng = random.Random(6)
@@ -320,8 +321,8 @@ def test_jet_matches_poly_derivatives(name):
     x = list(x)
     close = dict(rel=1e-12, abs=1e-12)
     assert v == pytest.approx(uf.to_poly().eval(x), **close)
-    assert g == pytest.approx([gi.eval(x) for gi in uf.gradient()], **close)
-    assert H.ravel() == pytest.approx([h.eval(x) for row in uf.hessian()
+    assert g == pytest.approx([gi.eval(x) for gi in gradient(uf)], **close)
+    assert H.ravel() == pytest.approx([h.eval(x) for row in hessian(uf)
                                        for h in row], **close)
 
 
@@ -452,10 +453,10 @@ def test_exact_sides_match_the_per_point_loop(monkeypatch, name):
                      for ident in (RADIAL, EICONAL, TRACE2, TRACE3)}
         hsiang = [_reference_hsiang(u, t, 10, seed) for t in (theta, theta + Fraction(1, 3))]
         for block in (width, 4 * width):
-            monkeypatch.setattr(identities, "EXACT_BLOCK", block)
+            monkeypatch.setattr(cubics, "BLOCK", block)
             for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
                 for points, pairs in zip((P, Q), want[ident.name]):
-                    got = list(identities._exact_sides(ident.sides, jet, points))
+                    got = list(identities._sides_at(ident.sides, jet, points))
                     assert repr(got) == repr(pairs), (ident.name, block)
             for check in IDENTITY_CHECKS:
                 rep = check(u, "random", seed=seed)
@@ -568,7 +569,7 @@ def test_kernel_matches_dense_tensor(name):
     # tolerance is 1e-12 of the same contraction of |T| and |x|, the size
     # of the terms whose rounding the two sums order differently
     uf = catalog_build(name).to_float()
-    T, aT = uf.dense_tensor(), np.abs(uf.dense_tensor())
+    T, aT = dense_tensor(uf), np.abs(dense_tensor(uf))
     jet = uf.jet(exact=False)
     alg = MetrisedAlgebra(uf)
     rng = np.random.default_rng(11)
@@ -651,7 +652,7 @@ def _dense_form(n: int, seed: int) -> CubicForm:
 
 def _reference_symbolic(u: CubicForm):
     """(v, g, H, r2) of D*u, D = the exact jet's scale, as object arrays of
-    Poly from ``CubicForm.gradient``/``hessian``, each coefficient made an
+    Poly from ``formref.gradient``/``hessian``, each coefficient made an
     int (a QSqrt3 of ints) so that the Poly arithmetic runs on ints."""
     D, n = u.jet(exact=True).scale, u.n
 
@@ -666,9 +667,9 @@ def _reference_symbolic(u: CubicForm):
         return Poly(n, {m: exact(c) for m, c in p.terms.items()})
 
     H = np.empty((n, n), dtype=object)
-    H[:] = [[integral(h) for h in row] for row in u.hessian()]
+    H[:] = [[integral(h) for h in row] for row in hessian(u)]
     return (integral(u.to_poly()),
-            np.array([integral(g) for g in u.gradient()], dtype=object), H,
+            np.array([integral(g) for g in gradient(u)], dtype=object), H,
             Poly(n, {(i, i): 1 for i in range(n)}))
 
 
@@ -749,8 +750,8 @@ def test_float_checks_match_the_per_point_loop(monkeypatch, name):
     for seed in (1, 2, 3):
         want = [_reference_float_report(ident, uf, seed)
                 for ident in (RADIAL, EICONAL, TRACE2, TRACE3)]
-        for block in (identities.EXACT_BLOCK, width, 4 * width):
-            monkeypatch.setattr(identities, "EXACT_BLOCK", block)
+        for block in (cubics.BLOCK, width, 4 * width):
+            monkeypatch.setattr(cubics, "BLOCK", block)
             reports = [check(uf, seed=seed) for check in IDENTITY_CHECKS]
             assert all(r.mode == "float" for r in reports)
             got = [(r.passed, r.constant) for r in reports]
@@ -836,7 +837,7 @@ def test_radial_float_residual_at_samples():
     for name in ("cartan-d2", "involution-d2"):
         u = catalog_build(name)
         theta = float(check_radial(u).constant)
-        T = u.dense_tensor()
+        T = dense_tensor(u)
         scale = max(abs(float(c)) for c in u.terms.values())
         for _ in range(20):
             p = rng.standard_normal(u.n)
@@ -857,6 +858,69 @@ def test_mean_curvature_values():
     with pytest.raises(ValueError):
         # gradient vanishes on the x-axis
         mean_curvature(DIM3, [1, 0, 0])
+
+
+def _reference_curvature(u, x, grad_threshold):
+    """The mean curvature at x as the per-point formula computed it, one
+    point through the float jet; ValueError where it rejects x."""
+    jet = u.jet(exact=False)
+    x = np.asarray(x, dtype=float)
+    nx = np.linalg.norm(x)
+    if nx == 0:
+        raise ValueError("the origin")
+    p = x / nx
+    g = jet.gradient(p)
+    gn = np.linalg.norm(g)
+    if gn < grad_threshold * jet.scale:
+        raise ValueError("gradient under the threshold")
+    H = jet.hessian(p)
+    lhs = (g @ g) * H.trace() - g @ (H @ g)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        h = float(lhs / gn ** 3 / nx)
+    if not math.isfinite(h):
+        raise ValueError("not finite")
+    return h
+
+
+def test_mean_curvature_rejects_a_wrong_shape():
+    # a point of cartan-d1 (n = 5) must have shape (5,), as peirce demands
+    u = catalog_build("cartan-d1")
+    for x in (np.ones(6), np.ones(2), np.ones((1, 5)), np.ones(0), 1.0, [[1, 2, 3, 4, 5]]):
+        with pytest.raises(ValueError, match="shape"):
+            mean_curvature(u, x)
+    assert math.isfinite(mean_curvature(u, np.ones(5)))
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_mean_curvature_matches_the_per_point_formula(name):
+    # mean_curvature, the stacked routine on one row, and the stack of all
+    # the rows give the per-point formula's H bit for bit, and reject
+    # exactly where it rejects: at Gaussian points of sizes 1e-3..1e3 and
+    # at cone points, for thresholds that accept all, some and no rays
+    uf = catalog_build(name).to_float()
+    jet = uf.jet(exact=False)
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((12, uf.n)) * 10.0 ** rng.integers(-3, 4, size=(12, 1))
+    X = np.concatenate([X, np.reshape(sample_cone(uf, 4, 1, 0.0).points, (-1, uf.n))])
+    wants = {}
+    for t in (0.0, 0.1, 1.0, 1e3):
+        want = wants[t] = []
+        for x in X:
+            try:
+                want.append(_reference_curvature(uf, x, t))
+            except ValueError:
+                want.append(None)
+        got = []
+        for x in X:
+            try:
+                got.append(mean_curvature(uf, x, t))
+            except ValueError:
+                got.append(None)
+        assert repr(got) == repr(want), t
+        assert repr(identities._curvatures(jet, X, t)) == repr(want), t
+    # both paths are exercised: every Gaussian point has a curvature at 0,
+    # and every cone point is rejected at 1e3
+    assert None not in wants[0.0][:12] and set(wants[1e3][12:]) <= {None}
 
 
 def reference_sample_cone(u, count, seed, grad_threshold=0.1):
@@ -891,7 +955,7 @@ def reference_sample_cone(u, count, seed, grad_threshold=0.1):
             p = lo + hi
             p /= np.linalg.norm(p)
             try:
-                h = mean_curvature(u, p, grad_threshold)
+                h = _reference_curvature(u, p, grad_threshold)
             except ValueError:
                 report.rejected += 1
                 continue
@@ -904,17 +968,24 @@ def reference_sample_cone(u, count, seed, grad_threshold=0.1):
     return report
 
 
-# the default threshold keeps the bare form name as its test id
-_CONE_CASES = [(name, t) for t in (0.1, 0.0, 1e3) for name in CATALOG]
+# the default threshold keeps the bare form name as its test id; the
+# one-row-block cases evaluate every stack one point at a time
+_CONE_CASES = ([(name, t, None) for t in (0.1, 0.0, 1e3) for name in CATALOG]
+               + [(name, 0.1, 1) for name in ("clifford-q0", "cartan-d4",
+                                              "complexified-d8")])
 
 
-@pytest.mark.parametrize("name, grad_threshold", _CONE_CASES,
-                         ids=[name if t == 0.1 else f"{name}-threshold-{t:g}"
-                              for name, t in _CONE_CASES])
-def test_sample_cone_matches_ray_by_ray_reference(name, grad_threshold):
-    # the batched rounds, with their stacked gradient test, report what the
-    # ray-by-ray loop through mean_curvature reports, bit for bit: at 0 no
-    # ray is rejected for its gradient, at 1e3 every ray is
+@pytest.mark.parametrize("name, grad_threshold, block", _CONE_CASES,
+                         ids=[f"{name}-block-{b}" if b else
+                              name if t == 0.1 else f"{name}-threshold-{t:g}"
+                              for name, t, b in _CONE_CASES])
+def test_sample_cone_matches_ray_by_ray_reference(monkeypatch, name, grad_threshold,
+                                                  block):
+    # the batched rounds, with their stacked curvatures, report what the
+    # ray-by-ray loop through the per-point formula reports, bit for bit:
+    # at 0 no ray is rejected for its gradient, at 1e3 every ray is
+    if block:
+        monkeypatch.setattr(cubics, "BLOCK", block)
     u = catalog_build(name)
     for seed in (1, 2, 3):
         _assert_same_report(sample_cone(u, 2, seed, grad_threshold),

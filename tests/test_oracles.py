@@ -18,6 +18,7 @@ from eigencubic.composition import CDElement, cd_mul
 from eigencubic.cubics import catalog_build, complexified_cubic, involution_cubic
 from eigencubic.identities import check_eiconal, check_radial
 from eigencubic.scalars import joined
+from formref import hessian
 
 
 def _to_sympy(u):
@@ -61,7 +62,7 @@ def test_mult_operator_is_hessian():
     for name in ("clifford-q2", "cartan-d2", "involution-d2"):
         u = catalog_build(name)
         jet = u.jet(exact=True)
-        hess = u.hessian()
+        hess = hessian(u)
         for _ in range(4):
             x = [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
                  for _ in range(u.n)]
