@@ -17,14 +17,15 @@ exact operation joins it to QSqrt3 entries only where its result leaves
 the kernel: the operators L_{e_i} of ``multiplication_rank``, the Hsiang
 residual at a point and a nonzero weak-associativity difference.
 
-Both checks run whole batches of points through the kernel, on int64
-copies of the jet's arrays where ``identities._int64_jet`` proves that no
-sum can overflow, and on its Python ints for a jet beyond that bound.
-The points' numerators lie in [-9, 9], which bounds every sum before any
-arithmetic.  Weak associativity takes batches of triples
-(``WEAK_DIFF_FACTOR``).  The Hsiang check evaluates its points through
-``identities._sides_at``, as the random identity checks do: gradient
-and Hessian stacks in int64, the radial sides on Python ints.
+Both checks run whole batches of points through the kernel.  The points'
+numerators lie in [-9, 9], which bounds every sum before any arithmetic.
+Weak associativity takes batches of triples on int64 copies of the jet's
+arrays where ``identities._int64_jet`` proves that no sum can overflow
+(``WEAK_DIFF_FACTOR``), and on its Python ints beyond that bound.  The
+Hsiang check evaluates its points through ``identities._sides_at``, as
+the random identity checks do: the radial sides of a block on int64
+residue stacks, modulo 2**64 and as many primes as the radial bound
+needs at |x| <= 9 (none for a catalog form), lifted to Python ints.
 Both checks draw their points in one vectorised pass that reproduces the
 stream of one ``random.randint`` per coordinate, so their residuals do
 not depend on how the points are drawn.
@@ -211,12 +212,14 @@ class MetrisedAlgebra:
         D = jet.scale
         X, dens = _rational_batch(self.n, trials, rng)
         worst = Fraction(0)
-        for (lhs, rhs), d in zip(_sides_at(RADIAL.sides, jet, X), dens.tolist()):
-            diff = lhs - theta * D * D * rhs
+        c = theta * D * D
+        for (lhs, rhs), d in zip(_sides_at(RADIAL.sides, jet, X, RADIAL.bound),
+                                 dens.tolist()):
+            diff = lhs - c * rhs
             if isinstance(diff, QSqrt3) and not diff.b:
                 diff = diff.a           # as joining the channel pair gives it
-            # lhs carries D^3 d^5 and rhs D d^5
-            worst = max(worst, abs(4 * diff / Fraction(D ** 3 * d ** 5)))
+            if diff:                    # lhs carries D^3 d^5 and rhs D d^5
+                worst = max(worst, abs(4 * diff / Fraction(D ** 3 * d ** 5)))
         return worst
 
     def weak_associativity_max_residual(self, trials: int = 1000, seed: int = 0):

@@ -219,7 +219,7 @@ class Jet:
     on each, and returned as one ``QSqrt3Array`` (r's piece, s's piece),
     whose arithmetic keeps the two channels apart; a caller joins it to
     QSqrt3 entries where a result leaves the kernel.  Every piece keeps
-    the kind of p: an object array of exact scalars, or a float64 array;
+    the kind of p: an object array of exact scalars, or an int64 or float64 array;
     ``symbolic`` gives the pieces of an exact jet as polynomials, as
     ``PolyArray``s.  In the metrised algebra x o x = 2 Du(x) and
     L_x = D^2u(x).
@@ -233,9 +233,9 @@ class Jet:
     so every result is summed as the single point's is and equals it bit
     for bit, on every dtype.
     The arrays may be int64 copies where the caller has bounded every sum
-    (``identities._int64_jet``): the exact point checks do so for the
-    gradient and Hessian stacks (``identities._sides_at``), ``algebra``
-    for weak associativity.
+    (``identities._int64_jet``, for weak associativity), or int64
+    residues of m modulo 2**64 or a prime (``identities._residue_jet``,
+    for the exact point checks of ``identities._sides_at``).
     """
     scale: float
     ijk: np.ndarray

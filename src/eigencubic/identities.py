@@ -23,7 +23,7 @@ exact mode tests all coefficients at once, cross-multiplied
 
 Every mode evaluates the multiple D*u the jet holds: in both exact modes
 D is the least positive integer making every coefficient integral (both
-channels of a sqrt(3) coefficient), so the kernel works on Python ints and
+channels of a sqrt(3) coefficient), so the kernel works on integers and
 integer-coefficient polynomials; in float mode D is the power of two that
 brings the largest coefficient into [1, 2), so the float tolerances do not
 depend on u's scale.  Each lhs has degree two more in u than its rhs, so
@@ -34,29 +34,15 @@ On a Q(sqrt3) form the kernel's pieces are ``QSqrt3Array`` pairs, so each
 returns are joined to QSqrt3.
 
 Both point modes evaluate the sides through one function, ``_sides_at``,
-which takes a stack of points in blocks of ``cubics.block_rows``: the
-value, gradient and Hessian of a block are one stack each, and ``sides``
-runs on each row, so every pair is the one its point gives alone.  It
-branches only on the jet's kind.  On an exact jet the gradient and
-Hessian stacks run on int64 copies of the jet's arrays where
-sum|m| R^2 < 2**63 proves them exact (every catalog form at coordinates
-R < 10^6), and the value, |p|^2 and the sides on Python ints, one point
-at a time, so each constant is the one a single Python-int point gives.
-The random mode draws its points in the same blocks, one ``_randbelow``
-call per block (the stream of one ``randrange`` per coordinate), so
-memory stays O(block) for any ``trials`` and no block after the first
-that refutes t is drawn.  The Hsiang check of ``algebra`` and the cone
-sampler's mean curvatures (``_curvatures``) run their points through the
-same function.
-
-The trace3 side computes H @ H with ``scalars.matmul``.  In the random
-mode H holds Python ints of at most 27 bits at catalog points below 10^6,
-so n * max|H|^2 < 2**63 proves every partial sum exact in int64 and the
-product runs on int64 copies of each integer channel; a Hessian beyond
-that bound stays on Python ints.  The final * H and sum run on Python
-ints, where the products reach about 2**90.  In exact mode H is a
-``PolyArray`` (a pair of them on a Q(sqrt3) form), whose own @ takes
-H @ H; float mode's float64 matrices take plain @.
+on blocks of points (``cubics.block_rows``): on each float64 row, or on a
+whole exact block as int64 ``scalars.ResidueStack``s, modulo 2**64 and as
+many primes below 2**27 as the identity's ``bound`` needs, each side then
+lifted by CRT to the Python int one point gives alone.  The random mode
+draws its points in the same blocks, one ``_randbelow`` call per block
+(the stream of one ``randrange`` per coordinate), so memory stays
+O(block) for any ``trials`` and no block after the first that refutes t
+is drawn.  The Hsiang check of ``algebra`` and the cone sampler's mean
+curvatures (``_curvatures``) run their points through the same function.
 
 Policy: exact expansion for n <= 15, randomized above, both overridable.
 """
@@ -72,8 +58,8 @@ from typing import Callable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .cubics import CubicForm, Jet, block_rows
-from .scalars import (QSqrt3, QSqrt3Array, exact_div, format_rational,
-                      is_exact, joined, matmul)
+from .scalars import (QSqrt3, QSqrt3Array, ResidueStack, exact_div,
+                      format_rational, is_exact, lift, moduli)
 
 EXACT_VAR_LIMIT = 15
 DEFAULT_TRIALS = 20
@@ -156,19 +142,7 @@ def _int64_jet(jet: Jet, factor: int) -> Jet:
     parts = [jet] if jet.sqrt3 is None else [jet, jet.sqrt3]
     if any(factor * sum(abs(v) for v in p.m.tolist()) >= 2 ** 63 for p in parts):
         return jet
-    sqrt3 = None
-    if jet.sqrt3 is not None:
-        sqrt3 = replace(jet.sqrt3, m=jet.sqrt3.m.astype(np.int64))
-    return replace(jet, m=jet.m.astype(np.int64), sqrt3=sqrt3)
-
-
-def _per_point(x):
-    """A block's stack split along its first axis, each point's piece on
-    Python ints: an object array (a scalar for the value), or the
-    ``QSqrt3Array`` pair of them.  Rows are converted one at a time."""
-    if isinstance(x, QSqrt3Array):
-        return map(QSqrt3Array, _per_point(x.r), _per_point(x.s))
-    return (y.astype(object) if isinstance(y, np.ndarray) else y for y in x)
+    return _residue_jet(jet, 0)         # below 2**63 the residues are m
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -178,7 +152,48 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _sides_at(sides: Callable, jet: Jet, P: np.ndarray) -> Iterator[Tuple]:
+def _l1(jet: Jet) -> int:
+    """L = sum|m_r| + 2 sum|m_s| over an exact jet's two sqrt(3) channels."""
+    s = 0 if jet.sqrt3 is None else sum(map(abs, jet.sqrt3.m.tolist()))
+    return sum(map(abs, jet.m.tolist())) + 2 * s
+
+
+def _residue_jet(jet: Jet, q: int) -> Jet:
+    """The exact ``jet`` on int64 residues of its m modulo q (or 2**64)."""
+    def mod(m):
+        return np.array([v % (q or 2 ** 64) for v in m.tolist()],
+                        dtype=np.uint64).view(np.int64)
+    sqrt3 = None if jet.sqrt3 is None else replace(jet.sqrt3, m=mod(jet.sqrt3.m))
+    return replace(jet, m=mod(jet.m), sqrt3=sqrt3)
+
+
+def _stack(x, q: int):
+    """A piece's int64 array, or the pair of them, as ``ResidueStack``s."""
+    if isinstance(x, QSqrt3Array):
+        return QSqrt3Array(ResidueStack(x.r, q), ResidueStack(x.s, q))
+    return ResidueStack(x, q)
+
+
+def _residue_pieces(jet: Jet, X: np.ndarray, q: int) -> Tuple:
+    """(v, g, H, r2) modulo q at the int64 points X on ``_residue_jet(.., q)``.
+    Modulo 2**64 they are the jet's own, wrapped.  Modulo a prime only H
+    is (each entry sums at most 2n <= 256 products below 2**54), and
+    Euler's H x = 2 g and x . g = 3 v for the cubic give g and v."""
+    x = ResidueStack(X, q)
+    H = _stack(jet.hessian(x.x), q)
+    if not q:
+        return _stack(jet.value(X), q), _stack(jet.gradient(X), q), H, x @ x
+    g = H @ x * pow(2, -1, q)
+    return x @ g * pow(3, -1, q), g, H, x @ x
+
+
+def _any_bound(n: int, L: int, R: int) -> int:
+    """The largest of the four identities' bounds."""
+    return max(i.bound(n, L, R) for i in (RADIAL, EICONAL, TRACE2, TRACE3))
+
+
+def _sides_at(sides: Callable, jet: Jet, P: np.ndarray,
+              bound: Callable = _any_bound) -> Iterator[Tuple]:
     """The joined (lhs, rhs) of ``sides`` at each row of the point stack P,
     in row order, in blocks of ``block_rows`` of an n x n Hessian or one
     product per monomial rotation; lazy, so a caller that stops early
@@ -186,30 +201,25 @@ def _sides_at(sides: Callable, jet: Jet, P: np.ndarray) -> Iterator[Tuple]:
 
     On a float ``jet`` (P float64) the value, gradient and Hessian of a
     block are one stack each and |p|^2 one ``_dots``, each row the single
-    point's bit for bit.  On an exact jet (P int64) with R = max|P|,
-    every gradient entry, Hessian entry and partial sum is at most
-    sum|m| R^2 on each sqrt(3) channel, so below 2**63 the gradient and
-    Hessian stacks run on int64 copies of the jet's arrays
-    (``_int64_jet``), and beyond it on Python ints.  The value (up to
-    sum|m| R^3), |p|^2 and every product of ``sides`` stay on Python
-    ints, point by point, so each pair is the one a single Python-int
-    point gives, in value and in type.
+    point's bit for bit.  On an exact jet (P int64) ``sides`` runs on the
+    block's ``_residue_pieces`` modulo 2**64 and each prime of
+    ``moduli(bound(n, _l1(jet), max|P|))``, and ``lift`` gives each side
+    as the Python int (or QSqrt3) a single point gives.
     """
+    n = P.shape[-1]
+    rows = block_rows(max(n ** 2, jet.m.size))
     exact = jet.m.dtype == object
     if exact:
-        fast = _int64_jet(jet, max(1, int(np.abs(P).max(initial=0))) ** 2)
-    rows = block_rows(max(P.shape[-1] ** 2, jet.m.size))
+        qs = (0,) + moduli(bound(n, _l1(jet), int(np.abs(P).max(initial=0))))
+        jets = [_residue_jet(jet, q) for q in qs]
     for start in range(0, len(P), rows):
         B = P[start:start + rows]
         if exact:
-            X = B.astype(object)
-            block = X if fast.m.dtype == object else B
-            pieces = (_per_point(jet.value(X)), _per_point(fast.gradient(block)),
-                      _per_point(fast.hessian(block)), (p @ p for p in X))
+            per_q = [sides(*_residue_pieces(j, B, q)) for j, q in zip(jets, qs)]
+            yield from zip(*(lift(side) for side in zip(*per_q)))
         else:
             pieces = jet.value(B), jet.gradient(B), jet.hessian(B), _dots(B, B)
-        for v, g, H, r2 in zip(*pieces):
-            yield tuple(joined(x) for x in sides(v, g, H, r2))
+            yield from (sides(v, g, H, r2) for v, g, H, r2 in zip(*pieces))
 
 
 def _proportional_float(sides: Callable, jet: Jet, n: int, seed: int):
@@ -236,19 +246,31 @@ class _Identity:
 
     ``degree`` is the degree of lhs - t rhs in p (the Schwartz-Zippel
     degree); ``positive`` says the identity holds only with t > 0.
+    ``bound(n, L, R)`` bounds |lhs| and |rhs| on both sqrt(3) channels of
+    D*u at p in Z^n, |p_a| <= R, L = ``_l1(jet)``.  Proof: N(r + sqrt3 s)
+    = |r| + 2|s| bounds both channels, and N(x + y) <= N(x) + N(y),
+    N(xy) <= N(x) N(y).  A rotation (a; b, c) of m adds m p_b p_c to g_a
+    and m p_c, m p_b to H_ab, H_ac, so N(v) <= L R^3, G = sum N(g_a)
+    <= L R^2, h = sum N(H_ab) <= 2 L R and r2 <= n R^2.  A sum of products
+    is at most the product of the sums: N(g.g) <= G^2, N(tr H) <= h,
+    N(g.Hg) <= G^2 h, N(sum H*H) <= h^2, N(sum (HH)*H) <= h^3.
     """
     name: str
     degree: int
     sides: Callable
+    bound: Callable
     positive: bool = False
 
 
 RADIAL = _Identity("radial", 5, lambda v, g, H, r2: (
-    (g @ g) * H.trace() - g @ (H @ g), r2 * v))
+    (g @ g) * H.trace() - g @ (H @ g), r2 * v),
+    lambda n, L, R: max(4 * L * L, n) * L * R ** 5)
 EICONAL = _Identity("eiconal", 4, lambda v, g, H, r2: (g @ g, r2 * r2),
-                    positive=True)
-TRACE2 = _Identity("trace2", 2, lambda v, g, H, r2: ((H * H).sum(), r2))
-TRACE3 = _Identity("trace3", 3, lambda v, g, H, r2: ((matmul(H, H) * H).sum(), v))
+                    lambda n, L, R: max(L, n) ** 2 * R ** 4, positive=True)
+TRACE2 = _Identity("trace2", 2, lambda v, g, H, r2: ((H * H).sum(), r2),
+                   lambda n, L, R: max(4 * L * L, n) * R * R)
+TRACE3 = _Identity("trace3", 3, lambda v, g, H, r2: (((H @ H) * H).sum(), v),
+                   lambda n, L, R: 8 * L ** 3 * R ** 3)
 
 
 def _coefficient(side, code: int) -> QSqrt3Array:
@@ -290,7 +312,8 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
         for start in range(0, trials + 1, rows):
             k = min(rows, trials + 1 - start)
             yield from _sides_at(ident.sides, jet,
-                                 _randbelow(DEFAULT_BOUND, k * u.n, rng).reshape(k, u.n))
+                                 _randbelow(DEFAULT_BOUND, k * u.n, rng).reshape(k, u.n),
+                                 ident.bound)
 
     if m == "float":
         t = _proportional_float(ident.sides, jet, u.n, seed)
@@ -501,18 +524,25 @@ def _values(jet, X: np.ndarray) -> np.ndarray:
 
 def _bisect(jet, a: np.ndarray, b: np.ndarray, ua: np.ndarray) -> np.ndarray:
     """Bisect the sphere arcs a[r] -> b[r], u(a[r]) = ua[r] and u(b[r])
-    of the other sign, for BISECT_STEPS steps; the unit midpoints.
+    of the other sign, for at most BISECT_STEPS steps; the unit midpoints.
 
     A midpoint of u's sign moves lo, any other nonzero value (NaN too)
-    moves hi, and a zero leaves both, so that ray stays where it is."""
+    moves hi, and a zero leaves both, so that ray stays where it is.
+    The bisection stops at the first step that changes no bit of any
+    ray's lo or hi: each row is evaluated on its own, so every later step
+    would recompute the same midpoints."""
     lo, hi, sa = a, b, np.sign(ua)
     for _ in range(BISECT_STEPS):
         mid = _unit(lo + hi)
         um = _values(jet, mid)
         to_lo = np.sign(um) == sa
         to_hi = ~to_lo & (um != 0.0)
-        lo = np.where(to_lo[:, None], mid, lo)
-        hi = np.where(to_hi[:, None], mid, hi)
+        new_lo = np.where(to_lo[:, None], mid, lo)
+        new_hi = np.where(to_hi[:, None], mid, hi)
+        if all(np.array_equal(x.view(np.int64), y.view(np.int64))
+               for x, y in ((new_lo, lo), (new_hi, hi))):
+            break
+        lo, hi = new_lo, new_hi
     return _unit(lo + hi)
 
 
@@ -565,7 +595,7 @@ def sample_cone(u: CubicForm, count: int, seed: int,
     Point ``idx`` draws up to MAX_TRIES rays from its own stream
     ``default_rng((seed, idx))``: two Gaussian points a, b normalised to
     the sphere.  A ray where u changes sign, its ends not antipodal, is
-    bisected for BISECT_STEPS steps, and the first whose end point passes
+    bisected (``_bisect``), and the first whose end point passes
     ``mean_curvature`` gives the point.  Each ray rejected before it
     (gradient under the threshold, or not finite) counts once in
     ``rejected``, and so does a point none of whose rays changed sign.

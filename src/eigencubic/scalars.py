@@ -12,21 +12,19 @@ arithmetic; it becomes a ``Fraction`` only on division.
 
 ``QSqrt3Array`` is the same field on whole arrays: r + sqrt(3)*s held as
 two arrays, so the kernel of a Q(sqrt3) form does each array operation
-once per channel on Python ints and makes no QSqrt3 per entry.  Its
-``join`` gives the entries as QSqrt3 where a result leaves the kernel.
+once per channel and makes no QSqrt3 per entry.  Its ``join`` gives the
+entries as QSqrt3 where a result leaves the kernel.
 
-``matmul`` is ``a @ b`` for exact arrays, with one faster route.  Two
-matrices of Python ints whose contraction length k and largest entries
-prove every partial sum exact in int64, k * max|a| * max|b| < 2**63, are
-multiplied as int64 copies and the result comes back as Python ints.  Anything else (Fraction, float or
-``Poly`` entries, ints beyond the bound, a vector operand, or an operand
-that is no ndarray, such as a ``poly.PolyArray``) is ``a @ b`` as it is.
-``QSqrt3Array``'s ``@`` runs each channel product through it.
+``ResidueStack`` holds int64 residues of a stack of points modulo 2**64
+or a prime, and acts on each point's own axes, so a formula for one
+point runs on a block; ``lift`` joins a number's residues by CRT.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,15 +169,14 @@ SQRT3 = QSqrt3(0, 1)
 class QSqrt3Array:
     """r + sqrt(3)*s for two same-shape arrays r, s, or two scalars, of
     exact entries: Python ints, Fractions or ``Poly`` objects; or for two
-    ``poly.PolyArray``s, the exact mode's pieces.
+    ``poly.PolyArray``s, the exact mode's pieces; or for two
+    ``ResidueStack``s, the random mode's.
 
     +, -, * and @ take another pair, a plain array or a scalar (a QSqrt3
     one too) on either side, and run as numpy operations on the channels:
     (r + sqrt3 s)(r' + sqrt3 s') = r r' + 3 s s' + sqrt3 (r s' + s r').
     numpy hands every binary operator with a pair operand to the pair.
-    Each channel product of @ is ``matmul``, so on integer channels within
-    its bound it runs in int64; the sums of products above stay on
-    Python ints.  ``sum`` and ``trace`` call each channel's own.
+    ``sum`` and ``trace`` call each channel's own.
     ``join`` gives each entry as one scalar, and ``==`` compares joined.
     """
 
@@ -219,12 +216,12 @@ class QSqrt3Array:
     def __matmul__(self, other):
         if isinstance(other, QSqrt3Array):
             return QSqrt3Array(
-                matmul(self.r, other.r) + 3 * matmul(self.s, other.s),
-                matmul(self.r, other.s) + matmul(self.s, other.r))
-        return QSqrt3Array(matmul(self.r, other), matmul(self.s, other))
+                self.r @ other.r + 3 * (self.s @ other.s),
+                self.r @ other.s + self.s @ other.r)
+        return QSqrt3Array(self.r @ other, self.s @ other)
 
     def __rmatmul__(self, other):
-        return QSqrt3Array(matmul(other, self.r), matmul(other, self.s))
+        return QSqrt3Array(other @ self.r, other @ self.s)
 
     def sum(self):
         return QSqrt3Array(self.r.sum(), self.s.sum())
@@ -244,31 +241,99 @@ class QSqrt3Array:
         return f"QSqrt3Array({self.r!r}, {self.s!r})"
 
 
-def _int64_operands(a, b):
-    """int64 copies of a and b when both are nonempty object matrices (ndim
-    >= 2) of Python ints and k * max|a| * max|b| < 2**63, k = a.shape[-1]
-    the contraction length: each product is then at most max|a| * max|b|
-    in magnitude, so every partial sum of a @ b is below 2**63; else None.
-    A product with a vector is left to Python ints: its k*n products cost
-    about what reading the entries for the bound does."""
-    if not all(isinstance(x, np.ndarray) and x.dtype == object
-               and x.ndim >= 2 and x.size for x in (a, b)):
-        return None
-    fa, fb = a.ravel().tolist(), b.ravel().tolist()
-    if {*map(type, fa), *map(type, fb)} != {int}:
-        return None
-    if a.shape[-1] * max(map(abs, fa)) * max(map(abs, fb)) >= 2 ** 63:
-        return None
-    return a.astype(np.int64), b.astype(np.int64)
+# Two residues below 2**27 multiply to less than 2**54, and MAX_DIM = 128
+# such products, the longest sum a per-point @ makes, stay below 2**61.
+PRIME_TOP = 2 ** 27
 
 
-def matmul(a, b):
-    """a @ b, exactly.  Python-int matrices within the int64 bound of
-    ``_int64_operands`` are multiplied as int64 copies, and the result
-    comes back as Python ints.  Any other operands go through a @ b
-    unchanged."""
-    ops = _int64_operands(a, b)
-    return a @ b if ops is None else (ops[0] @ ops[1]).astype(object)
+class ResidueStack:
+    """int64 residues modulo q of a stack of points, one per index of the
+    first axis: a number (B,), vector (B, n) or matrix (B, n, n) each.
+    q = 0 is int64's own wrapping arithmetic, exact modulo 2**64; an odd
+    prime q < PRIME_TOP reduces each result into [0, q), so no sum
+    reaches 2**63.  +, - and * take a stack of the same q, whose fewer
+    axes hold one entry per point, or an int in int64's range; @ is each
+    point's vector or matrix product, ``sum`` and ``trace`` each point's.
+    No result drops the point axis, so none is a numpy scalar, whose
+    overflow would warn."""
+
+    __slots__ = ("x", "q")
+    __array_ufunc__ = None
+
+    def __init__(self, x: np.ndarray, q: int):
+        self.x, self.q = (x % q if q else x), q
+
+    def _with(self, other, op):
+        if isinstance(other, int):
+            return ResidueStack(op(self.x, other % self.q if self.q else other), self.q)
+        if not isinstance(other, ResidueStack):
+            return NotImplemented
+        x, y = self.x, other.x
+        return ResidueStack(op(x.reshape(x.shape + (1,) * (y.ndim - x.ndim)),
+                               y.reshape(y.shape + (1,) * (x.ndim - y.ndim))), self.q)
+
+    def __add__(self, other):
+        return self._with(other, np.add)
+
+    def __mul__(self, other):
+        return self._with(other, np.multiply)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return ResidueStack(-self.x, self.q)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __matmul__(self, other):
+        if not isinstance(other, ResidueStack):
+            return NotImplemented
+        a, b = self.x, other.x
+        out = (a[:, None] if a.ndim == 2 else a) @ (b[..., None] if b.ndim == 2 else b)
+        out = out[..., 0] if b.ndim == 2 else out
+        return ResidueStack(out[:, 0] if a.ndim == 2 else out, self.q)
+
+    def sum(self):
+        return ResidueStack(self.x.reshape(len(self.x), -1).sum(axis=1), self.q)
+
+    def trace(self):
+        return ResidueStack(np.trace(self.x, axis1=1, axis2=2), self.q)
+
+
+@lru_cache(maxsize=None)
+def _prime(i: int) -> int:
+    """The (i + 1)-th largest odd prime below PRIME_TOP."""
+    p = (_prime(i - 1) if i else PRIME_TOP + 1) - 2
+    while any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
+        p -= 2
+    return p
+
+
+def moduli(bound: int) -> tuple:
+    """The fewest primes below PRIME_TOP, largest first, whose product M
+    with 2**64 exceeds 2 * bound: an integer of magnitude at most
+    ``bound`` is then the one of -M/2 < x < M/2 with its residues."""
+    out, M = [], 2 ** 64
+    while 2 * bound >= M:
+        out.append(_prime(len(out)))
+        M *= out[-1]
+    return tuple(out)
+
+
+def lift(channels) -> np.ndarray:
+    """The object array of the integers -M/2 < x < M/2 with the residues
+    of ``channels``, stacks of one shape modulo 2**64 and then modulo the
+    primes of ``moduli``, M their product (Garner's method); for
+    ``QSqrt3Array`` pairs of stacks, each channel lifted and joined."""
+    if isinstance(channels[0], QSqrt3Array):
+        return QSqrt3Array(lift([c.r for c in channels]),
+                           lift([c.s for c in channels])).join()
+    x, M = channels[0].x.astype(object) % 2 ** 64, 2 ** 64
+    for c in channels[1:]:
+        x = x + M * ((c.x.astype(object) - x) * pow(M, -1, c.q) % c.q)
+        M *= c.q
+    return np.where(2 * x >= M, x - M, x)
 
 
 def _as_pair(x):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from eigencubic import algebra, cubics, identities
 from eigencubic.algebra import MetrisedAlgebra
-from eigencubic.cubics import (CATALOG, CubicForm, Jet, _Sqrt3Jet, cartan_cubic,
-                               catalog_build, trivial_cubic)
+from eigencubic.cubics import CATALOG, CubicForm, cartan_cubic, catalog_build, trivial_cubic
 from eigencubic.identities import (DEFAULT_BOUND, DEFAULT_TRIALS, EICONAL,
                                    MAX_TRIES, RADIAL, TRACE2, TRACE3,
                                    ConeSampleReport, _proportional_float,
@@ -472,65 +472,138 @@ def test_exact_sides_match_the_per_point_loop(monkeypatch, name):
             assert repr(got) == repr(hsiang) and hsiang[0] == 0 != hsiang[1]
 
 
-def test_int64_jet_bound_at_random_points():
-    # sum|m| (10^6 - 1)^2 < 2**63 takes int64; the least sum above it does
-    # not, on either sqrt(3) channel; at the largest point the gradient
-    # entry reaches the bound and is exact in int64
-    R = DEFAULT_BOUND - 1
-    top = -(-2 ** 63 // (R * R))
-    ijk = np.array([[0], [1], [2]], dtype=np.intp)
+def _count_moduli(monkeypatch):
+    """A list that records len(moduli(bound)) at each call from identities."""
+    counts = []
+    real = identities.moduli
 
-    def jet(m, s=None):
-        r = Jet(1, ijk, np.array([m], dtype=object))
-        if s is None:
-            return r
-        return _Sqrt3Jet(1, ijk, r.m, Jet(1, ijk, np.array([s], dtype=object)))
-
-    below = identities._int64_jet(jet(top - 1), R * R)
-    assert below.m.dtype == np.int64
-    for above in (jet(top), jet(-top), jet(1, top), jet(top, 1)):
-        assert identities._int64_jet(above, R * R) is above
-    P = np.full((1, 3), R, dtype=np.int64)
-    assert below.gradient(P).tolist() == [[(top - 1) * R * R, 0, 0]]
-
-
-@pytest.mark.parametrize("name", ["clifford-q1", "complexified-d2", "cartan-d4"])
-def test_random_checks_past_the_int64_bound(monkeypatch, name):
-    # u scaled so that sum|m| (10^6 - 1)^2 >= 2**63 runs its gradient and
-    # Hessian stacks on Python ints, and still gives lam^2 times each
-    # constant, and a zero Hsiang residual at lam^2 theta
-    u = catalog_build(name)
-    lam = 10 ** 9
-    big = u.scaled(lam)
-    jet = big.jet(exact=True)
-    assert sum(abs(v) for v in jet.m.tolist()) * (DEFAULT_BOUND - 1) ** 2 >= 2 ** 63
-    small = [check(u, "random", seed=1) for check in IDENTITY_CHECKS]
-    theta = small[0].constant
-    paths = []
-    real = identities._int64_jet
-
-    def spy(j, factor):
-        out = real(j, factor)
-        paths.append(out.m.dtype)
+    def spy(bound):
+        out = real(bound)
+        counts.append(len(out))
         return out
 
-    monkeypatch.setattr(identities, "_int64_jet", spy)
-    for check, want in zip(IDENTITY_CHECKS, small):
-        got = check(big, "random", seed=1)
-        assert got.passed == want.passed
-        if want.passed:
-            assert got.constant == lam * lam * want.constant
-            assert type(got.constant) is type(want.constant)
-    assert paths and all(dtype == object for dtype in paths)
-    # the Hsiang points' numerators are at most 9, so only a much larger
-    # scale leaves int64 there
-    for scale, dtype in ((lam, np.int64), (lam ** 2, object)):
-        paths.clear()
+    monkeypatch.setattr(identities, "moduli", spy)
+    return counts
+
+
+def test_int64_jet_bound_at_random_points(monkeypatch):
+    # trace2's bound max(4 L^2, n) R^2 at R = 10^6 - 1: the largest L it
+    # keeps below 2**63 takes the int64 channel alone, and one more takes a
+    # prime, on either sqrt(3) channel (L = 3|m_r| + 6|m_s| for a single
+    # monomial); at the largest point every identity's sides are exact
+    R = DEFAULT_BOUND - 1
+    top = math.isqrt((2 ** 63 - 1) // (4 * R * R))
+    assert TRACE2.bound(3, top, R) < 2 ** 63 <= TRACE2.bound(3, top + 1, R)
+    counts = _count_moduli(monkeypatch)
+    P = np.array([[R, R, R], [R, 0, R], [0, 0, 0]], dtype=np.int64)
+    for m, L, k in [(top // 3, top // 3 * 3, 0), (top // 3 + 1, top // 3 * 3 + 3, 1),
+                    (-(top // 3) - 1, top // 3 * 3 + 3, 1),
+                    (QSqrt3(3, (top - 9) // 6), 9 + (top - 9) // 6 * 6, 0),
+                    (QSqrt3(3, (top - 9) // 6 + 1), 15 + (top - 9) // 6 * 6, 1),
+                    (QSqrt3(top // 3 + 1, 1), top // 3 * 3 + 9, 1)]:
+        jet = CubicForm(3, {(0, 1, 2): m}).jet(exact=True)
+        assert identities._l1(jet) == L and (L <= top) is (k == 0)
+        counts.clear()
+        assert list(identities._sides_at(TRACE2.sides, jet, P, TRACE2.bound)) \
+            == _reference_sides(TRACE2, jet, P)
+        assert counts == [k]
+        for ident in (RADIAL, EICONAL, TRACE3):
+            got = list(identities._sides_at(ident.sides, jet, P, ident.bound))
+            assert repr(got) == repr(_reference_sides(ident, jet, P))
+
+
+# moduli beside 2**64 per random check (radial, eiconal, trace2, trace3) and
+# per Hsiang check, for u scaled by 1, 10^9 and 10^18
+MODULUS_COUNTS = {
+    "clifford-q1": ([[2, 1, 0, 1], [6, 4, 2, 4], [9, 6, 4, 8]], [0, 3, 6]),
+    "complexified-d2": ([[3, 2, 0, 1], [6, 4, 2, 5], [9, 6, 5, 8]], [0, 3, 6]),
+    "cartan-d4": ([[3, 2, 0, 2], [6, 4, 3, 5], [10, 6, 5, 8]], [0, 3, 7])}
+
+
+@pytest.mark.parametrize("name", list(MODULUS_COUNTS))
+def test_random_checks_past_the_int64_bound(monkeypatch, name):
+    # u scaled so that its sides pass 2**63 takes more moduli for every
+    # check, and still gives lam^2 times each constant, of the same type,
+    # and a zero Hsiang residual at lam^2 theta
+    u = catalog_build(name)
+    counts = _count_moduli(monkeypatch)
+    small = [check(u, "random", seed=1) for check in IDENTITY_CHECKS]
+    theta = small[0].constant
+    per_scale = [list(counts)]
+    for lam in (10 ** 9, 10 ** 18):
+        counts.clear()
+        for check, want in zip(IDENTITY_CHECKS, small):
+            got = check(u.scaled(lam), "random", seed=1)
+            assert got.passed == want.passed
+            if want.passed:
+                assert got.constant == lam * lam * want.constant
+                assert type(got.constant) is type(want.constant)
+        per_scale.append(list(counts))
+    hsiang = []
+    for scale in (1, 10 ** 9, 10 ** 18):
+        counts.clear()
         alg = MetrisedAlgebra(u.scaled(scale))
         assert alg.check_hsiang_identity(scale * scale * theta, trials=20, seed=1) == 0
-        assert alg.check_hsiang_identity(scale * scale * (theta + 1), trials=20,
-                                         seed=1) != 0
-        assert paths == [dtype, dtype]
+        hsiang += counts
+    assert (per_scale, hsiang) == MODULUS_COUNTS[name]
+
+
+def _plus_seventh(u):
+    """u with its first coefficient + 1/7."""
+    k = min(u.terms)
+    return CubicForm(u.n, {**u.terms, k: u.terms[k] + Fraction(1, 7)})
+
+
+PAST_INT64 = {"x1e9": lambda u: u.scaled(10 ** 9), "x1e18": lambda u: u.scaled(10 ** 18),
+              "xq3": lambda u: u.scaled(QSqrt3(10 ** 9, 10 ** 9)), "+1/7": _plus_seventh}
+
+
+@pytest.mark.parametrize("change", list(PAST_INT64))
+@pytest.mark.parametrize("name", ["clifford-q1", "complexified-d2", "cartan-d4"])
+def test_residue_sides_match_the_per_point_loop_past_int64(name, change):
+    # scaled and mutated forms, whose sides need up to ten primes: every
+    # pair at the random mode's and the Hsiang check's points is the
+    # per-point Python-int loop's (repr), and so are the random constants,
+    # error bounds and Hsiang residuals
+    u = PAST_INT64[change](catalog_build(name))
+    jet = u.jet(exact=True)
+    P = _randbelow(DEFAULT_BOUND, (DEFAULT_TRIALS + 1) * u.n,
+                   random.Random(1)).reshape(-1, u.n)
+    Q = algebra._rational_batch(u.n, 10, random.Random(1))[0]
+    for ident, check in zip((RADIAL, EICONAL, TRACE2, TRACE3), IDENTITY_CHECKS):
+        for points in (P, Q):
+            got = list(identities._sides_at(ident.sides, jet, points, ident.bound))
+            assert repr(got) == repr(_reference_sides(ident, jet, points)), ident.name
+        rep = check(u, "random", seed=1)
+        t = identities._ratio(iter(_reference_sides(ident, jet, P)))
+        if t is not None and (ident.name != "eiconal" or t > 0):
+            assert rep.passed and repr(rep.constant) == repr(t / jet.scale / jet.scale)
+            assert rep.error_bound == (ident.degree / DEFAULT_BOUND) ** DEFAULT_TRIALS
+        else:
+            assert not rep.passed and rep.error_bound == 0.0
+    theta = check_radial(u, "random", seed=1).constant
+    for t in ([theta] if theta is not None else []) + [Fraction(1, 3)]:
+        got = MetrisedAlgebra(u).check_hsiang_identity(t, trials=10, seed=1)
+        want = _reference_hsiang(u, t, 10, 1)
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("name", ["complexified-d8", "cartan-d8"])
+def test_random_checks_wrap_without_warnings(monkeypatch, name):
+    # the int64 channel wraps (the radial sides take primes beside it), and
+    # numpy never warns of an overflow: every operation keeps the point axis
+    u = catalog_build(name)
+    jet = u.jet(exact=True)
+    P = _randbelow(DEFAULT_BOUND, 2 * u.n, random.Random(1)).reshape(2, u.n)
+    counts = _count_moduli(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lhs = [l for l, _ in identities._sides_at(RADIAL.sides, jet, P, RADIAL.bound)]
+        reports = [check(u, "random", seed=1) for check in IDENTITY_CHECKS]
+        theta = reports[0].constant
+        assert MetrisedAlgebra(u).check_hsiang_identity(theta, seed=1) == 0
+    assert all(abs(l) >= 2 ** 63 for l in lhs) and counts[0] >= 1
+    assert reports[0].passed and reports[3].passed
 
 
 @pytest.mark.parametrize("name", ["clifford-q1", "complexified-d2", "cartan-d4"])
@@ -1013,6 +1086,51 @@ def test_sample_cone_trivial_rejections_pinned():
     # every ray of the singular trivial cone is bisected and rejected
     rep = sample_cone(catalog_build("trivial"), 50, 1)
     assert rep.rejected == 5072 and not rep.points
+
+
+def _bisect_all_steps(jet, a, b, ua):
+    """``_bisect`` without its stop: all BISECT_STEPS steps."""
+    lo, hi, sa = a, b, np.sign(ua)
+    for _ in range(identities.BISECT_STEPS):
+        mid = identities._unit(lo + hi)
+        um = identities._values(jet, mid)
+        to_lo = np.sign(um) == sa
+        to_hi = ~to_lo & (um != 0.0)
+        lo = np.where(to_lo[:, None], mid, lo)
+        hi = np.where(to_hi[:, None], mid, hi)
+    return identities._unit(lo + hi)
+
+
+@pytest.mark.parametrize("name, capped", [("trivial", True), ("cartan-d1", False)])
+def test_bisect_stops_at_its_fixed_point(monkeypatch, name, capped):
+    # the trivial cone's rays still move at the last step, so every call
+    # takes all BISECT_STEPS; cartan-d1's calls reach their fixed point
+    # before it; either way each call's points are all the steps', bit
+    # for bit
+    u = catalog_build(name)
+    jet = u.jet(exact=False)
+    rays, steps = [], []
+    real_bisect, real_values = identities._bisect, identities._values
+
+    def keep(jet, a, b, ua):
+        rays.append((a.copy(), b.copy(), ua.copy()))
+        return real_bisect(jet, a, b, ua)
+
+    monkeypatch.setattr(identities, "_bisect", keep)
+    sample_cone(u, 10, 1)
+    monkeypatch.setattr(identities, "_values",
+                        lambda jet, X: steps.append(1) or real_values(jet, X))
+    counts = []
+    for a, b, ua in rays:
+        steps.clear()
+        got = real_bisect(jet, a, b, ua)
+        counts.append(len(steps))
+        assert got.tobytes() == _bisect_all_steps(jet, a, b, ua).tobytes()
+    assert rays
+    if capped:
+        assert counts == [identities.BISECT_STEPS] * len(rays)
+    else:
+        assert max(counts) < identities.BISECT_STEPS
 
 
 def test_sample_cone_cartan():

@@ -8,8 +8,8 @@ import pytest
 from eigencubic.cubics import catalog_build
 from eigencubic.identities import CheckReport
 from eigencubic.poly import Poly, PolyArray
-from eigencubic.scalars import (QSqrt3, QSqrt3Array, SQRT3, _int64_operands,
-                                format_rational, is_exact, joined, matmul,
+from eigencubic.scalars import (PRIME_TOP, QSqrt3, QSqrt3Array, ResidueStack, SQRT3,
+                                format_rational, is_exact, joined, lift, moduli,
                                 parse_rational)
 from polyref import joined_terms, to_polys
 
@@ -228,7 +228,19 @@ def test_pair_of_poly_arrays():
     assert isinstance(r2 * (P @ P), QSqrt3Array)
 
 
-# -- matmul: int64 where k * max|a| * max|b| < 2**63 proves it exact ------------
+# -- ResidueStack: int64 residues per point, lifted by CRT -----------------------
+
+def _residues(x, q):
+    """The Python ints of x as the ResidueStack of their residues modulo q
+    (modulo 2**64, as int64, for q = 0)."""
+    r = [v % (q or 2 ** 64) for v in np.ravel(x).tolist()]
+    return ResidueStack(np.array(r, dtype=np.uint64).view(np.int64).reshape(np.shape(x)), q)
+
+
+def _stacks(x, bound):
+    """x's stacks modulo 2**64 and each prime of ``moduli(bound)``."""
+    return [_residues(x, q) for q in (0,) + moduli(bound)]
+
 
 def _extreme(rows, cols, top, rng):
     """A rows x cols object matrix of Python ints in [-top, top] whose
@@ -242,36 +254,81 @@ def _extreme(rows, cols, top, rng):
 # 2**63 - 1 = 7 * 21870289 * 60247241209 and 2**63 = 8 * 2**30 * 2**30;
 # a's first row times b's first column reaches k * max|a| * max|b| exactly,
 # and a's first dimension differs from k
-@pytest.mark.parametrize("k, top_a, top_b, int64", [
-    (7, 21870289, 60247241209, True), (8, 2 ** 30, 2 ** 30, False)],
+@pytest.mark.parametrize("k, top_a, top_b, primes", [
+    (7, 21870289, 60247241209, 0), (8, 2 ** 30, 2 ** 30, 1)],
     ids=["2**63-1", "2**63"])
-def test_matmul_int64_bound_is_exact_at_the_edge(k, top_a, top_b, int64):
+def test_matmul_int64_bound_is_exact_at_the_edge(k, top_a, top_b, primes):
+    # two points' products: a bound of 2**63 - 1 = M/2 - 1 (M = 2**64)
+    # keeps the int64 channel alone, 2**63 adds one prime, and both lift
+    # to the Python-int products
     rng = random.Random(15)
-    a = _extreme(3, k, top_a, rng)
-    b = _extreme(2, k, top_b, rng).T.copy()
-    assert k * top_a * top_b == 2 ** 63 - int64
-    assert (_int64_operands(a, b) is not None) is int64
-    got, want = matmul(a, b), a @ b
-    assert want[0, 0] == k * top_a * top_b
-    assert got.dtype == object and got.shape == want.shape
-    assert got.tolist() == want.tolist()
-    assert {type(x) for x in got.ravel()} == {int}
+    a = np.stack([_extreme(3, k, top_a, rng) for _ in range(2)])
+    b = np.stack([_extreme(2, k, top_b, rng).T for _ in range(2)])
+    bound = k * top_a * top_b
+    assert bound == 2 ** 63 - 1 + primes and len(moduli(bound)) == primes
+    want = a @ b
+    assert want[0, 0, 0] == want[1, 0, 0] == bound
+    got = lift([x @ y for x, y in zip(_stacks(a, bound), _stacks(b, bound))])
+    assert got.dtype == object and got.tolist() == want.tolist()
+    assert {type(v) for v in got.ravel()} == {int}
 
 
-def test_matmul_takes_the_plain_path_off_python_int_matrices():
+@pytest.mark.parametrize("k", range(4))
+def test_moduli_take_one_more_prime_at_half_their_product(k):
+    # M = 2**64 times the first k primes: a bound of M/2 - 1 takes k primes,
+    # M/2 takes k + 1, and +-(M/2 - 1) lift exactly from their residues
+    primes = moduli(2 ** 300)
+    assert list(primes) == sorted(set(primes), reverse=True)
+    assert all(p < PRIME_TOP and p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+               for p in primes)
+    M = 2 ** 64 * math.prod(primes[:k])
+    assert moduli(M // 2 - 1) == primes[:k]
+    assert moduli(M // 2) == primes[:k + 1]
+    edge = np.array([M // 2 - 1, -(M // 2 - 1), 0, -1], dtype=object)
+    assert lift(_stacks(edge, M // 2 - 1)).tolist() == edge.tolist()
+
+
+def _wrapped(x, q):
+    """Python ints as the residues a ResidueStack of modulus q holds."""
+    return _residues(np.array(x, dtype=object), q).x.tolist()
+
+
+# PRIME_TOP - 39 is the largest prime below PRIME_TOP
+@pytest.mark.parametrize("q", [0, PRIME_TOP - 39], ids=["2**64", "prime"])
+def test_residue_stack_acts_per_point(q):
+    # every operation of the identity sides on stacks of three points is
+    # each point's own Python-int operation, reduced modulo q; the entries
+    # are near 2**40, so the int64 channel wraps
     rng = random.Random(16)
-    a, b = _ints(rng, 3, 4), _ints(rng, 4, 2)
-    assert _int64_operands(a, b) is not None
-    x = np.array([Poly.var(4, i) for i in range(4)], dtype=object)
-    half = a.copy()
-    half[1, 2] = Fraction(1, 2)
-    for lhs, rhs in [(half, b), (b.T.copy(), half.T.copy()),
-                     (np.outer(x, x), b), (a, np.outer(x, x)),
-                     (a.astype(float), b.astype(float)), (a, b[:, 0].copy())]:
-        assert _int64_operands(lhs, rhs) is None
-        got, want = matmul(lhs, rhs), lhs @ rhs
-        assert np.all(np.asarray(got == want, dtype=bool))
-        assert [type(e) for e in np.ravel(got)] == [type(e) for e in np.ravel(want)]
+    big = 2 ** 40
+
+    def ints(*shape):
+        return _ints(rng, *shape) * big + _ints(rng, *shape)
+
+    B, n = 3, 4
+    r, g, H, K = ints(B), ints(B, n), ints(B, n, n), ints(B, n, n)
+    rs, gs, Hs, Ks = (_residues(x, q) for x in (r, g, H, K))
+    per_point = [
+        (gs @ gs, [x @ x for x in g]), (Hs @ gs, [A @ x for A, x in zip(H, g)]),
+        (gs @ Hs, [x @ A for A, x in zip(H, g)]), (Hs @ Ks, [A @ C for A, C in zip(H, K)]),
+        (Hs * Ks, H * K), (rs * Hs, [t * A for t, A in zip(r, H)]),
+        (Hs * rs, [A * t for t, A in zip(r, H)]), (Hs + Ks, H + K), (Hs - Ks, H - K),
+        (rs - rs * rs, [t - t * t for t in r]), (3 * Hs, 3 * H), (Hs * -big, H * -big),
+        (Hs.sum(), [A.sum() for A in H]), (Hs.trace(), [A.trace() for A in H]),
+        (-gs, -g), (Hs * 7, H * 7)]
+    for got, want in per_point:
+        assert isinstance(got, ResidueStack) and got.q == q
+        assert got.x.dtype == np.int64 and got.x.shape == np.shape(np.array(list(want)))
+        assert got.x.tolist() == _wrapped(list(want), q)
+    # a pair of stacks is the pair of each channel's product
+    pair = QSqrt3Array(Hs, Ks) @ QSqrt3Array(Ks, Hs)
+    assert pair.r.x.tolist() == _wrapped([A @ C + 3 * (C @ A) for A, C in zip(H, K)], q)
+    assert pair.s.x.tolist() == _wrapped([A @ A + C @ C for A, C in zip(H, K)], q)
+    # no other operand: not a float, a Fraction or a plain array
+    for other in (0.5, Fraction(1, 2), np.ones((B, n, n), dtype=np.int64)):
+        for op in (lambda x, y: x * y, lambda x, y: y + x, lambda x, y: x @ y):
+            with pytest.raises(TypeError):
+                op(Hs, other)
 
 
 # -- a pair of PolyArrays, the exact mode's Hessian ----------------------------
@@ -285,6 +342,6 @@ def test_matmul_of_a_poly_array_pair_is_the_joined_product():
     H = u.jet(exact=True).symbolic(u.n)[2]
     assert isinstance(H, QSqrt3Array) and isinstance(H.r, PolyArray)
     P = to_polys(H.r) + to_polys(H.s) * SQRT3
-    got = matmul(H, H)
+    got = H @ H
     assert isinstance(got, QSqrt3Array) and got.r.shape == (u.n, u.n)
     assert joined_terms(got) == [p.terms for p in (P @ P).ravel()]
