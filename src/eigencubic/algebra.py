@@ -17,18 +17,17 @@ exact operation joins it to QSqrt3 entries only where its result leaves
 the kernel: the operators L_{e_i} of ``multiplication_rank``, the Hsiang
 residual at a point and a nonzero weak-associativity difference.
 
-Both checks run whole batches of points through the kernel.  The points'
-numerators lie in [-9, 9], which bounds every sum before any arithmetic.
-Weak associativity takes batches of triples on int64 copies of the jet's
-arrays where ``identities._int64_jet`` proves that no sum can overflow
-(``WEAK_DIFF_FACTOR``), and on its Python ints beyond that bound.  The
-Hsiang check evaluates its points through ``identities._sides_at``, as
-the random identity checks do: the radial sides of a block on int64
-residue stacks, modulo 2**64 and as many primes as the radial bound
-needs at |x| <= 9 (none for a catalog form), lifted to Python ints.
-Both checks draw their points in one vectorised pass that reproduces the
-stream of one ``random.randint`` per coordinate, so their residuals do
-not depend on how the points are drawn.
+Both checks run whole batches of points through the kernel on int64
+residue stacks, modulo 2**64 and as many primes as a bound on their
+results needs, lifted by CRT to Python ints; the points' numerators lie
+in [-9, 9], which bounds every sum before any arithmetic.  The Hsiang
+check evaluates its points through ``identities._sides_at``, as the
+random identity checks do, under the radial bound at |x| <= 9; weak
+associativity runs ``Jet.trilinear`` on the same residue jets, under
+``WEAK_DIFF_FACTOR`` times the jet's L1 norm.  Both checks draw their
+points in one vectorised pass that reproduces the stream of one
+``random.randint`` per coordinate, so their residuals do not depend on
+how the points are drawn.
 
 Idempotents are located by projected gradient ascent of |u| on the unit
 sphere (stationary points have grad u = lambda x), rescaled by 1/(2 lambda),
@@ -56,9 +55,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cubics import CubicForm, Jet, block_rows
-from .identities import (RADIAL, _dots, _int64_jet, _randbelow, _sides_at,
-                         _unit, _values)
-from .scalars import QSqrt3, QSqrt3Array, exact_div, joined
+from .identities import (RADIAL, _dots, _l1, _randbelow, _residue_jet,
+                         _sides_at, _stack, _unit, _values)
+from .scalars import QSqrt3, QSqrt3Array, exact_div, joined, lift, moduli
 
 NEWTON_STEPS = 80
 IDEMPOTENT_RESIDUAL = 1e-10
@@ -68,7 +67,9 @@ PEIRCE_EIGENVALUES = (-1.0, -0.5, 0.5)
 # A weak-associativity triple has numerators in [-9, 9], so one product
 # m x_a (y_b z_c + y_c z_b) of ``Jet.trilinear`` is at most 9 * 2 * 81 |m|
 # in magnitude, and the difference of two contractions at most this
-# factor times sum |m| over the jet's arrays.
+# factor times ``identities._l1``.  Modulo a prime |m| < 2**27, so one
+# product is below 2**38, and a sum over jet.m.size <= 2**21 rotations
+# (n <= MAX_DIM) stays below 2**63.
 WEAK_DIFF_FACTOR = 2 * 9 * 2 * 81
 # The most steps one restart's ascent takes.  Every catalog restart stops
 # on its tangent norm or its line search within 30 steps; the cap only
@@ -213,8 +214,7 @@ class MetrisedAlgebra:
         X, dens = _rational_batch(self.n, trials, rng)
         worst = Fraction(0)
         c = theta * D * D
-        for (lhs, rhs), d in zip(_sides_at(RADIAL.sides, jet, X, RADIAL.bound),
-                                 dens.tolist()):
+        for (lhs, rhs), d in zip(_sides_at(RADIAL, jet, X), dens.tolist()):
             diff = lhs - c * rhs
             if isinstance(diff, QSqrt3) and not diff.b:
                 diff = diff.a           # as joining the channel pair gives it
@@ -232,31 +232,32 @@ class MetrisedAlgebra:
         ``Jet.trilinear``, not an axiom the form could fail.
 
         The triples run through ``Jet.trilinear`` in batches of at most
-        ``cubics.BLOCK`` products, on int64 arrays when ``_int64_jet``
-        proves that no sum can overflow, else on Python ints.  Only the
-        nonzero differences become exact scalars, in trial order, so the
-        result is the one a loop over single triples gives, in value and
-        in type.
+        ``cubics.BLOCK`` products, on the residue jets modulo 2**64 and
+        each prime of ``moduli(WEAK_DIFF_FACTOR * _l1(jet))``.  Only a
+        block with a nonzero residue is lifted, and only its nonzero
+        differences become exact scalars, in trial order, so the result
+        is the one a loop over single triples gives, in value and in type.
         """
         rng = random.Random(seed)
-        jet = _int64_jet(self.form.jet(exact=True), WEAK_DIFF_FACTOR)
+        jet = self.form.jet(exact=True)
         X, dx = _rational_batch(self.n, trials, rng)
         Y, dy = _rational_batch(self.n, trials, rng)
         Z, dz = _rational_batch(self.n, trials, rng)
-        if jet.m.dtype == object:
-            X, Y, Z = X.astype(object), Y.astype(object), Z.astype(object)
         dens = (dx * dy * dz).tolist()
+        qs = (0,) + moduli(WEAK_DIFF_FACTOR * _l1(jet))
+        jets = [_residue_jet(jet, q) for q in qs]
         step = block_rows(jet.m.size)
         worst = Fraction(0)
         for start in range(0, trials, step):
             x, y, z = (P[start:start + step] for P in (X, Y, Z))
-            diff = jet.trilinear(x, y, z) - jet.trilinear(y, z, x)
-            if not isinstance(diff, QSqrt3Array):
-                diff = QSqrt3Array(diff, np.zeros_like(diff))
-            r, s = diff.r, diff.s
-            for i in np.flatnonzero((r != 0) | (s != 0)):
-                v = joined(QSqrt3Array(int(r[i]), int(s[i])))
-                worst = max(worst, abs(v / Fraction(jet.scale * dens[start + i])))
+            diffs = [_stack(j.trilinear(x, y, z) - j.trilinear(y, z, x), q)
+                     for j, q in zip(jets, qs)]
+            if not any(c.x.any() for d in diffs
+                       for c in ((d.r, d.s) if isinstance(d, QSqrt3Array) else (d,))):
+                continue
+            for i, v in enumerate(lift(diffs).tolist()):
+                if v:
+                    worst = max(worst, abs(v / Fraction(jet.scale * dens[start + i])))
         return worst
 
 

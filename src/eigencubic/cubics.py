@@ -232,10 +232,9 @@ class Jet:
     point * n^2 + a * n + b), which adds into each entry in column order,
     so every result is summed as the single point's is and equals it bit
     for bit, on every dtype.
-    The arrays may be int64 copies where the caller has bounded every sum
-    (``identities._int64_jet``, for weak associativity), or int64
-    residues of m modulo 2**64 or a prime (``identities._residue_jet``,
-    for the exact point checks of ``identities._sides_at``).
+    The arrays may be int64 residues of m modulo 2**64 or a prime
+    (``identities._residue_jet``), for the exact point checks and weak
+    associativity.
     """
     scale: float
     ijk: np.ndarray

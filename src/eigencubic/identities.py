@@ -42,7 +42,9 @@ draws its points in the same blocks, one ``_randbelow`` call per block
 (the stream of one ``randrange`` per coordinate), so memory stays
 O(block) for any ``trials`` and no block after the first that refutes t
 is drawn.  The Hsiang check of ``algebra`` and the cone sampler's mean
-curvatures (``_curvatures``) run their points through the same function.
+curvatures (``_curvatures``) run their points through the same function,
+and ``algebra``'s weak associativity its triples through the same
+residue jets (``_residue_jet``, ``_stack``).
 
 Policy: exact expansion for n <= 15, randomized above, both overridable.
 """
@@ -135,16 +137,6 @@ def _randbelow(width: int, count: int, rng: random.Random) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _int64_jet(jet: Jet, factor: int) -> Jet:
-    """``jet`` on int64 copies of its arrays when factor * sum|m| < 2**63
-    on every sqrt(3) channel, else ``jet`` itself, on Python ints.  The
-    caller picks ``factor`` >= 1 so that this bounds every sum it makes."""
-    parts = [jet] if jet.sqrt3 is None else [jet, jet.sqrt3]
-    if any(factor * sum(abs(v) for v in p.m.tolist()) >= 2 ** 63 for p in parts):
-        return jet
-    return _residue_jet(jet, 0)         # below 2**63 the residues are m
-
-
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """<x, y> along the last axis.  Each is the BLAS dot that ``x @ y`` and
     ``np.linalg.norm`` take for one pair of vectors, so each row's comes
@@ -161,8 +153,7 @@ def _l1(jet: Jet) -> int:
 def _residue_jet(jet: Jet, q: int) -> Jet:
     """The exact ``jet`` on int64 residues of its m modulo q (or 2**64)."""
     def mod(m):
-        return np.array([v % (q or 2 ** 64) for v in m.tolist()],
-                        dtype=np.uint64).view(np.int64)
+        return (m % (q or 2 ** 64)).astype(np.uint64).view(np.int64)
     sqrt3 = None if jet.sqrt3 is None else replace(jet.sqrt3, m=mod(jet.sqrt3.m))
     return replace(jet, m=mod(jet.m), sqrt3=sqrt3)
 
@@ -187,47 +178,41 @@ def _residue_pieces(jet: Jet, X: np.ndarray, q: int) -> Tuple:
     return x @ g * pow(3, -1, q), g, H, x @ x
 
 
-def _any_bound(n: int, L: int, R: int) -> int:
-    """The largest of the four identities' bounds."""
-    return max(i.bound(n, L, R) for i in (RADIAL, EICONAL, TRACE2, TRACE3))
-
-
-def _sides_at(sides: Callable, jet: Jet, P: np.ndarray,
-              bound: Callable = _any_bound) -> Iterator[Tuple]:
-    """The joined (lhs, rhs) of ``sides`` at each row of the point stack P,
-    in row order, in blocks of ``block_rows`` of an n x n Hessian or one
-    product per monomial rotation; lazy, so a caller that stops early
-    evaluates no further block.
+def _sides_at(ident: _Identity, jet: Jet, P: np.ndarray) -> Iterator[Tuple]:
+    """The joined (lhs, rhs) of ``ident.sides`` at each row of the point
+    stack P, in row order, in blocks of ``block_rows`` of an n x n Hessian
+    or one product per monomial rotation; lazy, so a caller that stops
+    early evaluates no further block.
 
     On a float ``jet`` (P float64) the value, gradient and Hessian of a
     block are one stack each and |p|^2 one ``_dots``, each row the single
-    point's bit for bit.  On an exact jet (P int64) ``sides`` runs on the
+    point's bit for bit.  On an exact jet (P int64) the sides run on the
     block's ``_residue_pieces`` modulo 2**64 and each prime of
-    ``moduli(bound(n, _l1(jet), max|P|))``, and ``lift`` gives each side
-    as the Python int (or QSqrt3) a single point gives.
+    ``moduli(ident.bound(n, _l1(jet), max|P|))``, and ``lift`` gives each
+    side as the Python int (or QSqrt3) a single point gives.
     """
     n = P.shape[-1]
     rows = block_rows(max(n ** 2, jet.m.size))
     exact = jet.m.dtype == object
     if exact:
-        qs = (0,) + moduli(bound(n, _l1(jet), int(np.abs(P).max(initial=0))))
+        qs = (0,) + moduli(ident.bound(n, _l1(jet), int(np.abs(P).max(initial=0))))
         jets = [_residue_jet(jet, q) for q in qs]
     for start in range(0, len(P), rows):
         B = P[start:start + rows]
         if exact:
-            per_q = [sides(*_residue_pieces(j, B, q)) for j, q in zip(jets, qs)]
+            per_q = [ident.sides(*_residue_pieces(j, B, q)) for j, q in zip(jets, qs)]
             yield from zip(*(lift(side) for side in zip(*per_q)))
         else:
             pieces = jet.value(B), jet.gradient(B), jet.hessian(B), _dots(B, B)
-            yield from (sides(v, g, H, r2) for v, g, H, r2 in zip(*pieces))
+            yield from (ident.sides(v, g, H, r2) for v, g, H, r2 in zip(*pieces))
 
 
-def _proportional_float(sides: Callable, jet: Jet, n: int, seed: int):
-    """t with lhs = t * rhs for ``sides`` at FLOAT_TRIALS Gaussian points
+def _proportional_float(ident: _Identity, jet: Jet, n: int, seed: int):
+    """t with lhs = t * rhs for ``ident`` at FLOAT_TRIALS Gaussian points
     in R^n on the float ``jet``, or None; raises ValueError where float64
     overflows, rather than failing the identity."""
     P = np.random.default_rng(seed).standard_normal((FLOAT_TRIALS, n))
-    ls, rs = np.array(list(_sides_at(sides, jet, P)), dtype=float).T
+    ls, rs = np.array(list(_sides_at(ident, jet, P)), dtype=float).T
     denom = float(np.dot(rs, rs))
     t = float(np.dot(ls, rs)) / denom if denom >= 1e-30 else 0.0
     if not np.isfinite([*ls, *rs, denom, t]).all():
@@ -311,12 +296,11 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
         rows = block_rows(max(u.n ** 2, jet.m.size))
         for start in range(0, trials + 1, rows):
             k = min(rows, trials + 1 - start)
-            yield from _sides_at(ident.sides, jet,
-                                 _randbelow(DEFAULT_BOUND, k * u.n, rng).reshape(k, u.n),
-                                 ident.bound)
+            yield from _sides_at(ident, jet,
+                                 _randbelow(DEFAULT_BOUND, k * u.n, rng).reshape(k, u.n))
 
     if m == "float":
-        t = _proportional_float(ident.sides, jet, u.n, seed)
+        t = _proportional_float(ident, jet, u.n, seed)
     elif m == "exact":
         t = _expanded_ratio(*ident.sides(*jet.symbolic(u.n)))
     else:
@@ -460,7 +444,7 @@ def _curvatures(jet: Jet, X: np.ndarray, grad_threshold: float) -> List[Optional
     gn = np.sqrt(_dots(G, G))
     keep = np.flatnonzero(~(gn < grad_threshold * jet.scale))
     out = [None] * len(X)
-    for i, (lhs, _) in zip(keep, _sides_at(RADIAL.sides, jet, P[keep])):
+    for i, (lhs, _) in zip(keep, _sides_at(RADIAL, jet, P[keep])):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             h = float(lhs / gn[i] ** 3 / nx[i])
         out[i] = h if math.isfinite(h) else None

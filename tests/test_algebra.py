@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -6,17 +7,21 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eigencubic import algebra, cubics
+from eigencubic import algebra, cubics, identities
 from eigencubic.algebra import MetrisedAlgebra, _newton_step
 from eigencubic.cubics import (CATALOG, CubicForm, Jet, _Sqrt3Jet, cartan_cubic,
                                catalog_build, trivial_cubic)
 from eigencubic.identities import check_radial
-from eigencubic.scalars import QSqrt3, joined
+from eigencubic.scalars import QSqrt3, joined, moduli
 from formref import gradient, polarize
 from rotations import rotate_by_substitution
 
 DIM3 = catalog_build("clifford-q0")
 ALG3 = MetrisedAlgebra(DIM3)
+
+# the largest L = identities._l1(jet) whose weak-associativity differences
+# stay below 2**63, an odd number
+TOP = (2 ** 63 - 1) // algebra.WEAK_DIFF_FACTOR
 
 E1 = [Fraction(1), Fraction(0), Fraction(0)]
 E2 = [Fraction(0), Fraction(1), Fraction(0)]
@@ -695,10 +700,13 @@ def test_rational_batch_keeps_the_randint_stream(seed):
 
 @pytest.mark.parametrize("name", list(CATALOG))
 def test_batched_trilinear_matches_single_triples(name):
-    # the int64 copy and the Python-int jet, on a batch of triples, against
-    # one Python-int triple at a time, on each sqrt(3) channel
+    # the int64 residue jet modulo 2**64, which no catalog form's weak
+    # associativity needs a prime beside, and the Python-int jet, on a
+    # batch of triples, against one Python-int triple at a time, on each
+    # sqrt(3) channel
     jet = catalog_build(name).jet(exact=True)
-    fast = algebra._int64_jet(jet, algebra.WEAK_DIFF_FACTOR)
+    assert moduli(algebra.WEAK_DIFF_FACTOR * identities._l1(jet)) == ()
+    fast = identities._residue_jet(jet, 0)
     assert fast.m.dtype == np.int64
     rng = random.Random(13)
     X, Y, Z = (algebra._rational_batch(jet.ijk.max() + 1, 30, rng)[0]
@@ -727,54 +735,80 @@ def _unrotated_jet(sqrt3: bool) -> Jet:
                      Jet(6, ijk, np.array([5, -7], dtype=object)))
 
 
+def _count_moduli(monkeypatch):
+    """A list that records len(moduli(bound)) at each call from algebra."""
+    counts = []
+
+    def spy(bound):
+        out = moduli(bound)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(algebra, "moduli", spy)
+    return counts
+
+
 @pytest.mark.parametrize("chunk", [cubics.BLOCK, 7])
 @pytest.mark.parametrize("sqrt3", [False, True])
 def test_weak_associativity_paths_agree(monkeypatch, sqrt3, chunk):
-    # a nonzero residual, equal in value and type on the int64 path, on the
-    # Python-int path and in the one-triple-at-a-time reference
+    # a nonzero residual, equal in value and type modulo 2**64 alone, with
+    # six primes beside it and in the one-triple-at-a-time reference; no
+    # residue product warns of an overflow
     jet = _unrotated_jet(sqrt3)
     monkeypatch.setattr(cubics, "BLOCK", chunk)
     monkeypatch.setattr(CubicForm, "jet", lambda self, exact: jet)
     alg = MetrisedAlgebra(CubicForm(3, {}))
-    fast = alg.weak_associativity_max_residual(trials=200, seed=5)
+    counts = _count_moduli(monkeypatch)
     want = _weak_loop(jet, 3, 200, 5)
-    monkeypatch.setattr(algebra, "_int64_jet", lambda j, factor: j)
-    slow = alg.weak_associativity_max_residual(trials=200, seed=5)
-    assert fast == slow == want != 0
-    assert type(fast) is type(slow) is type(want) is (QSqrt3 if sqrt3 else Fraction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = alg.weak_associativity_max_residual(trials=200, seed=5)
+        monkeypatch.setattr(algebra, "moduli", lambda bound: moduli(2 ** 200))
+        primes = alg.weak_associativity_max_residual(trials=200, seed=5)
+    assert counts == [0] and len(moduli(2 ** 200)) == 6
+    assert fast == primes == want != 0
+    assert type(fast) is type(primes) is type(want) is (QSqrt3 if sqrt3 else Fraction)
 
 
-@pytest.mark.parametrize("u", [
-    CubicForm(3, {(0, 0, 0): Fraction(10 ** 40), (0, 1, 2): Fraction(1, 3)}),
-    CubicForm(3, {(0, 0, 0): 1e40, (0, 1, 2): 0.1, (1, 1, 1): 3.0})],
+@pytest.mark.parametrize("u, primes", [
+    (CubicForm(3, {(0, 0, 0): Fraction(10 ** 40), (0, 1, 2): Fraction(1, 3)}), 4),
+    (CubicForm(3, {(0, 0, 0): 1e40, (0, 1, 2): 0.1, (1, 1, 1): 3.0}), 6)],
     ids=["rational", "float"])
-def test_weak_associativity_huge_coefficient_runs_on_python_ints(u):
-    alg = MetrisedAlgebra(u)
-    jet = u.jet(exact=True)
-    assert algebra._int64_jet(jet, algebra.WEAK_DIFF_FACTOR) is jet
-    got = alg.weak_associativity_max_residual(trials=100, seed=6)
+def test_weak_associativity_huge_coefficient_takes_primes(monkeypatch, u, primes):
+    # L = 9 * 10^40 + 3 and, for the float form (0.1 as a binary fraction,
+    # D = 2**55), L near 2**190 take four and six primes beside 2**64;
+    # every residue product stays in int64 without a warning
+    counts = _count_moduli(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = MetrisedAlgebra(u).weak_associativity_max_residual(trials=100, seed=6)
+    assert counts == [primes]
     assert got == 0 and type(got) is Fraction
 
 
-def test_int64_jet_bound():
-    # WEAK_DIFF_FACTOR * sum|m| < 2**63 takes int64; the least sum above it
-    # does not, on either sqrt(3) channel
-    top = -(-2 ** 63 // algebra.WEAK_DIFF_FACTOR)
+@pytest.mark.parametrize("r, s, primes", [
+    (TOP, None, 0), (TOP + 1, None, 1), (-TOP - 1, None, 1),
+    (TOP - 2 * (TOP // 4), TOP // 4, 0), (TOP + 1 - 2 * (TOP // 4), TOP // 4, 1),
+    (1, TOP // 2, 0), (2, TOP // 2, 1), (2 ** 62, None, 1)],
+    ids=["r=TOP", "r=TOP+1", "r=-TOP-1", "r+2s=TOP", "r+2s=TOP+1", "1+2s=TOP",
+         "2+2s=TOP+1", "r=2**62"])
+def test_weak_associativity_moduli_edge(monkeypatch, r, s, primes):
+    # WEAK_DIFF_FACTOR * L < 2**63 takes 2**64 alone, and the least L above
+    # it one prime, on either sqrt(3) channel (L = |r| + 2|s| for a single
+    # rotation); the triple that reaches the bound, whose two contractions
+    # are +-1458 m, gives the exact difference on both routes, also where
+    # it is 2916 * 2**62 = 729 * 2**64, whose residue modulo 2**64 is 0
     ijk = np.array([[0], [1], [2]], dtype=np.intp)
-
-    def jet(m, s=None):
-        r = Jet(1, ijk, np.array([m], dtype=object))
-        if s is None:
-            return r
-        return _Sqrt3Jet(1, ijk, r.m, Jet(1, ijk, np.array([s], dtype=object)))
-
-    below = algebra._int64_jet(jet(1 - top), algebra.WEAK_DIFF_FACTOR)
-    assert below.m.dtype == np.int64
-    for above in (jet(top), jet(-top), jet(1, top), jet(top, 1)):
-        assert algebra._int64_jet(above, algebra.WEAK_DIFF_FACTOR) is above
-    # the triple that reaches the bound: the two contractions are
-    # +-1458 m, and their difference is exact in int64
-    x, y, z = (np.array(p, dtype=np.int64)
-               for p in ((9, 9, 9), (-9, 9, 9), (9, 9, 9)))
-    diff = below.trilinear(x, y, z) - below.trilinear(y, z, x)
-    assert int(diff) == algebra.WEAK_DIFF_FACTOR * (1 - top)
+    jet = Jet(1, ijk, np.array([r], dtype=object))
+    if s is not None:
+        jet = _Sqrt3Jet(1, ijk, jet.m, Jet(1, ijk, np.array([s], dtype=object)))
+    monkeypatch.setattr(CubicForm, "jet", lambda self, exact: jet)
+    triple = itertools.cycle([(9, 9, 9), (-9, 9, 9), (9, 9, 9)])
+    monkeypatch.setattr(algebra, "_rational_batch", lambda n, count, rng: (
+        np.array([next(triple)], dtype=np.int64), np.ones(1, dtype=np.int64)))
+    counts = _count_moduli(monkeypatch)
+    got = MetrisedAlgebra(CubicForm(3, {})).weak_associativity_max_residual(trials=1)
+    assert counts == [primes]
+    m = r if s is None else QSqrt3(r, s)
+    assert got == abs(algebra.WEAK_DIFF_FACTOR * m)
+    assert type(got) is (Fraction if s is None else QSqrt3)

@@ -13,7 +13,8 @@ from eigencubic.algebra import MetrisedAlgebra
 from eigencubic.cubics import CATALOG, CubicForm, cartan_cubic, catalog_build, trivial_cubic
 from eigencubic.identities import (DEFAULT_BOUND, DEFAULT_TRIALS, EICONAL,
                                    MAX_TRIES, RADIAL, TRACE2, TRACE3,
-                                   ConeSampleReport, _proportional_float,
+                                   ConeSampleReport, _Identity,
+                                   _proportional_float,
                                    _randbelow, check_eiconal,
                                    check_harmonic, check_radial, classify,
                                    mean_curvature, sample_cone,
@@ -248,8 +249,8 @@ def test_float_overflow_raises(name):
     for check in IDENTITY_CHECKS:
         assert check(uf.scaled(1e80)).passed == check(uf).passed, check.__name__
     with pytest.raises(ValueError, match="not finite"):
-        _proportional_float(lambda v, g, H, r2: (np.inf, r2), uf.jet(exact=False),
-                            uf.n, seed=0)
+        _proportional_float(_Identity("inf", 2, lambda v, g, H, r2: (np.inf, r2),
+                                      TRACE2.bound), uf.jet(exact=False), uf.n, seed=0)
 
 
 def test_float_constants_outside_float64():
@@ -381,14 +382,16 @@ def _channels(x):
 def test_jet_hessian_takes_a_batch_of_points(name):
     # D^2u at the rows of a (k, n) array equals D^2u at each row: bit for
     # bit on the float jet, and as Python ints on the exact jet at
-    # Python-int points and on its int64 copy, each sqrt(3) channel
+    # Python-int points and on its int64 residue jet modulo 2**64, where
+    # no sum wraps, each sqrt(3) channel
     u = catalog_build(name)
     n = u.n
     fjet = u.jet(exact=False)
     X = np.random.default_rng(8).standard_normal((7, n))
     assert fjet.hessian(X).tolist() == [fjet.hessian(x).tolist() for x in X]
     exact = u.jet(exact=True)
-    fast = identities._int64_jet(exact, (DEFAULT_BOUND - 1) ** 2)
+    assert identities._l1(exact) * (DEFAULT_BOUND - 1) ** 2 < 2 ** 63
+    fast = identities._residue_jet(exact, 0)
     assert fast.m.dtype == np.int64
     assert fast.sqrt3 is None or fast.sqrt3.m.dtype == np.int64
     P = _randbelow(DEFAULT_BOUND, 5 * n, random.Random(8)).reshape(5, n) \
@@ -456,7 +459,7 @@ def test_exact_sides_match_the_per_point_loop(monkeypatch, name):
             monkeypatch.setattr(cubics, "BLOCK", block)
             for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
                 for points, pairs in zip((P, Q), want[ident.name]):
-                    got = list(identities._sides_at(ident.sides, jet, points))
+                    got = list(identities._sides_at(ident, jet, points))
                     assert repr(got) == repr(pairs), (ident.name, block)
             for check in IDENTITY_CHECKS:
                 rep = check(u, "random", seed=seed)
@@ -504,11 +507,11 @@ def test_int64_jet_bound_at_random_points(monkeypatch):
         jet = CubicForm(3, {(0, 1, 2): m}).jet(exact=True)
         assert identities._l1(jet) == L and (L <= top) is (k == 0)
         counts.clear()
-        assert list(identities._sides_at(TRACE2.sides, jet, P, TRACE2.bound)) \
+        assert list(identities._sides_at(TRACE2, jet, P)) \
             == _reference_sides(TRACE2, jet, P)
         assert counts == [k]
         for ident in (RADIAL, EICONAL, TRACE3):
-            got = list(identities._sides_at(ident.sides, jet, P, ident.bound))
+            got = list(identities._sides_at(ident, jet, P))
             assert repr(got) == repr(_reference_sides(ident, jet, P))
 
 
@@ -572,7 +575,7 @@ def test_residue_sides_match_the_per_point_loop_past_int64(name, change):
     Q = algebra._rational_batch(u.n, 10, random.Random(1))[0]
     for ident, check in zip((RADIAL, EICONAL, TRACE2, TRACE3), IDENTITY_CHECKS):
         for points in (P, Q):
-            got = list(identities._sides_at(ident.sides, jet, points, ident.bound))
+            got = list(identities._sides_at(ident, jet, points))
             assert repr(got) == repr(_reference_sides(ident, jet, points)), ident.name
         rep = check(u, "random", seed=1)
         t = identities._ratio(iter(_reference_sides(ident, jet, P)))
@@ -598,7 +601,7 @@ def test_random_checks_wrap_without_warnings(monkeypatch, name):
     counts = _count_moduli(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lhs = [l for l, _ in identities._sides_at(RADIAL.sides, jet, P, RADIAL.bound)]
+        lhs = [l for l, _ in identities._sides_at(RADIAL, jet, P)]
         reports = [check(u, "random", seed=1) for check in IDENTITY_CHECKS]
         theta = reports[0].constant
         assert MetrisedAlgebra(u).check_hsiang_identity(theta, seed=1) == 0
