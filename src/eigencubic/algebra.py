@@ -14,8 +14,10 @@ radial identity of ``identities.RADIAL``, since x^2 = 2 Du,
 x^3 = 2 D^2u Du and <x^2, x> = 6u.  On a Q(sqrt3) form the kernel
 gives each piece as a ``QSqrt3Array``, two integer arrays, and each
 exact operation joins it to QSqrt3 entries only where its result leaves
-the kernel: the operators L_{e_i} of ``multiplication_rank``, the Hsiang
-residual at a point and a nonzero weak-associativity difference.
+the kernel: the operators L_{e_i} of ``multiplication_rank``'s elimination,
+the Hsiang residual at a point and a nonzero weak-associativity difference.
+The rank is certified first from n gradients modulo one prime, where sqrt3
+has a root, and the elimination runs only where that certificate fails.
 
 Both checks run whole batches of points through the kernel on int64
 residue stacks, modulo 2**64 and as many primes as a bound on their
@@ -81,6 +83,9 @@ ASCENT_HALVINGS = 30
 POLISH_HALVINGS = 20
 # The largest |c o c - c| ``peirce`` accepts, in the float jet's units.
 PEIRCE_RESIDUAL = 1e-8
+# The prime of the rank certificate: the largest residue prime = 11 (mod 12),
+# ``scalars._prime(11)``, written out so that no import has to search for it.
+RANK_PRIME = 134217467
 
 
 @dataclass
@@ -111,7 +116,12 @@ class MetrisedAlgebra:
     def multiplication_rank(self) -> int:
         """dim span{e_i o e_j}; 1 exactly for the trivial family.
 
-        The columns j >= i of L_{e_i} are the products e_i o e_j.
+        An exact form's rank is n if ``_full_rank_mod_p`` says so: the rows
+        D*Du(x) = D (x o x) / 2 lie in the span, and their matrix modulo p
+        is the exact one's image under the ring map Z[sqrt3] -> F_p, so its
+        full rank holds over Q(sqrt3).  Otherwise (a rank below n, unlucky
+        points or prime) exact elimination decides, over the columns j >= i
+        of D L_{e_i}, the products e_i o e_j.
         """
         n = self.n
         if not self.form.is_exact_form:
@@ -119,10 +129,12 @@ class MetrisedAlgebra:
             rows = [jet.hessian(e)[i:] for i, e in enumerate(np.eye(n))]
             return int(np.linalg.matrix_rank(np.concatenate(rows), tol=1e-9))
         jet = self.form.jet(exact=True)
+        if _full_rank_mod_p(jet, n):
+            return n
         pivots: List[list] = []
         pivot_cols: List[int] = []
         for i, ei in enumerate(np.eye(n, dtype=int).astype(object)):
-            L = joined(jet.hessian(ei))         # D L_{e_i}: the same span
+            L = joined(jet.hessian(ei))
             for j in range(i, n):
                 row = list(L[:, j])
                 for prow, pcol in zip(pivots, pivot_cols):
@@ -459,6 +471,30 @@ def _peirce_records(jet: Jet, C: np.ndarray, bin_tol: float,
                                   unbinned=[float(v) for v in eigenvalues[~used]],
                                   residual=float(residual)))
     return records
+
+
+def _full_rank_mod_p(jet: Jet, n: int) -> bool:
+    """Whether D*Du of the exact ``jet`` at the numerators of
+    ``_rational_batch(n, n, random.Random(0))``, in blocks of ``block_rows``,
+    has rank n modulo p = ``RANK_PRIME``; as p = 11 (mod 12), t = 3**((p+1)/4)
+    squares to 3, and r + sqrt3 s maps to r + t s.  No int64 sum reaches
+    2**63: a residue is below 2**27 and |x_b x_c| <= 81, so a gradient entry,
+    at most jet.m.size < 2**21 products (n <= MAX_DIM), is below 2**55, and
+    an elimination product below 2**54."""
+    p = RANK_PRIME
+    t = pow(3, (p + 1) // 4, p)
+    X, step = _rational_batch(n, n, random.Random(0))[0], block_rows(jet.m.size)
+    G = np.concatenate([g.r % p + t * (g.s % p) if isinstance(g, QSqrt3Array) else g
+                        for g in map(_residue_jet(jet, p).gradient,
+                                     np.split(X, range(step, n, step)))]) % p
+    for k in range(n):
+        nz = np.flatnonzero(G[k:, k])
+        if not nz.size:
+            return False
+        G[[k, k + nz[0]]] = G[[k + nz[0], k]]
+        G[k] = G[k] * pow(int(G[k, k]), -1, p) % p
+        G[k + 1:] = (G[k + 1:] - G[k + 1:, k, None] * G[k]) % p
+    return True
 
 
 def _rational_batch(n: int, count: int, rng: random.Random):

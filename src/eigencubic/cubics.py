@@ -37,6 +37,8 @@ Key = Tuple[int, int, int]
 # large or small u is; the bounds keep the coefficients, the constants
 # (s^2) and the idempotents (1/s) of a form finite in float64.
 MAX_COEFFICIENT = 1e50
+# its exact value, which a Fraction is compared with on integers (cheaper)
+_MAX_INT = int(MAX_COEFFICIENT)
 # The largest dimension a form file may have: above the catalog's 54 and
 # the 75 of clifford_cubic at the CLI's largest q, small enough that the
 # n x n Hessians of every command fit in memory and time.
@@ -179,7 +181,9 @@ class CubicForm:
                 raise ValueError(f"coefficient at ijk {rec['ijk']} is a boolean")
             c = raw if isinstance(raw, float) else parse_rational(raw)
             channels = [c, parse_rational(rec["c3"])] if "c3" in rec else [c]
-            if not all(abs(x) <= MAX_COEFFICIENT for x in channels):
+            if not all(abs(x) <= MAX_COEFFICIENT if isinstance(x, float)
+                       else abs(x.numerator) <= _MAX_INT * x.denominator
+                       for x in channels):
                 raise ValueError(f"coefficient at ijk {rec['ijk']} is not finite "
                                  f"or exceeds {MAX_COEFFICIENT:g} in magnitude")
             terms[(i, j, k)] = QSqrt3(*channels) if len(channels) == 2 else c

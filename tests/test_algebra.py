@@ -3,6 +3,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from eigencubic.algebra import MetrisedAlgebra, _newton_step
 from eigencubic.cubics import (CATALOG, CubicForm, Jet, _Sqrt3Jet, cartan_cubic,
                                catalog_build, trivial_cubic)
 from eigencubic.identities import check_radial
-from eigencubic.scalars import QSqrt3, joined, moduli
+from eigencubic.scalars import QSqrt3, _prime, joined, moduli
 from formref import gradient, polarize
 from rotations import rotate_by_substitution
 
@@ -106,6 +107,96 @@ def test_multiplication_rank():
     assert ALG3.multiplication_rank() == 3
     assert MetrisedAlgebra(CubicForm(3, {})).multiplication_rank() == 0
     assert MetrisedAlgebra(cartan_cubic(4)).multiplication_rank() == 14
+
+
+@lru_cache(maxsize=None)
+def _built(name):
+    return catalog_build(name)
+
+
+def _rank_case(case):
+    """The form of a rank case id and its rank: a catalog form as it is,
+    times 10^18 or with +1/7 on its first coefficient, or a named form."""
+    name, _, variant = case.partition(":")
+    if name in CATALOG:
+        u = _built(name)
+        if variant == "e18":
+            u = u.scaled(10 ** 18)
+        elif variant == "mutant":
+            k = next(iter(u.terms))
+            u = CubicForm(u.n, {**u.terms, k: u.terms[k] + Fraction(1, 7)})
+        return u, 1 if name == "trivial" else u.n
+    return {"trivial-7": (trivial_cubic(7, Fraction(5, 3)), 1),
+            "x1^3+x2^3": (CubicForm(4, {(0, 0, 0): Fraction(1), (1, 1, 1): Fraction(1)}), 2),
+            # sqrt3 x1^2 x2 + (2 + sqrt3) x1 x2^2: its products span e1, e2
+            "sqrt3-deficient": (CubicForm(4, {(0, 0, 1): QSqrt3(0, 1),
+                                              (0, 1, 1): QSqrt3(2, 1)}), 2),
+            # (x1 + sqrt3 x2)^3: the trivial form on an irrational axis,
+            # whose gradients are dependent only over Q(sqrt3)
+            "sqrt3-trivial": (CubicForm(2, {(0, 0, 0): QSqrt3(1), (0, 0, 1): QSqrt3(0, 3),
+                                            (0, 1, 1): QSqrt3(9), (1, 1, 1): QSqrt3(0, 3)}), 1),
+            "zero": (CubicForm(3, {}), 0),
+            "n=1": (CubicForm(1, {(0, 0, 0): Fraction(2, 3)}), 1)}[case]
+
+
+RANK_CASES = ([f"{name}{v}" for name in CATALOG for v in ("", ":e18", ":mutant")]
+              + ["trivial-7", "x1^3+x2^3", "sqrt3-deficient", "sqrt3-trivial", "zero",
+                 "n=1"])
+
+
+@pytest.mark.parametrize("case", RANK_CASES)
+def test_multiplication_rank_is_the_elimination(monkeypatch, case):
+    # with the certificate and without it (the elimination alone), the
+    # same rank, and no warning from any residue product
+    u, rank = _rank_case(case)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = MetrisedAlgebra(u).multiplication_rank()
+        monkeypatch.setattr(algebra, "_full_rank_mod_p", lambda jet, n: False)
+        want = MetrisedAlgebra(u).multiplication_rank()
+    assert got == want == rank
+
+
+def test_the_certificate_decides_every_full_rank_catalog_form(monkeypatch):
+    # 16 forms are certified; on trivial the certificate fails, and the
+    # elimination finds rank 1
+    certify, log = algebra._full_rank_mod_p, []
+    monkeypatch.setattr(algebra, "_full_rank_mod_p",
+                        lambda jet, n: log.append(certify(jet, n)) or log[-1])
+    for name in CATALOG:
+        u = _built(name)
+        log.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rank = MetrisedAlgebra(u).multiplication_rank()
+        assert (log, rank) == (([False], 1) if name == "trivial" else ([True], u.n)), name
+
+
+@pytest.mark.parametrize("name", ["cartan-d4", "octonion21"])
+def test_equal_points_fail_the_certificate_but_not_the_rank(monkeypatch, name):
+    # two equal gradient rows make the matrix singular modulo any prime;
+    # the elimination then decides, and the rank stays exact
+    batch = algebra._rational_batch
+
+    def doubled(n, count, rng):
+        X, dens = batch(n, count, rng)
+        X[1] = X[0]
+        return X, dens
+
+    monkeypatch.setattr(algebra, "_rational_batch", doubled)
+    u = _built(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not algebra._full_rank_mod_p(u.jet(exact=True), u.n)
+        assert MetrisedAlgebra(u).multiplication_rank() == u.n
+
+
+def test_rank_prime_has_a_square_root_of_three():
+    p = algebra.RANK_PRIME
+    assert p == _prime(11) and p % 12 == 11
+    assert pow(pow(3, (p + 1) // 4, p), 2, p) == 3
+    # no larger residue prime is 11 mod 12
+    assert [i for i in range(12) if _prime(i) % 12 == 11] == [11]
 
 
 def test_find_idempotents_dim3():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -274,6 +275,38 @@ def test_from_json_dict_takes_coefficients_up_to_the_bound():
     u = CubicForm.from_json_dict(d)
     assert u.terms == {(0, 0, 0): -1e50,
                        (0, 1, 1): QSqrt3(Fraction(10) ** 50, -Fraction(10) ** 50)}
+
+
+# int(1e50): the exact value of the float bound, the largest integer allowed
+TOP_INT = "100000000000000007629769841091887003294964970946560"
+
+
+def _one_term(c, c3=None):
+    rec = {"ijk": [1, 1, 1], "c": c}
+    if c3 is not None:
+        rec["c3"] = c3
+    return {"dim": 3, "terms": [rec]}
+
+
+@pytest.mark.parametrize("d", [_one_term(TOP_INT), _one_term("-" + TOP_INT),
+                               _one_term("1", TOP_INT), _one_term("1", "-" + TOP_INT),
+                               _one_term(f"{2 * int(TOP_INT) - 1}/2"),
+                               _one_term(1e50), _one_term(-1e50)])
+def test_from_json_dict_takes_the_bound_exactly(d):
+    assert CubicForm.from_json_dict(d).n == 3
+
+
+@pytest.mark.parametrize("d", [_one_term(str(int(TOP_INT) + 1)),
+                               _one_term(f"-{int(TOP_INT) + 1}/1"),
+                               _one_term("1", str(int(TOP_INT) + 1)),
+                               _one_term("1", f"{int(TOP_INT) + 1}/1"),
+                               _one_term(f"{2 * int(TOP_INT) + 1}/2"),
+                               _one_term(math.nextafter(1e50, math.inf)),
+                               _one_term(math.nan), _one_term(math.inf),
+                               _one_term(-math.inf)])
+def test_from_json_dict_rejects_past_the_bound(d):
+    with pytest.raises(ValueError, match="exceeds"):
+        CubicForm.from_json_dict(d)
 
 
 def test_from_poly_rejects_inhomogeneous():
