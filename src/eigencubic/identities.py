@@ -425,6 +425,12 @@ def classify(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS,
 GRAD_THRESHOLD = 0.1
 MAX_TRIES = 200                 # rays drawn per requested cone point
 BISECT_STEPS = 80
+# The bisection step at which a ray proven rejected leaves the stack.  By
+# step 9 every trivial-cone ray of seeds 1-3 is proven at thresholds 0.1
+# to 1e3 (at step 8, 63 % at seed 1); 12 leaves a factor 8 in |hi - lo|
+# for forms with a larger L / D, and a proven ray still skips all but 12
+# of the 60-80 steps a catalog stack takes to its fixed point.
+EARLY_STEP = 12
 POINT_BATCH = 256               # cone points searched together
 
 
@@ -496,9 +502,10 @@ def _unit(x: np.ndarray) -> np.ndarray:
 
 
 def _blocked(f, X: np.ndarray, width: int) -> np.ndarray:
-    """f at the rows of X, in blocks that bound each (rows, width) product."""
+    """f at the rows of X, in blocks that bound each (rows, width) product;
+    a stack of no rows is f's own empty result."""
     rows = block_rows(width)
-    return np.concatenate([f(X[s:s + rows]) for s in range(0, len(X), rows)])
+    return np.concatenate([f(X[s:s + rows]) for s in range(0, max(len(X), 1), rows)])
 
 
 def _values(jet, X: np.ndarray) -> np.ndarray:
@@ -506,17 +513,39 @@ def _values(jet, X: np.ndarray) -> np.ndarray:
     return _blocked(jet.value, X, jet.m.size // 3)
 
 
-def _bisect(jet, a: np.ndarray, b: np.ndarray, ua: np.ndarray) -> np.ndarray:
+def _bisect(jet, a: np.ndarray, b: np.ndarray, ua: np.ndarray,
+            grad_threshold: float) -> Tuple[np.ndarray, np.ndarray]:
     """Bisect the sphere arcs a[r] -> b[r], u(a[r]) = ua[r] and u(b[r])
-    of the other sign, for at most BISECT_STEPS steps; the unit midpoints.
+    of the other sign, for at most BISECT_STEPS steps.  Returns the rows r
+    still on the stack at the end, in order, and their unit midpoints.
 
     A midpoint of u's sign moves lo, any other nonzero value (NaN too)
     moves hi, and a zero leaves both, so that ray stays where it is.
     The bisection stops at the first step that changes no bit of any
     ray's lo or hi: each row is evaluated on its own, so every later step
-    would recompute the same midpoints."""
-    lo, hi, sa = a, b, np.sign(ua)
-    for _ in range(BISECT_STEPS):
+    would recompute the same midpoints.
+
+    At step EARLY_STEP a ray leaves the stack when gn(lo) + L (|hi - lo|
+    + 2**-40) < grad_threshold * D / 2, where gn is the jet's gradient
+    norm and L = 2 sum|m| bounds the Frobenius norm of its Hessian on the
+    unit ball (a rotation (a; b, c) puts m x_c and m x_b in two entries).
+    Every later lo, hi and midpoint lies on the arc lo -> hi, within
+    |hi - lo| of lo, so its gradient norm is below that bound and
+    ``_curvatures`` would reject the end point: the ray is rejected.  The
+    2**-40 L and the factor 1/2 leave at least 2**-39 L for float rounding;
+    each gradient entry sums at most C(n + 2, 2) products, so for n <=
+    MAX_DIM each of the two norms is off by under 2**-40 L.  A NaN, zero
+    or negative threshold removes no ray."""
+    live, lo, hi, sa = np.arange(len(a)), a, b, np.sign(ua)
+    floor = 0.5 * grad_threshold * jet.scale
+    for step in range(BISECT_STEPS):
+        if step == EARLY_STEP:
+            G = _blocked(jet.gradient, lo, jet.m.size)
+            d = hi - lo
+            bound = (np.sqrt(_dots(G, G))
+                     + 2 * np.abs(jet.m).sum() * (np.sqrt(_dots(d, d)) + 2.0 ** -40))
+            stay = ~(bound < floor)
+            live, lo, hi, sa = live[stay], lo[stay], hi[stay], sa[stay]
         mid = _unit(lo + hi)
         um = _values(jet, mid)
         to_lo = np.sign(um) == sa
@@ -527,7 +556,7 @@ def _bisect(jet, a: np.ndarray, b: np.ndarray, ua: np.ndarray) -> np.ndarray:
                for x, y in ((new_lo, lo), (new_hi, hi))):
             break
         lo, hi = new_lo, new_hi
-    return _unit(lo + hi)
+    return live, _unit(lo + hi)
 
 
 def _sample_batch(u: CubicForm, idxs: range, seed: int, grad_threshold: float,
@@ -535,37 +564,64 @@ def _sample_batch(u: CubicForm, idxs: range, seed: int, grad_threshold: float,
     """Search the cone points ``idxs`` together and add their points, in
     index order, and their rejections to ``report``."""
     jet = u.jet(exact=False)
-    n = u.n
-    rngs = {idx: np.random.default_rng((seed, idx)) for idx in idxs}
-    hits, crossed, drawn = {}, set(), 0
-    while rngs and drawn < MAX_TRIES:
-        k = min(drawn + 1, MAX_TRIES - drawn)
-        pending = list(rngs)
-        ends = _unit(np.stack([rngs[idx].standard_normal((k, 2, n))
-                               for idx in pending]))
-        drawn += k
-        v = _values(jet, ends.reshape(-1, n)).reshape(len(pending), k, 2)
-        ua, ub = v[..., 0], v[..., 1]
-        # antipodal ends, as every two ends are in dimension 1, span no arc
-        arc = (ends[..., 0, :] + ends[..., 1, :]).any(axis=-1)
-        ray = arc & ~((ua == 0.0) | (ub == 0.0) | (np.sign(ua) == np.sign(ub)))
-        owner = np.nonzero(ray)[0]
-        if not owner.size:
+    n, count = u.n, len(idxs)
+    rngs = [np.random.default_rng((seed, idx)) for idx in idxs]
+    drawn = np.zeros(count, dtype=int)
+    need = np.ones(count, dtype=int)        # rays to bisect in the next round
+    failed = np.zeros(count, dtype=bool)    # a round rejected all its rays
+    pending = np.ones(count, dtype=bool)
+    crossed = np.zeros(count, dtype=bool)
+    # the queue: the sign-changing rays not yet bisected, grouped by owner
+    # (position in idxs) and in draw order within each owner
+    owner, ends, ua = np.empty(0, dtype=int), np.empty((0, 2, n)), np.empty(0)
+    hits = {}
+    while True:
+        queued = np.bincount(owner, minlength=count)
+        short = np.flatnonzero(pending & (queued < need) & (drawn < MAX_TRIES))
+        if short.size:
+            k = np.minimum(drawn[short] + 1, MAX_TRIES - drawn[short])
+            new = _unit(np.concatenate([rngs[i].standard_normal((j, 2, n))
+                                        for i, j in zip(short, k.tolist())]))
+            drawn[short] += k
+            v = _values(jet, new.reshape(-1, n)).reshape(-1, 2)
+            # antipodal ends, as every two ends are in dimension 1, span no arc
+            arc = (new[:, 0] + new[:, 1]).any(axis=-1)
+            ray = arc & ~((v[:, 0] == 0.0) | (v[:, 1] == 0.0)
+                          | (np.sign(v[:, 0]) == np.sign(v[:, 1])))
+            got = np.repeat(short, k)[ray]
+            crossed[got] = True
+            owner = np.concatenate([owner, got])
+            order = np.argsort(owner, kind="stable")
+            owner = owner[order]
+            ends = np.concatenate([ends, new[ray]])[order]
+            ua = np.concatenate([ua, v[ray, 0]])[order]
             continue
-        rays = ends[ray]
-        P = _bisect(jet, rays[:, 0], rays[:, 1], ua[ray])
-        for pos, p, h in zip(owner, P, _curvatures(jet, P, grad_threshold)):
-            idx = pending[pos]
-            if idx in hits:
-                continue
-            crossed.add(idx)
-            if h is None:
-                report.rejected += 1
-                continue
-            hits[idx] = (p.copy(), h)
-            del rngs[idx]
+        pending &= (queued > 0) | (drawn < MAX_TRIES)
+        if not pending.any():
+            break
+        # each pending point's next need rays, judged in draw order
+        rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+        take = rank < need[owner]
+        who, rank_taken = owner[take], rank[take]
+        live, P = _bisect(jet, ends[take, 0], ends[take, 1], ua[take], grad_threshold)
+        hs = _curvatures(jet, P, grad_threshold)
+        ok = np.zeros(len(who), dtype=bool)
+        ok[live] = [h is not None for h in hs]
+        first = np.full(count, MAX_TRIES)
+        np.minimum.at(first, who[ok], rank_taken[ok])
+        report.rejected += int(np.count_nonzero(~ok & (rank_taken < first[who])))
+        for r in np.flatnonzero(ok & (rank_taken == first[who])):
+            i = np.searchsorted(live, r)
+            hits[idxs[who[r]]] = (P[i].copy(), hs[i])
+        done = first < MAX_TRIES
+        again = np.bincount(who, minlength=count).astype(bool) & ~done
+        need[again] *= 1 + failed[again]    # 1, 1, 2, 4, ... rays per round
+        failed |= again
+        pending &= ~done
+        keep = ~take & ~done[owner]
+        owner, ends, ua = owner[keep], ends[keep], ua[keep]
     # a point none of whose rays changed sign (e.g. the zero form) counts once
-    report.rejected += sum(idx not in crossed for idx in rngs)
+    report.rejected += int(np.count_nonzero(~crossed))
     for idx in sorted(hits):
         p, h = hits[idx]
         report.points.append(p)
@@ -585,14 +641,19 @@ def sample_cone(u: CubicForm, count: int, seed: int,
     ``rejected``, and so does a point none of whose rays changed sign.
 
     Up to POINT_BATCH points are searched together, so memory does not
-    grow with ``count``, in rounds.  A round draws the next 1, 2, 4, ...
-    rays of every pending point, the same a, b, a, b, ... stream as
-    drawing them one by one, bisects all its sign-changing rays as one
-    array and takes the mean curvatures of all their end points from one
-    stack (``_curvatures``, which ``mean_curvature`` runs on one row).
-    Each point's rays are then judged in draw order.  So the report, with
-    points in index order, is the one a ray-by-ray search gives, bit for
-    bit.
+    grow with ``count``, in rounds.  Each pending point keeps a queue of
+    the sign-changing rays it has drawn and not yet bisected.  While the
+    queue is shorter than the point needs next, the point draws its next
+    1, 2, 4, ... rays, the same a, b, a, b, ... stream as drawing them one
+    by one.  A round then bisects, as one array, each pending point's
+    next ray, or its next 2, 4, ... from its second round in a row whose
+    rays were all rejected, and takes the mean curvatures of their end
+    points from one stack (``_curvatures``, which ``mean_curvature`` runs
+    on one row); a ray ``_bisect`` proves rejected leaves early.  Each
+    point's rays are judged in draw order, up to its first accepted one,
+    so a point bisects a ray it does not judge only after two rejected
+    rounds.  The report, with points in index order, is the one a
+    ray-by-ray search gives, bit for bit.
     """
     if seed < 0:
         raise ValueError("seed must be nonnegative")

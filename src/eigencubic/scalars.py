@@ -301,13 +301,40 @@ class ResidueStack:
         return ResidueStack(np.trace(self.x, axis1=1, axis2=2), self.q)
 
 
+# The numbers below PRIME_TOP sieved at once: the first window holds 227
+# primes, far more than any catalog check takes.
+SIEVE_WINDOW = 1 << 12
+
+
 @lru_cache(maxsize=None)
+def _window(w: int) -> tuple:
+    """The odd primes of [hi - SIEVE_WINDOW, hi), hi = PRIME_TOP - w *
+    SIEVE_WINDOW, largest first, from one sieve: each odd prime d up to
+    sqrt(PRIME_TOP) strikes its multiples from max(d*d, the first >= lo)."""
+    top = math.isqrt(PRIME_TOP)
+    odd = np.ones(top + 1, dtype=bool)
+    odd[:2] = odd[2::2] = False
+    for d in range(3, math.isqrt(top) + 1, 2):
+        odd[d * d::2 * d] = False
+    d = np.flatnonzero(odd)
+    hi = PRIME_TOP - w * SIEVE_WINDOW
+    lo = hi - SIEVE_WINDOW
+    first = np.maximum(d * d, -(-lo // d) * d)
+    counts = np.maximum(0, -(-(hi - first) // d))
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    composite = np.zeros(SIEVE_WINDOW, dtype=bool)
+    composite[np.repeat(first - lo, counts) + np.repeat(d, counts) * k] = True
+    cand = np.arange(hi - 1, lo, -2)        # hi is even
+    return tuple(cand[~composite[cand - lo]].tolist())
+
+
 def _prime(i: int) -> int:
     """The (i + 1)-th largest odd prime below PRIME_TOP."""
-    p = (_prime(i - 1) if i else PRIME_TOP + 1) - 2
-    while any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
-        p -= 2
-    return p
+    w = 0
+    while i >= len(_window(w)):
+        i -= len(_window(w))
+        w += 1
+    return _window(w)[i]
 
 
 def moduli(bound: int) -> tuple:

@@ -1046,26 +1046,30 @@ def reference_sample_cone(u, count, seed, grad_threshold=0.1):
 
 # the default threshold keeps the bare form name as its test id; the
 # one-row-block cases evaluate every stack one point at a time
-_CONE_CASES = ([(name, t, None) for t in (0.1, 0.0, 1e3) for name in CATALOG]
-               + [(name, 0.1, 1) for name in ("clifford-q0", "cartan-d4",
-                                              "complexified-d8")])
+_CONE_CASES = ([(name, t, None, 2) for t in (0.1, 0.0, 1e3, math.inf)
+                for name in CATALOG]
+               + [(name, 0.1, 1, 2) for name in ("clifford-q0", "cartan-d4",
+                                                 "complexified-d8")]
+               + [("trivial", 0.1, None, 5)])
 
 
-@pytest.mark.parametrize("name, grad_threshold, block", _CONE_CASES,
+@pytest.mark.parametrize("name, grad_threshold, block, count", _CONE_CASES,
                          ids=[f"{name}-block-{b}" if b else
+                              f"{name}-count-{c}" if c != 2 else
                               name if t == 0.1 else f"{name}-threshold-{t:g}"
-                              for name, t, b in _CONE_CASES])
+                              for name, t, b, c in _CONE_CASES])
 def test_sample_cone_matches_ray_by_ray_reference(monkeypatch, name, grad_threshold,
-                                                  block):
+                                                  block, count):
     # the batched rounds, with their stacked curvatures, report what the
     # ray-by-ray loop through the per-point formula reports, bit for bit:
-    # at 0 no ray is rejected for its gradient, at 1e3 every ray is
+    # at 0 no ray is rejected for its gradient, at 1e3 and inf every ray
+    # is, most of them early in the bisection
     if block:
         monkeypatch.setattr(cubics, "BLOCK", block)
     u = catalog_build(name)
     for seed in (1, 2, 3):
-        _assert_same_report(sample_cone(u, 2, seed, grad_threshold),
-                            reference_sample_cone(u, 2, seed, grad_threshold))
+        _assert_same_report(sample_cone(u, count, seed, grad_threshold),
+                            reference_sample_cone(u, count, seed, grad_threshold))
 
 
 def test_sample_cone_gradient_test_reads_u_not_its_jet():
@@ -1107,33 +1111,146 @@ def _bisect_all_steps(jet, a, b, ua):
 @pytest.mark.parametrize("name, capped", [("trivial", True), ("cartan-d1", False)])
 def test_bisect_stops_at_its_fixed_point(monkeypatch, name, capped):
     # the trivial cone's rays still move at the last step, so every call
-    # takes all BISECT_STEPS; cartan-d1's calls reach their fixed point
-    # before it; either way each call's points are all the steps', bit
-    # for bit
+    # takes all BISECT_STEPS (at threshold 0, where no ray leaves early);
+    # cartan-d1's calls reach their fixed point before it; either way each
+    # call's points are all the steps', bit for bit
     u = catalog_build(name)
     jet = u.jet(exact=False)
+    t = 0.0 if capped else identities.GRAD_THRESHOLD
     rays, steps = [], []
     real_bisect, real_values = identities._bisect, identities._values
 
-    def keep(jet, a, b, ua):
+    def keep(jet, a, b, ua, grad_threshold):
         rays.append((a.copy(), b.copy(), ua.copy()))
-        return real_bisect(jet, a, b, ua)
+        return real_bisect(jet, a, b, ua, grad_threshold)
 
     monkeypatch.setattr(identities, "_bisect", keep)
-    sample_cone(u, 10, 1)
+    sample_cone(u, 10, 1, t)
     monkeypatch.setattr(identities, "_values",
                         lambda jet, X: steps.append(1) or real_values(jet, X))
     counts = []
     for a, b, ua in rays:
         steps.clear()
-        got = real_bisect(jet, a, b, ua)
+        live, got = real_bisect(jet, a, b, ua, t)
         counts.append(len(steps))
-        assert got.tobytes() == _bisect_all_steps(jet, a, b, ua).tobytes()
+        assert got.tobytes() == _bisect_all_steps(jet, a, b, ua)[live].tobytes()
     assert rays
     if capped:
         assert counts == [identities.BISECT_STEPS] * len(rays)
     else:
         assert max(counts) < identities.BISECT_STEPS
+
+
+def _dropped_rays_are_rejected(bisect, jet, a, b, ua, grad_threshold):
+    """The rays ``bisect`` drops early, each of which must be rejected by
+    _curvatures at the end point of the full bisection (threshold 0 drops
+    none); every other ray must end where the full one does."""
+    live, P = bisect(jet, a, b, ua, grad_threshold)
+    full_live, full = bisect(jet, a, b, ua, 0.0)
+    assert len(full_live) == len(a)
+    assert P.tobytes() == full[live].tobytes()
+    gone = np.setdiff1d(np.arange(len(a)), live)
+    assert identities._curvatures(jet, full[gone], grad_threshold) == [None] * len(gone)
+    return gone
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_bisect_drops_only_rays_it_would_reject(monkeypatch, name):
+    u = catalog_build(name)
+    real_bisect = identities._bisect
+    dropped = []
+
+    def check(jet, a, b, ua, grad_threshold):
+        dropped.extend(_dropped_rays_are_rejected(real_bisect, jet, a, b, ua,
+                                                  grad_threshold))
+        return real_bisect(jet, a, b, ua, grad_threshold)
+
+    monkeypatch.setattr(identities, "_bisect", check)
+    for t in (0.1, 1e3, math.inf):
+        for seed in (1, 2, 3):
+            sample_cone(u, 5, seed, t)
+    # at inf every ray with a finite bound leaves early
+    assert dropped
+
+
+def test_bisect_keeps_rays_near_a_singular_point():
+    # u = x1^3 - 3 x1 x2^2 has |Du| = 3 r^2 at distance r from (0, 0, 1):
+    # rays that cross its zero lines within r <= 1e-3 of that point end
+    # where |Du| can be several times its value at step EARLY_STEP's lo,
+    # so at thresholds up to 1e-6 only the L |hi - lo| term keeps those
+    # whose end passes; from about 1e-2 on every ray leaves early
+    u = CubicForm(3, {(0, 0, 0): Fraction(1), (0, 1, 1): Fraction(-3)})
+    jet = u.jet(exact=False)
+    rng = np.random.default_rng(0)
+    r, k, t = (rng.uniform(lo, hi, 400) for lo, hi in ((1e-5, 1e-3), (1, 5), (0.05, 0.5)))
+    a = identities._unit(np.stack([-t, r - k * t, np.ones(400)], axis=1))
+    b = identities._unit(np.stack([t, r + k * t, np.ones(400)], axis=1))
+    ua = identities._values(jet, a)
+    assert (ua * identities._values(jet, b) < 0).all()
+    _, full = identities._bisect(jet, a, b, ua, 0.0)
+    passed = dropped = 0
+    for thr in 10.0 ** np.arange(-12.0, 0.5, 0.5):
+        gone = _dropped_rays_are_rejected(identities._bisect, jet, a, b, ua, thr)
+        passed += sum(h is not None for h in identities._curvatures(jet, full, thr))
+        dropped += len(gone)
+    assert passed and dropped
+
+
+def test_bisect_drops_no_ray_without_a_positive_threshold():
+    # the trivial cone's rays all leave early at 0.1, none at NaN, 0 or < 0
+    u = catalog_build("trivial")
+    jet = u.jet(exact=False)
+    rng = np.random.default_rng(3)
+    a, b = identities._unit(np.abs(rng.standard_normal((2, 40, 3))))
+    b = b * [-1.0, 1.0, 1.0]
+    live, _ = identities._bisect(jet, a, b, identities._values(jet, a), 0.1)
+    assert len(live) == 0
+    for t in (math.nan, 0.0, -0.0, -1.0, -math.inf):
+        live, P = identities._bisect(jet, a, b, identities._values(jet, a), t)
+        assert live.tolist() == list(range(40)) and P.shape == (40, 3)
+
+
+def _uncrossed(u, count, seed):
+    """The points among the first ``count`` none of whose MAX_TRIES rays
+    changes sign with ends that are not antipodal."""
+    jet = u.jet(exact=False)
+    out = 0
+    for idx in range(count):
+        ends = identities._unit(np.random.default_rng((seed, idx))
+                                .standard_normal((MAX_TRIES, 2, u.n)))
+        v = identities._values(jet, ends.reshape(-1, u.n)).reshape(-1, 2)
+        arc = (ends[:, 0] + ends[:, 1]).any(axis=-1)
+        out += not (arc & (v[:, 0] * v[:, 1] < 0)).any()
+    return out
+
+
+@pytest.mark.parametrize("name", [name for name in CATALOG if name != "trivial"])
+def test_sample_cone_bisects_only_rays_it_judges(monkeypatch, name):
+    # a pending point bisects one ray per round until a round rejects it,
+    # so a catalog cone takes one or two _bisect calls, and every bisected
+    # row is judged: accepted, rejected, or a point with no crossing ray
+    u = catalog_build(name)
+    real_bisect = identities._bisect
+    rows = []
+
+    def spy(jet, a, b, ua, grad_threshold):
+        rows.append(len(a))
+        return real_bisect(jet, a, b, ua, grad_threshold)
+
+    monkeypatch.setattr(identities, "_bisect", spy)
+    rep = sample_cone(u, 50, 1)
+    assert 1 <= len(rows) <= 2
+    assert sum(rows) == len(rep.points) + rep.rejected - _uncrossed(u, 50, 1)
+
+
+def test_empty_point_stacks():
+    # a round whose rays all leave the bisection early has no end points
+    u = catalog_build("cartan-d1")
+    jet = u.jet(exact=False)
+    X = np.empty((0, u.n))
+    assert identities._values(jet, X).shape == (0,)
+    assert identities._curvatures(jet, X, 0.1) == []
+    assert identities._blocked(jet.gradient, X, jet.m.size).shape == (0, u.n)
 
 
 def test_sample_cone_cartan():

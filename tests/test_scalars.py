@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from eigencubic import scalars
 from eigencubic.cubics import catalog_build
 from eigencubic.identities import CheckReport
 from eigencubic.poly import Poly, PolyArray
@@ -286,6 +287,27 @@ def test_moduli_take_one_more_prime_at_half_their_product(k):
     assert moduli(M // 2) == primes[:k + 1]
     edge = np.array([M // 2 - 1, -(M // 2 - 1), 0, -1], dtype=object)
     assert lift(_stacks(edge, M // 2 - 1)).tolist() == edge.tolist()
+
+
+def _is_prime(p):
+    return p > 2 and p % 2 and all(p % d for d in range(3, math.isqrt(p) + 1, 2))
+
+
+def test_sieved_primes_are_the_trial_division_ones():
+    # the first 20 primes are the odd numbers below PRIME_TOP that trial
+    # division finds, largest first; the sieve's second window starts
+    # at the next prime below its first's last
+    want, p = [], PRIME_TOP - 1
+    while len(want) < 20:
+        if _is_prime(p):
+            want.append(p)
+        p -= 2
+    assert [scalars._prime(i) for i in range(20)] == want
+    last = len(scalars._window(0)) - 1
+    lo, hi = scalars._prime(last + 1), scalars._prime(last)
+    assert _is_prime(lo) and _is_prime(hi)
+    assert not any(_is_prime(q) for q in range(lo + 2, hi, 2))
+    assert scalars._window(1)[0] == lo < PRIME_TOP - scalars.SIEVE_WINDOW <= hi
 
 
 def _wrapped(x, q):
