@@ -25,8 +25,8 @@ results needs, lifted by CRT to Python ints; the points' numerators lie
 in [-9, 9], which bounds every sum before any arithmetic.  The Hsiang
 check evaluates its points through ``identities._sides_at``, as the
 random identity checks do, under the radial bound at |x| <= 9; weak
-associativity runs ``Jet.trilinear`` on the same residue jets, under
-``WEAK_DIFF_FACTOR`` times the jet's L1 norm.  Both checks draw their
+associativity runs ``Jet.trilinear`` on the residue jets ``Jet.modulo``
+gives, under ``WEAK_DIFF_FACTOR`` times ``Jet.l1``.  Both checks draw their
 points in one vectorised pass that reproduces the stream of one
 ``random.randint`` per coordinate, so their residuals do not depend on
 how the points are drawn.
@@ -57,8 +57,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cubics import CubicForm, Jet, block_rows
-from .identities import (RADIAL, _dots, _l1, _randbelow, _residue_jet,
-                         _sides_at, _stack, _unit, _values)
+from .identities import RADIAL, _dots, _randbelow, _sides_at, _stack, _unit
 from .scalars import QSqrt3, QSqrt3Array, exact_div, joined, lift, moduli
 
 NEWTON_STEPS = 80
@@ -69,9 +68,9 @@ PEIRCE_EIGENVALUES = (-1.0, -0.5, 0.5)
 # A weak-associativity triple has numerators in [-9, 9], so one product
 # m x_a (y_b z_c + y_c z_b) of ``Jet.trilinear`` is at most 9 * 2 * 81 |m|
 # in magnitude, and the difference of two contractions at most this
-# factor times ``identities._l1``.  Modulo a prime |m| < 2**27, so one
-# product is below 2**38, and a sum over jet.m.size <= 2**21 rotations
-# (n <= MAX_DIM) stays below 2**63.
+# factor times ``Jet.l1``.  Modulo a prime |m| < 2**27, so one product is
+# below 2**38, and a sum over the jet's at most 2**21 rotations (n <=
+# MAX_DIM) stays below 2**63.
 WEAK_DIFF_FACTOR = 2 * 9 * 2 * 81
 # The most steps one restart's ascent takes.  Every catalog restart stops
 # on its tangent norm or its line search within 30 steps; the cap only
@@ -170,8 +169,7 @@ class MetrisedAlgebra:
         if seed < 0:
             raise ValueError("seed must be nonnegative")
         jet = self.form.jet(exact=False)
-        # blocks of (rows, 3 monomials) products and (rows, n, n) Hessians
-        rows = block_rows(max(jet.m.size, self.n ** 2))
+        rows = block_rows(self.n * self.n)
         found: List[np.ndarray] = []
         for first in range(0, restarts, rows):
             block = range(first, min(first + rows, restarts))
@@ -243,34 +241,25 @@ class MetrisedAlgebra:
         by term.  The check therefore tests the index handling of
         ``Jet.trilinear``, not an axiom the form could fail.
 
-        The triples run through ``Jet.trilinear`` in batches of at most
-        ``cubics.BLOCK`` products, on the residue jets modulo 2**64 and
-        each prime of ``moduli(WEAK_DIFF_FACTOR * _l1(jet))``.  Only a
-        block with a nonzero residue is lifted, and only its nonzero
-        differences become exact scalars, in trial order, so the result
-        is the one a loop over single triples gives, in value and in type.
+        All the triples run through one ``Jet.trilinear`` call per side
+        and modulus, on the residue jets modulo 2**64 and each prime of
+        ``moduli(WEAK_DIFF_FACTOR * jet.l1)``.  The differences are lifted
+        once, and only if any residue is nonzero, and only the nonzero
+        ones become exact scalars, in trial order, so the result is the
+        one a loop over single triples gives, in value and in type.
         """
         rng = random.Random(seed)
         jet = self.form.jet(exact=True)
-        X, dx = _rational_batch(self.n, trials, rng)
-        Y, dy = _rational_batch(self.n, trials, rng)
-        Z, dz = _rational_batch(self.n, trials, rng)
+        (X, dx), (Y, dy), (Z, dz) = (_rational_batch(self.n, trials, rng) for _ in range(3))
         dens = (dx * dy * dz).tolist()
-        qs = (0,) + moduli(WEAK_DIFF_FACTOR * _l1(jet))
-        jets = [_residue_jet(jet, q) for q in qs]
-        step = block_rows(jet.m.size)
-        worst = Fraction(0)
-        for start in range(0, trials, step):
-            x, y, z = (P[start:start + step] for P in (X, Y, Z))
-            diffs = [_stack(j.trilinear(x, y, z) - j.trilinear(y, z, x), q)
-                     for j, q in zip(jets, qs)]
-            if not any(c.x.any() for d in diffs
-                       for c in ((d.r, d.s) if isinstance(d, QSqrt3Array) else (d,))):
-                continue
-            for i, v in enumerate(lift(diffs).tolist()):
-                if v:
-                    worst = max(worst, abs(v / Fraction(jet.scale * dens[start + i])))
-        return worst
+        qs = (0,) + moduli(WEAK_DIFF_FACTOR * jet.l1)
+        diffs = [_stack(j.trilinear(X, Y, Z) - j.trilinear(Y, Z, X), q)
+                 for j, q in zip(map(jet.modulo, qs), qs)]
+        if not any(c.x.any() for d in diffs
+                   for c in ((d.r, d.s) if isinstance(d, QSqrt3Array) else (d,))):
+            return Fraction(0)
+        return max((abs(v / Fraction(jet.scale * d))
+                    for v, d in zip(lift(diffs).tolist(), dens) if v), default=Fraction(0))
 
 
 def _ascend(jet: Jet, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -327,7 +316,7 @@ def _line_search(jet: Jet, X: np.ndarray, U: np.ndarray, step: np.ndarray,
             axis=1)
         xn = _unit((x[todo, None, :] + (cand * sgn[todo, None])[..., None]
                     * tangent[todo, None, :]).reshape(-1, n))
-        un = _values(jet, xn).reshape(-1, w)
+        un = jet.value(xn).reshape(-1, w)
         up = np.abs(un) > cur[todo, None]
         hit = up.any(axis=1)
         k = np.flatnonzero(hit)
@@ -475,18 +464,16 @@ def _peirce_records(jet: Jet, C: np.ndarray, bin_tol: float,
 
 def _full_rank_mod_p(jet: Jet, n: int) -> bool:
     """Whether D*Du of the exact ``jet`` at the numerators of
-    ``_rational_batch(n, n, random.Random(0))``, in blocks of ``block_rows``,
-    has rank n modulo p = ``RANK_PRIME``; as p = 11 (mod 12), t = 3**((p+1)/4)
-    squares to 3, and r + sqrt3 s maps to r + t s.  No int64 sum reaches
-    2**63: a residue is below 2**27 and |x_b x_c| <= 81, so a gradient entry,
-    at most jet.m.size < 2**21 products (n <= MAX_DIM), is below 2**55, and
-    an elimination product below 2**54."""
+    ``_rational_batch(n, n, random.Random(0))`` has rank n modulo p =
+    ``RANK_PRIME``; as p = 11 (mod 12), t = 3**((p+1)/4) squares to 3, and
+    r + sqrt3 s maps to r + t s.  No int64 sum reaches 2**63: a residue is
+    below 2**27 and |x_b x_c| <= 81, so a gradient entry, at most 2**21
+    products (the rotations, n <= MAX_DIM), is below 2**55, and an
+    elimination product below 2**54."""
     p = RANK_PRIME
     t = pow(3, (p + 1) // 4, p)
-    X, step = _rational_batch(n, n, random.Random(0))[0], block_rows(jet.m.size)
-    G = np.concatenate([g.r % p + t * (g.s % p) if isinstance(g, QSqrt3Array) else g
-                        for g in map(_residue_jet(jet, p).gradient,
-                                     np.split(X, range(step, n, step)))]) % p
+    g = jet.modulo(p).gradient(_rational_batch(n, n, random.Random(0))[0])
+    G = (g.r % p + t * (g.s % p) if isinstance(g, QSqrt3Array) else g) % p
     for k in range(n):
         nz = np.flatnonzero(G[k:, k])
         if not nz.size:

@@ -13,7 +13,7 @@ order of the underlying construction and is documented per constructor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -179,6 +179,8 @@ class CubicForm:
             raw = rec["c"]
             if isinstance(raw, bool) or isinstance(rec.get("c3"), bool):
                 raise ValueError(f"coefficient at ijk {rec['ijk']} is a boolean")
+            if isinstance(raw, float) and "c3" in rec:
+                raise ValueError(f"a float c cannot carry c3 (ijk {rec['ijk']})")
             c = raw if isinstance(raw, float) else parse_rational(raw)
             channels = [c, parse_rational(rec["c3"])] if "c3" in rec else [c]
             if not all(abs(x) <= MAX_COEFFICIENT if isinstance(x, float)
@@ -228,17 +230,17 @@ class Jet:
     ``PolyArray``s.  In the metrised algebra x o x = 2 Du(x) and
     L_x = D^2u(x).
 
-    ``value`` reads the first block only.  It, ``gradient``, ``hessian``
-    and ``trilinear`` also take points along leading axes, p of shape
-    (..., n), giving one result per point.  ``take`` keeps each point's
-    products contiguous, and ``gradient`` and ``hessian`` scatter them
-    through one 1-D ``np.add.at`` on flat indices (point * n + a, and
-    point * n^2 + a * n + b), which adds into each entry in column order,
-    so every result is summed as the single point's is and equals it bit
-    for bit, on every dtype.
-    The arrays may be int64 residues of m modulo 2**64 or a prime
-    (``identities._residue_jet``), for the exact point checks and weak
-    associativity.
+    ``value`` reads the first block of columns only.  It, ``gradient``,
+    ``hessian`` and ``trilinear`` take a stack of any length along leading
+    axes, p of shape (..., n), one result per point, and run their bodies
+    on blocks of points, ``block_rows`` of M/3, M, max(n^2, M) and M
+    entries (M = ``m.size``): the widest temporary each makes per point.
+    ``take`` keeps each point's products contiguous, and ``gradient`` and
+    ``hessian`` scatter them through one 1-D ``np.add.at`` on flat indices
+    (point * n + a, and point * n^2 + a * n + b), which adds into each
+    entry in column order, so every result is the single point's, bit for
+    bit, on every dtype and in any block.  ``modulo`` gives the jet on
+    int64 residues modulo 2**64 or a prime, and ``l1`` bounds their sums.
     """
     scale: float
     ijk: np.ndarray
@@ -268,18 +270,44 @@ class Jet:
         return cls(D, np.concatenate([ijk, ijk[[1, 2, 0]], ijk[[2, 0, 1]]], axis=1),
                    np.tile(m, 3))
 
+    @property
+    def l1(self):
+        """sum|m| + 2 sum|m| of the ``sqrt3`` jet, which bounds the kernel's
+        sums: a Python int on integer arrays, a float64 on float ones."""
+        if self.m.dtype == float:
+            return np.abs(self.m).sum()
+        return sum(map(abs, self.m.tolist())) + (0 if self.sqrt3 is None else 2 * self.sqrt3.l1)
+
+    def modulo(self, q: int) -> "Jet":
+        """This exact jet on int64 residues of m modulo q, 2**64 if q = 0."""
+        m = (self.m % (q or 2 ** 64)).astype(np.uint64).view(np.int64)
+        return replace(self, m=m, sqrt3=None if self.sqrt3 is None else self.sqrt3.modulo(q))
+
     def value(self, p: np.ndarray):
+        return _blocks(self._value, self.m.size // 3, p)
+
+    def gradient(self, p: np.ndarray) -> np.ndarray:
+        return _blocks(self._gradient, self.m.size, p)
+
+    def hessian(self, p: np.ndarray) -> np.ndarray:
+        return _blocks(self._hessian, max(p.shape[-1] ** 2, self.m.size), p)
+
+    def trilinear(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
+        """D u(x; y; z) = D <x o y, z>, the complete polarization of D*u."""
+        return _blocks(self._trilinear, self.m.size, x, y, z)
+
+    def _value(self, p):
         first = self.m.size // 3
         i, j, k = self.ijk[:, :first]
         return (self.m[:first] * p.take(i, axis=-1) * p.take(j, axis=-1)
                 * p.take(k, axis=-1)).sum(axis=-1)
 
-    def gradient(self, p: np.ndarray) -> np.ndarray:
+    def _gradient(self, p):
         a, b, c = self.ijk
         return _scatter(p, p.shape[-1], a,
                         self.m * p.take(b, axis=-1) * p.take(c, axis=-1)).reshape(p.shape)
 
-    def hessian(self, p: np.ndarray) -> np.ndarray:
+    def _hessian(self, p):
         a, b, c = self.ijk
         n = p.shape[-1]
         H = _scatter(p, n * n, np.concatenate([a * n + b, a * n + c]),
@@ -287,9 +315,7 @@ class Jet:
                                      self.m * p.take(b, axis=-1)], axis=-1))
         return H.reshape(p.shape + (n,))
 
-    def trilinear(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
-        """D u(x; y; z) = D <x o y, z>, the complete polarization of D*u;
-        like ``value``, one result per triple of points along leading axes."""
+    def _trilinear(self, x, y, z):
         a, b, c = self.ijk
         return (self.m * x.take(a, axis=-1)
                 * (y.take(b, axis=-1) * z.take(c, axis=-1)
@@ -323,6 +349,22 @@ class Jet:
         r2 = PolyArray(n, (), 2, np.zeros(n, dtype=np.int64),
                        np.arange(n, dtype=np.int64) * (n + 1), np.ones(n, dtype=np.int64))
         return v, g, H, r2
+
+
+def _blocks(f, width: int, *P: np.ndarray):
+    """f at the stacks P of points (..., n), ``block_rows(width)`` points
+    at a time, written into one output: joining a list of them held more RSS."""
+    n = P[0].shape[-1]
+    count, rows = P[0].size // n, block_rows(width)
+    if count <= rows:
+        return f(*P)
+    flat = [x.reshape(-1, n) for x in P]
+    for s in range(0, count, rows):
+        r = f(*(x[s:s + rows] for x in flat))
+        if not s:
+            out = np.empty((count,) + r.shape[1:], dtype=r.dtype)
+        out[s:s + rows] = r
+    return out.reshape(P[0].shape[:-1] + out.shape[1:])
 
 
 def _scatter(p: np.ndarray, width: int, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -34,17 +34,17 @@ On a Q(sqrt3) form the kernel's pieces are ``QSqrt3Array`` pairs, so each
 returns are joined to QSqrt3.
 
 Both point modes evaluate the sides through one function, ``_sides_at``,
-on blocks of points (``cubics.block_rows``): on each float64 row, or on a
-whole exact block as int64 ``scalars.ResidueStack``s, modulo 2**64 and as
-many primes below 2**27 as the identity's ``bound`` needs, each side then
-lifted by CRT to the Python int one point gives alone.  The random mode
-draws its points in the same blocks, one ``_randbelow`` call per block
-(the stream of one ``randrange`` per coordinate), so memory stays
-O(block) for any ``trials`` and no block after the first that refutes t
-is drawn.  The Hsiang check of ``algebra`` and the cone sampler's mean
-curvatures (``_curvatures``) run their points through the same function,
-and ``algebra``'s weak associativity its triples through the same
-residue jets (``_residue_jet``, ``_stack``).
+on blocks of points that bound its (points, n, n) stacks: on each float64
+row, or on a whole exact block as int64 ``scalars.ResidueStack``s, modulo
+2**64 and as many primes below 2**27 as the identity's ``bound`` needs,
+each side then lifted by CRT to the Python int one point gives alone.
+The random mode draws its points in the same blocks, one ``_randbelow``
+call per block (the stream of one ``randrange`` per coordinate), so
+memory stays O(block) for any ``trials`` and no block after the first
+that refutes t is drawn.  The Hsiang check of ``algebra`` and the cone
+sampler's mean curvatures (``_curvatures``) run their points through the
+same function, and ``algebra``'s weak associativity its triples through
+the same residue jets (``Jet.modulo``, ``_stack``).
 
 Policy: exact expansion for n <= 15, randomized above, both overridable.
 """
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -144,20 +144,6 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _l1(jet: Jet) -> int:
-    """L = sum|m_r| + 2 sum|m_s| over an exact jet's two sqrt(3) channels."""
-    s = 0 if jet.sqrt3 is None else sum(map(abs, jet.sqrt3.m.tolist()))
-    return sum(map(abs, jet.m.tolist())) + 2 * s
-
-
-def _residue_jet(jet: Jet, q: int) -> Jet:
-    """The exact ``jet`` on int64 residues of its m modulo q (or 2**64)."""
-    def mod(m):
-        return (m % (q or 2 ** 64)).astype(np.uint64).view(np.int64)
-    sqrt3 = None if jet.sqrt3 is None else replace(jet.sqrt3, m=mod(jet.sqrt3.m))
-    return replace(jet, m=mod(jet.m), sqrt3=sqrt3)
-
-
 def _stack(x, q: int):
     """A piece's int64 array, or the pair of them, as ``ResidueStack``s."""
     if isinstance(x, QSqrt3Array):
@@ -166,7 +152,7 @@ def _stack(x, q: int):
 
 
 def _residue_pieces(jet: Jet, X: np.ndarray, q: int) -> Tuple:
-    """(v, g, H, r2) modulo q at the int64 points X on ``_residue_jet(.., q)``.
+    """(v, g, H, r2) modulo q at the int64 points X on ``jet.modulo(q)``.
     Modulo 2**64 they are the jet's own, wrapped.  Modulo a prime only H
     is (each entry sums at most 2n <= 256 products below 2**54), and
     Euler's H x = 2 g and x . g = 3 v for the cubic give g and v."""
@@ -180,23 +166,21 @@ def _residue_pieces(jet: Jet, X: np.ndarray, q: int) -> Tuple:
 
 def _sides_at(ident: _Identity, jet: Jet, P: np.ndarray) -> Iterator[Tuple]:
     """The joined (lhs, rhs) of ``ident.sides`` at each row of the point
-    stack P, in row order, in blocks of ``block_rows`` of an n x n Hessian
-    or one product per monomial rotation; lazy, so a caller that stops
-    early evaluates no further block.
+    stack P, in row order, in blocks of ``block_rows`` of an n x n Hessian;
+    lazy, so a caller that stops early evaluates no further block.
 
-    On a float ``jet`` (P float64) the value, gradient and Hessian of a
-    block are one stack each and |p|^2 one ``_dots``, each row the single
-    point's bit for bit.  On an exact jet (P int64) the sides run on the
-    block's ``_residue_pieces`` modulo 2**64 and each prime of
-    ``moduli(ident.bound(n, _l1(jet), max|P|))``, and ``lift`` gives each
-    side as the Python int (or QSqrt3) a single point gives.
-    """
+    At float64 points P, on the float ``jet``, the value, gradient and
+    Hessian of a block are one stack each and |p|^2 one ``_dots``, each
+    row the single point's bit for bit.  At int64 points, on the exact jet,
+    the sides run on the block's ``_residue_pieces`` modulo 2**64 and each
+    prime of ``moduli(ident.bound(n, jet.l1, max|P|))``, and ``lift`` gives
+    each side as the Python int (or QSqrt3) a single point gives."""
     n = P.shape[-1]
-    rows = block_rows(max(n ** 2, jet.m.size))
-    exact = jet.m.dtype == object
+    rows = block_rows(n * n)
+    exact = P.dtype != float
     if exact:
-        qs = (0,) + moduli(ident.bound(n, _l1(jet), int(np.abs(P).max(initial=0))))
-        jets = [_residue_jet(jet, q) for q in qs]
+        qs = (0,) + moduli(ident.bound(n, jet.l1, int(np.abs(P).max(initial=0))))
+        jets = [jet.modulo(q) for q in qs]
     for start in range(0, len(P), rows):
         B = P[start:start + rows]
         if exact:
@@ -232,7 +216,7 @@ class _Identity:
     ``degree`` is the degree of lhs - t rhs in p (the Schwartz-Zippel
     degree); ``positive`` says the identity holds only with t > 0.
     ``bound(n, L, R)`` bounds |lhs| and |rhs| on both sqrt(3) channels of
-    D*u at p in Z^n, |p_a| <= R, L = ``_l1(jet)``.  Proof: N(r + sqrt3 s)
+    D*u at p in Z^n, |p_a| <= R, L = ``Jet.l1``.  Proof: N(r + sqrt3 s)
     = |r| + 2|s| bounds both channels, and N(x + y) <= N(x) + N(y),
     N(xy) <= N(x) N(y).  A rotation (a; b, c) of m adds m p_b p_c to g_a
     and m p_c, m p_b to H_ab, H_ac, so N(v) <= L R^3, G = sum N(g_a)
@@ -293,7 +277,7 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
     def random_sides(rng):
         # one draw per block of points, so memory stays O(block) however
         # large ``trials``, and no block past a refuting one is drawn
-        rows = block_rows(max(u.n ** 2, jet.m.size))
+        rows = block_rows(u.n * u.n)
         for start in range(0, trials + 1, rows):
             k = min(rows, trials + 1 - start)
             yield from _sides_at(ident, jet,
@@ -446,7 +430,7 @@ def _curvatures(jet: Jet, X: np.ndarray, grad_threshold: float) -> List[Optional
     """
     nx = np.sqrt(_dots(X, X))
     P = X / nx[:, None]
-    G = _blocked(jet.gradient, P, jet.m.size)
+    G = jet.gradient(P)
     gn = np.sqrt(_dots(G, G))
     keep = np.flatnonzero(~(gn < grad_threshold * jet.scale))
     out = [None] * len(X)
@@ -501,18 +485,6 @@ def _unit(x: np.ndarray) -> np.ndarray:
     return x / np.sqrt(_dots(x, x))[..., None]
 
 
-def _blocked(f, X: np.ndarray, width: int) -> np.ndarray:
-    """f at the rows of X, in blocks that bound each (rows, width) product;
-    a stack of no rows is f's own empty result."""
-    rows = block_rows(width)
-    return np.concatenate([f(X[s:s + rows]) for s in range(0, max(len(X), 1), rows)])
-
-
-def _values(jet, X: np.ndarray) -> np.ndarray:
-    """u at the rows of X, in blocks of the (rows, monomials) product."""
-    return _blocked(jet.value, X, jet.m.size // 3)
-
-
 def _bisect(jet, a: np.ndarray, b: np.ndarray, ua: np.ndarray,
             grad_threshold: float) -> Tuple[np.ndarray, np.ndarray]:
     """Bisect the sphere arcs a[r] -> b[r], u(a[r]) = ua[r] and u(b[r])
@@ -527,7 +499,7 @@ def _bisect(jet, a: np.ndarray, b: np.ndarray, ua: np.ndarray,
 
     At step EARLY_STEP a ray leaves the stack when gn(lo) + L (|hi - lo|
     + 2**-40) < grad_threshold * D / 2, where gn is the jet's gradient
-    norm and L = 2 sum|m| bounds the Frobenius norm of its Hessian on the
+    norm and L = 2 jet.l1 bounds the Frobenius norm of its Hessian on the
     unit ball (a rotation (a; b, c) puts m x_c and m x_b in two entries).
     Every later lo, hi and midpoint lies on the arc lo -> hi, within
     |hi - lo| of lo, so its gradient norm is below that bound and
@@ -540,14 +512,13 @@ def _bisect(jet, a: np.ndarray, b: np.ndarray, ua: np.ndarray,
     floor = 0.5 * grad_threshold * jet.scale
     for step in range(BISECT_STEPS):
         if step == EARLY_STEP:
-            G = _blocked(jet.gradient, lo, jet.m.size)
+            G = jet.gradient(lo)
             d = hi - lo
-            bound = (np.sqrt(_dots(G, G))
-                     + 2 * np.abs(jet.m).sum() * (np.sqrt(_dots(d, d)) + 2.0 ** -40))
+            bound = np.sqrt(_dots(G, G)) + 2 * jet.l1 * (np.sqrt(_dots(d, d)) + 2.0 ** -40)
             stay = ~(bound < floor)
             live, lo, hi, sa = live[stay], lo[stay], hi[stay], sa[stay]
         mid = _unit(lo + hi)
-        um = _values(jet, mid)
+        um = jet.value(mid)
         to_lo = np.sign(um) == sa
         to_hi = ~to_lo & (um != 0.0)
         new_lo = np.where(to_lo[:, None], mid, lo)
@@ -583,7 +554,7 @@ def _sample_batch(u: CubicForm, idxs: range, seed: int, grad_threshold: float,
             new = _unit(np.concatenate([rngs[i].standard_normal((j, 2, n))
                                         for i, j in zip(short, k.tolist())]))
             drawn[short] += k
-            v = _values(jet, new.reshape(-1, n)).reshape(-1, 2)
+            v = jet.value(new.reshape(-1, n)).reshape(-1, 2)
             # antipodal ends, as every two ends are in dimension 1, span no arc
             arc = (new[:, 0] + new[:, 1]).any(axis=-1)
             ray = arc & ~((v[:, 0] == 0.0) | (v[:, 1] == 0.0)

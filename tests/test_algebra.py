@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from eigencubic import algebra, cubics, identities
+from eigencubic import algebra, cubics
 from eigencubic.algebra import MetrisedAlgebra, _newton_step
 from eigencubic.cubics import (CATALOG, CubicForm, Jet, _Sqrt3Jet, cartan_cubic,
                                catalog_build, trivial_cubic)
@@ -20,8 +20,8 @@ from rotations import rotate_by_substitution
 DIM3 = catalog_build("clifford-q0")
 ALG3 = MetrisedAlgebra(DIM3)
 
-# the largest L = identities._l1(jet) whose weak-associativity differences
-# stay below 2**63, an odd number
+# the largest L = jet.l1 whose weak-associativity differences stay below
+# 2**63, an odd number
 TOP = (2 ** 63 - 1) // algebra.WEAK_DIFF_FACTOR
 
 E1 = [Fraction(1), Fraction(0), Fraction(0)]
@@ -461,7 +461,7 @@ def test_find_idempotents_dedup_matches_pairwise_norms(monkeypatch, name, distan
 def test_find_idempotents_blocks_of_restarts(monkeypatch, name):
     # blocks of 3 restarts, the last one short, give the one-restart records
     alg = MetrisedAlgebra(catalog_build(name))
-    monkeypatch.setattr(cubics, "BLOCK", 3 * alg.form.jet(exact=False).m.size)
+    monkeypatch.setattr(cubics, "BLOCK", 3 * alg.n * alg.n)
     _assert_same_records(alg.find_idempotents(restarts=10, seed=4),
                          reference_find_idempotents(alg, 10, seed=4))
 
@@ -796,8 +796,8 @@ def test_batched_trilinear_matches_single_triples(name):
     # batch of triples, against one Python-int triple at a time, on each
     # sqrt(3) channel
     jet = catalog_build(name).jet(exact=True)
-    assert moduli(algebra.WEAK_DIFF_FACTOR * identities._l1(jet)) == ()
-    fast = identities._residue_jet(jet, 0)
+    assert moduli(algebra.WEAK_DIFF_FACTOR * jet.l1) == ()
+    fast = jet.modulo(0)
     assert fast.m.dtype == np.int64
     rng = random.Random(13)
     X, Y, Z = (algebra._rational_batch(jet.ijk.max() + 1, 30, rng)[0]

@@ -223,6 +223,8 @@ _DEGENERATE_FILES = {
     "one-over-zero": _form_file(c="1/0"),
     "zero-over-zero": _form_file(c="0/0"),
     "c3-over-zero": _form_file(c3="2/0"),
+    # a float c makes a float form, whose terms carry no exact sqrt(3) part
+    "float-c-with-c3": _form_file(c=0.5, c3="1"),
 }
 
 
@@ -265,6 +267,8 @@ _DEGENERATE_RUNS = [
     *((form, args) for form in ("one-over-zero", "zero-over-zero", "c3-over-zero")
       for args in (["verify"], ["classify"], ["spectrum", "--seed", "1"],
                    ["cone-sample", "--seed", "1", "--count", "3"])),
+    *(("float-c-with-c3", args) for args in (["verify", "--check", "harmonic"], ["classify"],
+                                             ["spectrum", "--seed", "1"])),
 ]
 
 
@@ -285,6 +289,14 @@ def test_degenerate_input_is_a_usage_error(runner, tmp_path, form, args):
     assert [l for l in res.stderr.splitlines() if l.startswith("Error:")] == \
         [res.stderr.splitlines()[-1]]
     assert "internal error" not in res.stderr and "Traceback" not in res.stderr
+
+
+def test_float_c_with_c3_names_the_term(runner, tmp_path):
+    path = tmp_path / "form.json"
+    path.write_text(_DEGENERATE_FILES["float-c-with-c3"])
+    res = runner.invoke(main, ["verify", str(path), "--check", "harmonic"])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert "a float c cannot carry c3 (ijk [1, 2, 2])" in res.stderr
 
 
 @pytest.mark.parametrize("args", [["verify"], ["classify"], ["spectrum", "--seed", "1"],

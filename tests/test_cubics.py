@@ -1,12 +1,15 @@
+import ast
 import hashlib
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eigencubic import cubics
 from eigencubic.clifford import CliffordSystem, build_clifford_system
 from eigencubic.cubics import (CATALOG, CubicForm, Jet, albert_contraction_cubic,
                                cartan_cubic, catalog_build, clifford_cubic,
@@ -15,7 +18,7 @@ from eigencubic.cubics import (CATALOG, CubicForm, Jet, albert_contraction_cubic
 from eigencubic.identities import check_harmonic
 from eigencubic.jordan import jordan_mul, trace_form, tracefree_basis
 from eigencubic.poly import Poly
-from eigencubic.scalars import QSqrt3
+from eigencubic.scalars import QSqrt3, QSqrt3Array, _prime
 from formref import gradient, hessian, polarize
 
 
@@ -309,6 +312,20 @@ def test_from_json_dict_rejects_past_the_bound(d):
         CubicForm.from_json_dict(d)
 
 
+@pytest.mark.parametrize("c", [0.5, -1.0, 0.0, 1e50])
+def test_from_json_dict_rejects_a_float_c_with_c3(c):
+    # a float c makes the form a float one, which has no exact sqrt(3)
+    # part to carry; read as QSqrt3(c, c3) the file would run exact and
+    # emit c back as "p/q".  A c3 beside a rational c stays allowed in a
+    # float form, as the float parts of its other terms
+    with pytest.raises(ValueError, match="a float c cannot carry c3"):
+        CubicForm.from_json_dict(_one_term(c, "1"))
+    d = {"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": c or 0.5},
+                             {"ijk": [1, 2, 2], "c": "1", "c3": "1"}]}
+    u = CubicForm.from_json_dict(d)
+    assert not u.is_exact_form and through_json(u).terms == u.terms
+
+
 def test_from_poly_rejects_inhomogeneous():
     x = Poly.var(2, 0)
     p = x * x * x + Poly.var(2, 1)
@@ -350,6 +367,87 @@ def test_exact_jet_of_a_float_form_is_its_binary_fractions(name):
     assert got.m.tolist() == want.m.tolist()
     assert all(type(v) is int for v in got.m)
     assert uf.jet(exact=True) is got and uf.jet(exact=False).m.dtype == float
+
+
+# the widest temporary per point of each kernel body, whose block_rows
+# bounds the points of one call: M/3, M, max(n^2, M) and M, M the rotations
+_BODY_WIDTHS = {"_value": lambda jet, n: jet.m.size // 3,
+                "_gradient": lambda jet, n: jet.m.size,
+                "_hessian": lambda jet, n: max(n * n, jet.m.size),
+                "_trilinear": lambda jet, n: jet.m.size}
+
+
+def _channels(x):
+    return [x.r, x.s] if isinstance(x, QSqrt3Array) else [x]
+
+
+def _assert_rows(stack, rows):
+    """Each sqrt(3) channel of ``stack`` holds the per-row results
+    ``rows``: bit for bit on int64 and float64, as Python ints on objects."""
+    for ch, got in enumerate(_channels(stack)):
+        want = [_channels(r)[ch] for r in rows]
+        if got.dtype == object:
+            assert got.tolist() == [np.asarray(w, dtype=object).tolist() for w in want]
+            assert all(type(v) is int for v in got.ravel())
+        else:
+            want = np.stack(want)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_jet_splits_any_stack_into_blocks(monkeypatch):
+    # with a small BLOCK a stack of 12 points takes several blocks in every
+    # method, and each result is the per-row one, on a float jet, a
+    # Python-int jet, its int64 residues modulo 2**64 and a prime, and a
+    # sqrt(3) form's pair (Python ints and residues); a stack along two
+    # leading axes gives the same results, and no body call gets more
+    # points than block_rows of its width
+    monkeypatch.setattr(cubics, "BLOCK", 50)
+    calls = []
+    for name, width in _BODY_WIDTHS.items():
+        def spy(jet, *P, body=getattr(Jet, name), name=name, width=width):
+            n = P[0].shape[-1]
+            calls.append((name, P[0].size // n, cubics.block_rows(width(jet, n))))
+            return body(jet, *P)
+        monkeypatch.setattr(Jet, name, spy)
+    q2, pair = (catalog_build(name).jet(exact=True) for name in ("clifford-q2", "cartan-d4"))
+    jets = [catalog_build("clifford-q2").jet(exact=False), q2, q2.modulo(0),
+            q2.modulo(_prime(0)), pair, pair.modulo(_prime(0))]
+    rng = random.Random(5)
+    for jet in jets:
+        n = jet.ijk.max() + 1
+        if jet.m.dtype == float:
+            X, Y, Z = np.random.default_rng(5).standard_normal((3, 12, n))
+        else:
+            X, Y, Z = np.array([rng.randint(-9, 9) for _ in range(36 * n)],
+                               dtype=jet.m.dtype).reshape(3, 12, n)
+        for f, P in ((jet.value, (X,)), (jet.gradient, (X,)), (jet.hessian, (X,)),
+                     (jet.trilinear, (X, Y, Z))):
+            stack = f(*P)
+            _assert_rows(stack, [f(*p) for p in zip(*P)])
+            for got, want in zip(_channels(f(*(x.reshape(3, 4, n) for x in P))),
+                                 _channels(stack)):
+                assert got.shape == (3, 4) + want.shape[1:]
+                assert got.reshape(want.shape).tolist() == want.tolist()
+    assert all(rows <= top for _, rows, top in calls)
+    assert {name for name, _, top in calls if top < 12} == set(_BODY_WIDTHS)
+
+
+def test_no_module_but_cubics_reads_the_jet_arrays():
+    # the sparse layout (m, ijk, sqrt3) stays inside cubics.py, and every
+    # other block size is that of a module's own (rows, n, n) stacks
+    for path in sorted(Path(cubics.__file__).parent.glob("*.py")):
+        if path.name == "cubics.py":
+            continue
+        tree = ast.parse(path.read_text())
+        reads = [(path.name, node.lineno) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and node.attr in ("m", "ijk", "sqrt3")]
+        assert reads == []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "block_rows" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                (arg,) = node.args
+                assert isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mult)
+                assert ast.dump(arg.left) == ast.dump(arg.right), (path.name, node.lineno)
 
 
 def test_round_trip_through_poly():

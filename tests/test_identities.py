@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from eigencubic import algebra, cubics, identities
 from eigencubic.algebra import MetrisedAlgebra
-from eigencubic.cubics import CATALOG, CubicForm, cartan_cubic, catalog_build, trivial_cubic
+from eigencubic.cubics import (CATALOG, CubicForm, Jet, cartan_cubic, catalog_build,
+                               trivial_cubic)
 from eigencubic.identities import (DEFAULT_BOUND, DEFAULT_TRIALS, EICONAL,
                                    MAX_TRIES, RADIAL, TRACE2, TRACE3,
                                    ConeSampleReport, _Identity,
@@ -390,8 +391,8 @@ def test_jet_hessian_takes_a_batch_of_points(name):
     X = np.random.default_rng(8).standard_normal((7, n))
     assert fjet.hessian(X).tolist() == [fjet.hessian(x).tolist() for x in X]
     exact = u.jet(exact=True)
-    assert identities._l1(exact) * (DEFAULT_BOUND - 1) ** 2 < 2 ** 63
-    fast = identities._residue_jet(exact, 0)
+    assert exact.l1 * (DEFAULT_BOUND - 1) ** 2 < 2 ** 63
+    fast = exact.modulo(0)
     assert fast.m.dtype == np.int64
     assert fast.sqrt3 is None or fast.sqrt3.m.dtype == np.int64
     P = _randbelow(DEFAULT_BOUND, 5 * n, random.Random(8)).reshape(5, n) \
@@ -505,7 +506,7 @@ def test_int64_jet_bound_at_random_points(monkeypatch):
                     (QSqrt3(3, (top - 9) // 6 + 1), 15 + (top - 9) // 6 * 6, 1),
                     (QSqrt3(top // 3 + 1, 1), top // 3 * 3 + 9, 1)]:
         jet = CubicForm(3, {(0, 1, 2): m}).jet(exact=True)
-        assert identities._l1(jet) == L and (L <= top) is (k == 0)
+        assert jet.l1 == L and (L <= top) is (k == 0)
         counts.clear()
         assert list(identities._sides_at(TRACE2, jet, P)) \
             == _reference_sides(TRACE2, jet, P)
@@ -1100,7 +1101,7 @@ def _bisect_all_steps(jet, a, b, ua):
     lo, hi, sa = a, b, np.sign(ua)
     for _ in range(identities.BISECT_STEPS):
         mid = identities._unit(lo + hi)
-        um = identities._values(jet, mid)
+        um = jet.value(mid)
         to_lo = np.sign(um) == sa
         to_hi = ~to_lo & (um != 0.0)
         lo = np.where(to_lo[:, None], mid, lo)
@@ -1118,7 +1119,7 @@ def test_bisect_stops_at_its_fixed_point(monkeypatch, name, capped):
     jet = u.jet(exact=False)
     t = 0.0 if capped else identities.GRAD_THRESHOLD
     rays, steps = [], []
-    real_bisect, real_values = identities._bisect, identities._values
+    real_bisect, real_value = identities._bisect, Jet.value
 
     def keep(jet, a, b, ua, grad_threshold):
         rays.append((a.copy(), b.copy(), ua.copy()))
@@ -1126,8 +1127,7 @@ def test_bisect_stops_at_its_fixed_point(monkeypatch, name, capped):
 
     monkeypatch.setattr(identities, "_bisect", keep)
     sample_cone(u, 10, 1, t)
-    monkeypatch.setattr(identities, "_values",
-                        lambda jet, X: steps.append(1) or real_values(jet, X))
+    monkeypatch.setattr(Jet, "value", lambda jet, X: steps.append(1) or real_value(jet, X))
     counts = []
     for a, b, ua in rays:
         steps.clear()
@@ -1185,8 +1185,8 @@ def test_bisect_keeps_rays_near_a_singular_point():
     r, k, t = (rng.uniform(lo, hi, 400) for lo, hi in ((1e-5, 1e-3), (1, 5), (0.05, 0.5)))
     a = identities._unit(np.stack([-t, r - k * t, np.ones(400)], axis=1))
     b = identities._unit(np.stack([t, r + k * t, np.ones(400)], axis=1))
-    ua = identities._values(jet, a)
-    assert (ua * identities._values(jet, b) < 0).all()
+    ua = jet.value(a)
+    assert (ua * jet.value(b) < 0).all()
     _, full = identities._bisect(jet, a, b, ua, 0.0)
     passed = dropped = 0
     for thr in 10.0 ** np.arange(-12.0, 0.5, 0.5):
@@ -1203,10 +1203,10 @@ def test_bisect_drops_no_ray_without_a_positive_threshold():
     rng = np.random.default_rng(3)
     a, b = identities._unit(np.abs(rng.standard_normal((2, 40, 3))))
     b = b * [-1.0, 1.0, 1.0]
-    live, _ = identities._bisect(jet, a, b, identities._values(jet, a), 0.1)
+    live, _ = identities._bisect(jet, a, b, jet.value(a), 0.1)
     assert len(live) == 0
     for t in (math.nan, 0.0, -0.0, -1.0, -math.inf):
-        live, P = identities._bisect(jet, a, b, identities._values(jet, a), t)
+        live, P = identities._bisect(jet, a, b, jet.value(a), t)
         assert live.tolist() == list(range(40)) and P.shape == (40, 3)
 
 
@@ -1218,7 +1218,7 @@ def _uncrossed(u, count, seed):
     for idx in range(count):
         ends = identities._unit(np.random.default_rng((seed, idx))
                                 .standard_normal((MAX_TRIES, 2, u.n)))
-        v = identities._values(jet, ends.reshape(-1, u.n)).reshape(-1, 2)
+        v = jet.value(ends.reshape(-1, u.n)).reshape(-1, 2)
         arc = (ends[:, 0] + ends[:, 1]).any(axis=-1)
         out += not (arc & (v[:, 0] * v[:, 1] < 0)).any()
     return out
@@ -1248,9 +1248,9 @@ def test_empty_point_stacks():
     u = catalog_build("cartan-d1")
     jet = u.jet(exact=False)
     X = np.empty((0, u.n))
-    assert identities._values(jet, X).shape == (0,)
+    assert jet.value(X).shape == (0,)
     assert identities._curvatures(jet, X, 0.1) == []
-    assert identities._blocked(jet.gradient, X, jet.m.size).shape == (0, u.n)
+    assert jet.gradient(X).shape == (0, u.n)
 
 
 def test_sample_cone_cartan():
