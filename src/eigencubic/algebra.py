@@ -14,10 +14,13 @@ radial identity of ``identities.RADIAL``, since x^2 = 2 Du,
 x^3 = 2 D^2u Du and <x^2, x> = 6u.  On a Q(sqrt3) form the kernel
 gives each piece as a ``QSqrt3Array``, two integer arrays, and each
 exact operation joins it to QSqrt3 entries only where its result leaves
-the kernel: the operators L_{e_i} of ``multiplication_rank``'s elimination,
-the Hsiang residual at a point and a nonzero weak-associativity difference.
-The rank is certified first from n gradients modulo one prime, where sqrt3
-has a root, and the elimination runs only where that certificate fails.
+the kernel: the Hsiang residual at a point and a nonzero
+weak-associativity difference.  The multiplication rank joins nothing: it
+is certified first from n gradients modulo one prime, where sqrt3 has a
+root, and where that certificate fails it is the largest rank of the
+products e_i o e_j modulo primes p = 11 (mod 12), over enough of them
+that a Hadamard bound leaves no larger rank; one row reduction modulo p,
+``_rank_mod_p``, serves both.
 
 Both checks run whole batches of points through the kernel on int64
 residue stacks, modulo 2**64 and as many primes as a bound on their
@@ -49,6 +52,7 @@ a gradient fallback when they stall.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,8 +61,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cubics import CubicForm, Jet, block_rows
-from .identities import RADIAL, _dots, _randbelow, _sides_at, _stack, _unit
-from .scalars import QSqrt3, QSqrt3Array, exact_div, joined, lift, moduli
+from .identities import RADIAL, _dots, _randbelow, _require_trials, _sides_at, _stack, _unit
+from .scalars import QSqrt3, QSqrt3Array, _prime, lift, moduli
 
 NEWTON_STEPS = 80
 IDEMPOTENT_RESIDUAL = 1e-10
@@ -115,40 +119,43 @@ class MetrisedAlgebra:
     def multiplication_rank(self) -> int:
         """dim span{e_i o e_j}; 1 exactly for the trivial family.
 
-        An exact form's rank is n if ``_full_rank_mod_p`` says so: the rows
-        D*Du(x) = D (x o x) / 2 lie in the span, and their matrix modulo p
-        is the exact one's image under the ring map Z[sqrt3] -> F_p, so its
-        full rank holds over Q(sqrt3).  Otherwise (a rank below n, unlucky
-        points or prime) exact elimination decides, over the columns j >= i
-        of D L_{e_i}, the products e_i o e_j.
+        The products are the rows j >= i of the symmetric L_{e_i}, held
+        as D L_{e_i} on the exact jet.  A float form's rank is their SVD
+        rank.  An exact form's rank is n if ``_full_rank_mod_p`` says so:
+        the rows D*Du(x) = D (x o x) / 2 lie in the span, and their matrix
+        modulo p is the exact one's image under the ring map
+        Z[sqrt3] -> F_p, so its full rank holds over Q(sqrt3).  Otherwise
+        it is the largest rank r, over the primes p = 11 (mod 12) of
+        ``_rank_primes``, of the matrix A of the products modulo p
+        (``_rank_mod_p``), taken until r = n or the product M of the primes
+        taken exceeds (2L)^(2r+2), L = ``Jet.l1``.
+
+        Proof that r is then the rank over Q(sqrt3).  The ring map takes
+        minors to minors, so no rank modulo p exceeds it.  Were it above
+        r, some (r+1)-minor mu = a + sqrt3 b of A would be nonzero, and so
+        would its norm N(mu) = a^2 - 3b^2, as sqrt3 is irrational.  A row
+        of A has channel norm sum |x| + 2 sum |y| <= 2L over its entries
+        x + sqrt3 y (a rotation adds m to its entries at most twice), which
+        bounds the Euclidean norms of the row and of its conjugate, so
+        Hadamard gives |N(mu)| = |mu| |mu'| <= (2L)^(2r+2).  Each prime
+        taken gives rank at most r, so mu maps to a + t b = 0 modulo it,
+        and it divides (a + t b)(a - t b) = N(mu).  Then M divides
+        N(mu) != 0, so M <= (2L)^(2r+2).
         """
         n = self.n
         if not self.form.is_exact_form:
-            jet = self.form.jet(exact=False)
-            rows = [jet.hessian(e)[i:] for i, e in enumerate(np.eye(n))]
-            return int(np.linalg.matrix_rank(np.concatenate(rows), tol=1e-9))
+            L = self.form.jet(exact=False).hessian(np.eye(n))
+            return int(np.linalg.matrix_rank(L[np.triu_indices(n)], tol=1e-9))
         jet = self.form.jet(exact=True)
         if _full_rank_mod_p(jet, n):
             return n
-        pivots: List[list] = []
-        pivot_cols: List[int] = []
-        for i, ei in enumerate(np.eye(n, dtype=int).astype(object)):
-            L = joined(jet.hessian(ei))
-            for j in range(i, n):
-                row = list(L[:, j])
-                for prow, pcol in zip(pivots, pivot_cols):
-                    v = row[pcol]
-                    if v:
-                        row = [rv - v * pv for rv, pv in zip(row, prow)]
-                col = next((k for k, v in enumerate(row) if v), None)
-                if col is not None:
-                    inv = exact_div(1, row[col])
-                    row = [rv * inv for rv in row]
-                    pivots.append(row)
-                    pivot_cols.append(col)
-                    if len(pivots) == n:
-                        return n
-        return len(pivots)
+        rank, M, bound = 0, 1, 2 * jet.l1
+        for p in _rank_primes():
+            L = _at_root(jet.modulo(p).hessian(np.eye(n, dtype=np.int64)), p)
+            rank = max(rank, _rank_mod_p(L[np.triu_indices(n)], p))
+            M *= p
+            if rank == n or M > bound ** (2 * rank + 2):
+                return rank
 
     # -- idempotents and Peirce data ------------------------------------------
     def find_idempotents(self, restarts: int = 64, seed: int = 0,
@@ -218,6 +225,7 @@ class MetrisedAlgebra:
         ``identities._sides_at`` evaluates for D*u at the integer points
         d*x, in blocks, as the random mode of the identity checks does.
         """
+        _require_trials(trials)
         rng = random.Random(seed)
         jet = self.form.jet(exact=True)
         D = jet.scale
@@ -248,6 +256,7 @@ class MetrisedAlgebra:
         ones become exact scalars, in trial order, so the result is the
         one a loop over single triples gives, in value and in type.
         """
+        _require_trials(trials)
         rng = random.Random(seed)
         jet = self.form.jet(exact=True)
         (X, dx), (Y, dy), (Z, dz) = (_rational_batch(self.n, trials, rng) for _ in range(3))
@@ -465,23 +474,42 @@ def _peirce_records(jet: Jet, C: np.ndarray, bin_tol: float,
 def _full_rank_mod_p(jet: Jet, n: int) -> bool:
     """Whether D*Du of the exact ``jet`` at the numerators of
     ``_rational_batch(n, n, random.Random(0))`` has rank n modulo p =
-    ``RANK_PRIME``; as p = 11 (mod 12), t = 3**((p+1)/4) squares to 3, and
-    r + sqrt3 s maps to r + t s.  No int64 sum reaches 2**63: a residue is
-    below 2**27 and |x_b x_c| <= 81, so a gradient entry, at most 2**21
-    products (the rotations, n <= MAX_DIM), is below 2**55, and an
-    elimination product below 2**54."""
-    p = RANK_PRIME
-    t = pow(3, (p + 1) // 4, p)
-    g = jet.modulo(p).gradient(_rational_batch(n, n, random.Random(0))[0])
-    G = (g.r % p + t * (g.s % p) if isinstance(g, QSqrt3Array) else g) % p
-    for k in range(n):
-        nz = np.flatnonzero(G[k:, k])
-        if not nz.size:
-            return False
-        G[[k, k + nz[0]]] = G[[k + nz[0], k]]
-        G[k] = G[k] * pow(int(G[k, k]), -1, p) % p
-        G[k + 1:] = (G[k + 1:] - G[k + 1:, k, None] * G[k]) % p
-    return True
+    ``RANK_PRIME``.  No int64 sum reaches 2**63: a residue is below 2**27
+    and |x_b x_c| <= 81, so a gradient entry, at most 2**21 products (the
+    rotations, n <= MAX_DIM), is below 2**55."""
+    g = jet.modulo(RANK_PRIME).gradient(_rational_batch(n, n, random.Random(0))[0])
+    return _rank_mod_p(_at_root(g, RANK_PRIME), RANK_PRIME) == n
+
+
+def _rank_primes():
+    """The residue primes = 11 (mod 12), largest first: ``RANK_PRIME``, ..."""
+    return (p for p in map(_prime, itertools.count()) if p % 12 == 11)
+
+
+def _at_root(x, p: int) -> np.ndarray:
+    """The residues in [0, p) of a residue jet's int64 piece x modulo a
+    prime p = 11 (mod 12), with r + sqrt3 s of a pair mapped to r + t s:
+    t = 3**((p+1)/4) squares to 3, as 3 is a square modulo p and
+    p = 3 (mod 4).  t (s mod p) is below 2**54."""
+    r, s = (x.r, x.s) if isinstance(x, QSqrt3Array) else (x, 0)
+    return (r % p + pow(3, (p + 1) // 4, p) * (s % p)) % p
+
+
+def _rank_mod_p(G: np.ndarray, p: int) -> int:
+    """The rank modulo the prime p < 2**27 of the int64 matrix G of
+    residues in [0, p), by row reduction in place: each column in turn
+    takes the first row below the pivots that is nonzero there as its
+    pivot, scaled to 1, and clears the column below it; a column with no
+    such row is skipped.  An elimination product is below 2**54."""
+    rank = 0
+    for k in range(G.shape[1]):
+        nz = rank + np.flatnonzero(G[rank:, k])
+        if nz.size:
+            G[[rank, nz[0]]] = G[[nz[0], rank]]
+            G[rank, k:] = G[rank, k:] * pow(int(G[rank, k]), -1, p) % p
+            G[rank + 1:, k:] = (G[rank + 1:, k:] - G[rank + 1:, k, None] * G[rank, k:]) % p
+            rank += 1
+    return rank
 
 
 def _rational_batch(n: int, count: int, rng: random.Random):

@@ -154,8 +154,9 @@ def _stack(x, q: int):
 def _residue_pieces(jet: Jet, X: np.ndarray, q: int) -> Tuple:
     """(v, g, H, r2) modulo q at the int64 points X on ``jet.modulo(q)``.
     Modulo 2**64 they are the jet's own, wrapped.  Modulo a prime only H
-    is (each entry sums at most 2n <= 256 products below 2**54), and
-    Euler's H x = 2 g and x . g = 3 v for the cubic give g and v."""
+    is: an entry sums at most 2n + 4 <= 260 products below 2**54 (a
+    diagonal one on a dense form), and 260 * 2**54 < 2**63.  Euler's
+    H x = 2 g and x . g = 3 v for the cubic give g and v."""
     x = ResidueStack(X, q)
     H = _stack(jet.hessian(x.x), q)
     if not q:
@@ -269,6 +270,13 @@ def _expanded_ratio(lhs, rhs):
     return exact_div(l0.join(), r0.join())
 
 
+def _require_trials(trials: int) -> None:
+    """Raise ValueError for trials < 1: an exact check at no random point
+    would read as one that holds."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
            seed: int) -> CheckReport:
     m = _pick_mode(u, mode)
@@ -288,8 +296,7 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
     elif m == "exact":
         t = _expanded_ratio(*ident.sides(*jet.symbolic(u.n)))
     else:
-        if trials < 1:
-            raise ValueError(f"trials must be at least 1, got {trials}")
+        _require_trials(trials)
         t = _ratio(random_sides(random.Random(seed)))
     if t is None or (ident.positive and not t > 0):
         return CheckReport(ident.name, False, None, m, 0.0)
@@ -626,6 +633,8 @@ def sample_cone(u: CubicForm, count: int, seed: int,
     rounds.  The report, with points in index order, is the one a
     ray-by-ray search gives, bit for bit.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     report = ConeSampleReport(requested=count)

@@ -7,14 +7,17 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from eigencubic import algebra, cubics
 from eigencubic.algebra import MetrisedAlgebra, _newton_step
 from eigencubic.cubics import (CATALOG, CubicForm, Jet, _Sqrt3Jet, cartan_cubic,
                                catalog_build, trivial_cubic)
 from eigencubic.identities import check_radial
+from eigencubic.poly import Poly
 from eigencubic.scalars import QSqrt3, _prime, joined, moduli
-from formref import gradient, polarize
+from formref import gradient, hessian, polarize
 from rotations import rotate_by_substitution
 
 DIM3 = catalog_build("clifford-q0")
@@ -191,12 +194,88 @@ def test_equal_points_fail_the_certificate_but_not_the_rank(monkeypatch, name):
         assert MetrisedAlgebra(u).multiplication_rank() == u.n
 
 
+def _random_rank_deficient(seed, sqrt3):
+    """A form on R^n, 2 <= n <= 6, that is a sum of r < n cubes
+    c ell^3 of random linear forms ell, with integer or Q(sqrt3)
+    coefficients."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 6)
+
+    def coefficient(lo, hi):
+        a = rng.randint(lo, hi)
+        return QSqrt3(a, rng.randint(lo, hi)) if sqrt3 else a
+
+    u = Poly.zero(n)
+    for _ in range(rng.randint(1, n - 1)):
+        ell = Poly.zero(n)
+        for i in range(n):
+            ell = ell + Poly.var(n, i) * coefficient(-3, 3)
+        u = u + ell * ell * ell * coefficient(1, 5)
+    return CubicForm.from_poly(u)
+
+
+def _sympy_rank(u):
+    """The rank over Q(sqrt3) of the products e_i o e_j = L_{e_i} e_j,
+    j >= i, read off the ``formref`` Hessian polynomials, from sympy."""
+    def entry(x):
+        if isinstance(x, QSqrt3):
+            return sympy.Rational(x.a) + sympy.Rational(x.b) * sympy.sqrt(3)
+        return sympy.Rational(x)
+
+    H, eye = hessian(u), np.eye(u.n, dtype=int).tolist()
+    rows = [[entry(H[a][j].eval(eye[i])) for a in range(u.n)]
+            for i in range(u.n) for j in range(i, u.n)]
+    return DomainMatrix.from_list_sympy(len(rows), u.n, rows, extension=True).rank()
+
+
+@pytest.mark.parametrize("sqrt3", [False, True])
+@pytest.mark.parametrize("seed", range(10))
+def test_deficient_rank_matches_sympy(seed, sqrt3):
+    # below full rank the certificate fails, and the primes decide
+    u = _random_rank_deficient(seed, sqrt3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not algebra._full_rank_mod_p(u.jet(exact=True), u.n)
+        assert MetrisedAlgebra(u).multiplication_rank() == _sympy_rank(u) < u.n
+
+
+def test_deficient_rank_outlasts_primes_that_lose_it():
+    # x1^3 + P x2^3 on R^3 with P the product of the first 20 rank primes:
+    # modulo each of them the form is x1^3, of rank 1, and the Hadamard
+    # bound keeps the loop going to a prime that sees rank 2
+    primes = list(itertools.islice(algebra._rank_primes(), 20))
+    P = math.prod(primes)
+    u = CubicForm(3, {(0, 0, 0): Fraction(1), (1, 1, 1): Fraction(P)})
+    jet = u.jet(exact=True)
+    for p in primes:
+        L = algebra._at_root(jet.modulo(p).hessian(np.eye(3, dtype=np.int64)), p)
+        assert algebra._rank_mod_p(L[np.triu_indices(3)], p) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert MetrisedAlgebra(u).multiplication_rank() == 2
+
+
+def test_deficient_rank_keeps_the_largest_rank():
+    # x1^3 + q x2^3 on R^3 with q the fifth rank prime: the primes before
+    # it see rank 2, too few to pass the bound at rank 2, and q sees rank
+    # 1 with a product already past the bound at rank 1, so a loop that
+    # kept the last rank, not the largest, would stop at q with rank 1
+    primes = list(itertools.islice(algebra._rank_primes(), 5))
+    u = CubicForm(3, {(0, 0, 0): Fraction(1), (1, 1, 1): Fraction(primes[-1])})
+    bound = 2 * u.jet(exact=True).l1
+    assert math.prod(primes[:4]) <= bound ** 6 and math.prod(primes) > bound ** 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert MetrisedAlgebra(u).multiplication_rank() == 2
+
+
 def test_rank_prime_has_a_square_root_of_three():
     p = algebra.RANK_PRIME
     assert p == _prime(11) and p % 12 == 11
     assert pow(pow(3, (p + 1) // 4, p), 2, p) == 3
     # no larger residue prime is 11 mod 12
     assert [i for i in range(12) if _prime(i) % 12 == 11] == [11]
+    assert next(algebra._rank_primes()) == p
 
 
 def test_find_idempotents_dim3():
@@ -628,6 +707,18 @@ def test_hsiang_identity_detects_wrong_theta():
     # the residual is exact; the value is the one the separate
     # integer-channel implementation gave before the kernel took over
     assert ALG3.check_hsiang_identity(Fraction(-7), trials=20, seed=3) == 416520
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_exact_checks_need_a_trial(trials):
+    # at no point the residual would be 0, which reads as "the identity
+    # holds", while 5 points refute theta = 7 on cartan-d1
+    alg = MetrisedAlgebra(catalog_build("cartan-d1"))
+    assert alg.check_hsiang_identity(Fraction(7), trials=5) == 13107680
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        alg.check_hsiang_identity(Fraction(7), trials=trials)
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        alg.weak_associativity_max_residual(trials=trials)
 
 
 def test_exact_checks_pinned_values():

@@ -22,7 +22,7 @@ from eigencubic.identities import (DEFAULT_BOUND, DEFAULT_TRIALS, EICONAL,
                                    trace_identity_cubic,
                                    trace_identity_quadratic)
 from eigencubic.poly import Poly
-from eigencubic.scalars import QSqrt3, QSqrt3Array, exact_div, joined
+from eigencubic.scalars import QSqrt3, QSqrt3Array, _prime, exact_div, joined
 from formref import dense_tensor, gradient, hessian
 from polyref import joined_terms
 from rotations import cayley_rotation, rotate_by_substitution, rotate_exact, skew
@@ -53,6 +53,21 @@ def test_random_mode_needs_a_trial():
     for trials in (0, -3):
         with pytest.raises(ValueError):
             check_radial(DIM3, "random", trials=trials)
+
+
+def test_residue_hessian_at_its_longest_entry_sum():
+    # x0^2 x_c, c = 0..127, at coefficient and point residues p - 1 for the
+    # largest residue prime p: the diagonal entry H_00 sums 2n + 4 = 260
+    # products (p - 1)^2, the most any entry sums at MAX_DIM
+    n, p = cubics.MAX_DIM, _prime(0)
+    u = CubicForm(n, {(0, 0, c): Fraction(-1) for c in range(n)})
+    jet = u.jet(exact=True).modulo(p)
+    assert (jet.m == p - 1).all()
+    point = [p - 1] * n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = identities._residue_pieces(jet, np.array([point], dtype=np.int64), p)[2].x[0]
+    assert H.tolist() == [[h.eval(point) % p for h in row] for row in hessian(u)]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -1088,6 +1103,12 @@ def _assert_same_report(got, want):
     assert all(np.array_equal(p, q) for p, q in zip(got.points, want.points))
     assert got.curvatures == want.curvatures
     assert got.rejected == want.rejected
+
+
+def test_sample_cone_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        sample_cone(DIM3, -3, 1)
+    assert sample_cone(DIM3, 0, 1).requested == 0
 
 
 def test_sample_cone_trivial_rejections_pinned():
