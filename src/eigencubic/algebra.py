@@ -141,6 +141,11 @@ class MetrisedAlgebra:
         taken gives rank at most r, so mu maps to a + t b = 0 modulo it,
         and it divides (a + t b)(a - t b) = N(mu).  Then M divides
         N(mu) != 0, so M <= (2L)^(2r+2).
+
+        The same 2L bounds each channel of each entry of D L_{e_i}, so
+        where 2L < 2**63 the products are taken once, on the int64 jet
+        modulo 2**64, where no partial sum wraps, and reduced modulo each
+        prime; beyond it each prime takes them on its own residue jet.
         """
         n = self.n
         if not self.form.is_exact_form:
@@ -150,8 +155,10 @@ class MetrisedAlgebra:
         if _full_rank_mod_p(jet, n):
             return n
         rank, M, bound = 0, 1, 2 * jet.l1
+        eye = np.eye(n, dtype=np.int64)
+        exact = jet.modulo(0).hessian(eye) if bound < 2 ** 63 else None
         for p in _rank_primes():
-            L = _at_root(jet.modulo(p).hessian(np.eye(n, dtype=np.int64)), p)
+            L = _at_root(jet.modulo(p).hessian(eye) if exact is None else exact, p)
             rank = max(rank, _rank_mod_p(L[np.triu_indices(n)], p))
             M *= p
             if rank == n or M > bound ** (2 * rank + 2):

@@ -73,7 +73,7 @@ def _simplify(c):
 
 
 class CubicForm:
-    __slots__ = ("n", "terms", "_jets")
+    __slots__ = ("n", "terms", "_jets", "_symbolic")
 
     def __init__(self, n: int, terms: Dict[Key, object]):
         self.n = n
@@ -87,6 +87,7 @@ class CubicForm:
                 clean[(i, j, k)] = c
         self.terms = clean
         self._jets = {}
+        self._symbolic = None
 
     # -- basic structure ---------------------------------------------------
     @property
@@ -126,6 +127,14 @@ class CubicForm:
         if exact not in self._jets:
             self._jets[exact] = Jet.of(self, exact)
         return self._jets[exact]
+
+    def symbolic(self) -> tuple:
+        """The exact jet's ``symbolic`` pieces (v, g, H, r2) in the n
+        variables, expanded once, so every exact check of the form
+        multiplies the same arrays."""
+        if self._symbolic is None:
+            self._symbolic = self.jet(exact=True).symbolic(self.n)
+        return self._symbolic
 
     # -- evaluation and calculus -------------------------------------------
     def to_poly(self) -> Poly:

@@ -8,8 +8,9 @@ and every mode runs that same function through the form's one kernel,
 decider:
 
 * exact: p is the vector of variables, and the jet's ``symbolic`` gives
-  the pieces as ``poly.PolyArray``s, so the sides come out expanded;
-  t is decided on their coefficients;
+  the pieces as ``poly.PolyArray``s, built once per form
+  (``CubicForm.symbolic``), so the sides come out expanded; t is decided
+  on their coefficients;
 * random: p is a random integer point; t is decided on the exact sides
   at ``trials + 1`` points, with the Schwartz-Zippel bound (deg/bound)**trials,
   or the least positive float where that underflows;
@@ -254,18 +255,24 @@ def _coefficient(side, code: int) -> QSqrt3Array:
     return QSqrt3Array(at(side), 0)
 
 
+def _same_terms(x, y) -> bool:
+    """Whether two PolyArrays hold the same terms: their arrays are equal,
+    as a PolyArray's terms are sorted, each key once, with no zero."""
+    return all(np.array_equal(getattr(x, f), getattr(y, f)) for f in ("idx", "code", "coef"))
+
+
 def _expanded_ratio(lhs, rhs):
     """``_ratio`` over the coefficients of two expanded sides, each a
     ``PolyArray`` of shape () or the ``QSqrt3Array`` pair of two: t is
-    solved at rhs's first monomial, and lhs * rhs0 - rhs * lhs0, expanded
-    on the same kernel, must be zero."""
+    solved at rhs's first monomial, and lhs * rhs0 and rhs * lhs0,
+    expanded on the same kernel, must have the same terms."""
     channels = [(x.r, x.s) if isinstance(x, QSqrt3Array) else (x,) for x in (lhs, rhs)]
     codes = [p.code[0] for p in channels[1] if p.code.size]
     if not codes:
         return None if any(p.code.size for p in channels[0]) else Fraction(0)
     l0, r0 = (_coefficient(x, min(codes)) for x in (lhs, rhs))
-    cross = lhs * r0 - rhs * l0
-    if cross.r.code.size or cross.s.code.size:
+    a, b = lhs * r0, rhs * l0
+    if not (_same_terms(a.r, b.r) and _same_terms(a.s, b.s)):
         return None
     return exact_div(l0.join(), r0.join())
 
@@ -294,7 +301,7 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
     if m == "float":
         t = _proportional_float(ident, jet, u.n, seed)
     elif m == "exact":
-        t = _expanded_ratio(*ident.sides(*jet.symbolic(u.n)))
+        t = _expanded_ratio(*ident.sides(*u.symbolic()))
     else:
         _require_trials(trials)
         t = _ratio(random_sides(random.Random(seed)))

@@ -179,15 +179,16 @@ class Poly:
         return "Poly[" + " + ".join(bits) + "]"
 
 
-# The most term pairs one block of a ``PolyArray`` product lists.  A pair
-# costs about 150 bytes of temporaries (its digits before and after the
-# sort, its term indices, key, coefficient and sort order), so a block is
-# about 0.6 MB.  On a 2-vCPU host, the exact checks of the 15 catalog
-# forms with n <= 27, run in one process, peaked at 32.2 MB RSS with
-# blocks of 2**10 or 2**12 pairs, 33.7 MB with 2**14 and 37.5 MB with
-# 2**16, all in 0.13-0.17 s.  Larger blocks only pay on complexified-d8
-# (0.41 s at 2**12, 0.32 s at 2**16), which the benchmark's exact
-# workload does not run.
+# The most term pairs one block of a ``PolyArray`` product lists.  A
+# block's temporaries (term indices, gathered and merged digit columns,
+# keys, coefficients and sort order) take at most a few hundred bytes a
+# pair.  On a 2-vCPU host (Python 3.11, numpy 2.4), the exact checks of
+# the 15 catalog forms with n <= 27, run in one process, peaked at 32.5 MB
+# RSS with blocks of 2**10 pairs, 32.7 MB with 2**12, 33.8 MB with 2**14
+# and 37.5 MB with 2**16, in 0.07-0.14 s each.  Those of complexified-d8,
+# which the benchmark's exact workload does not run, took 0.35-0.40 s at
+# 2**10, 0.21-0.28 s at 2**12 and 0.20-0.25 s at 2**16, peaking at 45.9,
+# 45.8 and 50.2 MB.
 PAIR_BLOCK = 1 << 12
 _INT64_LIMIT = 2 ** 63
 
@@ -206,10 +207,13 @@ def _coefficients(coef: np.ndarray, int64: bool) -> np.ndarray:
 
 def _collect(key: np.ndarray, coef: np.ndarray):
     """The distinct keys in increasing order and the sum of the
-    coefficients at each, the keys whose sum is zero dropped."""
+    coefficients at each, the keys whose sum is zero dropped.  The sums
+    are exact (int64 under an L1 bound, or Python ints), so the order in
+    which equal keys are added does not matter and the sort need not be
+    stable."""
     if not key.size:
         return key, coef
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     key, coef = key[order], coef[order]
     first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     key, coef = key[first], np.add.reduceat(coef, first)
@@ -221,6 +225,26 @@ def _union(parts: list):
     """``_collect`` over the concatenated (key, coef) parts."""
     return _collect(np.concatenate([key for key, _ in parts]),
                     np.concatenate([coef for _, coef in parts]))
+
+
+def _merged(a: list, b: list) -> list:
+    """The columns of the merge of two sorted rows of digits, each given
+    as its columns a_1 <= ... <= a_p and b_1 <= ... <= b_q (arrays of one
+    length, one row per pair).  The k-th smallest of the p + q is the
+    least, over the splits i + j = k, of max(a_i, b_j), where a_0 and b_0
+    stand for -inf: a_1..a_i and b_1..b_j are k digits whose largest is
+    max(a_i, b_j), so no split gives less, and the split that takes the k
+    smallest gives exactly it.  p q maxima and p q minima in all."""
+    p, q = len(a), len(b)
+    out = []
+    for k in range(1, p + q + 1):
+        best = None
+        for i in range(max(0, k - q), min(p, k) + 1):
+            j = k - i
+            x = b[j - 1] if not i else a[i - 1] if not j else np.maximum(a[i - 1], b[j - 1])
+            best = x if best is None else np.minimum(best, x)
+        out.append(best)
+    return out
 
 
 def _codes(nvars: int, shape: tuple, deg: int) -> int:
@@ -250,13 +274,16 @@ class PolyArray:
     ``+``, ``-``, ``*`` by an integer, ``*`` (numpy broadcasting), ``@``,
     ``sum`` and ``trace`` follow numpy's ndarray of polynomials.  A
     product lists the pairs of terms it multiplies ``PAIR_BLOCK`` at a
-    time, merges each pair's digits with one sort and sums equal
-    (entry, code) keys within a block and then across blocks.  Any
-    other operand gives NotImplemented, so a ``QSqrt3Array`` pair of
-    PolyArrays does its own arithmetic, channel by channel.
+    time.  A pair's monomial is the merge of its two sorted digit rows,
+    taken column by column with ``np.minimum`` and ``np.maximum``
+    (``_merged``) on the digit columns each operand computes once, and
+    read as its code as the columns come; equal (entry, code) keys are
+    summed within a block and then across blocks.  Any other operand
+    gives NotImplemented, so a ``QSqrt3Array`` pair of PolyArrays does
+    its own arithmetic, channel by channel.
     """
 
-    __slots__ = ("nvars", "shape", "deg", "idx", "code", "coef", "l1")
+    __slots__ = ("nvars", "shape", "deg", "idx", "code", "coef", "l1", "_at", "_cols")
     __array_ufunc__ = None
 
     def __init__(self, nvars: int, shape: tuple, deg: int, idx: np.ndarray,
@@ -267,6 +294,7 @@ class PolyArray:
         self.idx, self.code = idx, code
         self.l1 = _l1(coef)
         self.coef = _coefficients(coef, self.l1 < _INT64_LIMIT)
+        self._at = self._cols = None
 
     @classmethod
     def collect(cls, nvars: int, shape: tuple, deg: int, idx, code,
@@ -286,11 +314,20 @@ class PolyArray:
     def ndim(self) -> int:
         return len(self.shape)
 
-    def _digits(self) -> np.ndarray:
-        """Each term's monomial as its sorted variable indices, one row per
-        term."""
-        powers = self.nvars ** np.arange(self.deg - 1, -1, -1, dtype=np.int64)
-        return self.code[:, None] // powers % self.nvars
+    def _starts(self) -> np.ndarray:
+        """The first term of each entry, and the term count after the last:
+        entry e holds the terms at[e] to at[e + 1] - 1.  Computed once."""
+        if self._at is None:
+            self._at = np.searchsorted(self.idx, np.arange(self.size + 1))
+        return self._at
+
+    def _columns(self) -> np.ndarray:
+        """The sorted variable indices of each term's monomial, one row per
+        digit, the smallest first: a (deg, terms) array.  Computed once."""
+        if self._cols is None:
+            powers = self.nvars ** np.arange(self.deg - 1, -1, -1, dtype=np.int64)
+            self._cols = self.code // powers[:, None] % self.nvars
+        return self._cols
 
     def _like(self, other) -> bool:
         if not isinstance(other, PolyArray):
@@ -378,28 +415,36 @@ class PolyArray:
         one output entry takes every pair, as a scalar side does."""
         nvars, deg = self.nvars, self.deg + other.deg
         codes = _codes(nvars, shape, deg)
-        a_at = np.searchsorted(self.idx, np.arange(self.size + 1))
-        b_at = np.searchsorted(other.idx, np.arange(other.size + 1))
+        a_at, b_at = self._starts(), other._starts()
         na, nb = np.diff(a_at)[ea], np.diff(b_at)[eb]
         ends = np.cumsum(na * nb)
         total = int(ends[-1]) if ends.size else 0
         # an empty operand leaves the other's coefficients as they are
         int64 = max(self.l1, other.l1, self.l1 * other.l1) < _INT64_LIMIT
         ca, cb = _coefficients(self.coef, int64), _coefficients(other.coef, int64)
-        da, db = self._digits(), other._digits()
-        powers = nvars ** np.arange(deg - 1, -1, -1, dtype=np.int64)
-        merged, pending = [(np.zeros(0, dtype=np.int64), ca[:0])], []
+        da, db = self._columns(), other._columns()
+        parts = [(np.zeros(0, dtype=np.int64), ca[:0])]     # the running sums first
         for lo in range(0, total, PAIR_BLOCK):
-            pair = np.arange(lo, min(lo + PAIR_BLOCK, total))
-            q = np.searchsorted(ends, pair, side="right")
-            k = pair - ends[q] + na[q] * nb[q]
-            ta = a_at[ea[q]] + k // nb[q]
-            tb = b_at[eb[q]] + k % nb[q]
-            digits = np.sort(np.concatenate([da[ta], db[tb]], axis=1), axis=1)
-            pending.append(_collect(out[q] * codes + digits @ powers, ca[ta] * cb[tb]))
-            if sum(k.size for k, _ in pending) > max(merged[0][0].size, PAIR_BLOCK):
-                merged, pending = [_union(merged + pending)], []
-        key, coef = _union(merged + pending)
+            hi = min(lo + PAIR_BLOCK, total)
+            # the q with pairs in [lo, hi), and how many: pair p of q is
+            # self's term a_at[ea[q]] + i times other's b_at[eb[q]] + j,
+            # with p - starts[q] = i nb[q] + j
+            first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
+            s = slice(first, last + 1)
+            starts = ends[s] - na[s] * nb[s]
+            counts = np.minimum(ends[s], hi) - np.maximum(starts, lo)
+            i, j = np.divmod(np.arange(lo, hi) - starts.repeat(counts), nb[s].repeat(counts))
+            ta = a_at[ea[s]].repeat(counts) + i
+            tb = b_at[eb[s]].repeat(counts) + j
+            key = out[s].repeat(counts)
+            for d in _merged([x[ta] for x in da], [x[tb] for x in db]):
+                key *= nvars
+                key += d
+            parts.append(_collect(key, ca[ta] * cb[tb]))
+            if sum(k.size for k, _ in parts[1:]) > max(parts[0][0].size, PAIR_BLOCK):
+                parts = [_union(parts)]
+        parts = [part for part in parts if part[0].size] or parts[:1]
+        key, coef = parts[0] if len(parts) == 1 else _union(parts)
         return PolyArray(nvars, shape, deg, key // codes, key % codes, coef)
 
     def __repr__(self):

@@ -558,6 +558,29 @@ def test_clifford_cmd_verifies_once(runner, monkeypatch):
     assert calls == [3]
 
 
+@pytest.mark.parametrize("args", [("verify", "--check", "all", "--exact"),
+                                  ("classify", "--exact")])
+@pytest.mark.parametrize("name, channels", [("cartan-d2", 1), ("cartan-d4", 2)])
+def test_exact_checks_expand_the_pieces_once(runner, tmp_path, monkeypatch, args,
+                                             name, channels):
+    # every exact check of a form multiplies the same PolyArray pieces, so
+    # a command reads them off the jet once: one Jet.symbolic call per
+    # channel, two on the Q(sqrt3) form cartan-d4
+    from eigencubic.cubics import Jet
+    calls = []
+
+    def counted(self, n):
+        calls.append(n)
+        return symbolic(self, n)
+
+    symbolic = Jet.symbolic
+    monkeypatch.setattr(Jet, "symbolic", counted)
+    path = _emit(runner, tmp_path, name)
+    res = run(runner, args[0], path, *args[1:])
+    assert res.exit_code == 0
+    assert len(calls) == channels
+
+
 def test_cone_sample(runner, tmp_path):
     path = _emit(runner, tmp_path, "clifford-q0")
     res = run(runner, "cone-sample", path, "--count", "20", "--seed", "1",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eigencubic import algebra, cubics, identities
+from eigencubic import algebra, cubics, identities, poly
 from eigencubic.algebra import MetrisedAlgebra
 from eigencubic.cubics import (CATALOG, CubicForm, Jet, cartan_cubic, catalog_build,
                                trivial_cubic)
@@ -781,6 +781,16 @@ def test_expanded_sides_match_poly_arithmetic(name):
     for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
         for got, want in zip(ident.sides(*symbolic), ident.sides(*reference)):
             assert joined_terms(got) == [want.terms], ident.name
+
+
+@pytest.mark.parametrize("name", SMALL_FORMS + MID_FORMS + ["dense-8"] + [
+    name for name, base in MUTATED.items() if base != "complexified-d8"])
+def test_expanded_sides_match_poly_arithmetic_in_small_blocks(monkeypatch, name):
+    # the same expansion with products listed 7 term pairs at a time, so
+    # the pairs of one output term span several blocks; complexified-d8,
+    # whose widest side takes about 10**5 such blocks, is left out
+    monkeypatch.setattr(poly, "PAIR_BLOCK", 7)
+    test_expanded_sides_match_poly_arithmetic(name)
 
 
 # the Schwartz-Zippel degree of each check's identity

@@ -199,6 +199,51 @@ def test_poly_array_products_are_summed_across_blocks(monkeypatch, block):
     assert got == want
 
 
+# the degree splits of the identity sides' products: H @ H and H * H
+# 1+1, H @ g 1+2, (H @ H) * H 2+1, g @ g and r2 * r2 2+2, r2 * v and
+# g @ (H @ g) 2+3, (g @ g) * trace H 4+1; and 3+3
+SPLITS = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (4, 1), (3, 3)]
+
+
+@pytest.mark.parametrize("block", [1, 7, poly.PAIR_BLOCK])
+@pytest.mark.parametrize("da, db", SPLITS, ids=[f"{a}+{b}" for a, b in SPLITS])
+def test_poly_array_products_merge_sorted_monomials(monkeypatch, da, db, block):
+    # each pair's monomial is the merge of its two sorted digit rows: in 3
+    # variables nearly every pair shares a variable, so the merge meets
+    # ties, and blocks of 1 or 7 pairs split one output term's pairs
+    # across blocks; matrix, broadcast and scalar products against Poly
+    rng = np.random.default_rng(10 * da + db)
+
+    def operand(shape, deg):
+        size = int(np.prod(shape))
+        return _array(3, shape, deg, [
+            (int(rng.integers(size)), tuple(sorted(rng.integers(0, 3, deg).tolist())),
+             int(rng.integers(-3, 4))) for _ in range(4 * size)])
+
+    a, b, c = operand((2, 3), da), operand((3, 2), db), operand((3,), db)
+    pa, pb, pc = to_polys(a), to_polys(b), to_polys(c)
+    monkeypatch.setattr(poly, "PAIR_BLOCK", block)
+    for got, want in [(a @ b, pa @ pb), (a * c, pa * pc), ((a @ c).sum() * a.sum(),
+                                                           np.sum(pa @ pc) * np.sum(pa))]:
+        assert [p.terms for p in to_polys(got).ravel()] == \
+            [p.terms for p in np.ravel(np.array(want, dtype=object))]
+
+
+@pytest.mark.parametrize("block", [1, poly.PAIR_BLOCK])
+def test_poly_array_merge_ties_and_interleaving(monkeypatch, block):
+    # x0^2 * x0 x1, x0^3 * x0^3, and rows that interleave or lie wholly
+    # on one side of the other
+    monkeypatch.setattr(poly, "PAIR_BLOCK", block)
+    cases = [((0, 0), (0, 1), (0, 0, 0, 1)), ((0, 0, 0), (0, 0, 0), (0,) * 6),
+             ((1, 3), (0, 2, 4), (0, 1, 2, 3, 4)), ((3, 4), (0, 1, 2), (0, 1, 2, 3, 4)),
+             ((0, 1), (2, 3, 4), (0, 1, 2, 3, 4)), ((2,), (0, 2, 2, 4), (0, 2, 2, 2, 4))]
+    for ma, mb, want in cases:
+        a = _array(5, (), len(ma), [(0, ma, 2)])
+        b = _array(5, (), len(mb), [(0, mb, -3)])
+        for got in (a * b, b * a):
+            assert to_polys(got)[()].terms == {want: -6}
+
+
 # 2**63 - 1 = 7 * 21870289 * 60247241209; 2**63 = 2**31 * 2**32
 @pytest.mark.parametrize("la, lb, int64", [(7 * 21870289, 60247241209, True),
                                            (2 ** 31, 2 ** 32, False)],
