@@ -107,8 +107,11 @@ def _conj_rec(a: tuple) -> tuple:
 
 
 def cd_mul(a: CDElement, b: CDElement) -> CDElement:
-    """Cayley-Dickson product; bilinear and norm-multiplicative."""
+    """Cayley-Dickson product; bilinear and norm-multiplicative.  A zero
+    operand gives zero at once (half the products of a Jordan square)."""
     _check(a, b)
+    if a.is_zero() or b.is_zero():
+        return CDElement.zero(a.d)
     return CDElement(a.d, _mul_rec(a.coeffs, b.coeffs))
 
 

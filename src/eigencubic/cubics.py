@@ -5,8 +5,10 @@ u(x) = sum m_{ijk} x_i x_j x_k; the full symmetric tensor entry is
 m_{ijk} divided by the number of distinct permutations of (i, j, k).
 
 The catalog constructors build every named family by evaluating the
-Hermitian-matrix machinery on symbolic (polynomial-coordinate) elements,
-so the coefficient tensors come out exact.  Variable order is the basis
+Hermitian-matrix machinery on symbolic (polynomial-coordinate) elements
+over a basis cleared of denominators, so every product is on integers (or
+Q(sqrt3) pairs of them), and divide the finished cubic once: the
+coefficient tensors come out exact.  Variable order is the basis
 order of the underlying construction and is documented per constructor.
 """
 
@@ -23,8 +25,9 @@ import numpy as np
 
 from .clifford import CliffordSystem, build_clifford_system, verify_clifford_system
 from .composition import CDElement, re_triple
-from .jordan import (HermMat3, freudenthal_det, det_polar, fullspace_basis,
-                     involution, jordan_mul, trace_form, tracefree_basis)
+from .jordan import (HermMat3, cleared, common_denominator, det_polar_twice,
+                     freudenthal_det, fullspace_basis, involution, jordan_twice,
+                     trace_form, tracefree_basis)
 from .poly import Poly, PolyArray
 from .scalars import (QSqrt3, QSqrt3Array, format_rational, is_exact, joined,
                       parse_rational)
@@ -449,8 +452,8 @@ def clifford_cubic(S: CliffordSystem) -> CubicForm:
     return CubicForm(n, terms)
 
 
-def _symbolic_element(basis, nvars: int, offset: int = 0) -> HermMat3:
-    """sum_i x_{offset+i} b_i with polynomial coordinates."""
+def _symbolic_element(basis, nvars: int, offset: int = 0, k: int = 1) -> HermMat3:
+    """k sum_i x_{offset+i} b_i, its polynomial coordinates ``cleared`` by k."""
     d = basis[0].d
     diag = [Poly.zero(nvars) for _ in range(3)]
     off = [[Poly.zero(nvars) for _ in range(d)] for _ in range(3)]
@@ -458,13 +461,20 @@ def _symbolic_element(basis, nvars: int, offset: int = 0) -> HermMat3:
         xi = Poly.var(nvars, offset + i)
         for t in range(3):
             if b.diag[t]:
-                diag[t] = diag[t] + xi * b.diag[t]
+                diag[t] = diag[t] + xi * cleared(k, b.diag[t])
         for pos in range(3):
             for m, c in enumerate(b.off[pos].coeffs):
                 if c:
-                    off[pos][m] = off[pos][m] + xi * c
+                    off[pos][m] = off[pos][m] + xi * cleared(k, c)
     return HermMat3(d, tuple(diag),
                     tuple(CDElement(d, tuple(row)) for row in off))
+
+
+def _divided(p: Poly, q: int) -> CubicForm:
+    """The cubic p / q, each int or QSqrt3-of-ints coefficient divided once."""
+    return CubicForm(p.nvars, {
+        m: QSqrt3(Fraction(c.a, q), Fraction(c.b, q)) if isinstance(c, QSqrt3)
+        else Fraction(c, q) for m, c in p.terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -476,13 +486,11 @@ def cartan_cubic(d: int) -> CubicForm:
     are rational for d = 1, 2 and live in Q(sqrt 3) for d = 4, 8.
     """
     basis = tracefree_basis(d)
-    z = _symbolic_element(basis.mats, len(basis))
-    p = freudenthal_det(z) * Fraction(1, 2)
-    form = CubicForm.from_poly(p)
-    if d in (1, 2):
-        for c in form.terms.values():
-            if isinstance(c, QSqrt3):
-                raise AssertionError("d=1,2 Cartan coefficients must be rational")
+    k = common_denominator(basis)
+    p = freudenthal_det(_symbolic_element(basis, len(basis), 0, k))
+    form = _divided(p, 2 * k ** 3)
+    if d in (1, 2) and any(isinstance(c, QSqrt3) for c in form.terms.values()):
+        raise AssertionError("d=1,2 Cartan coefficients must be rational")
     return form
 
 
@@ -496,10 +504,10 @@ def involution_cubic(d: int) -> CubicForm:
     if d not in (2, 4, 8):
         raise ValueError("involution family requires d in (2, 4, 8)")
     basis = fullspace_basis(d)
-    z = _symbolic_element(basis.mats, len(basis))
+    k = common_denominator(basis)
+    z = _symbolic_element(basis, len(basis), 0, k)
     w = involution(z).scale(3) - z
-    p = det_polar(z, w) * Fraction(1, 12)
-    return CubicForm.from_poly(p)
+    return _divided(det_polar_twice(z, w, freudenthal_det(w)), 24 * k ** 3)
 
 
 @lru_cache(maxsize=None)
@@ -519,17 +527,16 @@ def complexified_cubic(d: int) -> CubicForm:
         for pos in range(3):
             P = HermMat3.off_entry(1, pos, CDElement.one(1) * Fraction(1, 2))
             pairs += [(P, P), (P, -P)]
-        nvars = len(pairs)
-        A = _symbolic_element([a for a, _ in pairs], nvars)
-        B = _symbolic_element([b for _, b in pairs], nvars)
+        (a_mats, b_mats), nvars, shift = zip(*pairs), len(pairs), 0
     else:
-        basis = fullspace_basis(d)
-        N = len(basis)
-        nvars = 2 * N
-        A = _symbolic_element(basis.mats, nvars, 0)
-        B = _symbolic_element(basis.mats, nvars, N)
-    p = freudenthal_det(A) - det_polar(B, A)
-    return CubicForm.from_poly(p)
+        a_mats = b_mats = list(fullspace_basis(d))
+        nvars, shift = 2 * len(a_mats), len(a_mats)
+    k = common_denominator(a_mats + b_mats)
+    A = _symbolic_element(a_mats, nvars, 0, k)
+    B = _symbolic_element(b_mats, nvars, shift, k)
+    det_a = freudenthal_det(A)
+    p = 2 * det_a - det_polar_twice(B, A, det_a)
+    return _divided(p, 2 * k ** 3)
 
 
 def _imaginary_element() -> HermMat3:
@@ -547,7 +554,7 @@ def albert_contraction_cubic() -> CubicForm:
     H3(K_8).  Variables run e1..e7 for the x, y, z positions in turn.
     """
     z = _imaginary_element()
-    return CubicForm.from_poly(trace_form(z, jordan_mul(z, z)) * Fraction(1, 6))
+    return _divided(trace_form(z, jordan_twice(z, z)), 12)
 
 
 @lru_cache(maxsize=None)

@@ -21,6 +21,7 @@ which QSqrt3 keeps exact.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .composition import (CDElement, cd_conj, cd_inner, cd_mul, cd_norm,
@@ -110,16 +111,20 @@ def _chk(a: HermMat3, b: HermMat3):
 
 def jordan_mul(A: HermMat3, B: HermMat3) -> HermMat3:
     """A o B = (AB + BA)/2; Hermitian for every d, including octonions."""
+    return jordan_twice(A, B).scale(Fraction(1, 2))
+
+
+def jordan_twice(A: HermMat3, B: HermMat3) -> HermMat3:
+    """2 A o B = AB + BA, which keeps integer coordinates integral."""
     _chk(A, B)
     MA, MB = A.matrix(), B.matrix()
-    half = Fraction(1, 2)
     ent = [[None] * 3 for _ in range(3)]
     for i in range(3):
         for j in range(i, 3):
             s = CDElement.zero(A.d)
             for k in range(3):
                 s = s + cd_mul(MA[i][k], MB[k][j]) + cd_mul(MB[i][k], MA[k][j])
-            ent[i][j] = half * s
+            ent[i][j] = s
     diag = tuple(ent[i][i].coeffs[0] for i in range(3))
     # the symmetrized product has real diagonal; anything else is a bug
     for i in range(3):
@@ -149,8 +154,13 @@ def freudenthal_det(A: HermMat3):
 
 def det_polar(A: HermMat3, W: HermMat3):
     """Directional derivative D det(A)[W] (the adjoint pairing <A#, W>)."""
-    return (freudenthal_det(A + W) - freudenthal_det(A - W)) * Fraction(1, 2) \
-        - freudenthal_det(W)
+    return det_polar_twice(A, W, freudenthal_det(W)) * Fraction(1, 2)
+
+
+def det_polar_twice(A: HermMat3, W: HermMat3, det_w):
+    """2 D det(A)[W] = det(A + W) - det(A - W) - 2 det(W), integral on integer
+    coordinates; det(W) comes from the caller, which may need it too."""
+    return freudenthal_det(A + W) - freudenthal_det(A - W) - 2 * det_w
 
 
 def involution(A: HermMat3) -> HermMat3:
@@ -262,3 +272,22 @@ def fullspace_basis(d: int) -> OrthogonalBasis:
             mats.append(HermMat3.off_entry(d, pos, p))
             mats.append(HermMat3.off_entry(d, pos, q))
     return OrthogonalBasis(mats, Fraction(1))
+
+
+def common_denominator(mats) -> int:
+    """The least positive integer k with which ``cleared`` takes every
+    coordinate of every matrix in ``mats`` to an int or a QSqrt3 of ints."""
+    return math.lcm(*(c.denominator for A in mats
+                      for x in A.diag + sum((o.coeffs for o in A.off), ())
+                      if type(x) is not int
+                      for c in ((x.a, x.b) if isinstance(x, QSqrt3) else (x,))))
+
+
+def cleared(k: int, x):
+    """k x for a coordinate x that k clears: an int, or a QSqrt3 of ints."""
+    if isinstance(x, QSqrt3):
+        return QSqrt3(cleared(k, x.a), cleared(k, x.b))
+    q, r = divmod(k * x.numerator, x.denominator)
+    if r:
+        raise ValueError(f"{k} does not clear the denominator of {x}")
+    return q

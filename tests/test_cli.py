@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from eigencubic.cli import CHECKS, main
+from eigencubic.cubics import CATALOG
+from test_cubics import _CATALOG_SHA256
 
 TRANSCRIPT = Path(__file__).parent / "data" / "readme_transcript.txt"
 
@@ -52,6 +55,16 @@ def test_catalog_emit(runner, tmp_path):
     assert res.exit_code == 0
     data = json.loads(out.read_text())
     assert data["dim"] == 5
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_catalog_emit_writes_the_pinned_json(runner, tmp_path, name):
+    # the file is the sorted JSON whose digest test_cubics pins, plus "\n"
+    out = tmp_path / "out.json"
+    assert run(runner, "catalog", "emit", name, str(out)).exit_code == 0
+    data = out.read_bytes()
+    assert data.endswith(b"\n")
+    assert hashlib.sha256(data[:-1]).hexdigest() == _CATALOG_SHA256[name][1]
 
 
 def test_catalog_emit_unknown_name(runner, tmp_path):
