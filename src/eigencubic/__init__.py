@@ -1,6 +1,6 @@
 """Verification workbench for cubic minimal cones and their algebras."""
 
-from .composition import CDElement, cd_conj, cd_im, cd_mul, cd_norm, cd_re
+from .composition import CDElement, cd_conj, cd_mul, cd_norm
 from .clifford import CliffordSystem, build_clifford_system, hurwitz_radon, \
     verify_clifford_system
 from .cubics import (CATALOG, CubicForm, albert_contraction_cubic,

@@ -86,9 +86,6 @@ ASCENT_HALVINGS = 30
 POLISH_HALVINGS = 20
 # The largest |c o c - c| ``peirce`` accepts, in the float jet's units.
 PEIRCE_RESIDUAL = 1e-8
-# The prime of the rank certificate: the largest residue prime = 11 (mod 12),
-# ``scalars._prime(11)``, written out so that no import has to search for it.
-RANK_PRIME = 134217467
 
 
 @dataclass
@@ -140,12 +137,8 @@ class MetrisedAlgebra:
         Hadamard gives |N(mu)| = |mu| |mu'| <= (2L)^(2r+2).  Each prime
         taken gives rank at most r, so mu maps to a + t b = 0 modulo it,
         and it divides (a + t b)(a - t b) = N(mu).  Then M divides
-        N(mu) != 0, so M <= (2L)^(2r+2).
-
-        The same 2L bounds each channel of each entry of D L_{e_i}, so
-        where 2L < 2**63 the products are taken once, on the int64 jet
-        modulo 2**64, where no partial sum wraps, and reduced modulo each
-        prime; beyond it each prime takes them on its own residue jet.
+        N(mu) != 0, so M <= (2L)^(2r+2).  Each prime takes the products on
+        its own residue jet, ``Jet.modulo(p)``.
         """
         n = self.n
         if not self.form.is_exact_form:
@@ -156,9 +149,8 @@ class MetrisedAlgebra:
             return n
         rank, M, bound = 0, 1, 2 * jet.l1
         eye = np.eye(n, dtype=np.int64)
-        exact = jet.modulo(0).hessian(eye) if bound < 2 ** 63 else None
         for p in _rank_primes():
-            L = _at_root(jet.modulo(p).hessian(eye) if exact is None else exact, p)
+            L = _at_root(jet.modulo(p).hessian(eye), p)
             rank = max(rank, _rank_mod_p(L[np.triu_indices(n)], p))
             M *= p
             if rank == n or M > bound ** (2 * rank + 2):
@@ -480,16 +472,19 @@ def _peirce_records(jet: Jet, C: np.ndarray, bin_tol: float,
 
 def _full_rank_mod_p(jet: Jet, n: int) -> bool:
     """Whether D*Du of the exact ``jet`` at the numerators of
-    ``_rational_batch(n, n, random.Random(0))`` has rank n modulo p =
-    ``RANK_PRIME``.  No int64 sum reaches 2**63: a residue is below 2**27
-    and |x_b x_c| <= 81, so a gradient entry, at most 2**21 products (the
-    rotations, n <= MAX_DIM), is below 2**55."""
-    g = jet.modulo(RANK_PRIME).gradient(_rational_batch(n, n, random.Random(0))[0])
-    return _rank_mod_p(_at_root(g, RANK_PRIME), RANK_PRIME) == n
+    ``_rational_batch(n, n, random.Random(0))`` has rank n modulo the
+    first of ``_rank_primes``.  No int64 sum reaches 2**63: a residue is
+    below 2**27 and |x_b x_c| <= 81, so a gradient entry, at most 2**21
+    products (the rotations, n <= MAX_DIM), is below 2**55."""
+    p = next(_rank_primes())
+    g = jet.modulo(p).gradient(_rational_batch(n, n, random.Random(0))[0])
+    return _rank_mod_p(_at_root(g, p), p) == n
 
 
 def _rank_primes():
-    """The residue primes = 11 (mod 12), largest first: ``RANK_PRIME``, ..."""
+    """The residue primes = 11 (mod 12), largest first, read from the
+    sieve windows ``scalars._window`` caches once per process; the first
+    is 134217467 = ``scalars._prime(11)``."""
     return (p for p in map(_prime, itertools.count()) if p % 12 == 11)
 
 

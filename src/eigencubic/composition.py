@@ -120,14 +120,6 @@ def cd_conj(a: CDElement) -> CDElement:
     return CDElement(a.d, _conj_rec(a.coeffs))
 
 
-def cd_re(a: CDElement):
-    return a.coeffs[0]
-
-
-def cd_im(a: CDElement) -> CDElement:
-    return CDElement(a.d, (a.coeffs[0] - a.coeffs[0],) + a.coeffs[1:])
-
-
 def cd_norm(a: CDElement):
     """n(a) = sum of squared coordinates; n(ab) = n(a) n(b)."""
     return cd_inner(a, a)

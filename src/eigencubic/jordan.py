@@ -11,12 +11,14 @@ so Hermitian symmetry is structural.  Entries may carry polynomial
 coordinates, which is how the cubic-form constructors obtain exact
 coefficient tensors.
 
-``tracefree_basis`` and ``fullspace_basis`` return trace-form-orthogonal
-bases whose vectors all share one squared length.  Uniformity is what
-makes the pulled-back cubics satisfy their differential identities in
-standard Euclidean coordinates; it forces sqrt(3) into some coordinates
-(d=2 trace-free, and the normalized diagonal direction for d=4,8),
-which QSqrt3 keeps exact.
+``tracefree_basis`` and ``fullspace_basis`` return lists of trace-form-
+orthogonal matrices that all share one squared length.  Uniformity is
+what makes the pulled-back cubics satisfy their differential identities
+in standard Euclidean coordinates; it forces sqrt(3) into some
+coordinates (d=2 trace-free, and the normalized diagonal direction for
+d=4,8), which QSqrt3 keeps exact.  The polarization of det comes only
+doubled (``det_polar_twice``) and the product doubled as well
+(``jordan_twice``): both keep integer coordinates integral.
 """
 
 from __future__ import annotations
@@ -152,11 +154,6 @@ def freudenthal_det(A: HermMat3):
             + 2 * re_triple(x, y, z))
 
 
-def det_polar(A: HermMat3, W: HermMat3):
-    """Directional derivative D det(A)[W] (the adjoint pairing <A#, W>)."""
-    return det_polar_twice(A, W, freudenthal_det(W)) * Fraction(1, 2)
-
-
 def det_polar_twice(A: HermMat3, W: HermMat3, det_w):
     """2 D det(A)[W] = det(A + W) - det(A - W) - 2 det(W), integral on integer
     coordinates; det(W) comes from the caller, which may need it too."""
@@ -182,35 +179,14 @@ def involution(A: HermMat3) -> HermMat3:
     return HermMat3(d, A.diag, tuple(s(o) for o in A.off))
 
 
-class OrthogonalBasis:
-    """Trace-form-orthogonal basis with one common squared length."""
-
-    __slots__ = ("mats", "length_sq")
-
-    def __init__(self, mats, length_sq):
-        self.mats = list(mats)
-        self.length_sq = length_sq
-
-    def __len__(self):
-        return len(self.mats)
-
-    def __iter__(self):
-        return iter(self.mats)
-
-    def __getitem__(self, i):
-        return self.mats[i]
-
-
 _THIRD = Fraction(1, 3)
 _S3_OVER_3 = QSqrt3(0, _THIRD)   # sqrt(3)/3 = 1/sqrt(3)
 
 
-def tracefree_basis(d: int) -> OrthogonalBasis:
-    """Orthogonal basis of {A : trace A = 0}, all of one squared length.
-
-    Unit trace-form length is not reachable without irrational scale, so
-    the common squared length (6 for d=1, 2 otherwise) is recorded on the
-    returned basis instead.
+def tracefree_basis(d: int) -> list:
+    """Orthogonal basis of {A : trace A = 0}, all of one squared length:
+    6 for d=1 and 2 otherwise, as unit trace-form length is not reachable
+    without irrational scale.
     """
     if d not in HERM_DIMS:
         raise ValueError(f"d must be one of {HERM_DIMS}")
@@ -226,7 +202,7 @@ def tracefree_basis(d: int) -> OrthogonalBasis:
                 mk(0, 0, 1, -1, 1),
                 mk(1, -1, 0, -1, -1),
                 mk(1, -1, -1, 0, 1)]
-        return OrthogonalBasis(mats, Fraction(6))
+        return mats
     if d == 2:
         # rational-Gram basis twisted through omega = sqrt(3) e1, n(omega) = 3
         w3 = CDElement(2, (0, _S3_OVER_3))       # omega / 3
@@ -242,7 +218,7 @@ def tracefree_basis(d: int) -> OrthogonalBasis:
             HermMat3(2, (_THIRD, _THIRD, -2 * _THIRD), (zz, w3, -w3)),
             HermMat3(2, (-_THIRD, -_THIRD, 2 * _THIRD), (w3, zz, -w3)),
         ]
-        return OrthogonalBasis(mats, Fraction(2))
+        return mats
     # d = 4, 8: two diagonal directions plus off-diagonal units
     s = _S3_OVER_3
     mats = [HermMat3.diagonal(d, 1, -1, 0),
@@ -250,10 +226,10 @@ def tracefree_basis(d: int) -> OrthogonalBasis:
     for pos in range(3):
         for m in range(d):
             mats.append(HermMat3.off_entry(d, pos, CDElement.basis(d, m)))
-    return OrthogonalBasis(mats, Fraction(2))
+    return mats
 
 
-def fullspace_basis(d: int) -> OrthogonalBasis:
+def fullspace_basis(d: int) -> list:
     """Orthonormal (Gram = I) basis of all of H3(K_d), d >= 2.
 
     Off-diagonal units have squared length 2, so they are combined in
@@ -271,7 +247,7 @@ def fullspace_basis(d: int) -> OrthogonalBasis:
             q = (CDElement.basis(d, m) - CDElement.basis(d, m + 1)) * half
             mats.append(HermMat3.off_entry(d, pos, p))
             mats.append(HermMat3.off_entry(d, pos, q))
-    return OrthogonalBasis(mats, Fraction(1))
+    return mats
 
 
 def common_denominator(mats) -> int:

@@ -273,21 +273,15 @@ def test_deficient_rank_keeps_the_largest_rank():
 C_TOP = (2 ** 63 - 6) // 6
 
 
-@pytest.mark.parametrize("c, once", [
-    ("fifth", True), (C_TOP, True), (C_TOP + 1, False), ("twenty", False)],
-    ids=["fifth-prime", "2L<2**63", "2L>2**63", "twenty-primes"])
-def test_deficient_rank_takes_unit_point_products_once(monkeypatch, c, once):
-    # below 2L = 2**63 the products D L_{e_i} are evaluated once, on int64,
-    # and reduced modulo every prime the loop takes; past it each prime
-    # evaluates its own.  The rank is 2 either way, and at the edge the
-    # int64 products are the Python-int ones
+@pytest.mark.parametrize("c", ["fifth", C_TOP, C_TOP + 1, "twenty"],
+                         ids=["fifth-prime", "2L<2**63", "2L>2**63", "twenty-primes"])
+def test_deficient_rank_takes_one_hessian_per_prime(monkeypatch, c):
+    # each prime the loop takes evaluates the products D L_{e_i} once, on
+    # its own residue jet, whether 2L fits in int64 or not, and the rank
+    # is 2 either way
     primes = list(itertools.islice(algebra._rank_primes(), 20))
     c = {"fifth": primes[4], "twenty": math.prod(primes)}.get(c, c)
     u = CubicForm(3, {(0, 0, 0): Fraction(1), (1, 1, 1): Fraction(c)})
-    jet, eye = u.jet(exact=True), np.eye(3, dtype=np.int64)
-    assert (2 * jet.l1 < 2 ** 63) == once
-    if c == C_TOP:
-        assert (jet.modulo(0).hessian(eye) == jet.hessian(eye.astype(object))).all()
     calls = {"hessian": 0, "prime": 0}
     hessian, at_root = Jet.hessian, algebra._at_root
 
@@ -306,16 +300,15 @@ def test_deficient_rank_takes_unit_point_products_once(monkeypatch, c, once):
         assert MetrisedAlgebra(u).multiplication_rank() == 2
     # one more _at_root call reduces the full-rank certificate's gradients
     assert calls["prime"] >= 3
-    assert calls["hessian"] == (1 if once else calls["prime"] - 1)
+    assert calls["hessian"] == calls["prime"] - 1
 
 
 def test_rank_prime_has_a_square_root_of_three():
-    p = algebra.RANK_PRIME
-    assert p == _prime(11) and p % 12 == 11
+    p = next(algebra._rank_primes())
+    assert p == _prime(11) == 134217467 and p % 12 == 11
     assert pow(pow(3, (p + 1) // 4, p), 2, p) == 3
     # no larger residue prime is 11 mod 12
     assert [i for i in range(12) if _prime(i) % 12 == 11] == [11]
-    assert next(algebra._rank_primes()) == p
 
 
 def test_find_idempotents_dim3():

@@ -154,7 +154,7 @@ def test_cartan_jordan_crosscheck():
         for _ in range(3):
             coeffs = frac_point(rng, len(basis), 5)
             z = basis[0].scale(coeffs[0])
-            for c, m in zip(coeffs[1:], basis.mats[1:]):
+            for c, m in zip(coeffs[1:], basis[1:]):
                 z = z + m.scale(c)
             lhs = trace_form(z, jordan_mul(z, z)) * Fraction(1, 6)
             assert lhs == u.to_poly().eval(coeffs)
@@ -449,6 +449,74 @@ def test_no_module_but_cubics_reads_the_jet_arrays():
                 (arg,) = node.args
                 assert isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Mult)
                 assert ast.dump(arg.left) == ast.dump(arg.right), (path.name, node.lineno)
+
+
+# Library names that no code in src/ or perfbench/ calls, each kept for
+# its reason.
+_KEPT_WITHOUT_CALLER = {
+    "jordan.jordan_mul": "the exported Jordan product",
+    "poly.Poly.eval": "the tests' reference evaluation",
+    "poly.Poly.diff": "the tests' reference evaluation",
+    "cubics.CubicForm.to_poly": "the tests' reference evaluation",
+    "cubics.CubicForm.scaled": "the tests' scaling helper",
+    "identities.mean_curvature": "a public one-point view with its own input checks",
+    "algebra.MetrisedAlgebra.peirce": "a public one-point view with its own input checks",
+}
+
+
+def _library_functions(path, tree):
+    """(qualified name, node) of each module function and class method of
+    a package module, but dunders, click commands and the hooks of click
+    classes, which click calls."""
+    module = path.stem
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            if any("click" in ast.dump(base) for base in node.bases):
+                continue
+            defs = [(f"{module}.{node.name}.{f.name}", f) for f in node.body
+                    if isinstance(f, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            defs = [(f"{module}.{node.name}", node)]
+        else:
+            continue
+        for qualname, f in defs:
+            dunder = f.name.startswith("__") and f.name.endswith("__")
+            command = any(isinstance(d, ast.Call) and getattr(d.func, "attr", None) == "command"
+                          for d in f.decorator_list)
+            if not (dunder or command):
+                yield qualname, f
+
+
+def test_every_library_name_has_a_caller():
+    # a module function or class method is referenced, by name, somewhere
+    # in src/ or perfbench/ outside its own definition: a method as an
+    # attribute, a function as a name, an attribute or an import.  The
+    # re-exports of __init__.py, docstrings and comments are no references
+    package = Path(cubics.__file__).parent
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text()) for path in paths}
+    refs = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            names = ([node.id] if isinstance(node, ast.Name) else
+                     [node.attr] if isinstance(node, ast.Attribute) else
+                     [a.name for a in node.names] if isinstance(node, ast.ImportFrom) else [])
+            refs += [(name, isinstance(node, ast.Attribute), path, node.lineno)
+                     for name in names]
+    found, unused = set(), []
+    for path in paths:
+        if path.parent != package:
+            continue
+        for qualname, f in _library_functions(path, trees[path]):
+            found.add(qualname)
+            method = qualname.count(".") == 2
+            if not any(name == f.name and (attribute or not method)
+                       and not (where == path and f.lineno <= line <= f.end_lineno)
+                       for name, attribute, where, line in refs):
+                unused.append(qualname)
+    assert set(_KEPT_WITHOUT_CALLER) <= found
+    assert [q for q in unused if q not in _KEPT_WITHOUT_CALLER] == []
 
 
 def test_round_trip_through_poly():

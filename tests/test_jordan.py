@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from eigencubic.composition import CDElement
-from eigencubic.jordan import (HermMat3, det_polar, freudenthal_det,
+from eigencubic.jordan import (HermMat3, det_polar_twice, freudenthal_det,
                                fullspace_basis, involution, jordan_mul,
                                trace_form, tracefree_basis)
 
@@ -110,10 +110,12 @@ def test_det_polar_is_directional_derivative():
     A = random_herm(2, rng)
     W = random_herm(2, rng)
     t = Fraction(1, 7)
-    # det(A + tW) - det(A) = t DN(A)[W] + t^2 DN(W)[A] + t^3 det(W)
-    lhs = freudenthal_det(A + W.scale(t))
-    rhs = (freudenthal_det(A) + t * det_polar(A, W)
-           + t * t * det_polar(W, A) + t ** 3 * freudenthal_det(W))
+    # det(A + tW) - det(A) = t DN(A)[W] + t^2 DN(W)[A] + t^3 det(W), doubled
+    # as det_polar_twice gives 2 DN(A)[W]
+    det_a, det_w = freudenthal_det(A), freudenthal_det(W)
+    lhs = 2 * freudenthal_det(A + W.scale(t))
+    rhs = (2 * det_a + t * det_polar_twice(A, W, det_w)
+           + t * t * det_polar_twice(W, A, det_a) + 2 * t ** 3 * det_w)
     assert lhs == rhs
 
 
@@ -124,25 +126,30 @@ def test_tracefree_basis_counts_and_orthogonality():
         assert len(basis) == expected[d]
         for m in basis:
             assert m.trace() == 0
+        length_sq = trace_form(basis[0], basis[0])
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
-                want = basis.length_sq if i == j else 0
+                want = length_sq if i == j else 0
                 assert trace_form(a, b) == want
 
 
 def test_tracefree_basis_scale_factors_recorded():
-    assert tracefree_basis(1).length_sq == 6
-    for d in (2, 4, 8):
-        assert tracefree_basis(d).length_sq == 2
+    # the common squared length, which the Gram test above holds for
+    # every vector
+    for d, want in ((1, 6), (2, 2), (4, 2), (8, 2)):
+        basis = tracefree_basis(d)
+        assert trace_form(basis[0], basis[0]) == want
 
 
 def test_fullspace_basis_orthonormal():
     for d in (2, 4, 8):
         basis = fullspace_basis(d)
         assert len(basis) == 3 + 3 * d
+        length_sq = trace_form(basis[0], basis[0])
+        assert length_sq == 1
         for i, a in enumerate(basis):
             for j, b in enumerate(basis):
-                assert trace_form(a, b) == (1 if i == j else 0)
+                assert trace_form(a, b) == (length_sq if i == j else 0)
     with pytest.raises(ValueError):
         fullspace_basis(1)
 
