@@ -35,10 +35,11 @@ On a Q(sqrt3) form the kernel's pieces are ``QSqrt3Array`` pairs, so each
 returns are joined to QSqrt3.
 
 Both point modes evaluate the sides through one function, ``_sides_at``,
-on blocks of points that bound its (points, n, n) stacks: on each float64
-row, or on a whole exact block as int64 ``scalars.ResidueStack``s, modulo
-2**64 and as many primes below 2**27 as the identity's ``bound`` needs,
-each side then lifted by CRT to the Python int one point gives alone.
+on blocks of points that bound its (points, n, n) stacks, each block as
+``scalars.ResidueStack``s: float64 ones under numpy's own rounding, each
+row the single point's bit for bit, or int64 ones modulo 2**64 and as
+many primes below 2**27 as the identity's ``bound`` needs, each side then
+lifted by CRT to the Python int one point gives alone.
 The random mode draws its points in the same blocks, one ``_randbelow``
 call per block (the stream of one ``randrange`` per coordinate), so
 memory stays O(block) for any ``trials`` and no block after the first
@@ -153,11 +154,13 @@ def _stack(x, q: int):
 
 
 def _residue_pieces(jet: Jet, X: np.ndarray, q: int) -> Tuple:
-    """(v, g, H, r2) modulo q at the int64 points X on ``jet.modulo(q)``.
-    Modulo 2**64 they are the jet's own, wrapped.  Modulo a prime only H
-    is: an entry sums at most 2n + 4 <= 260 products below 2**54 (a
-    diagonal one on a dense form), and 260 * 2**54 < 2**63.  Euler's
-    H x = 2 g and x . g = 3 v for the cubic give g and v."""
+    """(v, g, H, r2) modulo q at the points X on ``jet.modulo(q)``, as
+    ``ResidueStack``s: modulo 2**64 the jet's own, wrapped; at float64
+    points, with q = 0 on the float jet, its own, and r2 each row's
+    ``_dots``.  Modulo a prime only H is: an entry sums at most 2n + 4 <=
+    260 products below 2**54 (a diagonal one on a dense form), and
+    260 * 2**54 < 2**63.  Euler's H x = 2 g and x . g = 3 v for the cubic
+    give g and v."""
     x = ResidueStack(X, q)
     H = _stack(jet.hessian(x.x), q)
     if not q:
@@ -171,26 +174,23 @@ def _sides_at(ident: _Identity, jet: Jet, P: np.ndarray) -> Iterator[Tuple]:
     stack P, in row order, in blocks of ``block_rows`` of an n x n Hessian;
     lazy, so a caller that stops early evaluates no further block.
 
-    At float64 points P, on the float ``jet``, the value, gradient and
-    Hessian of a block are one stack each and |p|^2 one ``_dots``, each
-    row the single point's bit for bit.  At int64 points, on the exact jet,
-    the sides run on the block's ``_residue_pieces`` modulo 2**64 and each
-    prime of ``moduli(ident.bound(n, jet.l1, max|P|))``, and ``lift`` gives
-    each side as the Python int (or QSqrt3) a single point gives."""
+    Each block runs ``ident.sides`` on its ``_residue_pieces`` once per
+    modulus.  At float64 points, on the float ``jet``, that is q = 0 alone,
+    numpy's float64 rounding, each row the single point's bit for bit; a
+    side that is no stack, such as a constant, holds at every row.  At
+    int64 points, on the exact jet, the moduli are 2**64 and the primes of
+    ``moduli(ident.bound(n, jet.l1, max|P|))``, and ``lift`` gives each
+    side as the Python int (or QSqrt3) a single point gives."""
     n = P.shape[-1]
     rows = block_rows(n * n)
     exact = P.dtype != float
-    if exact:
-        qs = (0,) + moduli(ident.bound(n, jet.l1, int(np.abs(P).max(initial=0))))
-        jets = [jet.modulo(q) for q in qs]
+    qs = (0,) + moduli(ident.bound(n, jet.l1, int(np.abs(P).max(initial=0)))) if exact else (0,)
+    jets = [jet.modulo(q) for q in qs] if exact else [jet]
     for start in range(0, len(P), rows):
         B = P[start:start + rows]
-        if exact:
-            per_q = [ident.sides(*_residue_pieces(j, B, q)) for j, q in zip(jets, qs)]
-            yield from zip(*(lift(side) for side in zip(*per_q)))
-        else:
-            pieces = jet.value(B), jet.gradient(B), jet.hessian(B), _dots(B, B)
-            yield from (ident.sides(v, g, H, r2) for v, g, H, r2 in zip(*pieces))
+        per_q = [ident.sides(*_residue_pieces(j, B, q)) for j, q in zip(jets, qs)]
+        yield from zip(*(lift(s) if exact else np.broadcast_to(getattr(s[0], "x", s[0]), len(B))
+                         for s in zip(*per_q)))
 
 
 def _proportional_float(ident: _Identity, jet: Jet, n: int, seed: int):

@@ -16,8 +16,9 @@ once per channel and makes no QSqrt3 per entry.  Its ``join`` gives the
 entries as QSqrt3 where a result leaves the kernel.
 
 ``ResidueStack`` holds int64 residues of a stack of points modulo 2**64
-or a prime, and acts on each point's own axes, so a formula for one
-point runs on a block; ``lift`` joins a number's residues by CRT.
+or a prime (or, with q = 0, float64 values under numpy's own rounding),
+and acts on each point's own axes, so a formula for one point runs on a
+block; ``lift`` joins a number's residues by CRT.
 """
 
 from __future__ import annotations
@@ -249,13 +250,14 @@ PRIME_TOP = 2 ** 27
 class ResidueStack:
     """int64 residues modulo q of a stack of points, one per index of the
     first axis: a number (B,), vector (B, n) or matrix (B, n, n) each.
-    q = 0 is int64's own wrapping arithmetic, exact modulo 2**64; an odd
-    prime q < PRIME_TOP reduces each result into [0, q), so no sum
-    reaches 2**63.  +, - and * take a stack of the same q, whose fewer
-    axes hold one entry per point, or an int in int64's range; @ is each
-    point's vector or matrix product, ``sum`` and ``trace`` each point's.
-    No result drops the point axis, so none is a numpy scalar, whose
-    overflow would warn."""
+    q = 0 is the array's own arithmetic: int64's wrapping, exact modulo
+    2**64, or numpy's rounding on float64, each point's @, ``sum`` and
+    ``trace`` the single point's bits.  An odd prime q < PRIME_TOP
+    reduces each result into [0, q), so no sum reaches 2**63.  +, - and *
+    take a stack of the same q, whose fewer axes hold one entry per
+    point, or an int in int64's range; @ is each point's vector or matrix
+    product, ``sum`` and ``trace`` each point's.  No result drops the
+    point axis, so none is a numpy scalar, whose overflow would warn."""
 
     __slots__ = ("x", "q")
     __array_ufunc__ = None

@@ -825,6 +825,28 @@ def test_random_bound_does_not_underflow_to_certainty(check, trials):
     assert r.to_json_dict()["error_bound"] == 5e-324
 
 
+@pytest.mark.parametrize("name", list(CATALOG) + ["dense-40", "dense-60"])
+def test_float_sides_match_the_per_row_formula(name):
+    # at the float checks' Gaussian points, the rows of the block path on
+    # float64 stacks equal, as bytes, each row's sides on the kernel's
+    # arrays of that row alone; the dense forms' 24 points span 3 and 6
+    # blocks
+    if name.startswith("dense-"):
+        u = _dense_form(int(name[6:]), int(name[6:]))
+    else:
+        u = catalog_build(name)
+    uf = u.to_float()
+    jet = uf.jet(exact=False)
+    for seed in (1, 2, 3):
+        P = np.random.default_rng(seed).standard_normal((identities.FLOAT_TRIALS, uf.n))
+        v, g, H, r2 = jet.value(P), jet.gradient(P), jet.hessian(P), identities._dots(P, P)
+        for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
+            got = list(identities._sides_at(ident, jet, P))
+            want = [ident.sides(v[i], g[i], H[i], r2[i]) for i in range(len(P))]
+            assert [type(x) for row in got for x in row] == [np.float64] * 2 * len(P)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (ident.name, seed)
+
+
 def _reference_float_report(ident, uf, seed):
     """Float mode as the per-point loop computed it: each Gaussian point
     through the kernel alone, then the least-squares fit; (passed, t)."""
