@@ -6,33 +6,34 @@ x o x = 2 grad u(x) and L_x = D^2u(x).  Both come from the form's one
 (u, Du, D^2u) kernel, ``CubicForm.jet``, the only route to them: the
 exact operations below read its exact jet (a float coefficient enters as
 the binary fraction it is), the idempotent / Peirce pipeline its float64
-jet.  The two exact checks run at random rational points: weak
-associativity compares the trilinear contractions <x o y, z> and
-<y o z, x>, and the Hsiang identity
-<x^2,x^2> tr L_x - <x^2,x^3> = (2/3) theta |x|^2 <x^2,x> is 4 times the
-radial identity of ``identities.RADIAL``, since x^2 = 2 Du,
-x^3 = 2 D^2u Du and <x^2, x> = 6u.  On a Q(sqrt3) form the kernel
-gives each piece as a ``QSqrt3Array``, two integer arrays, and each
-exact operation joins it to QSqrt3 entries only where its result leaves
-the kernel: the Hsiang residual at a point and a nonzero
-weak-associativity difference.  The multiplication rank joins nothing: it
-is certified first from n gradients modulo one prime, where sqrt3 has a
-root, and where that certificate fails it is the largest rank of the
-products e_i o e_j modulo primes p = 11 (mod 12), over enough of them
-that a Hadamard bound leaves no larger rank; one row reduction modulo p,
-``_rank_mod_p``, serves both.
+jet.  Weak associativity, <x o y, z> = <y o z, x>, is decided for every
+point at once: it holds exactly when the coefficient tensor of the
+kernel's trilinear contraction is cyclic (``Jet.cyclic``), as it is for
+every form.  The Hsiang identity
+<x^2,x^2> tr L_x - <x^2,x^3> = (2/3) theta |x|^2 <x^2,x> runs at random
+rational points; it is 4 times the radial identity of
+``identities.RADIAL``, since x^2 = 2 Du, x^3 = 2 D^2u Du and
+<x^2, x> = 6u.  On a Q(sqrt3) form the kernel gives each piece as a
+``QSqrt3Array``, two integer arrays, and each exact operation joins it to
+QSqrt3 entries only where its result leaves the kernel: the Hsiang
+residual at a point and a nonzero weak-associativity difference.  The
+multiplication rank joins nothing: it is certified first from n
+gradients modulo one prime, where sqrt3 has a root, and where that
+certificate fails it is the largest rank of the products e_i o e_j
+modulo primes p = 11 (mod 12), over enough of them that a Hadamard bound
+leaves no larger rank; one row reduction modulo p, ``_rank_mod_p``,
+serves both.
 
-Both checks run whole batches of points through the kernel on int64
-residue stacks, modulo 2**64 and as many primes as a bound on their
-results needs, lifted by CRT to Python ints; the points' numerators lie
-in [-9, 9], which bounds every sum before any arithmetic.  The Hsiang
-check evaluates its points through ``identities._sides_at``, as the
-random identity checks do, under the radial bound at |x| <= 9; weak
-associativity runs ``Jet.trilinear`` on the residue jets ``Jet.modulo``
-gives, under ``WEAK_DIFF_FACTOR`` times ``Jet.l1``.  Both checks draw their
-points in one vectorised pass that reproduces the stream of one
-``random.randint`` per coordinate, so their residuals do not depend on
-how the points are drawn.
+The Hsiang check runs whole batches of points through
+``identities._sides_at``, as the random identity checks do, on int64
+residue stacks modulo 2**64 and as many primes as the radial bound at
+|x| <= 9 needs, lifted by CRT to Python ints; the points' numerators lie
+in [-9, 9], which bounds every sum before any arithmetic.  A jet that is
+not cyclic, which only a hand-built one can be, takes its weak
+associativity at random rational triples on Python ints.  Both checks
+draw their points in one vectorised pass that reproduces the stream of
+one ``random.randint`` per coordinate, so their residuals do not depend
+on how the points are drawn.
 
 Idempotents are located by projected gradient ascent of |u| on the unit
 sphere (stationary points have grad u = lambda x), rescaled by 1/(2 lambda),
@@ -61,21 +62,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cubics import CubicForm, Jet, block_rows
-from .identities import RADIAL, _dots, _randbelow, _require_trials, _sides_at, _stack, _unit
-from .scalars import QSqrt3, QSqrt3Array, _prime, lift, moduli
+from .identities import RADIAL, _dots, _randbelow, _require_trials, _sides_at, _unit
+from .scalars import QSqrt3, QSqrt3Array, _prime, joined
 
 NEWTON_STEPS = 80
 IDEMPOTENT_RESIDUAL = 1e-10
 DEDUP_DISTANCE = 1e-6
 BIN_TOLERANCE = 1e-6
 PEIRCE_EIGENVALUES = (-1.0, -0.5, 0.5)
-# A weak-associativity triple has numerators in [-9, 9], so one product
-# m x_a (y_b z_c + y_c z_b) of ``Jet.trilinear`` is at most 9 * 2 * 81 |m|
-# in magnitude, and the difference of two contractions at most this
-# factor times ``Jet.l1``.  Modulo a prime |m| < 2**27, so one product is
-# below 2**38, and a sum over the jet's at most 2**21 rotations (n <=
-# MAX_DIM) stays below 2**63.
-WEAK_DIFF_FACTOR = 2 * 9 * 2 * 81
 # The most steps one restart's ascent takes.  Every catalog restart stops
 # on its tangent norm or its line search within 30 steps; the cap only
 # ends an ascent that creeps on without converging.
@@ -176,7 +170,7 @@ class MetrisedAlgebra:
             raise ValueError("seed must be nonnegative")
         jet = self.form.jet(exact=False)
         rows = block_rows(self.n * self.n)
-        found: List[np.ndarray] = []
+        kept, k = np.empty((restarts, self.n)), 0
         for first in range(0, restarts, rows):
             block = range(first, min(first + rows, restarts))
             X = _unit(np.stack([np.random.default_rng((seed, r)).standard_normal(self.n)
@@ -188,11 +182,12 @@ class MetrisedAlgebra:
                 if res > IDEMPOTENT_RESIDUAL or np.linalg.norm(c) < 1e-8:
                     continue
                 # |c - d| to every kept d, each as np.linalg.norm gives it
-                d = c - np.reshape(found, (-1, self.n))
+                d = c - kept[:k]
                 if (np.sqrt(_dots(d, d)) < DEDUP_DISTANCE).any():
                     continue
-                found.append(c)
-        found = sorted((c * jet.scale for c in found),
+                kept[k] = c
+                k += 1
+        found = sorted((c * jet.scale for c in kept[:k]),
                        key=lambda c: tuple(np.round(c, 8)))
         return [p for s in range(0, len(found), rows)
                 for p in _peirce_records(jet, np.stack(found[s:s + rows]), bin_tol,
@@ -242,32 +237,29 @@ class MetrisedAlgebra:
     def weak_associativity_max_residual(self, trials: int = 1000, seed: int = 0):
         """Max |<x o y, z> - <y o z, x>| over random rational triples, exact.
 
-        The residual is 0 by construction for every CubicForm: both sides
-        are the complete polarization, which sums all six orderings of
-        each monomial at its coefficient, so the difference cancels term
-        by term.  The check therefore tests the index handling of
-        ``Jet.trilinear``, not an axiom the form could fail.
-
-        All the triples run through one ``Jet.trilinear`` call per side
-        and modulus, on the residue jets modulo 2**64 and each prime of
-        ``moduli(WEAK_DIFF_FACTOR * jet.l1)``.  The differences are lifted
-        once, and only if any residue is nonzero, and only the nonzero
-        ones become exact scalars, in trial order, so the result is the
-        one a loop over single triples gives, in value and in type.
+        The difference is the zero polynomial exactly when the coefficient
+        tensor of ``Jet.trilinear`` is unchanged by (x, y, z) -> (y, z, x),
+        which ``Jet.cyclic`` decides; then the residual is 0 at every
+        triple, and no triple is drawn.  That holds for every CubicForm:
+        both sides are the complete polarization, which sums all six
+        orderings of each monomial at its coefficient, so the difference
+        cancels term by term.  A jet that fails it was not built from a
+        form; its triples run through one ``Jet.trilinear`` call per side
+        on Python ints, and only the nonzero differences become exact
+        scalars, in trial order, so the result is the one a loop over
+        single triples gives, in value and in type.
         """
         _require_trials(trials)
-        rng = random.Random(seed)
         jet = self.form.jet(exact=True)
-        (X, dx), (Y, dy), (Z, dz) = (_rational_batch(self.n, trials, rng) for _ in range(3))
-        dens = (dx * dy * dz).tolist()
-        qs = (0,) + moduli(WEAK_DIFF_FACTOR * jet.l1)
-        diffs = [_stack(j.trilinear(X, Y, Z) - j.trilinear(Y, Z, X), q)
-                 for j, q in zip(map(jet.modulo, qs), qs)]
-        if not any(c.x.any() for d in diffs
-                   for c in ((d.r, d.s) if isinstance(d, QSqrt3Array) else (d,))):
+        if jet.cyclic():
             return Fraction(0)
+        rng = random.Random(seed)
+        (X, dx), (Y, dy), (Z, dz) = (_rational_batch(self.n, trials, rng) for _ in range(3))
+        X, Y, Z = (P.astype(object) for P in (X, Y, Z))
+        diffs = joined(jet.trilinear(X, Y, Z) - jet.trilinear(Y, Z, X))
         return max((abs(v / Fraction(jet.scale * d))
-                    for v, d in zip(lift(diffs).tolist(), dens) if v), default=Fraction(0))
+                    for v, d in zip(diffs.tolist(), (dx * dy * dz).tolist()) if v),
+                   default=Fraction(0))
 
 
 def _ascend(jet: Jet, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -45,8 +45,7 @@ call per block (the stream of one ``randrange`` per coordinate), so
 memory stays O(block) for any ``trials`` and no block after the first
 that refutes t is drawn.  The Hsiang check of ``algebra`` and the cone
 sampler's mean curvatures (``_curvatures``) run their points through the
-same function, and ``algebra``'s weak associativity its triples through
-the same residue jets (``Jet.modulo``, ``_stack``).
+same function.
 
 Policy: exact expansion for n <= 15, randomized above, both overridable.
 """

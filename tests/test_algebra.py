@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,16 +17,17 @@ from eigencubic.cubics import (CATALOG, CubicForm, Jet, _Sqrt3Jet, cartan_cubic,
                                catalog_build, trivial_cubic)
 from eigencubic.identities import check_radial
 from eigencubic.poly import Poly
-from eigencubic.scalars import QSqrt3, _prime, joined, moduli
+from eigencubic.scalars import QSqrt3, _prime, joined
 from formref import gradient, hessian, polarize
-from rotations import rotate_by_substitution
+from rotations import cayley_rotation, rotate_by_substitution, rotate_exact, skew
 
 DIM3 = catalog_build("clifford-q0")
 ALG3 = MetrisedAlgebra(DIM3)
 
-# the largest L = jet.l1 whose weak-associativity differences stay below
+# the largest L = jet.l1 for which 2 * 9 * 2 * 81 * L, the largest
+# weak-associativity difference at numerators in [-9, 9], stays below
 # 2**63, an odd number
-TOP = (2 ** 63 - 1) // algebra.WEAK_DIFF_FACTOR
+TOP = (2 ** 63 - 1) // 2916
 
 E1 = [Fraction(1), Fraction(0), Fraction(0)]
 E2 = [Fraction(0), Fraction(1), Fraction(0)]
@@ -915,12 +917,10 @@ def test_rational_batch_keeps_the_randint_stream(seed):
 
 @pytest.mark.parametrize("name", list(CATALOG))
 def test_batched_trilinear_matches_single_triples(name):
-    # the int64 residue jet modulo 2**64, which no catalog form's weak
-    # associativity needs a prime beside, and the Python-int jet, on a
+    # the int64 residue jet modulo 2**64 and the Python-int jet, on a
     # batch of triples, against one Python-int triple at a time, on each
     # sqrt(3) channel
     jet = catalog_build(name).jet(exact=True)
-    assert moduli(algebra.WEAK_DIFF_FACTOR * jet.l1) == ()
     fast = jet.modulo(0)
     assert fast.m.dtype == np.int64
     rng = random.Random(13)
@@ -950,69 +950,49 @@ def _unrotated_jet(sqrt3: bool) -> Jet:
                      Jet(6, ijk, np.array([5, -7], dtype=object)))
 
 
-def _count_moduli(monkeypatch):
-    """A list that records len(moduli(bound)) at each call from algebra."""
-    counts = []
-
-    def spy(bound):
-        out = moduli(bound)
-        counts.append(len(out))
-        return out
-
-    monkeypatch.setattr(algebra, "moduli", spy)
-    return counts
-
-
 @pytest.mark.parametrize("chunk", [cubics.BLOCK, 7])
 @pytest.mark.parametrize("sqrt3", [False, True])
 def test_weak_associativity_paths_agree(monkeypatch, sqrt3, chunk):
-    # a nonzero residual, equal in value and type modulo 2**64 alone, with
-    # six primes beside it and in the one-triple-at-a-time reference; no
-    # residue product warns of an overflow
+    # a nonzero residual, equal in value and type to the
+    # one-triple-at-a-time reference, in any block size; nothing warns
     jet = _unrotated_jet(sqrt3)
     monkeypatch.setattr(cubics, "BLOCK", chunk)
     monkeypatch.setattr(CubicForm, "jet", lambda self, exact: jet)
     alg = MetrisedAlgebra(CubicForm(3, {}))
-    counts = _count_moduli(monkeypatch)
     want = _weak_loop(jet, 3, 200, 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         fast = alg.weak_associativity_max_residual(trials=200, seed=5)
-        monkeypatch.setattr(algebra, "moduli", lambda bound: moduli(2 ** 200))
-        primes = alg.weak_associativity_max_residual(trials=200, seed=5)
-    assert counts == [0] and len(moduli(2 ** 200)) == 6
-    assert fast == primes == want != 0
-    assert type(fast) is type(primes) is type(want) is (QSqrt3 if sqrt3 else Fraction)
+    assert fast == want != 0
+    assert type(fast) is type(want) is (QSqrt3 if sqrt3 else Fraction)
 
 
-@pytest.mark.parametrize("u, primes", [
-    (CubicForm(3, {(0, 0, 0): Fraction(10 ** 40), (0, 1, 2): Fraction(1, 3)}), 4),
-    (CubicForm(3, {(0, 0, 0): 1e40, (0, 1, 2): 0.1, (1, 1, 1): 3.0}), 6)],
+@pytest.mark.parametrize("u", [
+    CubicForm(3, {(0, 0, 0): Fraction(10 ** 40), (0, 1, 2): Fraction(1, 3)}),
+    CubicForm(3, {(0, 0, 0): 1e40, (0, 1, 2): 0.1, (1, 1, 1): 3.0})],
     ids=["rational", "float"])
-def test_weak_associativity_huge_coefficient_takes_primes(monkeypatch, u, primes):
+def test_weak_associativity_huge_coefficient_is_zero(u):
     # L = 9 * 10^40 + 3 and, for the float form (0.1 as a binary fraction,
-    # D = 2**55), L near 2**190 take four and six primes beside 2**64;
-    # every residue product stays in int64 without a warning
-    counts = _count_moduli(monkeypatch)
+    # D = 2**55), L near 2**190: the residual is an exact zero, without a
+    # warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = MetrisedAlgebra(u).weak_associativity_max_residual(trials=100, seed=6)
-    assert counts == [primes]
     assert got == 0 and type(got) is Fraction
 
 
-@pytest.mark.parametrize("r, s, primes", [
-    (TOP, None, 0), (TOP + 1, None, 1), (-TOP - 1, None, 1),
-    (TOP - 2 * (TOP // 4), TOP // 4, 0), (TOP + 1 - 2 * (TOP // 4), TOP // 4, 1),
-    (1, TOP // 2, 0), (2, TOP // 2, 1), (2 ** 62, None, 1)],
+@pytest.mark.parametrize("r, s", [
+    (TOP, None), (TOP + 1, None), (-TOP - 1, None),
+    (TOP - 2 * (TOP // 4), TOP // 4), (TOP + 1 - 2 * (TOP // 4), TOP // 4),
+    (1, TOP // 2), (2, TOP // 2), (2 ** 62, None)],
     ids=["r=TOP", "r=TOP+1", "r=-TOP-1", "r+2s=TOP", "r+2s=TOP+1", "1+2s=TOP",
          "2+2s=TOP+1", "r=2**62"])
-def test_weak_associativity_moduli_edge(monkeypatch, r, s, primes):
-    # WEAK_DIFF_FACTOR * L < 2**63 takes 2**64 alone, and the least L above
-    # it one prime, on either sqrt(3) channel (L = |r| + 2|s| for a single
-    # rotation); the triple that reaches the bound, whose two contractions
-    # are +-1458 m, gives the exact difference on both routes, also where
-    # it is 2916 * 2**62 = 729 * 2**64, whose residue modulo 2**64 is 0
+def test_weak_associativity_moduli_edge(monkeypatch, r, s):
+    # single rotations (L = |r| + 2|s|) on either side of the int64 edge
+    # 2916 L < 2**63, on either sqrt(3) channel; the triple that reaches
+    # the bound, whose two contractions are +-1458 m, gives the exact
+    # difference 2916 m, also where it is 2916 * 2**62 = 729 * 2**64, a
+    # multiple of 2**64
     ijk = np.array([[0], [1], [2]], dtype=np.intp)
     jet = Jet(1, ijk, np.array([r], dtype=object))
     if s is not None:
@@ -1021,9 +1001,149 @@ def test_weak_associativity_moduli_edge(monkeypatch, r, s, primes):
     triple = itertools.cycle([(9, 9, 9), (-9, 9, 9), (9, 9, 9)])
     monkeypatch.setattr(algebra, "_rational_batch", lambda n, count, rng: (
         np.array([next(triple)], dtype=np.int64), np.ones(1, dtype=np.int64)))
-    counts = _count_moduli(monkeypatch)
     got = MetrisedAlgebra(CubicForm(3, {})).weak_associativity_max_residual(trials=1)
-    assert counts == [primes]
     m = r if s is None else QSqrt3(r, s)
-    assert got == abs(algebra.WEAK_DIFF_FACTOR * m)
+    assert got == abs(2 * 9 * 2 * 81 * m)
     assert type(got) is (Fraction if s is None else QSqrt3)
+
+
+# -- the cyclic decision -----------------------------------------------------
+
+def _dense_cyclic(jet: Jet, n: int) -> bool:
+    """The reference decision: ``trilinear``'s dense coefficient tensor,
+    m at (a, b, c) and (a, c, b) per rotation, against its shift, on each
+    sqrt(3) channel."""
+    for part in (jet, jet.sqrt3):
+        if part is None:
+            continue
+        T = np.zeros((n, n, n), dtype=object)
+        for (a, b, c), m in zip(part.ijk.T.tolist(), part.m.tolist()):
+            T[a, b, c] += m
+            T[a, c, b] += m
+        if not (T == T.transpose(1, 2, 0)).all():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_cyclic_holds_on_every_form_built(name):
+    # the catalog form, times 10^18, with +1/7 on its first coefficient,
+    # and its float copy's exact jet; the residual is an exact 0 on each
+    u = _built(name)
+    k = next(iter(u.terms))
+    for v in (u, u.scaled(10 ** 18), CubicForm(u.n, {**u.terms, k: u.terms[k] + Fraction(1, 7)}),
+              u.to_float()):
+        assert v.jet(exact=True).cyclic()
+        got = MetrisedAlgebra(v).weak_associativity_max_residual(trials=10, seed=1)
+        assert got == 0 and type(got) is Fraction
+
+
+@pytest.mark.parametrize("name", ["cartan-d4", "octonion21"])
+def test_cyclic_holds_on_rotated_forms(name):
+    # a dense rational Cayley rotation: 560 and 1,771 monomials whose
+    # coefficients have up to 172 digits, a Q(sqrt3) form among them
+    u = _built(name)
+    n = u.n
+    entries = [Fraction(i % 5 - 2, 1 + i % 3) for i in range(n * (n - 1) // 2)]
+    uq = rotate_exact(u, cayley_rotation(skew(n, entries)))
+    assert len(uq.terms) > len(u.terms)
+    assert uq.jet(exact=True).cyclic()
+
+
+@pytest.mark.parametrize("sqrt3", [False, True])
+def test_cyclic_fails_on_unrotated_jets(sqrt3):
+    # one rotation per monomial; as a sqrt(3) jet only that channel fails
+    jet = _unrotated_jet(sqrt3)
+    assert not jet.cyclic()
+    if sqrt3:
+        assert replace(jet, sqrt3=None).cyclic()
+
+
+def test_cyclic_reads_the_tensor_not_the_rotations():
+    # x0 x1 x2 as the rotations (0; 1, 2), (1; 0, 2), (2; 0, 1): not the
+    # layout's (0; 1, 2), (1; 2, 0), (2; 0, 1), but the same tensor
+    jet = Jet(1, np.array([[0, 1, 2], [1, 0, 0], [2, 2, 1]], dtype=np.intp),
+              np.array([3, 3, 3], dtype=object))
+    assert jet.cyclic() and _dense_cyclic(jet, 3)
+    assert not replace(jet, m=np.array([3, 3, 4], dtype=object)).cyclic()
+
+
+def _bumped(jet: Jet, r: int) -> Jet:
+    m = jet.m.copy()
+    m[r] += 1
+    return replace(jet, m=m)
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_cyclic_fails_with_one_rotation_changed(name):
+    # m + 1 at one rotation (a; b, c) of a monomial that is no cube adds 1
+    # at (a, b, c) and (a, c, b) only, on either sqrt(3) channel.  On a
+    # cube all orderings are one entry and the polynomial stays cyclic:
+    # trivial, x1^3 alone, keeps it
+    jet = _built(name).jet(exact=True)
+    for part, rebuild in ((jet, lambda p: p),
+                          (jet.sqrt3, lambda p: replace(jet, sqrt3=p))):
+        if part is None:
+            continue
+        a, b, c = part.ijk
+        others = np.flatnonzero((a != b) | (b != c))
+        if not others.size:
+            assert name == "trivial"
+            assert rebuild(_bumped(part, 0)).cyclic()
+            continue
+        assert not rebuild(_bumped(part, int(others[0]))).cyclic()
+        assert not rebuild(_bumped(part, int(others[-1]))).cyclic()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cyclic_matches_the_dense_tensor(seed):
+    # small hand-built jets, n <= 4 and 1-6 rotations, half of them all
+    # three rotations of each monomial, some with a sqrt(3) channel
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+
+    def part():
+        keys = [tuple(rng.randrange(n) for _ in range(3)) for _ in range(rng.randint(1, 2))]
+        m = [rng.choice([-2 ** 63, -1, 1, 2, 2 ** 62]) for _ in keys]
+        if seed % 2:
+            keys, m = keys + [(j, k, i) for i, j, k in keys] + [(k, i, j) for i, j, k in keys], m * 3
+            # (a; c, b) is the rotation (a; b, c) in the tensor
+            keys = [(a, c, b) if rng.random() < 0.5 else (a, b, c) for a, b, c in keys]
+        else:
+            keep = [rng.random() < 0.7 for _ in keys]
+            keys = [key for key, t in zip(keys, keep) if t] or keys[:1]
+            m = [v for v, t in zip(m, keep) if t] or m[:1]
+        return np.array(keys, dtype=np.intp).T, np.array(m, dtype=object)
+
+    jet = Jet(1, *part())
+    if seed % 3 == 0:
+        jet = _Sqrt3Jet(1, jet.ijk, jet.m, Jet(1, *part()))
+    assert jet.cyclic() == _dense_cyclic(jet, n)
+    if seed % 2:
+        assert jet.cyclic()
+    if jet.cyclic():
+        assert _weak_loop(jet, n, 20, seed) == 0
+
+
+def test_weak_associativity_of_a_cyclic_jet_draws_no_triple(monkeypatch):
+    # on every catalog form: no Jet.trilinear call and no _rational_batch
+    # draw, and still an exact Fraction 0
+    calls = []
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(Jet, "trilinear", spy("trilinear", Jet.trilinear))
+    monkeypatch.setattr(_Sqrt3Jet, "trilinear", spy("trilinear", _Sqrt3Jet.trilinear))
+    monkeypatch.setattr(algebra, "_rational_batch", spy("draw", algebra._rational_batch))
+    for name in CATALOG:
+        got = MetrisedAlgebra(_built(name)).weak_associativity_max_residual()
+        assert got == 0 and type(got) is Fraction, name
+    assert calls == []
+    # the spies see the fallback of a jet that is not cyclic
+    monkeypatch.setattr(CubicForm, "jet", lambda self, exact: _unrotated_jet(False))
+    assert MetrisedAlgebra(CubicForm(3, {})).weak_associativity_max_residual(trials=5) != 0
+    assert calls.count("draw") == 3 and calls.count("trilinear") == 2
