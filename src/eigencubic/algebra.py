@@ -8,32 +8,29 @@ exact operations below read its exact jet (a float coefficient enters as
 the binary fraction it is), the idempotent / Peirce pipeline its float64
 jet.  Weak associativity, <x o y, z> = <y o z, x>, is decided for every
 point at once: it holds exactly when the coefficient tensor of the
-kernel's trilinear contraction is cyclic (``Jet.cyclic``), as it is for
-every form.  The Hsiang identity
+kernel's polarization is cyclic (``Jet.cyclic``), as it is for every
+form.  The Hsiang identity
 <x^2,x^2> tr L_x - <x^2,x^3> = (2/3) theta |x|^2 <x^2,x> runs at random
 rational points; it is 4 times the radial identity of
 ``identities.RADIAL``, since x^2 = 2 Du, x^3 = 2 D^2u Du and
 <x^2, x> = 6u.  On a Q(sqrt3) form the kernel gives each piece as a
 ``QSqrt3Array``, two integer arrays, and each exact operation joins it to
 QSqrt3 entries only where its result leaves the kernel: the Hsiang
-residual at a point and a nonzero weak-associativity difference.  The
-multiplication rank joins nothing: it is certified first from n
-gradients modulo one prime, where sqrt3 has a root, and where that
-certificate fails it is the largest rank of the products e_i o e_j
-modulo primes p = 11 (mod 12), over enough of them that a Hadamard bound
-leaves no larger rank; one row reduction modulo p, ``_rank_mod_p``,
-serves both.
+residual at a point.  The multiplication rank joins nothing: it is
+certified first from n gradients modulo one prime, where sqrt3 has a
+root, and where that certificate fails it is the largest rank of the
+products e_i o e_j modulo primes p = 11 (mod 12), over enough of them
+that a Hadamard bound leaves no larger rank; one row reduction modulo p,
+``_rank_mod_p``, serves both.
 
 The Hsiang check runs whole batches of points through
 ``identities._sides_at``, as the random identity checks do, on int64
 residue stacks modulo 2**64 and as many primes as the radial bound at
 |x| <= 9 needs, lifted by CRT to Python ints; the points' numerators lie
-in [-9, 9], which bounds every sum before any arithmetic.  A jet that is
-not cyclic, which only a hand-built one can be, takes its weak
-associativity at random rational triples on Python ints.  Both checks
-draw their points in one vectorised pass that reproduces the stream of
-one ``random.randint`` per coordinate, so their residuals do not depend
-on how the points are drawn.
+in [-9, 9], which bounds every sum before any arithmetic.  It draws its
+points in one vectorised pass that reproduces the stream of one
+``random.randint`` per coordinate, so its residual does not depend on
+how the points are drawn.
 
 Idempotents are located by projected gradient ascent of |u| on the unit
 sphere (stationary points have grad u = lambda x), rescaled by 1/(2 lambda),
@@ -63,7 +60,7 @@ import numpy as np
 
 from .cubics import CubicForm, Jet, block_rows
 from .identities import RADIAL, _dots, _randbelow, _require_trials, _sides_at, _unit
-from .scalars import QSqrt3, QSqrt3Array, _prime, joined
+from .scalars import QSqrt3, QSqrt3Array, _prime
 
 NEWTON_STEPS = 80
 IDEMPOTENT_RESIDUAL = 1e-10
@@ -235,31 +232,19 @@ class MetrisedAlgebra:
         return worst
 
     def weak_associativity_max_residual(self, trials: int = 1000, seed: int = 0):
-        """Max |<x o y, z> - <y o z, x>| over random rational triples, exact.
+        """Max |<x o y, z> - <y o z, x>|, exact: 0 at every point.
 
-        The difference is the zero polynomial exactly when the coefficient
-        tensor of ``Jet.trilinear`` is unchanged by (x, y, z) -> (y, z, x),
-        which ``Jet.cyclic`` decides; then the residual is 0 at every
-        triple, and no triple is drawn.  That holds for every CubicForm:
-        both sides are the complete polarization, which sums all six
+        Both sides are the complete polarization, which sums all six
         orderings of each monomial at its coefficient, so the difference
-        cancels term by term.  A jet that fails it was not built from a
-        form; its triples run through one ``Jet.trilinear`` call per side
-        on Python ints, and only the nonzero differences become exact
-        scalars, in trial order, so the result is the one a loop over
-        single triples gives, in value and in type.
+        cancels term by term for every CubicForm.  ``Jet.cyclic`` decides
+        that from the polarization's coefficient tensor without drawing a
+        point; a jet that fails it was not built from a form, and raises
+        AssertionError as a broken construction does.
         """
         _require_trials(trials)
-        jet = self.form.jet(exact=True)
-        if jet.cyclic():
-            return Fraction(0)
-        rng = random.Random(seed)
-        (X, dx), (Y, dy), (Z, dz) = (_rational_batch(self.n, trials, rng) for _ in range(3))
-        X, Y, Z = (P.astype(object) for P in (X, Y, Z))
-        diffs = joined(jet.trilinear(X, Y, Z) - jet.trilinear(Y, Z, X))
-        return max((abs(v / Fraction(jet.scale * d))
-                    for v, d in zip(diffs.tolist(), (dx * dy * dz).tolist()) if v),
-                   default=Fraction(0))
+        if not self.form.jet(exact=True).cyclic():
+            raise AssertionError("the kernel's polarization tensor is not cyclic")
+        return Fraction(0)
 
 
 def _ascend(jet: Jet, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

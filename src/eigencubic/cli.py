@@ -257,11 +257,14 @@ def classify_cmd(path, mode, trials, seed):
 @click.option("--restarts", type=click.IntRange(min=1), default=8,
               show_default=True)
 def triples(which, as_json, validate, seed, restarts):
-    """The admissible Peirce triples, optionally cross-validated."""
+    """The admissible Peirce triples of the status asked for, optionally
+    cross-validated."""
     if validate:
         reports = cross_validate(seed=seed, restarts=restarts)
         ok = True
         for rep in reports:
+            if which != "all" and rep["status"] != which:
+                continue
             _emit(rep)
             ok = ok and rep["result"] in ("pass", "untestable")
         if not ok:

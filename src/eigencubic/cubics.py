@@ -221,17 +221,17 @@ def _channels(c) -> tuple:
 
 @dataclass(frozen=True)
 class Jet:
-    """Value, gradient, Hessian, polarization and Laplacian of D*u, from
-    sparse arrays.
+    """Value, gradient, Hessian and Laplacian of D*u, from sparse arrays.
 
     ``ijk`` holds each monomial m x_i x_j x_k in three blocks of columns,
     its rotations (i; j, k), (j; k, i) and (k; i, j), and ``m`` holds m
     at each.  A rotation (a; b, c) adds m x_b x_c to D_a u, m x_c and
-    m x_b to D^2_ab u and D^2_ac u, and m x_a (y_b z_c + y_c z_b) to
-    u(x; y; z).  Both kinds hold D*u, D = ``scale``.  Exact arrays hold
-    Python ints, D the least positive integer making every m integral in
-    both sqrt(3) channels; float arrays have D = 2**-floor(log2 max|m|),
-    which rescales every float result exactly.  The exact jet of a
+    m x_b to D^2_ab u and D^2_ac u, and m x_a (y_b z_c + y_c z_b) to the
+    polarization u(x; y; z) = <D^2u(x) y, z>.  Both kinds hold D*u,
+    D = ``scale``.  Exact arrays hold Python ints, D the least positive
+    integer making every m integral in both sqrt(3) channels; float
+    arrays have D = 2**-floor(log2 max|m|), which rescales every float
+    result exactly.  The exact jet of a
     Q(sqrt3) form splits D*u = r + sqrt(3) s into two integer jets: these
     arrays hold r and ``sqrt3`` holds s.  Each piece is then computed once
     on each, and returned as one ``QSqrt3Array`` (r's piece, s's piece),
@@ -242,18 +242,18 @@ class Jet:
     ``PolyArray``s.  In the metrised algebra x o x = 2 Du(x) and
     L_x = D^2u(x).
 
-    ``value`` reads the first block of columns only.  It, ``gradient``,
-    ``hessian`` and ``trilinear`` take a stack of any length along leading
-    axes, p of shape (..., n), one result per point, and run their bodies
-    on blocks of points, ``block_rows`` of M/3, M, max(n^2, M) and M
-    entries (M = ``m.size``): the widest temporary each makes per point.
+    ``value`` reads the first block of columns only.  It, ``gradient``
+    and ``hessian`` take a stack of any length along leading axes, p of
+    shape (..., n), one result per point, and run their bodies on blocks
+    of points, ``block_rows`` of M/3, M and max(n^2, M) entries
+    (M = ``m.size``): the widest temporary each makes per point.
     ``take`` keeps each point's products contiguous, and ``gradient`` and
     ``hessian`` scatter them through one 1-D ``np.add.at`` on flat indices
     (point * n + a, and point * n^2 + a * n + b), which adds into each
     entry in column order, so every result is the single point's, bit for
     bit, on every dtype and in any block.  ``modulo`` gives the jet on
     int64 residues modulo 2**64 or a prime, and ``l1`` bounds their sums.
-    ``cyclic`` reads ``trilinear``'s coefficient tensor itself.
+    ``cyclic`` reads the polarization's coefficient tensor itself.
     """
     scale: float
     ijk: np.ndarray
@@ -305,13 +305,9 @@ class Jet:
     def hessian(self, p: np.ndarray) -> np.ndarray:
         return _blocks(self._hessian, max(p.shape[-1] ** 2, self.m.size), p)
 
-    def trilinear(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
-        """D u(x; y; z) = D <x o y, z>, the complete polarization of D*u."""
-        return _blocks(self._trilinear, self.m.size, x, y, z)
-
     def cyclic(self) -> bool:
         """Whether D u(x; y; z) = D u(y; z; x) as a polynomial, so that
-        <x o y, z> = <y o z, x> at every triple.  ``trilinear``'s
+        <x o y, z> = <y o z, x> at every triple.  The polarization's
         coefficient tensor T holds m at (a, b, c) and at (a, c, b) for
         each rotation (a; b, c), and the difference vanishes exactly when
         T equals its shift S[c, a, b] = T[a, b, c]; both are summed at
@@ -347,12 +343,6 @@ class Jet:
                                      self.m * p.take(b, axis=-1)], axis=-1))
         return H.reshape(p.shape + (n,))
 
-    def _trilinear(self, x, y, z):
-        a, b, c = self.ijk
-        return (self.m * x.take(a, axis=-1)
-                * (y.take(b, axis=-1) * z.take(c, axis=-1)
-                   + y.take(c, axis=-1) * z.take(b, axis=-1))).sum(axis=-1)
-
     def laplacian(self, n: int) -> np.ndarray:
         """The n coefficients of the linear form D Lap u: a rotation
         (a; b, c) adds m to the coefficient of x_c when a = b, and to that
@@ -383,20 +373,20 @@ class Jet:
         return v, g, H, r2
 
 
-def _blocks(f, width: int, *P: np.ndarray):
-    """f at the stacks P of points (..., n), ``block_rows(width)`` points
+def _blocks(f, width: int, p: np.ndarray):
+    """f at the stack p of points (..., n), ``block_rows(width)`` points
     at a time, written into one output: joining a list of them held more RSS."""
-    n = P[0].shape[-1]
-    count, rows = P[0].size // n, block_rows(width)
+    n = p.shape[-1]
+    count, rows = p.size // n, block_rows(width)
     if count <= rows:
-        return f(*P)
-    flat = [x.reshape(-1, n) for x in P]
+        return f(p)
+    flat = p.reshape(-1, n)
     for s in range(0, count, rows):
-        r = f(*(x[s:s + rows] for x in flat))
+        r = f(flat[s:s + rows])
         if not s:
             out = np.empty((count,) + r.shape[1:], dtype=r.dtype)
         out[s:s + rows] = r
-    return out.reshape(P[0].shape[:-1] + out.shape[1:])
+    return out.reshape(p.shape[:-1] + out.shape[1:])
 
 
 def _scatter(p: np.ndarray, width: int, cols: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -423,9 +413,6 @@ class _Sqrt3Jet(Jet):
 
     def hessian(self, p):
         return QSqrt3Array(super().hessian(p), self.sqrt3.hessian(p))
-
-    def trilinear(self, x, y, z):
-        return QSqrt3Array(super().trilinear(x, y, z), self.sqrt3.trilinear(x, y, z))
 
     def laplacian(self, n):
         return QSqrt3Array(super().laplacian(n), self.sqrt3.laplacian(n))

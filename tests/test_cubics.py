@@ -371,11 +371,10 @@ def test_exact_jet_of_a_float_form_is_its_binary_fractions(name):
 
 
 # the widest temporary per point of each kernel body, whose block_rows
-# bounds the points of one call: M/3, M, max(n^2, M) and M, M the rotations
+# bounds the points of one call: M/3, M and max(n^2, M), M the rotations
 _BODY_WIDTHS = {"_value": lambda jet, n: jet.m.size // 3,
                 "_gradient": lambda jet, n: jet.m.size,
-                "_hessian": lambda jet, n: max(n * n, jet.m.size),
-                "_trilinear": lambda jet, n: jet.m.size}
+                "_hessian": lambda jet, n: max(n * n, jet.m.size)}
 
 
 def _channels(x):
@@ -405,10 +404,10 @@ def test_jet_splits_any_stack_into_blocks(monkeypatch):
     monkeypatch.setattr(cubics, "BLOCK", 50)
     calls = []
     for name, width in _BODY_WIDTHS.items():
-        def spy(jet, *P, body=getattr(Jet, name), name=name, width=width):
-            n = P[0].shape[-1]
-            calls.append((name, P[0].size // n, cubics.block_rows(width(jet, n))))
-            return body(jet, *P)
+        def spy(jet, p, body=getattr(Jet, name), name=name, width=width):
+            n = p.shape[-1]
+            calls.append((name, p.size // n, cubics.block_rows(width(jet, n))))
+            return body(jet, p)
         monkeypatch.setattr(Jet, name, spy)
     q2, pair = (catalog_build(name).jet(exact=True) for name in ("clifford-q2", "cartan-d4"))
     jets = [catalog_build("clifford-q2").jet(exact=False), q2, q2.modulo(0),
@@ -417,16 +416,14 @@ def test_jet_splits_any_stack_into_blocks(monkeypatch):
     for jet in jets:
         n = jet.ijk.max() + 1
         if jet.m.dtype == float:
-            X, Y, Z = np.random.default_rng(5).standard_normal((3, 12, n))
+            X = np.random.default_rng(5).standard_normal((12, n))
         else:
-            X, Y, Z = np.array([rng.randint(-9, 9) for _ in range(36 * n)],
-                               dtype=jet.m.dtype).reshape(3, 12, n)
-        for f, P in ((jet.value, (X,)), (jet.gradient, (X,)), (jet.hessian, (X,)),
-                     (jet.trilinear, (X, Y, Z))):
-            stack = f(*P)
-            _assert_rows(stack, [f(*p) for p in zip(*P)])
-            for got, want in zip(_channels(f(*(x.reshape(3, 4, n) for x in P))),
-                                 _channels(stack)):
+            X = np.array([rng.randint(-9, 9) for _ in range(12 * n)],
+                         dtype=jet.m.dtype).reshape(12, n)
+        for f in (jet.value, jet.gradient, jet.hessian):
+            stack = f(X)
+            _assert_rows(stack, [f(x) for x in X])
+            for got, want in zip(_channels(f(X.reshape(3, 4, n))), _channels(stack)):
                 assert got.shape == (3, 4) + want.shape[1:]
                 assert got.reshape(want.shape).tolist() == want.tolist()
     assert all(rows <= top for _, rows, top in calls)
