@@ -931,6 +931,31 @@ def _unrotated_jet(sqrt3: bool) -> Jet:
                      Jet(6, ijk, np.array([5, -7], dtype=object)))
 
 
+@pytest.mark.parametrize("chunk", [cubics.BLOCK, 7])
+@pytest.mark.parametrize("sqrt3", [False, True])
+def test_weak_associativity_paths_agree(monkeypatch, sqrt3, chunk):
+    # <x o y, z> - <y o z, x> = x.D^2(D*u)(z).y - y.D^2(D*u)(x).z from the
+    # kernel's Hessians of the whole stacks of points, in any block size,
+    # gives the one-triple-at-a-time reference residual, nonzero and of the
+    # same type; weak associativity raises on the jet; nothing warns
+    jet = _unrotated_jet(sqrt3)
+    monkeypatch.setattr(cubics, "BLOCK", chunk)
+    want = _weak_loop(jet, 3, 200, 5)
+    rng = random.Random(5)
+    (X, dx), (Y, dy), (Z, dz) = (algebra._rational_batch(3, 200, rng) for _ in range(3))
+    X, Y, Z = (P.astype(object) for P in (X, Y, Z))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        HX, HZ = joined(jet.hessian(X)), joined(jet.hessian(Z))
+        got = max(abs((x @ hz @ y - y @ hx @ z) / Fraction(jet.scale * int(a * b * c)))
+                  for x, y, z, hx, hz, a, b, c in zip(X, Y, Z, HX, HZ, dx, dy, dz))
+        monkeypatch.setattr(CubicForm, "jet", lambda self, exact: jet)
+        with pytest.raises(AssertionError, match="not cyclic"):
+            MetrisedAlgebra(CubicForm(3, {})).weak_associativity_max_residual(trials=200, seed=5)
+    assert got == want != 0
+    assert type(got) is type(want) is (QSqrt3 if sqrt3 else Fraction)
+
+
 @pytest.mark.parametrize("u", [
     CubicForm(3, {(0, 0, 0): Fraction(10 ** 40), (0, 1, 2): Fraction(1, 3)}),
     CubicForm(3, {(0, 0, 0): 1e40, (0, 1, 2): 0.1, (1, 1, 1): 3.0})],
