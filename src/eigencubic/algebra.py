@@ -27,7 +27,13 @@ The Hsiang check runs whole batches of points through
 ``identities._sides_at``, as the random identity checks do, on int64
 residue stacks modulo 2**64 and as many primes as the radial bound at
 |x| <= 9 needs, lifted by CRT to Python ints; the points' numerators lie
-in [-9, 9], which bounds every sum before any arithmetic.  It draws its
+in [-9, 9], which bounds every sum before any arithmetic.  At |x| <= 9
+the jet's bound 2 L R^2 < 2**62 holds for every catalog form, so each
+block takes one exact int64 Hessian, and every modulus its pieces from
+it.  For a rational theta, theta D^2 = num/den, a point's residual is 0
+exactly when den lhs = num rhs on the lifted sides; that one integer
+test finds the nonzero points, and only those build a Fraction.  A
+Q(sqrt3) theta builds its residual at every point.  It draws its
 points in one vectorised pass that reproduces the stream of one
 ``random.randint`` per coordinate, so its residual does not depend on
 how the points are drawn.
@@ -215,15 +221,23 @@ class MetrisedAlgebra:
         4 times the sides of the radial identity, which
         ``identities._sides_at`` evaluates for D*u at the integer points
         d*x, in blocks, as the random mode of the identity checks does.
+        A rational theta skips each point whose sides pass the integer
+        test den lhs = num rhs, whose residual is 0.
         """
         _require_trials(trials)
         rng = random.Random(seed)
         jet = self.form.jet(exact=True)
         D = jet.scale
         X, dens = _rational_batch(self.n, trials, rng)
-        worst = Fraction(0)
         c = theta * D * D
-        for (lhs, rhs), d in zip(_sides_at(RADIAL, jet, X), dens.tolist()):
+        points = zip(_sides_at(RADIAL, jet, X), dens.tolist())
+        if isinstance(c, (int, Fraction)):
+            # c = num / den: a point's residual is 0 exactly when den lhs =
+            # num rhs, which needs no Fraction
+            num, den = c.numerator, c.denominator
+            points = [((lhs, rhs), d) for (lhs, rhs), d in points if den * lhs != num * rhs]
+        worst = Fraction(0)
+        for (lhs, rhs), d in points:
             diff = lhs - c * rhs
             if isinstance(diff, QSqrt3) and not diff.b:
                 diff = diff.a           # as joining the channel pair gives it

@@ -260,7 +260,7 @@ def triples(which, as_json, validate, seed, restarts):
     """The admissible Peirce triples of the status asked for, optionally
     cross-validated."""
     if validate:
-        reports = cross_validate(seed=seed, restarts=restarts)
+        reports = cross_validate(seed=seed, restarts=restarts, which=which)
         ok = True
         for rep in reports:
             if which != "all" and rep["status"] != which:

@@ -76,7 +76,7 @@ def _simplify(c):
 
 
 class CubicForm:
-    __slots__ = ("n", "terms", "_jets", "_symbolic")
+    __slots__ = ("n", "terms", "is_exact_form", "_jets", "_symbolic")
 
     def __init__(self, n: int, terms: Dict[Key, object]):
         self.n = n
@@ -89,14 +89,12 @@ class CubicForm:
             if c:
                 clean[(i, j, k)] = c
         self.terms = clean
+        # whether every coefficient is exact, which picks each check's mode
+        self.is_exact_form = all(is_exact(c) for c in clean.values())
         self._jets = {}
         self._symbolic = None
 
     # -- basic structure ---------------------------------------------------
-    @property
-    def is_exact_form(self) -> bool:
-        return all(is_exact(c) for c in self.terms.values())
-
     def is_zero(self) -> bool:
         return not self.terms
 

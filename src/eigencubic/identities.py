@@ -39,11 +39,16 @@ on blocks of points that bound its (points, n, n) stacks, each block as
 ``scalars.ResidueStack``s: float64 ones under numpy's own rounding, each
 row the single point's bit for bit, or int64 ones modulo 2**64 and as
 many primes below 2**27 as the identity's ``bound`` needs, each side then
-lifted by CRT to the Python int one point gives alone.
+lifted by CRT to the Python int one point gives alone.  One exact
+Hessian per block serves every modulus, with g and v from it by Euler's
+identities, wherever the jet's own bound keeps it in int64 (2 L R^2 <
+2**62 at |p_a| <= R, every catalog form at the random mode's points);
+past that bound each modulus takes its own residue jet (``_exact_route``).
 The random mode draws its points in the same blocks, one ``_randbelow``
 call per block (the stream of one ``randrange`` per coordinate), so
 memory stays O(block) for any ``trials`` and no block after the first
-that refutes t is drawn.  The Hsiang check of ``algebra`` and the cone
+that refutes t is drawn; its moduli and residue jets are taken once per
+check, for |p_a| < DEFAULT_BOUND.  The Hsiang check of ``algebra`` and the cone
 sampler's mean curvatures (``_curvatures``) run their points through the
 same function.
 
@@ -52,11 +57,12 @@ Policy: exact expansion for n <= 15, randomized above, both overridable.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -159,7 +165,8 @@ def _residue_pieces(jet: Jet, X: np.ndarray, q: int) -> Tuple:
     ``_dots``.  Modulo a prime only H is: an entry sums at most 2n + 4 <=
     260 products below 2**54 (a diagonal one on a dense form), and
     260 * 2**54 < 2**63.  Euler's H x = 2 g and x . g = 3 v for the cubic
-    give g and v."""
+    give g and v.  The exact route takes these per modulus only where one
+    int64 Hessian cannot serve every modulus (``_exact_route``)."""
     x = ResidueStack(X, q)
     H = _stack(jet.hessian(x.x), q)
     if not q:
@@ -168,28 +175,80 @@ def _residue_pieces(jet: Jet, X: np.ndarray, q: int) -> Tuple:
     return x @ g * pow(3, -1, q), g, H, x @ x
 
 
-def _sides_at(ident: _Identity, jet: Jet, P: np.ndarray) -> Iterator[Tuple]:
-    """The joined (lhs, rhs) of ``ident.sides`` at each row of the point
-    stack P, in row order, in blocks of ``block_rows`` of an n x n Hessian;
-    lazy, so a caller that stops early evaluates no further block.
+# 3**-1 modulo 2**64 as the int64 it wraps to: 3 is odd, so it is a unit
+_INV3_64 = pow(3, -1, 2 ** 64) - 2 ** 64
 
-    Each block runs ``ident.sides`` on its ``_residue_pieces`` once per
-    modulus.  At float64 points, on the float ``jet``, that is q = 0 alone,
-    numpy's float64 rounding, each row the single point's bit for bit; a
-    side that is no stack, such as a constant, holds at every row.  At
-    int64 points, on the exact jet, the moduli are 2**64 and the primes of
-    ``moduli(ident.bound(n, jet.l1, max|P|))``, and ``lift`` gives each
-    side as the Python int (or QSqrt3) a single point gives."""
+
+def _exact_route(ident: _Identity, jet: Jet, n: int, R: int) -> Callable:
+    """The function from a block B of points of Z^n with |p_a| <= R to its
+    ``_residue_pieces`` on the exact ``jet`` at each modulus of ``ident``,
+    one modulus at a time: 2**64 (q = 0) and the primes of
+    ``moduli(ident.bound(n, L, R))``, L = ``Jet.l1``.  Built once for all
+    the blocks.
+
+    One Hessian serves every modulus when 2 L R^2 < 2**62.  Each channel
+    of H x = 2 g is then at most 2 L R^2 in magnitude (``_Identity``), and
+    so is each entry of H, which adds m p_c once per rotation, so both
+    are exact in int64 however their sums wrap on the way.  The block
+    takes H0 = ``jet.modulo(0).hessian(B)`` once and g0 = H0 B / 2, an
+    exact halving; modulo each q, H = H0, g = g0 and v = (B . g) / 3, as
+    3 is a unit modulo 2**64 and every prime.  These are the residues the
+    jet modulo q gives.  Where the bound fails, as on a form scaled by
+    10^18, an entry of H0 or H0 B may wrap, so H0 holds H modulo 2**64
+    alone: it gives no residue modulo a prime and cannot be halved.  That
+    block takes its pieces on ``jet.modulo(q)`` at each q instead."""
+    L = jet.l1
+    qs = (0,) + moduli(ident.bound(n, L, R))
+    if 2 * L * R * R >= 2 ** 62:
+        jets = [jet.modulo(q) for q in qs]
+        return lambda B: (_residue_pieces(j, B, q) for j, q in zip(jets, qs))
+    j0 = jet.modulo(0)
+
+    def pieces(B):
+        def half(h):            # h B on one channel, even and exact
+            return (h @ B[..., None])[..., 0] >> 1
+
+        H0 = j0.hessian(B)
+        g0 = QSqrt3Array(half(H0.r), half(H0.s)) if isinstance(H0, QSqrt3Array) else half(H0)
+        for q in qs:
+            x, g = ResidueStack(B, q), _stack(g0, q)
+            yield x @ g * (pow(3, -1, q) if q else _INV3_64), g, _stack(H0, q), x @ x
+
+    return pieces
+
+
+def _sides_of_blocks(ident: _Identity, jet: Jet, n: int, blocks: Iterable[np.ndarray],
+                     R: Optional[int]) -> Iterator[Tuple]:
+    """The joined (lhs, rhs) of ``ident.sides`` at each row of each block
+    of points in turn; lazy, so a caller that stops early draws and
+    evaluates no further block.
+
+    Float64 blocks (R None), on the float ``jet``, run ``ident.sides`` on
+    their ``_residue_pieces`` at q = 0 alone, numpy's float64 rounding,
+    each row the single point's bit for bit; a side that is no stack, such
+    as a constant, holds at every row.  Int64 blocks, on the exact jet,
+    with R bounding |p_a| on all of them, run it once per modulus of
+    ``_exact_route``, each modulus's pieces dropped before the next are
+    made, and ``lift`` gives each side as the Python int (or QSqrt3) a
+    single point gives."""
+    if R is None:
+        for B in blocks:
+            yield from zip(*(np.broadcast_to(getattr(s, "x", s), len(B))
+                             for s in ident.sides(*_residue_pieces(jet, B, 0))))
+        return
+    pieces = _exact_route(ident, jet, n, R)
+    for B in blocks:
+        yield from zip(*(lift(s) for s in zip(*itertools.starmap(ident.sides, pieces(B)))))
+
+
+def _sides_at(ident: _Identity, jet: Jet, P: np.ndarray) -> Iterator[Tuple]:
+    """``_sides_of_blocks`` at the rows of the point stack P, in row order,
+    in blocks of ``block_rows`` of an n x n Hessian, with R = max|P| on
+    int64 points."""
     n = P.shape[-1]
     rows = block_rows(n * n)
-    exact = P.dtype != float
-    qs = (0,) + moduli(ident.bound(n, jet.l1, int(np.abs(P).max(initial=0)))) if exact else (0,)
-    jets = [jet.modulo(q) for q in qs] if exact else [jet]
-    for start in range(0, len(P), rows):
-        B = P[start:start + rows]
-        per_q = [ident.sides(*_residue_pieces(j, B, q)) for j, q in zip(jets, qs)]
-        yield from zip(*(lift(s) if exact else np.broadcast_to(getattr(s[0], "x", s[0]), len(B))
-                         for s in zip(*per_q)))
+    R = None if P.dtype == float else int(np.abs(P).max(initial=0))
+    return _sides_of_blocks(ident, jet, n, (P[s:s + rows] for s in range(0, len(P), rows)), R)
 
 
 def _proportional_float(ident: _Identity, jet: Jet, n: int, seed: int):
@@ -290,12 +349,12 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
 
     def random_sides(rng):
         # one draw per block of points, so memory stays O(block) however
-        # large ``trials``, and no block past a refuting one is drawn
+        # large ``trials``, and no block past a refuting one is drawn; one
+        # route for every block, as no coordinate reaches DEFAULT_BOUND
         rows = block_rows(u.n * u.n)
-        for start in range(0, trials + 1, rows):
-            k = min(rows, trials + 1 - start)
-            yield from _sides_at(ident, jet,
-                                 _randbelow(DEFAULT_BOUND, k * u.n, rng).reshape(k, u.n))
+        blocks = (_randbelow(DEFAULT_BOUND, k * u.n, rng).reshape(k, u.n)
+                  for k in (min(rows, trials + 1 - s) for s in range(0, trials + 1, rows)))
+        return _sides_of_blocks(ident, jet, u.n, blocks, DEFAULT_BOUND - 1)
 
     if m == "float":
         t = _proportional_float(ident, jet, u.n, seed)

@@ -253,7 +253,8 @@ class ResidueStack:
     q = 0 is the array's own arithmetic: int64's wrapping, exact modulo
     2**64, or numpy's rounding on float64, each point's @, ``sum`` and
     ``trace`` the single point's bits.  An odd prime q < PRIME_TOP
-    reduces each result into [0, q), so no sum reaches 2**63.  +, - and *
+    reduces each result into [0, q) in place, so no sum reaches 2**63
+    and no copy of a result is held beside it.  +, - and *
     take a stack of the same q, whose fewer axes hold one entry per
     point, or an int in int64's range; @ is each point's vector or matrix
     product, ``sum`` and ``trace`` each point's.  No result drops the
@@ -265,14 +266,22 @@ class ResidueStack:
     def __init__(self, x: np.ndarray, q: int):
         self.x, self.q = (x % q if q else x), q
 
+    def _fresh(self, x: np.ndarray) -> "ResidueStack":
+        """x, the new array an operation on this stack made, reduced in
+        place into a stack of the same q, so no second array of its size
+        is held beside it."""
+        out = object.__new__(ResidueStack)
+        out.x, out.q = (np.remainder(x, self.q, out=x) if self.q else x), self.q
+        return out
+
     def _with(self, other, op):
         if isinstance(other, int):
-            return ResidueStack(op(self.x, other % self.q if self.q else other), self.q)
+            return self._fresh(op(self.x, other % self.q if self.q else other))
         if not isinstance(other, ResidueStack):
             return NotImplemented
         x, y = self.x, other.x
-        return ResidueStack(op(x.reshape(x.shape + (1,) * (y.ndim - x.ndim)),
-                               y.reshape(y.shape + (1,) * (x.ndim - y.ndim))), self.q)
+        return self._fresh(op(x.reshape(x.shape + (1,) * (y.ndim - x.ndim)),
+                              y.reshape(y.shape + (1,) * (x.ndim - y.ndim))))
 
     def __add__(self, other):
         return self._with(other, np.add)
@@ -283,7 +292,7 @@ class ResidueStack:
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ResidueStack(-self.x, self.q)
+        return self._fresh(-self.x)
 
     def __sub__(self, other):
         return self + -other
@@ -294,13 +303,13 @@ class ResidueStack:
         a, b = self.x, other.x
         out = (a[:, None] if a.ndim == 2 else a) @ (b[..., None] if b.ndim == 2 else b)
         out = out[..., 0] if b.ndim == 2 else out
-        return ResidueStack(out[:, 0] if a.ndim == 2 else out, self.q)
+        return self._fresh(out[:, 0] if a.ndim == 2 else out)
 
     def sum(self):
-        return ResidueStack(self.x.reshape(len(self.x), -1).sum(axis=1), self.q)
+        return self._fresh(self.x.reshape(len(self.x), -1).sum(axis=1))
 
     def trace(self):
-        return ResidueStack(np.trace(self.x, axis1=1, axis2=2), self.q)
+        return self._fresh(np.trace(self.x, axis1=1, axis2=2))
 
 
 # The numbers below PRIME_TOP sieved at once: the first window holds 227

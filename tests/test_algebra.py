@@ -11,7 +11,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from eigencubic import algebra, cubics
+from eigencubic import algebra, cubics, identities
 from eigencubic.algebra import MetrisedAlgebra, _newton_step
 from eigencubic.cubics import (CATALOG, CubicForm, Jet, _Sqrt3Jet, cartan_cubic,
                                catalog_build, trivial_cubic)
@@ -783,6 +783,38 @@ def test_sqrt3_hsiang_residual_pinned(name, want):
     got = MetrisedAlgebra(catalog_build(name)).check_hsiang_identity(
         Fraction(-1), trials=100, seed=1)
     assert got == want and type(got) is QSqrt3
+
+
+def _fraction_hsiang(u, theta, trials, seed):
+    """``check_hsiang_identity`` as it was before the integer zero test:
+    a Fraction residual built at every point."""
+    jet = u.jet(exact=True)
+    D = jet.scale
+    X, dens = algebra._rational_batch(u.n, trials, random.Random(seed))
+    worst = Fraction(0)
+    c = theta * D * D
+    for (lhs, rhs), d in zip(identities._sides_at(identities.RADIAL, jet, X), dens.tolist()):
+        diff = lhs - c * rhs
+        if isinstance(diff, QSqrt3) and not diff.b:
+            diff = diff.a
+        if diff:
+            worst = max(worst, abs(4 * diff / Fraction(D ** 3 * d ** 5)))
+    return worst
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_hsiang_residual_matches_the_fraction_loop(name):
+    # at the form's theta, at theta + 1/7 and at theta + sqrt3/7, which
+    # keeps the per-point loop, the residual is the loop's, value and type
+    # (repr), at seeds 0-2; it is 0 at theta alone
+    u = catalog_build(name)
+    alg = MetrisedAlgebra(u)
+    theta = check_radial(u).constant
+    for seed in (0, 1, 2):
+        for t in (theta, theta + Fraction(1, 7), theta + QSqrt3(0, Fraction(1, 7))):
+            got = alg.check_hsiang_identity(t, seed=seed)
+            assert repr(got) == repr(_fraction_hsiang(u, t, 100, seed)), (seed, t)
+            assert (got == 0) is (t is theta)
 
 
 @pytest.mark.parametrize("name", list(CATALOG))

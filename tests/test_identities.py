@@ -22,7 +22,7 @@ from eigencubic.identities import (DEFAULT_BOUND, DEFAULT_TRIALS, EICONAL,
                                    trace_identity_cubic,
                                    trace_identity_quadratic)
 from eigencubic.poly import Poly
-from eigencubic.scalars import QSqrt3, QSqrt3Array, _prime, exact_div, joined
+from eigencubic.scalars import QSqrt3, QSqrt3Array, _prime, exact_div, joined, moduli
 from formref import dense_tensor, gradient, hessian
 from polyref import joined_terms
 from rotations import cayley_rotation, rotate_by_substitution, rotate_exact, skew
@@ -605,6 +605,115 @@ def test_residue_sides_match_the_per_point_loop_past_int64(name, change):
         got = MetrisedAlgebra(u).check_hsiang_identity(t, trials=10, seed=1)
         want = _reference_hsiang(u, t, 10, 1)
         assert repr(got) == repr(want)
+
+
+def _per_modulus_pieces(ident, jet, n, R, B):
+    """A block's pieces as each modulus's own residue jet gives them, the
+    route every block took before one Hessian served every modulus."""
+    qs = (0,) + moduli(ident.bound(n, jet.l1, R))
+    return [identities._residue_pieces(jet.modulo(q), B, q) for q in qs]
+
+
+def _same_stacks(xs, ys):
+    """Whether two tuples of pieces hold the same int64 stacks modulo the
+    same q, channel by channel."""
+    return len(xs) == len(ys) and all(
+        a.q == b.q and a.x.dtype == b.x.dtype == np.int64 and np.array_equal(a.x, b.x)
+        for x, y in zip(xs, ys) for a, b in zip(_channels(x), _channels(y)))
+
+
+def _spy_modulo(monkeypatch):
+    """A list that records q at each ``Jet.modulo`` call (twice on a
+    Q(sqrt3) jet, once per channel)."""
+    calls = []
+    real = Jet.modulo
+
+    def spy(self, q):
+        calls.append(q)
+        return real(self, q)
+
+    monkeypatch.setattr(Jet, "modulo", spy)
+    return calls
+
+
+def _assert_route_matches(ident, jet, n, R, blocks, one_hessian, calls):
+    """``_exact_route`` takes one residue jet (q = 0) if ``one_hessian``,
+    else one per modulus, and on each block gives every modulus's pieces,
+    and the sides on them, as that modulus's residue jet does."""
+    calls.clear()
+    pieces = identities._exact_route(ident, jet, n, R)
+    qs = (0,) + moduli(ident.bound(n, jet.l1, R))
+    assert set(calls) == ({0} if one_hessian else set(qs)), ident.name
+    for B in blocks:
+        got, want = list(pieces(B)), _per_modulus_pieces(ident, jet, n, R, B)
+        assert len(got) == len(want) == len(qs)
+        for g, w in zip(got, want):
+            assert _same_stacks(g, w), ident.name
+            assert _same_stacks(ident.sides(*g), ident.sides(*w)), ident.name
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_one_hessian_route_matches_the_per_modulus_kernel(monkeypatch, name):
+    # every catalog form keeps 2 L R^2 below 2**62 at the random mode's
+    # points and the Hsiang check's, so one Hessian per block gives the
+    # pieces and sides of every modulus, on the same blocks, at seeds 1-3;
+    # a random check takes its residue jet and its moduli once, however
+    # many blocks it evaluates
+    u = catalog_build(name)
+    n, jet = u.n, u.jet(exact=True)
+    rows = cubics.block_rows(n * n)
+    calls = _spy_modulo(monkeypatch)
+    counts = _count_moduli(monkeypatch)
+    for seed in (1, 2, 3):
+        P = _randbelow(DEFAULT_BOUND, (DEFAULT_TRIALS + 1) * n,
+                       random.Random(seed)).reshape(-1, n)
+        Q = algebra._rational_batch(n, 20, random.Random(seed))[0]
+        for points, R in ((P, DEFAULT_BOUND - 1), (Q, 9)):
+            assert 2 * jet.l1 * R * R < 2 ** 62
+            blocks = [points[s:s + rows] for s in range(0, len(points), rows)]
+            for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
+                _assert_route_matches(ident, jet, n, R, blocks, True, calls)
+        for check in IDENTITY_CHECKS:
+            calls.clear()
+            counts.clear()
+            check(u, "random", seed=seed)
+            assert calls == [0] * (1 if jet.sqrt3 is None else 2) and len(counts) == 1
+
+
+def test_one_hessian_route_at_its_int64_bound(monkeypatch):
+    # x1 x2 x3 times m, L = 3 |m| (3 (|a| + 2 |b|) for m = a + sqrt3 b), at
+    # points with every |p_a| <= R = 10^6 - 1, R reached: 2 L R^2 just below
+    # 2**62 takes one Hessian, just above it a residue jet per modulus, and
+    # so does cartan-d4 times 10^18, whose int64 Hessian wraps.  Either
+    # way every modulus's pieces and sides are its own residue jet's, and
+    # the joined sides are the per-point loop's
+    R = DEFAULT_BOUND - 1
+    top = (2 ** 62 - 1) // (6 * R * R)
+    assert 6 * top * R * R < 2 ** 62 <= 6 * (top + 1) * R * R
+    b = top // 4
+    cases = [(Fraction(top), True), (Fraction(top + 1), False), (-Fraction(top + 1), False),
+             (QSqrt3(top - 2 * b, b), True), (QSqrt3(top - 2 * b + 1, b), False)]
+    P = np.array([[R, R, R], [R, -R, R], [0, R, 0], [3, -1, 4]], dtype=np.int64)
+    calls = _spy_modulo(monkeypatch)
+    for m, one_hessian in cases:
+        jet = CubicForm(3, {(0, 1, 2): m}).jet(exact=True)
+        assert (2 * jet.l1 * R * R < 2 ** 62) is one_hessian
+        for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
+            _assert_route_matches(ident, jet, 3, R, [P], one_hessian, calls)
+            got = list(identities._sides_at(ident, jet, P))
+            assert repr(got) == repr(_reference_sides(ident, jet, P)), (m, ident.name)
+    u = catalog_build("cartan-d4").scaled(10 ** 18)
+    jet = u.jet(exact=True)
+    P = _randbelow(DEFAULT_BOUND, 2 * u.n, random.Random(1)).reshape(2, u.n)
+    wrapped = jet.modulo(0).hessian(P)
+    exact = jet.hessian(P.astype(object))
+    assert any(not np.array_equal(w.astype(object), e) for w, e in
+               zip(_channels(wrapped), _channels(exact)))
+    for R in (DEFAULT_BOUND - 1, 9):
+        _assert_route_matches(RADIAL, jet, u.n, R, [P % (R + 1)], False, calls)
+    for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
+        got = list(identities._sides_at(ident, jet, P))
+        assert repr(got) == repr(_reference_sides(ident, jet, P)), ident.name
 
 
 @pytest.mark.parametrize("name", ["complexified-d8", "cartan-d8"])

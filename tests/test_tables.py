@@ -2,8 +2,8 @@ from collections import Counter
 
 from eigencubic.cubics import CATALOG
 from eigencubic.tables import (ELIMINATED, NOT_ADMISSIBLE, OPEN, REALIZABLE,
-                               TABLE_SHA256, admissible_triples, record_for,
-                               status)
+                               TABLE_SHA256, admissible_triples, cross_validate,
+                               record_for, status)
 
 EXPECTED_ROWS = [
     (2, 0, 2, 5), (3, 0, 4, 8), (5, 0, 8, 14), (9, 0, 16, 26),
@@ -81,3 +81,20 @@ def test_albert_witness():
 def test_checksum_guards_table():
     import eigencubic.tables as tables
     assert tables._checksum() == TABLE_SHA256
+
+
+def test_cross_validate_runs_only_the_rows_asked_for(monkeypatch):
+    # the open and eliminated rows need no witness, so asking for them
+    # alone builds no form; the rows come in table order, each untestable
+    import eigencubic.cubics
+
+    def refuse(name):
+        raise AssertionError(f"built {name}")
+
+    monkeypatch.setattr(eigencubic.cubics, "catalog_build", refuse)
+    for which, count in ((OPEN, 3), (ELIMINATED, 8)):
+        reports = cross_validate(seed=1, restarts=1, which=which)
+        assert [r["triple"] for r in reports] == \
+            [list(r.triple) for r in admissible_triples() if r.status == which]
+        assert len(reports) == count
+        assert all(r["status"] == which and r["result"] == "untestable" for r in reports)
