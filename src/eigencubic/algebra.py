@@ -17,20 +17,21 @@ rational points; it is 4 times the radial identity of
 ``QSqrt3Array``, two integer arrays, and each exact operation joins it to
 QSqrt3 entries only where its result leaves the kernel: the Hsiang
 residual at a point.  The multiplication rank joins nothing: it is
-certified first from n gradients modulo one prime, where sqrt3 has a
-root, and where that certificate fails it is the largest rank of the
-products e_i o e_j modulo primes p = 11 (mod 12), over enough of them
-that a Hadamard bound leaves no larger rank; one row reduction modulo p,
-``_rank_mod_p``, serves both.
+certified first from n gradients modulo one residue prime, where sqrt3
+has a root, and where that certificate fails it is the largest rank of
+the products e_i o e_j modulo the residue primes p = 11 (mod 12), over
+enough of them that a Hadamard bound leaves no larger rank; one row
+reduction modulo p, ``modular._rank_mod_p``, serves both, and
+``modular`` states the int64 bounds of both.
 
 The Hsiang check runs whole batches of points through
 ``identities._sides_at``, as the random identity checks do, on int64
-residue stacks modulo 2**64 and as many primes as the radial bound at
-|x| <= 9 needs, lifted by CRT to Python ints; the points' numerators lie
-in [-9, 9], which bounds every sum before any arithmetic.  At |x| <= 9
-the jet's bound 2 L R^2 < 2**62 holds for every catalog form, so each
-block takes one exact int64 Hessian, and every modulus its pieces from
-it.  For a rational theta, theta D^2 = num/den, a point's residual is 0
+residue stacks modulo 2**64 and as many residue primes as the radial
+bound at |x| <= 9 needs, lifted by CRT to Python ints; the points'
+numerators lie in [-9, 9], which bounds every sum before any arithmetic.
+At |x| <= 9 the jet's bound 2 L R^2 < 2**62 holds for every catalog form,
+so each block takes one exact int64 Hessian, and every modulus its pieces
+from it.  For a rational theta, theta D^2 = num/den, a point's residual is 0
 exactly when den lhs = num rhs on the lifted sides; that one integer
 test finds the nonzero points, and only those build a Fraction.  A
 Q(sqrt3) theta builds its residual at every point.  It draws its
@@ -56,7 +57,6 @@ a gradient fallback when they stall.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -65,8 +65,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cubics import CubicForm, Jet, block_rows
-from .identities import RADIAL, _dots, _randbelow, _require_trials, _sides_at, _unit
-from .scalars import QSqrt3, QSqrt3Array, _prime
+from .identities import RADIAL, _dots, _randbelow, _require_trials, _rows, _sides_at, _unit
+from .modular import _at_root, _rank_mod_p, primes
+from .scalars import QSqrt3
 
 NEWTON_STEPS = 80
 IDEMPOTENT_RESIDUAL = 1e-10
@@ -119,8 +120,8 @@ class MetrisedAlgebra:
         the rows D*Du(x) = D (x o x) / 2 lie in the span, and their matrix
         modulo p is the exact one's image under the ring map
         Z[sqrt3] -> F_p, so its full rank holds over Q(sqrt3).  Otherwise
-        it is the largest rank r, over the primes p = 11 (mod 12) of
-        ``_rank_primes``, of the matrix A of the products modulo p
+        it is the largest rank r, over the residue primes p = 11 (mod 12)
+        of ``modular.primes``, of the matrix A of the products modulo p
         (``_rank_mod_p``), taken until r = n or the product M of the primes
         taken exceeds (2L)^(2r+2), L = ``Jet.l1``.
 
@@ -146,7 +147,7 @@ class MetrisedAlgebra:
             return n
         rank, M, bound = 0, 1, 2 * jet.l1
         eye = np.eye(n, dtype=np.int64)
-        for p in _rank_primes():
+        for p in primes():
             L = _at_root(jet.modulo(p).hessian(eye), p)
             rank = max(rank, _rank_mod_p(L[np.triu_indices(n)], p))
             M *= p
@@ -230,7 +231,7 @@ class MetrisedAlgebra:
         D = jet.scale
         X, dens = _rational_batch(self.n, trials, rng)
         c = theta * D * D
-        points = zip(_sides_at(RADIAL, jet, X), dens.tolist())
+        points = zip(_rows(_sides_at(RADIAL, jet, X)), dens.tolist())
         if isinstance(c, (int, Fraction)):
             # c = num / den: a point's residual is 0 exactly when den lhs =
             # num rhs, which needs no Fraction
@@ -464,45 +465,11 @@ def _peirce_records(jet: Jet, C: np.ndarray, bin_tol: float,
 def _full_rank_mod_p(jet: Jet, n: int) -> bool:
     """Whether D*Du of the exact ``jet`` at the numerators of
     ``_rational_batch(n, n, random.Random(0))`` has rank n modulo the
-    first of ``_rank_primes``.  No int64 sum reaches 2**63: a residue is
-    below 2**27 and |x_b x_c| <= 81, so a gradient entry, at most 2**21
-    products (the rotations, n <= MAX_DIM), is below 2**55."""
-    p = next(_rank_primes())
+    first residue prime.  No int64 sum reaches 2**63: the numerators lie
+    in [-9, 9], so each gradient entry is below 2**55 (``modular``)."""
+    p = next(primes())
     g = jet.modulo(p).gradient(_rational_batch(n, n, random.Random(0))[0])
     return _rank_mod_p(_at_root(g, p), p) == n
-
-
-def _rank_primes():
-    """The residue primes = 11 (mod 12), largest first, read from the
-    sieve windows ``scalars._window`` caches once per process; the first
-    is 134217467 = ``scalars._prime(11)``."""
-    return (p for p in map(_prime, itertools.count()) if p % 12 == 11)
-
-
-def _at_root(x, p: int) -> np.ndarray:
-    """The residues in [0, p) of a residue jet's int64 piece x modulo a
-    prime p = 11 (mod 12), with r + sqrt3 s of a pair mapped to r + t s:
-    t = 3**((p+1)/4) squares to 3, as 3 is a square modulo p and
-    p = 3 (mod 4).  t (s mod p) is below 2**54."""
-    r, s = (x.r, x.s) if isinstance(x, QSqrt3Array) else (x, 0)
-    return (r % p + pow(3, (p + 1) // 4, p) * (s % p)) % p
-
-
-def _rank_mod_p(G: np.ndarray, p: int) -> int:
-    """The rank modulo the prime p < 2**27 of the int64 matrix G of
-    residues in [0, p), by row reduction in place: each column in turn
-    takes the first row below the pivots that is nonzero there as its
-    pivot, scaled to 1, and clears the column below it; a column with no
-    such row is skipped.  An elimination product is below 2**54."""
-    rank = 0
-    for k in range(G.shape[1]):
-        nz = rank + np.flatnonzero(G[rank:, k])
-        if nz.size:
-            G[[rank, nz[0]]] = G[[nz[0], rank]]
-            G[rank, k:] = G[rank, k:] * pow(int(G[rank, k]), -1, p) % p
-            G[rank + 1:, k:] = (G[rank + 1:, k:] - G[rank + 1:, k, None] * G[rank, k:]) % p
-            rank += 1
-    return rank
 
 
 def _rational_batch(n: int, count: int, rng: random.Random):

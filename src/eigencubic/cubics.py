@@ -28,6 +28,7 @@ from .composition import CDElement, re_triple
 from .jordan import (HermMat3, cleared, common_denominator, det_polar_twice,
                      freudenthal_det, fullspace_basis, involution, jordan_twice,
                      trace_form, tracefree_basis)
+from .modular import residues
 from .poly import Poly, PolyArray, _collect
 from .scalars import (QSqrt3, QSqrt3Array, format_rational, is_exact, joined,
                       parse_rational)
@@ -264,20 +265,24 @@ class Jet:
             terms = [(k, float(c)) for k, c in u.terms.items()]
             top = max((abs(c) for _, c in terms), default=1.0)
             # a subnormal top gets 2**1023, the largest finite power of two
-            return cls._arrays(terms, 2.0 ** min(1 - math.frexp(top)[1], 1023), float)
+            D = 2.0 ** min(1 - math.frexp(top)[1], 1023)
+            return cls._arrays(D, [(k, D * c) for k, c in terms], float)
         chans = {k: _channels(c) for k, c in u.terms.items()}
         D = math.lcm(*(x.denominator for ch in chans.values() for x in ch))
-        jet = cls._arrays([(k, ch[0]) for k, ch in chans.items()], D, int)
-        s = [(k, ch[1]) for k, ch in chans.items() if len(ch) == 2]
-        return _Sqrt3Jet(D, jet.ijk, jet.m, cls._arrays(s, D, int)) if s else jet
+        # each channel's D * x cleared on integers, with no Fraction product;
+        # a sqrt3 channel, never 0 (``_simplify``), makes a _Sqrt3Jet
+        jet, s = (cls._arrays(D, [(k, D // ch[i].denominator * ch[i].numerator)
+                                  for k, ch in chans.items() if len(ch) > i], object)
+                  for i in (0, 1))
+        return _Sqrt3Jet(D, jet.ijk, jet.m, s) if s.m.size else jet
 
     @classmethod
-    def _arrays(cls, terms, D: float, kind) -> "Jet":
-        """The arrays of D * sum c x_i x_j x_k over the nonzero (key, c)."""
-        terms = [(k, c) for k, c in terms if c]
+    def _arrays(cls, D: float, terms, dtype) -> "Jet":
+        """The arrays of sum m x_i x_j x_k over the nonzero (key, m), each
+        m the coefficient times D."""
+        terms = [(k, m) for k, m in terms if m]
         ijk = np.array([k for k, _ in terms], dtype=np.intp).reshape(-1, 3).T
-        m = np.array([kind(D * c) for _, c in terms],
-                     dtype=object if kind is int else float)
+        m = np.array([m for _, m in terms], dtype=dtype)
         return cls(D, np.concatenate([ijk, ijk[[1, 2, 0]], ijk[[2, 0, 1]]], axis=1),
                    np.tile(m, 3))
 
@@ -291,8 +296,8 @@ class Jet:
 
     def modulo(self, q: int) -> "Jet":
         """This exact jet on int64 residues of m modulo q, 2**64 if q = 0."""
-        m = (self.m % (q or 2 ** 64)).astype(np.uint64).view(np.int64)
-        return replace(self, m=m, sqrt3=None if self.sqrt3 is None else self.sqrt3.modulo(q))
+        return replace(self, m=residues(self.m, q),
+                       sqrt3=None if self.sqrt3 is None else self.sqrt3.modulo(q))
 
     def value(self, p: np.ndarray):
         return _blocks(self._value, self.m.size // 3, p)

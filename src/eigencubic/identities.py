@@ -36,10 +36,12 @@ returns are joined to QSqrt3.
 
 Both point modes evaluate the sides through one function, ``_sides_at``,
 on blocks of points that bound its (points, n, n) stacks, each block as
-``scalars.ResidueStack``s: float64 ones under numpy's own rounding, each
+``modular.ResidueStack``s: float64 ones under numpy's own rounding, each
 row the single point's bit for bit, or int64 ones modulo 2**64 and as
-many primes below 2**27 as the identity's ``bound`` needs, each side then
-lifted by CRT to the Python int one point gives alone.  One exact
+many residue primes as the identity's ``bound`` needs, each side then
+lifted by CRT to the Python int one point gives alone; ``modular``
+states the int64 bounds.  Each block's sides come out as two arrays,
+which a caller concatenates or reads row by row.  One exact
 Hessian per block serves every modulus, with g and v from it by Euler's
 identities, wherever the jet's own bound keeps it in int64 (2 L R^2 <
 2**62 at |p_a| <= R, every catalog form at the random mode's points);
@@ -67,8 +69,8 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 import numpy as np
 
 from .cubics import CubicForm, Jet, block_rows
-from .scalars import (QSqrt3, QSqrt3Array, ResidueStack, exact_div,
-                      format_rational, is_exact, lift, moduli)
+from .modular import ResidueStack, _stack, inverse, lift, moduli
+from .scalars import QSqrt3, QSqrt3Array, exact_div, format_rational, is_exact
 
 EXACT_VAR_LIMIT = 15
 DEFAULT_TRIALS = 20
@@ -151,32 +153,20 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _stack(x, q: int):
-    """A piece's int64 array, or the pair of them, as ``ResidueStack``s."""
-    if isinstance(x, QSqrt3Array):
-        return QSqrt3Array(ResidueStack(x.r, q), ResidueStack(x.s, q))
-    return ResidueStack(x, q)
-
-
 def _residue_pieces(jet: Jet, X: np.ndarray, q: int) -> Tuple:
     """(v, g, H, r2) modulo q at the points X on ``jet.modulo(q)``, as
     ``ResidueStack``s: modulo 2**64 the jet's own, wrapped; at float64
     points, with q = 0 on the float jet, its own, and r2 each row's
-    ``_dots``.  Modulo a prime only H is: an entry sums at most 2n + 4 <=
-    260 products below 2**54 (a diagonal one on a dense form), and
-    260 * 2**54 < 2**63.  Euler's H x = 2 g and x . g = 3 v for the cubic
+    ``_dots``.  Modulo a prime only H is, which stays in int64
+    (``modular``), and Euler's H x = 2 g and x . g = 3 v for the cubic
     give g and v.  The exact route takes these per modulus only where one
     int64 Hessian cannot serve every modulus (``_exact_route``)."""
     x = ResidueStack(X, q)
     H = _stack(jet.hessian(x.x), q)
     if not q:
         return _stack(jet.value(X), q), _stack(jet.gradient(X), q), H, x @ x
-    g = H @ x * pow(2, -1, q)
-    return x @ g * pow(3, -1, q), g, H, x @ x
-
-
-# 3**-1 modulo 2**64 as the int64 it wraps to: 3 is odd, so it is a unit
-_INV3_64 = pow(3, -1, 2 ** 64) - 2 ** 64
+    g = H @ x * inverse(2, q)
+    return x @ g * inverse(3, q), g, H, x @ x
 
 
 def _exact_route(ident: _Identity, jet: Jet, n: int, R: int) -> Callable:
@@ -212,39 +202,41 @@ def _exact_route(ident: _Identity, jet: Jet, n: int, R: int) -> Callable:
         g0 = QSqrt3Array(half(H0.r), half(H0.s)) if isinstance(H0, QSqrt3Array) else half(H0)
         for q in qs:
             x, g = ResidueStack(B, q), _stack(g0, q)
-            yield x @ g * (pow(3, -1, q) if q else _INV3_64), g, _stack(H0, q), x @ x
+            yield x @ g * inverse(3, q), g, _stack(H0, q), x @ x
 
     return pieces
 
 
 def _sides_of_blocks(ident: _Identity, jet: Jet, n: int, blocks: Iterable[np.ndarray],
                      R: Optional[int]) -> Iterator[Tuple]:
-    """The joined (lhs, rhs) of ``ident.sides`` at each row of each block
+    """The arrays (lhs, rhs) of ``ident.sides`` at the rows of each block
     of points in turn; lazy, so a caller that stops early draws and
     evaluates no further block.
 
     Float64 blocks (R None), on the float ``jet``, run ``ident.sides`` on
     their ``_residue_pieces`` at q = 0 alone, numpy's float64 rounding,
     each row the single point's bit for bit; a side that is no stack, such
-    as a constant, holds at every row.  Int64 blocks, on the exact jet,
-    with R bounding |p_a| on all of them, run it once per modulus of
+    as a constant, is broadcast to every row.  Int64 blocks, on the exact
+    jet, with R bounding |p_a| on all of them, run it once per modulus of
     ``_exact_route``, each modulus's pieces dropped before the next are
-    made, and ``lift`` gives each side as the Python int (or QSqrt3) a
-    single point gives."""
+    made, and ``lift`` gives each side as the object array of the Python
+    ints (or QSqrt3s) single points give."""
     if R is None:
-        for B in blocks:
-            yield from zip(*(np.broadcast_to(getattr(s, "x", s), len(B))
-                             for s in ident.sides(*_residue_pieces(jet, B, 0))))
-        return
+        return (tuple(np.broadcast_to(getattr(s, "x", s), len(B))
+                      for s in ident.sides(*_residue_pieces(jet, B, 0))) for B in blocks)
     pieces = _exact_route(ident, jet, n, R)
-    for B in blocks:
-        yield from zip(*(lift(s) for s in zip(*itertools.starmap(ident.sides, pieces(B)))))
+    return (tuple(map(lift, zip(*itertools.starmap(ident.sides, pieces(B))))) for B in blocks)
+
+
+def _rows(blocks: Iterator[Tuple]) -> Iterator[Tuple]:
+    """The (lhs, rhs) of each row of each block of sides in turn, lazily."""
+    return itertools.chain.from_iterable(zip(*sides) for sides in blocks)
 
 
 def _sides_at(ident: _Identity, jet: Jet, P: np.ndarray) -> Iterator[Tuple]:
-    """``_sides_of_blocks`` at the rows of the point stack P, in row order,
-    in blocks of ``block_rows`` of an n x n Hessian, with R = max|P| on
-    int64 points."""
+    """``_sides_of_blocks`` at the point stack P, in blocks of
+    ``block_rows`` of an n x n Hessian in row order, with R = max|P| on
+    int64 points; ``_rows`` reads them row by row."""
     n = P.shape[-1]
     rows = block_rows(n * n)
     R = None if P.dtype == float else int(np.abs(P).max(initial=0))
@@ -256,7 +248,10 @@ def _proportional_float(ident: _Identity, jet: Jet, n: int, seed: int):
     in R^n on the float ``jet``, or None; raises ValueError where float64
     overflows, rather than failing the identity."""
     P = np.random.default_rng(seed).standard_normal((FLOAT_TRIALS, n))
-    ls, rs = np.array(list(_sides_at(ident, jet, P)), dtype=float).T
+    # the blocks' (rows, 2) arrays joined, so that np.dot reads ls and rs at
+    # the stride of one (points, 2) array, as it read the rows of the single
+    # points: on a contiguous side BLAS can sum in another order
+    ls, rs = np.concatenate([np.stack(b, axis=1) for b in _sides_at(ident, jet, P)]).T
     denom = float(np.dot(rs, rs))
     t = float(np.dot(ls, rs)) / denom if denom >= 1e-30 else 0.0
     if not np.isfinite([*ls, *rs, denom, t]).all():
@@ -346,23 +341,19 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
            seed: int) -> CheckReport:
     m = _pick_mode(u, mode)
     jet = u.jet(exact=m != "float")
-
-    def random_sides(rng):
-        # one draw per block of points, so memory stays O(block) however
-        # large ``trials``, and no block past a refuting one is drawn; one
-        # route for every block, as no coordinate reaches DEFAULT_BOUND
-        rows = block_rows(u.n * u.n)
-        blocks = (_randbelow(DEFAULT_BOUND, k * u.n, rng).reshape(k, u.n)
-                  for k in (min(rows, trials + 1 - s) for s in range(0, trials + 1, rows)))
-        return _sides_of_blocks(ident, jet, u.n, blocks, DEFAULT_BOUND - 1)
-
     if m == "float":
         t = _proportional_float(ident, jet, u.n, seed)
     elif m == "exact":
         t = _expanded_ratio(*ident.sides(*u.symbolic()))
     else:
         _require_trials(trials)
-        t = _ratio(random_sides(random.Random(seed)))
+        # one draw per block of points, so memory stays O(block) however
+        # large ``trials``, and no block past a refuting one is drawn; one
+        # route for every block, as no coordinate reaches DEFAULT_BOUND
+        rng, rows = random.Random(seed), block_rows(u.n * u.n)
+        blocks = (_randbelow(DEFAULT_BOUND, k * u.n, rng).reshape(k, u.n)
+                  for k in (min(rows, trials + 1 - s) for s in range(0, trials + 1, rows)))
+        t = _ratio(_rows(_sides_of_blocks(ident, jet, u.n, blocks, DEFAULT_BOUND - 1)))
     if t is None or (ident.positive and not t > 0):
         return CheckReport(ident.name, False, None, m, 0.0)
     t = t / jet.scale / jet.scale
@@ -506,7 +497,7 @@ def _curvatures(jet: Jet, X: np.ndarray, grad_threshold: float) -> List[Optional
     gn = np.sqrt(_dots(G, G))
     keep = np.flatnonzero(~(gn < grad_threshold * jet.scale))
     out = [None] * len(X)
-    for i, (lhs, _) in zip(keep, _sides_at(RADIAL, jet, P[keep])):
+    for i, (lhs, _) in zip(keep, _rows(_sides_at(RADIAL, jet, P[keep]))):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             h = float(lhs / gn[i] ** 3 / nx[i])
         out[i] = h if math.isfinite(h) else None

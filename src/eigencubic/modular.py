@@ -1,0 +1,223 @@
+"""Residue arithmetic: the residue primes, the int64 reduction and CRT.
+
+Every modular computation of the workbench runs here.  The Schwartz-Zippel
+sides of ``identities`` are evaluated on int64 ``ResidueStack``s modulo
+2**64 and the primes of ``moduli``, and ``lift`` joins each side's
+residues by CRT to the Python int one point gives alone.  The
+multiplication rank of ``algebra`` maps a residue jet to F_p by
+``_at_root`` and row-reduces it there (``_rank_mod_p``).  Both take their
+primes from one sequence, ``primes``: the primes p = 11 (mod 12) below
+PRIME_TOP, largest first, where sqrt3 has a root.  One spelling reduces
+an int64 array modulo q, ``mod``.  The overflow bounds of all of these are
+stated once, beside PRIME_TOP.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from .scalars import QSqrt3Array
+
+# Every residue prime p is below PRIME_TOP, and the int64 bounds follow:
+# - two residues multiply to less than 2**54, and MAX_DIM = 128 such
+#   products, the longest sum a per-point @ makes, stay below 2**61;
+# - a Hessian entry modulo p sums at most 2n + 4 <= 260 products below
+#   2**54 (a diagonal one on a dense form), and 260 * 2**54 < 2**63;
+# - a gradient entry modulo p at a point with |x_a| <= 9 sums at most
+#   2**21 products below 81 * 2**27 (the rotations, n <= MAX_DIM), so it
+#   is below 2**55;
+# - t (s mod p) of ``_at_root`` and each elimination product of
+#   ``_rank_mod_p`` are below 2**54;
+# - ``mod`` is exact for every int64 x at every 0 < q < 2**62.
+PRIME_TOP = 2 ** 27
+# The numbers below PRIME_TOP sieved at once: the first window holds 227
+# odd primes, 54 of them residue primes, far more than any catalog check
+# takes.
+SIEVE_WINDOW = 1 << 12
+
+
+@lru_cache(maxsize=None)
+def _window(w: int) -> tuple:
+    """The odd primes of [hi - SIEVE_WINDOW, hi), hi = PRIME_TOP - w *
+    SIEVE_WINDOW, largest first, from one sieve: each odd prime d up to
+    sqrt(PRIME_TOP) strikes its multiples from max(d*d, the first >= lo)."""
+    top = math.isqrt(PRIME_TOP)
+    odd = np.ones(top + 1, dtype=bool)
+    odd[:2] = odd[2::2] = False
+    for d in range(3, math.isqrt(top) + 1, 2):
+        odd[d * d::2 * d] = False
+    d = np.flatnonzero(odd)
+    hi = PRIME_TOP - w * SIEVE_WINDOW
+    lo = hi - SIEVE_WINDOW
+    first = np.maximum(d * d, -(-lo // d) * d)
+    counts = np.maximum(0, -(-(hi - first) // d))
+    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    composite = np.zeros(SIEVE_WINDOW, dtype=bool)
+    composite[np.repeat(first - lo, counts) + np.repeat(d, counts) * k] = True
+    cand = np.arange(hi - 1, lo, -2)        # hi is even
+    return tuple(cand[~composite[cand - lo]].tolist())
+
+
+def _prime(i: int) -> int:
+    """The (i + 1)-th largest odd prime below PRIME_TOP."""
+    w = 0
+    while i >= len(_window(w)):
+        i -= len(_window(w))
+        w += 1
+    return _window(w)[i]
+
+
+def primes():
+    """The residue primes, largest first: the odd primes p = 11 (mod 12)
+    below PRIME_TOP, read from the sieve windows ``_window`` caches once
+    per process.  3 is a square modulo each and p = 3 (mod 4), so sqrt3
+    has the root 3**((p+1)/4) there (``_at_root``); the first is
+    134217467 = ``_prime(11)``."""
+    return (p for p in map(_prime, itertools.count()) if p % 12 == 11)
+
+
+def moduli(bound: int) -> tuple:
+    """The fewest residue primes, largest first, whose product M with
+    2**64 exceeds 2 * bound: an integer of magnitude at most ``bound`` is
+    then the one of -M/2 < x < M/2 with its residues."""
+    out, M, seq = [], 2 ** 64, primes()
+    while 2 * bound >= M:
+        out.append(next(seq))
+        M *= out[-1]
+    return tuple(out)
+
+
+def mod(x, q: int, out=None):
+    """x modulo q in [0, q), for an int64 array x and 0 < q < 2**62, into
+    ``out`` (which may be x) if given: x - (x // q) q by numpy's floor
+    division by a scalar, several times faster than % on a block.  The
+    product (x // q) q may wrap, but the difference is exact."""
+    return np.subtract(x, x // q * q, out=out)
+
+
+def residues(m: np.ndarray, q: int) -> np.ndarray:
+    """The object array m of Python ints as int64 residues modulo q, or
+    modulo 2**64, each the int64 it wraps to, if q = 0."""
+    return (m % (q or 2 ** 64)).astype(np.uint64).view(np.int64)
+
+
+def inverse(a: int, q: int) -> int:
+    """a**-1 modulo q, or for q = 0 modulo 2**64 (a odd) as the int64 it
+    wraps to, the int a ``ResidueStack`` of modulus q multiplies by."""
+    return pow(a, -1, q) if q else (pow(a, -1, 2 ** 64) + 2 ** 63) % 2 ** 64 - 2 ** 63
+
+
+class ResidueStack:
+    """int64 residues modulo q of a stack of points, one per index of the
+    first axis: a number (B,), vector (B, n) or matrix (B, n, n) each.
+    q = 0 is the array's own arithmetic: int64's wrapping, exact modulo
+    2**64, or numpy's rounding on float64, each point's @, ``sum`` and
+    ``trace`` the single point's bits.  A residue prime q reduces each
+    result into [0, q) in place (``mod``), so no sum reaches 2**63 (the
+    bounds beside PRIME_TOP) and no second result is held beside it.
+    +, - and * take a stack of the same q, whose fewer axes hold one entry
+    per point, or an int in int64's range; @ is each point's vector or
+    matrix product, ``sum`` and ``trace`` each point's.  No result drops
+    the point axis, so none is a numpy scalar, whose overflow would warn."""
+
+    __slots__ = ("x", "q")
+    __array_ufunc__ = None
+
+    def __init__(self, x: np.ndarray, q: int):
+        self.x, self.q = (mod(x, q) if q else x), q
+
+    def _fresh(self, x: np.ndarray) -> "ResidueStack":
+        """x, the new array an operation on this stack made, reduced in
+        place into a stack of the same q, so no second array of its size
+        is held beside it."""
+        out = object.__new__(ResidueStack)
+        out.x, out.q = (mod(x, self.q, out=x) if self.q else x), self.q
+        return out
+
+    def _with(self, other, op):
+        if isinstance(other, int):
+            return self._fresh(op(self.x, other % self.q if self.q else other))
+        if not isinstance(other, ResidueStack):
+            return NotImplemented
+        x, y = self.x, other.x
+        return self._fresh(op(x.reshape(x.shape + (1,) * (y.ndim - x.ndim)),
+                              y.reshape(y.shape + (1,) * (x.ndim - y.ndim))))
+
+    def __add__(self, other):
+        return self._with(other, np.add)
+
+    def __mul__(self, other):
+        return self._with(other, np.multiply)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self._fresh(-self.x)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __matmul__(self, other):
+        if not isinstance(other, ResidueStack):
+            return NotImplemented
+        a, b = self.x, other.x
+        out = (a[:, None] if a.ndim == 2 else a) @ (b[..., None] if b.ndim == 2 else b)
+        out = out[..., 0] if b.ndim == 2 else out
+        return self._fresh(out[:, 0] if a.ndim == 2 else out)
+
+    def sum(self):
+        return self._fresh(self.x.reshape(len(self.x), -1).sum(axis=1))
+
+    def trace(self):
+        return self._fresh(np.trace(self.x, axis1=1, axis2=2))
+
+
+def _stack(x, q: int):
+    """A piece's int64 array, or the pair of them, as ``ResidueStack``s."""
+    if isinstance(x, QSqrt3Array):
+        return QSqrt3Array(ResidueStack(x.r, q), ResidueStack(x.s, q))
+    return ResidueStack(x, q)
+
+
+def lift(channels) -> np.ndarray:
+    """The object array of the integers -M/2 < x < M/2 with the residues
+    of ``channels``, stacks of one shape modulo 2**64 and then modulo the
+    primes of ``moduli``, M their product (Garner's method); for
+    ``QSqrt3Array`` pairs of stacks, each channel lifted and joined."""
+    if isinstance(channels[0], QSqrt3Array):
+        return QSqrt3Array(lift([c.r for c in channels]),
+                           lift([c.s for c in channels])).join()
+    x, M = channels[0].x.astype(object) % 2 ** 64, 2 ** 64
+    for c in channels[1:]:
+        x = x + M * ((c.x.astype(object) - x) * pow(M, -1, c.q) % c.q)
+        M *= c.q
+    return np.where(2 * x >= M, x - M, x)
+
+
+def _at_root(x, p: int) -> np.ndarray:
+    """The residues in [0, p) of a residue jet's int64 piece x modulo a
+    residue prime p, with r + sqrt3 s of a pair mapped to r + t s:
+    t = 3**((p+1)/4) squares to 3 (``primes``)."""
+    r, s = (x.r, x.s) if isinstance(x, QSqrt3Array) else (x, 0)
+    return mod(mod(r, p) + pow(3, (p + 1) // 4, p) * mod(s, p), p)
+
+
+def _rank_mod_p(G: np.ndarray, p: int) -> int:
+    """The rank modulo the residue prime p of the int64 matrix G of
+    residues in [0, p), by row reduction in place: each column in turn
+    takes the first row below the pivots that is nonzero there as its
+    pivot, scaled to 1, and clears the column below it; a column with no
+    such row is skipped."""
+    rank = 0
+    for k in range(G.shape[1]):
+        nz = rank + np.flatnonzero(G[rank:, k])
+        if nz.size:
+            G[[rank, nz[0]]] = G[[nz[0], rank]]
+            G[rank, k:] = mod(G[rank, k:] * pow(int(G[rank, k]), -1, p), p)
+            G[rank + 1:, k:] = mod(G[rank + 1:, k:] - G[rank + 1:, k, None] * G[rank, k:], p)
+            rank += 1
+    return rank

@@ -11,13 +11,14 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from eigencubic import algebra, cubics, identities
+from eigencubic import algebra, cubics, identities, modular
 from eigencubic.algebra import MetrisedAlgebra, _newton_step
 from eigencubic.cubics import (CATALOG, CubicForm, Jet, _Sqrt3Jet, cartan_cubic,
                                catalog_build, trivial_cubic)
 from eigencubic.identities import check_radial
 from eigencubic.poly import Poly
-from eigencubic.scalars import QSqrt3, _prime, joined
+from eigencubic.modular import _prime
+from eigencubic.scalars import QSqrt3, joined
 from formref import gradient, hessian, polarize
 from rotations import cayley_rotation, rotate_by_substitution, rotate_exact, skew
 
@@ -240,13 +241,13 @@ def test_deficient_rank_outlasts_primes_that_lose_it():
     # x1^3 + P x2^3 on R^3 with P the product of the first 20 rank primes:
     # modulo each of them the form is x1^3, of rank 1, and the Hadamard
     # bound keeps the loop going to a prime that sees rank 2
-    primes = list(itertools.islice(algebra._rank_primes(), 20))
+    primes = list(itertools.islice(modular.primes(), 20))
     P = math.prod(primes)
     u = CubicForm(3, {(0, 0, 0): Fraction(1), (1, 1, 1): Fraction(P)})
     jet = u.jet(exact=True)
     for p in primes:
-        L = algebra._at_root(jet.modulo(p).hessian(np.eye(3, dtype=np.int64)), p)
-        assert algebra._rank_mod_p(L[np.triu_indices(3)], p) == 1
+        L = modular._at_root(jet.modulo(p).hessian(np.eye(3, dtype=np.int64)), p)
+        assert modular._rank_mod_p(L[np.triu_indices(3)], p) == 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert MetrisedAlgebra(u).multiplication_rank() == 2
@@ -257,7 +258,7 @@ def test_deficient_rank_keeps_the_largest_rank():
     # it see rank 2, too few to pass the bound at rank 2, and q sees rank
     # 1 with a product already past the bound at rank 1, so a loop that
     # kept the last rank, not the largest, would stop at q with rank 1
-    primes = list(itertools.islice(algebra._rank_primes(), 5))
+    primes = list(itertools.islice(modular.primes(), 5))
     u = CubicForm(3, {(0, 0, 0): Fraction(1), (1, 1, 1): Fraction(primes[-1])})
     bound = 2 * u.jet(exact=True).l1
     assert math.prod(primes[:4]) <= bound ** 6 and math.prod(primes) > bound ** 4
@@ -276,11 +277,11 @@ def test_deficient_rank_takes_one_hessian_per_prime(monkeypatch, c):
     # each prime the loop takes evaluates the products D L_{e_i} once, on
     # its own residue jet, whether 2L fits in int64 or not, and the rank
     # is 2 either way
-    primes = list(itertools.islice(algebra._rank_primes(), 20))
+    primes = list(itertools.islice(modular.primes(), 20))
     c = {"fifth": primes[4], "twenty": math.prod(primes)}.get(c, c)
     u = CubicForm(3, {(0, 0, 0): Fraction(1), (1, 1, 1): Fraction(c)})
     calls = {"hessian": 0, "prime": 0}
-    hessian, at_root = Jet.hessian, algebra._at_root
+    hessian, at_root = Jet.hessian, modular._at_root
 
     def counted_hessian(self, p):
         calls["hessian"] += 1
@@ -301,7 +302,7 @@ def test_deficient_rank_takes_one_hessian_per_prime(monkeypatch, c):
 
 
 def test_rank_prime_has_a_square_root_of_three():
-    p = next(algebra._rank_primes())
+    p = next(modular.primes())
     assert p == _prime(11) == 134217467 and p % 12 == 11
     assert pow(pow(3, (p + 1) // 4, p), 2, p) == 3
     # no larger residue prime is 11 mod 12
@@ -793,7 +794,7 @@ def _fraction_hsiang(u, theta, trials, seed):
     X, dens = algebra._rational_batch(u.n, trials, random.Random(seed))
     worst = Fraction(0)
     c = theta * D * D
-    for (lhs, rhs), d in zip(identities._sides_at(identities.RADIAL, jet, X), dens.tolist()):
+    for (lhs, rhs), d in zip(identities._rows(identities._sides_at(identities.RADIAL, jet, X)), dens.tolist()):
         diff = lhs - c * rhs
         if isinstance(diff, QSqrt3) and not diff.b:
             diff = diff.a

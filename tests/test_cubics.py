@@ -19,7 +19,8 @@ from eigencubic.identities import check_harmonic
 from eigencubic.jordan import (cleared, common_denominator, fullspace_basis,
                                jordan_mul, trace_form, tracefree_basis)
 from eigencubic.poly import Poly
-from eigencubic.scalars import QSqrt3, QSqrt3Array, _prime
+from eigencubic.modular import _prime
+from eigencubic.scalars import QSqrt3, QSqrt3Array
 from formref import gradient, hessian, polarize
 
 
@@ -368,6 +369,36 @@ def test_exact_jet_of_a_float_form_is_its_binary_fractions(name):
     assert got.m.tolist() == want.m.tolist()
     assert all(type(v) is int for v in got.m)
     assert uf.jet(exact=True) is got and uf.jet(exact=False).m.dtype == float
+
+
+def _fraction_route_m(u):
+    """The exact jet's m on each channel as the Fraction products cleared
+    it, int(D * c) per coefficient, in the kernel's three rotations."""
+    chans = {k: (c.a, c.b) if isinstance(c, QSqrt3) else (Fraction(c),)
+             for k, c in u.terms.items()}
+    D = math.lcm(*(Fraction(x).denominator for ch in chans.values() for x in ch))
+    return [[int(D * Fraction(ch[i])) for ch in chans.values() if len(ch) > i and ch[i]] * 3
+            for i in (0, 1)]
+
+
+@pytest.mark.parametrize("name", list(CATALOG) + ["float-copy", "int-channels"])
+def test_exact_jet_clears_on_integers_as_the_fraction_route(name):
+    # D // denominator * numerator gives each coefficient's int(D * c), on
+    # every catalog form, a float form's binary fractions and a Q(sqrt3)
+    # form whose channels are ints
+    if name == "float-copy":
+        u = catalog_build("cartan-d4").to_float()
+    elif name == "int-channels":
+        u = CubicForm(3, {(0, 1, 2): QSqrt3(2, -3), (0, 0, 0): QSqrt3(Fraction(1, 2), 5),
+                          (1, 1, 2): QSqrt3(7, 0), (2, 2, 2): QSqrt3(0, 1)})
+        assert {type(x) for c in u.terms.values() if isinstance(c, QSqrt3)
+                for x in (c.a, c.b)} >= {int}
+    else:
+        u = catalog_build(name)
+    jet = u.jet(exact=True)
+    r, s = _fraction_route_m(u)
+    assert jet.m.tolist() == r and all(type(v) is int for v in jet.m)
+    assert (jet.sqrt3 is None and not s) or jet.sqrt3.m.tolist() == s
 
 
 # the widest temporary per point of each kernel body, whose block_rows

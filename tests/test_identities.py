@@ -22,7 +22,8 @@ from eigencubic.identities import (DEFAULT_BOUND, DEFAULT_TRIALS, EICONAL,
                                    trace_identity_cubic,
                                    trace_identity_quadratic)
 from eigencubic.poly import Poly
-from eigencubic.scalars import QSqrt3, QSqrt3Array, _prime, exact_div, joined, moduli
+from eigencubic.modular import _prime, moduli
+from eigencubic.scalars import QSqrt3, QSqrt3Array, exact_div, joined
 from formref import dense_tensor, gradient, hessian
 from polyref import joined_terms
 from rotations import cayley_rotation, rotate_by_substitution, rotate_exact, skew
@@ -475,7 +476,7 @@ def test_exact_sides_match_the_per_point_loop(monkeypatch, name):
             monkeypatch.setattr(cubics, "BLOCK", block)
             for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
                 for points, pairs in zip((P, Q), want[ident.name]):
-                    got = list(identities._sides_at(ident, jet, points))
+                    got = list(identities._rows(identities._sides_at(ident, jet, points)))
                     assert repr(got) == repr(pairs), (ident.name, block)
             for check in IDENTITY_CHECKS:
                 rep = check(u, "random", seed=seed)
@@ -523,11 +524,11 @@ def test_int64_jet_bound_at_random_points(monkeypatch):
         jet = CubicForm(3, {(0, 1, 2): m}).jet(exact=True)
         assert jet.l1 == L and (L <= top) is (k == 0)
         counts.clear()
-        assert list(identities._sides_at(TRACE2, jet, P)) \
+        assert list(identities._rows(identities._sides_at(TRACE2, jet, P))) \
             == _reference_sides(TRACE2, jet, P)
         assert counts == [k]
         for ident in (RADIAL, EICONAL, TRACE3):
-            got = list(identities._sides_at(ident, jet, P))
+            got = list(identities._rows(identities._sides_at(ident, jet, P)))
             assert repr(got) == repr(_reference_sides(ident, jet, P))
 
 
@@ -591,7 +592,7 @@ def test_residue_sides_match_the_per_point_loop_past_int64(name, change):
     Q = algebra._rational_batch(u.n, 10, random.Random(1))[0]
     for ident, check in zip((RADIAL, EICONAL, TRACE2, TRACE3), IDENTITY_CHECKS):
         for points in (P, Q):
-            got = list(identities._sides_at(ident, jet, points))
+            got = list(identities._rows(identities._sides_at(ident, jet, points)))
             assert repr(got) == repr(_reference_sides(ident, jet, points)), ident.name
         rep = check(u, "random", seed=1)
         t = identities._ratio(iter(_reference_sides(ident, jet, P)))
@@ -700,7 +701,7 @@ def test_one_hessian_route_at_its_int64_bound(monkeypatch):
         assert (2 * jet.l1 * R * R < 2 ** 62) is one_hessian
         for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
             _assert_route_matches(ident, jet, 3, R, [P], one_hessian, calls)
-            got = list(identities._sides_at(ident, jet, P))
+            got = list(identities._rows(identities._sides_at(ident, jet, P)))
             assert repr(got) == repr(_reference_sides(ident, jet, P)), (m, ident.name)
     u = catalog_build("cartan-d4").scaled(10 ** 18)
     jet = u.jet(exact=True)
@@ -712,7 +713,7 @@ def test_one_hessian_route_at_its_int64_bound(monkeypatch):
     for R in (DEFAULT_BOUND - 1, 9):
         _assert_route_matches(RADIAL, jet, u.n, R, [P % (R + 1)], False, calls)
     for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
-        got = list(identities._sides_at(ident, jet, P))
+        got = list(identities._rows(identities._sides_at(ident, jet, P)))
         assert repr(got) == repr(_reference_sides(ident, jet, P)), ident.name
 
 
@@ -726,7 +727,7 @@ def test_random_checks_wrap_without_warnings(monkeypatch, name):
     counts = _count_moduli(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lhs = [l for l, _ in identities._sides_at(RADIAL, jet, P)]
+        lhs = [l for l, _ in identities._rows(identities._sides_at(RADIAL, jet, P))]
         reports = [check(u, "random", seed=1) for check in IDENTITY_CHECKS]
         theta = reports[0].constant
         assert MetrisedAlgebra(u).check_hsiang_identity(theta, seed=1) == 0
@@ -950,7 +951,7 @@ def test_float_sides_match_the_per_row_formula(name):
         P = np.random.default_rng(seed).standard_normal((identities.FLOAT_TRIALS, uf.n))
         v, g, H, r2 = jet.value(P), jet.gradient(P), jet.hessian(P), identities._dots(P, P)
         for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
-            got = list(identities._sides_at(ident, jet, P))
+            got = list(identities._rows(identities._sides_at(ident, jet, P)))
             want = [ident.sides(v[i], g[i], H[i], r2[i]) for i in range(len(P))]
             assert [type(x) for row in got for x in row] == [np.float64] * 2 * len(P)
             assert np.array(got).tobytes() == np.array(want).tobytes(), (ident.name, seed)

@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from eigencubic import scalars
+from eigencubic import modular
 from eigencubic.cubics import catalog_build
 from eigencubic.identities import CheckReport
 from eigencubic.poly import Poly, PolyArray
-from eigencubic.scalars import (PRIME_TOP, QSqrt3, QSqrt3Array, ResidueStack, SQRT3,
-                                format_rational, is_exact, joined, lift, moduli,
-                                parse_rational)
+from eigencubic.modular import PRIME_TOP, ResidueStack, lift, moduli
+from eigencubic.scalars import (QSqrt3, QSqrt3Array, SQRT3, format_rational, is_exact,
+                                joined, parse_rational)
 from polyref import joined_terms, to_polys
 
 
@@ -302,12 +302,12 @@ def test_sieved_primes_are_the_trial_division_ones():
         if _is_prime(p):
             want.append(p)
         p -= 2
-    assert [scalars._prime(i) for i in range(20)] == want
-    last = len(scalars._window(0)) - 1
-    lo, hi = scalars._prime(last + 1), scalars._prime(last)
+    assert [modular._prime(i) for i in range(20)] == want
+    last = len(modular._window(0)) - 1
+    lo, hi = modular._prime(last + 1), modular._prime(last)
     assert _is_prime(lo) and _is_prime(hi)
     assert not any(_is_prime(q) for q in range(lo + 2, hi, 2))
-    assert scalars._window(1)[0] == lo < PRIME_TOP - scalars.SIEVE_WINDOW <= hi
+    assert modular._window(1)[0] == lo < PRIME_TOP - modular.SIEVE_WINDOW <= hi
 
 
 def _wrapped(x, q):
