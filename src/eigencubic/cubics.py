@@ -215,7 +215,9 @@ class CubicForm:
 # ---------------------------------------------------------------------------
 
 def _channels(c) -> tuple:
-    return (c.a, c.b) if isinstance(c, QSqrt3) else (Fraction(c),)
+    """A coefficient's exact channels: a QSqrt3's two parts, a float's
+    binary fraction, and an int or Fraction as it is."""
+    return (c.a, c.b) if isinstance(c, QSqrt3) else (Fraction(c) if isinstance(c, float) else c,)
 
 
 @dataclass(frozen=True)
