@@ -297,8 +297,10 @@ class Jet:
         return sum(map(abs, self.m.tolist())) + (0 if self.sqrt3 is None else 2 * self.sqrt3.l1)
 
     def modulo(self, q: int) -> "Jet":
-        """This exact jet on int64 residues of m modulo q, 2**64 if q = 0."""
-        return replace(self, m=residues(self.m, q),
+        """This exact jet on int64 residues of m modulo q, 2**64 if q = 0:
+        m's three blocks of columns hold the same coefficients, so the
+        first is reduced and tiled."""
+        return replace(self, m=np.tile(residues(self.m[: self.m.size // 3], q), 3),
                        sqrt3=None if self.sqrt3 is None else self.sqrt3.modulo(q))
 
     def value(self, p: np.ndarray):

@@ -7,7 +7,9 @@ residues by CRT to the Python int one point gives alone.  The
 multiplication rank of ``algebra`` maps a residue jet to F_p by
 ``_at_root`` and row-reduces it there (``_rank_mod_p``).  Both take their
 primes from one sequence, ``primes``: the primes p = 11 (mod 12) below
-PRIME_TOP, largest first, where sqrt3 has a root.  One spelling reduces
+PRIME_TOP, largest first, where sqrt3 has a root, each found by the strong
+probable-prime test at the bases 2, 3, 5 and 7, which no composite below
+3,215,031,751 passes.  One spelling reduces
 an int64 array modulo q, ``mod``.  The overflow bounds of all of these are
 stated once, beside PRIME_TOP.
 """
@@ -15,8 +17,6 @@ stated once, beside PRIME_TOP.
 from __future__ import annotations
 
 import itertools
-import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,50 +34,26 @@ from .scalars import QSqrt3Array
 #   ``_rank_mod_p`` are below 2**54;
 # - ``mod`` is exact for every int64 x at every 0 < q < 2**62.
 PRIME_TOP = 2 ** 27
-# The numbers below PRIME_TOP sieved at once: the first window holds 227
-# odd primes, 54 of them residue primes, far more than any catalog check
-# takes.
-SIEVE_WINDOW = 1 << 12
-
-
-@lru_cache(maxsize=None)
-def _window(w: int) -> tuple:
-    """The odd primes of [hi - SIEVE_WINDOW, hi), hi = PRIME_TOP - w *
-    SIEVE_WINDOW, largest first, from one sieve: each odd prime d up to
-    sqrt(PRIME_TOP) strikes its multiples from max(d*d, the first >= lo)."""
-    top = math.isqrt(PRIME_TOP)
-    odd = np.ones(top + 1, dtype=bool)
-    odd[:2] = odd[2::2] = False
-    for d in range(3, math.isqrt(top) + 1, 2):
-        odd[d * d::2 * d] = False
-    d = np.flatnonzero(odd)
-    hi = PRIME_TOP - w * SIEVE_WINDOW
-    lo = hi - SIEVE_WINDOW
-    first = np.maximum(d * d, -(-lo // d) * d)
-    counts = np.maximum(0, -(-(hi - first) // d))
-    k = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    composite = np.zeros(SIEVE_WINDOW, dtype=bool)
-    composite[np.repeat(first - lo, counts) + np.repeat(d, counts) * k] = True
-    cand = np.arange(hi - 1, lo, -2)        # hi is even
-    return tuple(cand[~composite[cand - lo]].tolist())
-
-
-def _prime(i: int) -> int:
-    """The (i + 1)-th largest odd prime below PRIME_TOP."""
-    w = 0
-    while i >= len(_window(w)):
-        i -= len(_window(w))
-        w += 1
-    return _window(w)[i]
+_PRIMES: list = []
 
 
 def primes():
-    """The residue primes, largest first: the odd primes p = 11 (mod 12)
-    below PRIME_TOP, read from the sieve windows ``_window`` caches once
-    per process.  3 is a square modulo each and p = 3 (mod 4), so sqrt3
-    has the root 3**((p+1)/4) there (``_at_root``); the first is
-    134217467 = ``_prime(11)``."""
-    return (p for p in map(_prime, itertools.count()) if p % 12 == 11)
+    """The residue primes, largest first: the primes p = 11 (mod 12)
+    below PRIME_TOP, each found once per process and kept in _PRIMES.
+    The candidates p = PRIME_TOP - 9, p - 12, ... are = 11 (mod 12), and p
+    is kept if a**((p-1)/2) = +-1 (mod p) for a = 2, 3, 5 and 7.  As
+    p - 1 = 2d with d odd, that is the strong probable-prime test, which
+    no composite below 3,215,031,751 passes at these four bases
+    (Pomerance, Selfridge and Wagstaff 1980; Jaeschke 1993).  3 is a
+    square modulo each p and p = 3 (mod 4), so sqrt3 has the root
+    3**((p+1)/4) there (``_at_root``); the first is 134217467."""
+    for i in itertools.count():
+        if len(_PRIMES) <= i:
+            p = (_PRIMES[-1] if _PRIMES else PRIME_TOP + 3) - 12
+            while not all(pow(a, p // 2, p) in (1, p - 1) for a in (2, 3, 5, 7)):
+                p -= 12
+            _PRIMES.append(p)
+        yield _PRIMES[i]
 
 
 def moduli(bound: int) -> tuple:
@@ -95,8 +71,12 @@ def mod(x, q: int, out=None):
     """x modulo q in [0, q), for an int64 array x and 0 < q < 2**62, into
     ``out`` (which may be x) if given: x - (x // q) q by numpy's floor
     division by a scalar, several times faster than % on a block.  The
-    product (x // q) q may wrap, but the difference is exact."""
-    return np.subtract(x, x // q * q, out=out)
+    product (x // q) q may wrap, but the difference is exact.  The product
+    is formed in place in x // q, the one array mod makes, and so is the
+    difference unless ``out`` is given."""
+    k = x // q
+    k *= q
+    return np.subtract(x, k, out=k if out is None else out)
 
 
 def residues(m: np.ndarray, q: int) -> np.ndarray:
@@ -202,8 +182,9 @@ def _at_root(x, p: int) -> np.ndarray:
     """The residues in [0, p) of a residue jet's int64 piece x modulo a
     residue prime p, with r + sqrt3 s of a pair mapped to r + t s:
     t = 3**((p+1)/4) squares to 3 (``primes``)."""
-    r, s = (x.r, x.s) if isinstance(x, QSqrt3Array) else (x, 0)
-    return mod(mod(r, p) + pow(3, (p + 1) // 4, p) * mod(s, p), p)
+    if not isinstance(x, QSqrt3Array):
+        return mod(x, p)
+    return mod(mod(x.r, p) + pow(3, (p + 1) // 4, p) * mod(x.s, p), p)
 
 
 def _rank_mod_p(G: np.ndarray, p: int) -> int:

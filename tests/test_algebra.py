@@ -17,7 +17,6 @@ from eigencubic.cubics import (CATALOG, CubicForm, Jet, _Sqrt3Jet, cartan_cubic,
                                catalog_build, trivial_cubic)
 from eigencubic.identities import check_radial
 from eigencubic.poly import Poly
-from eigencubic.modular import _prime
 from eigencubic.scalars import QSqrt3, joined
 from formref import gradient, hessian, polarize
 from rotations import cayley_rotation, rotate_by_substitution, rotate_exact, skew
@@ -303,10 +302,13 @@ def test_deficient_rank_takes_one_hessian_per_prime(monkeypatch, c):
 
 def test_rank_prime_has_a_square_root_of_three():
     p = next(modular.primes())
-    assert p == _prime(11) == 134217467 and p % 12 == 11
+    assert p == 134217467 and p % 12 == 11
     assert pow(pow(3, (p + 1) // 4, p), 2, p) == 3
-    # no larger residue prime is 11 mod 12
-    assert [i for i in range(12) if _prime(i) % 12 == 11] == [11]
+    # by trial division, p is prime and no larger q = 11 (mod 12) below
+    # PRIME_TOP is
+    divisors = [[d for d in range(3, math.isqrt(q) + 1, 2) if q % d == 0]
+                for q in range(p, modular.PRIME_TOP, 12)]
+    assert divisors[0] == [] and all(divisors[1:])
 
 
 def test_find_idempotents_dim3():

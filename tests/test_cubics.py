@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -19,9 +20,10 @@ from eigencubic.identities import check_harmonic
 from eigencubic.jordan import (cleared, common_denominator, fullspace_basis,
                                jordan_mul, trace_form, tracefree_basis)
 from eigencubic.poly import Poly
-from eigencubic.modular import _prime
+from eigencubic.modular import primes, residues
 from eigencubic.scalars import QSqrt3, QSqrt3Array
 from formref import gradient, hessian, polarize
+from rotations import cayley_rotation, rotate_exact, skew
 
 
 def frac_point(rng, n, bound=9):
@@ -401,6 +403,36 @@ def test_exact_jet_clears_on_integers_as_the_fraction_route(name):
     assert (jet.sqrt3 is None and not s) or jet.sqrt3.m.tolist() == s
 
 
+def _rotated_cartan_d4():
+    """cartan-d4 under a dense rational Cayley rotation: 560 monomials,
+    and a jet whose l1 has 207 bits, so no modulus takes the one int64
+    Hessian route."""
+    S = skew(14, [Fraction(k % 7 - 3, k % 4 + 1) for k in range(91)])
+    return rotate_exact(cartan_cubic(4), cayley_rotation(S))
+
+
+@pytest.mark.parametrize("name", list(CATALOG) + ["cartan-d4-x1e18", "cartan-d4-rotated"])
+def test_jet_modulo_is_the_residues_of_every_rotation(name):
+    # modulo reduces m's first block of columns once and tiles it: on each
+    # sqrt(3) channel that is residues of the whole m, modulo 2**64 and
+    # the first three residue primes
+    if name == "cartan-d4-x1e18":
+        u = catalog_build("cartan-d4").scaled(10 ** 18)
+    elif name == "cartan-d4-rotated":
+        u = _rotated_cartan_d4()
+    else:
+        u = catalog_build(name)
+    jet = u.jet(exact=True)
+    assert (jet.sqrt3 is not None) == (name.startswith(("cartan-d4", "cartan-d8")))
+    for q in [0, *itertools.islice(primes(), 3)]:
+        got = jet.modulo(q)
+        for g, w in ((got, jet), (got.sqrt3, jet.sqrt3)):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert g.m.dtype == np.int64 and g.m.tolist() == residues(w.m, q).tolist()
+                assert np.array_equal(g.ijk, w.ijk) and g.scale == w.scale
+
+
 # the widest temporary per point of each kernel body, whose block_rows
 # bounds the points of one call: M/3, M and max(n^2, M), M the rotations
 _BODY_WIDTHS = {"_value": lambda jet, n: jet.m.size // 3,
@@ -442,7 +474,7 @@ def test_jet_splits_any_stack_into_blocks(monkeypatch):
         monkeypatch.setattr(Jet, name, spy)
     q2, pair = (catalog_build(name).jet(exact=True) for name in ("clifford-q2", "cartan-d4"))
     jets = [catalog_build("clifford-q2").jet(exact=False), q2, q2.modulo(0),
-            q2.modulo(_prime(0)), pair, pair.modulo(_prime(0))]
+            q2.modulo(next(primes())), pair, pair.modulo(next(primes()))]
     rng = random.Random(5)
     for jet in jets:
         n = jet.ijk.max() + 1

@@ -22,7 +22,7 @@ from eigencubic.identities import (DEFAULT_BOUND, DEFAULT_TRIALS, EICONAL,
                                    trace_identity_cubic,
                                    trace_identity_quadratic)
 from eigencubic.poly import Poly
-from eigencubic.modular import _prime, moduli
+from eigencubic.modular import moduli, primes
 from eigencubic.scalars import QSqrt3, QSqrt3Array, exact_div, joined
 from formref import dense_tensor, gradient, hessian
 from polyref import joined_terms
@@ -60,7 +60,7 @@ def test_residue_hessian_at_its_longest_entry_sum():
     # x0^2 x_c, c = 0..127, at coefficient and point residues p - 1 for the
     # largest residue prime p: the diagonal entry H_00 sums 2n + 4 = 260
     # products (p - 1)^2, the most any entry sums at MAX_DIM
-    n, p = cubics.MAX_DIM, _prime(0)
+    n, p = cubics.MAX_DIM, next(primes())
     u = CubicForm(n, {(0, 0, c): Fraction(-1) for c in range(n)})
     jet = u.jet(exact=True).modulo(p)
     assert (jet.m == p - 1).all()

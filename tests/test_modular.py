@@ -1,10 +1,11 @@
 import itertools
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from eigencubic import modular
 from eigencubic.cubics import CATALOG, catalog_build
 from eigencubic.identities import DEFAULT_BOUND, EICONAL, RADIAL, TRACE2, TRACE3
 from eigencubic.modular import PRIME_TOP, ResidueStack, inverse, mod, moduli, primes
@@ -38,6 +39,26 @@ def test_mod_is_python_remainder_at_the_int64_extremes(q):
         assert ResidueStack(_edges(q), q).x.tolist() == want
 
 
+def test_mod_makes_one_block_size_array():
+    # on one (5, 54, 54) int64 block, below numpy's 256 KiB threshold for
+    # eliding temporaries, x // q is the one array mod makes, with or
+    # without out
+    x = np.random.default_rng(1).integers(_INT64.min, _INT64.max, (5, 54, 54))
+    want = [v % _FIRST_TWO[0] for v in x.ravel().tolist()]
+    tracemalloc.start()
+    try:
+        for out in (None, x):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            got = mod(x, _FIRST_TWO[0], out=out)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert x.nbytes <= peak < 3 * x.nbytes // 2
+            assert got.ravel().tolist() == want
+            del got
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("a", [1, 3, 5, 2 ** 63 - 1])
 def test_inverse_modulo_two_to_the_64_is_an_int64(a):
     # the unit inverse modulo 2**64 is given as the int64 it wraps to, and
@@ -49,14 +70,15 @@ def test_inverse_modulo_two_to_the_64_is_an_int64(a):
 
 
 def test_residue_primes_are_one_sequence_11_mod_12():
-    # every residue prime, across the first sieve windows, is 11 (mod 12)
-    # and the odd primes of the windows that are, largest first; the first
-    # is the rank's first prime of old, 134217467
+    # the first 200 residue primes are the numbers = 11 (mod 12) below
+    # PRIME_TOP that no odd prime below sqrt(PRIME_TOP) divides, largest
+    # first, none skipped; the first is the rank's first prime of old,
+    # 134217467
     got = list(itertools.islice(primes(), 200))
     assert got[0] == 134217467
-    assert all(p % 12 == 11 and p < PRIME_TOP for p in got)
-    sieved = [p for w in range(5) for p in modular._window(w) if p % 12 == 11]
-    assert got == sieved[:200]
+    top = math.isqrt(PRIME_TOP)
+    small = [d for d in range(3, top + 1, 2) if all(d % e for e in range(3, math.isqrt(d) + 1, 2))]
+    assert got == [p for p in range(PRIME_TOP - 9, got[-1] - 1, -12) if all(p % d for d in small)]
     assert moduli(2 ** 3000) == tuple(got[:len(moduli(2 ** 3000))])
 
 

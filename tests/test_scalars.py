@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -294,20 +295,14 @@ def _is_prime(p):
 
 
 def test_sieved_primes_are_the_trial_division_ones():
-    # the first 20 primes are the odd numbers below PRIME_TOP that trial
-    # division finds, largest first; the sieve's second window starts
-    # at the next prime below its first's last
+    # the first 30 residue primes are the primes = 11 (mod 12) below
+    # PRIME_TOP that trial division finds, largest first, none skipped
     want, p = [], PRIME_TOP - 1
-    while len(want) < 20:
-        if _is_prime(p):
+    while len(want) < 30:
+        if p % 12 == 11 and _is_prime(p):
             want.append(p)
         p -= 2
-    assert [modular._prime(i) for i in range(20)] == want
-    last = len(modular._window(0)) - 1
-    lo, hi = modular._prime(last + 1), modular._prime(last)
-    assert _is_prime(lo) and _is_prime(hi)
-    assert not any(_is_prime(q) for q in range(lo + 2, hi, 2))
-    assert modular._window(1)[0] == lo < PRIME_TOP - modular.SIEVE_WINDOW <= hi
+    assert list(itertools.islice(modular.primes(), 30)) == want
 
 
 def _wrapped(x, q):
