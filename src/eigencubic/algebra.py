@@ -6,10 +6,8 @@ x o x = 2 grad u(x) and L_x = D^2u(x).  Both come from the form's one
 (u, Du, D^2u) kernel, ``CubicForm.jet``, the only route to them: the
 exact operations below read its exact jet (a float coefficient enters as
 the binary fraction it is), the idempotent / Peirce pipeline its float64
-jet.  Weak associativity, <x o y, z> = <y o z, x>, is decided for every
-point at once: it holds exactly when the coefficient tensor of the
-kernel's polarization is cyclic (``Jet.cyclic``), as it is for every
-form.  The Hsiang identity
+jet.  Weak associativity, <x o y, z> = <y o z, x>, holds for every
+form by construction, as both sides are u(x; y; z).  The Hsiang identity
 <x^2,x^2> tr L_x - <x^2,x^3> = (2/3) theta |x|^2 <x^2,x> runs at random
 rational points; it is 4 times the radial identity of
 ``identities.RADIAL``, since x^2 = 2 Du, x^3 = 2 D^2u Du and
@@ -247,18 +245,15 @@ class MetrisedAlgebra:
         return worst
 
     def weak_associativity_max_residual(self, trials: int = 1000, seed: int = 0):
-        """Max |<x o y, z> - <y o z, x>|, exact: 0 at every point.
+        """Max |<x o y, z> - <y o z, x>| over ``trials`` triples: an exact
+        0, by construction, without drawing one.
 
-        Both sides are the complete polarization, which sums all six
-        orderings of each monomial at its coefficient, so the difference
-        cancels term by term for every CubicForm.  ``Jet.cyclic`` decides
-        that from the polarization's coefficient tensor without drawing a
-        point; a jet that fails it was not built from a form, and raises
-        AssertionError as a broken construction does.
+        Proof.  <x o y, z> = <D^2u(x) y, z> = D^3u(x; y; z), and the third
+        derivative of a polynomial is symmetric in its three arguments,
+        as partial derivatives commute; so <y o z, x> = D^3u(y; z; x) is
+        the same number at every triple, for every CubicForm.
         """
         _require_trials(trials)
-        if not self.form.jet(exact=True).cyclic():
-            raise AssertionError("the kernel's polarization tensor is not cyclic")
         return Fraction(0)
 
 
@@ -441,41 +436,32 @@ def _peirce_records(jet: Jet, C: np.ndarray, bin_tol: float,
         if not residual <= residual_tol * jet.scale:
             raise ValueError(f"not an idempotent: |c o c - c| = {residual:.3g}")
     L = jet.hessian(CN)
-    records = []
-    for c, eigenvalues, residual in zip(C, np.linalg.eigvalsh(0.5 * (L + L.swapaxes(-1, -2))),
-                                        residuals):
-        counts = []
-        used = np.zeros(len(eigenvalues), dtype=bool)
-        one_mult = 0
-        for target in (1.0,) + PEIRCE_EIGENVALUES:
-            sel = (~used) & (np.abs(eigenvalues - target) < bin_tol)
-            used |= sel
-            if target == 1.0:
-                one_mult = int(np.sum(sel))
-            else:
-                counts.append(int(np.sum(sel)))
-        records.append(PeirceData(c=c, length_sq=float(c @ c),
-                                  eigenvalues=np.sort(eigenvalues),
-                                  triple=tuple(counts), one_multiplicity=one_mult,
-                                  unbinned=[float(v) for v in eigenvalues[~used]],
-                                  residual=float(residual)))
-    return records
+    E = np.linalg.eigvalsh(0.5 * (L + L.swapaxes(-1, -2)))
+    # each eigenvalue's bin: the first of 1, -1, -1/2, 1/2 within bin_tol,
+    # or -1 for none
+    near = np.abs(E[..., None] - np.array((1.0,) + PEIRCE_EIGENVALUES)) < bin_tol
+    bins = np.where(near.any(axis=-1), near.argmax(axis=-1), -1)
+    counts = (bins[..., None] == np.arange(4)).sum(axis=1).tolist()
+    return [PeirceData(c=c, length_sq=float(c @ c), eigenvalues=np.sort(e),
+                       triple=tuple(k[1:]), one_multiplicity=k[0],
+                       unbinned=e[b < 0].tolist(), residual=float(residual))
+            for c, e, b, k, residual in zip(C, E, bins, counts, residuals)]
 
 
 def _full_rank_mod_p(jet: Jet, n: int) -> bool:
-    """Whether D*Du of the exact ``jet`` at the numerators of
-    ``_rational_batch(n, n, random.Random(0))`` has rank n modulo the
-    first residue prime.  No int64 sum reaches 2**63: the numerators lie
-    in [-9, 9], so each gradient entry is below 2**55 (``modular``)."""
+    """Whether D*Du of the exact ``jet`` at n integer points, drawn from
+    ``random.Random(0)`` in [-9, 9] as one ``randint`` per coordinate,
+    has rank n modulo the first residue prime.  No int64 sum reaches
+    2**63: each gradient entry is below 2**55 (``modular``)."""
     p = next(primes())
-    g = jet.modulo(p).gradient(_rational_batch(n, n, random.Random(0))[0])
-    return _rank_mod_p(_at_root(g, p), p) == n
+    X = _randbelow(19, n * n, random.Random(0)).reshape(n, n) - 9
+    return _rank_mod_p(_at_root(jet.modulo(p).gradient(X), p), p) == n
 
 
 def _rational_batch(n: int, count: int, rng: random.Random):
-    """Random rational points, numerators in [-9, 9] and denominators in
-    [1, 3], returned as int64 arrays (numerators of shape (count, n),
-    denominators).  The values, and the state ``rng`` is left in, are
+    """The Hsiang check's random rational points, numerators in [-9, 9]
+    and denominators in [1, 3], returned as int64 arrays (numerators of
+    shape (count, n), denominators).  The values, and the state ``rng`` is left in, are
     those of a ``rng.randint(-9, 9)`` per coordinate, point by point,
     followed by a ``rng.randint(1, 3)`` per point."""
     nums = _randbelow(19, count * n, rng).reshape(count, n) - 9

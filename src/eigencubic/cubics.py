@@ -29,7 +29,7 @@ from .jordan import (HermMat3, cleared, common_denominator, det_polar_twice,
                      freudenthal_det, fullspace_basis, involution, jordan_twice,
                      trace_form, tracefree_basis)
 from .modular import residues
-from .poly import Poly, PolyArray, _collect
+from .poly import Poly, PolyArray
 from .scalars import (QSqrt3, QSqrt3Array, format_rational, is_exact, joined,
                       parse_rational)
 
@@ -254,7 +254,6 @@ class Jet:
     entry in column order, so every result is the single point's, bit for
     bit, on every dtype and in any block.  ``modulo`` gives the jet on
     int64 residues modulo 2**64 or a prime, and ``l1`` bounds their sums.
-    ``cyclic`` reads the polarization's coefficient tensor itself.
     """
     scale: float
     ijk: np.ndarray
@@ -311,25 +310,6 @@ class Jet:
 
     def hessian(self, p: np.ndarray) -> np.ndarray:
         return _blocks(self._hessian, max(p.shape[-1] ** 2, self.m.size), p)
-
-    def cyclic(self) -> bool:
-        """Whether D u(x; y; z) = D u(y; z; x) as a polynomial, so that
-        <x o y, z> = <y o z, x> at every triple.  The polarization's
-        coefficient tensor T holds m at (a, b, c) and at (a, c, b) for
-        each rotation (a; b, c), and the difference vanishes exactly when
-        T equals its shift S[c, a, b] = T[a, b, c]; both are summed at
-        equal keys by ``poly._collect``, in O(M log M), on the rational
-        and the ``sqrt3`` channel."""
-        a, b, c = self.ijk
-        n = int(self.ijk.max(initial=-1)) + 1
-        m = np.tile(self.m, 2)
-
-        def collected(*entries):
-            key, coef = _collect(np.concatenate([(i * n + j) * n + k for i, j, k in entries]), m)
-            return key.tolist(), coef.tolist()
-
-        return collected((a, b, c), (a, c, b)) == collected((c, a, b), (b, a, c)) and (
-            self.sqrt3 is None or self.sqrt3.cyclic())
 
     def _value(self, p):
         first = self.m.size // 3

@@ -254,7 +254,8 @@ def _proportional_float(ident: _Identity, jet: Jet, n: int, seed: int):
     ls, rs = np.concatenate([np.stack(b, axis=1) for b in _sides_at(ident, jet, P)]).T
     denom = float(np.dot(rs, rs))
     t = float(np.dot(ls, rs)) / denom if denom >= 1e-30 else 0.0
-    if not np.isfinite([*ls, *rs, denom, t]).all():
+    if not (np.isfinite(ls).all() and np.isfinite(rs).all() and math.isfinite(denom)
+            and math.isfinite(t)):
         raise ValueError("identity sides are not finite in float64")
     resid = np.max(np.abs(ls - t * rs) / (1.0 + np.abs(t * rs)))
     return t if resid < FLOAT_REL_TOL else None

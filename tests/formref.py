@@ -1,12 +1,14 @@
 """Direct references for a ``CubicForm``, for the tests that compare the
 kernel ``Jet`` against them: the dense symmetric tensor, the complete
-polarization, and the gradient and Hessian as lists of ``Poly``."""
+polarization, the gradient and Hessian as lists of ``Poly``, and the
+dense coefficient tensors of a jet's polarization, which decide weak
+associativity."""
 
 from typing import List, Sequence
 
 import numpy as np
 
-from eigencubic.cubics import CubicForm
+from eigencubic.cubics import CubicForm, Jet
 from eigencubic.poly import Poly
 
 
@@ -38,3 +40,28 @@ def gradient(u: CubicForm) -> List[Poly]:
 def hessian(u: CubicForm) -> List[List[Poly]]:
     grads = gradient(u)
     return [[grads[i].diff(j) for j in range(u.n)] for i in range(u.n)]
+
+
+def polarization_tensors(jet: Jet, n: int) -> list:
+    """The dense coefficient tensor of the polarization on each sqrt(3)
+    channel of ``jet``, on Python ints: m at (a, b, c) and (a, c, b) per
+    rotation (a; b, c), as the kernel's Hessian adds m x_c at (a, b) and
+    m x_b at (a, c)."""
+    tensors = []
+    for part in (jet, jet.sqrt3):
+        if part is None:
+            continue
+        T = np.zeros((n, n, n), dtype=object)
+        for (a, b, c), m in zip(part.ijk.T.tolist(), part.m.tolist()):
+            T[a, b, c] += m
+            T[a, c, b] += m
+        tensors.append(T)
+    return tensors
+
+
+def is_cyclic(jet: Jet, n: int) -> bool:
+    """Whether <x o y, z> = <y o z, x> at every triple on ``jet``: each
+    polarization tensor equals its cyclic shift S[c, a, b] = T[a, b, c],
+    as the difference of the two sides is the zero polynomial exactly
+    then."""
+    return all((T == T.transpose(1, 2, 0)).all() for T in polarization_tensors(jet, n))

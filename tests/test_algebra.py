@@ -18,7 +18,7 @@ from eigencubic.cubics import (CATALOG, CubicForm, Jet, _Sqrt3Jet, cartan_cubic,
 from eigencubic.identities import check_radial
 from eigencubic.poly import Poly
 from eigencubic.scalars import QSqrt3, joined
-from formref import gradient, hessian, polarize
+from formref import gradient, hessian, is_cyclic, polarization_tensors, polarize
 from rotations import cayley_rotation, rotate_by_substitution, rotate_exact, skew
 
 DIM3 = catalog_build("clifford-q0")
@@ -176,19 +176,31 @@ def test_the_certificate_decides_every_full_rank_catalog_form(monkeypatch):
 def test_equal_points_fail_the_certificate_but_not_the_rank(monkeypatch, name):
     # two equal gradient rows make the matrix singular modulo any prime;
     # the elimination then decides, and the rank stays exact
-    batch = algebra._rational_batch
+    draw = algebra._randbelow
 
-    def doubled(n, count, rng):
-        X, dens = batch(n, count, rng)
-        X[1] = X[0]
-        return X, dens
+    def doubled(width, count, rng):
+        out, n = draw(width, count, rng), math.isqrt(count)
+        out[n:2 * n] = out[:n]
+        return out
 
-    monkeypatch.setattr(algebra, "_rational_batch", doubled)
+    monkeypatch.setattr(algebra, "_randbelow", doubled)
     u = _built(name)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert not algebra._full_rank_mod_p(u.jet(exact=True), u.n)
         assert MetrisedAlgebra(u).multiplication_rank() == u.n
+
+
+@pytest.mark.parametrize("n", [1, 3, 27, 54])
+def test_certificate_points_keep_the_rational_batch_draw(monkeypatch, n):
+    # the certificate's points are the numerators _rational_batch draws
+    # from random.Random(0), one randint per coordinate
+    points, gradient = [], Jet.gradient
+    monkeypatch.setattr(Jet, "gradient", lambda jet, p: points.append(p.copy()) or gradient(jet, p))
+    assert algebra._full_rank_mod_p(CubicForm(n, {(0, 0, 0): 1}).jet(exact=True), n) == (n == 1)
+    want = algebra._rational_batch(n, n, random.Random(0))[0]
+    assert len(points) == 1 and points[0].dtype == np.int64
+    assert points[0].tolist() == want.tolist()
 
 
 def _random_rank_deficient(seed, sqrt3):
@@ -535,6 +547,16 @@ def test_find_idempotents_matches_restart_by_restart_reference(name):
     for seed in (1, 2, 3):
         _assert_same_records(alg.find_idempotents(restarts=16, seed=seed),
                              reference_find_idempotents(alg, 16, seed))
+
+
+@pytest.mark.parametrize("bin_tol", [1e-15, 0.3, 0.6, 2.0])
+def test_peirce_bins_match_the_loop_at_any_tolerance(bin_tol):
+    # narrow bins leave eigenvalues unbinned; wide ones overlap, and each
+    # eigenvalue takes the first of 1, -1, -1/2, 1/2 within reach
+    for name in ("clifford-q1", "cartan-d2", "involution-d4"):
+        alg = MetrisedAlgebra(catalog_build(name))
+        got = alg.find_idempotents(restarts=8, seed=1, bin_tol=bin_tol)
+        _assert_same_records(got, [_reference_peirce(alg, p.c, bin_tol) for p in got])
 
 
 @pytest.mark.parametrize("distance", [algebra.DEDUP_DISTANCE, 0.3, 1.0])
@@ -921,8 +943,8 @@ def _rational_batch_loop(n, count, rng):
 
 def _weak_loop(jet, n, trials, seed):
     """The reference residual: one random rational triple at a time on
-    Python ints, each side contracted with ``_dense_tensors``."""
-    tensors = _dense_tensors(jet, n)
+    Python ints, each side contracted with ``formref.polarization_tensors``."""
+    tensors = polarization_tensors(jet, n)
 
     def polarization(x, y, z):
         r, *s = (x @ ((T @ z) @ y) for T in tensors)
@@ -966,27 +988,29 @@ def _unrotated_jet(sqrt3: bool) -> Jet:
                      Jet(6, ijk, np.array([5, -7], dtype=object)))
 
 
+def _kernel_weak(jet, n, trials, seed):
+    """The residual at ``_weak_loop``'s triples from the kernel's Hessians
+    of whole stacks of points: <x o y, z> - <y o z, x> =
+    x.D^2(D*u)(z).y - y.D^2(D*u)(x).z."""
+    rng = random.Random(seed)
+    (X, dx), (Y, dy), (Z, dz) = (algebra._rational_batch(n, trials, rng) for _ in range(3))
+    X, Y, Z = (P.astype(object) for P in (X, Y, Z))
+    HX, HZ = joined(jet.hessian(X)), joined(jet.hessian(Z))
+    return max(abs((x @ hz @ y - y @ hx @ z) / Fraction(jet.scale * int(a * b * c)))
+               for x, y, z, hx, hz, a, b, c in zip(X, Y, Z, HX, HZ, dx, dy, dz))
+
+
 @pytest.mark.parametrize("chunk", [cubics.BLOCK, 7])
 @pytest.mark.parametrize("sqrt3", [False, True])
 def test_weak_associativity_paths_agree(monkeypatch, sqrt3, chunk):
-    # <x o y, z> - <y o z, x> = x.D^2(D*u)(z).y - y.D^2(D*u)(x).z from the
-    # kernel's Hessians of the whole stacks of points, in any block size,
-    # gives the one-triple-at-a-time reference residual, nonzero and of the
-    # same type; weak associativity raises on the jet; nothing warns
+    # the kernel's residual, in any block size, is the one-triple-at-a-time
+    # reference residual, nonzero and of the same type; nothing warns
     jet = _unrotated_jet(sqrt3)
     monkeypatch.setattr(cubics, "BLOCK", chunk)
     want = _weak_loop(jet, 3, 200, 5)
-    rng = random.Random(5)
-    (X, dx), (Y, dy), (Z, dz) = (algebra._rational_batch(3, 200, rng) for _ in range(3))
-    X, Y, Z = (P.astype(object) for P in (X, Y, Z))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        HX, HZ = joined(jet.hessian(X)), joined(jet.hessian(Z))
-        got = max(abs((x @ hz @ y - y @ hx @ z) / Fraction(jet.scale * int(a * b * c)))
-                  for x, y, z, hx, hz, a, b, c in zip(X, Y, Z, HX, HZ, dx, dy, dz))
-        monkeypatch.setattr(CubicForm, "jet", lambda self, exact: jet)
-        with pytest.raises(AssertionError, match="not cyclic"):
-            MetrisedAlgebra(CubicForm(3, {})).weak_associativity_max_residual(trials=200, seed=5)
+        got = _kernel_weak(jet, 3, 200, 5)
     assert got == want != 0
     assert type(got) is type(want) is (QSqrt3 if sqrt3 else Fraction)
 
@@ -1005,37 +1029,18 @@ def test_weak_associativity_huge_coefficient_is_zero(u):
     assert got == 0 and type(got) is Fraction
 
 
-# -- the cyclic decision -----------------------------------------------------
-
-def _dense_tensors(jet: Jet, n: int) -> list:
-    """The polarization's dense coefficient tensor on each sqrt(3)
-    channel: m at (a, b, c) and (a, c, b) per rotation (a; b, c)."""
-    tensors = []
-    for part in (jet, jet.sqrt3):
-        if part is None:
-            continue
-        T = np.zeros((n, n, n), dtype=object)
-        for (a, b, c), m in zip(part.ijk.T.tolist(), part.m.tolist()):
-            T[a, b, c] += m
-            T[a, c, b] += m
-        tensors.append(T)
-    return tensors
-
-
-def _dense_cyclic(jet: Jet, n: int) -> bool:
-    """The reference decision: each dense tensor against its shift."""
-    return all((T == T.transpose(1, 2, 0)).all() for T in _dense_tensors(jet, n))
-
+# -- weak associativity on the kernel's tensor ------------------------------
 
 @pytest.mark.parametrize("name", list(CATALOG))
 def test_cyclic_holds_on_every_form_built(name):
-    # the catalog form, times 10^18, with +1/7 on its first coefficient,
-    # and its float copy's exact jet; the residual is an exact 0 on each
+    # the kernel tensor of the catalog form, times 10^18, with +1/7 on its
+    # first coefficient, and of its float copy's exact jet is cyclic, and
+    # weak associativity is an exact 0 on each
     u = _built(name)
     k = next(iter(u.terms))
     for v in (u, u.scaled(10 ** 18), CubicForm(u.n, {**u.terms, k: u.terms[k] + Fraction(1, 7)}),
               u.to_float()):
-        assert v.jet(exact=True).cyclic()
+        assert is_cyclic(v.jet(exact=True), v.n)
         got = MetrisedAlgebra(v).weak_associativity_max_residual(trials=10, seed=1)
         assert got == 0 and type(got) is Fraction
 
@@ -1049,22 +1054,18 @@ def test_cyclic_holds_on_rotated_forms(name):
     entries = [Fraction(i % 5 - 2, 1 + i % 3) for i in range(n * (n - 1) // 2)]
     uq = rotate_exact(u, cayley_rotation(skew(n, entries)))
     assert len(uq.terms) > len(u.terms)
-    assert uq.jet(exact=True).cyclic()
+    assert is_cyclic(uq.jet(exact=True), n)
 
 
 @pytest.mark.parametrize("sqrt3", [False, True])
-def test_cyclic_fails_on_unrotated_jets(monkeypatch, sqrt3):
-    # one rotation per monomial; as a sqrt(3) jet only that channel fails.
-    # <x o y, z> and <y o z, x> differ at the reference's triples, and
-    # weak associativity raises on such a jet as on a broken construction
+def test_cyclic_fails_on_unrotated_jets(sqrt3):
+    # one rotation per monomial; as a sqrt(3) jet only that channel fails,
+    # and <x o y, z> and <y o z, x> differ at the reference's triples
     jet = _unrotated_jet(sqrt3)
-    assert not jet.cyclic()
+    assert not is_cyclic(jet, 3)
     if sqrt3:
-        assert replace(jet, sqrt3=None).cyclic()
+        assert is_cyclic(replace(jet, sqrt3=None), 3)
     assert _weak_loop(jet, 3, 200, 5) != 0
-    monkeypatch.setattr(CubicForm, "jet", lambda self, exact: jet)
-    with pytest.raises(AssertionError, match="not cyclic"):
-        MetrisedAlgebra(CubicForm(3, {})).weak_associativity_max_residual(trials=200, seed=5)
 
 
 def test_cyclic_reads_the_tensor_not_the_rotations():
@@ -1072,8 +1073,8 @@ def test_cyclic_reads_the_tensor_not_the_rotations():
     # layout's (0; 1, 2), (1; 2, 0), (2; 0, 1), but the same tensor
     jet = Jet(1, np.array([[0, 1, 2], [1, 0, 0], [2, 2, 1]], dtype=np.intp),
               np.array([3, 3, 3], dtype=object))
-    assert jet.cyclic() and _dense_cyclic(jet, 3)
-    assert not replace(jet, m=np.array([3, 3, 4], dtype=object)).cyclic()
+    assert is_cyclic(jet, 3) and _kernel_weak(jet, 3, 20, 0) == 0
+    assert not is_cyclic(replace(jet, m=np.array([3, 3, 4], dtype=object)), 3)
 
 
 def _bumped(jet: Jet, r: int) -> Jet:
@@ -1088,7 +1089,8 @@ def test_cyclic_fails_with_one_rotation_changed(name):
     # at (a, b, c) and (a, c, b) only, on either sqrt(3) channel.  On a
     # cube all orderings are one entry and the polynomial stays cyclic:
     # trivial, x1^3 alone, keeps it
-    jet = _built(name).jet(exact=True)
+    u = _built(name)
+    jet = u.jet(exact=True)
     for part, rebuild in ((jet, lambda p: p),
                           (jet.sqrt3, lambda p: replace(jet, sqrt3=p))):
         if part is None:
@@ -1097,16 +1099,18 @@ def test_cyclic_fails_with_one_rotation_changed(name):
         others = np.flatnonzero((a != b) | (b != c))
         if not others.size:
             assert name == "trivial"
-            assert rebuild(_bumped(part, 0)).cyclic()
+            assert is_cyclic(rebuild(_bumped(part, 0)), u.n)
             continue
-        assert not rebuild(_bumped(part, int(others[0]))).cyclic()
-        assert not rebuild(_bumped(part, int(others[-1]))).cyclic()
+        assert not is_cyclic(rebuild(_bumped(part, int(others[0]))), u.n)
+        assert not is_cyclic(rebuild(_bumped(part, int(others[-1]))), u.n)
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_cyclic_matches_the_dense_tensor(seed):
     # small hand-built jets, n <= 4 and 1-6 rotations, half of them all
-    # three rotations of each monomial, some with a sqrt(3) channel
+    # three rotations of each monomial, some with a sqrt(3) channel: the
+    # reference is cyclic exactly when the kernel's residual is 0 at 20
+    # random triples
     rng = random.Random(seed)
     n = rng.randint(1, 4)
 
@@ -1126,28 +1130,23 @@ def test_cyclic_matches_the_dense_tensor(seed):
     jet = Jet(1, *part())
     if seed % 3 == 0:
         jet = _Sqrt3Jet(1, jet.ijk, jet.m, Jet(1, *part()))
-    assert jet.cyclic() == _dense_cyclic(jet, n)
+    assert is_cyclic(jet, n) == (_kernel_weak(jet, n, 20, seed) == 0)
     if seed % 2:
-        assert jet.cyclic()
-    if jet.cyclic():
+        assert is_cyclic(jet, n)
+    if is_cyclic(jet, n):
         assert _weak_loop(jet, n, 20, seed) == 0
 
 
 def test_weak_associativity_of_a_cyclic_jet_draws_no_triple(monkeypatch):
-    # on every catalog form no _rational_batch draw, and still an exact
-    # Fraction 0; a jet that is not cyclic raises without a draw too
-    calls = []
+    # on every catalog form no point drawn and no jet read, and still an
+    # exact Fraction 0: the identity holds by construction
+    forms = {name: _built(name) for name in CATALOG}
 
-    def spy(*args):
-        calls.append(args)
-        return batch(*args)
+    def refuse(*args, **kwargs):
+        raise AssertionError("weak associativity drew a point or read a jet")
 
-    batch = algebra._rational_batch
-    monkeypatch.setattr(algebra, "_rational_batch", spy)
-    for name in CATALOG:
-        got = MetrisedAlgebra(_built(name)).weak_associativity_max_residual()
+    monkeypatch.setattr(algebra, "_randbelow", refuse)
+    monkeypatch.setattr(CubicForm, "jet", refuse)
+    for name, u in forms.items():
+        got = MetrisedAlgebra(u).weak_associativity_max_residual()
         assert got == 0 and type(got) is Fraction, name
-    monkeypatch.setattr(CubicForm, "jet", lambda self, exact: _unrotated_jet(False))
-    with pytest.raises(AssertionError):
-        MetrisedAlgebra(CubicForm(3, {})).weak_associativity_max_residual(trials=5)
-    assert calls == []
