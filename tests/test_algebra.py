@@ -195,8 +195,9 @@ def test_equal_points_fail_the_certificate_but_not_the_rank(monkeypatch, name):
 def test_certificate_points_keep_the_rational_batch_draw(monkeypatch, n):
     # the certificate's points are the numerators _rational_batch draws
     # from random.Random(0), one randint per coordinate
-    points, gradient = [], Jet.gradient
-    monkeypatch.setattr(Jet, "gradient", lambda jet, p: points.append(p.copy()) or gradient(jet, p))
+    points, kernel_gradient = [], Jet.gradient
+    monkeypatch.setattr(Jet, "gradient",
+                        lambda jet, p: points.append(p.copy()) or kernel_gradient(jet, p))
     assert algebra._full_rank_mod_p(CubicForm(n, {(0, 0, 0): 1}).jet(exact=True), n) == (n == 1)
     want = algebra._rational_batch(n, n, random.Random(0))[0]
     assert len(points) == 1 and points[0].dtype == np.int64
