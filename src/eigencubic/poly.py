@@ -183,12 +183,12 @@ class Poly:
 # block's temporaries (term indices, gathered and merged digit columns,
 # keys, coefficients and sort order) take at most a few hundred bytes a
 # pair.  On a 2-vCPU host (Python 3.11, numpy 2.4), the exact checks of
-# the 15 catalog forms with n <= 27, run in one process, peaked at 32.5 MB
-# RSS with blocks of 2**10 pairs, 32.7 MB with 2**12, 33.8 MB with 2**14
-# and 37.5 MB with 2**16, in 0.07-0.14 s each.  Those of complexified-d8,
-# which the benchmark's exact workload does not run, took 0.35-0.40 s at
-# 2**10, 0.21-0.28 s at 2**12 and 0.20-0.25 s at 2**16, peaking at 45.9,
-# 45.8 and 50.2 MB.
+# the 15 catalog forms with n <= 27, run in one process, peaked at 31.7-31.9
+# MB RSS with blocks of 2**10 pairs, 31.7-31.8 MB with 2**12, 33.2-33.4 MB
+# with 2**14 and 37.3 MB with 2**16, in 0.06-0.13 s each.  Those of
+# complexified-d8, which the benchmark's exact workload does not run, took
+# 0.25-0.41 s at 2**10, 0.18-0.24 s at 2**12 and 0.15-0.21 s at 2**16,
+# peaking at 39.7, 39.6 and 47.0 MB.
 PAIR_BLOCK = 1 << 12
 _INT64_LIMIT = 2 ** 63
 
@@ -272,15 +272,17 @@ class PolyArray:
     each pair of terms is multiplied at most once.
 
     ``+``, ``-``, ``*`` by an integer, ``*`` (numpy broadcasting), ``@``,
-    ``sum`` and ``trace`` follow numpy's ndarray of polynomials.  A
-    product lists the pairs of terms it multiplies ``PAIR_BLOCK`` at a
-    time.  A pair's monomial is the merge of its two sorted digit rows,
-    taken column by column with ``np.minimum`` and ``np.maximum``
-    (``_merged``) on the digit columns each operand computes once, and
-    read as its code as the columns come; equal (entry, code) keys are
-    summed within a block and then across blocks.  Any other operand
-    gives NotImplemented, so a ``QSqrt3Array`` pair of PolyArrays does
-    its own arithmetic, channel by channel.
+    ``sum`` and ``trace`` follow numpy's ndarray of polynomials.  ``@``
+    pairs only nonempty entries, self's (i, k) with other's (k, j), so its
+    cost follows the terms, not rows * k * cols.  A product lists the
+    pairs of terms it multiplies ``PAIR_BLOCK`` at a time.  A pair's
+    monomial is the merge of its two sorted digit rows, taken column by
+    column with ``np.minimum`` and ``np.maximum`` (``_merged``) on the
+    digit columns each operand computes once, and read as its code as the
+    columns come; equal (entry, code) keys are summed within a block and
+    then across blocks.  Any other operand gives NotImplemented, so a
+    ``QSqrt3Array`` pair of PolyArrays does its own arithmetic, channel by
+    channel.
     """
 
     __slots__ = ("nvars", "shape", "deg", "idx", "code", "coef", "l1", "_at", "_cols")
@@ -396,11 +398,20 @@ class PolyArray:
         if not {self.ndim, other.ndim} <= {1, 2} or self.shape[-1] != other.shape[0]:
             raise ValueError(f"matmul: shapes {self.shape} and {other.shape} "
                              f"do not chain")
-        # numpy's rule: a vector is a row on the left and a column on the right
-        rows, k = self.shape if self.ndim == 2 else (1,) + self.shape
+        # numpy's rule: a vector is a row on the left and a column on the
+        # right.  Only nonempty entries pair: each of self's (i, kk) with
+        # every nonempty (kk, j) of other, whose flat indices come grouped
+        # by kk, group[kk] of them from first[kk] on
+        k = self.shape[-1]
         cols = other.shape[1] if other.ndim == 2 else 1
-        i, j, kk = np.indices((rows, cols, k)).reshape(3, -1)
-        return self._product(other, i * k + kk, kk * cols + j, i * cols + j,
+        ea = np.flatnonzero(np.diff(self._starts()))
+        eb = np.flatnonzero(np.diff(other._starts()))
+        group = np.bincount(eb // cols, minlength=k)
+        first = np.cumsum(group) - group
+        reps = group[ea % k]
+        ea = ea.repeat(reps)
+        eb = eb[first[ea % k] + np.arange(ea.size) - (np.cumsum(reps) - reps).repeat(reps)]
+        return self._product(other, ea, eb, ea // k * cols + eb % cols,
                              self.shape[:-1] + other.shape[1:])
 
     def _product(self, other: "PolyArray", ea: np.ndarray, eb: np.ndarray,

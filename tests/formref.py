@@ -2,8 +2,9 @@
 kernel ``Jet`` against them: the dense symmetric tensor, the complete
 polarization, the gradient and Hessian as lists of ``Poly``, and the
 dense coefficient tensors of a jet's polarization, which decide weak
-associativity."""
+associativity; and a seeded sparse random cubic."""
 
+import random
 from typing import List, Sequence
 
 import numpy as np
@@ -65,3 +66,15 @@ def is_cyclic(jet: Jet, n: int) -> bool:
     as the difference of the two sides is the zero polynomial exactly
     then."""
     return all((T == T.transpose(1, 2, 0)).all() for T in polarization_tensors(jet, n))
+
+
+def sparse_cubic(n: int, count: int, seed: int) -> CubicForm:
+    """A cubic on R^n with ``count`` distinct monomials, each three
+    variables drawn from ``random.Random(seed)`` and an integer coefficient
+    in [-9, 9], 0 replaced by 1."""
+    rng, terms = random.Random(seed), {}
+    while len(terms) < count:
+        key = tuple(sorted(rng.randrange(n) for _ in range(3)))
+        if key not in terms:
+            terms[key] = rng.randint(-9, 9) or 1
+    return CubicForm(n, terms)

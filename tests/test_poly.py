@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from eigencubic import poly
 from eigencubic.poly import Poly, PolyArray
-from polyref import to_polys
+from eigencubic.scalars import SQRT3, QSqrt3Array
+from polyref import joined_terms, to_polys
 
 
 def x(n, i):
@@ -197,6 +198,95 @@ def test_poly_array_products_are_summed_across_blocks(monkeypatch, block):
     got = ([p.terms for p in to_polys(a @ a).ravel()],
            to_polys((a * a).sum() * a.sum())[()].terms)
     assert got == want
+
+
+def _nonempty_triples(a, b):
+    """The (a entry, b entry, output entry) flat indices of every (i, k, j)
+    of ``a @ b`` whose two entries are both nonempty, numpy's vector rule
+    applied, in sorted order."""
+    rows, k = a.shape if a.ndim == 2 else (1,) + a.shape
+    cols = b.shape[1] if b.ndim == 2 else 1
+    full_a, full_b = np.diff(a._starts()) > 0, np.diff(b._starts()) > 0
+    return sorted((i * k + kk, kk * cols + j, i * cols + j)
+                  for i in range(rows) for kk in range(k) for j in range(cols)
+                  if full_a[i * k + kk] and full_b[kk * cols + j])
+
+
+def _product_spy(monkeypatch):
+    """Patch ``PolyArray._product`` to record, for each call, the triples
+    it was given beside those of its two operands' nonempty entries."""
+    calls, product = [], PolyArray._product
+
+    def spy(self, other, ea, eb, out, shape):
+        calls.append((sorted(zip(ea.tolist(), eb.tolist(), out.tolist())),
+                      _nonempty_triples(self, other)))
+        return product(self, other, ea, eb, out, shape)
+
+    monkeypatch.setattr(PolyArray, "_product", spy)
+    return calls
+
+
+def _sparse(rng, shape, deg, full, nvars=4):
+    """A PolyArray of ``shape`` with terms only in the flat entries
+    ``full``, two or three each."""
+    return _array(nvars, shape, deg, [
+        (e, tuple(sorted(rng.integers(0, nvars, deg).tolist())), int(rng.integers(1, 6)))
+        for e in full for _ in range(int(rng.integers(2, 4)))])
+
+
+# (a's shape, a's nonempty entries, b's shape, b's nonempty entries)
+STRUCTURED = {
+    "empty-row-and-column": ((3, 4), [0, 1, 2, 3, 8, 9, 11], (4, 3), [1, 2, 4, 5, 8, 10, 11]),
+    "all-empty-left": ((3, 4), [], (4, 3), range(12)),
+    "all-empty-right": ((3, 4), range(12), (4, 3), []),
+    "single-entries": ((3, 4), [6], (4, 3), [7]),
+    "single-entries-apart": ((3, 4), [6], (4, 3), [0]),
+    "k-past-rows-and-cols": ((2, 9), [0, 4, 8, 13, 17], (9, 1), [0, 4, 5, 8]),
+    "vector-matrix": ((5,), [0, 2, 3], (5, 2), [0, 1, 5, 6, 7, 9]),
+    "matrix-vector": ((3, 5), [0, 4, 6, 7, 12], (5,), [0, 1, 4]),
+    "vector-vector": ((4,), [1, 2, 3], (4,), [0, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("case", list(STRUCTURED))
+def test_matmul_pairs_only_nonempty_entries(monkeypatch, case):
+    # empty rows, columns and operands, lone entries, a long shared index
+    # and numpy's vector shapes: the product is the object arrays' and
+    # _product is handed exactly the triples whose entries both hold terms
+    sa, fa, sb, fb = STRUCTURED[case]
+    rng = np.random.default_rng(len(case))
+    a, b = _sparse(rng, sa, 1, fa), _sparse(rng, sb, 2, fb)
+    calls = _product_spy(monkeypatch)
+    got, want = a @ b, to_polys(a) @ to_polys(b)
+    assert got.shape == np.shape(want)
+    assert [p.terms for p in to_polys(got).ravel()] == \
+        [p.terms for p in np.ravel(np.array(want, dtype=object))]
+    # positive coefficients never cancel: the nonempty entries are the listed ones
+    assert [np.flatnonzero(np.diff(x._starts())).tolist() for x in (a, b)] == \
+        [sorted(fa), sorted(fb)]
+    [(given, nonempty)] = calls
+    assert given == nonempty
+
+
+def test_matmul_of_a_pair_with_a_sparse_sqrt3_channel(monkeypatch):
+    # a Q(sqrt3) matrix product like cartan-d8's H @ H, whose sqrt(3)
+    # channel holds terms in a few entries and its rational one in most:
+    # each of the four channel products gets only its nonempty triples
+    rng = np.random.default_rng(8)
+    full = [e for e in range(36) if e % 5]
+    a = QSqrt3Array(_sparse(rng, (6, 6), 1, full), _sparse(rng, (6, 6), 1, [3, 14]))
+    b = QSqrt3Array(_sparse(rng, (6, 6), 1, full[::-1][:20]), _sparse(rng, (6, 6), 1, [20, 33]))
+
+    def ref(x):
+        return to_polys(x.r) + to_polys(x.s) * SQRT3
+
+    calls = _product_spy(monkeypatch)
+    got = a @ b
+    assert joined_terms(got) == [p.terms for p in np.ravel(ref(a) @ ref(b))]
+    assert len(calls) == 4
+    assert all(given == nonempty for given, nonempty in calls)
+    # r @ r first, then s @ s, which pairs one entry of each sqrt(3) channel
+    assert len(calls[1][0]) == 1 < len(calls[0][0])
 
 
 # the degree splits of the identity sides' products: H @ H and H * H
