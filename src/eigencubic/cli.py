@@ -1,16 +1,17 @@
 """Command-line frontend.
 
 Exit codes: 0 all requested checks passed, 1 a mathematical check failed,
-2 usage or input error (counts out of range, a ``--tol`` that is not
-finite and positive, a NaN or negative ``--grad-threshold``, a NaN
-``--max-curvature``, a form path that is a directory or cannot be read,
-an output path that cannot be opened for writing, a form file with
-dim < 1, a monomial listed twice, a coefficient with a zero denominator,
-one that is not finite or exceeds 1e50 in magnitude or a largest one
-below 1e-50, the zero form where a radial constant is asked for), 3
-internal error (any other exception, reported as one stderr line
-``internal error: <Type>: <message>``), 141 (128 + SIGPIPE) when the
-reader of stdout closed it early, with nothing on stderr.
+2 usage or input error (``--exact`` together with ``--random``, counts
+out of range, a ``--tol`` that is not finite and positive, a NaN or
+negative ``--grad-threshold``, a NaN ``--max-curvature``, a form path
+that is a directory or cannot be read, an output path that cannot be
+opened for writing, a form file with dim < 1, a monomial listed twice, a
+coefficient with a zero denominator, one that is not finite or exceeds
+1e50 in magnitude or a largest one below 1e-50, the zero form where a
+radial constant is asked for), 3 internal error (any other exception,
+reported as one stderr line ``internal error: <Type>: <message>``), 141
+(128 + SIGPIPE) when the reader of stdout closed it early, with nothing
+on stderr.
 Rationals are serialized as "p/q" strings and floats with round-trip
 precision; runs with identical arguments (and seed) produce
 byte-identical output, on any build for the exact commands and within
@@ -27,10 +28,10 @@ from typing import Optional
 
 import click
 
-from .algebra import MetrisedAlgebra
+from .algebra import BIN_TOLERANCE, MetrisedAlgebra
 from .clifford import build_clifford_system, hurwitz_radon
 from .cubics import CATALOG, CubicForm, catalog_build
-from .identities import (CheckReport, check_eiconal, check_harmonic,
+from .identities import (GRAD_THRESHOLD, CheckReport, check_eiconal, check_harmonic,
                          check_radial, classify as classify_form, sample_cone,
                          trace_identity_cubic, trace_identity_quadratic)
 from .tables import admissible_triples, cross_validate
@@ -46,11 +47,14 @@ MAX_CLIFFORD_Q = 10
 
 def _check_kwargs(mode: Optional[str], trials: Optional[int], seed: int) -> dict:
     """Keyword arguments of the checks for verify/classify: ``--exact``
-    forces expansion, ``--random N`` the randomized test, else auto.
+    forces expansion, ``--random N`` the randomized test, else auto; both
+    at once is a usage error.
 
     Every randomized path draws only from streams derived from the seed,
     so identical arguments give byte-identical output.
     """
+    if mode and trials is not None:
+        raise click.UsageError("--exact and --random cannot be used together")
     kw = {"mode": mode or ("random" if trials is not None else "auto"),
           "seed": seed}
     if trials is not None:
@@ -219,7 +223,7 @@ def verify(path, checks, mode, trials, seed):
 @click.option("--restarts", type=click.IntRange(min=1), default=64,
               show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), required=True)
-@click.option("--tol", type=float, default=1e-6, show_default=True,
+@click.option("--tol", type=float, default=BIN_TOLERANCE, show_default=True,
               callback=_check_tol, help="eigenvalue binning tolerance")
 def spectrum(path, restarts, seed, tol):
     """Idempotents of the form's algebra with Peirce spectra, JSON lines."""
@@ -310,7 +314,7 @@ def clifford_cmd(q, emit_path):
 @click.option("--count", type=click.IntRange(min=0), default=200,
               show_default=True)
 @click.option("--seed", type=click.IntRange(min=0), required=True)
-@click.option("--grad-threshold", type=float, default=0.1, show_default=True,
+@click.option("--grad-threshold", type=float, default=GRAD_THRESHOLD, show_default=True,
               callback=_check_grad_threshold)
 @click.option("--max-curvature", type=float, default=None,
               callback=_check_not_nan, help="exit 1 if any |H| exceeds this")

@@ -234,9 +234,10 @@ class Jet:
     arrays have D = 2**-floor(log2 max|m|), which rescales every float
     result exactly.  The exact jet of a
     Q(sqrt3) form splits D*u = r + sqrt(3) s into two integer jets: these
-    arrays hold r and ``sqrt3`` holds s.  Each piece is then computed once
-    on each, and returned as one ``QSqrt3Array`` (r's piece, s's piece),
-    whose arithmetic keeps the two channels apart; a caller joins it to
+    arrays hold r and ``sqrt3`` holds s.  ``_paired`` computes each piece
+    once on each, in blocks of that jet's own width, and returns one
+    ``QSqrt3Array`` (r's piece, s's piece), whose arithmetic keeps the two
+    channels apart; a caller joins it to
     QSqrt3 entries where a result leaves the kernel.  Every piece keeps
     the kind of p: an object array of exact scalars, or an int64 or float64 array;
     ``symbolic`` gives the pieces of an exact jet as polynomials, as
@@ -271,11 +272,11 @@ class Jet:
         chans = {k: _channels(c) for k, c in u.terms.items()}
         D = math.lcm(*(x.denominator for ch in chans.values() for x in ch))
         # each channel's D * x cleared on integers, with no Fraction product;
-        # a sqrt3 channel, never 0 (``_simplify``), makes a _Sqrt3Jet
+        # a sqrt3 channel, never 0 (``_simplify``), becomes the ``sqrt3`` jet
         jet, s = (cls._arrays(D, [(k, D // ch[i].denominator * ch[i].numerator)
                                   for k, ch in chans.items() if len(ch) > i], object)
                   for i in (0, 1))
-        return _Sqrt3Jet(D, jet.ijk, jet.m, s) if s.m.size else jet
+        return replace(jet, sqrt3=s) if s.m.size else jet
 
     @classmethod
     def _arrays(cls, D: float, terms, dtype) -> "Jet":
@@ -302,14 +303,20 @@ class Jet:
         return replace(self, m=np.tile(residues(self.m[: self.m.size // 3], q), 3),
                        sqrt3=None if self.sqrt3 is None else self.sqrt3.modulo(q))
 
+    def _paired(self, body):
+        """body(jet) on these arrays, or on a Q(sqrt3) jet the ``QSqrt3Array``
+        of it and body on the ``sqrt3`` jet's arrays."""
+        r = body(self)
+        return r if self.sqrt3 is None else QSqrt3Array(r, body(self.sqrt3))
+
     def value(self, p: np.ndarray):
-        return _blocks(self._value, self.m.size // 3, p)
+        return self._paired(lambda j: _blocks(j._value, j.m.size // 3, p))
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
-        return _blocks(self._gradient, self.m.size, p)
+        return self._paired(lambda j: _blocks(j._gradient, j.m.size, p))
 
     def hessian(self, p: np.ndarray) -> np.ndarray:
-        return _blocks(self._hessian, max(p.shape[-1] ** 2, self.m.size), p)
+        return self._paired(lambda j: _blocks(j._hessian, max(p.shape[-1] ** 2, j.m.size), p))
 
     def _value(self, p):
         first = self.m.size // 3
@@ -334,30 +341,38 @@ class Jet:
         """The n coefficients of the linear form D Lap u: a rotation
         (a; b, c) adds m to the coefficient of x_c when a = b, and to that
         of x_b when a = c, as it adds m x_c, m x_b to D^2_aa u."""
-        a, b, c = self.ijk
-        lap = np.zeros(n, dtype=self.m.dtype)
-        np.add.at(lap, c[a == b], self.m[a == b])
-        np.add.at(lap, b[a == c], self.m[a == c])
-        return lap
+        def lap(j):
+            a, b, c = j.ijk
+            out = np.zeros(n, dtype=j.m.dtype)
+            np.add.at(out, c[a == b], j.m[a == b])
+            np.add.at(out, b[a == c], j.m[a == c])
+            return out
+        return self._paired(lap)
 
     def symbolic(self, n: int):
         """(v, g, H, r2): D*u, its gradient and Hessian, and |x|^2, as
         ``PolyArray``s in the n variables, read off the exact arrays:
         ``value``'s block gives the terms of v, and each rotation
         (a; b, c) the term m x_b x_c of g_a and the terms m x_c, m x_b of
-        H_ab, H_ac."""
-        a, b, c = self.ijk
-        first = self.m.size // 3
-        i, j, k = np.sort(self.ijk[:, :first], axis=0)
-        v = PolyArray.collect(n, (), 3, np.zeros(first, dtype=np.int64),
-                              (i * n + j) * n + k, self.m[:first])
-        g = PolyArray.collect(n, (n,), 2, a, np.minimum(b, c) * n + np.maximum(b, c),
-                              self.m)
-        H = PolyArray.collect(n, (n, n), 1, np.concatenate([a * n + b, a * n + c]),
-                              np.concatenate([c, b]), np.tile(self.m, 2))
+        H_ab, H_ac.  r2 is built once, unpaired, on a Q(sqrt3) jet too."""
+        def v(jet):
+            first = jet.m.size // 3
+            i, j, k = np.sort(jet.ijk[:, :first], axis=0)
+            return PolyArray.collect(n, (), 3, np.zeros(first, dtype=np.int64),
+                                     (i * n + j) * n + k, jet.m[:first])
+
+        def g(jet):
+            a, b, c = jet.ijk
+            return PolyArray.collect(n, (n,), 2, a, np.minimum(b, c) * n + np.maximum(b, c),
+                                     jet.m)
+
+        def H(jet):
+            a, b, c = jet.ijk
+            return PolyArray.collect(n, (n, n), 1, np.concatenate([a * n + b, a * n + c]),
+                                     np.concatenate([c, b]), np.tile(jet.m, 2))
         r2 = PolyArray(n, (), 2, np.zeros(n, dtype=np.int64),
                        np.arange(n, dtype=np.int64) * (n + 1), np.ones(n, dtype=np.int64))
-        return v, g, H, r2
+        return self._paired(v), self._paired(g), self._paired(H), r2
 
 
 def _blocks(f, width: int, p: np.ndarray):
@@ -386,27 +401,6 @@ def _scatter(p: np.ndarray, width: int, cols: np.ndarray, vals: np.ndarray) -> n
         cols = (np.arange(0, rows * width, width)[:, None] + cols).ravel()
     np.add.at(out, cols, vals.ravel())
     return out
-
-
-class _Sqrt3Jet(Jet):
-    """The exact jet of a Q(sqrt3) form: each piece is the pair of the
-    piece on these arrays (r) and on the ``sqrt3`` jet's (s)."""
-
-    def value(self, p):
-        return QSqrt3Array(super().value(p), self.sqrt3.value(p))
-
-    def gradient(self, p):
-        return QSqrt3Array(super().gradient(p), self.sqrt3.gradient(p))
-
-    def hessian(self, p):
-        return QSqrt3Array(super().hessian(p), self.sqrt3.hessian(p))
-
-    def laplacian(self, n):
-        return QSqrt3Array(super().laplacian(n), self.sqrt3.laplacian(n))
-
-    def symbolic(self, n):
-        r, s = super().symbolic(n), self.sqrt3.symbolic(n)
-        return (*map(QSqrt3Array, r[:3], s[:3]), r[3])
 
 
 # ---------------------------------------------------------------------------

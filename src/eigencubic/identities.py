@@ -70,7 +70,7 @@ import numpy as np
 
 from .cubics import CubicForm, Jet, block_rows
 from .modular import ResidueStack, _stack, inverse, lift, moduli
-from .scalars import QSqrt3, QSqrt3Array, exact_div, format_rational, is_exact
+from .scalars import QSqrt3, QSqrt3Array, exact_div, format_rational, is_exact, per_channel
 
 EXACT_VAR_LIMIT = 15
 DEFAULT_TRIALS = 20
@@ -199,7 +199,7 @@ def _exact_route(ident: _Identity, jet: Jet, n: int, R: int) -> Callable:
             return (h @ B[..., None])[..., 0] >> 1
 
         H0 = j0.hessian(B)
-        g0 = QSqrt3Array(half(H0.r), half(H0.s)) if isinstance(H0, QSqrt3Array) else half(H0)
+        g0 = per_channel(half, H0)
         for q in qs:
             x, g = ResidueStack(B, q), _stack(g0, q)
             yield x @ g * inverse(3, q), g, _stack(H0, q), x @ x

@@ -20,7 +20,7 @@ import itertools
 
 import numpy as np
 
-from .scalars import QSqrt3Array
+from .scalars import QSqrt3Array, per_channel
 
 # Every residue prime p is below PRIME_TOP, and the int64 bounds follow:
 # - two residues multiply to less than 2**54, and MAX_DIM = 128 such
@@ -158,9 +158,7 @@ class ResidueStack:
 
 def _stack(x, q: int):
     """A piece's int64 array, or the pair of them, as ``ResidueStack``s."""
-    if isinstance(x, QSqrt3Array):
-        return QSqrt3Array(ResidueStack(x.r, q), ResidueStack(x.s, q))
-    return ResidueStack(x, q)
+    return per_channel(lambda a: ResidueStack(a, q), x)
 
 
 def lift(channels) -> np.ndarray:

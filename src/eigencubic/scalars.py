@@ -250,6 +250,12 @@ def joined(x):
     return x.join() if isinstance(x, QSqrt3Array) else x
 
 
+def per_channel(f, x):
+    """f on each channel of a ``QSqrt3Array``, paired again; f(x) on
+    anything else."""
+    return QSqrt3Array(f(x.r), f(x.s)) if isinstance(x, QSqrt3Array) else f(x)
+
+
 def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction, QSqrt3))
 

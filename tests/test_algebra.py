@@ -13,7 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from eigencubic import algebra, cubics, identities, modular
 from eigencubic.algebra import MetrisedAlgebra, _newton_step
-from eigencubic.cubics import (CATALOG, CubicForm, Jet, _Sqrt3Jet, cartan_cubic,
+from eigencubic.cubics import (CATALOG, CubicForm, Jet, cartan_cubic,
                                catalog_build, trivial_cubic)
 from eigencubic.identities import check_radial
 from eigencubic.poly import Poly
@@ -985,8 +985,8 @@ def _unrotated_jet(sqrt3: bool) -> Jet:
     if not sqrt3:
         return Jet(6, ijk, np.array([5, -7], dtype=object))
     rotations = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.intp)
-    return _Sqrt3Jet(6, rotations, np.array([5, 5, 5], dtype=object),
-                     Jet(6, ijk, np.array([5, -7], dtype=object)))
+    return Jet(6, rotations, np.array([5, 5, 5], dtype=object),
+               sqrt3=Jet(6, ijk, np.array([5, -7], dtype=object)))
 
 
 def _kernel_weak(jet, n, trials, seed):
@@ -1130,7 +1130,7 @@ def test_cyclic_matches_the_dense_tensor(seed):
 
     jet = Jet(1, *part())
     if seed % 3 == 0:
-        jet = _Sqrt3Jet(1, jet.ijk, jet.m, Jet(1, *part()))
+        jet = Jet(1, jet.ijk, jet.m, sqrt3=Jet(1, *part()))
     assert is_cyclic(jet, n) == (_kernel_weak(jet, n, 20, seed) == 0)
     if seed % 2:
         assert is_cyclic(jet, n)

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from eigencubic import algebra, identities
 from eigencubic.cli import CHECKS, main
 from eigencubic.cubics import CATALOG
 from test_cubics import _CATALOG_SHA256
@@ -164,6 +165,16 @@ def test_verify_forced_random_mode(runner, tmp_path):
     assert rec["pass"] and rec["mode"] == "random"
     assert rec["constant"] == "-54"
     assert 0 < rec["error_bound"] <= (5 / 10 ** 6) ** 10
+
+
+@pytest.mark.parametrize("command", ["verify", "classify"])
+def test_exact_and_random_together_are_a_usage_error(runner, tmp_path, command):
+    # each flag forces a mode, so asking for both names no run: exit 2,
+    # with both flags in the message and nothing on stdout
+    path = _emit(runner, tmp_path, "cartan-d1")
+    res = runner.invoke(main, [command, path, "--exact", "--random", "3"])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert "--exact" in res.stderr and "--random" in res.stderr
 
 
 @pytest.mark.parametrize("trials", ["70", "200"])
@@ -479,6 +490,15 @@ def test_spectrum_tol_default_is_unchanged(runner, tmp_path):
     assert run(runner, *args, "--tol", "1e-6").output == res.output
 
 
+@pytest.mark.parametrize("command, option, constant",
+                         [("cone-sample", "grad_threshold", identities.GRAD_THRESHOLD),
+                          ("spectrum", "tol", algebra.BIN_TOLERANCE)])
+def test_option_defaults_are_the_library_constants(command, option, constant):
+    # each default is read from the library, not written again as a literal
+    param = next(p for p in main.commands[command].params if p.name == option)
+    assert param.default is constant
+
+
 def test_cone_sample_gate_defaults_and_inf(runner, tmp_path):
     # inf is an explicit request: every ray is under an infinite gradient
     # threshold, and no curvature exceeds an infinite bound
@@ -595,20 +615,23 @@ def test_exact_checks_expand_the_pieces_once(runner, tmp_path, monkeypatch, args
                                              name, channels):
     # every exact check of a form multiplies the same PolyArray pieces, so
     # a command reads them off the jet once: one Jet.symbolic call per
-    # channel, two on the Q(sqrt3) form cartan-d4
+    # form, whose v, g and H carry both channels of the Q(sqrt3) form
+    # cartan-d4 as QSqrt3Array pairs
     from eigencubic.cubics import Jet
+    from eigencubic.scalars import QSqrt3Array
     calls = []
 
     def counted(self, n):
-        calls.append(n)
-        return symbolic(self, n)
+        calls.append(symbolic(self, n))
+        return calls[-1]
 
     symbolic = Jet.symbolic
     monkeypatch.setattr(Jet, "symbolic", counted)
     path = _emit(runner, tmp_path, name)
     res = run(runner, args[0], path, *args[1:])
     assert res.exit_code == 0
-    assert len(calls) == channels
+    assert len(calls) == 1
+    assert [isinstance(x, QSqrt3Array) for x in calls[0]] == [channels == 2] * 3 + [False]
 
 
 def test_cone_sample(runner, tmp_path):

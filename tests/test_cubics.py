@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -491,6 +492,71 @@ def test_jet_splits_any_stack_into_blocks(monkeypatch):
                 assert got.reshape(want.shape).tolist() == want.tolist()
     assert all(rows <= top for _, rows, top in calls)
     assert {name for name, _, top in calls if top < 12} == set(_BODY_WIDTHS)
+
+
+def _assert_same_piece(got, want):
+    """Two pieces of one channel hold the same entries: of the same dtype,
+    bit for bit, or the same terms of PolyArrays."""
+    if hasattr(want, "code"):
+        assert (got.nvars, got.shape, got.deg) == (want.nvars, want.shape, want.deg)
+        for f in ("idx", "code", "coef"):
+            assert np.array_equal(getattr(got, f), getattr(want, f))
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tolist() == want.tolist()
+
+
+def _hand_built_sqrt3_jet():
+    """2 x0 x1 x2 + 4 x0^3 + sqrt3 (x0^2 x3 - 3 x1^3 + 7 x2 x3^2 + 5 x1 x2 x3
+    - x3^3): the sqrt(3) channel has more monomials than the rational one."""
+    r = Jet._arrays(1, [((0, 1, 2), 2), ((0, 0, 0), 4)], object)
+    s = Jet._arrays(1, [((0, 0, 3), 1), ((1, 1, 1), -3), ((2, 3, 3), 7), ((1, 2, 3), 5),
+                        ((3, 3, 3), -1)], object)
+    return replace(r, sqrt3=s), 4
+
+
+@pytest.mark.parametrize("name", ["cartan-d4", "cartan-d8", "hand-built"])
+def test_a_sqrt3_jet_pairs_the_pieces_of_its_two_channels(monkeypatch, name):
+    # every piece of a Q(sqrt3) jet is the QSqrt3Array of that piece on its
+    # rational channel and on its sqrt(3) channel, each a Jet of its own:
+    # exact, modulo 2**64 and modulo the first residue prime.  With a small
+    # BLOCK both channels split 12 points into blocks, each of its own width
+    monkeypatch.setattr(cubics, "BLOCK", 8)
+    calls = []
+    for body, width in _BODY_WIDTHS.items():
+        def spy(jet, p, f=getattr(Jet, body), width=width):
+            n = p.shape[-1]
+            calls.append((id(jet.m), p.size // n, cubics.block_rows(width(jet, n))))
+            return f(jet, p)
+        monkeypatch.setattr(Jet, body, spy)
+    if name == "hand-built":
+        jet, n = _hand_built_sqrt3_jet()
+        assert jet.sqrt3.m.size > jet.m.size
+    else:
+        u = catalog_build(name)
+        jet, n = u.jet(exact=True), u.n
+    r, s = Jet(jet.scale, jet.ijk, jet.m), jet.sqrt3
+    assert type(jet) is Jet and s is not None and s.sqrt3 is None
+    rng = random.Random(7)
+    X = np.array([rng.randint(-9, 9) for _ in range(12 * n)], dtype=object).reshape(12, n)
+    pieces = [lambda j: j.value(X), lambda j: j.gradient(X), lambda j: j.hessian(X),
+              lambda j: j.laplacian(n)]
+    for q in (0, next(primes())):
+        pieces.append(lambda j, q=q: j.modulo(q).hessian(X.astype(np.int64)))
+    for piece in pieces:
+        got = piece(jet)
+        assert isinstance(got, QSqrt3Array)
+        _assert_same_piece(got.r, piece(r))
+        _assert_same_piece(got.s, piece(s))
+    *paired, r2 = jet.symbolic(n)
+    for got, want_r, want_s in zip(paired, r.symbolic(n), s.symbolic(n)):
+        assert isinstance(got, QSqrt3Array)
+        _assert_same_piece(got.r, want_r)
+        _assert_same_piece(got.s, want_s)
+    _assert_same_piece(r2, r.symbolic(n)[3])
+    assert all(rows <= top for _, rows, top in calls)
+    split = {m for m, rows, top in calls if top < 12}
+    assert {id(r.m), id(s.m)} <= split
 
 
 def test_no_module_but_cubics_reads_the_jet_arrays():
