@@ -8,7 +8,7 @@ from .cubics import (CATALOG, CubicForm, albert_contraction_cubic,
                      complexified_cubic, involution_cubic, octonion_cubic21,
                      trivial_cubic)
 from .jordan import (HermMat3, freudenthal_det, fullspace_basis, involution,
-                     jordan_mul, trace_form, tracefree_basis)
+                     trace_form, tracefree_basis)
 from .poly import Poly
 from .scalars import QSqrt3
 

@@ -80,7 +80,7 @@ ASCENT_STEPS = 200
 # of one gradient-fallback step of the Newton polish.
 ASCENT_HALVINGS = 30
 POLISH_HALVINGS = 20
-# The largest |c o c - c| ``peirce`` accepts, in the float jet's units.
+# The largest |c o c - c| a Peirce record accepts, in the float jet's units.
 PEIRCE_RESIDUAL = 1e-8
 
 
@@ -192,24 +192,7 @@ class MetrisedAlgebra:
         found = sorted((c * jet.scale for c in kept[:k]),
                        key=lambda c: tuple(np.round(c, 8)))
         return [p for s in range(0, len(found), rows)
-                for p in _peirce_records(jet, np.stack(found[s:s + rows]), bin_tol,
-                                         PEIRCE_RESIDUAL)]
-
-    def peirce(self, c, bin_tol: float = BIN_TOLERANCE,
-               residual_tol: float = PEIRCE_RESIDUAL) -> PeirceData:
-        """Eigendecomposition of L_c binned at 1, -1, -1/2, 1/2.
-
-        Leftover eigenvalues are reported in ``unbinned`` rather than
-        forced into a bin, so a non-conforming algebra stays visible.
-        ``residual_tol`` is in the float jet's units, as the search's are.
-        The record is ``_peirce_records`` on the one row c, as
-        ``find_idempotents`` builds its records.
-        """
-        c = np.asarray(c, dtype=float)
-        if c.shape != (self.n,):
-            raise ValueError("idempotent has wrong length")
-        return _peirce_records(self.form.jet(exact=False), c[None], bin_tol,
-                               residual_tol)[0]
+                for p in _peirce_records(jet, np.stack(found[s:s + rows]), bin_tol)]
 
     # -- the defining identity -----------------------------------------------
     def check_hsiang_identity(self, theta, trials: int = 100, seed: int = 0):
@@ -423,17 +406,16 @@ def _newton_step(lam: np.ndarray, V: np.ndarray, F: np.ndarray) -> np.ndarray:
     return V[:, keep] @ ((V[:, keep].T @ -F) / lam[keep])
 
 
-def _peirce_records(jet: Jet, C: np.ndarray, bin_tol: float,
-                    residual_tol: float) -> List[PeirceData]:
+def _peirce_records(jet: Jet, C: np.ndarray, bin_tol: float) -> List[PeirceData]:
     """The PeirceData of each row of C, from one stacked gradient, Hessian
     and ``eigvalsh``; raises ValueError at the first row whose residual is
-    above ``residual_tol`` (in the jet's units) or not finite."""
+    above PEIRCE_RESIDUAL (in the jet's units) or not finite."""
     CN = C / jet.scale
     with np.errstate(invalid="ignore", over="ignore"):
         F = 2.0 * jet.gradient(CN) - CN
         residuals = jet.scale * np.sqrt(_dots(F, F))
     for residual in residuals:
-        if not residual <= residual_tol * jet.scale:
+        if not residual <= PEIRCE_RESIDUAL * jet.scale:
             raise ValueError(f"not an idempotent: |c o c - c| = {residual:.3g}")
     L = jet.hessian(CN)
     E = np.linalg.eigvalsh(0.5 * (L + L.swapaxes(-1, -2)))

@@ -6,9 +6,10 @@ out of range, a ``--tol`` that is not finite and positive, a NaN or
 negative ``--grad-threshold``, a NaN ``--max-curvature``, a form path
 that is a directory or cannot be read, an output path that cannot be
 opened for writing, a form file with dim < 1, a monomial listed twice, a
-coefficient with a zero denominator, one that is not finite or exceeds
-1e50 in magnitude or a largest one below 1e-50, the zero form where a
-radial constant is asked for), 3 internal error (any other exception,
+JSON key repeated in one object, JSON nested past the decoder's recursion
+limit, a coefficient with a zero denominator, one that is not finite or
+exceeds 1e50 in magnitude or a largest one below 1e-50, the zero form
+where a radial constant is asked for), 3 internal error (any other exception,
 reported as one stderr line ``internal error: <Type>: <message>``), 141
 (128 + SIGPIPE) when the reader of stdout closed it early, with nothing
 on stderr.
@@ -66,15 +67,26 @@ def _emit(obj) -> None:
     click.echo(json.dumps(obj, sort_keys=True))
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, with a ValueError for a key given twice."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} is repeated")
+        out[key] = value
+    return out
+
+
 def _load_form(path: str) -> CubicForm:
+    # RecursionError: JSON nested past the decoder's limit; OverflowError: an infinite c3
     try:
         with open(path) as fh:
-            return CubicForm.from_json_dict(json.load(fh))
+            return CubicForm.from_json_dict(json.load(fh, object_pairs_hook=_unique_keys))
     except FileNotFoundError:
         raise click.UsageError(f"no such file: {path}")
     except OSError as exc:
         raise click.UsageError(f"cannot read {path}: {exc.strerror or exc}")
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise click.UsageError(f"invalid cubic-form file {path}: {exc}")
 
 

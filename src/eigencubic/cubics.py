@@ -30,8 +30,7 @@ from .jordan import (HermMat3, cleared, common_denominator, det_polar_twice,
                      trace_form, tracefree_basis)
 from .modular import residues
 from .poly import Poly, PolyArray
-from .scalars import (QSqrt3, QSqrt3Array, format_rational, is_exact, joined,
-                      parse_rational)
+from .scalars import QSqrt3, QSqrt3Array, format_rational, is_exact, parse_rational
 
 Key = Tuple[int, int, int]
 
@@ -104,9 +103,6 @@ class CubicForm:
             return self.n == other.n and self.terms == other.terms
         return NotImplemented
 
-    def scaled(self, t) -> "CubicForm":
-        return CubicForm(self.n, {k: t * c for k, c in self.terms.items()})
-
     def coo(self):
         """All distinct permutations (a, b, c, w) of the full tensor, w = m /
         their count, built per call.  The kernel ``Jet`` does not read it;
@@ -138,25 +134,11 @@ class CubicForm:
             self._symbolic = self.jet(exact=True).symbolic(self.n)
         return self._symbolic
 
-    # -- evaluation and calculus -------------------------------------------
-    def to_poly(self) -> Poly:
-        return Poly(self.n, self.terms)
-
     @classmethod
     def from_poly(cls, p: Poly) -> "CubicForm":
         if any(len(mono) != 3 for mono in p.terms):
             raise ValueError("polynomial is not homogeneous of degree 3")
         return cls(p.nvars, p.terms)
-
-    def laplacian(self) -> Poly:
-        """Linear polynomial sum of the repeated second partials, read off
-        the kernel: off the exact jet on an exact form, off the float64
-        jet on any other (a float coefficient makes the whole form a float
-        one), so a float form's Laplacian has float coefficients."""
-        jet = self.jet(exact=self.is_exact_form)
-        D = Fraction(jet.scale)
-        lap = joined(jet.laplacian(self.n))
-        return Poly(self.n, {(v,): c / D for v, c in enumerate(lap)})
 
     def to_float(self) -> "CubicForm":
         return CubicForm(self.n, {k: float(c) for k, c in self.terms.items()})

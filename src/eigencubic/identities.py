@@ -70,7 +70,8 @@ import numpy as np
 
 from .cubics import CubicForm, Jet, block_rows
 from .modular import ResidueStack, _stack, inverse, lift, moduli
-from .scalars import QSqrt3, QSqrt3Array, exact_div, format_rational, is_exact, per_channel
+from .scalars import (QSqrt3, QSqrt3Array, exact_div, format_rational, is_exact, joined,
+                      per_channel)
 
 EXACT_VAR_LIMIT = 15
 DEFAULT_TRIALS = 20
@@ -372,12 +373,13 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
 # ---------------------------------------------------------------------------
 
 def check_harmonic(u: CubicForm) -> bool:
-    """Lap u == 0; the Laplacian of a cubic is linear, so always exact."""
-    lap = u.laplacian()
+    """Lap u == 0; the Laplacian of a cubic is linear, so always exact.
+    Every coefficient of the kernel's D Lap u is 0 on an exact form, and at
+    most FLOAT_REL_TOL in magnitude on a float one (D a power of two)."""
+    lap = joined(u.jet(exact=u.is_exact_form).laplacian(u.n))
     if u.is_exact_form:
-        return lap.is_zero()
-    tol = FLOAT_REL_TOL / u.jet(exact=False).scale
-    return all(abs(float(c)) <= tol for c in lap.terms.values())
+        return not any(lap)
+    return bool((np.abs(lap) <= FLOAT_REL_TOL).all())
 
 
 def check_radial(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS,
@@ -483,8 +485,10 @@ POINT_BATCH = 256               # cone points searched together
 
 
 def _curvatures(jet: Jet, X: np.ndarray, grad_threshold: float) -> List[Optional[float]]:
-    """``mean_curvature`` at each nonzero row x of X on the float ``jet``
-    of u: H, or None where it rejects x.
+    """The cone's mean curvature H = (|Du|^2 Lap u - Du . (D^2u) Du) / |Du|^3
+    at each nonzero row x of X on the float ``jet`` (degree -1 in x, 0 in u),
+    or None where the gradient at x / |x| is under the threshold or H is
+    not finite.
 
     The rows go to the sphere, p = x / |x|, and their gradient norms gn
     are tested as one stack; ``_sides_at`` gives the numerator, the
@@ -503,28 +507,6 @@ def _curvatures(jet: Jet, X: np.ndarray, grad_threshold: float) -> List[Optional
             h = float(lhs / gn[i] ** 3 / nx[i])
         out[i] = h if math.isfinite(h) else None
     return out
-
-
-def mean_curvature(u: CubicForm, x, grad_threshold: float = GRAD_THRESHOLD) -> float:
-    """H = (|Du|^2 Lap u - Du . (D^2u) Du) / |Du|^3 evaluated at x.
-
-    The numerator is the left side of the radial identity.  The
-    regularization threshold applies to the gradient at x/|x|, so a
-    point near the singular set is rejected (ValueError) regardless of
-    its distance from the origin.  H has degree -1 in x and 0 in u, so
-    the float jet's D*u gives it; a non-finite value is rejected too.
-    H is ``_curvatures`` on the one row x, as the cone sampler takes it.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (u.n,):
-        raise ValueError(f"point has shape {x.shape}, not ({u.n},)")
-    if np.linalg.norm(x) == 0:
-        raise ValueError("mean curvature is undefined at the origin")
-    h = _curvatures(u.jet(exact=False), x[None], grad_threshold)[0]
-    if h is None:
-        raise ValueError(f"no mean curvature at x: the gradient norm on the unit "
-                         f"sphere is below {grad_threshold}, or H is not finite")
-    return h
 
 
 @dataclass
@@ -670,9 +652,9 @@ def sample_cone(u: CubicForm, count: int, seed: int,
     Point ``idx`` draws up to MAX_TRIES rays from its own stream
     ``default_rng((seed, idx))``: two Gaussian points a, b normalised to
     the sphere.  A ray where u changes sign, its ends not antipodal, is
-    bisected (``_bisect``), and the first whose end point passes
-    ``mean_curvature`` gives the point.  Each ray rejected before it
-    (gradient under the threshold, or not finite) counts once in
+    bisected (``_bisect``), and the first whose end point has a mean
+    curvature (``_curvatures``) gives the point.  Each ray rejected before
+    it (gradient under the threshold, or not finite) counts once in
     ``rejected``, and so does a point none of whose rays changed sign.
 
     Up to POINT_BATCH points are searched together, so memory does not
@@ -683,12 +665,11 @@ def sample_cone(u: CubicForm, count: int, seed: int,
     by one.  A round then bisects, as one array, each pending point's
     next ray, or its next 2, 4, ... from its second round in a row whose
     rays were all rejected, and takes the mean curvatures of their end
-    points from one stack (``_curvatures``, which ``mean_curvature`` runs
-    on one row); a ray ``_bisect`` proves rejected leaves early.  Each
-    point's rays are judged in draw order, up to its first accepted one,
-    so a point bisects a ray it does not judge only after two rejected
-    rounds.  The report, with points in index order, is the one a
-    ray-by-ray search gives, bit for bit.
+    points from one stack; a ray ``_bisect`` proves rejected leaves
+    early.  Each point's rays are judged in draw order, up to its first
+    accepted one, so a point bisects a ray it does not judge only after
+    two rejected rounds.  The report, with points in index order, is the
+    one a ray-by-ray search gives, bit for bit.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")

@@ -111,11 +111,6 @@ def _chk(a: HermMat3, b: HermMat3):
         raise ValueError(f"base dimension mismatch: {a.d} vs {b.d}")
 
 
-def jordan_mul(A: HermMat3, B: HermMat3) -> HermMat3:
-    """A o B = (AB + BA)/2; Hermitian for every d, including octonions."""
-    return jordan_twice(A, B).scale(Fraction(1, 2))
-
-
 def jordan_twice(A: HermMat3, B: HermMat3) -> HermMat3:
     """2 A o B = AB + BA, which keeps integer coordinates integral."""
     _chk(A, B)

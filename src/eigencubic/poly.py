@@ -29,7 +29,7 @@ integer points without building a polynomial.
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -95,9 +95,6 @@ class Poly:
         return cls(nvars, {(i,): 1})
 
     # -- queries ----------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.nvars == other.nvars and self.terms == other.terms
@@ -149,27 +146,6 @@ class Poly:
         return Poly(self.nvars, {m: c * other for m, c in self.terms.items()})
 
     __rmul__ = __mul__
-
-    def diff(self, i: int) -> "Poly":
-        # dropping one i is injective on the monomials containing i
-        out: Dict[Mono, object] = {}
-        for m, c in self.terms.items():
-            e = m.count(i)
-            if e:
-                k = m.index(i)
-                out[m[:k] + m[k + 1:]] = e * c
-        return Poly(self.nvars, out)
-
-    def eval(self, point: Sequence) -> object:
-        if len(point) != self.nvars:
-            raise ValueError("point length mismatch")
-        total = 0
-        for m, c in self.terms.items():
-            v = c
-            for i in m:
-                v = v * point[i]
-            total = total + v
-        return total
 
     def __repr__(self):
         if not self.terms:

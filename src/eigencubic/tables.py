@@ -1,16 +1,17 @@
 """The classification data: 23 admissible Peirce triples with statuses.
 
-The table is embedded as code-level data guarded by a checksum; it is
-the single source of truth the tests compare computed triples against.
+The table is embedded as code-level data; it is the single source of
+truth the tests compare computed triples against.
 Twelve triples carry a witness constructor, eight are eliminated, and
 the three n2 = 8 rows (3,8,12), (5,8,16), (9,8,24) remain open.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 Triple = Tuple[int, int, int]
 
@@ -67,18 +68,8 @@ _ROWS = (
     (7, 26, 38, ELIMINATED, None),
 )
 
-TABLE_SHA256 = "d97dcbc79e5b8d9582a07a3e2f8508a66ef64a986d32e2f726932804169dfabc"
-
-
-def _checksum() -> str:
-    payload = ";".join(f"{r[0]},{r[1]},{r[2]},{r[3]},{r[4]}" for r in _ROWS)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def admissible_triples() -> List[TripleRecord]:
     """All 23 a priori admissible Peirce triples in table order."""
-    if _checksum() != TABLE_SHA256:
-        raise AssertionError("admissible-triple table corrupted (checksum mismatch)")
     return [TripleRecord(*row) for row in _ROWS]
 
 
@@ -101,7 +92,8 @@ def cross_validate(seed: int = 0, restarts: int = 8, which: str = "all") -> List
 
     Returns one report dict per table row of status ``which`` ("all" for
     every row), so no witness runs for a row left out; eliminated and open
-    rows are marked untestable.  Failures are reported, never raised.
+    rows are marked untestable.  A ValueError or LinAlgError, which valid
+    input can raise, is a failed row; any other exception propagates.
     """
     from .algebra import MetrisedAlgebra
     from .cubics import catalog_build
@@ -132,7 +124,7 @@ def cross_validate(seed: int = 0, restarts: int = 8, which: str = "all") -> List
             ok = (rad.passed and u.n == rec.dim and len(idems) > 0
                   and triples == [rec.triple])
             rep["result"] = "pass" if ok else "fail"
-        except Exception as exc:  # report, never throw
+        except (ValueError, np.linalg.LinAlgError) as exc:
             rep["result"] = "fail"
             rep["error"] = f"{type(exc).__name__}: {exc}"
         reports.append(rep)

@@ -1,8 +1,9 @@
 """Direct references for a ``CubicForm``, for the tests that compare the
-kernel ``Jet`` against them: the dense symmetric tensor, the complete
-polarization, the gradient and Hessian as lists of ``Poly``, and the
-dense coefficient tensors of a jet's polarization, which decide weak
-associativity; and a seeded sparse random cubic."""
+kernel ``Jet`` against them: the form as a ``Poly``, the dense symmetric
+tensor, the complete polarization, the gradient, Hessian and Laplacian
+as ``Poly``s, and the dense coefficient tensors of a jet's polarization,
+which decide weak associativity; and a scaled copy of a form and a
+seeded sparse random cubic."""
 
 import random
 from typing import List, Sequence
@@ -11,6 +12,17 @@ import numpy as np
 
 from eigencubic.cubics import CubicForm, Jet
 from eigencubic.poly import Poly
+from polyref import diff
+
+
+def to_poly(u: CubicForm) -> Poly:
+    """u as a Poly on its n variables, with u's own coefficients."""
+    return Poly(u.n, u.terms)
+
+
+def scaled(u: CubicForm, t) -> CubicForm:
+    """t u, each coefficient multiplied by t."""
+    return CubicForm(u.n, {k: t * c for k, c in u.terms.items()})
 
 
 def dense_tensor(u: CubicForm) -> np.ndarray:
@@ -34,13 +46,21 @@ def polarize(u: CubicForm, x: Sequence, y: Sequence, z: Sequence):
 
 
 def gradient(u: CubicForm) -> List[Poly]:
-    p = u.to_poly()
-    return [p.diff(i) for i in range(u.n)]
+    p = to_poly(u)
+    return [diff(p, i) for i in range(u.n)]
 
 
 def hessian(u: CubicForm) -> List[List[Poly]]:
     grads = gradient(u)
-    return [[grads[i].diff(j) for j in range(u.n)] for i in range(u.n)]
+    return [[diff(grads[i], j) for j in range(u.n)] for i in range(u.n)]
+
+
+def laplacian(u: CubicForm) -> Poly:
+    """The trace of u's Poly Hessian, with u's own coefficients: a float
+    form's Laplacian has float coefficients.  It does not go through the
+    kernel."""
+    H = hessian(u)
+    return sum((H[i][i] for i in range(u.n)), Poly.zero(u.n))
 
 
 def polarization_tensors(jet: Jet, n: int) -> list:

@@ -1,5 +1,9 @@
 """``PolyArray`` against ``Poly``: each entry of an array as a Poly, after
-checking the array's layout, for the tests that compare the two."""
+checking the array's layout, for the tests that compare the two; and a
+Poly's value at a point and its partial derivatives, the tests' reference
+evaluation."""
+
+from typing import Sequence
 
 import numpy as np
 
@@ -44,3 +48,29 @@ def joined_terms(side) -> list:
         return [p.terms for p in to_polys(side).ravel()]
     return [{m: QSqrt3(r.get(m, 0), s[m]) if m in s else r[m] for m in {**r, **s}}
             for r, s in zip(joined_terms(side.r), joined_terms(side.s))]
+
+
+def evaluate(p: Poly, point: Sequence):
+    """p at ``point``, monomial by monomial, in the arithmetic of the
+    point's entries and p's coefficients."""
+    if len(point) != p.nvars:
+        raise ValueError("point length mismatch")
+    total = 0
+    for m, c in p.terms.items():
+        v = c
+        for i in m:
+            v = v * point[i]
+        total = total + v
+    return total
+
+
+def diff(p: Poly, i: int) -> Poly:
+    """The partial derivative of p in x_i."""
+    # dropping one i is injective on the monomials containing i
+    out = {}
+    for m, c in p.terms.items():
+        e = m.count(i)
+        if e:
+            k = m.index(i)
+            out[m[:k] + m[k + 1:]] = e * c
+    return Poly(p.nvars, out)

@@ -11,6 +11,8 @@ import numpy as np
 from eigencubic.cubics import CubicForm
 from eigencubic.poly import Poly
 from eigencubic.scalars import QSqrt3
+from formref import to_poly
+from polyref import evaluate
 
 
 def _rational_inverse(M):
@@ -85,7 +87,7 @@ def rotate_by_substitution(u, Q):
     n = u.n
     qx = [sum((Poly.var(n, j) * Q[i][j] for j in range(n) if Q[i][j]), Poly.zero(n))
           for i in range(n)]
-    return CubicForm.from_poly(u.to_poly().eval(qx))
+    return CubicForm.from_poly(evaluate(to_poly(u), qx))
 
 
 def skew(n, entries):

@@ -18,7 +18,8 @@ from eigencubic.cubics import (CATALOG, CubicForm, Jet, cartan_cubic,
 from eigencubic.identities import check_radial
 from eigencubic.poly import Poly
 from eigencubic.scalars import QSqrt3, joined
-from formref import gradient, hessian, is_cyclic, polarization_tensors, polarize
+from formref import gradient, hessian, is_cyclic, polarization_tensors, polarize, scaled
+from polyref import evaluate
 from rotations import cayley_rotation, rotate_by_substitution, rotate_exact, skew
 
 DIM3 = catalog_build("clifford-q0")
@@ -54,7 +55,7 @@ def test_square_is_twice_gradient():
             x = frac_point(rng, u.n)
             p = np.array(x, dtype=object)
             assert (joined(jet.hessian(p)) @ p).tolist() == \
-                [2 * jet.scale * g.eval(x) for g in grads]
+                [2 * jet.scale * evaluate(g, x) for g in grads]
 
 
 def test_multiply_matches_polarization():
@@ -87,18 +88,18 @@ def test_mult_operator():
 
 
 def test_trace_of_mult_vanishes_iff_harmonic():
-    # tr L_x = Lap u(x), on the kernel and on the Laplacian read off it
+    # tr L_x = Lap u(x), on the kernel's Hessian and Laplacian
     rng = random.Random(3)
     jet = DIM3.jet(exact=True)
+    assert not any(joined(jet.laplacian(3)))
     for _ in range(5):
         x = frac_point(rng, 3)
         assert joined(jet.hessian(np.array(x, dtype=object))).trace() == 0
-        assert DIM3.laplacian().eval(x) == 0
     triv = trivial_cubic(3, 1)
     tjet = triv.jet(exact=True)
     # Lap(x^3) = 6x
     assert joined(tjet.hessian(np.array(E1, dtype=object))).trace() == 6 * tjet.scale
-    assert triv.laplacian().eval(E1) == 6
+    assert joined(tjet.laplacian(3)).tolist() == [6 * tjet.scale, 0, 0]
 
 
 def test_multiplication_rank():
@@ -121,7 +122,7 @@ def _rank_case(case):
     if name in CATALOG:
         u = _built(name)
         if variant == "e18":
-            u = u.scaled(10 ** 18)
+            u = scaled(u, 10 ** 18)
         elif variant == "mutant":
             k = next(iter(u.terms))
             u = CubicForm(u.n, {**u.terms, k: u.terms[k] + Fraction(1, 7)})
@@ -233,7 +234,7 @@ def _sympy_rank(u):
         return sympy.Rational(x)
 
     H, eye = hessian(u), np.eye(u.n, dtype=int).tolist()
-    rows = [[entry(H[a][j].eval(eye[i])) for a in range(u.n)]
+    rows = [[entry(evaluate(H[a][j], eye[i])) for a in range(u.n)]
             for i in range(u.n) for j in range(i, u.n)]
     return DomainMatrix.from_list_sympy(len(rows), u.n, rows, extension=True).rank()
 
@@ -688,29 +689,38 @@ def test_find_idempotents_requires_restart():
         ALG3.find_idempotents(restarts=2, seed=-1)
 
 
+def _peirce(alg, c):
+    """The Peirce record of the one point c, as the search builds its
+    records."""
+    return algebra._peirce_records(alg.form.jet(exact=False), c[None],
+                                   algebra.BIN_TOLERANCE)[0]
+
+
 def test_peirce_rejects_non_idempotent():
     with pytest.raises(ValueError):
-        ALG3.peirce(np.array([1.0, 1.0, 1.0]))
+        _peirce(ALG3, np.array([1.0, 1.0, 1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_peirce_rejects_a_non_finite_point(bad):
+def test_peirce_rejects_a_non_finite_point(bad, monkeypatch):
     # a NaN or infinite residual is not <= the tolerance: the point is
     # rejected as not an idempotent, with no LinAlgError and no warning,
     # whatever the tolerance
     c = np.array([0.5, bad, 0.0])
     for tol in (1e-8, np.inf):
+        monkeypatch.setattr(algebra, "PEIRCE_RESIDUAL", tol)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not an idempotent"):
-                ALG3.peirce(c, residual_tol=tol)
+                _peirce(ALG3, c)
 
 
 def test_peirce_is_the_search_records_routine():
-    # peirce(c) gives the record the search gives for c, bit for bit
+    # the record of c alone is the one the search gives for c in its
+    # stack, bit for bit
     alg = MetrisedAlgebra(catalog_build("complexified-d2"))
     for p in alg.find_idempotents(restarts=16, seed=1):
-        q = alg.peirce(p.c)
+        q = _peirce(alg, p.c)
         assert np.array_equal(p.eigenvalues, q.eigenvalues)
         assert p.to_json_dict() == q.to_json_dict()
 
@@ -755,7 +765,7 @@ def test_hsiang_identity_scaling():
     theta = check_radial(u).constant
     for _ in range(3):
         t = Fraction(rng.randint(1, 7), rng.randint(1, 7))
-        alg = MetrisedAlgebra(u.scaled(t))
+        alg = MetrisedAlgebra(scaled(u, t))
         assert alg.check_hsiang_identity(t * t * theta, trials=20, seed=2) == 0
 
 
@@ -881,9 +891,9 @@ def test_idempotent_uniform_length_and_spectrum():
 def test_peirce_scale_invariance():
     # idempotents of t*u are c/t with the same L-spectrum
     t = Fraction(3, 2)
-    scaled = MetrisedAlgebra(DIM3.scaled(t))
+    alg = MetrisedAlgebra(scaled(DIM3, t))
     base = ALG3.find_idempotents(restarts=16, seed=7)
-    idems = scaled.find_idempotents(restarts=16, seed=7)
+    idems = alg.find_idempotents(restarts=16, seed=7)
     base_set = [p.c for p in base]
     for p in idems:
         assert min(np.linalg.norm(p.c * float(t) - b) for b in base_set) < 1e-10
@@ -894,7 +904,7 @@ def test_peirce_scale_invariance():
 def test_find_idempotents_scale_invariance(s):
     # the search cutoffs are in the float jet's normalised units, so a
     # scaled float form gives every idempotent the unscaled one does
-    idems = MetrisedAlgebra(cartan_cubic(1).to_float().scaled(s)) \
+    idems = MetrisedAlgebra(scaled(cartan_cubic(1).to_float(), s)) \
         .find_idempotents(restarts=64, seed=1)
     assert len(idems) == 64
     assert {p.triple for p in idems} == {(2, 0, 2)}
@@ -1039,7 +1049,7 @@ def test_cyclic_holds_on_every_form_built(name):
     # weak associativity is an exact 0 on each
     u = _built(name)
     k = next(iter(u.terms))
-    for v in (u, u.scaled(10 ** 18), CubicForm(u.n, {**u.terms, k: u.terms[k] + Fraction(1, 7)}),
+    for v in (u, scaled(u, 10 ** 18), CubicForm(u.n, {**u.terms, k: u.terms[k] + Fraction(1, 7)}),
               u.to_float()):
         assert is_cyclic(v.jet(exact=True), v.n)
         got = MetrisedAlgebra(v).weak_associativity_max_residual(trials=10, seed=1)

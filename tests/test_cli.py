@@ -249,6 +249,16 @@ _DEGENERATE_FILES = {
     "c3-over-zero": _form_file(c3="2/0"),
     # a float c makes a float form, whose terms carry no exact sqrt(3) part
     "float-c-with-c3": _form_file(c=0.5, c3="1"),
+    # an infinite c3 names no rational, as an infinite c names no coefficient
+    "c3-infinite": _form_file(c3=float("inf")),
+    # JSON nested past the decoder's recursion limit
+    "nested-arrays": "[" * 100_000 + "]" * 100_000,
+    "nested-objects": '{"a": ' * 50_000 + "1" + "}" * 50_000,
+    # a repeated key, at the top level or in a term, is not read as its
+    # last value (dim 2 here would make x1 x2^2 a valid form)
+    "repeated-dim": '{"dim": 3, "dim": 2, "terms": [{"ijk": [1, 2, 2], "c": "1"}]}',
+    "repeated-c": '{"dim": 3, "terms": [{"ijk": [1, 2, 2], "c": "1", "c": "2"}, '
+                  '{"ijk": [1, 3, 3], "c": "-1"}]}',
 }
 
 
@@ -288,7 +298,9 @@ _DEGENERATE_RUNS = [
     *((huge, args) for huge in ("huge-float", "huge-rational")
       for args in (["classify"], ["verify"], ["spectrum", "--seed", "1"],
                    ["cone-sample", "--seed", "1", "--count", "3"])),
-    *((form, args) for form in ("one-over-zero", "zero-over-zero", "c3-over-zero")
+    *((form, args) for form in ("one-over-zero", "zero-over-zero", "c3-over-zero",
+                                "c3-infinite", "nested-arrays", "nested-objects",
+                                "repeated-dim", "repeated-c")
       for args in (["verify"], ["classify"], ["spectrum", "--seed", "1"],
                    ["cone-sample", "--seed", "1", "--count", "3"])),
     *(("float-c-with-c3", args) for args in (["verify", "--check", "harmonic"], ["classify"],
@@ -313,6 +325,15 @@ def test_degenerate_input_is_a_usage_error(runner, tmp_path, form, args):
     assert [l for l in res.stderr.splitlines() if l.startswith("Error:")] == \
         [res.stderr.splitlines()[-1]]
     assert "internal error" not in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("form, key", [("repeated-dim", "dim"), ("repeated-c", "c")])
+def test_a_repeated_key_is_named(runner, tmp_path, form, key):
+    path = tmp_path / "form.json"
+    path.write_text(_DEGENERATE_FILES[form])
+    res = runner.invoke(main, ["classify", str(path)])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert f"key {key!r} is repeated" in res.stderr
 
 
 def test_float_c_with_c3_names_the_term(runner, tmp_path):
@@ -431,6 +452,116 @@ def test_generated_form_files_keep_the_exit_contract(runner, tmp_path):
             _strict_json_lines(res.stdout)
 
     contract()
+
+
+def _form_text(dim="3", ijk="[1, 2, 2]", c='"1"', c3=None, terms=None) -> str:
+    """The text of x1 x2^2 - x1 x3^2 with the raw JSON text of ``dim``,
+    ``terms`` or a field of the first term put in; a raw text may carry
+    a repeated key, as '3, "dim": 2'."""
+    first = '{"ijk": %s, "c": %s%s}' % (ijk, c, "" if c3 is None else ', "c3": ' + c3)
+    terms = terms or '[%s, {"ijk": [1, 3, 3], "c": "-1"}]' % first
+    return '{"dim": %s, "terms": %s}' % (dim, terms)
+
+
+def _nested(depth: int, array: bool) -> str:
+    return "[" * depth + "]" * depth if array else '{"a": ' * depth + "1" + "}" * depth
+
+
+_huge = st.integers(51, 6000).map(lambda k: "9" * k)
+# each class of malformed file, as text; no file of any class names a
+# usable form
+_MALFORMED_TEXT = {
+    "wrong JSON types": st.one_of(
+        st.sampled_from(["[]", '"form"', "3", "null", "true"]),
+        st.sampled_from(['"3"', "3.0", "[3]", "null", "true", "{}"]).map(
+            lambda v: _form_text(dim=v)),
+        st.sampled_from(['{"a": 1}', '"t"', "3", "null", "true"]).map(
+            lambda v: _form_text(terms=v)),
+        st.sampled_from(["[1, 2, 2]", '"t"', "3", "null", "true"]).map(
+            lambda v: _form_text(terms="[%s]" % v)),
+        st.sampled_from(['"122"', '{"a": 1}', "1", "null", "[1, 2]", "[1, 2, 2, 2]",
+                         '["1", 2, 2]', "[1.0, 2, 2]"]).map(lambda v: _form_text(ijk=v)),
+        st.builds(lambda v, field: _form_text(**{field: v}),
+                  st.sampled_from(["[1]", '{"a": 1}', "null", "true"]),
+                  st.sampled_from(["c", "c3"]))),
+    "missing keys": st.sampled_from(["dim", "terms", "ijk", "c"]).map(
+        lambda key: _form_text().replace('"%s": ' % key, '"x%s": ' % key, 1)),
+    "deep nesting": st.builds(
+        lambda depth, array, field: _form_text(**{field: _nested(depth, array)})
+        if field else _nested(depth, array),
+        st.integers(1000, 100_000), st.booleans(),
+        st.sampled_from([None, "dim", "terms", "ijk", "c", "c3"])),
+    "NaN and infinite literals": st.one_of(
+        st.builds(lambda v, field: _form_text(**{field: v}),
+                  st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400"]),
+                  st.sampled_from(["dim", "c", "c3"])),
+        st.sampled_from(["NaN", "Infinity"]).map(lambda v: _form_text(ijk="[%s, 2, 2]" % v))),
+    "out-of-range and boolean indices": st.one_of(
+        st.sampled_from(["0", "-1", "4", "1" + "0" * 30, "true", "false"]).map(
+            lambda v: _form_text(ijk="[%s, 2, 2]" % v)),
+        st.sampled_from(["0", "-5", "129", "1" + "0" * 30]).map(lambda v: _form_text(dim=v))),
+    "zero denominators": st.builds(
+        lambda num, field: _form_text(**{field: '"%d/0"' % num}),
+        st.integers(-9, 9), st.sampled_from(["c", "c3"])),
+    "huge digit strings": _huge.flatmap(lambda h: st.sampled_from([
+        _form_text(c='"%s"' % h), _form_text(c3='"%s"' % h), _form_text(c="%s.0" % h),
+        _form_text(dim=h), _form_text(ijk="[1, 2, %s]" % h)])),
+    "repeated keys": st.sampled_from([
+        _form_text(dim='3, "dim": 2'), _form_text(dim='3, "dim": 3'),
+        _form_text(dim='3, "terms": []'), _form_text(ijk='[1, 2, 2], "ijk": [1, 3, 3]'),
+        _form_text(c='"1", "c": "1"'), _form_text(c3='"1", "c3": "2"')]),
+}
+_MALFORMED = {name: cls.map(str.encode) for name, cls in _MALFORMED_TEXT.items()}
+# a BOM, UTF-16 and UTF-32, and bytes that are no UTF-8 in the c string
+_MALFORMED["bad encodings"] = st.one_of(
+    st.sampled_from(["utf-8-sig", "utf-16", "utf-16-le", "utf-32"]).map(_form_text().encode),
+    st.sampled_from([b"\xff", b"\xe9", b"\xc3\x28", b"\xed\xa0\x80"]).map(
+        lambda bad: _form_text().encode().replace(b'"1"', b'"1' + bad + b'"', 1)))
+
+
+def test_malformed_form_files_are_usage_errors(runner, tmp_path):
+    # every command that reads a form exits 2 on a malformed file, with
+    # nothing on stdout and click's one "Error:" line, never an internal
+    # error: files drawn from each class of malformed input, in text or
+    # in a bad encoding
+    path = tmp_path / "form.json"
+    commands = (["verify"], ["classify"], ["spectrum", "--seed", "1"],
+                ["cone-sample", "--seed", "1", "--count", "3"])
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(*_MALFORMED.values()))
+    def contract(data):
+        path.write_bytes(data)
+        for args in commands:
+            res = runner.invoke(main, [args[0], str(path), *args[1:]])
+            assert res.exit_code == 2, (data[:200], args, res.output)
+            assert res.stdout == ""
+            assert [l for l in res.stderr.splitlines() if l.startswith("Error:")] == \
+                [res.stderr.splitlines()[-1]]
+
+    contract()
+
+
+@pytest.mark.parametrize("error, code", [(RuntimeError, 3), (ValueError, 1)],
+                         ids=["RuntimeError", "ValueError"])
+def test_triples_validate_fails_a_row_only_on_a_value_error(runner, monkeypatch, error, code):
+    # a ValueError from the search, which valid input can raise, fails the
+    # row it came from, exit 1; any other exception is an internal error,
+    # exit 3 with one stderr line, not a failed math check
+    def broken(self, **kw):
+        raise error("injected")
+
+    monkeypatch.setattr(algebra.MetrisedAlgebra, "find_idempotents", broken)
+    res = runner.invoke(main, ["triples", "--validate", "--seed", "1"])
+    assert res.exit_code == code
+    if error is RuntimeError:
+        assert (res.stdout, res.stderr) == ("", "internal error: RuntimeError: injected\n")
+    else:
+        rows = [r for r in map(json.loads, res.stdout.splitlines())
+                if r["status"] == "realizable"]
+        assert len(rows) == 12
+        assert all(r["result"] == "fail" and r["error"] == "ValueError: injected"
+                   for r in rows)
 
 
 def test_triples_validate_exit_code(runner, monkeypatch):

@@ -19,11 +19,12 @@ from eigencubic.cubics import (CATALOG, CubicForm, Jet, albert_contraction_cubic
                                octonion_cubic21, trivial_cubic)
 from eigencubic.identities import check_harmonic
 from eigencubic.jordan import (cleared, common_denominator, fullspace_basis,
-                               jordan_mul, trace_form, tracefree_basis)
+                               jordan_twice, trace_form, tracefree_basis)
 from eigencubic.poly import Poly
 from eigencubic.modular import primes, residues
 from eigencubic.scalars import QSqrt3, QSqrt3Array
-from formref import gradient, hessian, polarize
+from formref import gradient, hessian, laplacian, polarize, scaled, to_poly
+from polyref import diff, evaluate
 from rotations import cayley_rotation, rotate_exact, skew
 
 
@@ -42,25 +43,25 @@ def through_json(u):
 
 def test_eval_examples():
     # the kernel's value of D*u against D times the Poly reference
-    jet, poly = DIM3.jet(exact=True), DIM3.to_poly()
+    jet, poly = DIM3.jet(exact=True), to_poly(DIM3)
     D = jet.scale
-    assert poly.eval([1, 2, 1]) == 3
-    assert poly.eval([0, 0, 0]) == 0
+    assert evaluate(poly, [1, 2, 1]) == 3
+    assert evaluate(poly, [0, 0, 0]) == 0
     assert jet.value(np.array([1, 2, 1], dtype=object)) == 3 * D
     assert jet.value(np.array([0, 0, 0], dtype=object)) == 0
     rng = random.Random(0)
     for _ in range(10):
         x = frac_point(rng, 3)
         x2 = [2 * v for v in x]
-        assert poly.eval(x2) == 8 * poly.eval(x)
-        assert jet.value(np.array(x2, dtype=object)) == 8 * D * poly.eval(x)
+        assert evaluate(poly, x2) == 8 * evaluate(poly, x)
+        assert jet.value(np.array(x2, dtype=object)) == 8 * D * evaluate(poly, x)
 
 
 def test_gradient_of_pure_cube():
     u = trivial_cubic(3, 1)
     g = gradient(u)
     assert g[0] == 3 * Poly.var(3, 0) * Poly.var(3, 0)
-    assert g[1].is_zero() and g[2].is_zero()
+    assert not g[1] and not g[2]
 
 
 def test_hessian_of_dim3():
@@ -76,10 +77,10 @@ def test_euler_identity_all_catalog():
     # <grad u, x> = 3u identically
     for name in CATALOG:
         u = catalog_build(name)
-        p = u.to_poly()
-        euler = sum((Poly.var(u.n, i) * p.diff(i) for i in range(u.n)),
+        p = to_poly(u)
+        euler = sum((Poly.var(u.n, i) * diff(p, i) for i in range(u.n)),
                     Poly.zero(u.n)) - 3 * p
-        assert euler.is_zero(), name
+        assert not euler, name
 
 
 def test_polarize_examples():
@@ -89,7 +90,7 @@ def test_polarize_examples():
     rng = random.Random(1)
     for _ in range(10):
         x = frac_point(rng, 3)
-        assert polarize(DIM3, x, x, x) == 6 * DIM3.to_poly().eval(x)
+        assert polarize(DIM3, x, x, x) == 6 * evaluate(to_poly(DIM3), x)
 
 
 def test_polarize_symmetric():
@@ -103,9 +104,9 @@ def test_polarize_symmetric():
 
 def test_trivial_cubic():
     u = trivial_cubic(1, 1)
-    assert u.n == 1 and u.to_poly().eval([1]) == 1
+    assert u.n == 1 and evaluate(to_poly(u), [1]) == 1
     u2 = trivial_cubic(4, Fraction(2, 3))
-    assert u2.to_poly().eval([1, 9, 9, 9]) == Fraction(2, 3)
+    assert evaluate(to_poly(u2), [1, 9, 9, 9]) == Fraction(2, 3)
     with pytest.raises(ValueError):
         trivial_cubic(0)
 
@@ -121,7 +122,7 @@ def test_clifford_cubic_small():
 def test_clifford_cubic_harmonic():
     for q in range(0, 6):
         u = clifford_cubic(build_clifford_system(q))
-        assert u.laplacian().is_zero()
+        assert not laplacian(u)
 
 
 def test_clifford_cubic_rejects_invalid_system():
@@ -140,7 +141,7 @@ def test_cartan_dimensions_and_field():
     for d, n in dims.items():
         u = cartan_cubic(d)
         assert u.n == n
-        assert u.laplacian().is_zero()
+        assert not laplacian(u)
     for d in (1, 2):
         assert all(isinstance(c, Fraction) for c in cartan_cubic(d).terms.values())
     for d in (4, 8):
@@ -150,7 +151,8 @@ def test_cartan_dimensions_and_field():
 
 
 def test_cartan_jordan_crosscheck():
-    # (1/6)<z, z o z> = (1/2) det z on trace-free z, exactly
+    # (1/6)<z, z o z> = (1/2) det z on trace-free z, exactly, with
+    # 2 z o z = jordan_twice(z, z)
     rng = random.Random(3)
     for d in (1, 2, 4, 8):
         basis = tracefree_basis(d)
@@ -160,8 +162,8 @@ def test_cartan_jordan_crosscheck():
             z = basis[0].scale(coeffs[0])
             for c, m in zip(coeffs[1:], basis[1:]):
                 z = z + m.scale(c)
-            lhs = trace_form(z, jordan_mul(z, z)) * Fraction(1, 6)
-            assert lhs == u.to_poly().eval(coeffs)
+            lhs = trace_form(z, jordan_twice(z, z)) * Fraction(1, 12)
+            assert lhs == evaluate(to_poly(u), coeffs)
 
 
 def test_involution_dimensions():
@@ -169,7 +171,7 @@ def test_involution_dimensions():
     for d, n in dims.items():
         u = involution_cubic(d)
         assert u.n == n
-        assert u.laplacian().is_zero()
+        assert not laplacian(u)
         assert all(isinstance(c, Fraction) for c in u.terms.values())
     with pytest.raises(ValueError):
         involution_cubic(1)
@@ -180,7 +182,7 @@ def test_complexified_dimensions():
     for d, n in dims.items():
         u = complexified_cubic(d)
         assert u.n == n
-        assert u.laplacian().is_zero()
+        assert not laplacian(u)
 
 
 def test_octonion21_values():
@@ -191,7 +193,7 @@ def test_octonion21_values():
     pt[0] = 1          # w1 = e1
     pt[7 + 1] = 1      # w2 = e2
     pt[14 + 2] = 1     # w3 = e3
-    assert u.to_poly().eval(pt) == -1
+    assert evaluate(to_poly(u), pt) == -1
     # (e1, e1, anything) -> re((e1 e1) w3) = re(-w3) = 0
     rng = random.Random(4)
     for _ in range(5):
@@ -200,7 +202,7 @@ def test_octonion21_values():
         pt[7] = 1
         w3 = frac_point(rng, 7)
         pt[14:] = w3
-        assert u.to_poly().eval(pt) == 0
+        assert evaluate(to_poly(u), pt) == 0
     assert all(c.denominator == 1 for c in u.terms.values())
 
 
@@ -208,15 +210,15 @@ def test_albert_proportional_to_octonion():
     oc = octonion_cubic21()
     al = albert_contraction_cubic()
     assert al.n == 21
-    assert al.laplacian().is_zero()
+    assert not laplacian(al)
     rng = random.Random(5)
     ratios = set()
     for _ in range(10):
         pt = frac_point(rng, 21)
-        vo = oc.to_poly().eval(pt)
+        vo = evaluate(to_poly(oc), pt)
         if vo == 0:
             continue
-        ratios.add(al.to_poly().eval(pt) / vo)
+        ratios.add(evaluate(to_poly(al), pt) / vo)
     assert ratios == {Fraction(1)}
 
 
@@ -224,9 +226,9 @@ def test_harmonicity_law():
     for name, entry in CATALOG.items():
         u = entry.build()
         if entry.family == "trivial":
-            assert not u.laplacian().is_zero()
+            assert laplacian(u)
         else:
-            assert u.laplacian().is_zero(), name
+            assert not laplacian(u), name
 
 
 def test_json_round_trip_bit_exact():
@@ -341,20 +343,21 @@ def test_from_poly_rejects_inhomogeneous():
 def test_poly_shares_the_cubic_monomial_keys():
     for name in CATALOG:
         u = catalog_build(name)
-        assert u.to_poly().terms == u.terms
-        assert CubicForm.from_poly(u.to_poly()) == u
+        assert to_poly(u).terms == u.terms
+        assert CubicForm.from_poly(to_poly(u)) == u
 
 
 @pytest.mark.parametrize("name", list(CATALOG))
 def test_float_form_keeps_its_float_laplacian(name):
-    # the Laplacian of a float form is read off the float jet, so its
-    # coefficients stay float, and the harmonic verdict is the exact form's
+    # the harmonic check reads a float form's Laplacian off the float jet,
+    # whose coefficients are float64, and its verdict is the exact form's
     u = catalog_build(name)
     uf = u.to_float()
-    lap = uf.laplacian()
-    assert all(type(c) is float for c in lap.terms.values())
+    jet = uf.jet(exact=False)
+    lap = jet.laplacian(uf.n)
+    assert lap.dtype == np.float64
     if name == "trivial":
-        assert lap.terms == {(0,): 6.0}
+        assert (lap / jet.scale).tolist() == [6.0] + [0.0] * (uf.n - 1)
     assert check_harmonic(uf) == check_harmonic(u) == (CATALOG[name].family != "trivial")
 
 
@@ -418,7 +421,7 @@ def test_jet_modulo_is_the_residues_of_every_rotation(name):
     # sqrt(3) channel that is residues of the whole m, modulo 2**64 and
     # the first three residue primes
     if name == "cartan-d4-x1e18":
-        u = catalog_build("cartan-d4").scaled(10 ** 18)
+        u = scaled(catalog_build("cartan-d4"), 10 ** 18)
     elif name == "cartan-d4-rotated":
         u = _rotated_cartan_d4()
     else:
@@ -577,19 +580,6 @@ def test_no_module_but_cubics_reads_the_jet_arrays():
                 assert ast.dump(arg.left) == ast.dump(arg.right), (path.name, node.lineno)
 
 
-# Library names that no code in src/ or perfbench/ calls, each kept for
-# its reason.
-_KEPT_WITHOUT_CALLER = {
-    "jordan.jordan_mul": "the exported Jordan product",
-    "poly.Poly.eval": "the tests' reference evaluation",
-    "poly.Poly.diff": "the tests' reference evaluation",
-    "cubics.CubicForm.to_poly": "the tests' reference evaluation",
-    "cubics.CubicForm.scaled": "the tests' scaling helper",
-    "identities.mean_curvature": "a public one-point view with its own input checks",
-    "algebra.MetrisedAlgebra.peirce": "a public one-point view with its own input checks",
-}
-
-
 def _library_functions(path, tree):
     """(qualified name, node) of each module function and class method of
     a package module, but dunders, click commands and the hooks of click
@@ -641,19 +631,18 @@ def test_every_library_name_has_a_caller():
                        and not (where == path and f.lineno <= line <= f.end_lineno)
                        for name, attribute, where, line in refs):
                 unused.append(qualname)
-    assert set(_KEPT_WITHOUT_CALLER) <= found
-    assert [q for q in unused if q not in _KEPT_WITHOUT_CALLER] == []
+    assert found and unused == []
 
 
 def test_round_trip_through_poly():
     for name in ("cartan-d2", "involution-d2"):
         u = catalog_build(name)
-        assert CubicForm.from_poly(u.to_poly()).terms == u.terms
+        assert CubicForm.from_poly(to_poly(u)).terms == u.terms
 
 
 def test_scaled():
-    u = DIM3.scaled(Fraction(3, 2))
-    assert u.to_poly().eval([1, 2, 1]) == Fraction(9, 2)
+    u = scaled(DIM3, Fraction(3, 2))
+    assert evaluate(to_poly(u), [1, 2, 1]) == Fraction(9, 2)
 
 
 # sha256 of each catalog form's terms, repr(list(terms.items())) in

@@ -19,14 +19,14 @@ from eigencubic.identities import (DEFAULT_BOUND, DEFAULT_TRIALS, EICONAL,
                                    _proportional_float,
                                    _randbelow, check_eiconal,
                                    check_harmonic, check_radial, classify,
-                                   mean_curvature, sample_cone,
+                                   sample_cone,
                                    trace_identity_cubic,
                                    trace_identity_quadratic)
 from eigencubic.poly import Poly
 from eigencubic.modular import moduli, primes
 from eigencubic.scalars import QSqrt3, QSqrt3Array, exact_div, joined
-from formref import dense_tensor, gradient, hessian, sparse_cubic
-from polyref import joined_terms
+from formref import dense_tensor, gradient, hessian, laplacian, scaled, sparse_cubic, to_poly
+from polyref import diff, evaluate, joined_terms
 from rotations import cayley_rotation, rotate_by_substitution, rotate_exact, skew
 
 DIM3 = catalog_build("clifford-q0")
@@ -69,7 +69,7 @@ def test_residue_hessian_at_its_longest_entry_sum():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         H = identities._residue_pieces(jet, np.array([point], dtype=np.int64), p)[2].x[0]
-    assert H.tolist() == [[h.eval(point) % p for h in row] for row in hessian(u)]
+    assert H.tolist() == [[evaluate(h, point) % p for h in row] for row in hessian(u)]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -104,11 +104,11 @@ def test_radial_residual_random_zero():
     grads = gradient(u)
     G = sum((g * g for g in grads), Poly.zero(3))
     half = Fraction(1, 2)
-    P = G * u.laplacian() - half * sum(
-        (grads[j] * G.diff(j) for j in range(3)), Poly.zero(3))
+    P = G * laplacian(u) - half * sum(
+        (grads[j] * diff(G, j) for j in range(3)), Poly.zero(3))
     r2 = Poly(3, {(i, i): Fraction(1) for i in range(3)})
-    residual = P - (-8) * r2 * u.to_poly()
-    assert residual.is_zero()
+    residual = P - (-8) * r2 * to_poly(u)
+    assert not residual
 
 
 def test_eiconal():
@@ -128,7 +128,7 @@ def test_eiconal_normalized_float():
     for d in (1, 2):
         u = cartan_cubic(d)
         kappa = check_eiconal(u).constant
-        uf = u.to_float().scaled(3.0 / math.sqrt(float(kappa)))
+        uf = scaled(u.to_float(), 3.0 / math.sqrt(float(kappa)))
         T = dense_tensor(uf)
         for _ in range(20):
             p = rng.standard_normal(u.n)
@@ -192,7 +192,7 @@ def test_trace3_of_a_form_beyond_int64(name, a):
     s = 10 ** 12
     u = catalog_build(name)
     assert trace_identity_cubic(u, "random", seed=1).constant == a
-    r = trace_identity_cubic(u.scaled(s), "random", seed=1)
+    r = trace_identity_cubic(scaled(u, s), "random", seed=1)
     assert r.passed and r.constant == s * s * a
 
 
@@ -251,7 +251,7 @@ def test_radial_scale_covariance():
                 t = Fraction(rng.randint(1, 9), rng.randint(1, 9))
                 if rng.random() < 0.5:
                     t = -t
-                r = check(u.scaled(t))
+                r = check(scaled(u, t))
                 assert r.passed == base.passed, (name, check.__name__)
                 if base.passed:
                     assert r.constant == t * t * base.constant, (name, t)
@@ -265,7 +265,7 @@ def test_float_overflow_raises(name):
     # of reporting "not an eigencubic"
     uf = catalog_build(name).to_float()
     for check in IDENTITY_CHECKS:
-        assert check(uf.scaled(1e80)).passed == check(uf).passed, check.__name__
+        assert check(scaled(uf, 1e80)).passed == check(uf).passed, check.__name__
     with pytest.raises(ValueError, match="not finite"):
         _proportional_float(_Identity("inf", 2, lambda v, g, H, r2: (np.inf, r2),
                                       TRACE2.bound), uf.jet(exact=False), uf.n, seed=0)
@@ -278,8 +278,8 @@ def test_float_constants_outside_float64():
     uf = catalog_build("cartan-d4").to_float()
     for check in IDENTITY_CHECKS:
         with pytest.raises(ValueError, match="not finite"):
-            check(uf.scaled(1e200))
-    r = check_eiconal(uf.scaled(1e-200))
+            check(scaled(uf, 1e200))
+    r = check_eiconal(scaled(uf, 1e-200))
     assert r.passed and r.constant == 0.0
 
 
@@ -293,7 +293,7 @@ def test_float_checks_are_scale_invariant(name):
     for check in IDENTITY_CHECKS:
         base = check(uf)
         for s in (2.0 ** -100, 1e-20, 1e8, 1e80):
-            r = check(uf.scaled(s))
+            r = check(scaled(uf, s))
             assert r.passed == base.passed, (check.__name__, s)
             if not base.passed:
                 continue
@@ -309,17 +309,17 @@ def test_scaled_float_forms_keep_their_labels():
     # longer widens them (x^3 at 1e5 is not eiconal), and a small one no
     # longer falls under the float rank cutoff
     assert not check_eiconal(CubicForm(3, {(0, 0, 0): 1e5})).passed
-    d4 = classify(catalog_build("cartan-d4").to_float().scaled(1e-20))
+    d4 = classify(scaled(catalog_build("cartan-d4").to_float(), 1e-20))
     assert d4.label == "exceptional-or-mutant" and not d4.is_trivial
 
 
 @pytest.mark.parametrize("name", list(CATALOG))
 def test_jet_matches_poly_derivatives(name):
-    # the shared kernel against Poly.eval of the expanded derivatives:
+    # the shared kernel against the Poly reference's expanded derivatives:
     # exactly (of D u) at integer points and to float rounding at floats,
     # where D is the power of two bringing max|m| into [1, 2)
     u = catalog_build(name)
-    grads, hess, poly = gradient(u), hessian(u), u.to_poly()
+    grads, hess, poly = gradient(u), hessian(u), to_poly(u)
     jet = u.jet(exact=True)
     D = jet.scale
     rng = random.Random(6)
@@ -327,10 +327,11 @@ def test_jet_matches_poly_derivatives(name):
         p = np.array([rng.randrange(-50, 50) for _ in range(u.n)], dtype=object)
         v, g, H = (joined(f(p)) for f in (jet.value, jet.gradient, jet.hessian))
         p = list(p)
-        assert v == D * poly.eval(p)
-        assert list(g) == [D * gi.eval(p) for gi in grads]
-        assert H.tolist() == [[D * h.eval(p) for h in row] for row in hess]
-    assert u.laplacian() == sum((hess[i][i] for i in range(u.n)), Poly.zero(u.n))
+        assert v == D * evaluate(poly, p)
+        assert list(g) == [D * evaluate(gi, p) for gi in grads]
+        assert H.tolist() == [[D * evaluate(h, p) for h in row] for row in hess]
+    assert joined(jet.laplacian(u.n)).tolist() == [D * laplacian(u).terms.get((i,), 0)
+                                                   for i in range(u.n)]
     uf = u.to_float()
     fjet = uf.jet(exact=False)
     assert fjet.m.dtype == float and math.frexp(fjet.scale)[0] == 0.5
@@ -339,9 +340,9 @@ def test_jet_matches_poly_derivatives(name):
     v, g, H = (f(x) / fjet.scale for f in (fjet.value, fjet.gradient, fjet.hessian))
     x = list(x)
     close = dict(rel=1e-12, abs=1e-12)
-    assert v == pytest.approx(uf.to_poly().eval(x), **close)
-    assert g == pytest.approx([gi.eval(x) for gi in gradient(uf)], **close)
-    assert H.ravel() == pytest.approx([h.eval(x) for row in hessian(uf)
+    assert v == pytest.approx(evaluate(to_poly(uf), x), **close)
+    assert g == pytest.approx([evaluate(gi, x) for gi in gradient(uf)], **close)
+    assert H.ravel() == pytest.approx([evaluate(h, x) for row in hessian(uf)
                                        for h in row], **close)
 
 
@@ -554,7 +555,7 @@ def test_random_checks_past_the_int64_bound(monkeypatch, name):
     for lam in (10 ** 9, 10 ** 18):
         counts.clear()
         for check, want in zip(IDENTITY_CHECKS, small):
-            got = check(u.scaled(lam), "random", seed=1)
+            got = check(scaled(u, lam), "random", seed=1)
             assert got.passed == want.passed
             if want.passed:
                 assert got.constant == lam * lam * want.constant
@@ -563,7 +564,7 @@ def test_random_checks_past_the_int64_bound(monkeypatch, name):
     hsiang = []
     for scale in (1, 10 ** 9, 10 ** 18):
         counts.clear()
-        alg = MetrisedAlgebra(u.scaled(scale))
+        alg = MetrisedAlgebra(scaled(u, scale))
         assert alg.check_hsiang_identity(scale * scale * theta, trials=20, seed=1) == 0
         hsiang += counts
     assert (per_scale, hsiang) == MODULUS_COUNTS[name]
@@ -575,8 +576,8 @@ def _plus_seventh(u):
     return CubicForm(u.n, {**u.terms, k: u.terms[k] + Fraction(1, 7)})
 
 
-PAST_INT64 = {"x1e9": lambda u: u.scaled(10 ** 9), "x1e18": lambda u: u.scaled(10 ** 18),
-              "xq3": lambda u: u.scaled(QSqrt3(10 ** 9, 10 ** 9)), "+1/7": _plus_seventh}
+PAST_INT64 = {"x1e9": lambda u: scaled(u, 10 ** 9), "x1e18": lambda u: scaled(u, 10 ** 18),
+              "xq3": lambda u: scaled(u, QSqrt3(10 ** 9, 10 ** 9)), "+1/7": _plus_seventh}
 
 
 @pytest.mark.parametrize("change", list(PAST_INT64))
@@ -704,7 +705,7 @@ def test_one_hessian_route_at_its_int64_bound(monkeypatch):
             _assert_route_matches(ident, jet, 3, R, [P], one_hessian, calls)
             got = list(identities._rows(identities._sides_at(ident, jet, P)))
             assert repr(got) == repr(_reference_sides(ident, jet, P)), (m, ident.name)
-    u = catalog_build("cartan-d4").scaled(10 ** 18)
+    u = scaled(catalog_build("cartan-d4"), 10 ** 18)
     jet = u.jet(exact=True)
     P = _randbelow(DEFAULT_BOUND, 2 * u.n, random.Random(1)).reshape(2, u.n)
     wrapped = jet.modulo(0).hessian(P)
@@ -754,7 +755,7 @@ def test_exact_checks_past_the_int64_bound(name):
 
     assert all(p.coef.dtype == np.int64 for p in lhs_channels(u))
     for lam in (10 ** 9, 10 ** 18, QSqrt3(10 ** 9, 10 ** 9)):
-        big = u.scaled(lam)
+        big = scaled(u, lam)
         seen = [p.coef.dtype for p in lhs_channels(big) if p.idx.size]
         assert seen and all(dtype == object for dtype in seen)
         for check, want in zip(IDENTITY_CHECKS, small):
@@ -766,15 +767,16 @@ def test_exact_checks_past_the_int64_bound(name):
 
 
 @pytest.mark.parametrize("name", list(CATALOG))
-def test_kernel_matches_dense_tensor(name):
+def test_kernel_matches_dense_tensor(name, monkeypatch):
     # every float contraction of the package against np.einsum on the
     # dense tensor T: u = T x x x, x o x = 6 T x x, L_x = 6 T x; each
     # tolerance is 1e-12 of the same contraction of |T| and |x|, the size
-    # of the terms whose rounding the two sums order differently
+    # of the terms whose rounding the two sums order differently.  The
+    # Peirce record of x, which is no idempotent, is taken at any residual
+    monkeypatch.setattr(algebra, "PEIRCE_RESIDUAL", np.inf)
     uf = catalog_build(name).to_float()
     T, aT = dense_tensor(uf), np.abs(dense_tensor(uf))
     jet = uf.jet(exact=False)
-    alg = MetrisedAlgebra(uf)
     rng = np.random.default_rng(11)
     for _ in range(3):
         x = rng.standard_normal(uf.n)
@@ -787,7 +789,7 @@ def test_kernel_matches_dense_tensor(name):
         assert abs(jet.value(x) / jet.scale - u) <= 1e-12 * (ax @ sq_size)
         assert np.all(np.abs(2 * jet.gradient(x) / jet.scale - sq) <= 1e-12 * sq_size)
         assert np.all(np.abs(jet.hessian(x) / jet.scale - L) <= 1e-12 * L_size)
-        p = alg.peirce(x, residual_tol=np.inf)
+        p = algebra._peirce_records(jet, x[None], algebra.BIN_TOLERANCE)[0]
         assert abs(p.residual - np.linalg.norm(sq - x)) \
             <= 1e-12 * (np.linalg.norm(sq_size) + np.linalg.norm(x))
         assert np.max(np.abs(p.eigenvalues - np.linalg.eigvalsh(L))) \
@@ -803,7 +805,7 @@ def test_kernel_matches_dense_tensor(name):
             continue
         h = ((g @ g) * np.trace(H) - g @ H @ g) / gn ** 3 / r
         size = ((ga @ ga) * np.trace(Ha) + ga @ Ha @ ga) / gn ** 3 / r
-        assert abs(mean_curvature(uf, x, grad_threshold=0.0) - h) <= 1e-12 * size
+        assert abs(identities._curvatures(jet, x[None], 0.0)[0] - h) <= 1e-12 * size
 
 
 SMALL_FORMS = [name for name, e in CATALOG.items() if e.dim <= 15]
@@ -871,7 +873,7 @@ def _reference_symbolic(u: CubicForm):
 
     H = np.empty((n, n), dtype=object)
     H[:] = [[integral(h) for h in row] for row in hessian(u)]
-    return (integral(u.to_poly()),
+    return (integral(to_poly(u)),
             np.array([integral(g) for g in gradient(u)], dtype=object), H,
             Poly(n, {(i, i): 1 for i in range(n)}))
 
@@ -1096,19 +1098,18 @@ def test_radial_float_residual_at_samples():
             g = 3 * np.einsum("abc,b,c->a", T, p, p)
             H = 6 * np.einsum("abc,c->ab", T, p)
             lhs = (g @ g) * np.trace(H) - g @ H @ g
-            rhs = theta * float(u.to_poly().eval(list(p)))
+            rhs = theta * float(evaluate(to_poly(u), list(p)))
             assert abs(lhs - rhs) < 1e-10 * max(1.0, scale ** 3)
 
 
 def test_mean_curvature_values():
-    assert mean_curvature(DIM3, [0, 1, 2]) == pytest.approx(0.0, abs=1e-12)
-    want = -16 * 5 ** -1.5
-    assert mean_curvature(DIM3, [1, 1, 0]) == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ValueError):
-        mean_curvature(DIM3, [0, 0, 0])
-    with pytest.raises(ValueError):
-        # gradient vanishes on the x-axis
-        mean_curvature(DIM3, [1, 0, 0])
+    # H of x (y^2 - z^2) at two points, and none on the x-axis, where the
+    # gradient vanishes
+    X = np.array([[0.0, 1, 2], [1, 1, 0], [1, 0, 0]])
+    h0, h1, h2 = identities._curvatures(DIM3.jet(exact=False), X, identities.GRAD_THRESHOLD)
+    assert h0 == pytest.approx(0.0, abs=1e-12)
+    assert h1 == pytest.approx(-16 * 5 ** -1.5, rel=1e-12)
+    assert h2 is None
 
 
 def _reference_curvature(u, x, grad_threshold):
@@ -1133,19 +1134,10 @@ def _reference_curvature(u, x, grad_threshold):
     return h
 
 
-def test_mean_curvature_rejects_a_wrong_shape():
-    # a point of cartan-d1 (n = 5) must have shape (5,), as peirce demands
-    u = catalog_build("cartan-d1")
-    for x in (np.ones(6), np.ones(2), np.ones((1, 5)), np.ones(0), 1.0, [[1, 2, 3, 4, 5]]):
-        with pytest.raises(ValueError, match="shape"):
-            mean_curvature(u, x)
-    assert math.isfinite(mean_curvature(u, np.ones(5)))
-
-
 @pytest.mark.parametrize("name", list(CATALOG))
 def test_mean_curvature_matches_the_per_point_formula(name):
-    # mean_curvature, the stacked routine on one row, and the stack of all
-    # the rows give the per-point formula's H bit for bit, and reject
+    # the stacked routine on each row alone and on the stack of all the
+    # rows gives the per-point formula's H bit for bit, and rejects
     # exactly where it rejects: at Gaussian points of sizes 1e-3..1e3 and
     # at cone points, for thresholds that accept all, some and no rays
     uf = catalog_build(name).to_float()
@@ -1161,12 +1153,7 @@ def test_mean_curvature_matches_the_per_point_formula(name):
                 want.append(_reference_curvature(uf, x, t))
             except ValueError:
                 want.append(None)
-        got = []
-        for x in X:
-            try:
-                got.append(mean_curvature(uf, x, t))
-            except ValueError:
-                got.append(None)
+        got = [identities._curvatures(jet, x[None], t)[0] for x in X]
         assert repr(got) == repr(want), t
         assert repr(identities._curvatures(jet, X, t)) == repr(want), t
     # both paths are exercised: every Gaussian point has a curvature at 0,
@@ -1250,7 +1237,7 @@ def test_sample_cone_matches_ray_by_ray_reference(monkeypatch, name, grad_thresh
 def test_sample_cone_gradient_test_reads_u_not_its_jet():
     # |Du| = 3000 on the unit sphere, above the threshold 10, while the
     # jet of 2^-11 u has a gradient norm near 1.5: no ray is rejected
-    u = catalog_build("cartan-d1").scaled(1000)
+    u = scaled(catalog_build("cartan-d1"), 1000)
     for seed in (1, 2, 3):
         got = sample_cone(u, 5, seed, grad_threshold=10.0)
         _assert_same_report(got, reference_sample_cone(u, 5, seed, 10.0))

@@ -5,10 +5,16 @@ import pytest
 
 from eigencubic.composition import CDElement
 from eigencubic.jordan import (HermMat3, det_polar_twice, freudenthal_det,
-                               fullspace_basis, involution, jordan_mul,
+                               fullspace_basis, involution, jordan_twice,
                                trace_form, tracefree_basis)
 
 DIMS = (1, 2, 4, 8)
+
+
+def jordan_mul(A, B):
+    """The Jordan product A o B = (AB + BA)/2, from the package's doubled
+    one; Hermitian for every d, including octonions."""
+    return jordan_twice(A, B).scale(Fraction(1, 2))
 
 
 def random_herm(d, rng, bound=6):

@@ -18,7 +18,8 @@ from eigencubic.composition import CDElement, cd_mul
 from eigencubic.cubics import catalog_build, complexified_cubic, involution_cubic
 from eigencubic.identities import check_eiconal, check_radial
 from eigencubic.scalars import joined
-from formref import hessian
+from formref import hessian, to_poly
+from polyref import evaluate
 
 
 def _to_sympy(u):
@@ -67,7 +68,7 @@ def test_mult_operator_is_hessian():
             x = [Fraction(rng.randint(-9, 9), rng.randint(1, 3))
                  for _ in range(u.n)]
             L = joined(jet.hessian(np.array(x, dtype=object)))
-            assert L.tolist() == [[jet.scale * h.eval(x) for h in row]
+            assert L.tolist() == [[jet.scale * evaluate(h, x) for h in row]
                                   for row in hess]
 
 
@@ -107,7 +108,7 @@ def test_involution_d2_is_matrix_determinant():
         M = np.array([[d1, zp, ym],
                       [zm, d2, xp],
                       [yp, xm, d3]], dtype=float)
-        assert 2 * float(u.to_poly().eval(x)) == pytest.approx(np.linalg.det(M),
+        assert 2 * float(evaluate(to_poly(u), x)) == pytest.approx(np.linalg.det(M),
                                                          abs=1e-6)
 
 
@@ -130,5 +131,5 @@ def test_complexified_d2_is_re_det_complex():
         x = [rng.randint(-9, 9) for _ in range(18)]
         M = herm(x[:9]) + 1j * herm(x[9:])
         want = np.linalg.det(M).real
-        assert float(u.to_poly().eval([Fraction(v) for v in x])) == \
+        assert float(evaluate(to_poly(u), [Fraction(v) for v in x])) == \
             pytest.approx(want, abs=1e-5)

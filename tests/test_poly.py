@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from eigencubic import poly
 from eigencubic.poly import Poly, PolyArray
 from eigencubic.scalars import SQRT3, QSqrt3Array
-from polyref import joined_terms, to_polys
+from polyref import diff, evaluate, joined_terms, to_polys
 
 
 def x(n, i):
@@ -17,42 +17,42 @@ def x(n, i):
 def test_binomial_identity_is_zero():
     a, b = x(2, 0), x(2, 1)
     p = (a + b) * (a + b) - a * a - 2 * a * b - b * b
-    assert p.is_zero()
+    assert not p
 
 
 def test_nonzero_has_witness():
     p = x(2, 0) - x(2, 1)
-    assert not p.is_zero()
-    assert p.eval([1, 0]) == 1
+    assert p
+    assert evaluate(p, [1, 0]) == 1
 
 
 def test_derivative_and_eval():
     n = 3
     p = x(n, 0) * (x(n, 1) * x(n, 1) - x(n, 2) * x(n, 2))
-    assert p.eval([1, 2, 1]) == 3
-    assert p.diff(0) == x(n, 1) * x(n, 1) - x(n, 2) * x(n, 2)
-    assert p.diff(1) == 2 * x(n, 0) * x(n, 1)
+    assert evaluate(p, [1, 2, 1]) == 3
+    assert diff(p, 0) == x(n, 1) * x(n, 1) - x(n, 2) * x(n, 2)
+    assert diff(p, 1) == 2 * x(n, 0) * x(n, 1)
 
 
 def test_scalar_ring_ops():
     p = Poly.const(2, Fraction(1, 2)) + x(2, 0)
     q = p * 2 - 1
     assert q == 2 * x(2, 0)
-    assert (p - p).is_zero()
-    assert (p * Poly.zero(2)).is_zero()
+    assert not (p - p)
+    assert not (p * Poly.zero(2))
 
 
 def test_eval_length_checked():
     with pytest.raises(ValueError):
-        x(3, 0).eval([1, 2])
+        evaluate(x(3, 0), [1, 2])
 
 
 def test_monomial_is_its_sorted_variable_indices():
     # x0^2 x3 is keyed (0, 0, 3), as CubicForm.terms keys a cubic monomial
     p = Poly.var(4, 0) * Poly.var(4, 0) * Poly.var(4, 3)
     assert p.terms == {(0, 0, 3): 1}
-    assert p.diff(0).terms == {(0, 3): 2}
-    assert p.diff(1).is_zero()
+    assert diff(p, 0).terms == {(0, 3): 2}
+    assert not diff(p, 1)
     assert Poly.const(4, 5).terms == {(): 5}
 
 

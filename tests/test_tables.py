@@ -2,8 +2,7 @@ from collections import Counter
 
 from eigencubic.cubics import CATALOG
 from eigencubic.tables import (ELIMINATED, NOT_ADMISSIBLE, OPEN, REALIZABLE,
-                               TABLE_SHA256, admissible_triples, cross_validate,
-                               record_for, status)
+                               admissible_triples, cross_validate, record_for, status)
 
 EXPECTED_ROWS = [
     (2, 0, 2, 5), (3, 0, 4, 8), (5, 0, 8, 14), (9, 0, 16, 26),
@@ -76,11 +75,6 @@ def test_witnesses_exist_in_catalog():
 def test_albert_witness():
     rec = record_for((4, 5, 11))
     assert rec.witness == "albert21" and rec.dim == 21
-
-
-def test_checksum_guards_table():
-    import eigencubic.tables as tables
-    assert tables._checksum() == TABLE_SHA256
 
 
 def test_cross_validate_runs_only_the_rows_asked_for(monkeypatch):
