@@ -78,7 +78,7 @@ def _unique_keys(pairs) -> dict:
 
 
 def _load_form(path: str) -> CubicForm:
-    # RecursionError: JSON nested past the decoder's limit; OverflowError: an infinite c3
+    # RecursionError: JSON nested past the decoder's limit
     try:
         with open(path) as fh:
             return CubicForm.from_json_dict(json.load(fh, object_pairs_hook=_unique_keys))
@@ -86,7 +86,7 @@ def _load_form(path: str) -> CubicForm:
         raise click.UsageError(f"no such file: {path}")
     except OSError as exc:
         raise click.UsageError(f"cannot read {path}: {exc.strerror or exc}")
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise click.UsageError(f"invalid cubic-form file {path}: {exc}")
 
 
@@ -186,7 +186,7 @@ def catalog_emit(name, path):
         raise click.UsageError(f"unknown catalog form: {name}")
     form = catalog_build(name)
     _write_json(path, form.to_json_dict())
-    click.echo(f"wrote {name} (dim {form.n}, {len(form.terms)} terms) to {path}")
+    click.echo(f"wrote {name} (dim {form.n}, {len(form.keys)} terms) to {path}")
 
 
 # -- verify -----------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Cubic forms as exact symmetric coefficient tensors, plus the catalog.
 
-A CubicForm stores monomial coefficients m_{ijk} for i <= j <= k with
-u(x) = sum m_{ijk} x_i x_j x_k; the full symmetric tensor entry is
-m_{ijk} divided by the number of distinct permutations of (i, j, k).
+A CubicForm holds the monomial coefficients m_{ijk}, i <= j <= k, of
+u(x) = sum m_{ijk} x_i x_j x_k as the integers D*m of its exact kernel;
+the full symmetric tensor entry is m_{ijk} divided by the number of
+distinct permutations of (i, j, k).
 
 The catalog constructors build every named family by evaluating the
 Hermitian-matrix machinery on symbolic (polynomial-coordinate) elements
@@ -17,9 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
-from typing import Dict, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from .jordan import (HermMat3, cleared, common_denominator, det_polar_twice,
                      trace_form, tracefree_basis)
 from .modular import residues
 from .poly import Poly, PolyArray
-from .scalars import QSqrt3, QSqrt3Array, format_rational, is_exact, parse_rational
+from .scalars import SQRT3_FLOAT, QSqrt3, QSqrt3Array, format_rational, is_exact, parse_rational
 
 Key = Tuple[int, int, int]
 
@@ -67,36 +69,64 @@ def _json_int(v, what: str) -> int:
     return v
 
 
-def _simplify(c):
-    if isinstance(c, QSqrt3) and c.b == 0:
-        c = c.a
-    if isinstance(c, int):
-        return Fraction(c)
-    return c
-
-
 class CubicForm:
-    __slots__ = ("n", "terms", "is_exact_form", "_jets", "_symbolic")
+    """u = sum m x_i x_j x_k over monomials i <= j <= k < n, held as the
+    integers its exact kernel ``Jet`` reads.
+
+    ``keys`` lists the (i, j, k) of each nonzero m in the order given,
+    which the float kernel's sums follow.  ``num`` is the pair (r, s) of
+    lists of Python ints aligned with ``keys``, m = (r + sqrt(3) s) / D,
+    and D = ``scale`` the least positive integer that clears every m.  A
+    float form, one with a nonzero float coefficient (``is_exact_form``
+    false), holds the binary fractions its floats are.  The dict
+    constructor, which the catalog builders use, and ``from_json_dict``
+    read each coefficient once, through ``scalars.parse_rational``.
+
+    ``terms``, the read-only view key -> m, is built on first use: a
+    Fraction, a QSqrt3 where s != 0, or on a float form the float of
+    ``_floats``, sqrt(3) part included.  The full symmetric tensor entry
+    is m divided by the number of distinct permutations of (i, j, k).
+    """
 
     def __init__(self, n: int, terms: Dict[Key, object]):
-        self.n = n
-        clean: Dict[Key, object] = {}
-        for key, c in terms.items():
-            i, j, k = key
-            if not (0 <= i <= j <= k < n):
-                raise ValueError(f"bad monomial key {key} for dimension {n}")
-            c = _simplify(c)
-            if c:
-                clean[(i, j, k)] = c
-        self.terms = clean
-        # whether every coefficient is exact, which picks each check's mode
-        self.is_exact_form = all(is_exact(c) for c in clean.values())
+        rows = [(parse_rational(c.a), parse_rational(c.b)) if isinstance(c, QSqrt3)
+                else (parse_rational(c), (0, 1)) for c in terms.values()]
+        self._clear(n, list(terms), rows, all(is_exact(c) or not c for c in terms.values()))
+
+    def _clear(self, n: int, keys: list, rows: list, exact: bool) -> "CubicForm":
+        """This form, set from its keys and each one's row ((p, q), (p3, q3))
+        of reduced pairs, m = p/q + sqrt(3) p3/q3: both parts cleared to
+        D*m on integers, the zero m dropped.  A key outside
+        0 <= i <= j <= k < n is a ValueError."""
+        for i, j, k in keys:
+            if not 0 <= i <= j <= k < n:
+                raise ValueError(f"bad monomial key {(i, j, k)} for dimension {n}")
+        D = math.lcm(*(q for row in rows for _, q in row))
+        r, s = ([D // row[i][1] * row[i][0] for row in rows] for i in (0, 1))
+        if not all(r):
+            live = [t for t, x in enumerate(r) if x or s[t]]
+            keys, r, s = ([x[t] for t in live] for x in (keys, r, s))
+        self.n, self.keys, self.num, self.scale, self.is_exact_form = n, keys, (r, s), D, exact
         self._jets = {}
-        self._symbolic = None
+        return self
+
+    @cached_property
+    def terms(self) -> Mapping[Key, object]:
+        (r, s), D = self.num, self.scale
+        m = self._floats() if not self.is_exact_form else [
+            QSqrt3(Fraction(x, D), Fraction(y, D)) if y else Fraction(x, D) for x, y in zip(r, s)]
+        return MappingProxyType(dict(zip(self.keys, m)))
+
+    def _floats(self) -> list:
+        """Each m as a float: r / D, which Python rounds correctly, as
+        ``float(Fraction)`` does, plus (s / D) * sqrt(3) where s != 0, as
+        ``QSqrt3.__float__`` adds its parts."""
+        D = self.scale
+        return [x / D + y / D * SQRT3_FLOAT if y else x / D for x, y in zip(*self.num)]
 
     # -- basic structure ---------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.keys
 
     def __eq__(self, other):
         if isinstance(other, CubicForm):
@@ -116,23 +146,32 @@ class CubicForm:
         return out
 
     def jet(self, exact: bool) -> "Jet":
-        """The arrays of the (u, Du, D^2u) kernel, built once per kind.
+        """The arrays of the (u, Du, D^2u) kernel, built once per kind from
+        ``keys`` and ``num``.
 
-        ``exact`` asks for D*u cleared to Python ints, on a float form
-        too: a float coefficient enters as the binary fraction it is.
-        Otherwise the arrays are float64 (D a power of two).
+        ``exact`` asks for D*u on Python ints, each channel's ``num``, on
+        a float form too.  Otherwise the arrays are float64, each
+        coefficient ``_floats`` gives times a power of two D that takes
+        the largest into [1, 2); a subnormal largest gets 2**1023, the
+        largest finite power of two.
         """
         if exact not in self._jets:
-            self._jets[exact] = Jet.of(self, exact)
+            ijk = np.array(self.keys, dtype=np.intp).reshape(-1, 3).T
+            if exact:
+                r, s = (Jet._arrays(self.scale, ijk, np.array(x, dtype=object)) for x in self.num)
+                self._jets[exact] = replace(r, sqrt3=s) if s.m.size else r
+            else:
+                f = np.array(self._floats(), dtype=float)
+                D = 2.0 ** min(1 - math.frexp(np.abs(f).max() if f.size else 1.0)[1], 1023)
+                self._jets[exact] = Jet._arrays(D, ijk, D * f)
         return self._jets[exact]
 
+    @cached_property
     def symbolic(self) -> tuple:
         """The exact jet's ``symbolic`` pieces (v, g, H, r2) in the n
         variables, expanded once, so every exact check of the form
         multiplies the same arrays."""
-        if self._symbolic is None:
-            self._symbolic = self.jet(exact=True).symbolic(self.n)
-        return self._symbolic
+        return self.jet(exact=True).symbolic(self.n)
 
     @classmethod
     def from_poly(cls, p: Poly) -> "CubicForm":
@@ -141,66 +180,71 @@ class CubicForm:
         return cls(p.nvars, p.terms)
 
     def to_float(self) -> "CubicForm":
-        return CubicForm(self.n, {k: float(c) for k, c in self.terms.items()})
+        return CubicForm(self.n, dict(zip(self.keys, self._floats())))
 
     # -- serialization ---------------------------------------------------------
     def to_json_dict(self) -> dict:
-        items = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
-            rec = {"ijk": [key[0] + 1, key[1] + 1, key[2] + 1]}
-            if isinstance(c, QSqrt3):
-                rec["c"] = format_rational(c.a)
-                rec["c3"] = format_rational(c.b)
-            elif isinstance(c, float):
-                rec["c"] = c
-            else:
-                rec["c"] = format_rational(c)
-            items.append(rec)
+        """{"dim": n, "terms": [...]}, the terms sorted by key, 1-based: an
+        exact form writes each channel as ``format_rational`` of D*m and D,
+        a float form each m as its float."""
+        (r, s), D, items = self.num, self.scale, []
+        c = [format_rational(x, D) for x in r] if self.is_exact_form else self._floats()
+        for t in sorted(range(len(r)), key=self.keys.__getitem__):
+            items.append({"ijk": [v + 1 for v in self.keys[t]], "c": c[t]})
+            if s[t] and self.is_exact_form:
+                items[-1]["c3"] = format_rational(s[t], D)
         return {"dim": self.n, "terms": items}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CubicForm":
+        """The form of {"dim": n, "terms": [{"ijk": [i, j, k], "c": c}, ...]},
+        1-based indices.  c, and a term's optional sqrt(3) part c3, are
+        read once each by ``parse_rational``: a string in any spelling
+        ``Fraction`` takes, a JSON integer, or a JSON number, which as c
+        makes a float form and may then carry no c3.  A ValueError names a
+        bad dim, index or coefficient, a monomial listed twice, a channel
+        past MAX_COEFFICIENT in magnitude and a nonzero form whose largest
+        |m|, as a float, is below 1 / MAX_COEFFICIENT."""
         n = _json_int(d["dim"], "dim")
         if not 1 <= n <= MAX_DIM:
             raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {n}")
-        terms: Dict[Key, object] = {}
+        cs, rows, top = {}, [], 0.0
         for rec in d["terms"]:
-            i, j, k = (_json_int(v, "an ijk entry") - 1 for v in rec["ijk"])
-            if (i, j, k) in terms:
+            ijk = rec["ijk"]
+            i, j, k = ijk if (type(ijk) is list and len(ijk) == 3
+                              and type(ijk[0]) is type(ijk[1]) is type(ijk[2]) is int) else (
+                _json_int(v, "an ijk entry") for v in ijk)
+            key = (i - 1, j - 1, k - 1)
+            if key in cs:
                 raise ValueError(f"monomial ijk {rec['ijk']} is listed twice")
-            raw = rec["c"]
+            cs[key] = raw = rec["c"]     # each key's c: a nonzero float makes a float form
             if isinstance(raw, bool) or isinstance(rec.get("c3"), bool):
                 raise ValueError(f"coefficient at ijk {rec['ijk']} is a boolean")
-            if isinstance(raw, float) and "c3" in rec:
+            fl = isinstance(raw, float)
+            if fl and "c3" in rec:
                 raise ValueError(f"a float c cannot carry c3 (ijk {rec['ijk']})")
-            c = raw if isinstance(raw, float) else parse_rational(raw)
-            channels = [c, parse_rational(rec["c3"])] if "c3" in rec else [c]
-            if not all(abs(x) <= MAX_COEFFICIENT if isinstance(x, float)
-                       else abs(x.numerator) <= _MAX_INT * x.denominator
-                       for x in channels):
+            # a float c is held to the float bound, and one past it is not parsed
+            big = fl and not abs(raw) <= MAX_COEFFICIENT
+            p, q = pair = (0, 1) if big else parse_rational(raw)
+            p3, q3 = pair3 = parse_rational(rec["c3"]) if "c3" in rec else (0, 1)
+            if big or abs(p3) > _MAX_INT * q3 or not fl and abs(p) > _MAX_INT * q:
                 raise ValueError(f"coefficient at ijk {rec['ijk']} is not finite "
                                  f"or exceeds {MAX_COEFFICIENT:g} in magnitude")
-            terms[(i, j, k)] = QSqrt3(*channels) if len(channels) == 2 else c
-        top = max((abs(float(c)) for c in terms.values()), default=0.0)
-        if any(terms.values()) and top < 1 / MAX_COEFFICIENT:
+            rows.append((pair, pair3))
+            top = max(top, abs(p / q + p3 / q3 * SQRT3_FLOAT if p3 else p / q))
+        if top < 1 / MAX_COEFFICIENT and any(p or p3 for (p, _), (p3, _) in rows):
             raise ValueError(f"the largest coefficient is below "
                              f"{1 / MAX_COEFFICIENT:g} in magnitude")
-        return cls(n, terms)
+        return cls.__new__(cls)._clear(n, list(cs), rows,
+                                       not any(isinstance(c, float) and c for c in cs.values()))
 
     def __repr__(self):
-        return f"CubicForm(n={self.n}, {len(self.terms)} monomials)"
+        return f"CubicForm(n={self.n}, {len(self.keys)} monomials)"
 
 
 # ---------------------------------------------------------------------------
 # the (u, Du, D^2u) kernel
 # ---------------------------------------------------------------------------
-
-def _channels(c) -> tuple:
-    """A coefficient's exact channels: a QSqrt3's two parts, a float's
-    binary fraction, and an int or Fraction as it is."""
-    return (c.a, c.b) if isinstance(c, QSqrt3) else (Fraction(c) if isinstance(c, float) else c,)
-
 
 @dataclass(frozen=True)
 class Jet:
@@ -211,7 +255,8 @@ class Jet:
     at each.  A rotation (a; b, c) adds m x_b x_c to D_a u, m x_c and
     m x_b to D^2_ab u and D^2_ac u, and m x_a (y_b z_c + y_c z_b) to the
     polarization u(x; y; z) = <D^2u(x) y, z>.  Both kinds hold D*u,
-    D = ``scale``.  Exact arrays hold Python ints, D the least positive
+    D = ``scale``, and ``CubicForm.jet`` builds both from the form's
+    integers.  Exact arrays hold Python ints, D the least positive
     integer making every m integral in both sqrt(3) channels; float
     arrays have D = 2**-floor(log2 max|m|), which rescales every float
     result exactly.  The exact jet of a
@@ -236,7 +281,8 @@ class Jet:
     (point * n + a, and point * n^2 + a * n + b), which adds into each
     entry in column order, so every result is the single point's, bit for
     bit, on every dtype and in any block.  ``modulo`` gives the jet on
-    int64 residues modulo 2**64 or a prime, and ``l1`` bounds their sums.
+    int64 residues modulo 2**64 or a prime, and ``l1``, taken once per
+    jet, bounds their sums.
     """
     scale: float
     ijk: np.ndarray
@@ -244,36 +290,17 @@ class Jet:
     sqrt3: Optional["Jet"] = None
 
     @classmethod
-    def of(cls, u: CubicForm, exact: bool) -> "Jet":
-        if not exact:
-            terms = [(k, float(c)) for k, c in u.terms.items()]
-            top = max((abs(c) for _, c in terms), default=1.0)
-            # a subnormal top gets 2**1023, the largest finite power of two
-            D = 2.0 ** min(1 - math.frexp(top)[1], 1023)
-            return cls._arrays(D, [(k, D * c) for k, c in terms], float)
-        chans = {k: _channels(c) for k, c in u.terms.items()}
-        D = math.lcm(*(x.denominator for ch in chans.values() for x in ch))
-        # each channel's D * x cleared on integers, with no Fraction product;
-        # a sqrt3 channel, never 0 (``_simplify``), becomes the ``sqrt3`` jet
-        jet, s = (cls._arrays(D, [(k, D // ch[i].denominator * ch[i].numerator)
-                                  for k, ch in chans.items() if len(ch) > i], object)
-                  for i in (0, 1))
-        return replace(jet, sqrt3=s) if s.m.size else jet
+    def _arrays(cls, D, ijk: np.ndarray, m: np.ndarray) -> "Jet":
+        """The arrays of sum m x_i x_j x_k over the columns (i, j, k) of ijk
+        whose m, the coefficient times D, is nonzero."""
+        ijk, m = ijk[:, m != 0], m[m != 0]
+        return cls(D, np.concatenate([ijk, ijk[[1, 2, 0]], ijk[[2, 0, 1]]], axis=1), np.tile(m, 3))
 
-    @classmethod
-    def _arrays(cls, D: float, terms, dtype) -> "Jet":
-        """The arrays of sum m x_i x_j x_k over the nonzero (key, m), each
-        m the coefficient times D."""
-        terms = [(k, m) for k, m in terms if m]
-        ijk = np.array([k for k, _ in terms], dtype=np.intp).reshape(-1, 3).T
-        m = np.array([m for _, m in terms], dtype=dtype)
-        return cls(D, np.concatenate([ijk, ijk[[1, 2, 0]], ijk[[2, 0, 1]]], axis=1),
-                   np.tile(m, 3))
-
-    @property
+    @cached_property
     def l1(self):
         """sum|m| + 2 sum|m| of the ``sqrt3`` jet, which bounds the kernel's
-        sums: a Python int on integer arrays, a float64 on float ones."""
+        sums: a Python int on integer arrays, a float64 on float ones;
+        taken once per jet."""
         if self.m.dtype == float:
             return np.abs(self.m).sum()
         return sum(map(abs, self.m.tolist())) + (0 if self.sqrt3 is None else 2 * self.sqrt3.l1)
@@ -459,7 +486,7 @@ def cartan_cubic(d: int) -> CubicForm:
     k = common_denominator(basis)
     p = freudenthal_det(_symbolic_element(basis, len(basis), 0, k))
     form = _divided(p, 2 * k ** 3)
-    if d in (1, 2) and any(isinstance(c, QSqrt3) for c in form.terms.values()):
+    if d in (1, 2) and any(form.num[1]):
         raise AssertionError("d=1,2 Cartan coefficients must be rational")
     return form
 

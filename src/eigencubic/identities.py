@@ -346,7 +346,7 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
     if m == "float":
         t = _proportional_float(ident, jet, u.n, seed)
     elif m == "exact":
-        t = _expanded_ratio(*ident.sides(*u.symbolic()))
+        t = _expanded_ratio(*ident.sides(*u.symbolic))
     else:
         _require_trials(trials)
         # one draw per block of points, so memory stays O(block) however

@@ -20,6 +20,8 @@ bounds.
 
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -269,13 +271,30 @@ def exact_div(a, b):
     return Fraction(a) / Fraction(b)
 
 
-def format_rational(x) -> str:
-    """Canonical string for a rational scalar: '-8', '3/4', ..."""
-    return str(Fraction(x))
+def format_rational(num, den=1) -> str:
+    """Canonical string for the rational num / den: '-8', '3/4', ..."""
+    return str(Fraction(num, den))
 
 
-def parse_rational(s: str) -> Fraction:
+# the spelling format_rational writes, in ASCII digits only
+_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+
+
+def parse_rational(x) -> tuple:
+    """x as a reduced pair of ints (p, q), q > 0: a string in
+    ``format_rational``'s spelling read with two ``int``s and a gcd, an
+    int, Fraction or float by its own ``as_integer_ratio`` (a float as the
+    binary fraction it is), and anything else as ``Fraction`` reads it, so
+    a string in any spelling ``Fraction`` takes.  A zero denominator and
+    an infinite float are ValueErrors, as is every string ``Fraction``
+    refuses."""
+    m = _CANONICAL(x) if isinstance(x, str) else None
     try:
-        return Fraction(s)
-    except ZeroDivisionError:       # "1/0" names no rational, as "abc" does not
-        raise ValueError(f"zero denominator in {s!r}") from None
+        p, q = ((int(m[1]), int(m[2] or 1)) if m else
+                (x if isinstance(x, (int, float, Fraction)) else Fraction(x)).as_integer_ratio())
+        g = math.gcd(p, q) if q else 0      # q = 0: the ZeroDivisionError below
+        return p // g, q // g
+    except (ZeroDivisionError, OverflowError) as exc:
+        # "1/0" and an infinite float name no rational, as "abc" does not
+        raise ValueError(str(exc) if isinstance(exc, OverflowError)
+                         else f"zero denominator in {x!r}") from None

@@ -2,16 +2,21 @@
 kernel ``Jet`` against them: the form as a ``Poly``, the dense symmetric
 tensor, the complete polarization, the gradient, Hessian and Laplacian
 as ``Poly``s, and the dense coefficient tensors of a jet's polarization,
-which decide weak associativity; and a scaled copy of a form and a
-seeded sparse random cubic."""
+which decide weak associativity; a scaled copy of a form and a seeded
+sparse random cubic; the dict route that read form files before a form
+held its integers; and a form file with every coefficient respelled."""
 
+import math
 import random
+from dataclasses import replace
+from fractions import Fraction
 from typing import List, Sequence
 
 import numpy as np
 
 from eigencubic.cubics import CubicForm, Jet
 from eigencubic.poly import Poly
+from eigencubic.scalars import QSqrt3
 from polyref import diff
 
 
@@ -98,3 +103,72 @@ def sparse_cubic(n: int, count: int, seed: int) -> CubicForm:
         if key not in terms:
             terms[key] = rng.randint(-9, 9) or 1
     return CubicForm(n, terms)
+
+
+def dict_route(d: dict):
+    """A form file read as forms were read while they held a dict of
+    coefficients: each term a Fraction, a QSqrt3 where it has a c3 that is
+    not 0, or a float; the zero terms dropped; and the exact and float jets
+    cleared from that dict.  Returns (terms, exact jet, float jet), for a
+    file that ``CubicForm.from_json_dict`` accepts."""
+    terms = {}
+    for rec in d["terms"]:
+        c = rec["c"] if isinstance(rec["c"], float) else Fraction(rec["c"])
+        if Fraction(rec.get("c3", 0)):
+            c = QSqrt3(c, Fraction(rec["c3"]))
+        if c:
+            terms[tuple(v - 1 for v in rec["ijk"])] = c
+
+    def arrays(D, keyed, dtype):
+        keyed = [(k, m) for k, m in keyed if m]
+        ijk = np.array([k for k, _ in keyed], dtype=np.intp).reshape(-1, 3).T
+        return Jet(D, np.concatenate([ijk, ijk[[1, 2, 0]], ijk[[2, 0, 1]]], axis=1),
+                   np.tile(np.array([m for _, m in keyed], dtype=dtype), 3))
+
+    parts = {k: (c.a, c.b) if isinstance(c, QSqrt3) else (Fraction(c),) for k, c in terms.items()}
+    D = math.lcm(*(x.denominator for ch in parts.values() for x in ch))
+    exact, s = (arrays(D, [(k, int(D * ch[i])) for k, ch in parts.items() if len(ch) > i], object)
+                for i in (0, 1))
+    floats = [(k, float(c)) for k, c in terms.items()]
+    top = max((abs(c) for _, c in floats), default=1.0)
+    F = 2.0 ** min(1 - math.frexp(top)[1], 1023)
+    return (terms, replace(exact, sqrt3=s) if s.m.size else exact,
+            arrays(F, [(k, F * c) for k, c in floats], float))
+
+
+def dict_route_json(n: int, terms: dict) -> dict:
+    """The JSON object of a dict of terms, as ``to_json_dict`` wrote it
+    from the dict: sorted keys, 1-based, "p/q" strings or floats."""
+    items = []
+    for key in sorted(terms):
+        c, rec = terms[key], {"ijk": [v + 1 for v in key]}
+        if isinstance(c, QSqrt3):
+            rec["c"], rec["c3"] = str(c.a), str(c.b)
+        else:
+            rec["c"] = c if isinstance(c, float) else str(c)
+        items.append(rec)
+    return {"dim": n, "terms": items}
+
+
+def respelled(d: dict) -> dict:
+    """The form file d with every c and c3 string spelled as ``Fraction``
+    reads it but ``format_rational`` never writes it, by turns: unreduced,
+    with a leading "+" (on p >= 0) and surrounding spaces, and as a decimal
+    or an exponent where the denominator divides a power of 10 (unreduced
+    again where it does not)."""
+    def spell(text: str, turn: int) -> str:
+        x = Fraction(text)
+        k = next((k for k in range(60) if 10 ** k % x.denominator == 0), None)
+        if turn % 3 == 0 or k is None:
+            return f"{3 * x.numerator}/{3 * x.denominator}"
+        if turn % 3 == 1:
+            return f"  {'+' if x >= 0 else ''}{x.numerator}/{x.denominator} "
+        digits = x.numerator * 10 ** k // x.denominator
+        if turn % 2:
+            return f"{digits}e-{k}"
+        sign, digits = "-" if digits < 0 else "", str(abs(digits)).rjust(k + 1, "0")
+        return f"{sign}{digits[:len(digits) - k]}.{digits[len(digits) - k:] or '0'}"
+
+    terms = [{key: spell(v, t + (key == "c3")) if key in ("c", "c3") else v
+              for key, v in rec.items()} for t, rec in enumerate(d["terms"])]
+    return {**d, "terms": terms}

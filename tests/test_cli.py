@@ -251,6 +251,8 @@ _DEGENERATE_FILES = {
     "float-c-with-c3": _form_file(c=0.5, c3="1"),
     # an infinite c3 names no rational, as an infinite c names no coefficient
     "c3-infinite": _form_file(c3=float("inf")),
+    "c3-overflow": '{"dim": 3, "terms": [{"ijk": [1, 2, 2], "c": "1", "c3": 1e400}, '
+                   '{"ijk": [1, 3, 3], "c": "-1"}]}',
     # JSON nested past the decoder's recursion limit
     "nested-arrays": "[" * 100_000 + "]" * 100_000,
     "nested-objects": '{"a": ' * 50_000 + "1" + "}" * 50_000,
@@ -299,7 +301,7 @@ _DEGENERATE_RUNS = [
       for args in (["classify"], ["verify"], ["spectrum", "--seed", "1"],
                    ["cone-sample", "--seed", "1", "--count", "3"])),
     *((form, args) for form in ("one-over-zero", "zero-over-zero", "c3-over-zero",
-                                "c3-infinite", "nested-arrays", "nested-objects",
+                                "c3-infinite", "c3-overflow", "nested-arrays", "nested-objects",
                                 "repeated-dim", "repeated-c")
       for args in (["verify"], ["classify"], ["spectrum", "--seed", "1"],
                    ["cone-sample", "--seed", "1", "--count", "3"])),

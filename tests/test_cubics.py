@@ -23,7 +23,8 @@ from eigencubic.jordan import (cleared, common_denominator, fullspace_basis,
 from eigencubic.poly import Poly
 from eigencubic.modular import primes, residues
 from eigencubic.scalars import QSqrt3, QSqrt3Array
-from formref import gradient, hessian, laplacian, polarize, scaled, to_poly
+from formref import (dict_route, dict_route_json, gradient, hessian, laplacian, polarize,
+                     respelled, scaled, sparse_cubic, to_poly)
 from polyref import diff, evaluate
 from rotations import cayley_rotation, rotate_exact, skew
 
@@ -395,10 +396,10 @@ def test_exact_jet_clears_on_integers_as_the_fraction_route(name):
     if name == "float-copy":
         u = catalog_build("cartan-d4").to_float()
     elif name == "int-channels":
-        u = CubicForm(3, {(0, 1, 2): QSqrt3(2, -3), (0, 0, 0): QSqrt3(Fraction(1, 2), 5),
-                          (1, 1, 2): QSqrt3(7, 0), (2, 2, 2): QSqrt3(0, 1)})
-        assert {type(x) for c in u.terms.values() if isinstance(c, QSqrt3)
-                for x in (c.a, c.b)} >= {int}
+        terms = {(0, 1, 2): QSqrt3(2, -3), (0, 0, 0): QSqrt3(Fraction(1, 2), 5),
+                 (1, 1, 2): QSqrt3(7, 0), (2, 2, 2): QSqrt3(0, 1)}
+        assert {type(x) for c in terms.values() for x in (c.a, c.b)} >= {int}
+        u = CubicForm(3, terms)
     else:
         u = catalog_build(name)
     jet = u.jet(exact=True)
@@ -413,6 +414,98 @@ def _rotated_cartan_d4():
     Hessian route."""
     S = skew(14, [Fraction(k % 7 - 3, k % 4 + 1) for k in range(91)])
     return rotate_exact(cartan_cubic(4), cayley_rotation(S))
+
+
+_READ_FORMS = (list(CATALOG) + [f"{name}-float" for name in CATALOG]
+               + ["cartan-d4-x1e18", "cartan-d4-rotated", "sparse-128"])
+
+
+def _read_form(name):
+    if name == "cartan-d4-x1e18":
+        return scaled(cartan_cubic(4), 10 ** 18)
+    if name == "cartan-d4-rotated":
+        return _rotated_cartan_d4()
+    if name == "sparse-128":
+        return sparse_cubic(128, 300, 5)
+    if name.endswith("-float"):
+        return catalog_build(name[:-len("-float")]).to_float()
+    return catalog_build(name)
+
+
+def _same_jet(got, want, dtype):
+    assert type(got.scale) is type(want.scale) and got.scale == want.scale
+    assert got.ijk.dtype == want.ijk.dtype and np.array_equal(got.ijk, want.ijk)
+    assert got.m.dtype == want.m.dtype == dtype
+    if dtype == object:
+        assert got.m.tolist() == want.m.tolist() and all(type(v) is int for v in got.m)
+    else:
+        assert got.m.tobytes() == want.m.tobytes()
+    assert (got.sqrt3 is None) is (want.sqrt3 is None)
+    if got.sqrt3 is not None:
+        _same_jet(got.sqrt3, want.sqrt3, dtype)
+
+
+@pytest.mark.parametrize("name", _READ_FORMS)
+def test_reading_a_form_gives_the_dict_route_form(name):
+    # a form file read into integers gives the terms, in order and type,
+    # the exact jet, the float jet's bits and the JSON bytes of the dict
+    # route that read it into Fraction and QSqrt3 coefficients first
+    d = _read_form(name).to_json_dict()
+    u = CubicForm.from_json_dict(d)
+    terms, exact, floats = dict_route(d)
+    assert list(u.terms.items()) == list(terms.items())
+    assert [(type(c), type(getattr(c, "a", None)), type(getattr(c, "b", None)))
+            for c in u.terms.values()] == \
+        [(type(c), type(getattr(c, "a", None)), type(getattr(c, "b", None)))
+         for c in terms.values()]
+    _same_jet(u.jet(exact=True), exact, object)
+    _same_jet(u.jet(exact=False), floats, np.float64)
+    assert json.dumps(u.to_json_dict()) == json.dumps(dict_route_json(u.n, terms)) \
+        == json.dumps(d)
+
+
+@pytest.mark.parametrize("name", ["cartan-d4", "cartan-d8", "complexified-d2", "clifford-q1"])
+def test_non_canonical_spellings_read_as_the_canonical_form(name):
+    # unreduced fractions, decimals, exponents, a leading "+" and spaces go
+    # through parse_rational's Fraction branch to the same integers
+    d = catalog_build(name).to_json_dict()
+    u, v = CubicForm.from_json_dict(d), CubicForm.from_json_dict(respelled(d))
+    assert v.to_json_dict() == d and v == u
+    assert (v.keys, v.num, v.scale) == (u.keys, u.num, u.scale)
+
+
+def test_terms_is_a_read_only_view_built_on_first_use():
+    # building a form, writing it, reading it and building both jets leave
+    # the view unbuilt; once built it is kept and refuses writes
+    u = cubics.cartan_cubic.__wrapped__(4)
+    u.to_json_dict()
+    assert "terms" not in vars(u)
+    v = CubicForm.from_json_dict(u.to_json_dict())
+    v.jet(exact=True), v.jet(exact=False), v.to_float(), v.to_json_dict()
+    assert "terms" not in vars(v)
+    view = v.terms
+    assert v.terms is view and view == u.terms
+    with pytest.raises(TypeError):
+        view[(0, 0, 0)] = Fraction(1)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_jet_l1_is_taken_once_per_jet(exact):
+    jet = CubicForm.from_json_dict(catalog_build("cartan-d4").to_json_dict()).jet(exact)
+    assert "l1" not in vars(jet)
+    L = jet.l1
+    assert vars(jet)["l1"] is L and jet.l1 is L
+    if exact:
+        assert L == sum(map(abs, jet.m.tolist())) + 2 * sum(map(abs, jet.sqrt3.m.tolist()))
+    else:
+        assert L == np.abs(jet.m).sum()
+
+
+@pytest.mark.parametrize("c3", ["Infinity", "-Infinity", "1e400", "NaN"])
+def test_an_infinite_c3_is_a_value_error(c3):
+    text = '{"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": "1", "c3": %s}]}' % c3
+    with pytest.raises(ValueError, match="cannot convert"):
+        CubicForm.from_json_dict(json.loads(text))
 
 
 @pytest.mark.parametrize("name", list(CATALOG) + ["cartan-d4-x1e18", "cartan-d4-rotated"])
@@ -512,9 +605,11 @@ def _assert_same_piece(got, want):
 def _hand_built_sqrt3_jet():
     """2 x0 x1 x2 + 4 x0^3 + sqrt3 (x0^2 x3 - 3 x1^3 + 7 x2 x3^2 + 5 x1 x2 x3
     - x3^3): the sqrt(3) channel has more monomials than the rational one."""
-    r = Jet._arrays(1, [((0, 1, 2), 2), ((0, 0, 0), 4)], object)
-    s = Jet._arrays(1, [((0, 0, 3), 1), ((1, 1, 1), -3), ((2, 3, 3), 7), ((1, 2, 3), 5),
-                        ((3, 3, 3), -1)], object)
+    def channel(*terms):
+        keys, m = zip(*terms)
+        return Jet._arrays(1, np.array(keys, dtype=np.intp).T, np.array(m, dtype=object))
+    r = channel(((0, 1, 2), 2), ((0, 0, 0), 4))
+    s = channel(((0, 0, 3), 1), ((1, 1, 1), -3), ((2, 3, 3), 7), ((1, 2, 3), 5), ((3, 3, 3), -1))
     return replace(r, sqrt3=s), 4
 
 

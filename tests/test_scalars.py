@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from eigencubic import modular
+from eigencubic import modular, scalars
 from eigencubic.cubics import catalog_build
 from eigencubic.identities import CheckReport
 from eigencubic.poly import Poly, PolyArray
@@ -141,9 +142,55 @@ def test_is_exact():
     assert not is_exact(0.5)
 
 
+# strings Fraction reads or refuses: "p/q" in any sign, reduced or not and
+# with a zero denominator, signs, spaces, decimals, bounded exponents,
+# underscores and non-ASCII digits (the regex \d draws from every Nd
+# digit), and any text
+_RATIONAL_TEXT = st.one_of(
+    st.builds("{}/{}".format, st.integers(-10 ** 30, 10 ** 30), st.integers(0, 10 ** 30)),
+    st.integers(-10 ** 40, 10 ** 40).map(str),
+    st.from_regex(r"\s{0,2}[+-]?\d{0,20}(_\d{1,3}){0,2}(\.\d{0,8})?([eE][+-]?\d{1,3})?\s{0,2}",
+                  fullmatch=True),
+    st.from_regex(r"\s{0,2}[+-]?\d{1,20}(_\d{1,3})?\s{0,2}/\s{0,2}\d{1,20}\s{0,2}",
+                  fullmatch=True),
+    st.text(max_size=12))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_RATIONAL_TEXT)
+@example("6/4")
+@example("-0")
+@example("+3")
+@example(" 3/4 ")
+@example("1.25e-3")
+@example("1_000")
+@example("\u0663/\u0664")
+@example("1/0")
+@example("0/0")
+@example("")
+def test_parse_rational_reads_a_string_as_fraction_does(text):
+    # the pair is Fraction(text)'s numerator and denominator, a ValueError
+    # comes exactly where Fraction raises, and the fast branch takes ASCII
+    # digits only
+    assert not scalars._CANONICAL(text) or text.isascii()
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+        return
+    assert parse_rational(text) == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_parse_rational_refuses_a_float_that_is_no_rational(x):
+    with pytest.raises(ValueError, match="cannot convert"):
+        parse_rational(x)
+
+
 def test_rational_string_round_trip():
     for v in (Fraction(-8), Fraction(3, 4), Fraction(0)):
-        assert parse_rational(format_rational(v)) == v
+        assert parse_rational(format_rational(v)) == (v.numerator, v.denominator)
     assert format_rational(Fraction(-8)) == "-8"
     assert format_rational(Fraction(6, 8)) == "3/4"
 
