@@ -64,7 +64,8 @@ def block_rows(width: int) -> int:
 
 
 def _json_int(v, what: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
+    # a plain int, what nearly every entry is, skips the two isinstance calls
+    if type(v) is not int and (isinstance(v, bool) or not isinstance(v, int)):
         raise ValueError(f"{what} must be a JSON integer, got {v!r}")
     return v
 
@@ -77,27 +78,29 @@ class CubicForm:
     which the float kernel's sums follow.  ``num`` is the pair (r, s) of
     lists of Python ints aligned with ``keys``, m = (r + sqrt(3) s) / D,
     and D = ``scale`` the least positive integer that clears every m.  A
-    float form, one with a nonzero float coefficient (``is_exact_form``
-    false), holds the binary fractions its floats are.  The dict
-    constructor, which the catalog builders use, and ``from_json_dict``
-    read each coefficient once, through ``scalars.parse_rational``.
+    float coefficient is held as the binary fraction it is, and its key
+    is in ``float_keys``; a form with any (``is_exact_form`` false) is a
+    float form.  The dict constructor, which the catalog builders use,
+    and ``from_json_dict`` read each coefficient once, through
+    ``scalars.parse_rational``.
 
-    ``terms``, the read-only view key -> m, is built on first use: a
-    Fraction, a QSqrt3 where s != 0, or on a float form the float of
-    ``_floats``, sqrt(3) part included.  The full symmetric tensor entry
-    is m divided by the number of distinct permutations of (i, j, k).
+    ``terms``, the read-only view key -> m, is built on first use: the
+    float r / D at a key of ``float_keys``, elsewhere a Fraction, or a
+    QSqrt3 where s != 0.  The full symmetric tensor entry is m divided
+    by the number of distinct permutations of (i, j, k).
     """
 
     def __init__(self, n: int, terms: Dict[Key, object]):
         rows = [(parse_rational(c.a), parse_rational(c.b)) if isinstance(c, QSqrt3)
                 else (parse_rational(c), (0, 1)) for c in terms.values()]
-        self._clear(n, list(terms), rows, all(is_exact(c) or not c for c in terms.values()))
+        self._clear(n, list(terms), rows, {k for k, c in terms.items() if c and not is_exact(c)})
 
-    def _clear(self, n: int, keys: list, rows: list, exact: bool) -> "CubicForm":
+    def _clear(self, n: int, keys: list, rows: list, floats: set) -> "CubicForm":
         """This form, set from its keys and each one's row ((p, q), (p3, q3))
         of reduced pairs, m = p/q + sqrt(3) p3/q3: both parts cleared to
-        D*m on integers, the zero m dropped.  A key outside
-        0 <= i <= j <= k < n is a ValueError."""
+        D*m on integers, the zero m dropped.  ``floats`` holds the keys of
+        the nonzero float coefficients.  A key outside 0 <= i <= j <= k < n
+        is a ValueError."""
         for i, j, k in keys:
             if not 0 <= i <= j <= k < n:
                 raise ValueError(f"bad monomial key {(i, j, k)} for dimension {n}")
@@ -106,16 +109,16 @@ class CubicForm:
         if not all(r):
             live = [t for t, x in enumerate(r) if x or s[t]]
             keys, r, s = ([x[t] for t in live] for x in (keys, r, s))
-        self.n, self.keys, self.num, self.scale, self.is_exact_form = n, keys, (r, s), D, exact
-        self._jets = {}
+        self.n, self.keys, self.num, self.scale = n, keys, (r, s), D
+        self.float_keys, self.is_exact_form, self._jets = frozenset(floats), not floats, {}
         return self
 
     @cached_property
     def terms(self) -> Mapping[Key, object]:
-        (r, s), D = self.num, self.scale
-        m = self._floats() if not self.is_exact_form else [
-            QSqrt3(Fraction(x, D), Fraction(y, D)) if y else Fraction(x, D) for x, y in zip(r, s)]
-        return MappingProxyType(dict(zip(self.keys, m)))
+        (r, s), D, fl = self.num, self.scale, self.float_keys
+        return MappingProxyType({
+            key: x / D if key in fl else QSqrt3(Fraction(x, D), Fraction(y, D)) if y
+            else Fraction(x, D) for key, x, y in zip(self.keys, r, s)})
 
     def _floats(self) -> list:
         """Each m as a float: r / D, which Python rounds correctly, as
@@ -184,15 +187,15 @@ class CubicForm:
 
     # -- serialization ---------------------------------------------------------
     def to_json_dict(self) -> dict:
-        """{"dim": n, "terms": [...]}, the terms sorted by key, 1-based: an
-        exact form writes each channel as ``format_rational`` of D*m and D,
-        a float form each m as its float."""
-        (r, s), D, items = self.num, self.scale, []
-        c = [format_rational(x, D) for x in r] if self.is_exact_form else self._floats()
-        for t in sorted(range(len(r)), key=self.keys.__getitem__):
-            items.append({"ijk": [v + 1 for v in self.keys[t]], "c": c[t]})
-            if s[t] and self.is_exact_form:
-                items[-1]["c3"] = format_rational(s[t], D)
+        """{"dim": n, "terms": [...]}, the terms sorted by key, 1-based:
+        a float coefficient written as its float, every other channel as
+        ``format_rational`` of D*m and D."""
+        D, fl, items = self.scale, self.float_keys, []
+        for key, x, y in sorted(zip(self.keys, *self.num)):     # the keys are distinct
+            items.append({"ijk": [v + 1 for v in key],
+                          "c": x / D if key in fl else format_rational(x, D)})
+            if y:
+                items[-1]["c3"] = format_rational(y, D)
         return {"dim": self.n, "terms": items}
 
     @classmethod
@@ -210,10 +213,7 @@ class CubicForm:
             raise ValueError(f"dimension must be in 1..{MAX_DIM}, got {n}")
         cs, rows, top = {}, [], 0.0
         for rec in d["terms"]:
-            ijk = rec["ijk"]
-            i, j, k = ijk if (type(ijk) is list and len(ijk) == 3
-                              and type(ijk[0]) is type(ijk[1]) is type(ijk[2]) is int) else (
-                _json_int(v, "an ijk entry") for v in ijk)
+            i, j, k = (_json_int(v, "an ijk entry") for v in rec["ijk"])
             key = (i - 1, j - 1, k - 1)
             if key in cs:
                 raise ValueError(f"monomial ijk {rec['ijk']} is listed twice")
@@ -231,12 +231,14 @@ class CubicForm:
                 raise ValueError(f"coefficient at ijk {rec['ijk']} is not finite "
                                  f"or exceeds {MAX_COEFFICIENT:g} in magnitude")
             rows.append((pair, pair3))
-            top = max(top, abs(p / q + p3 / q3 * SQRT3_FLOAT if p3 else p / q))
+            m = abs(p / q + p3 / q3 * SQRT3_FLOAT if p3 else p / q)
+            if m > top:      # not max(): 40 against 150 ns a term
+                top = m
         if top < 1 / MAX_COEFFICIENT and any(p or p3 for (p, _), (p3, _) in rows):
             raise ValueError(f"the largest coefficient is below "
                              f"{1 / MAX_COEFFICIENT:g} in magnitude")
         return cls.__new__(cls)._clear(n, list(cs), rows,
-                                       not any(isinstance(c, float) and c for c in cs.values()))
+                                       {k for k, c in cs.items() if isinstance(c, float) and c})
 
     def __repr__(self):
         return f"CubicForm(n={self.n}, {len(self.keys)} monomials)"

@@ -286,6 +286,8 @@ def test_from_json_dict_takes_coefficients_up_to_the_bound():
     u = CubicForm.from_json_dict(d)
     assert u.terms == {(0, 0, 0): -1e50,
                        (0, 1, 1): QSqrt3(Fraction(10) ** 50, -Fraction(10) ** 50)}
+    c = u.terms[(0, 1, 1)]
+    assert type(c) is QSqrt3 and (c.a, c.b) == (10 ** 50, -10 ** 50)
 
 
 # int(1e50): the exact value of the float bound, the largest integer allowed
@@ -417,10 +419,13 @@ def _rotated_cartan_d4():
 
 
 _READ_FORMS = (list(CATALOG) + [f"{name}-float" for name in CATALOG]
-               + ["cartan-d4-x1e18", "cartan-d4-rotated", "sparse-128"])
+               + ["cartan-d4-x1e18", "cartan-d4-rotated", "sparse-128", "mixed"])
 
 
 def _read_form(name):
+    if name == "mixed":
+        return CubicForm(3, {(0, 0, 0): 0.5, (0, 1, 2): Fraction(1, 3), (2, 2, 2): 0.1,
+                             (1, 1, 1): QSqrt3(Fraction(-1, 2), 2), (1, 2, 2): 7})
     if name == "cartan-d4-x1e18":
         return scaled(cartan_cubic(4), 10 ** 18)
     if name == "cartan-d4-rotated":
@@ -472,6 +477,27 @@ def test_non_canonical_spellings_read_as_the_canonical_form(name):
     u, v = CubicForm.from_json_dict(d), CubicForm.from_json_dict(respelled(d))
     assert v.to_json_dict() == d and v == u
     assert (v.keys, v.num, v.scale) == (u.keys, u.num, u.scale)
+
+
+def test_a_mixed_file_keeps_its_exact_coefficients_exact():
+    # a float c beside exact ones makes a float form, but only the float
+    # terms read, and write back, as floats
+    d = {"dim": 3, "terms": [{"ijk": [1, 1, 1], "c": 0.5}, {"ijk": [1, 2, 3], "c": "1/3"},
+                             {"ijk": [2, 2, 2], "c": "-1/2", "c3": "2"}]}
+    u = CubicForm.from_json_dict(d)
+    assert not u.is_exact_form and u.float_keys == {(0, 0, 0)}
+    assert [(type(c), c) for c in u.terms.values()] == [
+        (float, 0.5), (Fraction, Fraction(1, 3)), (QSqrt3, QSqrt3(Fraction(-1, 2), 2))]
+    assert type(u.terms[(1, 1, 1)].a) is Fraction and u.terms[(1, 1, 1)].b == 2
+    assert u.to_json_dict() == d
+    back = CubicForm.from_json_dict(json.loads(json.dumps(u.to_json_dict())))
+    assert back.jet(exact=True).scale == 6 and back.terms == u.terms
+    assert back.num == u.num == ([3, 2, -3], [0, 0, 12])
+    coo = back.coo()
+    assert coo[0] == (0, 0, 0, 0.5) and type(coo[0][3]) is float
+    assert coo[1] == (0, 1, 2, Fraction(1, 18)) and type(coo[1][3]) is Fraction
+    assert coo[-1] == (1, 1, 1, QSqrt3(Fraction(-1, 2), 2)) and type(coo[-1][3]) is QSqrt3
+    assert back.to_float().terms == dict(zip(u.keys, u._floats()))
 
 
 def test_terms_is_a_read_only_view_built_on_first_use():
