@@ -160,9 +160,10 @@ class CubicForm:
         """
         if exact not in self._jets:
             ijk = np.array(self.keys, dtype=np.intp).reshape(-1, 3).T
-            if exact:
-                r, s = (Jet._arrays(self.scale, ijk, np.array(x, dtype=object)) for x in self.num)
-                self._jets[exact] = replace(r, sqrt3=s) if s.m.size else r
+            if exact:       # the sqrt(3) channel's jet only where some s is nonzero
+                r, *s = (Jet._arrays(self.scale, ijk, np.array(x, dtype=object))
+                         for x in self.num[:1 + any(self.num[1])])
+                self._jets[exact] = replace(r, sqrt3=s[0]) if s else r
             else:
                 f = np.array(self._floats(), dtype=float)
                 D = 2.0 ** min(1 - math.frexp(np.abs(f).max() if f.size else 1.0)[1], 1023)

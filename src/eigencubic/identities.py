@@ -38,10 +38,11 @@ Both point modes evaluate the sides through one function, ``_sides_at``,
 on blocks of points that bound its (points, n, n) stacks, each block as
 ``modular.ResidueStack``s: float64 ones under numpy's own rounding, each
 row the single point's bit for bit, or int64 ones modulo 2**64 and as
-many residue primes as the identity's ``bound`` needs, each side then
-lifted by CRT to the Python int one point gives alone; ``modular``
-states the int64 bounds.  Each block's sides come out as two arrays,
-which a caller concatenates or reads row by row.  One exact
+many residue primes as the bound read off the identity's own sides
+(``_Identity.bound``) needs, each side then lifted by CRT to the Python
+int one point gives alone; ``modular`` states the int64 bounds.  Each
+block's sides come out as two arrays, which a caller concatenates or
+reads row by row.  One exact
 Hessian per block serves every modulus, with g and v from it by Euler's
 identities, wherever the jet's own bound keeps it in int64 (2 L R^2 <
 2**62 at |p_a| <= R, every catalog form at the random mode's points);
@@ -178,8 +179,8 @@ def _exact_route(ident: _Identity, jet: Jet, n: int, R: int) -> Callable:
     the blocks.
 
     One Hessian serves every modulus when 2 L R^2 < 2**62.  Each channel
-    of H x = 2 g is then at most 2 L R^2 in magnitude (``_Identity``), and
-    so is each entry of H, which adds m p_c once per rotation, so both
+    of H x = 2 g is then at most 2 L R^2 in magnitude (``_Identity.bound``),
+    and so is each entry of H, which adds m p_c once per rotation, so both
     are exact in int64 however their sums wrap on the way.  The block
     takes H0 = ``jet.modulo(0).hessian(B)`` once and g0 = H0 B / 2, an
     exact halving; modulo each q, H = H0, g = g0 and v = (B . g) / 3, as
@@ -266,37 +267,53 @@ def _proportional_float(ident: _Identity, jet: Jet, n: int, seed: int):
 # the four proportionality identities, each written once
 # ---------------------------------------------------------------------------
 
+class _Norm(int):
+    """An upper bound on N(x), the sum of |r| + 2|s| over the entries
+    r + sqrt3 s of a piece or side x at one point, on which every
+    operation a side uses gives one on its result: ``+`` and ``-`` add,
+    ``*`` and ``@`` multiply, and ``sum`` and ``trace`` return it
+    unchanged.
+
+    Proof: on entries N(x +- y) <= N(x) + N(y) and N(xy) <= N(x) N(y),
+    as 3 <= 2 * 2.  Each entry of an elementwise ``*``, of ``@`` or of a
+    scalar times an array is a sum of products x_i y_j, and no pair
+    (i, j) occurs twice in the result, so its N is at most N(x) N(y); a
+    ``sum`` or ``trace`` adds each entry at most once.  A side is one
+    entry per point, and its N bounds |r| and |s|, the magnitudes of
+    both sqrt(3) channels.
+    """
+
+    __add__ = __radd__ = __sub__ = __rsub__ = lambda x, y: _Norm(int.__add__(x, y))
+    __mul__ = __rmul__ = __matmul__ = __rmatmul__ = lambda x, y: _Norm(int.__mul__(x, y))
+    sum = trace = lambda x: x
+
+
 @dataclass(frozen=True)
 class _Identity:
     """lhs = t * rhs with (lhs, rhs) = sides(u(p), Du(p), D^2u(p), |p|^2).
 
     ``degree`` is the degree of lhs - t rhs in p (the Schwartz-Zippel
     degree); ``positive`` says the identity holds only with t > 0.
-    ``bound(n, L, R)`` bounds |lhs| and |rhs| on both sqrt(3) channels of
-    D*u at p in Z^n, |p_a| <= R, L = ``Jet.l1``.  Proof: N(r + sqrt3 s)
-    = |r| + 2|s| bounds both channels, and N(x + y) <= N(x) + N(y),
-    N(xy) <= N(x) N(y).  A rotation (a; b, c) of m adds m p_b p_c to g_a
-    and m p_c, m p_b to H_ab, H_ac, so N(v) <= L R^3, G = sum N(g_a)
-    <= L R^2, h = sum N(H_ab) <= 2 L R and r2 <= n R^2.  A sum of products
-    is at most the product of the sums: N(g.g) <= G^2, N(tr H) <= h,
-    N(g.Hg) <= G^2 h, N(sum H*H) <= h^2, N(sum (HH)*H) <= h^3.
     """
     name: str
     degree: int
     sides: Callable
-    bound: Callable
     positive: bool = False
 
+    def bound(self, n: int, L: int, R: int) -> int:
+        """A bound on |lhs| and |rhs|, on both sqrt(3) channels of D*u, at
+        p in Z^n with |p_a| <= R, L = ``Jet.l1``: ``sides`` on the
+        ``_Norm``s of the pieces.  A rotation (a; b, c) of m adds m p_b p_c
+        to g_a and m p_c, m p_b to H_ab, H_ac, and ``Jet.l1`` sums every
+        rotation's N(m), so N(v) <= L R^3, N(g) <= L R^2, N(H) <= 2 L R
+        and N(r2) <= n R^2."""
+        return int(max(self.sides(*map(_Norm, (L * R ** 3, L * R * R, 2 * L * R, n * R * R)))))
 
-RADIAL = _Identity("radial", 5, lambda v, g, H, r2: (
-    (g @ g) * H.trace() - g @ (H @ g), r2 * v),
-    lambda n, L, R: max(4 * L * L, n) * L * R ** 5)
-EICONAL = _Identity("eiconal", 4, lambda v, g, H, r2: (g @ g, r2 * r2),
-                    lambda n, L, R: max(L, n) ** 2 * R ** 4, positive=True)
-TRACE2 = _Identity("trace2", 2, lambda v, g, H, r2: ((H * H).sum(), r2),
-                   lambda n, L, R: max(4 * L * L, n) * R * R)
-TRACE3 = _Identity("trace3", 3, lambda v, g, H, r2: (((H @ H) * H).sum(), v),
-                   lambda n, L, R: 8 * L ** 3 * R ** 3)
+
+RADIAL = _Identity("radial", 5, lambda v, g, H, r2: ((g @ g) * H.trace() - g @ (H @ g), r2 * v))
+EICONAL = _Identity("eiconal", 4, lambda v, g, H, r2: (g @ g, r2 * r2), positive=True)
+TRACE2 = _Identity("trace2", 2, lambda v, g, H, r2: ((H * H).sum(), r2))
+TRACE3 = _Identity("trace3", 3, lambda v, g, H, r2: (((H @ H) * H).sum(), v))
 
 
 def _coefficient(side, code: int) -> QSqrt3Array:

@@ -283,17 +283,20 @@ _CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
 def parse_rational(x) -> tuple:
     """x as a reduced pair of ints (p, q), q > 0: a string in
     ``format_rational``'s spelling read with two ``int``s and a gcd, an
-    int, Fraction or float by its own ``as_integer_ratio`` (a float as the
-    binary fraction it is), and anything else as ``Fraction`` reads it, so
-    a string in any spelling ``Fraction`` takes.  A zero denominator and
-    an infinite float are ValueErrors, as is every string ``Fraction``
-    refuses."""
+    int, Fraction or float as its own ``as_integer_ratio``, already in
+    lowest terms (a float as the binary fraction it is), and anything else
+    as ``Fraction`` reads it, so a string in any spelling ``Fraction``
+    takes.  A zero denominator and an infinite float are ValueErrors, as
+    is every string ``Fraction`` refuses."""
+    # strings first: the form files' coefficients, which a test for the
+    # numbers ahead of them would slow down
     m = _CANONICAL(x) if isinstance(x, str) else None
     try:
-        p, q = ((int(m[1]), int(m[2] or 1)) if m else
-                (x if isinstance(x, (int, float, Fraction)) else Fraction(x)).as_integer_ratio())
-        g = math.gcd(p, q) if q else 0      # q = 0: the ZeroDivisionError below
-        return p // g, q // g
+        if m:
+            p, q = int(m[1]), int(m[2] or 1)
+            g = math.gcd(p, q) if q else 0      # q = 0: the ZeroDivisionError below
+            return p // g, q // g
+        return (x if isinstance(x, (int, float, Fraction)) else Fraction(x)).as_integer_ratio()
     except (ZeroDivisionError, OverflowError) as exc:
         # "1/0" and an infinite float name no rational, as "abc" does not
         raise ValueError(str(exc) if isinstance(exc, OverflowError)

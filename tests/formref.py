@@ -2,10 +2,12 @@
 kernel ``Jet`` against them: the form as a ``Poly``, the dense symmetric
 tensor, the complete polarization, the gradient, Hessian and Laplacian
 as ``Poly``s, and the dense coefficient tensors of a jet's polarization,
-which decide weak associativity; a scaled copy of a form and a seeded
-sparse random cubic; the dict route that read form files before a form
-held its integers; and a form file with every coefficient respelled."""
+which decide weak associativity; a scaled copy of a form and seeded
+sparse and dense random cubics; the dict route that read form files
+before a form held its integers; and a form file with every coefficient
+respelled."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -103,6 +105,14 @@ def sparse_cubic(n: int, count: int, seed: int) -> CubicForm:
         if key not in terms:
             terms[key] = rng.randint(-9, 9) or 1
     return CubicForm(n, terms)
+
+
+def dense_cubic(n: int, seed: int) -> CubicForm:
+    """A cubic on R^n with every monomial i <= j <= k < n, in that order,
+    each coefficient drawn from +-1..+-9 by ``random.Random(seed)``."""
+    rng, coefficients = random.Random(seed), [c for c in range(-9, 10) if c]
+    return CubicForm(n, {key: rng.choice(coefficients)
+                         for key in itertools.combinations_with_replacement(range(n), 3)})
 
 
 def dict_route(d: dict):

@@ -267,8 +267,8 @@ def test_float_overflow_raises(name):
     for check in IDENTITY_CHECKS:
         assert check(scaled(uf, 1e80)).passed == check(uf).passed, check.__name__
     with pytest.raises(ValueError, match="not finite"):
-        _proportional_float(_Identity("inf", 2, lambda v, g, H, r2: (np.inf, r2),
-                                      TRACE2.bound), uf.jet(exact=False), uf.n, seed=0)
+        _proportional_float(_Identity("inf", 2, lambda v, g, H, r2: (np.inf, r2)),
+                            uf.jet(exact=False), uf.n, seed=0)
 
 
 def test_float_constants_outside_float64():
@@ -532,6 +532,60 @@ def test_int64_jet_bound_at_random_points(monkeypatch):
         for ident in (RADIAL, EICONAL, TRACE3):
             got = list(identities._rows(identities._sides_at(ident, jet, P)))
             assert repr(got) == repr(_reference_sides(ident, jet, P))
+
+
+# the closed forms each identity's bound had before it was read off its
+# sides, kept as the reference
+_CLOSED_FORM_BOUNDS = {
+    "radial": lambda n, L, R: max(4 * L * L, n) * L * R ** 5,
+    "eiconal": lambda n, L, R: max(L, n) ** 2 * R ** 4,
+    "trace2": lambda n, L, R: max(4 * L * L, n) * R * R,
+    "trace3": lambda n, L, R: 8 * L ** 3 * R ** 3}
+
+
+def test_bounds_read_off_the_sides_are_the_closed_forms():
+    # the sides on norms give each former closed form, an int, at every
+    # point of the grid, with L and R past any machine word
+    for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
+        for n, L, R in itertools.product((1, 2, 3, 54, 128, 10 ** 6),
+                                         (0, 1, 2, 7, 2 ** 13, 2 ** 207, 10 ** 300),
+                                         (1, 2, 9, DEFAULT_BOUND - 1)):
+            got = ident.bound(n, L, R)
+            assert type(got) is int and got == _CLOSED_FORM_BOUNDS[ident.name](n, L, R), \
+                (ident.name, n, L, R)
+
+
+def test_bound_is_homogeneous_of_the_identity_degree():
+    # each side is homogeneous of degree ``degree`` in p, and so is the
+    # bound in R: doubling R multiplies it by 2**degree
+    for ident, degree in ((RADIAL, 5), (EICONAL, 4), (TRACE2, 2), (TRACE3, 3)):
+        assert ident.degree == degree
+        assert ident.bound(1, 1, 2) // ident.bound(1, 1, 1) == 2 ** degree
+
+
+SQUARE = _Identity("square", 6, lambda v, g, H, r2: (v * v, r2 * r2 * r2))
+
+
+@pytest.mark.parametrize("name, lam", [("cartan-d2", 1), ("complexified-d8", 1),
+                                       ("cartan-d4", 10 ** 18)])
+def test_an_identity_given_by_its_sides_alone(name, lam):
+    # u^2 = t |x|^6, with no bound written for it: the random mode fails it
+    # (u vanishes on its cone, |x|^6 does not), on cartan-d4 x 10^18 past
+    # the int64 bound too, and the first block's sides, lifted through the
+    # moduli of the bound read off its sides, are the per-point loop's and
+    # lie within that bound on both sqrt(3) channels
+    u = scaled(catalog_build(name), lam)
+    jet, R = u.jet(exact=True), DEFAULT_BOUND - 1
+    assert (2 * jet.l1 * R * R >= 2 ** 62) is (lam > 1)
+    rep = identities._check(SQUARE, u, "random", DEFAULT_TRIALS, 1)
+    assert (rep.check, rep.passed, rep.mode, rep.error_bound) == ("square", False, "random", 0.0)
+    k = min(cubics.block_rows(u.n * u.n), DEFAULT_TRIALS + 1)
+    B = _randbelow(DEFAULT_BOUND, k * u.n, random.Random(1)).reshape(k, u.n)
+    got = list(identities._rows(identities._sides_of_blocks(SQUARE, jet, u.n, [B], R)))
+    assert repr(got) == repr(_reference_sides(SQUARE, jet, B))
+    bound = SQUARE.bound(u.n, jet.l1, R)
+    assert all(abs(c) <= bound for pair in got for x in pair
+               for c in ((x.a, x.b) if isinstance(x, QSqrt3) else (x,)))
 
 
 # moduli beside 2**64 per random check (radial, eiconal, trace2, trace3) and
