@@ -271,8 +271,8 @@ class _Norm(int):
     """An upper bound on N(x), the sum of |r| + 2|s| over the entries
     r + sqrt3 s of a piece or side x at one point, on which every
     operation a side uses gives one on its result: ``+`` and ``-`` add,
-    ``*`` and ``@`` multiply, and ``sum`` and ``trace`` return it
-    unchanged.
+    ``*`` and ``@`` multiply, and ``sum``, ``trace`` and a sign return
+    it unchanged.
 
     Proof: on entries N(x +- y) <= N(x) + N(y) and N(xy) <= N(x) N(y),
     as 3 <= 2 * 2.  Each entry of an elementwise ``*``, of ``@`` or of a
@@ -285,7 +285,7 @@ class _Norm(int):
 
     __add__ = __radd__ = __sub__ = __rsub__ = lambda x, y: _Norm(int.__add__(x, y))
     __mul__ = __rmul__ = __matmul__ = __rmatmul__ = lambda x, y: _Norm(int.__mul__(x, y))
-    sum = trace = lambda x: x
+    sum = trace = __neg__ = __pos__ = lambda x: x
 
 
 @dataclass(frozen=True)

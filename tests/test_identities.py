@@ -545,7 +545,9 @@ _CLOSED_FORM_BOUNDS = {
 
 def test_bounds_read_off_the_sides_are_the_closed_forms():
     # the sides on norms give each former closed form, an int, at every
-    # point of the grid, with L and R past any machine word
+    # point of the grid, with L and R past any machine word; a side's sign
+    # leaves its bound as it is
+    negated = _Identity("negated", 2, lambda v, g, H, r2: (-(H * H).sum(), -r2))
     for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
         for n, L, R in itertools.product((1, 2, 3, 54, 128, 10 ** 6),
                                          (0, 1, 2, 7, 2 ** 13, 2 ** 207, 10 ** 300),
@@ -553,6 +555,8 @@ def test_bounds_read_off_the_sides_are_the_closed_forms():
             got = ident.bound(n, L, R)
             assert type(got) is int and got == _CLOSED_FORM_BOUNDS[ident.name](n, L, R), \
                 (ident.name, n, L, R)
+            if ident is TRACE2:
+                assert negated.bound(n, L, R) == got
 
 
 def test_bound_is_homogeneous_of_the_identity_degree():
