@@ -42,11 +42,11 @@ many residue primes as the bound read off the identity's own sides
 (``_Identity.bound``) needs, each side then lifted by CRT to the Python
 int one point gives alone; ``modular`` states the int64 bounds.  Each
 block's sides come out as two arrays, which a caller concatenates or
-reads row by row.  One exact
-Hessian per block serves every modulus, with g and v from it by Euler's
-identities, wherever the jet's own bound keeps it in int64 (2 L R^2 <
-2**62 at |p_a| <= R, every catalog form at the random mode's points);
-past that bound each modulus takes its own residue jet (``_exact_route``).
+reads row by row.  One exact Hessian per block serves every modulus,
+with g and v from it by Euler's identities, wherever the jet's own
+bound keeps it in int64 (2 L R^2 < 2**62 at |p_a| <= R, every catalog
+form at the random mode's points); past that bound each modulus takes
+its own residue jet (``_exact_route``).
 The random mode draws its points in the same blocks, one ``_randbelow``
 call per block (the stream of one ``randrange`` per coordinate), so
 memory stays O(block) for any ``trials`` and no block after the first
