@@ -31,7 +31,7 @@ from .jordan import (HermMat3, cleared, common_denominator, det_polar_twice,
                      freudenthal_det, fullspace_basis, involution, jordan_twice,
                      trace_form, tracefree_basis)
 from .modular import residues
-from .poly import Poly, PolyArray
+from .poly import Poly, PolyArray, variable_codes
 from .scalars import SQRT3_FLOAT, QSqrt3, QSqrt3Array, format_rational, is_exact, parse_rational
 
 Key = Tuple[int, int, int]
@@ -174,7 +174,8 @@ class CubicForm:
     def symbolic(self) -> tuple:
         """The exact jet's ``symbolic`` pieces (v, g, H, r2) in the n
         variables, expanded once, so every exact check of the form
-        multiplies the same arrays."""
+        multiplies the same arrays: one ``PolyArray`` each, a Q(sqrt3)
+        form's sqrt(3) channel held in its terms' codes."""
         return self.jet(exact=True).symbolic(self.n)
 
     @classmethod
@@ -270,9 +271,10 @@ class Jet:
     channels apart; a caller joins it to
     QSqrt3 entries where a result leaves the kernel.  Every piece keeps
     the kind of p: an object array of exact scalars, or an int64 or float64 array;
-    ``symbolic`` gives the pieces of an exact jet as polynomials, as
-    ``PolyArray``s.  In the metrised algebra x o x = 2 Du(x) and
-    L_x = D^2u(x).
+    ``symbolic`` gives the pieces of an exact jet as polynomials, one
+    ``PolyArray`` each, whose sqrt(3) terms hold the ``sqrt3`` channel, so
+    a Q(sqrt3) product is one product.  In the metrised algebra
+    x o x = 2 Du(x) and L_x = D^2u(x).
 
     ``value`` reads the first block of columns only.  It, ``gradient``
     and ``hessian`` take a stack of any length along leading axes, p of
@@ -366,25 +368,21 @@ class Jet:
         ``PolyArray``s in the n variables, read off the exact arrays:
         ``value``'s block gives the terms of v, and each rotation
         (a; b, c) the term m x_b x_c of g_a and the terms m x_c, m x_b of
-        H_ab, H_ac.  r2 is built once, unpaired, on a Q(sqrt3) jet too."""
-        def v(jet):
-            first = jet.m.size // 3
-            i, j, k = np.sort(jet.ijk[:, :first], axis=0)
-            return PolyArray.collect(n, (), 3, np.zeros(first, dtype=np.int64),
-                                     (i * n + j) * n + k, jet.m[:first])
-
-        def g(jet):
-            a, b, c = jet.ijk
-            return PolyArray.collect(n, (n,), 2, a, np.minimum(b, c) * n + np.maximum(b, c),
-                                     jet.m)
-
-        def H(jet):
-            a, b, c = jet.ijk
-            return PolyArray.collect(n, (n, n), 1, np.concatenate([a * n + b, a * n + c]),
-                                     np.concatenate([c, b]), np.tile(jet.m, 2))
-        r2 = PolyArray(n, (), 2, np.zeros(n, dtype=np.int64),
-                       np.arange(n, dtype=np.int64) * (n + 1), np.ones(n, dtype=np.int64))
-        return self._paired(v), self._paired(g), self._paired(H), r2
+        H_ab, H_ac.  A Q(sqrt3) jet's ``sqrt3`` channel gives the same
+        terms with their codes doubled, the PolyArrays' sqrt(3) terms."""
+        jets = [self] if self.sqrt3 is None else [self, self.sqrt3]
+        a, b, c = np.concatenate([j.ijk for j in jets], axis=1)
+        m = np.concatenate([j.m for j in jets])
+        w = np.concatenate([np.full(j.m.size, k, dtype=np.int64) for k, j in zip((1, 2), jets)])
+        top = np.concatenate([np.arange(j.m.size) < j.m.size // 3 for j in jets])
+        P = variable_codes(n)
+        v = PolyArray.collect(n, (), 3, np.zeros(int(top.sum()), dtype=np.int64),
+                              (w * P[a] * P[b] * P[c])[top], m[top])
+        g = PolyArray.collect(n, (n,), 2, a, w * P[b] * P[c], m)
+        H = PolyArray.collect(n, (n, n), 1, np.concatenate([a * n + b, a * n + c]),
+                              np.tile(w, 2) * P[np.concatenate([c, b])], np.tile(m, 2))
+        r2 = PolyArray(n, (), 2, np.zeros(n, dtype=np.int64), P * P, np.ones(n, dtype=np.int64))
+        return v, g, H, r2
 
 
 def _blocks(f, width: int, p: np.ndarray):

@@ -30,9 +30,10 @@ brings the largest coefficient into [1, 2), so the float tolerances do not
 depend on u's scale.  Each lhs has degree two more in u than its rhs, so
 t(u) = t(D*u) / D**2 exactly.  The constant is exact in both exact
 modes; only the identity's global validity is randomized in the random mode.
-On a Q(sqrt3) form the kernel's pieces are ``QSqrt3Array`` pairs, so each
-``sides`` runs on the two integer channels, and only the two sides it
-returns are joined to QSqrt3.
+On a Q(sqrt3) form the point modes' pieces are ``QSqrt3Array`` pairs, so
+each ``sides`` runs on the two integer channels, and only the two sides
+it returns are joined to QSqrt3; the exact mode's pieces are single
+PolyArrays whose sqrt(3) terms carry a factor 2 in their codes.
 
 Both point modes evaluate the sides through one function, ``_sides_at``,
 on blocks of points that bound its (points, n, n) stacks, each block as
@@ -71,8 +72,8 @@ import numpy as np
 
 from .cubics import CubicForm, Jet, block_rows
 from .modular import ResidueStack, _stack, inverse, lift, moduli
-from .scalars import (QSqrt3, QSqrt3Array, exact_div, format_rational, is_exact, joined,
-                      per_channel)
+from .poly import PolyArray
+from .scalars import QSqrt3, exact_div, format_rational, is_exact, joined, per_channel
 
 EXACT_VAR_LIMIT = 15
 DEFAULT_TRIALS = 20
@@ -316,15 +317,12 @@ TRACE2 = _Identity("trace2", 2, lambda v, g, H, r2: ((H * H).sum(), r2))
 TRACE3 = _Identity("trace3", 3, lambda v, g, H, r2: (((H @ H) * H).sum(), v))
 
 
-def _coefficient(side, code: int) -> QSqrt3Array:
-    """The coefficient of one monomial code in an expanded side, as the
-    pair of its integer channels."""
-    def at(p):
-        i = np.searchsorted(p.code, code)
-        return int(p.coef[i]) if i < p.code.size and p.code[i] == code else 0
-    if isinstance(side, QSqrt3Array):
-        return QSqrt3Array(at(side.r), at(side.s))
-    return QSqrt3Array(at(side), 0)
+def _coefficient(side: PolyArray, mono: int):
+    """The coefficient r + s sqrt(3) of the monomial with odd code ``mono``
+    in an expanded side, r itself where s is 0."""
+    r, s = (int(side.coef[i]) if i < side.code.size and side.code[i] == k else 0
+            for k, i in zip((mono, 2 * mono), np.searchsorted(side.code, [mono, 2 * mono])))
+    return QSqrt3(r, s) if s else r
 
 
 def _same_terms(x, y) -> bool:
@@ -333,20 +331,23 @@ def _same_terms(x, y) -> bool:
     return all(np.array_equal(getattr(x, f), getattr(y, f)) for f in ("idx", "code", "coef"))
 
 
-def _expanded_ratio(lhs, rhs):
+def _expanded_ratio(lhs: PolyArray, rhs: PolyArray):
     """``_ratio`` over the coefficients of two expanded sides, each a
-    ``PolyArray`` of shape () or the ``QSqrt3Array`` pair of two: t is
-    solved at rhs's first monomial, and lhs * rhs0 and rhs * lhs0,
-    expanded on the same kernel, must have the same terms."""
-    channels = [(x.r, x.s) if isinstance(x, QSqrt3Array) else (x,) for x in (lhs, rhs)]
-    codes = [p.code[0] for p in channels[1] if p.code.size]
-    if not codes:
-        return None if any(p.code.size for p in channels[0]) else Fraction(0)
-    l0, r0 = (_coefficient(x, min(codes)) for x in (lhs, rhs))
-    a, b = lhs * r0, rhs * l0
-    if not (_same_terms(a.r, b.r) and _same_terms(a.s, b.s)):
-        return None
-    return exact_div(l0.join(), r0.join())
+    ``PolyArray`` of shape (): t is solved at rhs's first monomial, and
+    q lhs and p rhs, expanded on the same kernel, must have the same terms
+    for t = p / q, p an int, or p in Z[sqrt3] where t has a sqrt(3) part."""
+    if not rhs.code.size:
+        return None if lhs.code.size else Fraction(0)
+    first = int(rhs.code[0])
+    mono = first if first & 1 else first // 2
+    t = exact_div(_coefficient(lhs, mono), _coefficient(rhs, mono))
+    if isinstance(t, QSqrt3):
+        q = math.lcm(Fraction(t.a).denominator, Fraction(t.b).denominator)
+        p = PolyArray.collect(rhs.nvars, (), 0, [0, 0], [1, 2],
+                              np.array([int(t.a * q), int(t.b * q)], dtype=object))
+    else:
+        p, q = t.numerator, t.denominator
+    return t if _same_terms(lhs * q, rhs * p) else None
 
 
 def _require_trials(trials: int) -> None:

@@ -12,14 +12,17 @@ A sum keeps the left operand's monomials first, then the right's new
 ones: the order ``CubicForm.terms``, the JSON text and the float sums
 inherit.
 
-A ``PolyArray`` holds an array of homogeneous integer polynomials as
-flat numpy arrays of terms, a monomial as the integer whose base-n
-digits are its sorted variable indices.  The exact mode of
-``identities._check`` runs each identity's sides on the
+A ``PolyArray`` holds an array of homogeneous polynomials over Z[sqrt3]
+as flat numpy arrays of terms, a monomial as a prime code: variable i is
+the i-th odd prime, a monomial the product of its variables' primes, and
+a sqrt(3) term carries one more factor 2.  A product's code is then the
+product of its factors' codes, and a pair of sqrt(3) terms, whose code is
+divisible by 4, has it divided by 4 and its coefficient tripled.  The
+exact mode of ``identities._check`` runs each identity's sides on the
 ``Jet.symbolic`` arrays, so an expansion is a few numpy operations per
-product and makes no Python object per term.  Its coefficients are int64
-while an L1 bound proves every sum exact, and Python ints beyond.  A
-Q(sqrt3) form's pieces are ``QSqrt3Array`` pairs of PolyArrays.
+product and makes no Python object per term, on a Q(sqrt3) form too.
+Its coefficients are int64 while an L1 bound, with sqrt(3) terms counted
+twice, proves every sum exact, and Python ints beyond.
 
 There is no randomized zero test here: the Schwartz-Zippel checks
 (``identities._check`` in random mode) evaluate the form's kernel at
@@ -28,6 +31,7 @@ integer points without building a polynomial.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Tuple
 
@@ -156,24 +160,40 @@ class Poly:
 
 
 # The most term pairs one block of a ``PolyArray`` product lists.  A
-# block's temporaries (term indices, gathered and merged digit columns,
-# keys, coefficients and sort order) take at most a few hundred bytes a
-# pair.  On a 2-vCPU host (Python 3.11, numpy 2.4), the exact checks of
-# the 15 catalog forms with n <= 27, run in one process, peaked at 31.7-31.9
-# MB RSS with blocks of 2**10 pairs, 31.7-31.8 MB with 2**12, 33.2-33.4 MB
-# with 2**14 and 37.3 MB with 2**16, in 0.06-0.13 s each.  Those of
-# complexified-d8, which the benchmark's exact workload does not run, took
-# 0.25-0.41 s at 2**10, 0.18-0.24 s at 2**12 and 0.15-0.21 s at 2**16,
-# peaking at 39.7, 39.6 and 47.0 MB.
+# block's temporaries (term indices, gathered codes, keys, coefficients
+# and sort order) take at most a few hundred bytes a pair.  On a 2-vCPU
+# host (Python 3.11, numpy 2.4), with the digit codes before the prime
+# ones, the exact checks of the 15 catalog forms with n <= 27, run in one
+# process, peaked at 31.7-31.9 MB RSS with blocks of 2**10 pairs, 31.7-31.8
+# MB with 2**12, 33.2-33.4 MB with 2**14 and 37.3 MB with 2**16, in
+# 0.06-0.13 s each.  Those of complexified-d8, which the benchmark's exact
+# workload does not run, took 0.25-0.41 s at 2**10, 0.18-0.24 s at 2**12
+# and 0.15-0.21 s at 2**16, peaking at 39.7, 39.6 and 47.0 MB.  With prime
+# codes at 2**12: 31.7 MB, and 38.9-39.0 MB in 0.12-0.13 s.
 PAIR_BLOCK = 1 << 12
 _INT64_LIMIT = 2 ** 63
 
 
-def _l1(coef: np.ndarray) -> int:
-    """sum |c| over the coefficients, as a Python int."""
+@functools.lru_cache(maxsize=None)
+def variable_codes(nvars: int) -> np.ndarray:
+    """The code of each of nvars variables, the first nvars odd primes, as
+    a read-only int64 array."""
+    found, k = [], 3
+    while len(found) < nvars:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 2
+    out = np.array(found, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+def _l1(code: np.ndarray, coef: np.ndarray) -> int:
+    """sum |c| over the terms, a sqrt(3) term's (an even code's) twice, as a
+    Python int."""
     if coef.dtype == object:
-        return sum(map(abs, coef.tolist()))
-    return int(np.abs(coef).sum())
+        return sum(map(abs, coef.tolist())) + sum(map(abs, coef[code & 1 == 0].tolist()))
+    return int(np.abs(coef) @ (2 - (code & 1)))
 
 
 def _coefficients(coef: np.ndarray, int64: bool) -> np.ndarray:
@@ -203,65 +223,48 @@ def _union(parts: list):
                     np.concatenate([coef for _, coef in parts]))
 
 
-def _merged(a: list, b: list) -> list:
-    """The columns of the merge of two sorted rows of digits, each given
-    as its columns a_1 <= ... <= a_p and b_1 <= ... <= b_q (arrays of one
-    length, one row per pair).  The k-th smallest of the p + q is the
-    least, over the splits i + j = k, of max(a_i, b_j), where a_0 and b_0
-    stand for -inf: a_1..a_i and b_1..b_j are k digits whose largest is
-    max(a_i, b_j), so no split gives less, and the split that takes the k
-    smallest gives exactly it.  p q maxima and p q minima in all."""
-    p, q = len(a), len(b)
-    out = []
-    for k in range(1, p + q + 1):
-        best = None
-        for i in range(max(0, k - q), min(p, k) + 1):
-            j = k - i
-            x = b[j - 1] if not i else a[i - 1] if not j else np.maximum(a[i - 1], b[j - 1])
-            best = x if best is None else np.minimum(best, x)
-        out.append(best)
-    return out
-
-
 def _codes(nvars: int, shape: tuple, deg: int) -> int:
-    """The number of monomial codes, nvars**deg, once every (entry, code)
-    key of the array, entry * nvars**deg + code, is known to fit in int64."""
-    codes = nvars ** deg
-    if math.prod(shape) * codes >= _INT64_LIMIT:
+    """The number of monomial codes, 2 p**deg + 1 for p the largest
+    variable code, once every (entry, code) key of the array, entry *
+    codes + code, and the code of a pair of sqrt(3) terms before it is
+    divided by 4, below 4 p**deg, are known to fit in int64."""
+    codes = 2 * int(variable_codes(nvars)[-1]) ** deg + 1
+    if max(math.prod(shape), 2) * codes >= _INT64_LIMIT:
         raise ValueError("the monomial keys of this array exceed int64")
     return codes
 
 
 class PolyArray:
-    """An array of homogeneous polynomials of one degree, with integer
-    coefficients, held as three flat arrays of terms.
+    """An array of homogeneous polynomials of one degree, with
+    coefficients in Z[sqrt3], held as three flat arrays of terms.
 
     A term is (entry, code, coefficient): the entry is the flat index into
-    ``shape``, and the code is the monomial's sorted variable indices read
-    as base-``nvars`` digits, the smallest index the most significant, so
-    x0 x3^2 in 4 variables is 0*16 + 3*4 + 3.  The terms are sorted by (entry, code),
-    with no key twice and no zero coefficient.  The coefficients are int64
-    while their L1 norm is below 2**63, and Python ints in an object array
-    beyond it.  Each operation runs in int64 only where the L1 bound of
-    its result proves every sum exact: L1(a + b) <= L1(a) + L1(b),
-    L1(k a) = |k| L1(a), and L1(a * b), L1(a @ b) <= L1(a) L1(b), since
-    each pair of terms is multiplied at most once.
+    ``shape``, and the code is the product of the monomial's variable
+    codes (``variable_codes``, the odd primes 3, 5, 7, ...), times 2 for a
+    term that carries sqrt(3), so x0 x2^2 is 3*7*7 and sqrt(3) x0 x2^2 is
+    2*3*7*7.  The terms are sorted by (entry, code), with no key twice and
+    no zero coefficient.  The L1 norm counts a sqrt(3) term's coefficient
+    twice, N(r + s sqrt3) = |r| + 2|s|.  The coefficients are int64 while
+    it is below 2**63, and Python ints in an object array beyond it.  Each
+    operation runs in int64 only where the L1 bound of its result proves
+    every sum exact: L1(a + b) <= L1(a) + L1(b), L1(k a) = |k| L1(a), and
+    L1(a * b), L1(a @ b) <= L1(a) L1(b), since each pair of terms is
+    multiplied at most once and its weighted size is at most the product
+    of its factors': 1 * 1, 2 * 1 for one sqrt(3) factor, and 3 <= 2 * 2
+    for two.
 
     ``+``, ``-``, ``*`` by an integer, ``*`` (numpy broadcasting), ``@``,
     ``sum`` and ``trace`` follow numpy's ndarray of polynomials.  ``@``
     pairs only nonempty entries, self's (i, k) with other's (k, j), so its
     cost follows the terms, not rows * k * cols.  A product lists the
-    pairs of terms it multiplies ``PAIR_BLOCK`` at a time.  A pair's
-    monomial is the merge of its two sorted digit rows, taken column by
-    column with ``np.minimum`` and ``np.maximum`` (``_merged``) on the
-    digit columns each operand computes once, and read as its code as the
-    columns come; equal (entry, code) keys are summed within a block and
-    then across blocks.  Any other operand gives NotImplemented, so a
-    ``QSqrt3Array`` pair of PolyArrays does its own arithmetic, channel by
-    channel.
+    pairs of terms it multiplies ``PAIR_BLOCK`` at a time.  A pair's code
+    is the product of its factors' codes, divided by 4 with the
+    coefficient tripled where both carry sqrt(3); equal (entry, code)
+    keys are summed within a block and then across blocks.  Any other
+    operand gives NotImplemented.
     """
 
-    __slots__ = ("nvars", "shape", "deg", "idx", "code", "coef", "l1", "_at", "_cols")
+    __slots__ = ("nvars", "shape", "deg", "idx", "code", "coef", "l1", "_at")
     __array_ufunc__ = None
 
     def __init__(self, nvars: int, shape: tuple, deg: int, idx: np.ndarray,
@@ -270,9 +273,9 @@ class PolyArray:
         no key twice and no zero; coef holds int64s or Python ints."""
         self.nvars, self.shape, self.deg = nvars, tuple(shape), deg
         self.idx, self.code = idx, code
-        self.l1 = _l1(coef)
+        self.l1 = _l1(code, coef)
         self.coef = _coefficients(coef, self.l1 < _INT64_LIMIT)
-        self._at = self._cols = None
+        self._at = None
 
     @classmethod
     def collect(cls, nvars: int, shape: tuple, deg: int, idx, code,
@@ -282,7 +285,7 @@ class PolyArray:
         codes = _codes(nvars, shape, deg)
         key, coef = _collect(np.asarray(idx, dtype=np.int64) * codes
                              + np.asarray(code, dtype=np.int64), coef)
-        return cls(nvars, shape, deg, key // codes, key % codes, coef)
+        return cls(nvars, shape, deg, *np.divmod(key, codes), coef)
 
     @property
     def size(self) -> int:
@@ -298,14 +301,6 @@ class PolyArray:
         if self._at is None:
             self._at = np.searchsorted(self.idx, np.arange(self.size + 1))
         return self._at
-
-    def _columns(self) -> np.ndarray:
-        """The sorted variable indices of each term's monomial, one row per
-        digit, the smallest first: a (deg, terms) array.  Computed once."""
-        if self._cols is None:
-            powers = self.nvars ** np.arange(self.deg - 1, -1, -1, dtype=np.int64)
-            self._cols = self.code // powers[:, None] % self.nvars
-        return self._cols
 
     def _like(self, other) -> bool:
         if not isinstance(other, PolyArray):
@@ -409,7 +404,13 @@ class PolyArray:
         # an empty operand leaves the other's coefficients as they are
         int64 = max(self.l1, other.l1, self.l1 * other.l1) < _INT64_LIMIT
         ca, cb = _coefficients(self.coef, int64), _coefficients(other.coef, int64)
-        da, db = self._columns(), other._columns()
+        # a pair of sqrt(3) terms takes self's coefficient tripled, from the
+        # copy appended to ca; 3 |c| is below the product's L1 bound
+        fold = not ((self.code & 1).all() or (other.code & 1).all())
+        if fold:
+            tripled = ca.copy()
+            tripled[self.code & 1 == 0] *= 3
+            ca = np.concatenate([ca, tripled])
         parts = [(np.zeros(0, dtype=np.int64), ca[:0])]     # the running sums first
         for lo in range(0, total, PAIR_BLOCK):
             hi = min(lo + PAIR_BLOCK, total)
@@ -423,16 +424,17 @@ class PolyArray:
             i, j = np.divmod(np.arange(lo, hi) - starts.repeat(counts), nb[s].repeat(counts))
             ta = a_at[ea[s]].repeat(counts) + i
             tb = b_at[eb[s]].repeat(counts) + j
-            key = out[s].repeat(counts)
-            for d in _merged([x[ta] for x in da], [x[tb] for x in db]):
-                key *= nvars
-                key += d
-            parts.append(_collect(key, ca[ta] * cb[tb]))
+            code = self.code[ta] * other.code[tb]
+            if fold:
+                both = code & 3 == 0
+                code[both] >>= 2
+                ta += both * self.code.size
+            parts.append(_collect(out[s].repeat(counts) * codes + code, ca[ta] * cb[tb]))
             if sum(k.size for k, _ in parts[1:]) > max(parts[0][0].size, PAIR_BLOCK):
                 parts = [_union(parts)]
         parts = [part for part in parts if part[0].size] or parts[:1]
         key, coef = parts[0] if len(parts) == 1 else _union(parts)
-        return PolyArray(nvars, shape, deg, key // codes, key % codes, coef)
+        return PolyArray(nvars, shape, deg, *np.divmod(key, codes), coef)
 
     def __repr__(self):
         return (f"PolyArray(shape={self.shape}, degree {self.deg}, "

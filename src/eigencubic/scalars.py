@@ -167,8 +167,7 @@ SQRT3 = QSqrt3(0, 1)
 class QSqrt3Array:
     """r + sqrt(3)*s for two same-shape arrays r, s, or two scalars, of
     exact entries: Python ints, Fractions or ``Poly`` objects; or for two
-    ``poly.PolyArray``s, the exact mode's pieces; or for two
-    ``modular.ResidueStack``s, the random mode's.
+    ``modular.ResidueStack``s, the random mode's pieces.
 
     +, -, * and @ take another pair, a plain array or a scalar (a QSqrt3
     one too) on either side, and run as numpy operations on the channels:

@@ -3,9 +3,9 @@ kernel ``Jet`` against them: the form as a ``Poly``, the dense symmetric
 tensor, the complete polarization, the gradient, Hessian and Laplacian
 as ``Poly``s, and the dense coefficient tensors of a jet's polarization,
 which decide weak associativity; a scaled copy of a form and seeded
-sparse and dense random cubics; the dict route that read form files
-before a form held its integers; and a form file with every coefficient
-respelled."""
+sparse, sparse Q(sqrt3) and dense random cubics; the dict route that read
+form files before a form held its integers; and a form file with every
+coefficient respelled."""
 
 import itertools
 import math
@@ -105,6 +105,15 @@ def sparse_cubic(n: int, count: int, seed: int) -> CubicForm:
         if key not in terms:
             terms[key] = rng.randint(-9, 9) or 1
     return CubicForm(n, terms)
+
+
+def sqrt3_sparse_cubic(n: int, count: int, seed: int) -> CubicForm:
+    """``sparse_cubic(n, count, seed)`` with a sqrt(3) part on every second
+    monomial, an integer in [-9, 9] drawn by ``random.Random(seed)``, 0
+    replaced by 1."""
+    u, rng = sparse_cubic(n, count, seed), random.Random(seed)
+    return CubicForm(n, {key: QSqrt3(c, rng.randint(-9, 9) or 1) if t % 2 else c
+                         for t, (key, c) in enumerate(u.terms.items())})
 
 
 def dense_cubic(n: int, seed: int) -> CubicForm:

@@ -748,10 +748,10 @@ def test_exact_checks_expand_the_pieces_once(runner, tmp_path, monkeypatch, args
                                              name, channels):
     # every exact check of a form multiplies the same PolyArray pieces, so
     # a command reads them off the jet once: one Jet.symbolic call per
-    # form, whose v, g and H carry both channels of the Q(sqrt3) form
-    # cartan-d4 as QSqrt3Array pairs
+    # form, whose v, g and H carry the sqrt(3) channel of the Q(sqrt3)
+    # form cartan-d4 as terms of even code
     from eigencubic.cubics import Jet
-    from eigencubic.scalars import QSqrt3Array
+    from eigencubic.poly import PolyArray
     calls = []
 
     def counted(self, n):
@@ -764,7 +764,8 @@ def test_exact_checks_expand_the_pieces_once(runner, tmp_path, monkeypatch, args
     res = run(runner, args[0], path, *args[1:])
     assert res.exit_code == 0
     assert len(calls) == 1
-    assert [isinstance(x, QSqrt3Array) for x in calls[0]] == [channels == 2] * 3 + [False]
+    assert all(isinstance(x, PolyArray) for x in calls[0])
+    assert [bool((x.code % 2 == 0).any()) for x in calls[0]] == [channels == 2] * 3 + [False]
 
 
 def test_cone_sample(runner, tmp_path):

@@ -20,7 +20,7 @@ from eigencubic.cubics import (CATALOG, CubicForm, Jet, albert_contraction_cubic
 from eigencubic.identities import check_harmonic
 from eigencubic.jordan import (cleared, common_denominator, fullspace_basis,
                                jordan_twice, trace_form, tracefree_basis)
-from eigencubic.poly import Poly
+from eigencubic.poly import Poly, PolyArray
 from eigencubic.modular import primes, residues
 from eigencubic.scalars import QSqrt3, QSqrt3Array
 from formref import (dict_route, dict_route_json, gradient, hessian, laplacian, polarize,
@@ -641,9 +641,9 @@ def _hand_built_sqrt3_jet():
 
 @pytest.mark.parametrize("name", ["cartan-d4", "cartan-d8", "hand-built"])
 def test_a_sqrt3_jet_pairs_the_pieces_of_its_two_channels(monkeypatch, name):
-    # every piece of a Q(sqrt3) jet is the QSqrt3Array of that piece on its
-    # rational channel and on its sqrt(3) channel, each a Jet of its own:
-    # exact, modulo 2**64 and modulo the first residue prime.  With a small
+    # every point piece of a Q(sqrt3) jet is the QSqrt3Array of that piece
+    # on its rational channel and on its sqrt(3) channel, each a Jet of its
+    # own: exact, modulo 2**64 and modulo the first residue prime.  With a small
     # BLOCK both channels split 12 points into blocks, each of its own width
     monkeypatch.setattr(cubics, "BLOCK", 8)
     calls = []
@@ -672,11 +672,19 @@ def test_a_sqrt3_jet_pairs_the_pieces_of_its_two_channels(monkeypatch, name):
         assert isinstance(got, QSqrt3Array)
         _assert_same_piece(got.r, piece(r))
         _assert_same_piece(got.s, piece(s))
-    *paired, r2 = jet.symbolic(n)
-    for got, want_r, want_s in zip(paired, r.symbolic(n), s.symbolic(n)):
-        assert isinstance(got, QSqrt3Array)
-        _assert_same_piece(got.r, want_r)
-        _assert_same_piece(got.s, want_s)
+    # the symbolic pieces fold both channels into one PolyArray: its terms
+    # of odd code are r's piece, and those of even code, the code halved,
+    # s's, each in (entry, code) order with the same coefficients
+    *folded, r2 = jet.symbolic(n)
+    for got, want_r, want_s in zip(folded, r.symbolic(n), s.symbolic(n)):
+        assert isinstance(got, PolyArray)
+        assert (got.nvars, got.shape, got.deg) == (want_r.nvars, want_r.shape, want_r.deg) \
+            == (want_s.nvars, want_s.shape, want_s.deg)
+        for sqrt3, want in ((False, want_r), (True, want_s)):
+            keep = got.code % 2 == (0 if sqrt3 else 1)
+            assert np.array_equal(got.idx[keep], want.idx)
+            assert np.array_equal(got.code[keep], want.code * (1 + sqrt3))
+            assert got.coef[keep].tolist() == want.coef.tolist()
     _assert_same_piece(r2, r.symbolic(n)[3])
     assert all(rows <= top for _, rows, top in calls)
     split = {m for m, rows, top in calls if top < 12}

@@ -798,23 +798,22 @@ def test_random_checks_wrap_without_warnings(monkeypatch, name):
 @pytest.mark.parametrize("name", ["clifford-q1", "complexified-d2", "cartan-d4"])
 def test_exact_checks_past_the_int64_bound(name):
     # u scaled by 10^9, 10^18 and the Q(sqrt3) scale 10^9 (1 + sqrt3):
-    # the lhs of every identity, of degree 3 in u, has L1 norm past 2**63
-    # on each sqrt(3) channel it has, so it is expanded on Python ints,
-    # where u's is int64; each constant is lam^2 times u's, of the type
-    # that value has
+    # the lhs of every identity, of degree 3 in u, has L1 norm past 2**63,
+    # sqrt(3) terms counted twice, so it is expanded on Python ints, where
+    # u's is int64; each constant is lam^2 times u's, of the type that
+    # value has
     u = catalog_build(name)
     small = [check(u, "exact") for check in IDENTITY_CHECKS]
 
-    def lhs_channels(form):
+    def lhs_sides(form):
         symbolic = form.jet(exact=True).symbolic(form.n)
         for ident in (RADIAL, EICONAL, TRACE2, TRACE3):
-            lhs = ident.sides(*symbolic)[0]
-            yield from ((lhs.r, lhs.s) if isinstance(lhs, QSqrt3Array) else (lhs,))
+            yield ident.sides(*symbolic)[0]
 
-    assert all(p.coef.dtype == np.int64 for p in lhs_channels(u))
+    assert all(p.coef.dtype == np.int64 for p in lhs_sides(u))
     for lam in (10 ** 9, 10 ** 18, QSqrt3(10 ** 9, 10 ** 9)):
         big = scaled(u, lam)
-        seen = [p.coef.dtype for p in lhs_channels(big) if p.idx.size]
+        seen = [p.coef.dtype for p in lhs_sides(big) if p.idx.size]
         assert seen and all(dtype == object for dtype in seen)
         for check, want in zip(IDENTITY_CHECKS, small):
             got = check(big, "exact")
@@ -870,7 +869,7 @@ SMALL_FORMS = [name for name, e in CATALOG.items() if e.dim <= 15]
 # the forms the benchmark certifies in both modes
 MID_FORMS = [name for name, e in CATALOG.items() if 15 < e.dim <= 27]
 # catalog forms with their first coefficient changed by +1/7; cartan-d8's
-# exact trace3 multiplies four pairs of PolyArray matrices, and
+# exact trace3 multiplies PolyArray matrices with sqrt(3) terms, and
 # complexified-d8 is the largest catalog form
 MUTATED = {f"{name}+1/7": name for name in ("clifford-q0", "cartan-d1",
                                            "clifford-q1", "involution-d2",
@@ -940,7 +939,7 @@ def _reference_symbolic(u: CubicForm):
 def test_expanded_sides_match_poly_arithmetic(name):
     # the exact mode's PolyArray expansion of each identity's two sides
     # against plain Poly arithmetic on the same sides, term by term: the
-    # monomials and their coefficients, both sqrt(3) channels joined
+    # monomials and their coefficients, sqrt(3) parts as QSqrt3
     if name == "dense-8":
         u = _dense_form(8, 8)
     else:

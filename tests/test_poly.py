@@ -1,13 +1,16 @@
 from fractions import Fraction
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eigencubic import poly
+from eigencubic.cubics import MAX_DIM
 from eigencubic.poly import Poly, PolyArray
-from eigencubic.scalars import SQRT3, QSqrt3Array
-from polyref import diff, evaluate, joined_terms, to_polys
+from eigencubic.scalars import QSqrt3
+from polyref import diff, evaluate, joined_terms, odd_primes, to_polys
 
 
 def x(n, i):
@@ -101,22 +104,28 @@ NV = 3
 
 
 def _array(nvars, shape, deg, terms):
-    """A PolyArray from (entry, monomial, coefficient) triples."""
-    idx = [e for e, _, _ in terms]
-    code = [sum(v * nvars ** (deg - 1 - i) for i, v in enumerate(m)) for _, m, _ in terms]
-    coef = np.array([c for _, _, c in terms], dtype=object)
-    return PolyArray.collect(nvars, shape, deg, idx, code, coef)
+    """A PolyArray from (entry, monomial, coefficient) triples, a
+    coefficient an int or a QSqrt3 of ints: its monomial's code is the
+    product of the variables' odd primes, and a sqrt(3) part's twice it."""
+    primes, rows = odd_primes(nvars), []
+    for e, m, c in terms:
+        code = math.prod(primes[v] for v in m)
+        parts = [(code, c.a), (2 * code, c.b)] if isinstance(c, QSqrt3) else [(code, c)]
+        rows += [(e, k, int(x)) for k, x in parts]
+    idx, code, coef = (list(x) for x in zip(*rows)) if rows else ([], [], [])
+    return PolyArray.collect(nvars, shape, deg, idx, code, np.array(coef, dtype=object))
 
 
 @st.composite
 def _poly_arrays(draw, shape, deg, top=5):
     """A PolyArray of ``shape`` and degree ``deg`` in NV variables, terms
-    repeated and cancelling; mostly sparse."""
+    repeated and cancelling, some with a sqrt(3) part; mostly sparse."""
     size = int(np.prod(shape))
     mono = st.lists(st.integers(0, NV - 1), min_size=deg, max_size=deg).map(
         lambda v: tuple(sorted(v)))
-    terms = draw(st.lists(st.tuples(st.integers(0, size - 1), mono,
-                                    st.integers(-top, top)), max_size=3 * size))
+    coef = st.one_of(st.integers(-top, top),
+                     st.builds(QSqrt3, st.integers(-top, top), st.integers(-top, top)))
+    terms = draw(st.lists(st.tuples(st.integers(0, size - 1), mono, coef), max_size=3 * size))
     return _array(NV, shape, deg, terms)
 
 
@@ -226,12 +235,15 @@ def _product_spy(monkeypatch):
     return calls
 
 
-def _sparse(rng, shape, deg, full, nvars=4):
+def _sparse(rng, shape, deg, full, nvars=4, sqrt3=()):
     """A PolyArray of ``shape`` with terms only in the flat entries
-    ``full``, two or three each."""
+    ``full`` and ``sqrt3``, two or three of each kind, sqrt(3) times a
+    positive int in those of ``sqrt3`` and a positive int in those of
+    ``full``."""
     return _array(nvars, shape, deg, [
-        (e, tuple(sorted(rng.integers(0, nvars, deg).tolist())), int(rng.integers(1, 6)))
-        for e in full for _ in range(int(rng.integers(2, 4)))])
+        (e, tuple(sorted(rng.integers(0, nvars, deg).tolist())), unit * int(rng.integers(1, 6)))
+        for entries, unit in ((full, 1), (sqrt3, QSqrt3(0, 1)))
+        for e in entries for _ in range(int(rng.integers(2, 4)))])
 
 
 # (a's shape, a's nonempty entries, b's shape, b's nonempty entries)
@@ -268,25 +280,23 @@ def test_matmul_pairs_only_nonempty_entries(monkeypatch, case):
     assert given == nonempty
 
 
-def test_matmul_of_a_pair_with_a_sparse_sqrt3_channel(monkeypatch):
+def test_matmul_with_sparse_sqrt3_terms_is_one_product(monkeypatch):
     # a Q(sqrt3) matrix product like cartan-d8's H @ H, whose sqrt(3)
-    # channel holds terms in a few entries and its rational one in most:
-    # each of the four channel products gets only its nonempty triples
+    # terms lie in a few entries and its rational ones in most: one
+    # _product call, given only the nonempty triples, against Poly
+    # arithmetic with QSqrt3 coefficients; a's entry 3 = (0, 3) and b's
+    # entry 20 = (3, 2) pair sqrt(3) terms, whose products fold to 3 times
+    # their rational ones; entries 3, 14 and 33 hold terms of both kinds
     rng = np.random.default_rng(8)
     full = [e for e in range(36) if e % 5]
-    a = QSqrt3Array(_sparse(rng, (6, 6), 1, full), _sparse(rng, (6, 6), 1, [3, 14]))
-    b = QSqrt3Array(_sparse(rng, (6, 6), 1, full[::-1][:20]), _sparse(rng, (6, 6), 1, [20, 33]))
-
-    def ref(x):
-        return to_polys(x.r) + to_polys(x.s) * SQRT3
-
+    a = _sparse(rng, (6, 6), 1, full, sqrt3=(3, 14))
+    b = _sparse(rng, (6, 6), 1, full[::-1][:20], sqrt3=(20, 33))
     calls = _product_spy(monkeypatch)
     got = a @ b
-    assert joined_terms(got) == [p.terms for p in np.ravel(ref(a) @ ref(b))]
-    assert len(calls) == 4
-    assert all(given == nonempty for given, nonempty in calls)
-    # r @ r first, then s @ s, which pairs one entry of each sqrt(3) channel
-    assert len(calls[1][0]) == 1 < len(calls[0][0])
+    assert joined_terms(got) == [p.terms for p in np.ravel(to_polys(a) @ to_polys(b))]
+    [(given, nonempty)] = calls
+    assert given == nonempty
+    assert (3, 20, 2) in given
 
 
 # the degree splits of the identity sides' products: H @ H and H * H
@@ -298,10 +308,10 @@ SPLITS = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (4, 1), (3, 3)]
 @pytest.mark.parametrize("block", [1, 7, poly.PAIR_BLOCK])
 @pytest.mark.parametrize("da, db", SPLITS, ids=[f"{a}+{b}" for a, b in SPLITS])
 def test_poly_array_products_merge_sorted_monomials(monkeypatch, da, db, block):
-    # each pair's monomial is the merge of its two sorted digit rows: in 3
-    # variables nearly every pair shares a variable, so the merge meets
-    # ties, and blocks of 1 or 7 pairs split one output term's pairs
-    # across blocks; matrix, broadcast and scalar products against Poly
+    # each pair's monomial is the product of its two prime codes: in 3
+    # variables nearly every pair shares a variable, so the product
+    # repeats a prime, and blocks of 1 or 7 pairs split one output term's
+    # pairs across blocks; matrix, broadcast and scalar products against Poly
     rng = np.random.default_rng(10 * da + db)
 
     def operand(shape, deg):
@@ -321,8 +331,9 @@ def test_poly_array_products_merge_sorted_monomials(monkeypatch, da, db, block):
 
 @pytest.mark.parametrize("block", [1, poly.PAIR_BLOCK])
 def test_poly_array_merge_ties_and_interleaving(monkeypatch, block):
-    # x0^2 * x0 x1, x0^3 * x0^3, and rows that interleave or lie wholly
-    # on one side of the other
+    # x0^2 * x0 x1, x0^3 * x0^3, and monomials that interleave or lie
+    # wholly on one side of the other: each product of codes factors as
+    # the merged monomial
     monkeypatch.setattr(poly, "PAIR_BLOCK", block)
     cases = [((0, 0), (0, 1), (0, 0, 0, 1)), ((0, 0, 0), (0, 0, 0), (0,) * 6),
              ((1, 3), (0, 2, 4), (0, 1, 2, 3, 4)), ((3, 4), (0, 1, 2), (0, 1, 2, 3, 4)),
@@ -360,3 +371,50 @@ def test_poly_array_int64_bound_is_exact_at_the_edge(la, lb, int64):
     # a product with an empty array or with 0 is empty, whatever the norm
     big, empty = ab * 2, _array(2, (), 1, [])
     assert (big * empty).idx.size == (empty * big).idx.size == (big * 0).idx.size == 0
+
+
+# the identities' largest arrays: g @ (H @ g) and (g @ g) * trace H are
+# scalars of degree 5, H @ g is (n,) of degree 3 and (H @ H) * H is (n, n)
+# of degree 3
+@pytest.mark.parametrize("shape, deg", [((), 5), ((MAX_DIM,), 3), ((MAX_DIM, MAX_DIM), 3)],
+                         ids=["scalar-5", "vector-3", "matrix-3"])
+def test_codes_fit_int64_at_max_dim(shape, deg):
+    # in MAX_DIM variables a code of degree d is at most 2 p**d, p the
+    # MAX_DIM-th odd prime, and a pair of sqrt(3) terms reaches 4 p**d
+    # before it is divided by 4: _codes returns 2 p**d + 1 exactly while
+    # both and every (entry, code) key fit in int64, and raises ValueError
+    # from the first degree where one would not
+    p, size = odd_primes(MAX_DIM)[-1], math.prod(shape)
+    assert poly._codes(MAX_DIM, shape, deg) == 2 * p ** deg + 1
+    for d in range(deg, 12):
+        codes = 2 * p ** d + 1
+        if size * codes <= 2 ** 63 and 4 * p ** d < 2 ** 63:
+            assert poly._codes(MAX_DIM, shape, d) == codes
+        else:
+            with pytest.raises(ValueError, match="exceed int64"):
+                poly._codes(MAX_DIM, shape, d)
+            return
+    raise AssertionError("no degree below 12 passes int64")
+
+
+def test_sqrt3_products_past_int64_switch_to_python_ints():
+    # (5 + 2**31 sqrt3) x0 times (1 + 2**31 sqrt3) x1 puts 3 * 2**62 + 5 on
+    # x0 x1: each operand is int64, the pair's product 2**62 is too, and
+    # only its tripled fold passes 2**63.  The weighted L1 bound sees it,
+    # so the product runs on Python ints and is Poly's with QSqrt3
+    # coefficients, term by term, as scalars and as vectors
+    a = [(0, (0,), QSqrt3(5, 2 ** 31)), (0, (1,), -7), (0, (2,), QSqrt3(0, -3))]
+    b = [(0, (1,), QSqrt3(1, 2 ** 31)), (0, (0,), QSqrt3(0, 11)), (0, (2,), 2)]
+    pairs = [(_array(3, (), 1, a), _array(3, (), 1, b)),
+             (_array(3, (2,), 1, a + [(1, (2,), 1)]),
+              _array(3, (2,), 1, b + [(1, (0,), QSqrt3(0, 1))]))]
+    for x, y in pairs:
+        assert x.coef.dtype == y.coef.dtype == np.int64
+        for got, want in [(x * y, to_polys(x) * to_polys(y)), (y * x, to_polys(y) * to_polys(x)),
+                          ((x * y).sum(), np.sum(to_polys(x) * to_polys(y)))]:
+            assert got.coef.dtype == object
+            assert max(abs(c) for c in got.coef.tolist()) > 2 ** 63
+            assert joined_terms(got) == [p.terms for p in np.ravel(np.array(want, dtype=object))]
+    x, y = pairs[1]
+    assert joined_terms(x @ y) == [(to_polys(x) @ to_polys(y)).terms]
+    assert joined_terms(x * y)[0][(0, 1)] == QSqrt3(3 * 2 ** 62 + 5, 6 * 2 ** 31 - 77)
