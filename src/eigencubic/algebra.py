@@ -48,9 +48,14 @@ stop rules and ends where it would alone, bit for bit, and the Peirce
 records of all the idempotents come from one stack too.  The search runs
 on the float jet of s*u (s = ``Jet.scale``), so its cutoffs do not depend
 on u's scale, and an idempotent c' of s*u is c = s c'.  The Newton system
-2 L_c - I is singular exactly when 1/2 sits in the Peirce spectrum, the
-generic case here, so steps go through the symmetric pseudo-inverse with
-a gradient fallback when they stall.
+J = 2 L_c - I is singular exactly when 1/2 sits in the Peirce spectrum,
+the generic case here, and then c lies on a continuous family of
+idempotents along J's null space.  Steps go through the symmetric
+pseudo-inverse with J's near-null eigenvalues dropped (``_newton_step``):
+the least-norm Newton step on the normal space of the family, which ends
+each catalog restart in one step, so an idempotent does not drift along
+its family with the rounding.  A gradient fallback takes the steps that
+do not lower |c o c - c|.
 """
 
 from __future__ import annotations
@@ -318,7 +323,11 @@ def _polish(jet: Jet, X: np.ndarray, U: np.ndarray) -> List[Optional[Tuple[np.nd
     failing row is dropped), and their new residuals, with ``_dots``
     norms.  The pseudo-inverse step (``_newton_step``) and the gradient
     fallback (``_fallback``) run per row, so each row ends where a loop
-    over that row alone ends, bit for bit.
+    over that row alone ends, bit for bit.  From an ascent end point on a
+    catalog form the first Newton step takes |c o c - c| below the stop
+    rule 1e-14, so a block takes one ``eigh`` and no fallback; the
+    fallback and the further steps serve starts far from an idempotent
+    and forms that are not Hsiang.
     """
     out: List[Optional[Tuple[np.ndarray, float]]] = [None] * len(X)
     lam = 3.0 * U                         # grad u(x) = lam x at a critical point
@@ -396,13 +405,31 @@ def _eighs(J: np.ndarray) -> list:
 
 
 def _newton_step(lam: np.ndarray, V: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Least-norm solution of J delta = -F for the symmetric J = V diag(lam) V^T.
+    """Least-norm solution of J delta = -F for the symmetric J = V diag(lam) V^T,
+    J's eigenvalues at or below sqrt(eps) * max|lambda| dropped: a
+    pseudo-inverse through J's ``eigh``.
 
-    J = 2 L_c - I is singular whenever 1/2 is a Peirce eigenvalue, so the
-    solve is a pseudo-inverse through J's ``eigh``, dropping eigenvalues at
-    or below lstsq's cutoff eps * n * max|lambda|.
+    Why that cutoff.  At a Hsiang idempotent c, L_c has the Peirce
+    eigenvalues 1, -1, -1/2 and 1/2, so J = 2 L_c - I has 1, -3, -2 and 0,
+    and every nonzero one has |lambda| >= 1.  J is the derivative of
+    F = c o c - c, and where 1/2 is a Peirce eigenvalue the idempotents
+    near c form a family along J's null space.  At a point a distance e
+    off the family J's eigenvalues move by O(e), so the ascent's end
+    points, about 1e-12 off, give J tangent eigenvalues near 1e-12; a
+    cutoff below them, as lstsq's eps * n * max|lambda| (3.6e-14 at
+    n = 54), divides F's rounding by them: c moves along the family with
+    the rounding, two summation orders of one catalog form ending up to
+    5e-5 apart, and two steps in three do not lower |F|.  The cutoff
+    sqrt(eps) * max|lambda|, 1.5e-8 to 4.5e-8 here, drops them and keeps
+    every Peirce eigenvalue, so the step is the least-norm Newton step on
+    the normal space of the family, which converges quadratically where J
+    keeps its rank near the solutions (Ben-Israel 1966).  At an isolated
+    idempotent J is invertible near c and nothing is dropped.  On a form
+    that is not Hsiang a nonzero eigenvalue may fall below the cutoff; its
+    direction is then left to further steps and to ``_fallback``, and the
+    residual gates judge where the polish ends.
     """
-    keep = np.abs(lam) > np.finfo(float).eps * len(lam) * np.max(np.abs(lam))
+    keep = np.abs(lam) > np.sqrt(np.finfo(float).eps) * np.max(np.abs(lam))
     return V[:, keep] @ ((V[:, keep].T @ -F) / lam[keep])
 
 

@@ -185,7 +185,12 @@ class CubicForm:
         return cls(p.nvars, p.terms)
 
     def to_float(self) -> "CubicForm":
-        return CubicForm(self.n, dict(zip(self.keys, self._floats())))
+        """This form with each m the float ``_floats`` gives, read as the
+        binary fraction it is, as ``from_json_dict`` reads a float."""
+        fs = self._floats()
+        return CubicForm.__new__(CubicForm)._clear(
+            self.n, list(self.keys), [(f.as_integer_ratio(), (0, 1)) for f in fs],
+            {k for k, f in zip(self.keys, fs) if f})
 
     # -- serialization ---------------------------------------------------------
     def to_json_dict(self) -> dict:

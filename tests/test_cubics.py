@@ -365,6 +365,19 @@ def test_float_form_keeps_its_float_laplacian(name):
 
 
 @pytest.mark.parametrize("name", list(CATALOG))
+def test_to_float_is_the_dict_constructor_of_its_floats(name):
+    # to_float clears each float's own binary fraction as from_json_dict
+    # does; the form is the one the dict constructor builds from the same
+    # floats, in its integers and in its float jet's bytes
+    u = catalog_build(name)
+    got, want = u.to_float(), CubicForm(u.n, dict(zip(u.keys, u._floats())))
+    assert (got.n, got.keys, got.num, got.scale, got.float_keys, got.is_exact_form) == \
+        (want.n, want.keys, want.num, want.scale, want.float_keys, want.is_exact_form)
+    a, b = got.jet(exact=False), want.jet(exact=False)
+    assert a.scale == b.scale and a.ijk.tobytes() == b.ijk.tobytes() and a.m.tobytes() == b.m.tobytes()
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
 def test_exact_jet_of_a_float_form_is_its_binary_fractions(name):
     # jet(exact=True) on a float form is the exact jet of the binary
     # fractions its coefficients are, in scale, arrays and entry type
