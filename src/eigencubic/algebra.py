@@ -29,13 +29,13 @@ bound at |x| <= 9 needs, lifted by CRT to Python ints; the points'
 numerators lie in [-9, 9], which bounds every sum before any arithmetic.
 At |x| <= 9 the jet's bound 2 L R^2 < 2**62 holds for every catalog form,
 so each block takes one exact int64 Hessian, and every modulus its pieces
-from it.  For a rational theta, theta D^2 = num/den, a point's residual is 0
-exactly when den lhs = num rhs on the lifted sides; that one integer
-test finds the nonzero points, and only those build a Fraction.  A
-Q(sqrt3) theta builds its residual at every point.  It draws its
-points in one vectorised pass that reproduces the stream of one
-``random.randint`` per coordinate, so its residual does not depend on
-how the points are drawn.
+from it.  Every theta (rational, in Q(sqrt3), or a float read as its
+binary fraction) gives theta D^2 = num/den, num in Z[sqrt3] and den =
+``scalars.denominator(theta)``: a point's residual is 0 exactly when
+den lhs = num rhs, one integer test, and only the other points divide.
+Its points are drawn in one vectorised pass that reproduces the stream
+of one ``random.randint`` per coordinate, as are the rank certificate's
+numerators, so neither depends on how the points are drawn.
 
 Idempotents are located by projected gradient ascent of |u| on the unit
 sphere (stationary points have grad u = lambda x), rescaled by 1/(2 lambda),
@@ -70,9 +70,10 @@ import numpy as np
 from .cubics import CubicForm, Jet, block_rows
 from .identities import RADIAL, _dots, _randbelow, _require_trials, _rows, _sides_at, _unit
 from .modular import _at_root, _rank_mod_p, primes
-from .scalars import QSqrt3
+from .scalars import cleared, denominator, exact_div
 
 NEWTON_STEPS = 80
+# The largest |c o c - c| the search keeps and a Peirce record takes, in jet units.
 IDEMPOTENT_RESIDUAL = 1e-10
 DEDUP_DISTANCE = 1e-6
 BIN_TOLERANCE = 1e-6
@@ -85,8 +86,6 @@ ASCENT_STEPS = 200
 # of one gradient-fallback step of the Newton polish.
 ASCENT_HALVINGS = 30
 POLISH_HALVINGS = 20
-# The largest |c o c - c| a Peirce record accepts, in the float jet's units.
-PEIRCE_RESIDUAL = 1e-8
 
 
 @dataclass
@@ -177,7 +176,7 @@ class MetrisedAlgebra:
             raise ValueError("seed must be nonnegative")
         jet = self.form.jet(exact=False)
         rows = block_rows(self.n * self.n)
-        kept, k = np.empty((restarts, self.n)), 0
+        kept, k = np.empty((1, self.n)), 0
         for first in range(0, restarts, rows):
             block = range(first, min(first + rows, restarts))
             X = _unit(np.stack([np.random.default_rng((seed, r)).standard_normal(self.n)
@@ -192,6 +191,8 @@ class MetrisedAlgebra:
                 d = c - kept[:k]
                 if (np.sqrt(_dots(d, d)) < DEDUP_DISTANCE).any():
                     continue
+                if k == len(kept):      # doubled, so kept[:k] stays one array
+                    kept = np.concatenate([kept, np.empty_like(kept)])
                 kept[k] = c
                 k += 1
         found = sorted((c * jet.scale for c in kept[:k]),
@@ -208,29 +209,20 @@ class MetrisedAlgebra:
         4 times the sides of the radial identity, which
         ``identities._sides_at`` evaluates for D*u at the integer points
         d*x, in blocks, as the random mode of the identity checks does.
-        A rational theta skips each point whose sides pass the integer
-        test den lhs = num rhs, whose residual is 0.
+        A point whose sides pass den lhs = num rhs, theta D^2 = num / den
+        (``denominator``), has residual 0 and builds no quotient.
         """
         _require_trials(trials)
-        rng = random.Random(seed)
         jet = self.form.jet(exact=True)
         D = jet.scale
-        X, dens = _rational_batch(self.n, trials, rng)
-        c = theta * D * D
-        points = zip(_rows(_sides_at(RADIAL, jet, X)), dens.tolist())
-        if isinstance(c, (int, Fraction)):
-            # c = num / den: a point's residual is 0 exactly when den lhs =
-            # num rhs, which needs no Fraction
-            num, den = c.numerator, c.denominator
-            points = [((lhs, rhs), d) for (lhs, rhs), d in points if den * lhs != num * rhs]
-        worst = Fraction(0)
-        for (lhs, rhs), d in points:
-            diff = lhs - c * rhs
-            if isinstance(diff, QSqrt3) and not diff.b:
-                diff = diff.a           # as joining the channel pair gives it
-            if diff:                    # lhs carries D^3 d^5 and rhs D d^5
-                worst = max(worst, abs(4 * diff / Fraction(D ** 3 * d ** 5)))
-        return worst
+        X, dens = _rational_batch(self.n, trials, random.Random(seed))
+        den = denominator(theta)
+        num = cleared(den, theta) * D * D
+        sides = zip(_rows(_sides_at(RADIAL, jet, X)), dens.tolist())
+        diffs = [(diff, d) for (lhs, rhs), d in sides if (diff := den * lhs - num * rhs)]
+        # lhs carries D^3 d^5 and rhs D d^5
+        return max((abs(exact_div(4 * diff, den * D ** 3 * d ** 5)) for diff, d in diffs),
+                   default=Fraction(0))
 
     def weak_associativity_max_residual(self, trials: int = 1000, seed: int = 0):
         """Max |<x o y, z> - <y o z, x>| over ``trials`` triples: an exact
@@ -436,13 +428,13 @@ def _newton_step(lam: np.ndarray, V: np.ndarray, F: np.ndarray) -> np.ndarray:
 def _peirce_records(jet: Jet, C: np.ndarray, bin_tol: float) -> List[PeirceData]:
     """The PeirceData of each row of C, from one stacked gradient, Hessian
     and ``eigvalsh``; raises ValueError at the first row whose residual is
-    above PEIRCE_RESIDUAL (in the jet's units) or not finite."""
+    above IDEMPOTENT_RESIDUAL (in the jet's units) or not finite."""
     CN = C / jet.scale
     with np.errstate(invalid="ignore", over="ignore"):
         F = 2.0 * jet.gradient(CN) - CN
         residuals = jet.scale * np.sqrt(_dots(F, F))
     for residual in residuals:
-        if not residual <= PEIRCE_RESIDUAL * jet.scale:
+        if not residual <= IDEMPOTENT_RESIDUAL * jet.scale:
             raise ValueError(f"not an idempotent: |c o c - c| = {residual:.3g}")
     L = jet.hessian(CN)
     E = np.linalg.eigvalsh(0.5 * (L + L.swapaxes(-1, -2)))
@@ -458,21 +450,24 @@ def _peirce_records(jet: Jet, C: np.ndarray, bin_tol: float) -> List[PeirceData]
 
 
 def _full_rank_mod_p(jet: Jet, n: int) -> bool:
-    """Whether D*Du of the exact ``jet`` at n integer points, drawn from
-    ``random.Random(0)`` in [-9, 9] as one ``randint`` per coordinate,
-    has rank n modulo the first residue prime.  No int64 sum reaches
-    2**63: each gradient entry is below 2**55 (``modular``)."""
+    """Whether D*Du of the exact ``jet`` at n integer points, the
+    ``_numerators`` of ``random.Random(0)``, has rank n modulo the first
+    residue prime.  No int64 sum reaches 2**63: each gradient entry is
+    below 2**55 (``modular``)."""
     p = next(primes())
-    X = _randbelow(19, n * n, random.Random(0)).reshape(n, n) - 9
+    X = _numerators(n, n, random.Random(0))
     return _rank_mod_p(_at_root(jet.modulo(p).gradient(X), p), p) == n
 
 
+def _numerators(n: int, count: int, rng: random.Random) -> np.ndarray:
+    """``count`` points of Z^n in [-9, 9]^n as an int64 array of shape
+    (count, n): the values, and the state ``rng`` is left in, of a
+    ``rng.randint(-9, 9)`` per coordinate, point by point."""
+    return _randbelow(19, count * n, rng).reshape(count, n) - 9
+
+
 def _rational_batch(n: int, count: int, rng: random.Random):
-    """The Hsiang check's random rational points, numerators in [-9, 9]
-    and denominators in [1, 3], returned as int64 arrays (numerators of
-    shape (count, n), denominators).  The values, and the state ``rng`` is left in, are
-    those of a ``rng.randint(-9, 9)`` per coordinate, point by point,
-    followed by a ``rng.randint(1, 3)`` per point."""
-    nums = _randbelow(19, count * n, rng).reshape(count, n) - 9
-    return nums, _randbelow(3, count, rng) + 1
+    """The Hsiang check's points: ``_numerators``, then a denominator
+    ``rng.randint(1, 3)`` per point, as int64 arrays."""
+    return _numerators(n, count, rng), _randbelow(3, count, rng) + 1
 

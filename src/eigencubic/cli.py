@@ -33,9 +33,10 @@ from .algebra import BIN_TOLERANCE, MetrisedAlgebra
 from .clifford import build_clifford_system, hurwitz_radon
 from .cubics import CATALOG, CubicForm, catalog_build
 from .identities import (GRAD_THRESHOLD, CheckReport, check_eiconal, check_harmonic,
-                         check_radial, classify as classify_form, sample_cone,
-                         trace_identity_cubic, trace_identity_quadratic)
-from .tables import admissible_triples, cross_validate
+                         check_radial, sample_cone, trace_identity_cubic,
+                         trace_identity_quadratic)
+from .tables import (admissible_triples, classify as classify_form, cross_validate,
+                     status as triple_status)
 
 MATH_FAIL = 1
 INTERNAL_FAIL = 3
@@ -163,7 +164,6 @@ def catalog():
 @click.option("--json", "as_json", is_flag=True, help="one JSON record per line")
 def catalog_list(as_json):
     """Print every catalog form with dimension, expected triple and status."""
-    from .tables import status as triple_status
     for name, entry in CATALOG.items():
         st = triple_status(entry.triple) if entry.triple else None
         rec = {"name": name, "dim": entry.dim, "family": entry.family,

@@ -54,7 +54,8 @@ memory stays O(block) for any ``trials`` and no block after the first
 that refutes t is drawn; its moduli and residue jets are taken once per
 check, for |p_a| < DEFAULT_BOUND.  The Hsiang check of ``algebra`` and the cone
 sampler's mean curvatures (``_curvatures``) run their points through the
-same function.
+same function, and ``tables.classify`` reads the checks into one record;
+this module imports neither.
 
 Policy: exact expansion for n <= 15, randomized above, both overridable.
 """
@@ -73,7 +74,8 @@ import numpy as np
 from .cubics import CubicForm, Jet, block_rows
 from .modular import ResidueStack, _stack, inverse, lift, moduli
 from .poly import PolyArray
-from .scalars import QSqrt3, exact_div, format_rational, is_exact, joined, per_channel
+from .scalars import (QSqrt3, cleared, denominator, exact_div, format_rational, is_exact, joined,
+                      per_channel)
 
 EXACT_VAR_LIMIT = 15
 DEFAULT_TRIALS = 20
@@ -341,12 +343,10 @@ def _expanded_ratio(lhs: PolyArray, rhs: PolyArray):
     first = int(rhs.code[0])
     mono = first if first & 1 else first // 2
     t = exact_div(_coefficient(lhs, mono), _coefficient(rhs, mono))
-    if isinstance(t, QSqrt3):
-        q = math.lcm(Fraction(t.a).denominator, Fraction(t.b).denominator)
-        p = PolyArray.collect(rhs.nvars, (), 0, [0, 0], [1, 2],
-                              np.array([int(t.a * q), int(t.b * q)], dtype=object))
-    else:
-        p, q = t.numerator, t.denominator
+    q = denominator(t)
+    p = cleared(q, t)
+    if isinstance(p, QSqrt3):
+        p = PolyArray.collect(rhs.nvars, (), 0, [0, 0], [1, 2], np.array([p.a, p.b], dtype=object))
     return t if _same_terms(lhs * q, rhs * p) else None
 
 
@@ -430,60 +430,6 @@ def trace_identity_cubic(u: CubicForm, mode: str = "auto",
                          seed: int = 0) -> CheckReport:
     """a with trace(D^2 u)^3 = a u; every eigencubic admits one."""
     return _check(TRACE3, u, mode, trials, seed)
-
-
-# ---------------------------------------------------------------------------
-# classification
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ClassificationRecord:
-    is_trivial: bool
-    is_harmonic: bool
-    radial_theta: Optional[object]
-    quad_trace: Optional[object]
-    cubic_trace: Optional[object]
-    label: str
-    mode: str = "exact"
-
-    def to_json_dict(self) -> dict:
-        return {"is_trivial": self.is_trivial, "is_harmonic": self.is_harmonic,
-                "radial_theta": _json_constant(self.radial_theta),
-                "quad_trace": _json_constant(self.quad_trace),
-                "cubic_trace": _json_constant(self.cubic_trace),
-                "label": self.label, "mode": self.mode}
-
-
-def classify(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS,
-             seed: int = 0) -> ClassificationRecord:
-    """Populate the full record; the label follows the radial/rank/trace rule.
-
-    The quadratic trace predicate is reported as computed: a form may pass
-    it without appearing in the admissible-triple table (the 3-variable
-    Clifford cubic does), so the label asserts the predicate only.
-    """
-    from .algebra import MetrisedAlgebra
-
-    rad = check_radial(u, mode, trials, seed)
-    quad = trace_identity_quadratic(u, mode, trials, seed + 1)
-    cubt = trace_identity_cubic(u, mode, trials, seed + 2)
-    harm = check_harmonic(u)
-    rank = MetrisedAlgebra(u).multiplication_rank()
-    trivial = rank <= 1
-    if not rad.passed:
-        label = "not-eigencubic"
-    elif trivial:
-        label = "trivial"
-    elif quad.passed:
-        label = "exceptional-or-mutant"
-    else:
-        label = "clifford-type"
-    return ClassificationRecord(
-        is_trivial=trivial, is_harmonic=harm,
-        radial_theta=rad.constant if rad.passed else None,
-        quad_trace=quad.constant if quad.passed else None,
-        cubic_trace=cubt.constant if cubt.passed else None,
-        label=label, mode=rad.mode)
 
 
 # ---------------------------------------------------------------------------

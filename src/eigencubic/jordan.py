@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .composition import (CDElement, cd_conj, cd_inner, cd_mul, cd_norm,
                           re_triple)
-from .scalars import QSqrt3
+from .scalars import QSqrt3, cleared, denominator
 
 HERM_DIMS = (1, 2, 4, 8)
 
@@ -248,17 +248,5 @@ def fullspace_basis(d: int) -> list:
 def common_denominator(mats) -> int:
     """The least positive integer k with which ``cleared`` takes every
     coordinate of every matrix in ``mats`` to an int or a QSqrt3 of ints."""
-    return math.lcm(*(c.denominator for A in mats
-                      for x in A.diag + sum((o.coeffs for o in A.off), ())
-                      if type(x) is not int
-                      for c in ((x.a, x.b) if isinstance(x, QSqrt3) else (x,))))
-
-
-def cleared(k: int, x):
-    """k x for a coordinate x that k clears: an int, or a QSqrt3 of ints."""
-    if isinstance(x, QSqrt3):
-        return QSqrt3(cleared(k, x.a), cleared(k, x.b))
-    q, r = divmod(k * x.numerator, x.denominator)
-    if r:
-        raise ValueError(f"{k} does not clear the denominator of {x}")
-    return q
+    return math.lcm(*(denominator(x) for A in mats
+                      for x in A.diag + sum((o.coeffs for o in A.off), ())))

@@ -270,6 +270,24 @@ def exact_div(a, b):
     return Fraction(a) / Fraction(b)
 
 
+def denominator(x) -> int:
+    """The least k > 0 with k x in Z[sqrt3]: the lcm of the ``as_integer_ratio``
+    denominators of x's channels, so a float is the binary fraction it is."""
+    channels = (x.a, x.b) if isinstance(x, QSqrt3) else (x,)
+    return math.lcm(*(c.as_integer_ratio()[1] for c in channels))
+
+
+def cleared(k: int, x):
+    """k x, an int or a QSqrt3 of ints, for a scalar x that k clears."""
+    if isinstance(x, QSqrt3):
+        return QSqrt3(cleared(k, x.a), cleared(k, x.b))
+    p, q = x.as_integer_ratio()
+    m, r = divmod(k * p, q)
+    if r:
+        raise ValueError(f"{k} does not clear the denominator of {x}")
+    return m
+
+
 def format_rational(num, den=1) -> str:
     """Canonical string for the rational num / den: '-8', '3/4', ..."""
     return str(Fraction(num, den))

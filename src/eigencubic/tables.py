@@ -1,9 +1,9 @@
-"""The classification data: 23 admissible Peirce triples with statuses.
-
-The table is embedded as code-level data; it is the single source of
-truth the tests compare computed triples against.
-Twelve triples carry a witness constructor, eight are eliminated, and
-the three n2 = 8 rows (3,8,12), (5,8,16), (9,8,24) remain open.
+"""Classification: ``classify``, one form's record from its checks and
+multiplication rank, and the 23 admissible Peirce triples with statuses,
+embedded as code-level data, the single source of truth the tests
+compare computed triples against.  Twelve triples carry a witness
+constructor, eight are eliminated, and the three n2 = 8 rows (3,8,12),
+(5,8,16), (9,8,24) remain open.
 """
 
 from __future__ import annotations
@@ -12,6 +12,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+
+from .algebra import MetrisedAlgebra
+from .cubics import CubicForm, catalog_build
+from .identities import (DEFAULT_TRIALS, _json_constant, check_harmonic, check_radial,
+                         trace_identity_cubic, trace_identity_quadratic)
 
 Triple = Tuple[int, int, int]
 
@@ -95,10 +100,6 @@ def cross_validate(seed: int = 0, restarts: int = 8, which: str = "all") -> List
     rows are marked untestable.  A ValueError or LinAlgError, which valid
     input can raise, is a failed row; any other exception propagates.
     """
-    from .algebra import MetrisedAlgebra
-    from .cubics import catalog_build
-    from .identities import check_radial
-
     reports = []
     for rec in admissible_triples():
         if which != "all" and rec.status != which:
@@ -129,3 +130,51 @@ def cross_validate(seed: int = 0, restarts: int = 8, which: str = "all") -> List
             rep["error"] = f"{type(exc).__name__}: {exc}"
         reports.append(rep)
     return reports
+
+
+@dataclass
+class ClassificationRecord:
+    is_trivial: bool
+    is_harmonic: bool
+    radial_theta: Optional[object]
+    quad_trace: Optional[object]
+    cubic_trace: Optional[object]
+    label: str
+    mode: str = "exact"
+
+    def to_json_dict(self) -> dict:
+        return {"is_trivial": self.is_trivial, "is_harmonic": self.is_harmonic,
+                "radial_theta": _json_constant(self.radial_theta),
+                "quad_trace": _json_constant(self.quad_trace),
+                "cubic_trace": _json_constant(self.cubic_trace),
+                "label": self.label, "mode": self.mode}
+
+
+def classify(u: CubicForm, mode: str = "auto", trials: int = DEFAULT_TRIALS,
+             seed: int = 0) -> ClassificationRecord:
+    """Populate the full record; the label follows the radial/rank/trace rule.
+
+    The quadratic trace predicate is reported as computed: a form may pass
+    it without appearing in the admissible-triple table (the 3-variable
+    Clifford cubic does), so the label asserts the predicate only.
+    """
+    rad = check_radial(u, mode, trials, seed)
+    quad = trace_identity_quadratic(u, mode, trials, seed + 1)
+    cubt = trace_identity_cubic(u, mode, trials, seed + 2)
+    harm = check_harmonic(u)
+    rank = MetrisedAlgebra(u).multiplication_rank()
+    trivial = rank <= 1
+    if not rad.passed:
+        label = "not-eigencubic"
+    elif trivial:
+        label = "trivial"
+    elif quad.passed:
+        label = "exceptional-or-mutant"
+    else:
+        label = "clifford-type"
+    return ClassificationRecord(
+        is_trivial=trivial, is_harmonic=harm,
+        radial_theta=rad.constant if rad.passed else None,
+        quad_trace=quad.constant if quad.passed else None,
+        cubic_trace=cubt.constant if cubt.passed else None,
+        label=label, mode=rad.mode)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -435,7 +436,7 @@ def _reference_peirce(alg, c, bin_tol=algebra.BIN_TOLERANCE):
     jet = alg.form.jet(exact=False)
     cn = c / jet.scale
     residual = jet.scale * float(np.linalg.norm(2.0 * jet.gradient(cn) - cn))
-    assert residual <= algebra.PEIRCE_RESIDUAL * jet.scale
+    assert residual <= algebra.IDEMPOTENT_RESIDUAL * jet.scale
     L = jet.hessian(cn)
     eigenvalues = np.linalg.eigvalsh(0.5 * (L + L.T))
     counts, one_mult = [], 0
@@ -775,7 +776,7 @@ def test_peirce_rejects_a_non_finite_point(bad, monkeypatch):
     # whatever the tolerance
     c = np.array([0.5, bad, 0.0])
     for tol in (1e-8, np.inf):
-        monkeypatch.setattr(algebra, "PEIRCE_RESIDUAL", tol)
+        monkeypatch.setattr(algebra, "IDEMPOTENT_RESIDUAL", tol)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not an idempotent"):
@@ -941,6 +942,39 @@ def test_weak_associativity():
     for name in ("clifford-q0", "cartan-d1", "cartan-d4", "involution-d2"):
         alg = MetrisedAlgebra(catalog_build(name))
         assert alg.weak_associativity_max_residual(trials=100, seed=4) == 0
+
+
+@pytest.mark.parametrize("name", ["cartan-d1", "cartan-d8"])
+def test_hsiang_float_theta_is_its_binary_fraction(name):
+    # a float theta is read as the binary fraction it is: the residual is
+    # the Fraction loop's at Fraction(theta), value and type (repr), on a
+    # rational form and on a Q(sqrt3) one; at cartan-d1's theta + 0.25,
+    # theta D^2 = -215 is exact in float64 too
+    u = catalog_build(name)
+    theta = float(check_radial(u).constant) + 0.25
+    for seed in (0, 1):
+        got = MetrisedAlgebra(u).check_hsiang_identity(theta, seed=seed)
+        assert got and repr(got) == repr(_fraction_hsiang(u, Fraction(theta), 100, seed))
+
+
+def test_find_idempotents_memory_follows_what_it_keeps():
+    # the trivial form on R^9 has one idempotent, so ten blocks of restarts
+    # keep what one block does: the traced peak grows by about one block's
+    # (rows, n) float array, which a block leaves alive into the next, and
+    # by less than 5 of them, where an array of a row per restart adds 9
+    n = 9
+    alg = MetrisedAlgebra(trivial_cubic(n))
+    rows = cubics.block_rows(n * n)
+    alg.find_idempotents(restarts=rows, seed=1)     # the jet and numpy's caches
+    peaks = []
+    for restarts in (rows, 10 * rows):
+        tracemalloc.start()
+        try:
+            assert len(alg.find_idempotents(restarts=restarts, seed=1)) == 1
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 5 * rows * n * 8
 
 
 def test_idempotent_uniform_length_and_spectrum():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from eigencubic import algebra, identities
 from eigencubic.cli import CHECKS, main
-from eigencubic.cubics import CATALOG
+from eigencubic.cubics import CATALOG, catalog_build
+from eigencubic.scalars import QSqrt3
+from formref import scaled
 from test_cubics import _CATALOG_SHA256
 
 TRANSCRIPT = Path(__file__).parent / "data" / "readme_transcript.txt"
@@ -197,6 +200,35 @@ def test_classify_sqrt3_constants(runner, tmp_path):
     rec = json.loads(res.output)
     assert rec["label"] == "exceptional-or-mutant"
     assert rec["radial_theta"] == "-2"
+
+
+# the constants of (1 + sqrt3) cartan-d1, the first of each pair the
+# rational part and the second the sqrt3 part
+_SQRT3_CD1 = {"radial": ("-216", "-108"), "eiconal": ("36", "18"), "harmonic": None,
+              "trace2": ("504", "252"), "trace3": ("-648", "-324")}
+
+
+def test_sqrt3_constants_in_every_mode(runner, tmp_path):
+    # (1 + sqrt3) cartan-d1 has constants with a sqrt3 part: verify in
+    # auto, exact and random mode, and classify, exit 0 with each one,
+    # with warnings as errors; the eiconal t > 0 runs QSqrt3.sign
+    path = tmp_path / "sqrt3-cd1.json"
+    path.write_text(json.dumps(scaled(catalog_build("cartan-d1"), QSqrt3(1, 1)).to_json_dict()))
+    want = {c: v and {"rational": v[0], "sqrt3": v[1]} for c, v in _SQRT3_CD1.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for flags in ((), ("--exact",), ("--random", "20", "--seed", "1")):
+            res = run(runner, "verify", str(path), "--check", "all", *flags)
+            assert res.exit_code == 0, flags
+            recs = [json.loads(line) for line in res.output.splitlines()]
+            assert {r["check"]: r["constant"] for r in recs} == want, flags
+            assert all(r["pass"] for r in recs)
+        res = run(runner, "classify", str(path))
+    assert res.exit_code == 0
+    rec = json.loads(res.output)
+    assert (rec["radial_theta"], rec["quad_trace"], rec["cubic_trace"]) == \
+        (want["radial"], want["trace2"], want["trace3"])
+    assert rec["label"] == "exceptional-or-mutant"
 
 
 def test_spectrum_deterministic(runner, tmp_path):

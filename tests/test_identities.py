@@ -18,13 +18,14 @@ from eigencubic.identities import (DEFAULT_BOUND, DEFAULT_TRIALS, EICONAL,
                                    ConeSampleReport, _Identity,
                                    _proportional_float,
                                    _randbelow, check_eiconal,
-                                   check_harmonic, check_radial, classify,
+                                   check_harmonic, check_radial,
                                    sample_cone,
                                    trace_identity_cubic,
                                    trace_identity_quadratic)
 from eigencubic.poly import Poly
 from eigencubic.modular import moduli, primes
 from eigencubic.scalars import QSqrt3, QSqrt3Array, exact_div, joined
+from eigencubic.tables import classify
 from formref import dense_tensor, gradient, hessian, laplacian, scaled, sparse_cubic, to_poly
 from polyref import diff, evaluate, joined_terms
 from rotations import cayley_rotation, rotate_by_substitution, rotate_exact, skew
@@ -830,7 +831,7 @@ def test_kernel_matches_dense_tensor(name, monkeypatch):
     # tolerance is 1e-12 of the same contraction of |T| and |x|, the size
     # of the terms whose rounding the two sums order differently.  The
     # Peirce record of x, which is no idempotent, is taken at any residual
-    monkeypatch.setattr(algebra, "PEIRCE_RESIDUAL", np.inf)
+    monkeypatch.setattr(algebra, "IDEMPOTENT_RESIDUAL", np.inf)
     uf = catalog_build(name).to_float()
     T, aT = dense_tensor(uf), np.abs(dense_tensor(uf))
     jet = uf.jet(exact=False)
