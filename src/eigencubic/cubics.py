@@ -111,6 +111,7 @@ class CubicForm:
             keys, r, s = ([x[t] for t in live] for x in (keys, r, s))
         self.n, self.keys, self.num, self.scale = n, keys, (r, s), D
         self.float_keys, self.is_exact_form, self._jets = frozenset(floats), not floats, {}
+        self._checked = None
         return self
 
     @cached_property
@@ -177,6 +178,22 @@ class CubicForm:
         multiplies the same arrays: one ``PolyArray`` each, a Q(sqrt3)
         form's sqrt(3) channel held in its terms' codes."""
         return self.jet(exact=True).symbolic(self.n)
+
+    def float_pieces(self, seed: int, count: int) -> list:
+        """[(P, v, g, H)]: the ``count`` points
+        ``default_rng(seed).standard_normal((count, n))`` in blocks of
+        ``block_rows(n * n)`` rows, each with the value, gradient and
+        Hessian of the float jet there, so every float check of the form
+        reads the same arrays.  The last (seed, count) asked is kept, and
+        only once every block is evaluated, so a block that raises leaves
+        nothing stale."""
+        if self._checked is None or self._checked[0] != (seed, count):
+            jet, rows = self.jet(exact=False), block_rows(self.n * self.n)
+            P = np.random.default_rng(seed).standard_normal((count, self.n))
+            blocks = [(B, jet.value(B), jet.gradient(B), jet.hessian(B))
+                      for B in (P[s:s + rows] for s in range(0, count, rows))]
+            self._checked = (seed, count), blocks
+        return self._checked[1]
 
     @classmethod
     def from_poly(cls, p: Poly) -> "CubicForm":
@@ -337,11 +354,16 @@ class Jet:
     def hessian(self, p: np.ndarray) -> np.ndarray:
         return self._paired(lambda j: _blocks(j._hessian, max(p.shape[-1] ** 2, j.m.size), p))
 
-    def _value(self, p):
+    @cached_property
+    def _top(self) -> tuple:
+        """(m, i, j, k) of the first block of columns, which ``value``
+        reads: sliced once per jet."""
         first = self.m.size // 3
-        i, j, k = self.ijk[:, :first]
-        return (self.m[:first] * p.take(i, axis=-1) * p.take(j, axis=-1)
-                * p.take(k, axis=-1)).sum(axis=-1)
+        return (self.m[:first], *self.ijk[:, :first])
+
+    def _value(self, p):
+        m, i, j, k = self._top
+        return (m * p.take(i, axis=-1) * p.take(j, axis=-1) * p.take(k, axis=-1)).sum(axis=-1)
 
     def _gradient(self, p):
         a, b, c = self.ijk

@@ -158,18 +158,21 @@ def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _residue_pieces(jet: Jet, X: np.ndarray, q: int) -> Tuple:
+def _residue_pieces(jet: Jet, X: np.ndarray, q: int, v=None, g=None, H=None) -> Tuple:
     """(v, g, H, r2) modulo q at the points X on ``jet.modulo(q)``, as
     ``ResidueStack``s: modulo 2**64 the jet's own, wrapped; at float64
     points, with q = 0 on the float jet, its own, and r2 each row's
-    ``_dots``.  Modulo a prime only H is, which stays in int64
-    (``modular``), and Euler's H x = 2 g and x . g = 3 v for the cubic
-    give g and v.  The exact route takes these per modulus only where one
-    int64 Hessian cannot serve every modulus (``_exact_route``)."""
+    ``_dots``.  A float caller may pass the arrays of v, g and H it holds
+    at X, which are then not evaluated again.  Modulo a prime only H is,
+    which stays in int64 (``modular``), and Euler's H x = 2 g and
+    x . g = 3 v for the cubic give g and v.  The exact route takes these
+    per modulus only where one int64 Hessian cannot serve every modulus
+    (``_exact_route``)."""
     x = ResidueStack(X, q)
-    H = _stack(jet.hessian(x.x), q)
+    H = _stack(jet.hessian(x.x) if H is None else H, q)
     if not q:
-        return _stack(jet.value(X), q), _stack(jet.gradient(X), q), H, x @ x
+        return (_stack(jet.value(X) if v is None else v, q),
+                _stack(jet.gradient(X) if g is None else g, q), H, x @ x)
     g = H @ x * inverse(2, q)
     return x @ g * inverse(3, q), g, H, x @ x
 
@@ -218,17 +221,20 @@ def _sides_of_blocks(ident: _Identity, jet: Jet, n: int, blocks: Iterable[np.nda
     of points in turn; lazy, so a caller that stops early draws and
     evaluates no further block.
 
-    Float64 blocks (R None), on the float ``jet``, run ``ident.sides`` on
-    their ``_residue_pieces`` at q = 0 alone, numpy's float64 rounding,
-    each row the single point's bit for bit; a side that is no stack, such
-    as a constant, is broadcast to every row.  Int64 blocks, on the exact
-    jet, with R bounding |p_a| on all of them, run it once per modulus of
+    Float64 blocks (R None), on the float ``jet``, are tuples (P, v, g, H)
+    of the points and the arrays of v, g and H a caller holds there, each
+    None where it holds none.  Each runs ``ident.sides`` on its
+    ``_residue_pieces`` at q = 0 alone, numpy's float64 rounding, each row
+    the single point's bit for bit; a side that is no stack, such as a
+    constant, is broadcast to every row.  Int64 blocks, on the exact jet,
+    with R bounding |p_a| on all of them, run it once per modulus of
     ``_exact_route``, each modulus's pieces dropped before the next are
     made, and ``lift`` gives each side as the object array of the Python
     ints (or QSqrt3s) single points give."""
     if R is None:
-        return (tuple(np.broadcast_to(getattr(s, "x", s), len(B))
-                      for s in ident.sides(*_residue_pieces(jet, B, 0))) for B in blocks)
+        return (tuple(np.broadcast_to(getattr(s, "x", s), len(P))
+                      for s in ident.sides(*_residue_pieces(jet, P, 0, v, g, H)))
+                for P, v, g, H in blocks)
     pieces = _exact_route(ident, jet, n, R)
     return (tuple(map(lift, zip(*itertools.starmap(ident.sides, pieces(B))))) for B in blocks)
 
@@ -238,25 +244,34 @@ def _rows(blocks: Iterator[Tuple]) -> Iterator[Tuple]:
     return itertools.chain.from_iterable(zip(*sides) for sides in blocks)
 
 
-def _sides_at(ident: _Identity, jet: Jet, P: np.ndarray) -> Iterator[Tuple]:
+def _sides_at(ident: _Identity, jet: Jet, P: np.ndarray,
+              G: Optional[np.ndarray] = None) -> Iterator[Tuple]:
     """``_sides_of_blocks`` at the point stack P, in blocks of
     ``block_rows`` of an n x n Hessian in row order, with R = max|P| on
-    int64 points; ``_rows`` reads them row by row."""
+    int64 points; ``_rows`` reads them row by row.  G, the float jet's
+    gradient at P if given, serves as each float block's g."""
     n = P.shape[-1]
     rows = block_rows(n * n)
-    R = None if P.dtype == float else int(np.abs(P).max(initial=0))
+    if P.dtype == float:
+        return _sides_of_blocks(ident, jet, n, (
+            (P[s:s + rows], None, None if G is None else G[s:s + rows], None)
+            for s in range(0, len(P), rows)), None)
+    R = int(np.abs(P).max(initial=0))
     return _sides_of_blocks(ident, jet, n, (P[s:s + rows] for s in range(0, len(P), rows)), R)
 
 
-def _proportional_float(ident: _Identity, jet: Jet, n: int, seed: int):
+def _proportional_float(ident: _Identity, u: CubicForm, seed: int):
     """t with lhs = t * rhs for ``ident`` at FLOAT_TRIALS Gaussian points
-    in R^n on the float ``jet``, or None; raises ValueError where float64
-    overflows, rather than failing the identity."""
-    P = np.random.default_rng(seed).standard_normal((FLOAT_TRIALS, n))
+    in R^n on the float jet of ``u``, or None; raises ValueError where
+    float64 overflows, rather than failing the identity.  The points and
+    their pieces are the form's ``float_pieces``, which every float check
+    at this seed shares."""
+    blocks = u.float_pieces(seed, FLOAT_TRIALS)
     # the blocks' (rows, 2) arrays joined, so that np.dot reads ls and rs at
     # the stride of one (points, 2) array, as it read the rows of the single
     # points: on a contiguous side BLAS can sum in another order
-    ls, rs = np.concatenate([np.stack(b, axis=1) for b in _sides_at(ident, jet, P)]).T
+    ls, rs = np.concatenate([np.stack(b, axis=1) for b in _sides_of_blocks(
+        ident, u.jet(exact=False), u.n, blocks, None)]).T
     denom = float(np.dot(rs, rs))
     t = float(np.dot(ls, rs)) / denom if denom >= 1e-30 else 0.0
     if not (np.isfinite(ls).all() and np.isfinite(rs).all() and math.isfinite(denom)
@@ -362,7 +377,7 @@ def _check(ident: _Identity, u: CubicForm, mode: str, trials: int,
     m = _pick_mode(u, mode)
     jet = u.jet(exact=m != "float")
     if m == "float":
-        t = _proportional_float(ident, jet, u.n, seed)
+        t = _proportional_float(ident, u, seed)
     elif m == "exact":
         t = _expanded_ratio(*ident.sides(*u.symbolic))
     else:
@@ -454,22 +469,26 @@ def _curvatures(jet: Jet, X: np.ndarray, grad_threshold: float) -> List[Optional
     or None where the gradient at x / |x| is under the threshold or H is
     not finite.
 
-    The rows go to the sphere, p = x / |x|, and their gradient norms gn
-    are tested as one stack; ``_sides_at`` gives the numerator, the
-    radial identity's lhs, of each row that passes.  H = lhs / gn**3 / |x|
-    is then taken on the row's own scalars, as for a single point: an
-    array ``gn ** 3`` can differ from the scalar's in the last bit.
+    The rows go to the sphere, p = x / |x|, and their gradients G and
+    gradient norms gn are taken as one stack.  ``_sides_at`` gives the
+    numerator, the radial identity's lhs, of each row that passes, from
+    that row of G and one Hessian per block: each row of a stack holds the
+    single point's bits, so G's is the gradient the row has alone.
+    H = lhs / gn**3 / |x| is then taken on the row's own scalars, as for a
+    single point: an array ``gn ** 3`` can differ from the scalar's in the
+    last bit.
     """
     nx = np.sqrt(_dots(X, X))
     P = X / nx[:, None]
     G = jet.gradient(P)
     gn = np.sqrt(_dots(G, G))
     keep = np.flatnonzero(~(gn < grad_threshold * jet.scale))
+    lhs = [side for side, _ in _rows(_sides_at(RADIAL, jet, P[keep], G[keep]))]
     out = [None] * len(X)
-    for i, (lhs, _) in zip(keep, _rows(_sides_at(RADIAL, jet, P[keep]))):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            h = float(lhs / gn[i] ** 3 / nx[i])
-        out[i] = h if math.isfinite(h) else None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i, side in zip(keep, lhs):
+            h = float(side / gn[i] ** 3 / nx[i])
+            out[i] = h if math.isfinite(h) else None
     return out
 
 
@@ -533,8 +552,8 @@ def _bisect(jet, a: np.ndarray, b: np.ndarray, ua: np.ndarray,
         to_hi = ~to_lo & (um != 0.0)
         new_lo = np.where(to_lo[:, None], mid, lo)
         new_hi = np.where(to_hi[:, None], mid, hi)
-        if all(np.array_equal(x.view(np.int64), y.view(np.int64))
-               for x, y in ((new_lo, lo), (new_hi, hi))):
+        if not ((new_lo.view(np.int64) != lo.view(np.int64)).any()
+                or (new_hi.view(np.int64) != hi.view(np.int64)).any()):
             break
         lo, hi = new_lo, new_hi
     return live, _unit(lo + hi)

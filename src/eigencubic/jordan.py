@@ -83,9 +83,6 @@ class HermMat3:
         return HermMat3(self.d, tuple(t * a for a in self.diag),
                         tuple(t * o for o in self.off))
 
-    def trace(self):
-        return self.diag[0] + self.diag[1] + self.diag[2]
-
     def matrix(self):
         """Full 3x3 layout as CDElements (for the associative product)."""
         d = self.d

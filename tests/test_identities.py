@@ -268,8 +268,7 @@ def test_float_overflow_raises(name):
     for check in IDENTITY_CHECKS:
         assert check(scaled(uf, 1e80)).passed == check(uf).passed, check.__name__
     with pytest.raises(ValueError, match="not finite"):
-        _proportional_float(_Identity("inf", 2, lambda v, g, H, r2: (np.inf, r2)),
-                            uf.jet(exact=False), uf.n, seed=0)
+        _proportional_float(_Identity("inf", 2, lambda v, g, H, r2: (np.inf, r2)), uf, seed=0)
 
 
 def test_float_constants_outside_float64():
@@ -1063,10 +1062,71 @@ def test_float_checks_match_the_per_point_loop(monkeypatch, name):
                 for ident in (RADIAL, EICONAL, TRACE2, TRACE3)]
         for block in (cubics.BLOCK, width, 4 * width):
             monkeypatch.setattr(cubics, "BLOCK", block)
-            reports = [check(uf, seed=seed) for check in IDENTITY_CHECKS]
+            # a new copy, whose float pieces are evaluated in this block size
+            fresh = catalog_build(name).to_float()
+            reports = [check(fresh, seed=seed) for check in IDENTITY_CHECKS]
             assert all(r.mode == "float" for r in reports)
             got = [(r.passed, r.constant) for r in reports]
             assert repr(got) == repr(want), (seed, block)
+
+
+def _hessian_calls(monkeypatch, jet):
+    """A list that records one entry per ``Jet.hessian`` call on ``jet``."""
+    calls = []
+    real = Jet.hessian
+
+    def spy(self, p):
+        if self is jet:
+            calls.append(p.shape)
+        return real(self, p)
+
+    monkeypatch.setattr(Jet, "hessian", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_float_checks_share_one_evaluation(monkeypatch, name):
+    # the four float checks on one form read the pieces it holds: each
+    # report is the one a new copy of the form gives, and the form takes
+    # one Hessian per block of the points at each seed; a second seed gets
+    # its own points, and going back to the first evaluates them again
+    uf = catalog_build(name).to_float()
+    calls = _hessian_calls(monkeypatch, uf.jet(exact=False))
+    blocks = -(-identities.FLOAT_TRIALS // cubics.block_rows(uf.n * uf.n))
+    for k, seed in enumerate((1, 2, 3, 1), 1):
+        for check in IDENTITY_CHECKS:
+            got = check(uf, seed=seed).to_json_dict()
+            assert got == check(catalog_build(name).to_float(), seed=seed).to_json_dict(), \
+                (check.__name__, seed)
+        assert len(calls) == k * blocks, seed
+
+
+def test_float_pieces_are_kept_only_when_complete(monkeypatch):
+    # a Hessian that raises in the last of the five blocks of a new seed
+    # leaves the pieces of the seed before, and the new seed is evaluated
+    # in full on the next call
+    uf = catalog_build("complexified-d8").to_float()
+    jet = uf.jet(exact=False)
+    check_radial(uf, seed=2)
+    held = uf.float_pieces(2, identities.FLOAT_TRIALS)
+    assert len(held) == 5
+    calls = _hessian_calls(monkeypatch, jet)
+    real = Jet.hessian
+
+    def failing(self, p):
+        out = real(self, p)
+        if len(calls) == 5:
+            raise FloatingPointError("overflow")
+        return out
+
+    monkeypatch.setattr(Jet, "hessian", failing)
+    with pytest.raises(FloatingPointError):
+        check_radial(uf, seed=1)
+    assert uf.float_pieces(2, identities.FLOAT_TRIALS) is held
+    monkeypatch.undo()
+    fresh = catalog_build("complexified-d8").to_float()
+    assert [check(uf, seed=1).to_json_dict() for check in IDENTITY_CHECKS] \
+        == [check(fresh, seed=1).to_json_dict() for check in IDENTITY_CHECKS]
 
 
 @pytest.mark.parametrize("name,entries", [
@@ -1217,6 +1277,45 @@ def test_mean_curvature_matches_the_per_point_formula(name):
     # both paths are exercised: every Gaussian point has a curvature at 0,
     # and every cone point is rejected at 1e3
     assert None not in wants[0.0][:12] and set(wants[1e3][12:]) <= {None}
+
+
+def _curvatures_by_sides(jet, X, grad_threshold):
+    """The stacked curvatures as they were taken before they read the
+    gradient stack: ``_sides_at`` evaluates the value, gradient and
+    Hessian of each row kept, and each row divides under its own errstate."""
+    nx = np.sqrt(identities._dots(X, X))
+    P = X / nx[:, None]
+    G = jet.gradient(P)
+    gn = np.sqrt(identities._dots(G, G))
+    keep = np.flatnonzero(~(gn < grad_threshold * jet.scale))
+    out = [None] * len(X)
+    for i, (lhs, _) in zip(keep, identities._rows(identities._sides_at(RADIAL, jet, P[keep]))):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            h = float(lhs / gn[i] ** 3 / nx[i])
+        out[i] = h if math.isfinite(h) else None
+    return out
+
+
+@pytest.mark.parametrize("name", list(CATALOG))
+def test_curvatures_match_the_sides_at_route(name):
+    # the curvatures from the gradient stack and one Hessian per block are
+    # the ``_sides_at`` route's, as reprs, with every ray kept (0), some
+    # (0.1) and none (inf), at Gaussian points of sizes 1e-3..1e3 and at
+    # cone points; no RuntimeWarning is raised on the way
+    uf = catalog_build(name).to_float()
+    jet = uf.jet(exact=False)
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((30, uf.n)) * 10.0 ** rng.integers(-3, 4, size=(30, 1))
+    X = np.concatenate([X, np.reshape(sample_cone(uf, 6, 2, 0.0).points, (-1, uf.n))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for t in (0.1, 0.0, math.inf):
+            got = identities._curvatures(jet, X, t)
+            assert repr(got) == repr(_curvatures_by_sides(jet, X, t)), t
+            if t == 0.0:
+                assert None not in got[:30]
+            elif t == math.inf:
+                assert got == [None] * len(X)
 
 
 def reference_sample_cone(u, count, seed, grad_threshold=0.1):
