@@ -282,25 +282,29 @@ def _line_search(jet: Jet, X: np.ndarray, U: np.ndarray, step: np.ndarray,
     sgn = np.where(U[live] >= 0, 1.0, -1.0)
     cur, t, x = np.abs(U[live]), step[live], X[live]
     climbed = np.zeros(len(live), dtype=bool)
-    todo = np.arange(len(live))     # rows of ``live`` still searching
+    # the rows of ``live`` still searching, and their sgn, cur, t, x and
+    # tangent, cut down to them after each stack
+    todo = np.arange(len(live))
     tried, width = 0, 1
     while todo.size and tried < ASCENT_HALVINGS:
         w = min(width, ASCENT_HALVINGS - tried)
-        cand = np.multiply.accumulate(
-            np.concatenate([t[todo, None], np.full((todo.size, w - 1), 0.5)], axis=1),
-            axis=1)
-        xn = _unit((x[todo, None, :] + (cand * sgn[todo, None])[..., None]
-                    * tangent[todo, None, :]).reshape(-1, n))
+        cand = t[:, None] if w == 1 else np.multiply.accumulate(
+            np.concatenate([t[:, None], np.full((todo.size, w - 1), 0.5)], axis=1), axis=1)
+        xn = _unit((x[:, None, :] + (cand * sgn[:, None])[..., None]
+                    * tangent[:, None, :]).reshape(-1, n))
         un = jet.value(xn).reshape(-1, w)
-        up = np.abs(un) > cur[todo, None]
+        up = np.abs(un) > cur[:, None]
         hit = up.any(axis=1)
         k = np.flatnonzero(hit)
         j = up[k].argmax(axis=1)
         rows = live[todo[k]]
         X[rows], U[rows], step[rows] = xn[k * w + j], un[k, j], cand[k, j] * 1.2
         climbed[todo[k]] = True
-        t[todo] = cand[:, -1] * 0.5
-        todo = todo[~hit]
+        if k.size == todo.size:
+            break
+        miss = ~hit
+        todo, sgn, cur, x, tangent = todo[miss], sgn[miss], cur[miss], x[miss], tangent[miss]
+        t = cand[miss, -1] * 0.5
         tried, width = tried + w, 2 * width
     return climbed
 
