@@ -288,7 +288,7 @@ def _line_search(jet: Jet, X: np.ndarray, U: np.ndarray, step: np.ndarray,
     tried, width = 0, 1
     while todo.size and tried < ASCENT_HALVINGS:
         w = min(width, ASCENT_HALVINGS - tried)
-        cand = t[:, None] if w == 1 else np.multiply.accumulate(
+        cand = np.multiply.accumulate(
             np.concatenate([t[:, None], np.full((todo.size, w - 1), 0.5)], axis=1), axis=1)
         xn = _unit((x[:, None, :] + (cand * sgn[:, None])[..., None]
                     * tangent[:, None, :]).reshape(-1, n))

@@ -87,7 +87,9 @@ class CubicForm:
     ``terms``, the read-only view key -> m, is built on first use: the
     float r / D at a key of ``float_keys``, elsewhere a Fraction, or a
     QSqrt3 where s != 0.  The full symmetric tensor entry is m divided
-    by the number of distinct permutations of (i, j, k).
+    by the number of distinct permutations of (i, j, k).  A form also
+    holds what its checks share, each built on first use: its jets, the
+    exact expansion ``symbolic`` and the float checks' ``float_pieces``.
     """
 
     def __init__(self, n: int, terms: Dict[Key, object]):
@@ -111,7 +113,7 @@ class CubicForm:
             keys, r, s = ([x[t] for t in live] for x in (keys, r, s))
         self.n, self.keys, self.num, self.scale = n, keys, (r, s), D
         self.float_keys, self.is_exact_form, self._jets = frozenset(floats), not floats, {}
-        self._checked = None
+        self._pieces = None
         return self
 
     @cached_property
@@ -187,13 +189,13 @@ class CubicForm:
         reads the same arrays.  The last (seed, count) asked is kept, and
         only once every block is evaluated, so a block that raises leaves
         nothing stale."""
-        if self._checked is None or self._checked[0] != (seed, count):
+        if self._pieces is None or self._pieces[0] != (seed, count):
             jet, rows = self.jet(exact=False), block_rows(self.n * self.n)
             P = np.random.default_rng(seed).standard_normal((count, self.n))
             blocks = [(B, jet.value(B), jet.gradient(B), jet.hessian(B))
                       for B in (P[s:s + rows] for s in range(0, count, rows))]
-            self._checked = (seed, count), blocks
-        return self._checked[1]
+            self._pieces = (seed, count), blocks
+        return self._pieces[1]
 
     @classmethod
     def from_poly(cls, p: Poly) -> "CubicForm":

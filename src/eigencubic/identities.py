@@ -15,7 +15,9 @@ decider:
   at ``trials + 1`` points, with the Schwartz-Zippel bound (deg/bound)**trials,
   or the least positive float where that underflows;
 * float: p is a Gaussian float64 point (forms with float coefficients)
-  and t is a least-squares fit, accepted to a tolerance.
+  and t is a least-squares fit, accepted to a tolerance; the points and
+  their v, g and H are the form's ``CubicForm.float_pieces``, evaluated
+  once for all four checks at one seed.
 
 Both exact modes decide by one ratio test: t is solved at the first
 coefficient or point with rhs != 0, and every other must agree; the
@@ -35,15 +37,16 @@ each ``sides`` runs on the two integer channels, and only the two sides
 it returns are joined to QSqrt3; the exact mode's pieces are single
 PolyArrays whose sqrt(3) terms carry a factor 2 in their codes.
 
-Both point modes evaluate the sides through one function, ``_sides_at``,
-on blocks of points that bound its (points, n, n) stacks, each block as
+Both point modes evaluate the sides through one function,
+``_sides_of_blocks`` (``_sides_at`` on a stack of points), on blocks of points that bound its (points, n, n) stacks, each block as
 ``modular.ResidueStack``s: float64 ones under numpy's own rounding, each
 row the single point's bit for bit, or int64 ones modulo 2**64 and as
 many residue primes as the bound read off the identity's own sides
 (``_Identity.bound``) needs, each side then lifted by CRT to the Python
 int one point gives alone; ``modular`` states the int64 bounds.  Each
 block's sides come out as two arrays, which a caller concatenates or
-reads row by row.  One exact Hessian per block serves every modulus,
+reads row by row.  A float block may bring the v, g and H its caller
+already holds, which are then not evaluated again.  One exact Hessian per block serves every modulus,
 with g and v from it by Euler's identities, wherever the jet's own
 bound keeps it in int64 (2 L R^2 < 2**62 at |p_a| <= R, every catalog
 form at the random mode's points); past that bound each modulus takes
@@ -53,8 +56,8 @@ call per block (the stream of one ``randrange`` per coordinate), so
 memory stays O(block) for any ``trials`` and no block after the first
 that refutes t is drawn; its moduli and residue jets are taken once per
 check, for |p_a| < DEFAULT_BOUND.  The Hsiang check of ``algebra`` and the cone
-sampler's mean curvatures (``_curvatures``) run their points through the
-same function, and ``tables.classify`` reads the checks into one record;
+sampler's mean curvatures (``_curvatures``, with the gradient stack it
+holds) run their points through the same function, and ``tables.classify`` reads the checks into one record;
 this module imports neither.
 
 Policy: exact expansion for n <= 15, randomized above, both overridable.
