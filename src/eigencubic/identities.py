@@ -38,7 +38,8 @@ it returns are joined to QSqrt3; the exact mode's pieces are single
 PolyArrays whose sqrt(3) terms carry a factor 2 in their codes.
 
 Both point modes evaluate the sides through one function,
-``_sides_of_blocks`` (``_sides_at`` on a stack of points), on blocks of points that bound its (points, n, n) stacks, each block as
+``_sides_of_blocks`` (``_sides_at`` on a stack of points), on blocks of
+points that bound its (points, n, n) stacks, each block as
 ``modular.ResidueStack``s: float64 ones under numpy's own rounding, each
 row the single point's bit for bit, or int64 ones modulo 2**64 and as
 many residue primes as the bound read off the identity's own sides
@@ -46,19 +47,21 @@ many residue primes as the bound read off the identity's own sides
 int one point gives alone; ``modular`` states the int64 bounds.  Each
 block's sides come out as two arrays, which a caller concatenates or
 reads row by row.  A float block may bring the v, g and H its caller
-already holds, which are then not evaluated again.  One exact Hessian per block serves every modulus,
-with g and v from it by Euler's identities, wherever the jet's own
-bound keeps it in int64 (2 L R^2 < 2**62 at |p_a| <= R, every catalog
-form at the random mode's points); past that bound each modulus takes
-its own residue jet (``_exact_route``).
+already holds, which are then not evaluated again.  One exact Hessian
+per block serves every modulus, with g and v from it by Euler's
+identities, wherever the jet's own bound keeps it in int64
+(2 L R^2 < 2**62 at |p_a| <= R, every catalog form at the random mode's
+points); past that bound each modulus takes its own residue jet
+(``_exact_route``).
 The random mode draws its points in the same blocks, one ``_randbelow``
 call per block (the stream of one ``randrange`` per coordinate), so
 memory stays O(block) for any ``trials`` and no block after the first
 that refutes t is drawn; its moduli and residue jets are taken once per
 check, for |p_a| < DEFAULT_BOUND.  The Hsiang check of ``algebra`` and the cone
 sampler's mean curvatures (``_curvatures``, with the gradient stack it
-holds) run their points through the same function, and ``tables.classify`` reads the checks into one record;
-this module imports neither.
+holds) run their points through the same function, and
+``tables.classify`` reads the checks into one record; this module
+imports neither.
 
 Policy: exact expansion for n <= 15, randomized above, both overridable.
 """
@@ -218,7 +221,7 @@ def _exact_route(ident: _Identity, jet: Jet, n: int, R: int) -> Callable:
     return pieces
 
 
-def _sides_of_blocks(ident: _Identity, jet: Jet, n: int, blocks: Iterable[np.ndarray],
+def _sides_of_blocks(ident: _Identity, jet: Jet, n: int, blocks: Iterable,
                      R: Optional[int]) -> Iterator[Tuple]:
     """The arrays (lhs, rhs) of ``ident.sides`` at the rows of each block
     of points in turn; lazy, so a caller that stops early draws and
